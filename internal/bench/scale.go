@@ -73,10 +73,10 @@ func fixedRoundsCaseOpts(n, h, maxRounds int, backend noisypull.Backend, proto n
 }
 
 // regular1MGraph builds the shared 8-regular graph at n = 10⁶ exactly once —
-// graph construction is seconds of work that must not be charged to either
-// twin of the Graph pair (Run itself is inside the timed loop; the first
-// b.N iteration pays the Once, so callers build it before ResetTimer via
-// warming: the case functions call it eagerly outside the loop).
+// graph construction (about 0.3 s on a 2-core host) must not be charged to
+// either twin of the Graph pair (Run itself is inside the timed loop; the
+// first b.N iteration pays the Once, so callers build it before ResetTimer
+// via warming: the case functions call it eagerly outside the loop).
 var (
 	regular1MOnce sync.Once
 	regular1M     *noisypull.Topology

@@ -13,6 +13,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"noisypull/internal/rng"
 )
@@ -121,12 +122,21 @@ func build(n int, us, vs []int32) *Graph {
 	return &Graph{n: n, off: off, nbrs: nbrs}
 }
 
+// fitsInt32 reports whether n vertices with perVertex half-edges each fit
+// build's int32 vertex ids and offsets. It needs n ≥ 1.
+func fitsInt32(n, perVertex int) bool {
+	return n <= math.MaxInt32 && perVertex <= math.MaxInt32/n
+}
+
 // Ring returns the circulant graph on n vertices where every vertex is
 // adjacent to its k nearest neighbors on each side (degree 2k). It requires
-// n ≥ 2k+1 and k ≥ 1.
+// n ≥ 2k+1, k ≥ 1 and 2·n·k ≤ math.MaxInt32.
 func Ring(n, k int) (*Graph, error) {
 	if k < 1 || n < 2*k+1 {
 		return nil, fmt.Errorf("graph: Ring(n=%d, k=%d) needs n >= 2k+1, k >= 1", n, k)
+	}
+	if !fitsInt32(n, 2*k) {
+		return nil, fmt.Errorf("graph: Ring(n=%d, k=%d) exceeds int32 vertex ids or offsets", n, k)
 	}
 	var us, vs []int32
 	for v := 0; v < n; v++ {
@@ -139,69 +149,18 @@ func Ring(n, k int) (*Graph, error) {
 	return build(n, us, vs), nil
 }
 
-// edgeSet is a linear-probing hash multiset of normalized edge keys. It
-// replaces a map[edge]int in RandomRegular's repair loop: the table is one
-// allocation sized up front, and slots are never vacated (multiplicities
-// drop to zero but the key stays), which keeps probing correct without
-// tombstones. The repair loop inserts at most 3m distinct keys (m pairing
-// edges plus two per conflict-removing swap, of which there are at most m),
-// so a table of 4m power-of-two slots stays below 3/4 load.
-type edgeSet struct {
-	keys []uint64 // normalized key + 1; 0 marks an empty slot
-	cnt  []int32
-	mask uint64
-}
-
-func newEdgeSet(edges int) *edgeSet {
-	size := 16
-	for size < 4*edges {
-		size *= 2
-	}
-	return &edgeSet{
-		keys: make([]uint64, size),
-		cnt:  make([]int32, size),
-		mask: uint64(size - 1),
-	}
-}
-
-func edgeKey(a, b int32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return (uint64(uint32(a))<<32 | uint64(uint32(b))) + 1
-}
-
-// slot returns the index holding key, or the empty slot where it belongs.
-func (s *edgeSet) slot(key uint64) int {
-	i := (key * 0x9e3779b97f4a7c15) & s.mask
-	for s.keys[i] != 0 && s.keys[i] != key {
-		i = (i + 1) & s.mask
-	}
-	return int(i)
-}
-
-func (s *edgeSet) add(key uint64, delta int32) {
-	i := s.slot(key)
-	s.keys[i] = key
-	s.cnt[i] += delta
-}
-
-func (s *edgeSet) count(key uint64) int32 {
-	i := s.slot(key)
-	if s.keys[i] == 0 {
-		return 0
-	}
-	return s.cnt[i]
-}
-
 // RandomRegular returns a random d-regular simple graph via the pairing
 // (configuration) model followed by random edge-swap repair of self-loops
 // and duplicate edges (pure rejection is infeasible beyond small d: the
 // acceptance probability is ≈ exp(−(d²−1)/4)). It requires n·d even,
-// 1 ≤ d < n.
+// 1 ≤ d < n and n·d ≤ math.MaxInt32. Building takes O(n·d) time plus O(d)
+// per swap attempt, and about 12·n·d bytes at its peak.
 func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 	if d < 1 || d >= n {
 		return nil, fmt.Errorf("graph: RandomRegular degree %d out of range for n = %d", d, n)
+	}
+	if !fitsInt32(n, d) {
+		return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d) exceeds int32 vertex ids or offsets", n, d)
 	}
 	if n*d%2 != 0 {
 		return nil, fmt.Errorf("graph: RandomRegular needs n·d even, got %d·%d", n, d)
@@ -218,32 +177,67 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 	m := len(half) / 2
 	us := make([]int32, m)
 	vs := make([]int32, m)
-	seen := newEdgeSet(m) // multiplicity of each normalized edge
 	for i := 0; i < m; i++ {
 		us[i], vs[i] = half[2*i], half[2*i+1]
-		seen.add(edgeKey(us[i], vs[i]), 1)
 	}
-	// bad reports whether edge i is a self-loop or part of a multi-edge.
-	bad := func(i int) bool {
-		if us[i] == vs[i] {
-			return true
-		}
-		return seen.count(edgeKey(us[i], vs[i])) > 1
+	// Reuse half as n rows of d entries: row v holds v's neighbor multiset,
+	// listing v twice per self-loop at v. Swaps keep every degree at d, so
+	// each row stays exactly full.
+	fill := make([]int32, n)
+	for i := 0; i < m; i++ {
+		u, v := us[i], vs[i]
+		half[int(u)*d+int(fill[u])] = v
+		fill[u]++
+		half[int(v)*d+int(fill[v])] = u
+		fill[v]++
 	}
-	// Repair by random double-edge swaps: replace (a,b),(c,d) with
-	// (a,d),(c,b) when that strictly removes a conflict without adding one.
-	maxSwaps := 200 * m
-	for swaps := 0; swaps < maxSwaps; swaps++ {
-		i := -1
-		for j := 0; j < m; j++ {
-			if bad(j) {
-				i = j
-				break
+	row := func(v int32) []int32 { return half[int(v)*d : int(v)*d+d] }
+	// count returns the multiplicity of edge (a,b), a ≠ b.
+	count := func(a, b int32) int {
+		k := 0
+		for _, w := range row(a) {
+			if w == b {
+				k++
 			}
 		}
-		if i < 0 {
+		return k
+	}
+	// replace overwrites one occurrence of old in v's row with new.
+	replace := func(v, old, new int32) {
+		r := row(v)
+		for k, w := range r {
+			if w == old {
+				r[k] = new
+				return
+			}
+		}
+	}
+	// bad reports whether edge i is a self-loop or part of a multi-edge.
+	bad := func(i int32) bool { return us[i] == vs[i] || count(us[i], vs[i]) > 1 }
+	// cand lists the edges that start out bad, in ascending order, and the
+	// repair works on the first of them that is still bad. No other edge
+	// ever turns bad: a swap lowers the multiplicities of the edges it
+	// removes, and its new edges (a,d2),(c,b) are absent before it, so they
+	// collide only when both removed edges were self-loops, (a,a) and (c,c)
+	// becoming a double edge (a,c). Swaps create no self-loops, so both of
+	// those edges started out bad, stayed bad, and are still in cand.
+	var cand []int32
+	for i := int32(0); i < int32(m); i++ {
+		if bad(i) {
+			cand = append(cand, i)
+		}
+	}
+	// Repair by random double-edge swaps: replace (a,b),(c,d) with
+	// (a,d),(c,b) when neither new edge is a self-loop or already present.
+	maxSwaps := 200 * m
+	for swaps := 0; swaps < maxSwaps; swaps++ {
+		for len(cand) > 0 && !bad(cand[0]) {
+			cand = cand[1:]
+		}
+		if len(cand) == 0 {
 			return build(n, us, vs), nil
 		}
+		i := int(cand[0])
 		j := r.Intn(m)
 		if j == i {
 			continue
@@ -254,24 +248,28 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 		if a == d2 || c == b {
 			continue
 		}
-		if seen.count(edgeKey(a, d2)) > 0 || seen.count(edgeKey(c, b)) > 0 {
+		if count(a, d2) > 0 || count(c, b) > 0 {
 			continue
 		}
-		seen.add(edgeKey(a, b), -1)
-		seen.add(edgeKey(c, d2), -1)
+		replace(a, b, d2)
+		replace(b, a, c)
+		replace(c, d2, b)
+		replace(d2, c, a)
 		vs[i], vs[j] = d2, b
-		seen.add(edgeKey(a, d2), 1)
-		seen.add(edgeKey(c, b), 1)
 	}
 	return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d) repair did not converge", n, d)
 }
 
 // ErdosRenyi returns a G(n, p) random graph. Isolated vertices are
 // possible at small p; callers that need positive minimum degree should
-// check MinDegree.
+// check MinDegree. It requires n ≤ math.MaxInt32 and fails if it draws more
+// than math.MaxInt32/2 edges.
 func ErdosRenyi(n int, p float64, seed uint64) (*Graph, error) {
 	if n < 1 || p < 0 || p > 1 {
 		return nil, fmt.Errorf("graph: ErdosRenyi(n=%d, p=%v) invalid", n, p)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: ErdosRenyi(n=%d) exceeds int32 vertex ids", n)
 	}
 	r := rng.New(seed)
 	var us, vs []int32
@@ -282,6 +280,9 @@ func ErdosRenyi(n int, p float64, seed uint64) (*Graph, error) {
 				vs = append(vs, int32(w))
 			}
 		}
+	}
+	if len(us) > math.MaxInt32/2 {
+		return nil, fmt.Errorf("graph: ErdosRenyi(n=%d, p=%v) drew %d edges, too many for int32 offsets", n, p, len(us))
 	}
 	return build(n, us, vs), nil
 }

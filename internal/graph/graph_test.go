@@ -1,6 +1,10 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"strings"
 	"testing"
 )
 
@@ -43,6 +47,37 @@ func TestRingValidation(t *testing.T) {
 	if _, err := Ring(10, 0); err == nil {
 		t.Error("Ring(10,0) accepted")
 	}
+	// Vertex ids and offsets are int32; these would overflow them.
+	if _, err := Ring(1<<31, 1); err == nil {
+		t.Error("Ring(1<<31, 1) accepted")
+	}
+	if _, err := Ring(1<<30, 1); err == nil {
+		t.Error("Ring(1<<30, 1) accepted: 2·n·k = 1<<31")
+	}
+	if _, err := ErdosRenyi(1<<31, 0, 1); err == nil {
+		t.Error("ErdosRenyi(1<<31, 0) accepted")
+	}
+}
+
+// checkSimpleRegular fails t unless g is a simple d-regular graph.
+func checkSimpleRegular(t *testing.T, g *Graph, d int) {
+	t.Helper()
+	for v := 0; v < g.N(); v++ {
+		if g.Degree(v) != d {
+			t.Fatalf("n=%d d=%d: vertex %d has degree %d", g.N(), d, v, g.Degree(v))
+		}
+		// Simple graph: no self-loops, no duplicates.
+		seen := map[int32]bool{}
+		for _, w := range g.Neighbors(v) {
+			if int(w) == v {
+				t.Fatalf("n=%d d=%d: self-loop at %d", g.N(), d, v)
+			}
+			if seen[w] {
+				t.Fatalf("n=%d d=%d: duplicate edge %d-%d", g.N(), d, v, w)
+			}
+			seen[w] = true
+		}
+	}
 }
 
 func TestRandomRegularProperties(t *testing.T) {
@@ -51,22 +86,7 @@ func TestRandomRegularProperties(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RandomRegular(%d, %d): %v", tc.n, tc.d, err)
 		}
-		for v := 0; v < tc.n; v++ {
-			if g.Degree(v) != tc.d {
-				t.Fatalf("n=%d d=%d: vertex %d has degree %d", tc.n, tc.d, v, g.Degree(v))
-			}
-			// Simple graph: no self-loops, no duplicates.
-			seen := map[int32]bool{}
-			for _, w := range g.Neighbors(v) {
-				if int(w) == v {
-					t.Fatalf("self-loop at %d", v)
-				}
-				if seen[w] {
-					t.Fatalf("duplicate edge %d-%d", v, w)
-				}
-				seen[w] = true
-			}
-		}
+		checkSimpleRegular(t, g, tc.d)
 		// d-regular graphs with d >= 3 are connected w.h.p.
 		if tc.d >= 3 && !g.IsConnected() {
 			t.Fatalf("n=%d d=%d: disconnected", tc.n, tc.d)
@@ -83,6 +103,13 @@ func TestRandomRegularValidation(t *testing.T) {
 	}
 	if _, err := RandomRegular(5, 3, 1); err == nil {
 		t.Error("odd n*d accepted")
+	}
+	// Vertex ids and offsets are int32; these would overflow them.
+	if _, err := RandomRegular(1<<31, 4, 1); err == nil {
+		t.Error("n = 1<<31 accepted")
+	}
+	if _, err := RandomRegular(1<<20, 1<<11, 1); err == nil {
+		t.Error("n·d = 1<<31 accepted")
 	}
 }
 
@@ -104,6 +131,94 @@ func TestRandomRegularDeterministic(t *testing.T) {
 			if an[i] != bn[i] {
 				t.Fatal("nondeterministic generation")
 			}
+		}
+	}
+}
+
+// csrDigest is the hex sha256 over g's off then nbrs arrays, each entry
+// written as a little-endian int32.
+func csrDigest(g *Graph) string {
+	off, nbrs := g.CSR()
+	h := sha256.New()
+	var buf [4]byte
+	for _, s := range [][]int32{off, nbrs} {
+		for _, x := range s {
+			binary.LittleEndian.PutUint32(buf[:], uint32(x))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRandomRegularGolden pins the exact graphs RandomRegular builds, so
+// any change to its RNG draws or swap decisions shows up as a digest
+// mismatch. The first seven shapes are those other tests and benchmarks
+// build; the dense ones make the repair loop do most of the work.
+func TestRandomRegularGolden(t *testing.T) {
+	cases := []struct {
+		n, d int
+		seed uint64
+		want string
+	}{
+		{50, 4, 7, "0862b3671852b2a47d19d80866ffdf87a1c9ee1ed930be7acf978ffd1e54e30f"},
+		{101, 8, 7, "2b238a950c0a5202fde7c9d19214aa43946670e3596479052a6e0294a223ebf0"},
+		{64, 3, 7, "d133eff6f21ee4e00ffd1c23f4a40e2d0a713ae3e67364f8576c667ef2e03fa2"},
+		{40, 4, 99, "c1c18c183d85297396239dfa38cbc53111a32c9e1f9de6bc80dbeda4d00f7269"},
+		{60, 4, 7, "0482282501fec125e06033cc983d9fda6a413fc08bf43099520c7f8eb3fbcba4"},
+		{256, 16, 7, "0bc6fce250c082e5433cc6031bb0ff52469a3f004c0588651367fbf5739f0ba7"},
+		{500, 8, 99, "aeb3d234721f2cca779cb353a9859b80d43c97bc4462319fc94c60ce014dbe11"},
+		{10, 8, 2, "db73b4ec7041aad2c0250526be705ba2ed7bb84a69d0e63e856a5de040c5d6d9"},
+		{20, 19, 33, "140f1a3f1292423a4e668a7894de7d9f9d724123aec26c08e37c76f2e0988516"},
+		{30, 28, 1, "34cebc2d532ed2f988521367a45e83e4f055a32fafd59674c209bbc359c6fd58"},
+		{1_000_000, 8, 11, "96336aea8594bddc46f7ede44301e7419a7b558f482562e60cd91ad01ad76f3d"},
+	}
+	for _, tc := range cases {
+		if tc.n >= 1_000_000 && testing.Short() {
+			continue
+		}
+		g, err := RandomRegular(tc.n, tc.d, tc.seed)
+		if err != nil {
+			t.Fatalf("RandomRegular(%d, %d, %d): %v", tc.n, tc.d, tc.seed, err)
+		}
+		if got := csrDigest(g); got != tc.want {
+			t.Errorf("RandomRegular(%d, %d, %d) digest %s, want %s", tc.n, tc.d, tc.seed, got, tc.want)
+		}
+	}
+}
+
+// TestRandomRegularDense runs the repair loop where it works hardest. Dense
+// pairings carry many self-loops, and two self-loops (a,a),(c,c) can swap
+// into a double edge (a,c), so the set of bad edges can grow during repair.
+// Every graph returned must be simple and d-regular. Some dense seeds use up
+// the swap budget instead; how many is pinned, because it depends on every
+// RNG draw and swap decision the repair makes.
+func TestRandomRegularDense(t *testing.T) {
+	for _, tc := range []struct{ n, d, unconverged int }{{10, 8, 33}, {16, 6, 0}, {30, 28, 81}} {
+		unconverged := 0
+		for seed := uint64(1); seed <= 200; seed++ {
+			g, err := RandomRegular(tc.n, tc.d, seed)
+			if err != nil {
+				if !strings.Contains(err.Error(), "did not converge") {
+					t.Fatalf("RandomRegular(%d, %d, %d): %v", tc.n, tc.d, seed, err)
+				}
+				unconverged++
+				continue
+			}
+			checkSimpleRegular(t, g, tc.d)
+		}
+		if unconverged != tc.unconverged {
+			t.Errorf("n=%d d=%d: %d of 200 seeds did not converge, want %d", tc.n, tc.d, unconverged, tc.unconverged)
+		}
+	}
+}
+
+// BenchmarkRandomRegular1M builds the 10⁶-vertex 8-regular graph that
+// experiment-scale graph runs share.
+func BenchmarkRandomRegular1M(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RandomRegular(1_000_000, 8, 11); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
