@@ -154,7 +154,7 @@ func TestRegistrySweep(t *testing.T) {
 	if len(died) != 1 || died[0].id != n.id {
 		t.Fatalf("sweep died = %v", died)
 	}
-	if r.sweep(t0.Add(210 * time.Millisecond)) != nil {
+	if r.sweep(t0.Add(210*time.Millisecond)) != nil {
 		t.Fatal("sweep reported the same death twice")
 	}
 

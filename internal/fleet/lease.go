@@ -54,11 +54,11 @@ type lease struct {
 // for further replicas of it.
 type seedGroup struct {
 	seeds       []uint64
-	need        int            // agreeing votes required per seed (1 = first wins)
-	replicas    int            // replica leases cut so far (initial + escalations + speculative)
-	delivered   int            // replicas that delivered results
-	escalations int            // extra replicas cut because a full round of votes did not reach quorum
-	holding     map[string]int // node → live replicas of this range it holds
+	need        int             // agreeing votes required per seed (1 = first wins)
+	replicas    int             // replica leases cut so far (initial + escalations + speculative)
+	delivered   int             // replicas that delivered results
+	escalations int             // extra replicas cut because a full round of votes did not reach quorum
+	holding     map[string]int  // node → live replicas of this range it holds
 	voted       map[string]bool // nodes that already delivered for this range
 }
 

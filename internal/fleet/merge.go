@@ -39,9 +39,9 @@ type merge struct {
 	next     int // first position not yet released
 	received int // distinct seeds merged so far
 
-	need    []int             // votes required to admit (0/1 = first delivery wins)
-	winner  []string          // admitted payload's digest ("" if admitted without one)
-	votes   []map[string]string            // node → digest, pre-admission (quorum seeds)
+	need    []int                           // votes required to admit (0/1 = first delivery wins)
+	winner  []string                        // admitted payload's digest ("" if admitted without one)
+	votes   []map[string]string             // node → digest, pre-admission (quorum seeds)
 	payload []map[string]service.SeedResult // digest → first payload carrying it
 }
 

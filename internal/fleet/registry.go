@@ -66,14 +66,14 @@ func (n *node) recordAttFail() {
 // NodeInfo is a read-only snapshot of one registered node, exposed for
 // metrics and tests.
 type NodeInfo struct {
-	ID         string
-	Version    string
-	GoMaxProcs int
-	Slots      int
-	Alive      bool
-	LastSeen   time.Time
-	SeedsDone  int64
-	LeasesDone int64
+	ID          string
+	Version     string
+	GoMaxProcs  int
+	Slots       int
+	Alive       bool
+	LastSeen    time.Time
+	SeedsDone   int64
+	LeasesDone  int64
 	SeedsPerSec float64
 
 	Agreements    int64

@@ -24,13 +24,13 @@ const (
 
 // TrustBit class layout (alphabet {0,1}², informed flag + opinion bit):
 const (
-	tbUn0     = 0 // uninformed, opinion 0: displays (0,0)
-	tbUn1     = 1 // uninformed, opinion 1: displays (0,1)
-	tbInf0    = 2 // informed, opinion 0: displays (1,0)
-	tbInf1    = 3 // informed, opinion 1: displays (1,1)
-	tbSrc0    = 4 // source preferring 0: displays (1,0)
-	tbSrc1    = 5 // source preferring 1: displays (1,1)
-	tbStates  = 6
+	tbUn0    = 0 // uninformed, opinion 0: displays (0,0)
+	tbUn1    = 1 // uninformed, opinion 1: displays (0,1)
+	tbInf0   = 2 // informed, opinion 0: displays (1,0)
+	tbInf1   = 3 // informed, opinion 1: displays (1,1)
+	tbSrc0   = 4 // source preferring 0: displays (1,0)
+	tbSrc1   = 5 // source preferring 1: displays (1,1)
+	tbStates = 6
 )
 
 // binInitialCounts fills the shared binary class histogram: sources pinned

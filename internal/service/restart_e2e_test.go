@@ -145,9 +145,9 @@ func TestRestartSurvivesKill9(t *testing.T) {
 	}
 
 	cases := []struct {
-		name     string
-		spec     JobSpec
-		killAt   int // SIGKILL once the stream reports this round of seed 1
+		name   string
+		spec   JobSpec
+		killAt int // SIGKILL once the stream reports this round of seed 1
 	}{
 		{
 			// Exact per-agent backend: ~8k rounds/s, so 8000 rounds/seed keeps

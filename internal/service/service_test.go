@@ -67,7 +67,7 @@ func TestSpecValidation(t *testing.T) {
 		{Protocol: "ssf", N: 100, H: 4, Sources1: 1, P01: &p, P10: &p},   // binary channel, alphabet 4
 		{Protocol: "sf", N: 100, H: 4, Sources1: 1, Delta: 0.2, Corruption: "sideways"},
 		{Protocol: "sf", N: 100, H: 4, Sources1: 1, Delta: 0.2, Backend: "warp"},
-		{Protocol: "sf", N: 1, H: 4, Sources1: 1, Delta: 0.2},                   // engine validation bubbles up
+		{Protocol: "sf", N: 1, H: 4, Sources1: 1, Delta: 0.2},                      // engine validation bubbles up
 		{Protocol: "sf", N: 100, H: 4, Sources1: 1, Delta: 0.2, Backend: "counts"}, // SF is not countable
 		{Protocol: "ssf", N: 100, H: 4, Sources1: 1, Delta: 0.2, Backend: "counts"},
 	}

@@ -9,14 +9,14 @@ func TestBetaIncKnownValues(t *testing.T) {
 	cases := []struct {
 		a, b, x, want float64
 	}{
-		{1, 1, 0.3, 0.3},       // I_x(1,1) = x
-		{1, 1, 0.7, 0.7},       //
-		{2, 1, 0.5, 0.25},      // I_x(2,1) = x²
-		{1, 2, 0.5, 0.75},      // I_x(1,2) = 1−(1−x)²
-		{2, 2, 0.5, 0.5},       // symmetric at x = 1/2
-		{0.5, 0.5, 0.5, 0.5},   // arcsine distribution median
-		{5, 3, 0, 0},           // boundary
-		{5, 3, 1, 1},           // boundary
+		{1, 1, 0.3, 0.3},         // I_x(1,1) = x
+		{1, 1, 0.7, 0.7},         //
+		{2, 1, 0.5, 0.25},        // I_x(2,1) = x²
+		{1, 2, 0.5, 0.75},        // I_x(1,2) = 1−(1−x)²
+		{2, 2, 0.5, 0.5},         // symmetric at x = 1/2
+		{0.5, 0.5, 0.5, 0.5},     // arcsine distribution median
+		{5, 3, 0, 0},             // boundary
+		{5, 3, 1, 1},             // boundary
 		{3, 7, 0.3, 0.537168834}, // = P(Binom(9, 0.3) ≥ 3), summed by hand
 	}
 	for _, c := range cases {
