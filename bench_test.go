@@ -79,12 +79,9 @@ func BenchmarkTopologyExact(b *testing.B) { run(b, "TopologyExact") }
 // Scale benchmarks: identical fixed-round workloads at n = 10⁶ under the
 // aggregate and counts backends (ns/op ratio = per-round speedup), plus a
 // full n = 10⁸ convergence run only the counts backend can afford. The
-// per-agent cases take the vectorized engine path; ScaleVoter1MScalar pins
-// the legacy per-agent path on the same workload, so its ns/op ratio
-// against ScaleVoter1MAggregate is the vectorization speedup.
+// per-agent cases run the built-in protocols' struct-of-arrays kernels.
 func BenchmarkScaleVoter1MAggregate(b *testing.B)    { run(b, "ScaleVoter1MAggregate") }
 func BenchmarkScaleVoter1MExact(b *testing.B)        { run(b, "ScaleVoter1MExact") }
-func BenchmarkScaleVoter1MScalar(b *testing.B)       { run(b, "ScaleVoter1MScalar") }
 func BenchmarkScaleVoter1MCounts(b *testing.B)       { run(b, "ScaleVoter1MCounts") }
 func BenchmarkScaleSF1MAggregate(b *testing.B)       { run(b, "ScaleSF1MAggregate") }
 func BenchmarkScaleMajority1MAggregate(b *testing.B) { run(b, "ScaleMajority1MAggregate") }

@@ -52,18 +52,14 @@ func Suite() []Case {
 		{"LargeScaleHn", LargeScaleHn},
 		{"ScaleVoter1MAggregate", fixedRoundsCase(1_000_000, 8, 8, noisypull.BackendAggregate, noisypull.VoterBaseline)},
 		{"ScaleVoter1MExact", fixedRoundsCase(1_000_000, 8, 8, noisypull.BackendExact, noisypull.VoterBaseline)},
-		{"ScaleVoter1MScalar", scalarRoundsCase(1_000_000, 8, 8, noisypull.BackendAggregate, noisypull.VoterBaseline)},
 		{"ScaleVoter1MCounts", fixedRoundsCase(1_000_000, 8, 8, noisypull.BackendCounts, noisypull.VoterBaseline)},
 		{"ScaleSF1MAggregate", fixedRoundsCase(1_000_000, 8, 8, noisypull.BackendAggregate, noisypull.NewSourceFilter())},
 		{"ScaleMajority1MAggregate", fixedRoundsCase(1_000_000, 8, 8, noisypull.BackendAggregate, noisypull.MajorityBaseline)},
 		{"ScaleMajority1MCounts", fixedRoundsCase(1_000_000, 8, 8, noisypull.BackendCounts, noisypull.MajorityBaseline)},
 		{"ScaleMajority100MCounts", ScaleMajority100MCounts},
-		{"ScaleGraphRegular1M", graphRoundsCase(false)},
-		{"ScaleGraphRegular1MScalar", graphRoundsCase(true)},
-		{"ScaleKOpinion1M", kOpinionRoundsCase(false)},
-		{"ScaleKOpinion1MScalar", kOpinionRoundsCase(true)},
-		{"ScaleFaultedVec1M", faultedRoundsCase(false)},
-		{"ScaleFaultedVec1MScalar", faultedRoundsCase(true)},
+		{"ScaleGraphRegular1M", graphRoundsCase},
+		{"ScaleKOpinion1M", kOpinionRoundsCase},
+		{"ScaleFaultedVec1M", faultedRoundsCase},
 		{"RunBatch", RunBatch},
 		{"RunBatchSequentialBaseline", RunBatchSequentialBaseline},
 		{"TopologyExact", TopologyExact},

@@ -21,15 +21,14 @@ package protocol
 //
 // Every kernel honors the engine's crash mask: a crashed agent
 // (obs.Crashed) draws nothing, keeps its state, and still tallies its
-// current opinion — the scalar path's semantics. The populations also
-// implement sim.VecFaultPopulation (CorruptAt mirroring the scalar Corrupt,
-// ReinitAt producing a fresh non-source), so mid-run corruption and churn
-// schedules stay on the vectorized path.
+// current opinion. CorruptAt mirrors the scalar agent's Corrupt and
+// ReinitAt produces a fresh non-source, so mid-run corruption and churn
+// rewrite the flat slices in place.
 //
 // The kernels draw from the chunk stream in agent-index order; their
 // trajectories are deterministic in (seed, chunk layout) and independent of
-// the worker count, but deliberately NOT bit-identical to the scalar path,
-// which burns randomness per-agent-stream (see DESIGN §3.9).
+// the worker count, but deliberately NOT bit-identical to the scalar agents
+// run through the engine's adapter, which draw per agent (see DESIGN §3.9).
 
 import (
 	"fmt"
@@ -111,7 +110,7 @@ func (p *voterPop) DisplayRange(lo, hi int, out []uint8) {
 	copy(out[lo:hi], p.opinion[lo:hi])
 }
 
-// CorruptAt implements sim.VecFaultPopulation, mirroring voterAgent.Corrupt
+// CorruptAt implements sim.VecPopulation, mirroring voterAgent.Corrupt
 // (sources are immune).
 func (p *voterPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
 	if i < p.spec.Sources1+p.spec.Sources0 {
@@ -125,7 +124,7 @@ func (p *voterPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.S
 	}
 }
 
-// ReinitAt implements sim.VecFaultPopulation: a freshly arrived non-source
+// ReinitAt implements sim.VecPopulation: a freshly arrived non-source
 // voter holds opinion 0, like a new scalar agent before any corruption.
 func (p *voterPop) ReinitAt(i int, r *rng.Stream) {
 	p.opinion[i] = 0
@@ -231,7 +230,7 @@ func (p *majorityPop) DisplayRange(lo, hi int, out []uint8) {
 	copy(out[lo:hi], p.opinion[lo:hi])
 }
 
-// CorruptAt implements sim.VecFaultPopulation, mirroring
+// CorruptAt implements sim.VecPopulation, mirroring
 // majorityAgent.Corrupt (sources are immune).
 func (p *majorityPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
 	if i < p.spec.Sources1+p.spec.Sources0 {
@@ -245,7 +244,7 @@ func (p *majorityPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rn
 	}
 }
 
-// ReinitAt implements sim.VecFaultPopulation: a fresh non-source carries the
+// ReinitAt implements sim.VecPopulation: a fresh non-source carries the
 // balanced parity initialization of the scalar agent.
 func (p *majorityPop) ReinitAt(i int, r *rng.Stream) {
 	p.opinion[i] = uint8(i % 2)
@@ -340,7 +339,7 @@ func (p *sfPop) InitRange(lo, hi int, r *rng.Stream) {
 		default:
 			p.opinion[i] = 0
 		}
-		// Seeded init, then corruption — the scalar engine's per-agent order.
+		// Seeded init, then corruption — the scalar agents' per-agent order.
 		if p.alt {
 			p.firstSym[i] = uint8(r.Coin())
 		}
@@ -461,12 +460,12 @@ func (p *sfPop) DisplayRange(lo, hi int, out []uint8) {
 	}
 }
 
-// CorruptAt implements sim.VecFaultPopulation.
+// CorruptAt implements sim.VecPopulation.
 func (p *sfPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
 	p.corrupt(i, mode, wrong, r)
 }
 
-// ReinitAt implements sim.VecFaultPopulation: a freshly arrived non-source
+// ReinitAt implements sim.VecPopulation: a freshly arrived non-source
 // starts the schedule from round 0 with cleared counters; the alternating
 // variant redraws its first listening symbol (the scalar SeedInit).
 func (p *sfPop) ReinitAt(i int, r *rng.Stream) {

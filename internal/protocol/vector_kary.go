@@ -8,8 +8,8 @@ package protocol
 // applications, and both keep their state as flat slices (SSF's memory
 // multiset as a flat 4n counter slab). The kernels follow the conventions
 // documented in vector.go: chunk-stream draws in agent-index order, crash
-// masks honored, and sim.VecFaultPopulation implemented so corruption and
-// churn schedules stay on the vectorized path.
+// masks honored, and corruption and churn applied in place through
+// CorruptAt and ReinitAt.
 
 import (
 	"fmt"
@@ -101,7 +101,7 @@ func (p *trustBitPop) State(i int) (display, opinion int) {
 	return p.display(i), int(p.opinion[i])
 }
 
-// CorruptAt implements sim.VecFaultPopulation, mirroring
+// CorruptAt implements sim.VecPopulation, mirroring
 // trustBitAgent.Corrupt (sources are immune).
 func (p *trustBitPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
 	if i < p.spec.Sources1+p.spec.Sources0 {
@@ -117,7 +117,7 @@ func (p *trustBitPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rn
 	}
 }
 
-// ReinitAt implements sim.VecFaultPopulation: a fresh non-source is
+// ReinitAt implements sim.VecPopulation: a fresh non-source is
 // uninformed with the balanced parity opinion.
 func (p *trustBitPop) ReinitAt(i int, r *rng.Stream) {
 	p.informed[i], p.opinion[i] = 0, uint8(i%2)
@@ -144,8 +144,9 @@ func (p *trustBitPop) RestoreRange(rd *sim.SnapReader, lo, hi int) error {
 }
 
 // NewVecPopulation implements sim.VecProtocol. It panics on an invalid
-// environment (same contract as NewAgent) and returns nil — scalar fallback
-// — for quotas too large for the population's int32 counters.
+// environment (same contract as NewAgent) and returns nil — the engine then
+// runs SSF's Agents through its adapter — for quotas too large for the
+// population's int32 counters.
 func (p *SSF) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
 	m, err := p.quota(spec.Env)
 	if err != nil {
@@ -265,7 +266,7 @@ func (p *ssfPop) State(i int) (display, opinion int) {
 // analysis.
 func (p *ssfPop) WeakOpinionAt(i int) int { return int(p.weak[i]) }
 
-// CorruptAt implements sim.VecFaultPopulation, mirroring ssfAgent.Corrupt
+// CorruptAt implements sim.VecPopulation, mirroring ssfAgent.Corrupt
 // (which hits sources too — their role and quota are the only intact state).
 func (p *ssfPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
 	base := 4 * i
@@ -291,7 +292,7 @@ func (p *ssfPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Str
 	}
 }
 
-// ReinitAt implements sim.VecFaultPopulation: a fresh non-source with empty
+// ReinitAt implements sim.VecPopulation: a fresh non-source with empty
 // memory and zero opinions.
 func (p *ssfPop) ReinitAt(i int, r *rng.Stream) {
 	base := 4 * i

@@ -118,7 +118,6 @@ func (c *Config) ResetCompatible(o *Config) bool {
 		c.Corruption == o.Corruption &&
 		c.Faults == o.Faults &&
 		c.Workers == o.Workers &&
-		c.ForceScalar == o.ForceScalar &&
 		c.TrackHistory == o.TrackHistory &&
 		c.OnRound == nil && o.OnRound == nil &&
 		c.OnFault == nil && o.OnFault == nil &&

@@ -283,8 +283,8 @@ func TestCountsInitialClassCounts(t *testing.T) {
 	}
 
 	// Per-agent backends report no class counts. MajorityRule on the exact
-	// backend takes the vectorized path (no Agents slice, AgentState works);
-	// under ForceScalar the per-agent population is materialized.
+	// backend runs its own kernel (no Agents slice, AgentState works); with
+	// the kernel hidden, the adapter materializes its Agents.
 	cfg := base
 	cfg.Backend = sim.BackendExact
 	r, err := sim.New(cfg)
@@ -295,28 +295,22 @@ func TestCountsInitialClassCounts(t *testing.T) {
 	if got := r.ClassCounts(); got != nil {
 		t.Errorf("exact backend ClassCounts = %v, want nil", got)
 	}
-	if !r.Vectorized() {
-		t.Error("exact-backend majority runner did not take the vectorized path")
-	}
 	if r.Agents() != nil {
-		t.Error("vectorized runner exposes an Agents slice")
+		t.Error("kernel runner exposes an Agents slice")
 	}
 	if _, _, err := r.AgentState(0); err != nil {
-		t.Errorf("vectorized AgentState: %v", err)
+		t.Errorf("kernel AgentState: %v", err)
 	}
 
-	scalar := cfg
-	scalar.ForceScalar = true
-	rs, err := sim.New(scalar)
+	adapted := cfg
+	adapted.Protocol = agentsOnly(cfg.Protocol)
+	ra, err := sim.New(adapted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rs.Close()
-	if rs.Vectorized() {
-		t.Error("ForceScalar runner reports Vectorized")
-	}
-	if rs.Agents() == nil {
-		t.Error("ForceScalar exact backend Agents() = nil")
+	defer ra.Close()
+	if ra.Agents() == nil {
+		t.Error("adapter runner Agents() = nil")
 	}
 }
 

@@ -5,12 +5,14 @@ package sim
 // error propagation for misbehaving protocols.
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
 	"noisypull/internal/faults"
 	"noisypull/internal/graph"
+	"noisypull/internal/rng"
 )
 
 // resultsEqual compares every field of two results, including history.
@@ -148,24 +150,91 @@ func (p badDisplayProtocol) NewAgent(id int, role Role, env Env) Agent {
 
 // TestBadDisplayReturnsError verifies a protocol displaying a symbol
 // outside the alphabet surfaces as an error from Run — not a panic — under
-// both the serial path and the worker pool.
+// both the serial path and the worker pool, on several chunks, and on a
+// graph, where displays are published instead of counted.
 func TestBadDisplayReturnsError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := baseConfig(t)
-		cfg.Protocol = badDisplayProtocol{badID: 57}
-		cfg.Workers = workers
-		r, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		n, badID int
+		ring     bool
+	}{
+		{"complete", 100, 57, false},
+		{"multichunk", 3 * VecChunkSize, 2*VecChunkSize + 57, false},
+		{"ring", 100, 57, true},
+		{"multichunk ring", 3 * VecChunkSize, 2*VecChunkSize + 57, true},
+	} {
+		for _, workers := range []int{1, 4} {
+			cfg := baseConfig(t)
+			cfg.N = tc.n
+			cfg.Protocol = badDisplayProtocol{badID: tc.badID}
+			cfg.Workers = workers
+			if tc.ring {
+				ring, err := graph.Ring(tc.n, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Topology = ring
+			}
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = r.Run()
+			r.Close()
+			if err == nil {
+				t.Fatalf("%s workers=%d: misbehaving protocol did not error", tc.name, workers)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("agent %d ", tc.badID)) || !strings.Contains(err.Error(), "symbol 7") {
+				t.Fatalf("%s workers=%d: unhelpful error %q", tc.name, workers, err)
+			}
 		}
-		_, err = r.Run()
-		if err == nil {
-			t.Fatalf("workers=%d: misbehaving protocol did not error", workers)
-		}
-		if !strings.Contains(err.Error(), "agent 57") || !strings.Contains(err.Error(), "symbol 7") {
-			t.Fatalf("workers=%d: unhelpful error %q", workers, err)
-		}
-		r.Close()
+	}
+}
+
+// mendedAgent displays an out-of-alphabet symbol until it is corrupted.
+type mendedAgent struct{ constAgent }
+
+func (a *mendedAgent) Corrupt(mode CorruptionMode, wrong int, r *rng.Stream) { a.symbol = 0 }
+
+type mendedProtocol struct{}
+
+func (mendedProtocol) Alphabet() int { return 2 }
+func (mendedProtocol) NewAgent(id int, role Role, env Env) Agent {
+	return &mendedAgent{constAgent{symbol: 7, alphabet: 2}}
+}
+
+// TestBadFrozenDisplayReturnsError: an agent that crashes while showing a
+// symbol outside the alphabet and is corrupted into a legal one in the same
+// round must still end Run with an error, since later rounds read the
+// frozen symbol, not the live one.
+func TestBadFrozenDisplayReturnsError(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.Protocol = mendedProtocol{}
+	cfg.Faults = &faults.Schedule{Events: []faults.Event{
+		{Kind: faults.KindCrash, Round: 1, Fraction: 1, Duration: 2},
+		{Kind: faults.KindCorrupt, Round: 1, Fraction: 1, Corruption: faults.CorruptRandom},
+	}}
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "agent 0 ") || !strings.Contains(err.Error(), "symbol 7") {
+		t.Fatalf("crash-frozen bad display: err = %v", err)
+	}
+}
+
+// TestSnapshotNeedsSnapshotter: checkpointing a plain Agent protocol whose
+// agents cannot serialize their state must fail, not write a snapshot that
+// silently drops it.
+func TestSnapshotNeedsSnapshotter(t *testing.T) {
+	r, err := New(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Snapshot(); err == nil || !strings.Contains(err.Error(), "Snapshotter") {
+		t.Fatalf("Snapshot of non-Snapshotter agents: err = %v", err)
 	}
 }
 
@@ -339,12 +408,11 @@ func TestCloseIdempotent(t *testing.T) {
 	r1.Close()
 }
 
-// TestTopologyMixturePaths exercises both exact-topology sampling paths
-// (cached neighborhood mixture for small degrees, per-sample draws for
-// large ones) and checks they agree with the unrestricted engine
-// statistically via the complete-graph-as-topology trick.
+// TestTopologyMixturePaths checks that every observation vector an agent
+// receives on a ring sums to h, for h below and above the neighbourhood
+// size.
 func TestTopologyMixturePaths(t *testing.T) {
-	for _, h := range []int{2, 40} { // deg+d² ≤ 2h selects per-sample vs mixture
+	for _, h := range []int{2, 40} {
 		cfg := baseConfig(t)
 		cfg.H = h
 		cfg.MaxRounds = 4

@@ -45,29 +45,6 @@ type driftState struct {
 	from, rounds  int
 }
 
-// vecCompatibleFaults reports whether a fault schedule can run against the
-// given vectorized population. Noise swaps and drift repoint the runner's
-// effective rows (which the observation law is rebuilt from every round),
-// and crash events are masked lanes over the fault engine's shared
-// crashUntil/frozen bookkeeping — every population supports those.
-// Corruption and churn rewrite individual agent state, which needs the
-// population's cooperation: they require VecFaultPopulation, and a schedule
-// containing them sends a population without it to the scalar path.
-func vecCompatibleFaults(s *faults.Schedule, pop VecPopulation) bool {
-	if s == nil {
-		return true
-	}
-	for i := range s.Events {
-		switch s.Events[i].Kind {
-		case faults.KindCorrupt, faults.KindChurn:
-			if _, ok := pop.(VecFaultPopulation); !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // newFaultState provisions the fault runtime for a validated schedule.
 func newFaultState(cfg *Config, backend Backend) *faultState {
 	fs := &faultState{}
@@ -160,7 +137,7 @@ func (r *Runner) applyFault(round int, ev faults.Event) (int, error) {
 		}
 		return r.corruptAgents(ev), nil
 	case faults.KindCrash:
-		return r.crashAgents(round, ev), nil
+		return r.crashAgents(round, ev)
 	case faults.KindChurn:
 		return r.churnAgents(ev), nil
 	default:
@@ -192,32 +169,24 @@ func (r *Runner) stepDrift(round int) error {
 }
 
 // setNoise replaces the communication matrix mid-run, recomposing the
-// effective channel (with any artificial layer) and repointing the mixture
+// effective matrix (with any artificial layer) and repointing the mixture
 // rows every backend reads. shared selects the process-wide channel cache,
-// appropriate for discrete swaps between recurring matrices; drift builds
-// throwaway channels directly.
+// appropriate for discrete swaps between recurring matrices; drift composes
+// throwaway matrices directly.
 func (r *Runner) setNoise(m *noise.Matrix, shared bool) error {
 	var (
-		eff *noise.Matrix
-		ch  *noise.Channel
+		eff = m
 		err error
 	)
 	if shared {
-		eff, ch, err = noise.SharedChannel(m, r.cfg.Artificial)
-	} else {
-		eff = m
-		if r.cfg.Artificial != nil {
-			eff, err = noise.Compose(m, r.cfg.Artificial)
-		}
-		if err == nil {
-			ch, err = noise.NewChannel(eff)
-		}
+		eff, _, err = noise.SharedChannel(m, r.cfg.Artificial)
+	} else if r.cfg.Artificial != nil {
+		eff, err = noise.Compose(m, r.cfg.Artificial)
 	}
 	if err != nil {
 		return err
 	}
 	r.curNoise = m
-	r.channel = ch
 	for sigma := range r.effRows {
 		r.effRows[sigma] = eff.Row(sigma)
 	}
@@ -228,7 +197,6 @@ func (r *Runner) setNoise(m *noise.Matrix, shared bool) error {
 // restoreNoise rewinds the channel to the configured matrix (New/Reset).
 func (r *Runner) restoreNoise() {
 	r.curNoise = r.cfg.Noise
-	r.channel = r.baseChannel
 	for sigma := range r.effRows {
 		r.effRows[sigma] = r.baseEff.Row(sigma)
 	}
@@ -260,41 +228,28 @@ func clampDelta(d float64, alphabet int) float64 {
 // corruptAgents applies a mid-run corruption event on the per-agent
 // backends: each agent is selected independently with the event's fraction
 // (drawn from the fault stream, so selection is deterministic in the seed)
-// and corrupted, exactly as round-0 corruption is. The scalar path corrupts
-// through the agent's own stream; the vectorized path draws the corruption
-// randomness from the fault stream too — both run single-threaded here, so
-// either choice is deterministic and worker-independent, and the adversary
-// state written is identically distributed.
+// and corrupted, exactly as round-0 corruption is. The corruption
+// randomness comes from the fault stream too; this runs single-threaded,
+// so it is deterministic and worker-independent.
 func (r *Runner) corruptAgents(ev faults.Event) int {
 	wrong := 1 - r.correct
 	hit := 0
-	if r.pop != nil {
-		fp := r.pop.(VecFaultPopulation)
-		for i := 0; i < r.cfg.N; i++ {
-			if !r.fs.stream.Bernoulli(ev.Fraction) {
-				continue
-			}
-			fp.CorruptAt(i, ev.Corruption, wrong, &r.fs.stream)
-			hit++
-		}
-		return hit
-	}
-	for i, a := range r.agents {
+	for i := 0; i < r.cfg.N; i++ {
 		if !r.fs.stream.Bernoulli(ev.Fraction) {
 			continue
 		}
-		if c, ok := a.(Corruptible); ok {
-			c.Corrupt(ev.Corruption, wrong, &r.streams[i])
-			hit++
-		}
+		r.pop.CorruptAt(i, ev.Corruption, wrong, &r.fs.stream)
+		hit++
 	}
 	return hit
 }
 
 // crashAgents freezes selected agents for the event's duration: they keep
 // displaying the symbol they show at crash time and skip observation and
-// update until they rejoin. Overlapping crashes extend, never shorten.
-func (r *Runner) crashAgents(round int, ev faults.Event) int {
+// update until they rejoin. Overlapping crashes extend, never shorten. A
+// frozen symbol outside the alphabet is an error, since later rounds read
+// it without checking.
+func (r *Runner) crashAgents(round int, ev faults.Event) (int, error) {
 	fs := r.fs
 	hit := 0
 	until := round + ev.Duration
@@ -303,14 +258,18 @@ func (r *Runner) crashAgents(round int, ev faults.Event) int {
 			continue
 		}
 		if fs.crashUntil[i] <= round {
-			fs.frozen[i] = r.displayAt(i)
+			sym, _ := r.pop.State(i)
+			if sym < 0 || sym >= r.env.Alphabet {
+				return 0, fmt.Errorf("agent %d displayed symbol %d outside alphabet [0, %d)", i, sym, r.env.Alphabet)
+			}
+			fs.frozen[i] = sym
 		}
 		if until > fs.crashUntil[i] {
 			fs.crashUntil[i] = until
 		}
 		hit++
 	}
-	return hit
+	return hit, nil
 }
 
 // churnAgents replaces selected non-sources with freshly initialized
@@ -322,37 +281,14 @@ func (r *Runner) churnAgents(ev faults.Event) int {
 	cfg := &r.cfg
 	wrong := 1 - r.correct
 	hit := 0
-	if r.pop != nil {
-		fp := r.pop.(VecFaultPopulation)
-		for i := cfg.Sources1 + cfg.Sources0; i < cfg.N; i++ {
-			if !fs.stream.Bernoulli(ev.Fraction) {
-				continue
-			}
-			fp.ReinitAt(i, &fs.stream)
-			if ev.Corruption != CorruptNone {
-				fp.CorruptAt(i, ev.Corruption, wrong, &fs.stream)
-			}
-			if fs.crashUntil != nil {
-				fs.crashUntil[i] = 0
-			}
-			hit++
-		}
-		return hit
-	}
 	for i := cfg.Sources1 + cfg.Sources0; i < cfg.N; i++ {
 		if !fs.stream.Bernoulli(ev.Fraction) {
 			continue
 		}
-		a := cfg.Protocol.NewAgent(i, Role{}, r.env)
-		if s, ok := a.(Seeder); ok {
-			s.SeedInit(&r.streams[i])
-		}
+		r.pop.ReinitAt(i, &fs.stream)
 		if ev.Corruption != CorruptNone {
-			if c, ok := a.(Corruptible); ok {
-				c.Corrupt(ev.Corruption, wrong, &r.streams[i])
-			}
+			r.pop.CorruptAt(i, ev.Corruption, wrong, &fs.stream)
 		}
-		r.agents[i] = a
 		if fs.crashUntil != nil {
 			fs.crashUntil[i] = 0
 		}

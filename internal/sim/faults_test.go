@@ -17,9 +17,9 @@ import (
 	"noisypull/internal/stats"
 )
 
-// probeProto instruments the engine's fault hooks: agents count Display,
-// Observe, and Corrupt invocations and record the per-round count of
-// observed 1-symbols. All agents display 0 and hold opinion 0.
+// probeProto instruments the engine's fault hooks: agents count Observe and
+// Corrupt invocations and record the per-round count of observed 1-symbols.
+// All agents display 0 and hold opinion 0.
 type probeProto struct{}
 
 func (probeProto) Alphabet() int { return 2 }
@@ -28,12 +28,12 @@ func (probeProto) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
 }
 
 type probeAgent struct {
-	displays, observes, corrupts int
-	mode                         sim.CorruptionMode
-	onesByRound                  []int
+	observes, corrupts int
+	mode               sim.CorruptionMode
+	onesByRound        []int
 }
 
-func (a *probeAgent) Display() int { a.displays++; return 0 }
+func (a *probeAgent) Display() int { return 0 }
 func (a *probeAgent) Observe(counts []int, r *rng.Stream) {
 	a.observes++
 	a.onesByRound = append(a.onesByRound, counts[1])
@@ -118,13 +118,11 @@ func TestFaultCrashSemantics(t *testing.T) {
 		t.Fatalf("record = %+v", res.Faults[0])
 	}
 	for i, a := range agents {
-		// Crashed for rounds 4–6: 7 observations instead of 10, and 8
-		// Display calls (rounds 1–3, the freeze capture, rounds 7–10).
+		// Crashed for rounds 4–6: 7 observations instead of 10. That the
+		// round law reads the frozen display, not the live one, is checked
+		// by TestOracleObservationLaw's crash case.
 		if a.observes != 7 {
 			t.Fatalf("agent %d observed %d rounds, want 7", i, a.observes)
-		}
-		if a.displays != 8 {
-			t.Fatalf("agent %d displayed %d times, want 8", i, a.displays)
 		}
 	}
 }
@@ -493,9 +491,9 @@ func (c countableOnly) Alphabet() int { return c.p.Alphabet() }
 func (c countableOnly) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
 	return c.p.NewAgent(id, role, env)
 }
-func (c countableOnly) NumStates(env sim.Env) int              { return c.p.NumStates(env) }
-func (c countableOnly) DisplayOf(env sim.Env, state int) int   { return c.p.DisplayOf(env, state) }
-func (c countableOnly) OpinionOf(env sim.Env, state int) int   { return c.p.OpinionOf(env, state) }
+func (c countableOnly) NumStates(env sim.Env) int            { return c.p.NumStates(env) }
+func (c countableOnly) DisplayOf(env sim.Env, state int) int { return c.p.DisplayOf(env, state) }
+func (c countableOnly) OpinionOf(env sim.Env, state int) int { return c.p.OpinionOf(env, state) }
 func (c countableOnly) InitialCounts(env sim.Env, init sim.CountsInit, counts []int) {
 	c.p.InitialCounts(env, init, counts)
 }

@@ -1,18 +1,18 @@
 // Golden-trace regression suite for the round engine.
 //
-// testdata/golden_scalar.json pins full trajectories (result fields, round
-// history, and a hash of final per-agent state) of the per-agent scalar
-// path, captured before the vectorized struct-of-arrays backend landed.
-// testdata/golden_vec.json pins the vectorized path against itself so
-// future changes to the kernels or the chunked stream scheme cannot
-// silently change results.
+// testdata/golden_vec.json pins full trajectories (result fields, round
+// history, and a hash of final per-agent state) of the built-in protocols'
+// struct-of-arrays kernels, so changes to the kernels or the chunked stream
+// scheme cannot silently change results. Whether the engine draws from the
+// right law at all is checked against the model itself by the exact-law
+// oracle (oracle_test.go).
 //
 // Regenerate with:
 //
 //	go test ./internal/sim -run TestGolden -update
 //
-// Never regenerate golden_scalar.json to paper over an engine diff: the
-// scalar file is the pre-refactor contract.
+// Never regenerate it to paper over an engine diff: recorded seeds and
+// published experiment tables depend on these trajectories.
 package sim_test
 
 import (
@@ -45,9 +45,6 @@ type goldenTrace struct {
 type goldenCase struct {
 	name string
 	cfg  sim.Config
-	// vec reports whether the config is expected to take the vectorized
-	// path when ForceScalar is off (used by the vec golden suite).
-	vec bool
 }
 
 func goldenNoise(t *testing.T, d int, delta float64) *noise.Matrix {
@@ -59,7 +56,7 @@ func goldenNoise(t *testing.T, d int, delta float64) *noise.Matrix {
 	return m
 }
 
-// goldenCases is the fixed config matrix pinned by both golden files.
+// goldenCases is the fixed config matrix pinned by the golden file.
 func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	swap, err := noise.Uniform(2, 0.3)
@@ -87,27 +84,27 @@ func goldenCases(t *testing.T) []goldenCase {
 		}
 	}
 	cases := []goldenCase{
-		{name: "voter-exact", cfg: base(protocol.Voter{}, sim.BackendExact, 101), vec: true},
-		{name: "voter-aggregate", cfg: base(protocol.Voter{}, sim.BackendAggregate, 101), vec: true},
-		{name: "voter-exact-seed2", cfg: base(protocol.Voter{}, sim.BackendExact, 777), vec: true},
+		{name: "voter-exact", cfg: base(protocol.Voter{}, sim.BackendExact, 101)},
+		{name: "voter-aggregate", cfg: base(protocol.Voter{}, sim.BackendAggregate, 101)},
+		{name: "voter-exact-seed2", cfg: base(protocol.Voter{}, sim.BackendExact, 777)},
 	}
 
 	vr := base(protocol.Voter{}, sim.BackendExact, 202)
 	vr.Corruption = sim.CorruptRandom
-	cases = append(cases, goldenCase{name: "voter-exact-corrupt-random", cfg: vr, vec: true})
+	cases = append(cases, goldenCase{name: "voter-exact-corrupt-random", cfg: vr})
 
 	vf := base(protocol.Voter{}, sim.BackendAggregate, 303)
 	vf.Faults = noiseSched
-	cases = append(cases, goldenCase{name: "voter-aggregate-noisefaults", cfg: vf, vec: true})
+	cases = append(cases, goldenCase{name: "voter-aggregate-noisefaults", cfg: vf})
 
 	mj := base(protocol.MajorityRule{}, sim.BackendExact, 404)
 	mj.H = 8
-	cases = append(cases, goldenCase{name: "majority-exact", cfg: mj, vec: true})
+	cases = append(cases, goldenCase{name: "majority-exact", cfg: mj})
 
 	mw := base(protocol.MajorityRule{}, sim.BackendAggregate, 505)
 	mw.H = 8
 	mw.Corruption = sim.CorruptWrongConsensus
-	cases = append(cases, goldenCase{name: "majority-aggregate-corrupt-wrong", cfg: mw, vec: true})
+	cases = append(cases, goldenCase{name: "majority-aggregate-corrupt-wrong", cfg: mw})
 
 	sfBase := func(proto sim.Protocol, backend sim.Backend, seed uint64) sim.Config {
 		return sim.Config{
@@ -125,14 +122,14 @@ func goldenCases(t *testing.T) []goldenCase {
 		}
 	}
 	cases = append(cases,
-		goldenCase{name: "sf-exact", cfg: sfBase(protocol.NewSF(), sim.BackendExact, 606), vec: true},
-		goldenCase{name: "sf-aggregate", cfg: sfBase(protocol.NewSF(), sim.BackendAggregate, 606), vec: true},
-		goldenCase{name: "sf-alt-exact", cfg: sfBase(protocol.NewSFAlternating(), sim.BackendExact, 707), vec: true},
+		goldenCase{name: "sf-exact", cfg: sfBase(protocol.NewSF(), sim.BackendExact, 606)},
+		goldenCase{name: "sf-aggregate", cfg: sfBase(protocol.NewSF(), sim.BackendAggregate, 606)},
+		goldenCase{name: "sf-alt-exact", cfg: sfBase(protocol.NewSFAlternating(), sim.BackendExact, 707)},
 	)
 
 	sfc := sfBase(protocol.NewSF(), sim.BackendExact, 808)
 	sfc.Corruption = sim.CorruptWrongConsensus
-	cases = append(cases, goldenCase{name: "sf-exact-corrupt-wrong", cfg: sfc, vec: true})
+	cases = append(cases, goldenCase{name: "sf-exact-corrupt-wrong", cfg: sfc})
 
 	// d=4 cascade: vectorized since the k-ary multinomial kernels landed.
 	tb := sim.Config{
@@ -148,7 +145,7 @@ func goldenCases(t *testing.T) []goldenCase {
 		TrackHistory: true,
 		Workers:      1,
 	}
-	cases = append(cases, goldenCase{name: "trustbit-exact", cfg: tb, vec: true})
+	cases = append(cases, goldenCase{name: "trustbit-exact", cfg: tb})
 
 	ssf := sim.Config{
 		N:            120,
@@ -163,16 +160,16 @@ func goldenCases(t *testing.T) []goldenCase {
 		TrackHistory: true,
 		Workers:      1,
 	}
-	cases = append(cases, goldenCase{name: "ssf-exact", cfg: ssf, vec: true})
+	cases = append(cases, goldenCase{name: "ssf-exact", cfg: ssf})
 
-	// Graph topology: per-neighborhood observation laws on both paths.
+	// Graph topology: per-neighborhood observation laws.
 	ring, err := graph.Ring(200, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vg := base(protocol.Voter{}, sim.BackendExact, 1001)
 	vg.Topology = ring
-	cases = append(cases, goldenCase{name: "voter-ring-exact", cfg: vg, vec: true})
+	cases = append(cases, goldenCase{name: "voter-ring-exact", cfg: vg})
 
 	tg := sim.Config{
 		N:            200,
@@ -188,9 +185,9 @@ func goldenCases(t *testing.T) []goldenCase {
 		TrackHistory: true,
 		Workers:      1,
 	}
-	cases = append(cases, goldenCase{name: "trustbit-ring-exact", cfg: tg, vec: true})
+	cases = append(cases, goldenCase{name: "trustbit-ring-exact", cfg: tg})
 
-	// Structural faults (corrupt + crash + churn) on both paths.
+	// Structural faults (corrupt + crash + churn).
 	structSched := &faults.Schedule{Events: []faults.Event{
 		{Kind: faults.KindCorrupt, Round: 6, Fraction: 0.25, Corruption: faults.CorruptRandom},
 		{Kind: faults.KindCrash, Round: 10, Fraction: 0.3, Duration: 8},
@@ -199,7 +196,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	vsf := base(protocol.Voter{}, sim.BackendExact, 1203)
 	vsf.Faults = structSched
 	vsf.StabilityWindow = 8
-	cases = append(cases, goldenCase{name: "voter-exact-structfaults", cfg: vsf, vec: true})
+	cases = append(cases, goldenCase{name: "voter-exact-structfaults", cfg: vsf})
 	return cases
 }
 
@@ -291,38 +288,9 @@ func goldenFile(t *testing.T, path string, traces map[string]goldenTrace, update
 	return want
 }
 
-// TestGoldenScalar pins the per-agent scalar path against trajectories
-// captured before the vectorized backend existed. ForceScalar keeps every
-// case on that path regardless of vec eligibility.
-func TestGoldenScalar(t *testing.T) {
-	cases := goldenCases(t)
-	got := make(map[string]goldenTrace, len(cases))
-	for _, c := range cases {
-		cfg := c.cfg
-		cfg.ForceScalar = true
-		got[c.name] = runGolden(t, cfg)
-	}
-	path := filepath.Join("testdata", "golden_scalar.json")
-	want := goldenFile(t, path, got, *updateGolden)
-	if *updateGolden {
-		return
-	}
-	if len(want) != len(cases) {
-		t.Fatalf("golden file has %d cases, suite has %d", len(want), len(cases))
-	}
-	for _, c := range cases {
-		w, ok := want[c.name]
-		if !ok {
-			t.Errorf("%s: missing from golden file", c.name)
-			continue
-		}
-		goldenCompare(t, c.name, got[c.name], w)
-	}
-}
-
-// TestGoldenVec pins the vectorized path (the default for eligible
-// configs) against its own committed trajectories, and checks that the
-// cases marked vec really do take the vectorized path.
+// TestGoldenVec pins the built-in kernels against their committed
+// trajectories, and checks that every case runs its protocol's own kernel
+// rather than the Agent adapter.
 func TestGoldenVec(t *testing.T) {
 	cases := goldenCases(t)
 	got := make(map[string]goldenTrace, len(cases))
@@ -331,8 +299,8 @@ func TestGoldenVec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vec := r.Vectorized(); vec != c.vec {
-			t.Errorf("%s: Vectorized() = %v, want %v", c.name, vec, c.vec)
+		if r.Agents() != nil {
+			t.Errorf("%s: ran through the Agent adapter, want the protocol's kernel", c.name)
 		}
 		r.Close()
 		got[c.name] = runGolden(t, c.cfg)
@@ -352,17 +320,12 @@ func TestGoldenVec(t *testing.T) {
 	}
 }
 
-// TestGoldenVecMatchesScalarShape sanity-checks that for every vec-eligible
-// case both paths agree on the things that must be path-independent:
-// alphabet-legal displays and a correct-opinion count within [0, N]. (Exact
-// per-round equality across paths is impossible by design — the two paths
-// consume randomness differently — so distributional agreement is covered
-// by TestVecScalarChiSquare instead.)
+// TestGoldenVecMatchesScalarShape sanity-checks every golden case on the
+// things no trajectory may violate: a positive round count and a
+// correct-opinion count within [0, N]. (Distributional agreement of each
+// kernel with its protocol's Agents is TestVecScalarChiSquare's job.)
 func TestGoldenVecMatchesScalarShape(t *testing.T) {
 	for _, c := range goldenCases(t) {
-		if !c.vec {
-			continue
-		}
 		tr := runGolden(t, c.cfg)
 		if tr.FinalCorrect < 0 || tr.FinalCorrect > c.cfg.N {
 			t.Errorf("%s: FinalCorrect %d out of range", c.name, tr.FinalCorrect)

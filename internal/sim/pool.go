@@ -4,7 +4,7 @@ import "sync"
 
 // Round phases executed by pool workers.
 const (
-	phaseSnapshot = iota // Phase A: display snapshot + sharded symbol counts
+	phaseSnapshot = iota // Phase A: sharded display counts, or the display vector on a graph
 	phaseObserve         // Phase B: observe, update, tally opinions
 )
 
@@ -34,23 +34,17 @@ func newPool(workers int) *pool {
 }
 
 // worker is the body of pool worker w: wait for a phase signal, execute that
-// phase over the worker's share of the population — a contiguous agent
-// range on the scalar path, a strided set of fixed chunks on the vectorized
-// path — then signal completion. The gate receive happens-after the
+// phase over the worker's share of the population — a strided set of fixed
+// chunks — then signal completion. The gate receive happens-after the
 // coordinator's p.r write in attach, and the wg.Done happens-before the
 // coordinator's wg.Wait return, so all state handoffs are properly
 // synchronized.
 func (p *pool) worker(w int) {
 	for ph := range p.gates[w] {
-		switch {
-		case p.r.pop != nil && ph == phaseSnapshot:
+		if ph == phaseSnapshot {
 			p.r.vecCountRange(w)
-		case p.r.pop != nil:
+		} else {
 			p.r.vecStepRange(w)
-		case ph == phaseSnapshot:
-			p.r.snapshotRange(w)
-		default:
-			p.r.observeRange(w)
 		}
 		p.wg.Done()
 	}

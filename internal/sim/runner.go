@@ -19,36 +19,28 @@ import (
 type Runner struct {
 	cfg     Config
 	env     Env
-	agents  []Agent
-	streams []rng.Stream
-	channel *noise.Channel // effective channel: Noise composed with Artificial
-	effRows [][]float64    // effective matrix rows, for mixture building
+	effRows [][]float64 // effective matrix rows: Noise composed with Artificial
 	// noiseEpoch counts effRows repoints (noise faults, Reset); the
-	// vectorized neighborhood-law memos key their validity on it.
+	// neighborhood-law memos key their validity on it.
 	noiseEpoch uint64
 	backend    Backend
 	workers    int
-	correct    int // the correct opinion (plurality source preference)
-
-	// Per-round shared state, written only at barriers.
-	needDisplays bool      // topology runs need the display vector
-	displays     []int     // symbol displayed by each agent this round
-	counts       []int     // population display counts per symbol
-	probs        []float64 // counts as float64, reused as multinomial weights
-	mixW         []float64 // weights scratch for mix
-	mix          rng.Alias // complete-graph exact: display→observation mixture
+	correct    int   // the correct opinion (plurality source preference)
+	counts     []int // population display counts per symbol, merged at the Phase A barrier
 
 	scratch []workerScratch
 	pool    *pool
 	ce      *countsEngine // non-nil iff backend == BackendCounts
 	ran     bool          // Run consumed since the last New/Reset
 
-	// Vectorized struct-of-arrays path (see vector.go). pop is non-nil iff
-	// the configuration is vec-eligible and the protocol supplied a
-	// population; agents/streams stay nil then. chunkStreams holds one
-	// persistent RNG stream per fixed-size chunk; binDist and vecObs are
-	// the per-round observation law, rebuilt at every Phase A barrier.
+	// Per-agent engine path (see vector.go): every backend but counts keeps
+	// its population as a VecPopulation — the protocol's own kernel, or ap,
+	// the adapter for plain Agent protocols (ap is nil when a kernel runs).
+	// chunkStreams holds one persistent RNG stream per fixed-size chunk;
+	// binDist and vecObs are the per-round observation law, rebuilt at every
+	// Phase A barrier.
 	pop          VecPopulation
+	ap           *agentPop
 	chunkStreams []rng.Stream
 	numChunks    int
 	binDist      rng.BinomialDist
@@ -57,16 +49,15 @@ type Runner struct {
 	vecNbr       *vecNbrObs          // graph topology: per-neighborhood laws
 	vecObs       VecObs
 
-	// Fault-injection runtime (nil without a schedule). Noise faults swap
-	// channel/effRows mid-run; baseEff/baseChannel keep the configured
-	// channel for Reset, and curNoise tracks the communication-layer matrix
-	// in effect (drift starts from its level). curRound is the round being
-	// executed, written at the round barrier (crash checks read it).
-	fs          *faultState
-	baseEff     *noise.Matrix
-	baseChannel *noise.Channel
-	curNoise    *noise.Matrix
-	curRound    int
+	// Fault-injection runtime (nil without a schedule). Noise faults repoint
+	// effRows mid-run; baseEff keeps the configured effective matrix for
+	// Reset, and curNoise tracks the communication-layer matrix in effect
+	// (drift starts from its level). curRound is the round being executed,
+	// written at the round barrier (crash checks read it).
+	fs       *faultState
+	baseEff  *noise.Matrix
+	curNoise *noise.Matrix
+	curRound int
 
 	// Checkpoint/resume bookkeeping, updated at every round barrier:
 	// completedRound counts fully executed rounds, streak is the current
@@ -80,20 +71,12 @@ type Runner struct {
 	lastCorrect    int
 }
 
-// workerScratch is the preallocated private state of one worker: its agent
-// range, Phase A count shard, and Phase B observation buffers. Buffers are
-// separate allocations (padded to a cache line) so parallel workers do not
-// false-share.
+// workerScratch is the preallocated private state of one worker: its Phase A
+// count shard (a separate allocation padded to a cache line, so parallel
+// workers do not false-share) and its Phase B opinion tally.
 type workerScratch struct {
-	lo, hi   int
-	shard    []int // Phase A per-symbol display counts over [lo, hi)
-	sampled  []int // aggregate backend: multinomial sample buffer
-	observed []int // per-agent observation counts handed to Observe
-	nbrCnt   []int // topology: neighborhood display counts
-	nbrW     []float64
-	nbrMix   rng.Alias // topology: per-neighborhood observation mixture
-	partial  int       // Phase B correct-opinion count over [lo, hi)
-	err      error     // first Phase A protocol violation, if any
+	shard   []int // Phase A per-symbol display counts over the worker's chunks
+	partial int   // Phase B opinion-1 count over the worker's chunks
 }
 
 // New validates cfg, instantiates the population (assigning roles and
@@ -113,11 +96,11 @@ func New(cfg Config) (*Runner, error) {
 	}
 	// Fold the artificial channel (Theorem 8) into the communication channel
 	// once: a sample pushed through N and then P is distributed exactly as
-	// one pushed through N·P, so the hot loops apply a single composed
-	// channel instead of two. The composed matrix and its alias tables are
-	// immutable, so runners with content-equal channels (RunBatch fleets,
-	// service runner leases) share one instance from a process-wide cache.
-	eff, ch, err := noise.SharedChannel(cfg.Noise, cfg.Artificial)
+	// one pushed through N·P, so the observation laws read a single composed
+	// matrix instead of two. The composed matrix is immutable, so runners
+	// with content-equal channels (RunBatch fleets, service runner leases)
+	// share one instance from a process-wide cache.
+	eff, _, err := noise.SharedChannel(cfg.Noise, cfg.Artificial)
 	if err != nil {
 		return nil, fmt.Errorf("sim: building noise channel: %w", err)
 	}
@@ -136,7 +119,6 @@ func New(cfg Config) (*Runner, error) {
 		r := &Runner{
 			cfg:     cfg,
 			env:     env,
-			channel: ch,
 			effRows: make([][]float64, d),
 			backend: backend,
 			workers: 1,
@@ -147,106 +129,74 @@ func New(cfg Config) (*Runner, error) {
 			r.effRows[sigma] = eff.Row(sigma)
 		}
 		if cfg.Faults != nil {
-			r.baseEff, r.baseChannel, r.curNoise = eff, ch, cfg.Noise
+			r.baseEff, r.curNoise = eff, cfg.Noise
 			r.fs = newFaultState(&cfg, backend)
 		}
 		r.initPopulation()
 		return r, nil
 	}
 
+	// Workers stride whole chunks, so more workers than chunks would idle.
+	numChunks := numVecChunks(cfg.N)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.N {
-		workers = cfg.N
+	if workers > numChunks {
+		workers = numChunks
 	}
 
-	// Vectorized fast path: eligible configs whose protocol supplies a
-	// struct-of-arrays population skip per-agent allocation entirely.
+	// The protocol's struct-of-arrays kernel when it has one for this spec;
+	// otherwise the adapter runs its plain Agents on the same path.
+	spec := VecSpec{
+		Env:        env,
+		Sources1:   cfg.Sources1,
+		Sources0:   cfg.Sources0,
+		Correct:    cfg.CorrectOpinion(),
+		Corruption: cfg.Corruption,
+	}
 	var pop VecPopulation
-	if vp, ok := cfg.Protocol.(VecProtocol); ok && vecEligible(&cfg, backend) {
-		pop = vp.NewVecPopulation(VecSpec{
-			Env:        env,
-			Sources1:   cfg.Sources1,
-			Sources0:   cfg.Sources0,
-			Correct:    cfg.CorrectOpinion(),
-			Corruption: cfg.Corruption,
-		})
+	if vp, ok := cfg.Protocol.(VecProtocol); ok {
+		pop = vp.NewVecPopulation(spec)
 	}
-	if pop != nil && !vecCompatibleFaults(cfg.Faults, pop) {
-		// The schedule rewrites individual agent state and this population
-		// offers no VecFaultPopulation hooks: fall back to the scalar path.
-		pop = nil
-	}
-	numChunks := 0
-	if pop != nil {
-		numChunks = numVecChunks(cfg.N)
-		if workers > numChunks {
-			workers = numChunks
-		}
+	var ap *agentPop
+	if pop == nil {
+		ap = newAgentPop(cfg.Protocol, spec, numChunks)
+		pop = ap
 	}
 
 	r := &Runner{
 		cfg:          cfg,
 		env:          env,
-		channel:      ch,
 		effRows:      make([][]float64, d),
 		backend:      backend,
 		workers:      workers,
 		correct:      cfg.CorrectOpinion(),
-		needDisplays: cfg.Topology != nil && pop == nil,
 		counts:       make([]int, d),
-		probs:        make([]float64, d),
-		mixW:         make([]float64, d),
 		scratch:      make([]workerScratch, workers),
 		pop:          pop,
+		ap:           ap,
+		chunkStreams: make([]rng.Stream, numChunks),
 		numChunks:    numChunks,
-	}
-	if pop != nil {
-		r.chunkStreams = make([]rng.Stream, numChunks)
-	} else {
-		r.streams = make([]rng.Stream, cfg.N)
 	}
 	for sigma := 0; sigma < d; sigma++ {
 		r.effRows[sigma] = eff.Row(sigma)
 	}
-	if pop != nil {
-		if cfg.Topology != nil {
-			// The neighborhood laws alias r.effRows, so mid-run noise faults
-			// (which repoint its entries in place) propagate automatically.
-			r.vecNbr = newVecNbrObs(cfg.Topology, r.effRows, d, cfg.H, numChunks)
-		} else if d > 2 {
-			r.vecQ = make([]float64, d)
-		}
-	}
-	if r.needDisplays {
-		r.displays = make([]int, cfg.N)
+	if cfg.Topology != nil {
+		// The neighborhood laws alias r.effRows, so mid-run noise faults
+		// (which repoint its entries in place) propagate automatically.
+		r.vecNbr = newVecNbrObs(cfg.Topology, r.effRows, d, cfg.H, numChunks)
+	} else if d > 2 {
+		r.vecQ = make([]float64, d)
 	}
 	// dPad rounds buffer lengths up to a cache line so the heavily written
 	// per-worker shards of adjacent workers never share one.
 	dPad := (d + 7) &^ 7
-	chunk := (cfg.N + workers - 1) / workers
 	for w := range r.scratch {
-		s := &r.scratch[w]
-		s.lo = w * chunk
-		s.hi = s.lo + chunk
-		if s.hi > cfg.N {
-			s.hi = cfg.N
-		}
-		if s.lo > cfg.N {
-			s.lo = cfg.N
-		}
-		s.shard = make([]int, dPad)[:d]
-		s.sampled = make([]int, dPad)[:d]
-		s.observed = make([]int, dPad)[:d]
-		if r.needDisplays {
-			s.nbrCnt = make([]int, dPad)[:d]
-			s.nbrW = make([]float64, d)
-		}
+		r.scratch[w].shard = make([]int, dPad)[:d]
 	}
 	if cfg.Faults != nil {
-		r.baseEff, r.baseChannel, r.curNoise = eff, ch, cfg.Noise
+		r.baseEff, r.curNoise = eff, cfg.Noise
 		r.fs = newFaultState(&cfg, backend)
 	}
 	r.initPopulation()
@@ -260,10 +210,10 @@ func New(cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// initPopulation (re)derives every agent's RNG stream and (re)builds the
-// agents, applying seeded initialization and adversarial corruption. It is
-// the shared construction path of New and Reset, so a Reset runner is
-// bit-identical to a fresh one.
+// initPopulation reseeds every chunk stream from the run seed and rebuilds
+// the population (seeded initialization and round-0 corruption included),
+// or the class counts on the counts backend. It is the shared construction
+// path of New and Reset, so a Reset runner is bit-identical to a fresh one.
 func (r *Runner) initPopulation() {
 	cfg := &r.cfg
 	r.curRound = 0
@@ -276,34 +226,10 @@ func (r *Runner) initPopulation() {
 		r.ce.reset(cfg, r.env, r.correct)
 		return
 	}
-	if r.pop != nil {
-		r.initVecPopulation()
-		return
-	}
-	for i := range r.streams {
-		r.streams[i].Reseed(rng.DeriveSeed(cfg.Seed, uint64(i)))
-	}
-	role := func(id int) Role { return roleOf(id, cfg.Sources1, cfg.Sources0) }
-	if bp, ok := cfg.Protocol.(BulkProtocol); ok {
-		r.agents = bp.NewAgents(cfg.N, r.env, role)
-	} else {
-		if r.agents == nil {
-			r.agents = make([]Agent, cfg.N)
-		}
-		for i := range r.agents {
-			r.agents[i] = cfg.Protocol.NewAgent(i, role(i), r.env)
-		}
-	}
-	wrong := 1 - r.correct
-	for i, a := range r.agents {
-		if s, ok := a.(Seeder); ok {
-			s.SeedInit(&r.streams[i])
-		}
-		if cfg.Corruption != CorruptNone {
-			if c, ok := a.(Corruptible); ok {
-				c.Corrupt(cfg.Corruption, wrong, &r.streams[i])
-			}
-		}
+	for c := 0; c < r.numChunks; c++ {
+		r.chunkStreams[c].Reseed(rng.DeriveSeed(cfg.Seed, vecStreamID+uint64(c)))
+		lo, hi := r.chunkBounds(c)
+		r.pop.InitRange(lo, hi, &r.chunkStreams[c])
 	}
 }
 
@@ -342,12 +268,18 @@ func roleOf(id, s1, s0 int) Role {
 	}
 }
 
-// Agents exposes the instantiated agents (read-only use intended: tests and
-// diagnostics inspect protocol state through it). It is nil for the counts
-// backend, which materializes no individual agents, and for the vectorized
-// path, which stores the population as flat slices; use ClassCounts or the
+// Agents exposes the agents of a plain Agent protocol run through the
+// adapter population (read-only use intended: tests and diagnostics inspect
+// protocol state through it). It is nil for the counts backend, which
+// materializes no individual agents, and for protocols whose own kernel
+// stores the population as flat slices; use ClassCounts or the
 // AgentState/AgentWeakOpinion accessors there.
-func (r *Runner) Agents() []Agent { return r.agents }
+func (r *Runner) Agents() []Agent {
+	if r.ap == nil {
+		return nil
+	}
+	return r.ap.agents
+}
 
 // ClassCounts returns a copy of the current per-class population counts of a
 // counts-backend runner (the protocol's CountableProtocol class indexing),
@@ -361,57 +293,29 @@ func (r *Runner) ClassCounts() []int {
 	return out
 }
 
-// Vectorized reports whether the runner took the struct-of-arrays fast
-// path. It is false for the scalar per-agent path and the counts backend.
-func (r *Runner) Vectorized() bool { return r.pop != nil }
-
-// AgentState returns agent i's current display symbol and opinion. It works
-// on both per-agent engine paths (scalar and vectorized); the counts
-// backend materializes no individual agents and returns an error.
+// AgentState returns agent i's current display symbol and opinion. The
+// counts backend materializes no individual agents and returns an error.
 func (r *Runner) AgentState(i int) (display, opinion int, err error) {
 	if i < 0 || i >= r.cfg.N {
 		return 0, 0, fmt.Errorf("sim: agent index %d outside [0, %d)", i, r.cfg.N)
 	}
-	if r.pop != nil {
-		display, opinion = r.pop.State(i)
-		return display, opinion, nil
-	}
-	if r.agents == nil {
+	if r.pop == nil {
 		return 0, 0, errors.New("sim: counts backend has no per-agent state")
 	}
-	a := r.agents[i]
-	return a.Display(), a.Opinion(), nil
+	display, opinion = r.pop.State(i)
+	return display, opinion, nil
 }
 
-// displayAt returns agent i's live display symbol on either per-agent
-// engine path; the fault engine uses it to capture crash-time snapshots.
-func (r *Runner) displayAt(i int) int {
-	if r.pop != nil {
-		display, _ := r.pop.State(i)
-		return display
-	}
-	return r.agents[i].Display()
-}
-
-// AgentWeakOpinion returns agent i's weak opinion for protocols that form
-// one (SF's Ŷ, SSF's majority-of-memory), on both per-agent engine paths.
-// ok is false when the index is out of range, the protocol exposes no weak
-// opinion, or the backend has no per-agent state.
+// AgentWeakOpinion returns agent i's weak opinion for populations that form
+// one (the SF and SSF kernels' Ŷ; see VecWeakOpinions). ok is false when
+// the index is out of range, the population exposes no weak opinion, or
+// the backend has no per-agent state.
 func (r *Runner) AgentWeakOpinion(i int) (weak int, ok bool) {
 	if i < 0 || i >= r.cfg.N {
 		return 0, false
 	}
-	if r.pop != nil {
-		if wp, isWeak := r.pop.(VecWeakOpinions); isWeak {
-			return wp.WeakOpinionAt(i), true
-		}
-		return 0, false
-	}
-	if r.agents == nil {
-		return 0, false
-	}
-	if wa, isWeak := r.agents[i].(interface{ WeakOpinion() int }); isWeak {
-		return wa.WeakOpinion(), true
+	if wp, isWeak := r.pop.(VecWeakOpinions); isWeak {
+		return wp.WeakOpinionAt(i), true
 	}
 	return 0, false
 }
@@ -581,205 +485,10 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // step executes one synchronous round and returns the number of agents
-// holding the correct opinion at its end. It performs no allocations and
-// spawns no goroutines: both phases run on the persistent worker pool with
-// preallocated scratch.
+// holding the correct opinion at its end.
 func (r *Runner) step() (int, error) {
 	if r.ce != nil {
 		return r.ce.step(r)
 	}
-	if r.pop != nil {
-		return r.stepVec()
-	}
-	// Phase A: snapshot displays, counting symbols in per-worker shards.
-	if r.pool != nil {
-		r.pool.dispatch(phaseSnapshot)
-	} else {
-		r.snapshotRange(0)
-	}
-	if err := r.mergeSnapshot(); err != nil {
-		return 0, err
-	}
-
-	// Phase B: observe and update every agent.
-	if r.pool != nil {
-		r.pool.dispatch(phaseObserve)
-	} else {
-		r.observeRange(0)
-	}
-	total := 0
-	for w := range r.scratch {
-		total += r.scratch[w].partial
-	}
-	return total, nil
-}
-
-// snapshotRange is Phase A for worker w's agent range: record displays (when
-// a topology needs them) and count displayed symbols into the worker's
-// shard. A protocol returning a symbol outside the alphabet is recorded as
-// an error rather than a panic; the offending symbol is counted as 0 to keep
-// the engine state sane until the coordinator aborts the round.
-func (r *Runner) snapshotRange(w int) {
-	s := &r.scratch[w]
-	d := r.env.Alphabet
-	shard := s.shard
-	for j := range shard {
-		shard[j] = 0
-	}
-	s.err = nil
-	var crashUntil, frozen []int
-	if r.fs != nil {
-		crashUntil, frozen = r.fs.crashUntil, r.fs.frozen
-	}
-	for i := s.lo; i < s.hi; i++ {
-		var sym int
-		if crashUntil != nil && crashUntil[i] > r.curRound {
-			// Crashed: the stale symbol captured at crash time stays up.
-			sym = frozen[i]
-		} else {
-			sym = r.agents[i].Display()
-		}
-		if sym < 0 || sym >= d {
-			if s.err == nil {
-				s.err = fmt.Errorf("agent %d displayed symbol %d outside alphabet [0, %d)", i, sym, d)
-			}
-			sym = 0
-		}
-		if r.needDisplays {
-			r.displays[i] = sym
-		}
-		shard[sym]++
-	}
-}
-
-// mergeSnapshot runs at the Phase A barrier: it merges the worker count
-// shards and derives the round's sampling state (multinomial weights for the
-// aggregate backend, the display→observation mixture alias for the
-// complete-graph exact backend).
-func (r *Runner) mergeSnapshot() error {
-	for j := range r.counts {
-		r.counts[j] = 0
-	}
-	for w := range r.scratch {
-		s := &r.scratch[w]
-		if s.err != nil {
-			return s.err
-		}
-		for j, c := range s.shard {
-			r.counts[j] += c
-		}
-	}
-	d := r.env.Alphabet
-	switch r.backend {
-	case BackendAggregate:
-		for j, c := range r.counts {
-			r.probs[j] = float64(c)
-		}
-	case BackendExact:
-		if r.cfg.Topology == nil {
-			// One uniform sample pushed through the channel is distributed
-			// as the counts-weighted mixture of the effective rows; h exact
-			// samples are h draws from this single alias table.
-			for j := 0; j < d; j++ {
-				acc := 0.0
-				for sigma := 0; sigma < d; sigma++ {
-					acc += float64(r.counts[sigma]) * r.effRows[sigma][j]
-				}
-				r.mixW[j] = acc
-			}
-			// The weights sum to n > 0, so Init cannot fail.
-			if err := r.mix.Init(r.mixW); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// observeRange is Phase B for worker w's agent range: fill each agent's
-// observation counts using the selected backend and deliver them, tallying
-// correct opinions into the worker's partial count.
-func (r *Runner) observeRange(w int) {
-	s := &r.scratch[w]
-	count := 0
-	var crashUntil []int
-	if r.fs != nil {
-		crashUntil = r.fs.crashUntil
-	}
-	for i := s.lo; i < s.hi; i++ {
-		a := r.agents[i]
-		if crashUntil != nil && crashUntil[i] > r.curRound {
-			// Crashed: no observations, no update; the pre-crash opinion
-			// still counts toward the tally.
-			if a.Opinion() == r.correct {
-				count++
-			}
-			continue
-		}
-		stream := &r.streams[i]
-		r.observe(i, stream, s)
-		a.Observe(s.observed, stream)
-		if a.Opinion() == r.correct {
-			count++
-		}
-	}
-	s.partial = count
-}
-
-// observe fills s.observed with agent i's per-symbol observation counts for
-// this round, using the selected backend and worker w's scratch.
-func (r *Runner) observe(i int, stream *rng.Stream, s *workerScratch) {
-	h := r.cfg.H
-	observed := s.observed
-	for j := range observed {
-		observed[j] = 0
-	}
-	switch r.backend {
-	case BackendExact:
-		if r.cfg.Topology == nil {
-			for k := 0; k < h; k++ {
-				observed[r.mix.Sample(stream)]++
-			}
-			return
-		}
-		nb := r.cfg.Topology.Neighbors(i)
-		d := r.env.Alphabet
-		if len(nb)+d*d <= 2*h {
-			// Small neighborhood: build the neighborhood's observation
-			// mixture once (O(deg + d²)) and draw from its alias table,
-			// instead of paying a neighbor draw, a display load, and a
-			// channel draw per sample.
-			cnt := s.nbrCnt
-			for j := range cnt {
-				cnt[j] = 0
-			}
-			for _, v := range nb {
-				cnt[r.displays[v]]++
-			}
-			for j := 0; j < d; j++ {
-				acc := 0.0
-				for sigma := 0; sigma < d; sigma++ {
-					acc += float64(cnt[sigma]) * r.effRows[sigma][j]
-				}
-				s.nbrW[j] = acc
-			}
-			// The weights sum to the degree ≥ 1, so Init cannot fail.
-			_ = s.nbrMix.Init(s.nbrW)
-			for k := 0; k < h; k++ {
-				observed[s.nbrMix.Sample(stream)]++
-			}
-			return
-		}
-		for k := 0; k < h; k++ {
-			sigma := r.displays[nb[stream.Intn(len(nb))]]
-			observed[r.channel.Apply(stream, sigma)]++
-		}
-	case BackendAggregate:
-		// The h sampled display symbols are Multinomial(h, counts/n); the
-		// composed channel scatters them over its rows in aggregate.
-		stream.Multinomial(h, r.probs, s.sampled)
-		r.channel.ApplyCounts(stream, s.sampled, observed)
-	default:
-		panic(fmt.Sprintf("sim: unresolved backend %v", r.backend))
-	}
+	return r.stepVec()
 }

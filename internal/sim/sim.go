@@ -22,13 +22,18 @@
 //     classes. O(K·(K+|Σ|)) work per round — independent of n — enabling
 //     n = 10⁸–10⁹.
 //
+// The synchronous Runner runs BackendExact and BackendAggregate on one
+// per-agent path: each agent's observation vector is one draw from the
+// round's law (see vector.go), so the two differ only in how AsyncRunner
+// samples.
+//
 // Protocols receive observations as per-symbol counts, which is exactly the
 // information available to the anonymous agents of the model (observations
 // within a round carry no identity or order).
 //
-// Determinism: every agent owns an rng stream derived from (seed, agent id),
-// and rounds are barrier-synchronized, so results are bit-identical for any
-// worker count.
+// Determinism: every fixed-size chunk of agents owns an rng stream derived
+// from (seed, chunk index), and rounds are barrier-synchronized, so results
+// are bit-identical for any worker count.
 package sim
 
 import (
@@ -114,6 +119,8 @@ type Env struct {
 // one goroutine at a time and need no internal locking.
 type Agent interface {
 	// Display returns the symbol in [0, |Σ|) to show this round.
+	// Display must not change state: the engine may call it more than once
+	// in a round, because the crash barrier reads live displays.
 	Display() int
 	// Observe delivers this round's noisy observations as per-symbol counts
 	// (summing to h) along with the agent's private random stream.
@@ -298,17 +305,6 @@ type Config struct {
 	// Workers is the number of goroutines stepping agents; 0 means
 	// GOMAXPROCS. Results do not depend on it.
 	Workers int
-	// ForceScalar disables the vectorized struct-of-arrays fast path and
-	// keeps the run on the per-agent scalar engine even when the config is
-	// vec-eligible. The vectorized path now covers graph topologies,
-	// alphabets > 2, and the full fault palette (see vecEligible), so for
-	// exact/aggregate runs of a VecProtocol this flag is the main way to
-	// reach the scalar engine. The two paths draw randomness differently, so
-	// their trajectories differ bit-wise (each is individually
-	// deterministic); tests and A/B comparisons use this to pick the path
-	// explicitly, and recorded pre-vectorization traces stay reproducible
-	// under it.
-	ForceScalar bool
 	// TrackHistory records the per-round count of agents holding the
 	// correct opinion in Result.History.
 	TrackHistory bool

@@ -21,8 +21,9 @@ import (
 //	magic "npss" | u16 version | u64 config fingerprint
 //	u64 completedRound | u64 streak | u64 firstAllCorrect | u64 lastCorrect
 //	u8 backend marker
-//	population section (per-agent: n, then per agent 4×u64 stream state and
-//	the agent's Snapshotter payload; counts: 4×u64 stream state, K, counts)
+//	population section (per-agent: chunk count, 4×u64 state per chunk
+//	stream, then the population's SnapshotRange payload; counts: 4×u64
+//	stream state, K, counts)
 //	faults section (presence flag, then cursor/stream/records/crash/drift
 //	state and — when a swap or finished drift changed it — the noise matrix
 //	in effect)
@@ -41,11 +42,9 @@ const snapshotVersion = 1
 var snapshotMagic = [4]byte{'n', 'p', 's', 's'}
 
 // Population section markers. A snapshot's marker must match the engine
-// path of the restoring runner: the scalar and vectorized paths consume
-// randomness differently, so restoring across them would silently change
-// the trajectory — Restore rejects the mismatch instead.
+// path of the restoring runner — Restore rejects a mismatch. Marker 1 named
+// a population format this build no longer reads; do not reuse it.
 const (
-	snapPopAgents = 1
 	snapPopCounts = 2
 	snapPopVec    = 3
 )
@@ -239,7 +238,8 @@ func matrixBytes(m *noise.Matrix) []byte {
 // whose check happens at a round boundary. It must not be called from
 // another goroutine while Run is executing rounds.
 //
-// Snapshot fails if the protocol's agents do not implement Snapshotter.
+// Snapshot fails if the protocol runs plain Agents that do not implement
+// Snapshotter.
 func (r *Runner) Snapshot() ([]byte, error) {
 	var w SnapWriter
 	w.buf = append(w.buf, snapshotMagic[:]...)
@@ -260,7 +260,12 @@ func (r *Runner) Snapshot() ([]byte, error) {
 		for _, c := range r.ce.counts {
 			w.Int(c)
 		}
-	} else if r.pop != nil {
+	} else {
+		if r.ap != nil {
+			if err := r.ap.snapshotErr(); err != nil {
+				return nil, err
+			}
+		}
 		w.U8(snapPopVec)
 		w.Int(r.numChunks)
 		for c := range r.chunkStreams {
@@ -269,19 +274,6 @@ func (r *Runner) Snapshot() ([]byte, error) {
 			}
 		}
 		r.pop.SnapshotRange(&w, 0, r.cfg.N)
-	} else {
-		w.U8(snapPopAgents)
-		w.Int(len(r.agents))
-		for i, a := range r.agents {
-			snap, ok := a.(Snapshotter)
-			if !ok {
-				return nil, fmt.Errorf("sim: protocol agent %T does not implement Snapshotter; checkpoint/resume is unavailable", a)
-			}
-			for _, s := range r.streams[i].State() {
-				w.U64(s)
-			}
-			snap.SnapshotState(&w)
-		}
 	}
 
 	if r.fs == nil {
@@ -375,7 +367,7 @@ func (r *Runner) Restore(data []byte) error {
 		}
 	case snapPopVec:
 		if r.pop == nil {
-			return errors.New("sim: vectorized snapshot, but runner is not on the vectorized path (counts backend, scalar path, or ForceScalar)")
+			return errors.New("sim: per-agent snapshot, but runner uses the counts backend")
 		}
 		k := rd.Int()
 		if k != r.numChunks {
@@ -392,31 +384,6 @@ func (r *Runner) Restore(data []byte) error {
 		}
 		if err := r.pop.RestoreRange(rd, 0, r.cfg.N); err != nil {
 			return err
-		}
-	case snapPopAgents:
-		if r.ce != nil {
-			return errors.New("sim: per-agent snapshot, but runner uses the counts backend")
-		}
-		if r.pop != nil {
-			return errors.New("sim: scalar per-agent snapshot, but runner is on the vectorized path; rebuild the runner with ForceScalar to restore it")
-		}
-		n := rd.Int()
-		if n != len(r.agents) {
-			return fmt.Errorf("sim: snapshot has %d agents, runner has %d", n, len(r.agents))
-		}
-		for i := 0; i < n && rd.Err() == nil; i++ {
-			var st [4]uint64
-			for j := range st {
-				st[j] = rd.U64()
-			}
-			if err := r.streams[i].SetState(st); err != nil {
-				return err
-			}
-			snap, ok := r.agents[i].(Snapshotter)
-			if !ok {
-				return fmt.Errorf("sim: protocol agent %T does not implement Snapshotter", r.agents[i])
-			}
-			snap.RestoreState(rd)
 		}
 	default:
 		return fmt.Errorf("sim: unknown population marker %d", marker)

@@ -1,6 +1,6 @@
 package sim
 
-// Vectorized struct-of-arrays engine path.
+// The per-agent engine path.
 //
 // One round of the exact and aggregate backends factors through a small
 // per-round law instead of h individual channel applications per agent:
@@ -23,11 +23,12 @@ package sim
 //     agents with identical tallies — on regular graphs near convergence
 //     that is almost all of them.
 //
-// Instead of materializing one heap agent, one RNG stream, and h alias
-// draws per agent, a protocol keeps its population as flat slices (a
-// VecPopulation) and each round runs two bulk passes — count displays (or
-// snapshot them, on a graph), then draw the per-agent law and update state
-// in place.
+// The population is a VecPopulation and each round runs two bulk passes —
+// count displays (or publish them, on a graph), then draw the per-agent law
+// and update state in place. Built-in protocols keep their population as
+// flat slices with kernels that consume the law directly; any other Agent
+// protocol runs through the agentPop adapter (agentpop.go), which turns the
+// same draws into the counts Agent.Observe takes.
 //
 // Determinism is chunk-based rather than agent-based: the population is cut
 // into fixed VecChunkSize-agent chunks, each owning a private RNG stream
@@ -40,16 +41,10 @@ package sim
 // Fault schedules run on this path too: noise swaps and drift repoint the
 // effective rows the law is rebuilt from every round; crash faults mask the
 // crashed lanes (their stale display snapshot feeds the law, and kernels
-// skip their draws and updates, exactly like the scalar path); corruption
-// and churn rewrite agent state in place through the optional
-// VecFaultPopulation interface, single-threaded at the round top from the
-// fault stream, so their timing and selection are deterministic in the seed.
-//
-// The path is taken automatically when the configuration is eligible (see
-// vecEligible); Config.ForceScalar pins the legacy per-agent path. The two
-// paths consume randomness differently, so for the same seed they produce
-// different — individually deterministic, distributionally identical —
-// trajectories.
+// skip their draws and updates); corruption and churn rewrite agent state in
+// place through CorruptAt and ReinitAt, single-threaded at the round top
+// from the fault stream, so their timing and selection are deterministic in
+// the seed.
 
 import (
 	"noisypull/internal/graph"
@@ -67,7 +62,8 @@ const VecChunkSize = 4096
 // vecStreamID is the derivation base for per-chunk streams; chunk c uses
 // DeriveSeed(seed, vecStreamID + c). The base is far outside the per-agent
 // id range [0, n) and the other engine stream salts, so chunk streams never
-// collide with scalar-path or fault streams under the same seed.
+// collide with AsyncRunner's per-agent streams or the fault streams under
+// the same seed.
 const vecStreamID uint64 = 0x76656363_5eed0005
 
 // VecObs is the round's shared observation law, built once at the Phase A
@@ -102,7 +98,7 @@ type VecObs struct {
 
 // Crashed reports whether agent i is crash-frozen this round. Kernels must
 // skip the draws and the state update of a crashed agent and tally its
-// current opinion unchanged — the contract the scalar path implements.
+// current opinion unchanged.
 func (o *VecObs) Crashed(i int) bool {
 	return o.crashUntil != nil && o.crashUntil[i] > o.round
 }
@@ -294,10 +290,14 @@ type VecSpec struct {
 // Role returns the role of agent i under the spec's layout.
 func (s *VecSpec) Role(i int) Role { return roleOf(i, s.Sources1, s.Sources0) }
 
-// VecPopulation is a protocol population stored as flat slices, advanced by
-// bulk kernels over index ranges. Range methods are called for chunk-aligned
-// [lo, hi) slices; distinct ranges are processed concurrently, so a kernel
-// must only touch state of agents inside its range.
+// VecPopulation is the per-agent engine's population, advanced by bulk
+// kernels over index ranges: a protocol's own struct-of-arrays kernel, or
+// the adapter that runs a plain Agent protocol. Range methods are called
+// for chunk-aligned [lo, hi) slices; distinct ranges are processed
+// concurrently, so a kernel must only touch state of agents inside its
+// range. CorruptAt and ReinitAt are called single-threaded between rounds
+// with the engine's fault stream, so they may touch any agent state without
+// synchronization.
 type VecPopulation interface {
 	// InitRange (re)initializes agents [lo, hi): role assignment, seeded
 	// initialization, and the spec's round-0 corruption, drawing any needed
@@ -322,12 +322,19 @@ type VecPopulation interface {
 	SnapshotRange(w *SnapWriter, lo, hi int)
 	// RestoreRange deserializes agents [lo, hi), validating every field.
 	RestoreRange(rd *SnapReader, lo, hi int) error
+	// CorruptAt applies the mid-run corruption adversary to agent i,
+	// mirroring the protocol's Agent.Corrupt (including its role checks).
+	CorruptAt(i int, mode CorruptionMode, wrong int, r *rng.Stream)
+	// ReinitAt resets agent i to a freshly arrived non-source — the state
+	// of a new agent after NewAgent + SeedInit, without the spec's round-0
+	// corruption. The engine only churns non-sources.
+	ReinitAt(i int, r *rng.Stream)
 }
 
-// VecProtocol is implemented by protocols that provide a vectorized
-// population. NewVecPopulation may return nil when the protocol's options
-// or environment have no vectorized kernel; the engine then falls back to
-// the per-agent path.
+// VecProtocol is implemented by protocols that provide a struct-of-arrays
+// kernel. NewVecPopulation may return nil when the protocol's options or
+// environment have no kernel; the engine then runs the protocol's Agents
+// through the adapter population, on the same path.
 type VecProtocol interface {
 	Protocol
 	NewVecPopulation(spec VecSpec) VecPopulation
@@ -338,43 +345,6 @@ type VecProtocol interface {
 // it.
 type VecWeakOpinions interface {
 	WeakOpinionAt(i int) int
-}
-
-// VecFaultPopulation is optionally implemented by populations that support
-// agent-granular fault application, the vectorized counterpart of the
-// scalar path's Corruptible + rebuild-on-churn semantics. Both methods are
-// called single-threaded between rounds with the engine's fault stream, so
-// implementations may touch any agent state without synchronization.
-type VecFaultPopulation interface {
-	// CorruptAt applies the mid-run corruption adversary to agent i,
-	// mirroring the protocol's scalar Corrupt (including its role checks).
-	CorruptAt(i int, mode CorruptionMode, wrong int, r *rng.Stream)
-	// ReinitAt resets agent i to a freshly arrived non-source — the state a
-	// new scalar agent has after NewAgent + SeedInit, without the spec's
-	// round-0 corruption. The engine only churns non-sources.
-	ReinitAt(i int, r *rng.Stream)
-}
-
-// vecEligible reports whether the configuration may take the vectorized
-// path. Graph topologies (per-neighborhood laws), alphabets > 2 (cached
-// multinomial batching), and the full fault-schedule palette are all
-// handled on the vectorized path, so the predicate is opt-out- and
-// backend-only. The remaining exclusions, each with its reason:
-//
-//   - Config.ForceScalar — the explicit pin to the legacy per-agent path.
-//   - BackendCounts — tracks class counts; there is no per-agent state to
-//     vectorize (and it is already O(1) in n).
-//   - Protocols that do not implement VecProtocol, or whose
-//     NewVecPopulation returns nil for the given spec — no bulk kernel
-//     exists, so New falls back to the scalar path at construction.
-//   - Corruption/churn schedules whose population does not implement
-//     VecFaultPopulation (see vecCompatibleFaults) — those faults rewrite
-//     individual agent state, which needs population cooperation.
-func vecEligible(cfg *Config, backend Backend) bool {
-	if cfg.ForceScalar {
-		return false
-	}
-	return backend == BackendExact || backend == BackendAggregate
 }
 
 // numVecChunks returns the chunk count for an n-agent population.
@@ -390,26 +360,23 @@ func (r *Runner) chunkBounds(c int) (lo, hi int) {
 	return lo, hi
 }
 
-// initVecPopulation is initPopulation for the vectorized path: reseed every
-// chunk stream from the run seed and rebuild the population state in place.
-func (r *Runner) initVecPopulation() {
-	for c := 0; c < r.numChunks; c++ {
-		r.chunkStreams[c].Reseed(rng.DeriveSeed(r.cfg.Seed, vecStreamID+uint64(c)))
-		lo, hi := r.chunkBounds(c)
-		r.pop.InitRange(lo, hi, &r.chunkStreams[c])
-	}
-}
-
-// stepVec executes one synchronous round on the vectorized path. Phase A
+// stepVec executes one synchronous round on the per-agent path. Phase A
 // counts displays in per-worker shards (complete graph) or publishes the
 // display vector (topology); the barrier folds in the crash mask and builds
 // the round's observation law; Phase B steps every chunk with its own
-// stream. Like the scalar step, it allocates nothing in steady state.
+// stream. It allocates nothing in steady state.
 func (r *Runner) stepVec() (int, error) {
 	if r.pool != nil {
 		r.pool.dispatch(phaseSnapshot)
 	} else {
 		r.vecCountRange(0)
+	}
+	if r.ap != nil {
+		// A plain Agent protocol may display a symbol outside the alphabet;
+		// the adapter counted it as 0, and the round stops here.
+		if err := r.ap.displayErr(); err != nil {
+			return 0, err
+		}
 	}
 	round := r.curRound
 	var crashUntil []int
@@ -503,7 +470,6 @@ func (r *Runner) vecCountRange(w int) {
 	for j := range s.shard {
 		s.shard[j] = 0
 	}
-	s.err = nil
 	for c := w; c < r.numChunks; c += r.workers {
 		lo, hi := r.chunkBounds(c)
 		if r.vecNbr != nil {

@@ -1,19 +1,22 @@
-// Equivalence suite for the vectorized struct-of-arrays engine path
-// (vector.go). The vec path deliberately consumes randomness differently from
-// the legacy per-agent path — one derived stream per fixed-size chunk instead
-// of one per agent — so the two are NOT bit-identical and each is pinned by
-// its own golden file (golden_test.go). What this file proves instead:
+// Equivalence suite for the per-agent engine path (vector.go). A built-in
+// protocol runs there as its struct-of-arrays kernel; any other Agent
+// protocol runs as one Agent per index through the adapter population
+// (agentpop.go). A kernel consumes randomness differently from its own
+// protocol's Agents under the adapter, so the two are NOT bit-identical.
+// What this file proves instead:
 //
-//  1. the vec path is bit-identical to itself at any Workers / GOMAXPROCS
-//     setting (per-chunk streams + commutative integer merges);
-//  2. the vec and scalar paths agree *distributionally* — same protocols,
-//     same observation law, indistinguishable outcome statistics;
-//  3. vec snapshots resume bit-identically, including under live fault
+//  1. every run is bit-identical to itself at any Workers / GOMAXPROCS
+//     setting (per-chunk streams + commutative integer merges), adapter
+//     included;
+//  2. each kernel agrees *distributionally* with the same protocol's Agents
+//     run through the adapter — same observation law, indistinguishable
+//     outcome statistics;
+//  3. snapshots resume bit-identically, including under live fault
 //     schedules (noise swap/drift, and mid-crash with corruption/churn);
-//  4. cross-path restores (vec snapshot into a scalar runner and vice versa)
-//     fail loudly instead of silently diverging;
-//  5. the eligibility predicate routes exactly the configurations the vec
-//     kernels can honor, and nothing else.
+//  4. cross-path restores (kernel, adapter, counts backend) fail loudly
+//     instead of silently diverging;
+//  5. every built-in protocol runs its own kernel, every other protocol
+//     the adapter, and the counts backend neither.
 package sim_test
 
 import (
@@ -21,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 
 	"noisypull/internal/faults"
@@ -30,7 +32,38 @@ import (
 	"noisypull/internal/sim"
 )
 
-// vecCase is a configuration expected to take the vectorized path.
+// agentsOnly hides p's struct-of-arrays kernel, so the engine runs p's plain
+// Agents through the adapter population. It forwards Finite, the one other
+// protocol extension the per-agent path reads.
+func agentsOnly(p sim.Protocol) sim.Protocol {
+	if f, ok := p.(sim.Finite); ok {
+		return finiteAgents{plainAgents{p}, f}
+	}
+	return plainAgents{p}
+}
+
+type plainAgents struct{ p sim.Protocol }
+
+func (w plainAgents) Alphabet() int { return w.p.Alphabet() }
+func (w plainAgents) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
+	return w.p.NewAgent(id, role, env)
+}
+
+type finiteAgents struct {
+	plainAgents
+	sim.Finite
+}
+
+// structFaults is the structural fault palette: mid-run corruption, a crash
+// window spanning the snapshot round of the resume test (12 → 22, over
+// round 16), and churn.
+var structFaults = &faults.Schedule{Events: []faults.Event{
+	{Kind: faults.KindCorrupt, Round: 8, Fraction: 0.2, Corruption: faults.CorruptRandom},
+	{Kind: faults.KindCrash, Round: 12, Fraction: 0.3, Duration: 10},
+	{Kind: faults.KindChurn, Round: 14, Fraction: 0.15, Corruption: faults.CorruptWrongConsensus},
+}}
+
+// vecCase is a per-agent path configuration.
 type vecCase struct {
 	name string
 	cfg  func(t *testing.T, seed uint64) sim.Config
@@ -163,9 +196,7 @@ func vecCases() []vecCase {
 			},
 		},
 		{
-			// The structural fault palette on the SoA population: mid-run
-			// corruption, a crash window spanning the snapshot round of the
-			// resume test (12 → 22, over round 16), and churn.
+			// The structural fault palette on the SoA population.
 			name: "voter crash churn corrupt",
 			cfg: func(t *testing.T, seed uint64) sim.Config {
 				return sim.Config{
@@ -176,11 +207,25 @@ func vecCases() []vecCase {
 					Backend:         sim.BackendExact,
 					MaxRounds:       60,
 					StabilityWindow: 10,
-					Faults: &faults.Schedule{Events: []faults.Event{
-						{Kind: faults.KindCorrupt, Round: 8, Fraction: 0.2, Corruption: faults.CorruptRandom},
-						{Kind: faults.KindCrash, Round: 12, Fraction: 0.3, Duration: 10},
-						{Kind: faults.KindChurn, Round: 14, Fraction: 0.15, Corruption: faults.CorruptWrongConsensus},
-					}},
+					Faults:          structFaults,
+				}
+			},
+		},
+		{
+			// The same run with the voter's plain Agents through the adapter:
+			// multi-chunk, so worker striding, the per-chunk observation
+			// scratch and the adapter's snapshot payload are all exercised.
+			name: "wrapped voter crash churn corrupt",
+			cfg: func(t *testing.T, seed uint64) sim.Config {
+				return sim.Config{
+					N: 6000, H: 4, Sources1: 40, Sources0: 10,
+					Noise:           uniformNoise(t, 2, 0.12),
+					Protocol:        agentsOnly(protocol.Voter{}),
+					Seed:            seed,
+					Backend:         sim.BackendExact,
+					MaxRounds:       60,
+					StabilityWindow: 10,
+					Faults:          structFaults,
 				}
 			},
 		},
@@ -208,9 +253,6 @@ func TestVecBitIdenticalAcrossParallelism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !r.Vectorized() {
-						t.Fatalf("GOMAXPROCS=%d workers=%d: expected the vectorized path", procs, workers)
-					}
 					res, err := r.Run()
 					if err != nil {
 						t.Fatal(err)
@@ -235,11 +277,13 @@ func TestVecBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestVecMatchesScalarDistribution: the vec and scalar paths implement the
-// same stochastic process, so pooled outcome statistics over many independent
-// seeds must agree within sampling error. Voter and majority compare the mean
-// final-correct count; SF compares the correct-consensus win rate (its
-// dynamics are near-deterministic per seed, so wins carry the signal).
+// TestVecMatchesScalarDistribution: each built-in kernel and the same
+// protocol's scalar Agents run through the adapter implement the same
+// stochastic process, so pooled outcome statistics over many independent
+// seeds must agree within sampling error. Voter and majority compare the
+// mean final-correct count; SF and its alternating variant compare the
+// correct-consensus win rate (their dynamics are near-deterministic per
+// seed, so wins carry the signal).
 func TestVecMatchesScalarDistribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical A/B needs many trials")
@@ -258,13 +302,7 @@ func TestVecMatchesScalarDistribution(t *testing.T) {
 				Workers:         1,
 			}
 		}
-		vec := sampleFinalCorrect(t, base, false, trials, true)
-		sca := sampleFinalCorrect(t, base, true, trials, false)
-		z := welchZ(vec, sca)
-		if math.Abs(z) > 4.5 {
-			t.Fatalf("voter vec vs scalar mean final-correct diverges: z = %.2f (vec mean %.1f, scalar mean %.1f)",
-				z, mean(vec), mean(sca))
-		}
+		compareFinalCorrect(t, "voter", base, trials)
 	})
 	t.Run("majority graph mean final correct", func(t *testing.T) {
 		const trials = 120
@@ -285,152 +323,157 @@ func TestVecMatchesScalarDistribution(t *testing.T) {
 				Workers:         1,
 			}
 		}
-		vec := sampleFinalCorrect(t, base, false, trials, true)
-		sca := sampleFinalCorrect(t, base, true, trials, false)
-		z := welchZ(vec, sca)
-		if math.Abs(z) > 4.5 {
-			t.Fatalf("graph majority vec vs scalar mean final-correct diverges: z = %.2f (vec mean %.1f, scalar mean %.1f)",
-				z, mean(vec), mean(sca))
-		}
+		compareFinalCorrect(t, "graph majority", base, trials)
 	})
-	t.Run("sf win rate", func(t *testing.T) {
-		const trials = 80
-		base := func(seed uint64) sim.Config {
-			return sim.Config{
-				N: 150, H: 16, Sources1: 2, Sources0: 1,
-				Noise:     uniformNoise(t, 2, 0.2),
-				Protocol:  protocol.NewSF(),
-				Seed:      seed,
-				Backend:   sim.BackendAggregate,
-				MaxRounds: 5000,
-				Workers:   1,
+	for _, sf := range []struct {
+		name  string
+		proto sim.Protocol
+	}{
+		{"sf win rate", protocol.NewSF()},
+		{"sf alternating win rate", protocol.NewSFAlternating()},
+	} {
+		t.Run(sf.name, func(t *testing.T) {
+			const trials = 80
+			base := func(seed uint64) sim.Config {
+				return sim.Config{
+					N: 150, H: 16, Sources1: 2, Sources0: 1,
+					Noise:     uniformNoise(t, 2, 0.2),
+					Protocol:  sf.proto,
+					Seed:      seed,
+					Backend:   sim.BackendAggregate,
+					MaxRounds: 5000,
+					Workers:   1,
+				}
 			}
-		}
-		vecWins, scaWins := 0, 0
-		for tr := 0; tr < trials; tr++ {
-			seed := uint64(9000 + tr)
-			cv := base(seed)
-			rv, err := sim.New(cv)
-			if err != nil {
-				t.Fatal(err)
+			wins := func(adapted bool) int {
+				won := 0
+				for _, fc := range sampleFinalCorrect(t, base, adapted, trials) {
+					if 2*fc > 150 {
+						won++
+					}
+				}
+				return won
 			}
-			resV, err := rv.Run()
-			rv.Close()
-			if err != nil {
-				t.Fatal(err)
+			kernelWins, agentWins := wins(false), wins(true)
+			z := twoProportionZ(kernelWins, agentWins, trials)
+			if math.Abs(z) > 4.5 {
+				t.Fatalf("%s kernel vs adapter win rate diverges: z = %.2f (kernel %d/%d, adapter %d/%d)",
+					sf.name, z, kernelWins, trials, agentWins, trials)
 			}
-			cs := base(seed)
-			cs.ForceScalar = true
-			rs, err := sim.New(cs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resS, err := rs.Run()
-			rs.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if 2*resV.FinalCorrect > cv.N {
-				vecWins++
-			}
-			if 2*resS.FinalCorrect > cs.N {
-				scaWins++
-			}
-		}
-		z := twoProportionZ(vecWins, scaWins, trials)
-		if math.Abs(z) > 4.5 {
-			t.Fatalf("SF vec vs scalar win rate diverges: z = %.2f (vec %d/%d, scalar %d/%d)",
-				z, vecWins, trials, scaWins, trials)
-		}
-	})
+		})
+	}
 }
 
-// TestVecScalarChiSquare: on a k = 4 alphabet the vec path draws one cached
-// multinomial per agent while the scalar path samples h symbols through
-// alias tables; both must realize the same display law. Each trial records
-// the final per-symbol display fractions; each symbol's fractions are
-// compared across paths with a Welch z over independent seeds, and the
-// summed z² forms an aggregate chi-square-style statistic.
+// compareFinalCorrect Welch-tests the mean final-correct count of a kernel
+// against the same protocol's Agents run through the adapter.
+func compareFinalCorrect(t *testing.T, label string, base func(seed uint64) sim.Config, trials int) {
+	t.Helper()
+	kernel := sampleFinalCorrect(t, base, false, trials)
+	agents := sampleFinalCorrect(t, base, true, trials)
+	if z := welchZ(kernel, agents); math.Abs(z) > 4.5 {
+		t.Fatalf("%s kernel vs adapter mean final-correct diverges: z = %.2f (kernel mean %.1f, adapter mean %.1f)",
+			label, z, mean(kernel), mean(agents))
+	}
+}
+
+// TestVecScalarChiSquare: on a k = 4 alphabet each kernel draws one cached
+// multinomial per agent and updates flat slices, while the adapter hands
+// the same protocol's scalar Agents their counts one by one; both must
+// realize the same display law. Each trial records the final per-symbol
+// display fractions; each symbol's fractions are compared across the two
+// with a Welch z over independent seeds, and the summed z² forms an
+// aggregate chi-square-style statistic.
 func TestVecScalarChiSquare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical A/B needs many trials")
 	}
 	const trials = 60
 	const n = 400
-	base := func(seed uint64) sim.Config {
-		return sim.Config{
-			N: n, H: 6, Sources1: 8, Sources0: 2,
-			Noise:           uniformNoise(t, 4, 0.1),
-			Protocol:        protocol.TrustBit{},
-			Seed:            seed,
-			Backend:         sim.BackendAggregate,
-			MaxRounds:       25,
-			StabilityWindow: 25,
-			Workers:         1,
-		}
-	}
-	sample := func(forceScalar, wantVec bool) [4][]float64 {
-		var cols [4][]float64
-		for tr := 0; tr < trials; tr++ {
-			cfg := base(uint64(3000 + tr))
-			cfg.ForceScalar = forceScalar
-			r, err := sim.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Vectorized() != wantVec {
-				t.Fatalf("Vectorized() = %v, want %v (ForceScalar=%v)", r.Vectorized(), wantVec, forceScalar)
-			}
-			if _, err := r.Run(); err != nil {
-				t.Fatal(err)
-			}
-			var cnt [4]int
-			for i := 0; i < n; i++ {
-				d, _, err := r.AgentState(i)
-				if err != nil {
-					t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		proto sim.Protocol
+	}{
+		{"trustbit", protocol.TrustBit{}},
+		{"ssf", protocol.NewSSF(protocol.WithSSFUpdateQuota(24))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := func(seed uint64) sim.Config {
+				return sim.Config{
+					N: n, H: 6, Sources1: 8, Sources0: 2,
+					Noise:           uniformNoise(t, 4, 0.1),
+					Protocol:        tc.proto,
+					Seed:            seed,
+					Backend:         sim.BackendAggregate,
+					MaxRounds:       25,
+					StabilityWindow: 25,
+					Corruption:      sim.CorruptRandom,
+					Workers:         1,
 				}
-				cnt[d]++
 			}
-			r.Close()
+			sample := func(adapted bool) [4][]float64 {
+				var cols [4][]float64
+				for tr := 0; tr < trials; tr++ {
+					r := newRunner(t, base(uint64(3000+tr)), adapted)
+					if _, err := r.Run(); err != nil {
+						t.Fatal(err)
+					}
+					var cnt [4]int
+					for i := 0; i < n; i++ {
+						d, _, err := r.AgentState(i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cnt[d]++
+					}
+					r.Close()
+					for j := 0; j < 4; j++ {
+						cols[j] = append(cols[j], float64(cnt[j])/float64(n))
+					}
+				}
+				return cols
+			}
+			kernel, agents := sample(false), sample(true)
+			chi2 := 0.0
 			for j := 0; j < 4; j++ {
-				cols[j] = append(cols[j], float64(cnt[j])/float64(n))
+				z := welchZ(kernel[j], agents[j])
+				chi2 += z * z
+				if math.Abs(z) > 4.5 {
+					t.Errorf("symbol %d display fraction diverges: z = %.2f (kernel mean %.3f, adapter mean %.3f)",
+						j, z, mean(kernel[j]), mean(agents[j]))
+				}
 			}
-		}
-		return cols
-	}
-	vec := sample(false, true)
-	sca := sample(true, false)
-	chi2 := 0.0
-	for j := 0; j < 4; j++ {
-		z := welchZ(vec[j], sca[j])
-		chi2 += z * z
-		if math.Abs(z) > 4.5 {
-			t.Errorf("symbol %d display fraction diverges between paths: z = %.2f (vec mean %.3f, scalar mean %.3f)",
-				j, z, mean(vec[j]), mean(sca[j]))
-		}
-	}
-	// Four ~N(0,1) components under the null: 40 sits far beyond any
-	// plausible chi-square(4) quantile while staying robust to the mild
-	// cross-symbol correlation (fractions sum to 1).
-	if chi2 > 40 {
-		t.Errorf("aggregate chi-square statistic %.1f over 4 symbols exceeds threshold 40", chi2)
+			// Four ~N(0,1) components under the null: 40 sits far beyond any
+			// plausible chi-square(4) quantile while staying robust to the
+			// mild cross-symbol correlation (fractions sum to 1).
+			if chi2 > 40 {
+				t.Errorf("aggregate chi-square statistic %.1f over 4 symbols exceeds threshold 40", chi2)
+			}
+		})
 	}
 }
 
-func sampleFinalCorrect(t *testing.T, base func(seed uint64) sim.Config, forceScalar bool, trials int, wantVec bool) []float64 {
+// newRunner builds cfg's runner, with the protocol's kernel hidden when
+// adapted, and checks that it took the intended population.
+func newRunner(t *testing.T, cfg sim.Config, adapted bool) *sim.Runner {
+	t.Helper()
+	if adapted {
+		cfg.Protocol = agentsOnly(cfg.Protocol)
+	}
+	r, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Agents() != nil; got != adapted {
+		t.Fatalf("runner uses the adapter = %v, want %v", got, adapted)
+	}
+	return r
+}
+
+func sampleFinalCorrect(t *testing.T, base func(seed uint64) sim.Config, adapted bool, trials int) []float64 {
 	t.Helper()
 	out := make([]float64, 0, trials)
 	for tr := 0; tr < trials; tr++ {
-		cfg := base(uint64(5000 + tr))
-		cfg.ForceScalar = forceScalar
-		r, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Vectorized() != wantVec {
-			t.Fatalf("Vectorized() = %v, want %v (ForceScalar=%v)", r.Vectorized(), wantVec, forceScalar)
-		}
+		r := newRunner(t, base(uint64(5000+tr)), adapted)
 		res, err := r.Run()
 		r.Close()
 		if err != nil {
@@ -480,11 +523,11 @@ func twoProportionZ(k1, k2, n int) float64 {
 	return (p1 - p2) / se
 }
 
-// TestVecSnapshotResumeDeterminism: a vec run interrupted mid-flight — here
-// mid-drift, with a swapped noise matrix and live fault telemetry — and
+// TestVecSnapshotResumeDeterminism: a run interrupted mid-flight — mid-drift
+// with a swapped noise matrix, or mid-crash with live fault telemetry — and
 // resumed from its snapshot in a fresh runner must finish with the identical
-// result and identical final engine state. The chunk stream states and SoA
-// payload round-trip through the snapPopVec record.
+// result and identical final engine state. The chunk stream states and the
+// population payload round-trip through the snapPopVec record.
 func TestVecSnapshotResumeDeterminism(t *testing.T) {
 	for _, tc := range vecCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -501,9 +544,6 @@ func TestVecSnapshotResumeDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if !r.Vectorized() {
-				t.Fatal("expected the vectorized path")
-			}
 			var snap []byte
 			r.SetOnRound(func(round, correct int) {
 				if round == snapRound {
@@ -546,54 +586,53 @@ func TestVecSnapshotResumeDeterminism(t *testing.T) {
 	}
 }
 
-// TestVecCrossPathRestoreRejected: the scalar and vec paths draw randomness
-// differently, so restoring one path's snapshot into the other would silently
-// change the trajectory. Both directions must fail with an actionable error.
+// TestVecCrossPathRestoreRejected: a protocol's kernel and its Agents under
+// the adapter draw randomness differently, and the counts backend keeps no
+// per-agent state, so restoring a snapshot across any two of them would
+// silently change the trajectory. Every direction must fail.
 func TestVecCrossPathRestoreRejected(t *testing.T) {
-	cfg := vecCases()[0].cfg(t, 5)
-
-	vecRunner, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	kernel := vecCases()[0].cfg(t, 5)
+	adapter := kernel
+	adapter.Protocol = agentsOnly(kernel.Protocol)
+	counts := kernel
+	counts.Backend = sim.BackendCounts
+	cfgs := map[string]sim.Config{"kernel": kernel, "adapter": adapter, "counts": counts}
+	snaps := make(map[string][]byte)
+	for name, cfg := range cfgs {
+		r, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := r.Snapshot()
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[name] = snap
 	}
-	defer vecRunner.Close()
-	vecSnap, err := vecRunner.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scalarCfg := cfg
-	scalarCfg.ForceScalar = true
-	scalarRunner, err := sim.New(scalarCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scalarRunner.Close()
-	scalarSnap, err := scalarRunner.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := scalarRunner.Restore(vecSnap); err == nil {
-		t.Fatal("vec snapshot restored into a scalar runner")
-	} else if !strings.Contains(err.Error(), "vectorized") {
-		t.Fatalf("vec-into-scalar error should name the path mismatch, got: %v", err)
-	}
-	scalarRunner.Reset(scalarCfg.Seed)
-
-	if err := vecRunner.Restore(scalarSnap); err == nil {
-		t.Fatal("scalar snapshot restored into a vec runner")
-	} else if !strings.Contains(err.Error(), "vectorized") {
-		t.Fatalf("scalar-into-vec error should name the path mismatch, got: %v", err)
+	for from, snap := range snaps {
+		for into, cfg := range cfgs {
+			if from == into {
+				continue
+			}
+			r, err := sim.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Restore(snap); err == nil {
+				t.Errorf("%s snapshot restored into a %s runner", from, into)
+			}
+			r.Close()
+		}
 	}
 }
 
-// TestVecEligibility enumerates the routing predicate: everything the vec
-// kernels can honor goes vec — graph topologies, alphabets > 2, and the
-// full fault palette included — and only the documented exclusions (counts
-// backend, protocols without kernels, explicit opt-out) stay on the scalar
-// path. The CI vec-parity step runs this test by name, so a regression that
-// silently reroutes an eligible config to the scalar path fails the build.
+// TestVecEligibility pins which population each configuration gets: every
+// built-in protocol runs its own kernel — graph topologies, alphabets > 2,
+// and the full fault palette included — every other Agent protocol runs
+// through the adapter, and the counts backend has no per-agent population.
+// The CI vec-parity step runs this test by name, so a built-in protocol
+// silently dropping to the adapter fails the build.
 func TestVecEligibility(t *testing.T) {
 	base := func() sim.Config {
 		return sim.Config{
@@ -608,67 +647,93 @@ func TestVecEligibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	crashChurn := &faults.Schedule{Events: []faults.Event{
+		{Kind: faults.KindCrash, Round: 3, Fraction: 0.2, Duration: 3},
+		{Kind: faults.KindChurn, Round: 5, Fraction: 0.1},
+	}}
+	const (
+		kernel = iota
+		adapter
+		counts
+	)
 	cases := []struct {
 		name string
 		mut  func(c *sim.Config)
-		vec  bool
+		want int
 	}{
-		{"voter auto(exact h<=8)", func(c *sim.Config) {}, true},
-		{"voter aggregate", func(c *sim.Config) { c.Backend = sim.BackendAggregate }, true},
-		{"majority exact", func(c *sim.Config) { c.Protocol = protocol.MajorityRule{} }, true},
+		{"voter auto(exact h<=8)", func(c *sim.Config) {}, kernel},
+		{"voter aggregate", func(c *sim.Config) { c.Backend = sim.BackendAggregate }, kernel},
+		{"majority exact", func(c *sim.Config) { c.Protocol = protocol.MajorityRule{} }, kernel},
 		{"sf aggregate", func(c *sim.Config) {
 			c.Protocol = protocol.NewSF()
 			c.Backend = sim.BackendAggregate
 			c.H = 16
 			c.MaxRounds = 5000
-		}, true},
+		}, kernel},
 		{"noise-only faults", func(c *sim.Config) {
 			c.Faults = &faults.Schedule{Events: []faults.Event{
 				{Kind: faults.KindNoiseDrift, Round: 3, Delta: 0.1, DriftRounds: 2},
 			}}
-		}, true},
-		{"topology", func(c *sim.Config) { c.Topology = ring }, true},
+		}, kernel},
+		{"topology", func(c *sim.Config) { c.Topology = ring }, kernel},
 		{"corrupt fault", func(c *sim.Config) {
 			c.Faults = &faults.Schedule{Events: []faults.Event{
 				{Kind: faults.KindCorrupt, Round: 3, Fraction: 0.1, Corruption: faults.CorruptRandom},
 			}}
-		}, true},
+		}, kernel},
 		{"crash fault", func(c *sim.Config) {
 			c.Faults = &faults.Schedule{Events: []faults.Event{
 				{Kind: faults.KindCrash, Round: 3, Fraction: 0.1, Duration: 2},
 			}}
-		}, true},
+		}, kernel},
 		{"churn fault", func(c *sim.Config) {
 			c.Faults = &faults.Schedule{Events: []faults.Event{
 				{Kind: faults.KindChurn, Round: 3, Fraction: 0.1},
 			}}
-		}, true},
+		}, kernel},
 		{"alphabet 4 trustbit", func(c *sim.Config) {
 			c.Protocol = protocol.TrustBit{}
 			c.Noise = uniformNoise(t, 4, 0.1)
 			c.H = 40
 			c.Backend = sim.BackendAggregate
-		}, true},
+		}, kernel},
 		{"alphabet 4 ssf exact", func(c *sim.Config) {
 			c.Protocol = protocol.NewSSF(protocol.WithSSFUpdateQuota(32))
 			c.Noise = uniformNoise(t, 4, 0.1)
 			c.Backend = sim.BackendExact
 			c.MaxRounds = 30
-		}, true},
+		}, kernel},
 		{"alphabet 4 on topology", func(c *sim.Config) {
 			c.Protocol = protocol.TrustBit{}
 			c.Noise = uniformNoise(t, 4, 0.1)
 			c.Topology = ring
-		}, true},
+		}, kernel},
 		{"crash+churn on graph", func(c *sim.Config) {
 			c.Topology = ring
-			c.Faults = &faults.Schedule{Events: []faults.Event{
-				{Kind: faults.KindCrash, Round: 3, Fraction: 0.2, Duration: 3},
-				{Kind: faults.KindChurn, Round: 5, Fraction: 0.1},
-			}}
-		}, true},
-		{"force scalar", func(c *sim.Config) { c.ForceScalar = true }, false},
-		{"counts backend", func(c *sim.Config) { c.Backend = sim.BackendCounts }, false},
+			c.Faults = crashChurn
+		}, kernel},
+		{"ssf quota beyond kernel counters", func(c *sim.Config) {
+			c.Protocol = protocol.NewSSF(protocol.WithSSFUpdateQuota(1 << 31))
+			c.Noise = uniformNoise(t, 4, 0.1)
+		}, adapter},
+		{"wrapped voter", func(c *sim.Config) { c.Protocol = agentsOnly(protocol.Voter{}) }, adapter},
+		{"wrapped sf aggregate", func(c *sim.Config) {
+			c.Protocol = agentsOnly(protocol.NewSF())
+			c.Backend = sim.BackendAggregate
+			c.H = 16
+			c.MaxRounds = 5000
+		}, adapter},
+		{"wrapped trustbit on topology", func(c *sim.Config) {
+			c.Protocol = agentsOnly(protocol.TrustBit{})
+			c.Noise = uniformNoise(t, 4, 0.1)
+			c.Topology = ring
+		}, adapter},
+		{"wrapped majority crash+churn on graph", func(c *sim.Config) {
+			c.Protocol = agentsOnly(protocol.MajorityRule{})
+			c.Topology = ring
+			c.Faults = crashChurn
+		}, adapter},
+		{"counts backend", func(c *sim.Config) { c.Backend = sim.BackendCounts }, counts},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -679,8 +744,11 @@ func TestVecEligibility(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if r.Vectorized() != tc.vec {
-				t.Fatalf("Vectorized() = %v, want %v", r.Vectorized(), tc.vec)
+			if got := r.Agents() != nil; got != (tc.want == adapter) {
+				t.Fatalf("runner uses the adapter = %v, want %v", got, tc.want == adapter)
+			}
+			if _, _, err := r.AgentState(0); (err != nil) != (tc.want == counts) {
+				t.Fatalf("AgentState error = %v; only the counts backend has no per-agent population", err)
 			}
 			if _, err := r.Run(); err != nil {
 				t.Fatal(err)
@@ -690,9 +758,9 @@ func TestVecEligibility(t *testing.T) {
 }
 
 // TestVecAgentWeakOpinion: the weak-opinion accessor must work on every
-// vectorized population whose protocol forms one — including the k-ary SSF
-// population and graph-topology runs — and report ok = false (not a silent
-// zero with ok = true) for protocols without a weak opinion.
+// kernel whose protocol forms one — including the k-ary SSF population and
+// graph-topology runs — and report ok = false (not a silent zero with
+// ok = true) for protocols without a weak opinion.
 func TestVecAgentWeakOpinion(t *testing.T) {
 	ring, err := graph.Ring(300, 3)
 	if err != nil {
@@ -748,9 +816,6 @@ func TestVecAgentWeakOpinion(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if !r.Vectorized() {
-				t.Fatal("expected the vectorized path")
-			}
 			if _, err := r.Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -198,13 +198,6 @@ type Config struct {
 	Topology *Topology
 	// Workers bounds simulation goroutines (0 = GOMAXPROCS).
 	Workers int
-	// ForceScalar pins the legacy per-agent engine path even when the
-	// configuration is eligible for the vectorized struct-of-arrays path.
-	// The two paths consume randomness differently, so for the same seed
-	// they produce different (individually deterministic, distributionally
-	// identical) trajectories; set this to reproduce pre-vectorization
-	// traces or to A/B the paths.
-	ForceScalar bool
 	// TrackHistory records per-round correct-opinion counts in the Result.
 	TrackHistory bool
 	// OnRound, if set, observes each round's correct-opinion count.
@@ -385,7 +378,6 @@ func (cfg Config) toSim() (sim.Config, error) {
 		Faults:          cfg.Faults,
 		Topology:        cfg.Topology,
 		Workers:         cfg.Workers,
-		ForceScalar:     cfg.ForceScalar,
 		TrackHistory:    cfg.TrackHistory,
 		OnRound:         cfg.OnRound,
 		OnFault:         cfg.OnFault,
