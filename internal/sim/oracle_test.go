@@ -25,8 +25,9 @@ import (
 )
 
 const (
-	oracleTrials = 4000
-	oracleAlpha  = 1e-4
+	oracleTrials      = 4000
+	oracleAlpha       = 1e-4
+	asyncOracleRounds = 3
 )
 
 // oracleProto pins each agent's display by id and records the counts each
@@ -83,6 +84,33 @@ func oracleHistogram(t *testing.T, cfg sim.Config, agent int) map[string]int {
 	return hist
 }
 
+// asyncOracleHistogram is oracleHistogram under the asynchronous scheduler:
+// each seed runs asyncOracleRounds parallel rounds, and the agent's last
+// observation is histogrammed. Displays are pinned, so every activation
+// draws from the same law; seeds in which the agent never activated are
+// skipped.
+func asyncOracleHistogram(t *testing.T, cfg sim.Config, agent int) map[string]int {
+	t.Helper()
+	cfg.MaxRounds = asyncOracleRounds
+	r, err := sim.NewAsync(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := make(map[string]int)
+	for s := 1; s <= oracleTrials; s++ {
+		if err := r.Reset(uint64(s)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if a := r.Agents()[agent].(*oracleAgent); len(a.last) > 0 {
+			hist[fmt.Sprint(a.last)]++
+		}
+	}
+	return hist
+}
+
 // compositions lists every count vector of length d summing to h, in
 // lexicographic order.
 func compositions(h, d int) [][]int {
@@ -117,16 +145,20 @@ func multinomialPMF(counts []int, q []float64) float64 {
 	return math.Exp(logp + lg)
 }
 
-// lawChiSquare compares a histogram of oracleTrials count vectors with the
-// exact Multinomial(h, q) pmf, returning the statistic and its critical
-// value at oracleAlpha.
+// lawChiSquare compares a histogram of count vectors with the exact
+// Multinomial(h, q) pmf, returning the statistic and its critical value at
+// oracleAlpha.
 func lawChiSquare(hist map[string]int, h int, q []float64) (stat, crit float64) {
+	total := 0
+	for _, c := range hist {
+		total += c
+	}
 	comps := compositions(h, len(q))
 	observed := make([]int, len(comps))
 	expected := make([]float64, len(comps))
 	for i, c := range comps {
 		observed[i] = hist[fmt.Sprint(c)]
-		expected[i] = oracleTrials * multinomialPMF(c, q)
+		expected[i] = float64(total) * multinomialPMF(c, q)
 	}
 	stat, df := stats.ChiSquare(observed, expected, 5)
 	return stat, stats.ChiSquareCritical(df, oracleAlpha)
@@ -293,14 +325,20 @@ func oracleCases(t *testing.T) []oracleCase {
 }
 
 // TestOracleObservationLaw chi-squares one round of each sampler path
-// against the exact observation law.
+// against the exact observation law, and the same agent's activations under
+// the asynchronous scheduler, which rejects fault schedules.
 func TestOracleObservationLaw(t *testing.T) {
 	for _, tc := range oracleCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			hist := oracleHistogram(t, tc.cfg, tc.agent)
-			stat, crit := lawChiSquare(hist, tc.cfg.H, tc.q)
-			if stat > crit {
-				t.Fatalf("chi-square %.1f exceeds critical value %.1f (alpha %g) against the exact law q = %v", stat, crit, oracleAlpha, tc.q)
+			check := func(engine string, hist map[string]int) {
+				stat, crit := lawChiSquare(hist, tc.cfg.H, tc.q)
+				if stat > crit {
+					t.Errorf("%s: chi-square %.1f exceeds critical value %.1f (alpha %g) against the exact law q = %v", engine, stat, crit, oracleAlpha, tc.q)
+				}
+			}
+			check("sync", oracleHistogram(t, tc.cfg, tc.agent))
+			if tc.cfg.Faults == nil {
+				check("async", asyncOracleHistogram(t, tc.cfg, tc.agent))
 			}
 		})
 	}
