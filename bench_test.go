@@ -1,6 +1,6 @@
 package noisypull_test
 
-// One benchmark per reproduction experiment (E1–E19, DESIGN.md §4) plus the
+// One benchmark per reproduction experiment (DESIGN.md §4) plus the
 // ablation and engine benchmarks of DESIGN.md §3. Run with:
 //
 //	go test -bench=. -benchmem
@@ -37,22 +37,12 @@ func BenchmarkE11Baselines(b *testing.B)   { run(b, "E11Baselines") }
 func BenchmarkE12Separation(b *testing.B)  { run(b, "E12Separation") }
 func BenchmarkE13Theory(b *testing.B)      { run(b, "E13Theory") }
 func BenchmarkE14Alternating(b *testing.B) { run(b, "E14Alternating") }
-func BenchmarkE15Backend(b *testing.B)     { run(b, "E15Backend") }
 func BenchmarkE16Calibration(b *testing.B) { run(b, "E16Calibration") }
 func BenchmarkE17Async(b *testing.B)       { run(b, "E17Async") }
 func BenchmarkE18Topology(b *testing.B)    { run(b, "E18Topology") }
 func BenchmarkE19Memory(b *testing.B)      { run(b, "E19Memory") }
 func BenchmarkE20Crossover(b *testing.B)   { run(b, "E20Crossover") }
 func BenchmarkE21Faults(b *testing.B)      { run(b, "E21Faults") }
-
-// AblationBackend compares the two observation backends at the same shape
-// (DESIGN.md §3 choice 1): the aggregate path costs O(|Σ|²) per agent-round
-// regardless of h, the exact path O(h) — now O(h) alias draws from the
-// per-round mixture table.
-func BenchmarkAblationBackendExact(b *testing.B)       { run(b, "AblationBackendExact") }
-func BenchmarkAblationBackendAggregate(b *testing.B)   { run(b, "AblationBackendAggregate") }
-func BenchmarkAblationBackendExactHn(b *testing.B)     { run(b, "AblationBackendExactHn") }
-func BenchmarkAblationBackendAggregateHn(b *testing.B) { run(b, "AblationBackendAggregateHn") }
 
 // AblationArtificialNoise measures the overhead of the Theorem 8 reduction
 // path against a uniform channel of the same effective level.

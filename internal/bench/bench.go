@@ -35,17 +35,12 @@ func Suite() []Case {
 		{"E12Separation", experimentCase("E12", 1)},
 		{"E13Theory", experimentCase("E13", 2)},
 		{"E14Alternating", experimentCase("E14", 2)},
-		{"E15Backend", experimentCase("E15", 6)},
 		{"E16Calibration", experimentCase("E16", 3)},
 		{"E17Async", experimentCase("E17", 2)},
 		{"E18Topology", experimentCase("E18", 2)},
 		{"E19Memory", experimentCase("E19", 1)},
 		{"E20Crossover", experimentCase("E20", 2)},
 		{"E21Faults", experimentCase("E21", 2)},
-		{"AblationBackendExact", runCase(256, 64, noisypull.BackendExact)},
-		{"AblationBackendAggregate", runCase(256, 64, noisypull.BackendAggregate)},
-		{"AblationBackendExactHn", runCase(256, 256, noisypull.BackendExact)},
-		{"AblationBackendAggregateHn", runCase(256, 256, noisypull.BackendAggregate)},
 		{"AblationUniformChannel", UniformChannel},
 		{"AblationReducedChannel", ReducedChannel},
 		{"ReduceNoise", ReduceNoise},
@@ -98,31 +93,6 @@ func experimentCase(id string, trials int) func(b *testing.B) {
 			if len(art.Tables) == 0 && len(art.Series) == 0 {
 				b.Fatal("empty artifact")
 			}
-		}
-	}
-}
-
-// runCase measures a full SF run at the given shape, reporting rounds/op.
-func runCase(n, h int, backend noisypull.Backend) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.Helper()
-		nm, err := noisypull.UniformNoise(2, 0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := noisypull.Run(noisypull.Config{
-				N: n, H: h, Sources1: 1,
-				Noise:    nm,
-				Protocol: noisypull.NewSourceFilter(),
-				Seed:     uint64(i + 1),
-				Backend:  backend,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Rounds), "rounds/op")
 		}
 	}
 }

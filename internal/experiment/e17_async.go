@@ -51,7 +51,7 @@ func e17Async() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				ssfBatch, err := runAsyncTrials(opts, grid, trials, func(seed uint64) sim.Config {
+				ssfBatch, err := runTrialsOn(newAsyncRunner, opts, grid, trials, func(seed uint64) sim.Config {
 					cfg := makeSSF(seed)
 					cfg.MaxRounds *= 2 // asynchrony spreads per-agent schedules
 					return cfg
@@ -69,7 +69,7 @@ func e17Async() Experiment {
 				budget := sfProto.Rounds(sim.Env{
 					N: n, H: h, Alphabet: 2, Delta: delta, Sources: 1, Bias: 1,
 				})
-				sfBatch, err := runAsyncTrials(opts, grid, trials, func(seed uint64) sim.Config {
+				sfBatch, err := runTrialsOn(newAsyncRunner, opts, grid, trials, func(seed uint64) sim.Config {
 					return sim.Config{
 						N: n, H: h, Sources1: 1, Sources0: 0,
 						Noise:           nm2,

@@ -131,7 +131,6 @@ func registryList() []Experiment {
 		e12Separation(),
 		e13Theory(),
 		e14Alternating(),
-		e15Backend(),
 		e16Calibration(),
 		e17Async(),
 		e18Topology(),

@@ -11,8 +11,8 @@ import (
 
 func TestRegistryShape(t *testing.T) {
 	all := All()
-	if len(all) != 21 {
-		t.Fatalf("registered %d experiments, want 21", len(all))
+	if len(all) != 20 {
+		t.Fatalf("registered %d experiments, want 20", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -38,10 +38,10 @@ func TestByID(t *testing.T) {
 
 func TestIDsNumericOrder(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 21 {
+	if len(ids) != 20 {
 		t.Fatalf("IDs = %v", ids)
 	}
-	if ids[0] != "E1" || ids[1] != "E2" || ids[9] != "E10" || ids[20] != "E21" {
+	if ids[0] != "E1" || ids[1] != "E2" || ids[9] != "E10" || ids[14] != "E16" || ids[19] != "E21" {
 		t.Fatalf("IDs not in numeric order: %v", ids)
 	}
 }
@@ -193,12 +193,13 @@ func TestSSFTrialConfig(t *testing.T) {
 // TestExperimentArtifactsDeterministic re-runs an experiment with identical
 // options and requires byte-identical tables — the whole pipeline (trial
 // seeding, concurrent execution, aggregation, rendering) must be
-// reproducible.
+// reproducible, on the synchronous engine and (E17) the asynchronous
+// scheduler alike.
 func TestExperimentArtifactsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness test")
 	}
-	for _, id := range []string{"E1", "E2", "E15"} {
+	for _, id := range []string{"E1", "E2", "E17"} {
 		e, ok := ByID(id)
 		if !ok {
 			t.Fatalf("missing %s", id)

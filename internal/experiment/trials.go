@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -57,8 +58,26 @@ func (b *trialBatch) Wilson95() stats.Proportion {
 	return stats.Wilson(b.Successes, b.Trials, 1.96)
 }
 
+// trialRunner is the part of sim.Runner and sim.AsyncRunner the trial loop
+// drives.
+type trialRunner interface {
+	Reset(seed uint64)
+	RunContext(ctx context.Context) (*sim.Result, error)
+}
+
+// newSyncRunner and newAsyncRunner are the constructors runTrialsOn takes:
+// the synchronous engine and the asynchronous scheduler.
+func newSyncRunner(cfg sim.Config) (trialRunner, error)  { return sim.New(cfg) }
+func newAsyncRunner(cfg sim.Config) (trialRunner, error) { return sim.NewAsync(cfg) }
+
 // runTrials executes trials of the configuration produced by makeCfg (which
-// receives the trial seed) and aggregates the outcomes. Trials execute
+// receives the trial seed) on the synchronous engine and aggregates the
+// outcomes; runTrialsOn does the work.
+func runTrials(opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config) (*trialBatch, error) {
+	return runTrialsOn(newSyncRunner, opts, gridPoint, trials, makeCfg)
+}
+
+// runTrialsOn executes trials on runners built by newRunner. Trials execute
 // concurrently on opts.Parallel goroutines with single-worker simulations,
 // keeping total CPU use at the configured level while staying fully
 // deterministic (each trial's behaviour depends only on its seed).
@@ -69,7 +88,7 @@ func (b *trialBatch) Wilson95() stats.Proportion {
 // and topology), so the experiment grids do not pay population construction
 // and channel building per trial. Configurations that genuinely differ (for
 // example per-trial random graphs) fall back to a fresh runner.
-func runTrials(opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config) (*trialBatch, error) {
+func runTrialsOn(newRunner func(sim.Config) (trialRunner, error), opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config) (*trialBatch, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("experiment: trials = %d", trials)
 	}
@@ -90,7 +109,7 @@ func runTrials(opts Options, gridPoint, trials int, makeCfg func(seed uint64) si
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var runner *sim.Runner
+			var runner trialRunner
 			var runnerCfg sim.Config
 			for t := range next {
 				cfg := makeCfg(trialSeed(opts.Seed, gridPoint, t))
@@ -99,7 +118,7 @@ func runTrials(opts Options, gridPoint, trials int, makeCfg func(seed uint64) si
 					runner.Reset(cfg.Seed)
 				} else {
 					var err error
-					if runner, err = sim.New(cfg); err != nil {
+					if runner, err = newRunner(cfg); err != nil {
 						errs[t] = err
 						runner = nil
 						continue
@@ -162,82 +181,4 @@ func runTrialsRaw(opts Options, gridPoint, trials int, cfg sim.Config) ([]*sim.R
 // lnF returns the natural log of n as a float64.
 func lnF(n int) float64 {
 	return math.Log(float64(n))
-}
-
-// runAsyncTrials is runTrials for the asynchronous scheduler (sim.NewAsync).
-// Like runTrials, each worker goroutine keeps one runner and rewinds it with
-// Reset between trials whenever consecutive configurations are identical up
-// to the seed, avoiding per-trial population construction.
-func runAsyncTrials(opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config) (*trialBatch, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("experiment: trials = %d", trials)
-	}
-	parallel := opts.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > trials {
-		parallel = trials
-	}
-
-	ctx := opts.ctx()
-	results := make([]*sim.Result, trials)
-	errs := make([]error, trials)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var runner *sim.AsyncRunner
-			var runnerCfg sim.Config
-			for t := range next {
-				cfg := makeCfg(trialSeed(opts.Seed, gridPoint, t))
-				if runner != nil && runnerCfg.ResetCompatible(&cfg) {
-					if err := runner.Reset(cfg.Seed); err != nil {
-						errs[t] = err
-						runner = nil
-						continue
-					}
-				} else {
-					var err error
-					if runner, err = sim.NewAsync(cfg); err != nil {
-						errs[t] = err
-						runner = nil
-						continue
-					}
-					runnerCfg = cfg
-				}
-				results[t], errs[t] = runner.RunContext(ctx)
-			}
-		}()
-	}
-	done := ctx.Done()
-feed:
-	for t := 0; t < trials; t++ {
-		select {
-		case next <- t:
-		case <-done:
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	batch := &trialBatch{Trials: trials}
-	for t := 0; t < trials; t++ {
-		if errs[t] != nil {
-			return nil, fmt.Errorf("experiment: async trial %d: %w", t, errs[t])
-		}
-		res := results[t]
-		batch.Durations = append(batch.Durations, float64(res.Rounds))
-		if res.Converged {
-			batch.Successes++
-			batch.Recoveries = append(batch.Recoveries, float64(res.FirstAllCorrect))
-		}
-	}
-	return batch, nil
 }

@@ -219,8 +219,8 @@ func (e *Event) validateFraction() error {
 }
 
 // scheduleSeedID salts the seed of the stream that resolves random fire
-// rounds, so the timeline is independent of both the per-agent streams
-// (salted by agent id) and the fault-application stream in the engine.
+// rounds, so the timeline is independent of both the engine's population
+// streams and its fault-application stream.
 const scheduleSeedID = 0x666c7473_5eed0002 // "flts" ++ salt
 
 // Timed is one compiled fault occurrence: the event with its fire round

@@ -3,8 +3,7 @@ package noise
 import "noisypull/internal/rng"
 
 // Channel applies a noise matrix to displayed messages. It precomputes an
-// alias table per alphabet symbol, so single observations cost O(1) and
-// aggregated count vectors cost O(d²) regardless of the number of samples.
+// alias table per alphabet symbol, so single observations cost O(1).
 //
 // Channel is immutable after construction and safe for concurrent use as
 // long as each caller supplies its own rng.Stream.
@@ -36,33 +35,4 @@ func (c *Channel) Matrix() *Matrix { return c.n }
 // sigma' with probability N[sigma][sigma'].
 func (c *Channel) Apply(r *rng.Stream, sigma int) int {
 	return c.alias[sigma].Sample(r)
-}
-
-// ApplyCounts pushes a whole batch of displayed-symbol counts through the
-// channel at once: for each symbol sigma displayed in[sigma] times, the
-// observed symbols are multinomially distributed over row N[sigma]. Observed
-// counts are accumulated into out (which must have alphabet-size entries and
-// is NOT cleared first, so several batches can be merged). The result is
-// distributed exactly as applying Apply to every individual sample.
-func (c *Channel) ApplyCounts(r *rng.Stream, in []int, out []int) {
-	d := c.n.Alphabet()
-	if len(in) != d || len(out) != d {
-		panic("noise: ApplyCounts length mismatch")
-	}
-	var tmp [8]int
-	var buf []int
-	if d <= len(tmp) {
-		buf = tmp[:d]
-	} else {
-		buf = make([]int, d)
-	}
-	for sigma, k := range in {
-		if k == 0 {
-			continue
-		}
-		r.Multinomial(k, c.n.m.RowView(sigma), buf)
-		for j, v := range buf {
-			out[j] += v
-		}
-	}
 }

@@ -334,80 +334,6 @@ func TestChannelApplyDistribution(t *testing.T) {
 	}
 }
 
-func TestChannelApplyCountsMatchesApply(t *testing.T) {
-	// The aggregated path must produce the same distribution as the
-	// per-sample path. Compare total observed-1 frequencies.
-	n, err := TwoSymbol(0.2, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewChannel(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rA := rng.New(6)
-	rB := rng.New(7)
-	in := []int{30, 70} // 30 zeros and 70 ones displayed
-
-	const trials = 20000
-	var aggOnes, perOnes float64
-	out := make([]int, 2)
-	for i := 0; i < trials; i++ {
-		out[0], out[1] = 0, 0
-		c.ApplyCounts(rA, in, out)
-		if out[0]+out[1] != 100 {
-			t.Fatalf("ApplyCounts changed total: %v", out)
-		}
-		aggOnes += float64(out[1])
-
-		ones := 0
-		for s := 0; s < in[0]; s++ {
-			ones += c.Apply(rB, 0)
-		}
-		for s := 0; s < in[1]; s++ {
-			ones += c.Apply(rB, 1)
-		}
-		perOnes += float64(ones)
-	}
-	aggMean := aggOnes / trials
-	perMean := perOnes / trials
-	// Expected: 30*0.2 + 70*0.6 = 48 observed ones.
-	if math.Abs(aggMean-48) > 0.5 {
-		t.Fatalf("aggregate mean ones = %v, want ~48", aggMean)
-	}
-	if math.Abs(aggMean-perMean) > 0.5 {
-		t.Fatalf("aggregate (%v) and per-sample (%v) means diverge", aggMean, perMean)
-	}
-}
-
-func TestChannelApplyCountsAccumulates(t *testing.T) {
-	n := mustUniform(t, 2, 0) // noiseless: identity channel
-	c, err := NewChannel(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(8)
-	out := []int{5, 5}
-	c.ApplyCounts(r, []int{1, 2}, out)
-	if out[0] != 6 || out[1] != 7 {
-		t.Fatalf("accumulation failed: %v", out)
-	}
-}
-
-func TestChannelApplyCountsPanicsOnMismatch(t *testing.T) {
-	n := mustUniform(t, 2, 0.1)
-	c, err := NewChannel(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	c.ApplyCounts(rng.New(1), []int{1, 2, 3}, make([]int, 2))
-}
-
 // TestArtificialNoiseEndToEnd simulates Definition 6: messages pushed
 // through channel N then channel P are distributed as through T = N·P.
 // This is the message-law equality at the heart of Theorem 8.

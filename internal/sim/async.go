@@ -2,9 +2,9 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
-	"noisypull/internal/noise"
 	"noisypull/internal/rng"
 )
 
@@ -20,147 +20,68 @@ import (
 // working; SF's phase structure relies on synchronized rounds, so it is
 // expected to break. Experiment E17 measures exactly this contrast.
 //
+// The population is the synchronous engine's: a one-worker Runner builds
+// it (the protocol's kernel, or the adapter for plain Agents) with the same
+// round-0 state as Runner under the same seed, and an activation of agent i
+// steps the range [i, i+1) against the law of the live displays. The
+// schedule stream picks the agent and feeds its draws.
+//
 // Finite protocols are run for MaxRounds with the usual stability-window
 // semantics rather than their synchronous schedule, since a global
-// schedule has no meaning here.
+// schedule has no meaning here. Fault schedules and checkpoints need round
+// barriers, so NewAsync rejects them.
 type AsyncRunner struct {
-	cfg     Config
-	env     Env
-	agents  []Agent
-	streams []rng.Stream
-	sched   rng.Stream
-	channel *noise.Channel
-	artif   *noise.Channel
-	backend Backend
-
-	displays []int
-	counts   []int
-	probs    []float64
-	sampled  []int
-	inter    []int
-	observed []int
+	eng   *Runner
+	sched rng.Stream
+	// eng.counts holds the live display counts on the complete graph;
+	// lawStale marks a display change since eng.vecObs was built from them.
+	lawStale bool
 	correct  int // number of agents currently holding the correct opinion
+	ran      bool
 }
 
 // NewAsync validates cfg and instantiates the asynchronous simulation.
 // Workers is ignored: asynchronous activation is inherently sequential.
 func NewAsync(cfg Config) (*AsyncRunner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Backend == BackendCounts {
+	switch {
+	case cfg.Backend == BackendCounts:
 		return nil, fmt.Errorf("sim: backend %v tracks class counts, not individual agents, and has no asynchronous schedule; use exact or aggregate", cfg.Backend)
+	case cfg.Faults != nil:
+		return nil, errors.New("sim: the asynchronous scheduler does not support fault schedules")
+	case cfg.CheckpointEvery > 0:
+		return nil, errors.New("sim: the asynchronous scheduler does not support checkpoints")
 	}
-	backend := cfg.Backend
-	if backend == BackendAuto {
-		if cfg.H <= autoExactLimit || cfg.Topology != nil {
-			backend = BackendExact
-		} else {
-			backend = BackendAggregate
-		}
-	}
-	ch, err := noise.NewChannel(cfg.Noise)
+	cfg.Workers = 1
+	eng, err := New(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("sim: building noise channel: %w", err)
-	}
-	var art *noise.Channel
-	if cfg.Artificial != nil {
-		art, err = noise.NewChannel(cfg.Artificial)
-		if err != nil {
-			return nil, fmt.Errorf("sim: building artificial channel: %w", err)
-		}
-	}
-
-	env := cfg.Env()
-	r := &AsyncRunner{
-		cfg:      cfg,
-		env:      env,
-		streams:  make([]rng.Stream, cfg.N),
-		channel:  ch,
-		artif:    art,
-		backend:  backend,
-		displays: make([]int, cfg.N),
-		counts:   make([]int, env.Alphabet),
-		probs:    make([]float64, env.Alphabet),
-		sampled:  make([]int, env.Alphabet),
-		inter:    make([]int, env.Alphabet),
-		observed: make([]int, env.Alphabet),
-	}
-	if err := r.initPopulation(); err != nil {
 		return nil, err
 	}
-	return r, nil
-}
-
-// initPopulation (re)derives the scheduler and per-agent RNG streams and
-// (re)builds the agent population, mirroring Runner.initPopulation so a
-// Reset async runner is bit-identical to a freshly constructed one.
-func (r *AsyncRunner) initPopulation() error {
-	cfg := &r.cfg
+	r := &AsyncRunner{eng: eng}
 	r.sched.Reseed(rng.DeriveSeed(cfg.Seed, ^uint64(0)))
-	for i := range r.streams {
-		r.streams[i].Reseed(rng.DeriveSeed(cfg.Seed, uint64(i)))
-	}
-	role := func(id int) Role { return roleOf(id, cfg.Sources1, cfg.Sources0) }
-	if bp, ok := cfg.Protocol.(BulkProtocol); ok {
-		r.agents = bp.NewAgents(cfg.N, r.env, role)
-	} else {
-		if r.agents == nil {
-			r.agents = make([]Agent, cfg.N)
-		}
-		for i := range r.agents {
-			r.agents[i] = cfg.Protocol.NewAgent(i, role(i), r.env)
-		}
-	}
-	correctOp := cfg.CorrectOpinion()
-	wrong := 1 - correctOp
-	for i, a := range r.agents {
-		if s, ok := a.(Seeder); ok {
-			s.SeedInit(&r.streams[i])
-		}
-		if cfg.Corruption != CorruptNone {
-			if c, ok := a.(Corruptible); ok {
-				c.Corrupt(cfg.Corruption, wrong, &r.streams[i])
-			}
-		}
-	}
-	// Initial display and opinion state.
-	for j := range r.counts {
-		r.counts[j] = 0
-	}
-	r.correct = 0
-	for i, a := range r.agents {
-		s := a.Display()
-		if s < 0 || s >= r.env.Alphabet {
-			return fmt.Errorf("sim: agent %d displays symbol %d outside alphabet %d", i, s, r.env.Alphabet)
-		}
-		r.displays[i] = s
-		r.counts[s]++
-		if a.Opinion() == correctOp {
-			r.correct++
-		}
-	}
-	return nil
+	return r, nil
 }
 
 // Reset rewinds the runner to a freshly constructed state under the given
 // seed, reusing its allocations — the async analogue of Runner.Reset. A
 // Reset runner is bit-identical to one built with NewAsync under the same
 // configuration and seed.
-func (r *AsyncRunner) Reset(seed uint64) error {
-	r.cfg.Seed = seed
-	return r.initPopulation()
+func (r *AsyncRunner) Reset(seed uint64) {
+	r.eng.Reset(seed)
+	r.sched.Reseed(rng.DeriveSeed(seed, ^uint64(0)))
+	r.ran = false
 }
 
-// Agents exposes the instantiated agents.
-func (r *AsyncRunner) Agents() []Agent { return r.agents }
+// Agents exposes the agents of a plain Agent protocol run through the
+// adapter population; like Runner.Agents, it is nil when the protocol's own
+// kernel runs.
+func (r *AsyncRunner) Agents() []Agent { return r.eng.Agents() }
 
 // Env returns the agents' environment.
-func (r *AsyncRunner) Env() Env { return r.env }
+func (r *AsyncRunner) Env() Env { return r.eng.env }
 
 // Run executes activations until the population has been all-correct for
 // StabilityWindow consecutive parallel rounds or MaxRounds parallel rounds
-// elapse.
+// elapse. An AsyncRunner runs once per NewAsync or Reset.
 func (r *AsyncRunner) Run() (*Result, error) {
 	return r.RunContext(context.Background())
 }
@@ -168,7 +89,14 @@ func (r *AsyncRunner) Run() (*Result, error) {
 // RunContext is Run with cooperative cancellation, checked once per parallel
 // round (n activations); a cancelled run returns ctx.Err().
 func (r *AsyncRunner) RunContext(ctx context.Context) (*Result, error) {
-	cfg := &r.cfg
+	if r.ran {
+		return nil, errors.New("sim: AsyncRunner.Run called again without Reset")
+	}
+	r.ran = true
+	if err := r.start(); err != nil {
+		return nil, err
+	}
+	cfg := &r.eng.cfg
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = defaultMaxRounds(cfg.N)
@@ -177,8 +105,7 @@ func (r *AsyncRunner) RunContext(ctx context.Context) (*Result, error) {
 	if window == 0 {
 		window = 1
 	}
-	correctOp := cfg.CorrectOpinion()
-	res := &Result{CorrectOpinion: correctOp}
+	res := &Result{CorrectOpinion: r.eng.correct}
 	if cfg.TrackHistory {
 		capRounds := maxRounds
 		if capRounds > 1<<20 {
@@ -199,7 +126,9 @@ func (r *AsyncRunner) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 		for step := 0; step < n; step++ {
-			r.activate(r.sched.Intn(n), correctOp)
+			if err := r.activate(r.sched.Intn(n)); err != nil {
+				return nil, fmt.Errorf("sim: round %d: %w", round, err)
+			}
 		}
 		res.Rounds = round
 		res.FinalCorrect = r.correct
@@ -227,68 +156,61 @@ func (r *AsyncRunner) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// activate performs one asynchronous activation of agent i.
-func (r *AsyncRunner) activate(i int, correctOp int) {
-	stream := &r.streams[i]
-	h := r.cfg.H
-	observed := r.observed
-	for j := range observed {
-		observed[j] = 0
+// start takes the round-0 display counts (or publishes the displays, on a
+// graph) and the correct-opinion tally.
+func (r *AsyncRunner) start() error {
+	e := r.eng
+	e.vecCountRange(0)
+	if e.ap != nil {
+		if err := e.ap.displayErr(); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
 	}
-	switch r.backend {
-	case BackendExact:
-		n := r.cfg.N
-		var neighbors []int32
-		if r.cfg.Topology != nil {
-			neighbors = r.cfg.Topology.Neighbors(i)
+	if e.vecNbr != nil {
+		e.vecNbr.resetRound(e.noiseEpoch)
+		e.vecObs = VecObs{H: e.cfg.H, nbr: e.vecNbr}
+	} else {
+		copy(e.counts, e.scratch[0].shard)
+		r.lawStale = true
+	}
+	r.correct = 0
+	for i := 0; i < e.cfg.N; i++ {
+		if _, op := e.pop.State(i); op == e.correct {
+			r.correct++
 		}
-		for s := 0; s < h; s++ {
-			var sigma int
-			if neighbors != nil {
-				sigma = r.displays[neighbors[stream.Intn(len(neighbors))]]
-			} else {
-				sigma = r.displays[stream.Intn(n)]
-			}
+	}
+	return nil
+}
 
-			o := r.channel.Apply(stream, sigma)
-			if r.artif != nil {
-				o = r.artif.Apply(stream, o)
-			}
-			observed[o]++
+// activate steps agent i against the live displays and folds its new
+// display and opinion into the counts and the correct-opinion tally.
+func (r *AsyncRunner) activate(i int) error {
+	e := r.eng
+	if r.lawStale {
+		e.completeLaw(nil, 0)
+		r.lawStale = false
+	}
+	was, wasOp := e.pop.State(i)
+	e.pop.StepRange(i, i+1, &e.vecObs, &r.sched)
+	sym, op := e.pop.State(i)
+	if sym != was {
+		if d := e.env.Alphabet; sym < 0 || sym >= d {
+			return fmt.Errorf("agent %d displayed symbol %d outside alphabet [0, %d)", i, sym, d)
 		}
-	case BackendAggregate:
-		for j, c := range r.counts {
-			r.probs[j] = float64(c)
-		}
-		stream.Multinomial(h, r.probs, r.sampled)
-		if r.artif == nil {
-			r.channel.ApplyCounts(stream, r.sampled, observed)
+		if e.vecNbr != nil {
+			e.vecNbr.displays[i] = uint8(sym)
 		} else {
-			for j := range r.inter {
-				r.inter[j] = 0
-			}
-			r.channel.ApplyCounts(stream, r.sampled, r.inter)
-			r.artif.ApplyCounts(stream, r.inter, observed)
+			e.counts[was]--
+			e.counts[sym]++
+			r.lawStale = true
 		}
-	default:
-		panic(fmt.Sprintf("sim: unresolved backend %v", r.backend))
 	}
-
-	a := r.agents[i]
-	wasCorrect := a.Opinion() == correctOp
-	a.Observe(observed, stream)
-
-	// Maintain the incremental display counts and correct-opinion tally.
-	if s := a.Display(); s != r.displays[i] {
-		r.counts[r.displays[i]]--
-		r.counts[s]++
-		r.displays[i] = s
-	}
-	if isCorrect := a.Opinion() == correctOp; isCorrect != wasCorrect {
-		if isCorrect {
+	if right := op == e.correct; right != (wasOp == e.correct) {
+		if right {
 			r.correct++
 		} else {
 			r.correct--
 		}
 	}
+	return nil
 }

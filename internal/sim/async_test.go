@@ -2,7 +2,10 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"noisypull/internal/faults"
 )
 
 func TestNewAsyncValidates(t *testing.T) {
@@ -10,6 +13,19 @@ func TestNewAsyncValidates(t *testing.T) {
 	cfg.N = 0
 	if _, err := NewAsync(cfg); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+	// Faults and checkpoints fire at round barriers, which asynchronous
+	// activation does not have.
+	cfg = baseConfig(t)
+	cfg.Faults = &faults.Schedule{Events: []faults.Event{{Kind: faults.KindChurn, Round: 2, Fraction: 0.5}}}
+	if _, err := NewAsync(cfg); err == nil || !strings.Contains(err.Error(), "asynchronous scheduler does not support fault schedules") {
+		t.Fatalf("fault schedule: err = %v", err)
+	}
+	cfg = baseConfig(t)
+	cfg.CheckpointEvery = 5
+	cfg.OnCheckpoint = func(int, []byte) {}
+	if _, err := NewAsync(cfg); err == nil || !strings.Contains(err.Error(), "asynchronous scheduler does not support checkpoints") {
+		t.Fatalf("checkpointing: err = %v", err)
 	}
 }
 

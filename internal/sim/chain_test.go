@@ -13,7 +13,6 @@
 package sim_test
 
 import (
-	"fmt"
 	"testing"
 
 	"noisypull/internal/graph"
@@ -161,9 +160,7 @@ func asyncFinalCorrect(t *testing.T, cfg sim.Config, rounds int) []int {
 	}
 	hist := make([]int, cfg.N+1)
 	for s := 1; s <= chainTrials; s++ {
-		if err := r.Reset(uint64(s)); err != nil {
-			t.Fatal(err)
-		}
+		r.Reset(uint64(s))
 		res, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -208,16 +205,10 @@ func chainCases(t *testing.T) []chainCase {
 			Protocol: p,
 		}
 	}
-	var cases []chainCase
-	for _, tc := range []struct {
-		name string
-		cfg  sim.Config
-	}{
-		{"voter", complete(protocol.Voter{}, 3, 0.2)},
-		{"majority", complete(protocol.MajorityRule{}, 3, 0.2)},
-		{"trustbit", complete(protocol.TrustBit{}, 2, 0.15)},
-	} {
-		cases = append(cases, chainCase{tc.name, tc.cfg, 2, completeChainLaw})
+	cases := []chainCase{
+		{"voter", complete(protocol.Voter{}, 3, 0.2), 2, completeChainLaw},
+		{"majority", complete(protocol.MajorityRule{}, 3, 0.2), 2, completeChainLaw},
+		{"trustbit", complete(protocol.TrustBit{}, 2, 0.15), 2, completeChainLaw},
 	}
 	ring, err := graph.Ring(6, 1)
 	if err != nil {
@@ -244,29 +235,21 @@ func TestAsyncChainOracle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			law := tc.law(tc.cfg, tc.rounds, true)
 			wrong := tc.law(tc.cfg, tc.rounds, false)
-			backends := []sim.Backend{sim.BackendExact, sim.BackendAggregate}
-			if tc.cfg.Topology != nil {
-				backends = backends[:1]
-			}
-			for _, backend := range backends {
-				for _, pop := range []string{"own", "agents"} {
-					cfg := tc.cfg
-					cfg.Backend = backend
-					if pop == "agents" {
-						cfg.Protocol = agentsOnly(cfg.Protocol)
-					}
-					name := fmt.Sprintf("%v/%s", backend, pop)
-					hist := asyncFinalCorrect(t, cfg, tc.rounds)
-					stat, crit := chainChiSquare(hist, law)
-					if stat > crit {
-						t.Errorf("%s: chi-square %.1f exceeds critical value %.1f (alpha %g): histogram %v, exact law %v", name, stat, crit, chainAlpha, hist, law)
-					}
-					wstat, wcrit := chainChiSquare(hist, wrong)
-					if wstat <= wcrit {
-						t.Errorf("%s: negative-control law accepted: chi-square %.1f <= critical value %.1f", name, wstat, wcrit)
-					}
-					t.Logf("%s: chi-square %.1f (negative control %.1f), critical value %.1f", name, stat, wstat, crit)
+			for _, pop := range []string{"kernel", "adapter"} {
+				cfg := tc.cfg
+				if pop == "adapter" {
+					cfg.Protocol = agentsOnly(cfg.Protocol)
 				}
+				hist := asyncFinalCorrect(t, cfg, tc.rounds)
+				stat, crit := chainChiSquare(hist, law)
+				if stat > crit {
+					t.Errorf("%s: chi-square %.1f exceeds critical value %.1f (alpha %g): histogram %v, exact law %v", pop, stat, crit, chainAlpha, hist, law)
+				}
+				wstat, wcrit := chainChiSquare(hist, wrong)
+				if wstat <= wcrit {
+					t.Errorf("%s: negative-control law accepted: chi-square %.1f <= critical value %.1f", pop, wstat, wcrit)
+				}
+				t.Logf("%s: chi-square %.1f (negative control %.1f), critical value %.1f", pop, stat, wstat, crit)
 			}
 		})
 	}

@@ -8,8 +8,7 @@ import (
 )
 
 // countsStreamID salts the seed of the counts engine's single RNG stream so
-// it is independent of the per-agent streams Derive(seed, 0..n-1) would
-// produce for the same seed.
+// it is independent of the other engine streams under the same seed.
 const countsStreamID = 0x636e7473_5eed0001 // "cnts" ++ salt
 
 // rowSumTol is the tolerance on a TransitionRow's total probability mass;

@@ -133,6 +133,21 @@ func TestRunTwiceWithoutReset(t *testing.T) {
 	if _, err := r.Run(); err != nil {
 		t.Fatalf("Run after Reset: %v", err)
 	}
+
+	a, err := NewAsync(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Run(); err == nil {
+		t.Fatal("second async Run without Reset did not error")
+	}
+	a.Reset(cfg.Seed)
+	if _, err := a.Run(); err != nil {
+		t.Fatalf("async Run after Reset: %v", err)
+	}
 }
 
 // badDisplayProtocol displays a symbol outside the alphabet from a chosen
@@ -148,10 +163,28 @@ func (p badDisplayProtocol) NewAgent(id int, role Role, env Env) Agent {
 	return &constAgent{symbol: sym, alphabet: 2}
 }
 
+// lateBadProtocol's agent badID displays 0 until it first observes, then a
+// symbol outside the alphabet.
+type lateBadProtocol struct{ badID int }
+
+func (p lateBadProtocol) Alphabet() int { return 2 }
+func (p lateBadProtocol) NewAgent(id int, role Role, env Env) Agent {
+	if id == p.badID {
+		return &lateBadAgent{constAgent{alphabet: 2}}
+	}
+	return &constAgent{alphabet: 2}
+}
+
+type lateBadAgent struct{ constAgent }
+
+func (a *lateBadAgent) Observe(counts []int, r *rng.Stream) { a.symbol = 7 }
+
 // TestBadDisplayReturnsError verifies a protocol displaying a symbol
 // outside the alphabet surfaces as an error from Run — not a panic — under
 // both the serial path and the worker pool, on several chunks, and on a
-// graph, where displays are published instead of counted.
+// graph, where displays are published instead of counted. The asynchronous
+// scheduler must report it both at the round-0 count and after the
+// activation that produced it.
 func TestBadDisplayReturnsError(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -186,6 +219,27 @@ func TestBadDisplayReturnsError(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), fmt.Sprintf("agent %d ", tc.badID)) || !strings.Contains(err.Error(), "symbol 7") {
 				t.Fatalf("%s workers=%d: unhelpful error %q", tc.name, workers, err)
+			}
+		}
+	}
+	for _, p := range []Protocol{badDisplayProtocol{badID: 57}, lateBadProtocol{badID: 57}} {
+		for _, ring := range []bool{false, true} {
+			cfg := baseConfig(t)
+			cfg.Protocol = p
+			if ring {
+				g, err := graph.Ring(cfg.N, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Topology = g
+			}
+			r, err := NewAsync(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = r.Run()
+			if err == nil || !strings.Contains(err.Error(), "agent 57 ") || !strings.Contains(err.Error(), "symbol 7") {
+				t.Fatalf("async %T ring=%v: err = %v", p, ring, err)
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 
 // faultStreamID salts the seed of the fault-application stream (agent
 // selection, counts-backend redistribution draws) so it is independent of
-// the per-agent streams, the counts-engine stream, and the schedule's own
+// the chunk streams, the counts-engine stream, and the schedule's own
 // fire-round stream.
 const faultStreamID = 0x666c745f_5eed0003 // "flt_" ++ salt
 

@@ -98,9 +98,7 @@ func asyncOracleHistogram(t *testing.T, cfg sim.Config, agent int) map[string]in
 	}
 	hist := make(map[string]int)
 	for s := 1; s <= oracleTrials; s++ {
-		if err := r.Reset(uint64(s)); err != nil {
-			t.Fatal(err)
-		}
+		r.Reset(uint64(s))
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}

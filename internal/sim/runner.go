@@ -109,8 +109,8 @@ func New(cfg Config) (*Runner, error) {
 	d := env.Alphabet
 
 	if backend == BackendCounts {
-		// Countable populations carry no per-agent state: skip agent slabs,
-		// per-agent streams, worker scratch, and the pool entirely, so a
+		// Countable populations carry no per-agent state: skip the
+		// population, chunk streams, worker scratch, and the pool entirely, so a
 		// counts runner for n = 10⁹ costs O(K + |Σ|) memory.
 		ce, err := newCountsEngine(cfg.Protocol.(CountableProtocol), env)
 		if err != nil {

@@ -7,25 +7,20 @@
 // displayed symbol drawn from the noise matrix row; finally every agent
 // updates its state from the multiset of observations.
 //
-// The engine offers three observation backends with identical distributions:
+// The engine has two population representations:
 //
-//   - BackendExact draws every one of the h samples individually:
-//     O(h) work per agent-round. Best for small h.
-//   - BackendAggregate exploits exchangeability: the h sampled symbols are
-//     Multinomial(h, counts/n) distributed, and pushing k copies of symbol σ
-//     through the channel multinomially distributes them over row N[σ].
-//     O(|Σ|²) work per agent-round, enabling h = n at large n.
+//   - The per-agent path (BackendExact, BackendAggregate and BackendAuto)
+//     keeps every agent's state in a VecPopulation: the protocol's own
+//     struct-of-arrays kernel, or an adapter over its plain Agents. Each
+//     agent's observation vector is one draw from the round's law (see
+//     vector.go); no sampler reads the exact/aggregate label. AsyncRunner
+//     activates the same populations one agent at a time.
 //   - BackendCounts drops per-agent state entirely for protocols whose
 //     agents are exchangeable within a small set of state classes
 //     (CountableProtocol): the population is a vector of class counts and
 //     each round multinomially partitions every class over its successor
 //     classes. O(K·(K+|Σ|)) work per round — independent of n — enabling
 //     n = 10⁸–10⁹.
-//
-// The synchronous Runner runs BackendExact and BackendAggregate on one
-// per-agent path: each agent's observation vector is one draw from the
-// round's law (see vector.go), so the two differ only in how AsyncRunner
-// samples.
 //
 // Protocols receive observations as per-symbol counts, which is exactly the
 // information available to the anonymous agents of the model (observations
@@ -51,12 +46,13 @@ import (
 type Backend int
 
 const (
-	// BackendAuto picks BackendExact for small h and BackendAggregate
-	// otherwise.
+	// BackendAuto resolves to BackendExact for small h or a topology and to
+	// BackendAggregate otherwise.
 	BackendAuto Backend = iota
-	// BackendExact samples each of the h observations individually.
+	// BackendExact and BackendAggregate both select the per-agent path and
+	// draw from the same observation law; the labels survive in the run
+	// fingerprint and the snapshot header.
 	BackendExact
-	// BackendAggregate samples per-symbol counts via nested multinomials.
 	BackendAggregate
 	// BackendCounts advances the population as state-class counts; it
 	// requires a CountableProtocol and the complete graph. Per-round cost is
@@ -65,9 +61,8 @@ const (
 	BackendCounts
 )
 
-// autoExactLimit is the h at or below which BackendAuto picks the exact
-// backend: drawing h individual samples is cheaper than 2·|Σ| binomial
-// draws for small h.
+// autoExactLimit is the h at or below which BackendAuto resolves to the
+// exact label.
 const autoExactLimit = 8
 
 func (b Backend) String() string {
@@ -135,18 +130,6 @@ type Protocol interface {
 	Alphabet() int
 	// NewAgent creates the agent with the given id and role.
 	NewAgent(id int, role Role, env Env) Agent
-}
-
-// BulkProtocol is an optional Protocol extension for allocation-efficient
-// population construction: NewAgents returns all n agents at once, letting
-// implementations back them with a single slab allocation (and compute
-// shared per-run parameters once) instead of paying one allocation and one
-// parameter derivation per agent. The engine prefers it over NewAgent in
-// New and Runner.Reset; the result must be indistinguishable from calling
-// NewAgent(id, role(id), env) for each id in order.
-type BulkProtocol interface {
-	Protocol
-	NewAgents(n int, env Env, role func(id int) Role) []Agent
 }
 
 // CountableProtocol is an optional Protocol extension for protocols whose
@@ -275,16 +258,16 @@ type Config struct {
 	Artificial *noise.Matrix
 	// Topology, if non-nil, restricts sampling: each agent draws its h
 	// observations uniformly (with replacement) from its graph neighbors
-	// instead of the whole population. Requires the exact backend (the
-	// aggregate backend exploits global exchangeability, which only holds
-	// on the complete graph); BackendAuto resolves accordingly. Nil means
-	// the paper's complete-graph model.
+	// instead of the whole population. Validate rejects the aggregate and
+	// counts backends with a topology, and BackendAuto resolves to
+	// BackendExact. Nil means the paper's complete-graph model.
 	Topology *graph.Graph
 	// Protocol builds the agents.
 	Protocol Protocol
 	// Seed drives all randomness.
 	Seed uint64
-	// Backend selects the observation sampler; BackendAuto by default.
+	// Backend selects the counts backend or the per-agent path;
+	// BackendAuto by default.
 	Backend Backend
 	// MaxRounds caps the run for infinite protocols (and acts as a safety
 	// cap for finite ones). Zero means a default of 200·n + 10000.

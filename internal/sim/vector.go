@@ -60,10 +60,9 @@ import (
 const VecChunkSize = 4096
 
 // vecStreamID is the derivation base for per-chunk streams; chunk c uses
-// DeriveSeed(seed, vecStreamID + c). The base is far outside the per-agent
-// id range [0, n) and the other engine stream salts, so chunk streams never
-// collide with AsyncRunner's per-agent streams or the fault streams under
-// the same seed.
+// DeriveSeed(seed, vecStreamID + c). The base is far from the other engine
+// stream salts, so chunk streams never collide with the counts, fault or
+// AsyncRunner schedule streams under the same seed.
 const vecStreamID uint64 = 0x76656363_5eed0005
 
 // VecObs is the round's shared observation law, built once at the Phase A
@@ -122,15 +121,17 @@ func (o *VecObs) K1(i int, r *rng.Stream) int {
 	return o.Bin.Sample(r)
 }
 
-// maxJointSupport caps the support size stepVec will ask PrecomputeJoint to
-// enumerate: C(h+d-1, d-1) outcomes — 165 for the h=8, d=4 shapes the k-ary
-// protocols run at — rebuilt once per round and shared by every agent.
+// maxJointSupport caps the support size completeLaw will ask
+// PrecomputeJoint to enumerate: C(h+d-1, d-1) outcomes — 165 for the h=8,
+// d=4 shapes the k-ary protocols run at — rebuilt with the law and shared by
+// every agent that draws from it.
 const maxJointSupport = 4096
 
 // Counts draws agent i's per-symbol observation counts into out (length
-// |Σ|), the k-ary counterpart of K1. On the complete graph the shared round
-// sampler draws through its joint alias table when stepVec could build one
-// (same law, one alias draw per agent instead of d−1 conditional binomials).
+// |Σ|), the k-ary counterpart of K1. On the complete graph the shared
+// sampler draws through its joint alias table when completeLaw could build
+// one (same law, one alias draw per agent instead of d−1 conditional
+// binomials).
 func (o *VecObs) Counts(i int, r *rng.Stream, out []int) {
 	if o.nbr != nil {
 		o.nbr.counts(i, r, out)
@@ -416,32 +417,7 @@ func (r *Runner) stepVec() (int, error) {
 				}
 			}
 		}
-		// One observation is a uniform display pushed through the composed
-		// channel: a draw from the counts-weighted mixture of effective rows.
-		if r.env.Alphabet == 2 {
-			q1 := (float64(r.counts[0])*r.effRows[0][1] + float64(r.counts[1])*r.effRows[1][1]) / float64(r.cfg.N)
-			r.binDist.Init(r.cfg.H, q1)
-			r.vecObs = VecObs{H: r.cfg.H, Q1: q1, Bin: &r.binDist, crashUntil: crashUntil, round: round}
-		} else {
-			d := r.env.Alphabet
-			invN := 1 / float64(r.cfg.N)
-			for j := 0; j < d; j++ {
-				acc := 0.0
-				for sigma := 0; sigma < d; sigma++ {
-					acc += float64(r.counts[sigma]) * r.effRows[sigma][j]
-				}
-				r.vecQ[j] = acc * invN
-			}
-			r.multDist.Init(r.cfg.H, r.vecQ)
-			// The round sampler is shared by every agent, so precomputing its
-			// draw tables here — joint alias when the support is small, cached
-			// conditional binomials otherwise — amortizes across the whole
-			// population before the concurrent Phase B reads it.
-			if !r.multDist.PrecomputeJoint(maxJointSupport) {
-				r.multDist.PrecomputeCond()
-			}
-			r.vecObs = VecObs{H: r.cfg.H, Q: r.vecQ, Mult: &r.multDist, crashUntil: crashUntil, round: round}
-		}
+		r.completeLaw(crashUntil, round)
 	}
 
 	if r.pool != nil {
@@ -457,6 +433,39 @@ func (r *Runner) stepVec() (int, error) {
 		return ones, nil
 	}
 	return r.cfg.N - ones, nil
+}
+
+// completeLaw builds r.vecObs, the complete-graph observation law of the
+// display counts in r.counts. One observation is a uniform display pushed
+// through the composed channel: a draw from the counts-weighted mixture of
+// effective rows. stepVec calls it once per round; AsyncRunner before the
+// first activation after a display changed.
+func (r *Runner) completeLaw(crashUntil []int, round int) {
+	if r.env.Alphabet == 2 {
+		q1 := (float64(r.counts[0])*r.effRows[0][1] + float64(r.counts[1])*r.effRows[1][1]) / float64(r.cfg.N)
+		r.binDist.Init(r.cfg.H, q1)
+		r.vecObs = VecObs{H: r.cfg.H, Q1: q1, Bin: &r.binDist, crashUntil: crashUntil, round: round}
+		return
+	}
+	d := r.env.Alphabet
+	invN := 1 / float64(r.cfg.N)
+	for j := 0; j < d; j++ {
+		acc := 0.0
+		for sigma := 0; sigma < d; sigma++ {
+			acc += float64(r.counts[sigma]) * r.effRows[sigma][j]
+		}
+		r.vecQ[j] = acc * invN
+	}
+	r.multDist.Init(r.cfg.H, r.vecQ)
+	// The sampler is shared by every agent that draws before the next
+	// rebuild, so precomputing its draw tables here — joint alias when the
+	// support is small, cached conditional binomials otherwise — amortizes
+	// across them (and, in a round, happens before the concurrent Phase B
+	// reads it).
+	if !r.multDist.PrecomputeJoint(maxJointSupport) {
+		r.multDist.PrecomputeCond()
+	}
+	r.vecObs = VecObs{H: r.cfg.H, Q: r.vecQ, Mult: &r.multDist, crashUntil: crashUntil, round: round}
 }
 
 // vecCountRange is Phase A for worker w: accumulate display counts of the

@@ -16,13 +16,16 @@
 //  4. cross-path restores (kernel, adapter, counts backend) fail loudly
 //     instead of silently diverging;
 //  5. every built-in protocol runs its own kernel, every other protocol
-//     the adapter, and the counts backend neither.
+//     the adapter, and the counts backend neither;
+//  6. AsyncRunner activates the same populations: its round-0 state is
+//     Runner's, and Reset replays a fresh async runner.
 package sim_test
 
 import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -829,5 +832,103 @@ func TestVecAgentWeakOpinion(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// asyncSSFConfig is an SSF run on its k = 4 kernel from a random round-0
+// corruption.
+func asyncSSFConfig(t *testing.T) sim.Config {
+	t.Helper()
+	return sim.Config{
+		N: 150, H: 32, Sources1: 1,
+		Noise:        uniformNoise(t, 4, 0.1),
+		Protocol:     protocol.NewSSF(),
+		Corruption:   sim.CorruptRandom,
+		MaxRounds:    40,
+		TrackHistory: true,
+		Workers:      1,
+	}
+}
+
+// TestAsyncRoundZeroMatchesSync: NewAsync builds its population through
+// the synchronous engine, so before any activation its state, random
+// corruption included, is byte-for-byte Runner's under the same seed, on
+// the kernel and on the adapter.
+func TestAsyncRoundZeroMatchesSync(t *testing.T) {
+	for _, wrap := range []func(sim.Protocol) sim.Protocol{
+		func(p sim.Protocol) sim.Protocol { return p },
+		agentsOnly,
+	} {
+		cfg := asyncSSFConfig(t)
+		cfg.Protocol = wrap(cfg.Protocol)
+		r, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := sim.NewAsync(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.AsyncEngine(a).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%T: async round-0 state differs from the synchronous runner's", cfg.Protocol)
+		}
+	}
+}
+
+// TestAsyncResetMatchesFresh: Reset(s) followed by Run replays NewAsync at
+// seed s exactly, for SSF on its kernel and for a plain Agent protocol on
+// the adapter.
+func TestAsyncResetMatchesFresh(t *testing.T) {
+	copySource := sim.Config{
+		N: 80, H: 8, Sources1: 4, Sources0: 1,
+		Noise:           uniformNoise(t, 2, 0.05),
+		Protocol:        sim.CopySourceProtocol{},
+		StabilityWindow: 3,
+		MaxRounds:       200,
+		TrackHistory:    true,
+	}
+	for _, tc := range []struct {
+		cfg    sim.Config
+		kernel bool
+	}{{asyncSSFConfig(t), true}, {copySource, false}} {
+		cfg := tc.cfg
+		r, err := sim.NewAsync(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Agents is nil exactly when the protocol's own kernel runs.
+		if kernel := r.Agents() == nil; kernel != tc.kernel {
+			t.Fatalf("%T: kernel = %v, want %v", cfg.Protocol, kernel, tc.kernel)
+		}
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []uint64{5, 9} {
+			r.Reset(seed)
+			got, err := r.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Seed = seed
+			fresh, err := sim.NewAsync(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%T seed %d: Reset run %+v, fresh run %+v", cfg.Protocol, seed, got, want)
+			}
+		}
 	}
 }

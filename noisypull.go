@@ -435,7 +435,8 @@ func NewNoiseEstimator(d int) (*NoiseEstimator, error) {
 // time is reported in parallel rounds (n activations). There are no common
 // rounds, so protocols that rely on a shared clock (SF) degrade, while SSF's
 // guarantees carry over. Workers is ignored (the schedule is sequential);
-// the same automatic Theorem 8 noise reduction as Run applies.
+// the same automatic Theorem 8 noise reduction as Run applies. Fault
+// schedules fire at common rounds, so RunAsync rejects them.
 func RunAsync(cfg Config) (*Result, error) {
 	sc, err := cfg.toSim()
 	if err != nil {

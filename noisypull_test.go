@@ -185,7 +185,7 @@ func TestBoundsFacade(t *testing.T) {
 
 func TestExperimentsFacade(t *testing.T) {
 	all := noisypull.Experiments()
-	if len(all) != 21 {
+	if len(all) != 20 {
 		t.Fatalf("Experiments() returned %d", len(all))
 	}
 	e, ok := noisypull.ExperimentByID("E1")
