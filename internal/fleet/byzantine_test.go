@@ -224,6 +224,81 @@ func TestQuorumSplitEscalatesAndQuarantines(t *testing.T) {
 	}
 }
 
+// TestQuorumUnresolvedFailsJob drives a -verify-seeds=2 range whose votes
+// never agree: every node delivers a different payload for the one seed.
+// With attempts to spare, the coordinator escalates once and fails the job
+// when no eligible node is left; at an attempt cap of 1 it fails on the
+// first split without escalating.
+func TestQuorumUnresolvedFailsJob(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		maxAttempts int
+		escalations int64
+	}{
+		{"no-eligible-node", 5, 1},
+		{"attempt-cap", 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastFleet()
+			cfg.VerifySeeds = 2
+			cfg.MaxLeaseAttempts = tc.maxAttempts
+			c := NewCoordinator(cfg)
+			defer c.Close()
+			mux := http.NewServeMux()
+			c.Routes(mux)
+			ts := httptest.NewServer(mux)
+			defer ts.Close()
+
+			spec := service.JobSpec{N: 100, H: 1, Sources1: 1, Delta: 0.2, Protocol: "sf"}
+			job := service.DispatchJob{
+				ID: "j-000024", Spec: spec, Fingerprint: spec.Fingerprint(),
+				Seeds: []uint64{1},
+			}
+			_, errCh := startDispatch(t, c, job)
+			waitDispatched(t, c, job.ID)
+			for _, id := range []string{"wa", "wb", "wc"} {
+				postWire(t, ts.URL+PathRegister, RegisterRequest{NodeID: id}, nil)
+			}
+
+			// Each node polls one replica and delivers its own payload.
+			vote := func(node string, rounds int) {
+				var pr PollResponse
+				postWire(t, ts.URL+PathPoll, PollRequest{NodeID: node}, &pr)
+				if pr.Lease == nil {
+					t.Fatalf("%s polled no replica", node)
+				}
+				results := []service.SeedResult{sr(1)}
+				results[0].Rounds = rounds
+				req := ResultRequest{
+					NodeID: node, LeaseID: pr.Lease.ID, Results: results,
+					Build: "test-build", Atts: AttestAll(results, job.Fingerprint, "test-build"),
+				}
+				req.Seal()
+				if st, body := postWire(t, ts.URL+PathResult, req, nil); st != http.StatusOK {
+					t.Fatalf("deliver %s on %s: %d %s", node, pr.Lease.ID, st, body)
+				}
+			}
+			vote("wa", 10)
+			vote("wb", 11)
+			if tc.escalations > 0 {
+				vote("wc", 12)
+			}
+
+			select {
+			case err := <-errCh:
+				if err == nil || !strings.Contains(err.Error(), "quorum unresolved") {
+					t.Fatalf("job ended with %v, want a quorum-unresolved failure", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("job still running after the votes ran out")
+			}
+			if got := c.escalations.Load(); got != tc.escalations {
+				t.Fatalf("escalations = %d, want %d", got, tc.escalations)
+			}
+		})
+	}
+}
+
 // TestAttestationSelfCheckFaultsDelivery covers the stale-fingerprint lie:
 // a payload whose claimed digests were computed under the wrong fingerprint
 // is rejected before merging and scores an attestation failure.
