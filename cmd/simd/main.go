@@ -81,9 +81,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		verifySeeds  = fs.Int("verify-seeds", 0, "fleet: lease each verified seed range to this many distinct nodes and admit results only on majority digest agreement (0 or 1 = trust workers)")
 		verifySample = fs.Float64("verify-sample", 1, "fleet: fraction of seed ranges quorum-verified when -verify-seeds is set (deterministic per range)")
 		quarProbe    = fs.Duration("quarantine-probation", 2*time.Minute, "fleet: how long a quarantined node is refused leases before it may heal")
-		specFactor   = fs.Float64("speculate-factor", 0, "fleet: re-lease a straggling range speculatively once its lease is this multiple of the expected duration old (0 = off)")
-		leaseMin     = fs.Int("lease-seeds-min", 0, "fleet: lower bound for throughput-sized leases (0 = default 1)")
-		leaseCeil    = fs.Int("lease-seeds-max", 0, "fleet: upper bound for throughput-sized leases (0 = default 4×lease-seeds)")
 		lieSpec      = fs.String("lie-spec", "", `fleet: make this worker Byzantine, e.g. "seed=3,flip=1,skew=0.5,stalefp=0.2" (fault-injection testing only)`)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -121,8 +118,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return errors.New("-lie-spec makes a worker Byzantine: it requires -join")
 	}
 	liar := chaos.NewLiar(lspec) // nil spec → nil liar → honest worker
-	if (*verifySeeds != 0 || *specFactor != 0 || *leaseMin != 0 || *leaseCeil != 0) && mode != "coordinator" {
-		return errors.New("-verify-seeds, -speculate-factor, -lease-seeds-min, and -lease-seeds-max tune lease cutting: they require -coordinator")
+	if *verifySeeds != 0 && mode != "coordinator" {
+		return errors.New("-verify-seeds tunes lease cutting: it requires -coordinator")
 	}
 	if *verifySeeds < 0 {
 		return errors.New("-verify-seeds must be >= 0")
@@ -157,8 +154,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	case "coordinator":
 		coord := fleet.NewCoordinator(fleet.Config{
 			LeaseSeeds:       *leaseSeeds,
-			LeaseSeedsMin:    *leaseMin,
-			LeaseSeedsMax:    *leaseCeil,
 			LeaseTTL:         *leaseTTL,
 			NodeTTL:          *nodeTTL,
 			PollInterval:     *fleetPoll,
@@ -166,7 +161,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			VerifySeeds:      *verifySeeds,
 			VerifySample:     *verifySample,
 			Probation:        *quarProbe,
-			SpeculateFactor:  *specFactor,
 			Secret:           *fleetSecret,
 			Logf:             logf,
 		})

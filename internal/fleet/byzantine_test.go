@@ -304,7 +304,6 @@ func TestQuorumUnresolvedFailsJob(t *testing.T) {
 // is rejected before merging and scores an attestation failure.
 func TestAttestationSelfCheckFaultsDelivery(t *testing.T) {
 	cfg := fastFleet()
-	cfg.QuarantineThreshold = 0.5
 	c := NewCoordinator(cfg)
 	defer c.Close()
 	mux := http.NewServeMux()
@@ -459,15 +458,15 @@ func TestQuarantineAdoptedFromJournalAndHeals(t *testing.T) {
 }
 
 func TestLeaseSizeFollowsThroughput(t *testing.T) {
-	c := NewCoordinator(Config{LeaseSeeds: 8, LeaseSeedsMin: 2, LeaseSeedsMax: 16, LeaseTTL: 15 * time.Second})
+	c := NewCoordinator(Config{LeaseSeeds: 4, LeaseTTL: 15 * time.Second})
 	defer c.Close()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.reg.register(&RegisterRequest{NodeID: "wa"}, time.Now())
-	if got := c.leaseSizeFor("unknown"); got != 8 {
+	if got := c.leaseSizeFor("unknown"); got != 4 {
 		t.Fatalf("unknown node lease size = %d, want the LeaseSeeds default", got)
 	}
-	if got := c.leaseSizeFor("wa"); got != 8 {
+	if got := c.leaseSizeFor("wa"); got != 4 {
 		t.Fatalf("no-history lease size = %d, want the LeaseSeeds default", got)
 	}
 	// TTL/3 = 5s of work at the node's measured rate, clamped.
@@ -477,11 +476,11 @@ func TestLeaseSizeFollowsThroughput(t *testing.T) {
 	}
 	n.rate = 200
 	if got := c.leaseSizeFor("wa"); got != 16 {
-		t.Fatalf("fast-node lease size = %d, want the max clamp 16", got)
+		t.Fatalf("fast-node lease size = %d, want the max clamp 4×LeaseSeeds = 16", got)
 	}
-	n.rate = 0.2
-	if got := c.leaseSizeFor("wa"); got != 2 {
-		t.Fatalf("slow-node lease size = %d, want the min clamp 2", got)
+	n.rate = 0.1
+	if got := c.leaseSizeFor("wa"); got != 1 {
+		t.Fatalf("slow-node lease size = %d, want the min clamp 1", got)
 	}
 }
 
@@ -507,9 +506,6 @@ func TestIdleNodeRateDecays(t *testing.T) {
 	}
 	if n.rate != 0 {
 		t.Fatalf("idle rate never decayed to 0, stuck at %g", n.rate)
-	}
-	if r.medianRate() != 0 {
-		t.Fatalf("medianRate = %g with no productive nodes", r.medianRate())
 	}
 }
 
@@ -627,8 +623,9 @@ func TestFleetQuorumOutvotesLiar(t *testing.T) {
 
 // TestFleetQuarantinesByzantineWorker is the OS-process Byzantine e2e: a
 // real -lie-spec worker joins a -verify-seeds=3 -fleet-secret coordinator
-// alongside two honest workers. The merged job must be byte-identical to
-// the single-node control, the liar quarantined, and nothing re-dispatched.
+// alongside two honest workers. An unsigned RPC must bounce with 401, the
+// merged job must be byte-identical to the single-node control, the liar
+// quarantined, and nothing re-dispatched.
 func TestFleetQuarantinesByzantineWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs child processes")
@@ -648,6 +645,17 @@ func TestFleetQuarantinesByzantineWorker(t *testing.T) {
 	wl := startSimd(t, bin, append([]string{"-join", coord.baseURL(), "-node-id", "byz-liar", "-worker-slots", "1",
 		"-lie-spec", "seed=5,flip=1"}, secret...)...)
 	waitMetric(t, coord.baseURL(), `simd_fleet_nodes{state="alive"} 3`, 15*time.Second)
+
+	// An unsigned fleet RPC bounces before it is even decoded.
+	resp, err := http.Post(coord.baseURL()+PathRegister, "application/json", strings.NewReader(`{"node_id":"intruder"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("unsigned register = %d, want 401", resp.StatusCode)
+	}
 
 	spec := service.JobSpec{
 		N: 300, H: 2, Sources1: 1, Delta: 0.2,
@@ -683,6 +691,9 @@ func TestFleetQuarantinesByzantineWorker(t *testing.T) {
 	}
 	if v, ok := metricValue(m, "simd_fleet_seeds_redispatched_total"); !ok || v != 0 {
 		t.Errorf("simd_fleet_seeds_redispatched_total = %g, want 0", v)
+	}
+	if v, ok := metricValue(m, "simd_fleet_auth_failures_total"); !ok || v < 1 {
+		t.Errorf("simd_fleet_auth_failures_total = %g, want >= 1 after the unsigned register", v)
 	}
 	if !strings.Contains(m, `simd_fleet_node_quarantined{node="byz-liar"} 1`) {
 		t.Errorf("liar not quarantined in /metrics:\n%s", m)

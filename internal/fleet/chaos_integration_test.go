@@ -6,8 +6,8 @@ package fleet
 // coordinator's fleet endpoints (drop, delay). The merged output must stay
 // bit-identical to a clean single-node run; that is the whole point of
 // building the fleet on deterministic (config, seed) results. Partition
-// windows are exercised in the e2e/CI chaos-smoke (they stretch wall-clock
-// too far for -race unit runs).
+// windows are exercised by TestFleetSurvivesChaosAndKills in e2e_test.go
+// (they stretch wall-clock too far for in-process runs).
 
 import (
 	"net/http"
@@ -56,12 +56,11 @@ func TestFleetUnderChaosStaysBitIdentical(t *testing.T) {
 		client := service.NewClient(ts.URL)
 		client.HTTPClient = &http.Client{Transport: inj.Transport(http.DefaultTransport)}
 		w := NewWorker(WorkerConfig{
-			Coordinator:      ts.URL,
-			NodeID:           []string{"wa", "wb"}[i],
-			Slots:            1,
-			Client:           client,
-			Logf:             t.Logf,
-			BreakerThreshold: 1000, // chaos drops are not an outage; keep polling
+			Coordinator: ts.URL,
+			NodeID:      []string{"wa", "wb"}[i],
+			Slots:       1,
+			Client:      client,
+			Logf:        t.Logf,
 		})
 		w.Start()
 		t.Cleanup(w.Close)
@@ -146,12 +145,11 @@ func TestWorkerSpoolsThroughCoordinatorOutage(t *testing.T) {
 	})
 
 	w := NewWorker(WorkerConfig{
-		Coordinator:      ts.URL,
-		NodeID:           "wa",
-		Slots:            1,
-		Logf:             t.Logf,
-		BreakerThreshold: 1_000_000, // isolate the spool path from breaker fail-fast
-		RPCTimeout:       2 * time.Second,
+		Coordinator: ts.URL,
+		NodeID:      "wa",
+		Slots:       1,
+		Logf:        t.Logf,
+		RPCTimeout:  2 * time.Second,
 	})
 	w.Start()
 	t.Cleanup(w.Close)
@@ -192,55 +190,54 @@ func TestWorkerSpoolsThroughCoordinatorOutage(t *testing.T) {
 	}
 }
 
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := newBreaker(3, time.Second)
-	b.now = func() time.Time { return now }
+// TestSpoolCountsOnlyRefusedDeliveries pins the spool's attempt rule: a
+// coordinator that cannot take a delivery (503) costs the spooled entry no
+// attempt, however often the flush retries, while one that answers and
+// refuses it (400) costs an attempt per flush until the entry is dropped at
+// maxSpoolAttempts.
+func TestSpoolCountsOnlyRefusedDeliveries(t *testing.T) {
+	spooled := func(t *testing.T, status int) *Worker {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, `{"error":"fixed test status"}`, status)
+		}))
+		t.Cleanup(ts.Close)
+		w := NewWorker(WorkerConfig{Coordinator: ts.URL, NodeID: "wa", RPCTimeout: 2 * time.Second})
+		t.Cleanup(w.Close)
+		w.sp.push(&ResultRequest{NodeID: "wa", LeaseID: "l-j-000001-000", Results: []service.SeedResult{sr(1)}})
+		return w
+	}
 
-	for i := 0; i < 3; i++ {
-		if !b.allow() {
-			t.Fatalf("closed breaker rejected request %d", i)
+	t.Run("unhealthy", func(t *testing.T) {
+		w := spooled(t, http.StatusServiceUnavailable)
+		for i := 0; i < 20; i++ {
+			w.flushSpool()
 		}
-		b.failure()
-	}
-	if st, trips := b.snapshot(); st != breakerOpen || trips != 1 {
-		t.Fatalf("after threshold failures: state=%d trips=%d", st, trips)
-	}
-	if b.allow() {
-		t.Fatal("open breaker admitted a request inside the cooldown")
-	}
+		e := w.sp.head()
+		if e == nil || e.attempts != 0 {
+			t.Fatalf("spooled entry after 20 flushes against a 503 = %+v, want still queued with 0 attempts", e)
+		}
+	})
 
-	// Cooldown over: exactly one probe slot.
-	now = now.Add(1100 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if b.allow() {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	b.failure() // probe failed → open again, cooldown restarted
-	if st, trips := b.snapshot(); st != breakerOpen || trips != 2 {
-		t.Fatalf("after failed probe: state=%d trips=%d", st, trips)
-	}
-
-	now = now.Add(1100 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("second probe refused")
-	}
-	if healed := b.success(); !healed {
-		t.Fatal("successful probe did not report healing")
-	}
-	if st, _ := b.snapshot(); st != breakerClosed {
-		t.Fatalf("after successful probe: state=%d", st)
-	}
-	if b.success() {
-		t.Fatal("success on a closed breaker claimed to heal")
-	}
-	// One failure after healing must not trip (consecutive count reset).
-	b.failure()
-	if st, _ := b.snapshot(); st != breakerClosed {
-		t.Fatal("single failure after heal tripped the breaker")
-	}
+	t.Run("refused", func(t *testing.T) {
+		w := spooled(t, http.StatusBadRequest)
+		for i := 0; i < maxSpoolAttempts-1; i++ {
+			w.flushSpool()
+		}
+		if e := w.sp.head(); e == nil || e.attempts != maxSpoolAttempts-1 {
+			t.Fatalf("spooled entry after %d refused flushes = %+v, want one attempt per flush", maxSpoolAttempts-1, e)
+		}
+		w.flushSpool()
+		if q, _ := w.sp.stats(); q != 0 {
+			t.Fatalf("spool holds %d entries after %d refusals, want the entry dropped", q, maxSpoolAttempts)
+		}
+		var sb strings.Builder
+		if err := w.WriteMetrics(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := metricValue(sb.String(), "simd_fleet_worker_spool_dropped_total"); !ok || v != 1 {
+			t.Fatalf("simd_fleet_worker_spool_dropped_total = %g, want 1", v)
+		}
+	})
 }
 
 func TestSpoolBoundsAndEviction(t *testing.T) {

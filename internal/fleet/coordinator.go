@@ -24,16 +24,11 @@ import (
 // NewCoordinator.
 type Config struct {
 	// LeaseSeeds is the seed-range size per lease for nodes without a
-	// throughput history. Smaller leases spread a job wider and lose less to
-	// a node death; larger ones amortize runner construction better.
-	// Default 8.
+	// throughput history; a node with a seeds/sec EWMA gets about a third of
+	// a lease TTL of work, clamped to [1, 4×LeaseSeeds]. Smaller leases
+	// spread a job wider and lose less to a node death; larger ones amortize
+	// runner construction better. Default 8.
 	LeaseSeeds int
-	// LeaseSeedsMin / LeaseSeedsMax bound locality-aware lease sizing: once
-	// a node has a seeds/sec EWMA, its leases are sized to about a third of
-	// a lease TTL of work, clamped to [min, max]. Defaults 1 and
-	// 4×LeaseSeeds.
-	LeaseSeedsMin int
-	LeaseSeedsMax int
 	// LeaseTTL is how long a leased range may go without a heartbeat before
 	// it is re-leased. Default 15s.
 	LeaseTTL time.Duration
@@ -64,19 +59,9 @@ type Config struct {
 	// for throughput: a persistent liar still lands in a verified range
 	// quickly, and one confirmed lie quarantines it.
 	VerifySample float64
-	// QuarantineThreshold is the attestation-failure EWMA at which a node is
-	// quarantined. The EWMA steps by 0.5 per event, so the default 0.5
-	// quarantines on the first confirmed lie against a clean history.
-	QuarantineThreshold float64
 	// Probation is how long a quarantined node is refused leases before it
 	// may earn its way back. Default 2m.
 	Probation time.Duration
-	// SpeculateFactor enables speculative re-execution of stragglers: an
-	// active lease older than SpeculateFactor × its expected duration (range
-	// size / fleet median seeds-per-sec) is hedged with one speculative
-	// replica on another node; the first delivery wins and the loser is a
-	// counted duplicate. 0 disables speculation.
-	SpeculateFactor float64
 	// Secret, when set, requires every fleet RPC to carry a valid
 	// HMAC-SHA256 of its body in the AuthHeader header (`-fleet-secret` on
 	// every node). Empty serves unauthenticated, the pre-auth behavior.
@@ -89,12 +74,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.LeaseSeeds <= 0 {
 		c.LeaseSeeds = 8
-	}
-	if c.LeaseSeedsMin <= 0 {
-		c.LeaseSeedsMin = 1
-	}
-	if c.LeaseSeedsMax <= 0 {
-		c.LeaseSeedsMax = 4 * c.LeaseSeeds
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 15 * time.Second
@@ -113,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.VerifySample <= 0 || c.VerifySample > 1 {
 		c.VerifySample = 1
-	}
-	if c.QuarantineThreshold <= 0 || c.QuarantineThreshold > 1 {
-		c.QuarantineThreshold = 0.5
 	}
 	if c.Probation <= 0 {
 		c.Probation = 2 * time.Minute
@@ -196,7 +172,6 @@ type Coordinator struct {
 	quarantines   atomic.Int64 // quarantine events
 	quarRejected  atomic.Int64 // RPCs refused because the node is quarantined
 	escalations   atomic.Int64 // extra quorum replicas cut after a split vote
-	speculated    atomic.Int64 // speculative straggler replicas cut
 }
 
 // Binding connects the coordinator to the service's durability layer:
@@ -238,7 +213,7 @@ func (c *Coordinator) appendLeaseRec(op service.LeaseOp, l *lease, results []ser
 		return
 	}
 	quorum := 0
-	if l.group != nil && l.group.need > 1 {
+	if l.group.need > 1 {
 		quorum = l.group.need
 	}
 	c.binding.AppendLease(service.LeaseRecord{
@@ -340,8 +315,8 @@ func (c *Coordinator) Dispatch(ctx context.Context, job service.DispatchJob, emi
 		for _, s := range rl.Seeds {
 			claimed[s] = true
 		}
-		g := &seedGroup{seeds: rl.Seeds, need: 1, replicas: 1,
-			holding: make(map[string]int), voted: make(map[string]bool)}
+		g := newSeedGroup(rl.Seeds, 1)
+		g.replicas = 1
 		l := &lease{id: rl.ID, d: d, seeds: rl.Seeds, attempt: rl.Attempt, group: g, recovered: true}
 		if rl.Node != "" {
 			l.node = rl.Node
@@ -362,7 +337,6 @@ func (c *Coordinator) Dispatch(ctx context.Context, job service.DispatchJob, emi
 	for _, l := range adopted {
 		if l.active {
 			l.deadline = now.Add(c.cfg.LeaseTTL)
-			l.grantedAt = now
 		}
 		l.journaledAt = now
 	}
@@ -423,21 +397,15 @@ func (c *Coordinator) Dispatch(ctx context.Context, job service.DispatchJob, emi
 
 // leaseSizeFor sizes the next range cut for a node: about a third of a
 // lease TTL of work at the node's measured seeds/sec, clamped to
-// [LeaseSeedsMin, LeaseSeedsMax]; nodes without a throughput history get
-// the fixed LeaseSeeds default. Caller holds c.mu.
+// [1, 4×LeaseSeeds]; nodes without a throughput history get the fixed
+// LeaseSeeds default. Caller holds c.mu.
 func (c *Coordinator) leaseSizeFor(nodeID string) int {
 	n := c.reg.nodes[nodeID]
 	if n == nil || n.rate <= 0 {
 		return c.cfg.LeaseSeeds
 	}
 	m := int(n.rate * (c.cfg.LeaseTTL / 3).Seconds())
-	if m < c.cfg.LeaseSeedsMin {
-		m = c.cfg.LeaseSeedsMin
-	}
-	if m > c.cfg.LeaseSeedsMax {
-		m = c.cfg.LeaseSeedsMax
-	}
-	return m
+	return min(max(m, 1), 4*c.cfg.LeaseSeeds)
 }
 
 // sampleHit decides deterministically whether a seed range is quorum-
@@ -464,7 +432,6 @@ func (c *Coordinator) grantLocked(nodeID string, now time.Time) *lease {
 	deadline := now.Add(c.cfg.LeaseTTL)
 	for {
 		if l := c.lt.next(nodeID, deadline); l != nil {
-			l.grantedAt = now
 			return l
 		}
 		if !c.cutLocked(nodeID) {
@@ -474,8 +441,8 @@ func (c *Coordinator) grantLocked(nodeID string, now time.Time) *lease {
 }
 
 // cutLocked cuts one seed range from the oldest dispatch with backlog into
-// lease replicas (k of them when the range samples into quorum
-// verification, one otherwise), reporting whether anything was cut. Caller
+// a seed group (quorum k when the range samples into verification, 1
+// otherwise) and its leases, reporting whether anything was cut. Caller
 // holds c.mu.
 func (c *Coordinator) cutLocked(nodeID string) bool {
 	for _, d := range c.order {
@@ -496,20 +463,11 @@ func (c *Coordinator) cutLocked(nodeID string) bool {
 				c.redispatched.Add(1)
 			}
 		}
-		need, replicas := 1, 1
+		k := 1
 		if c.cfg.VerifySeeds >= 2 && c.sampleHit(d.job.Fingerprint, seeds[0]) {
-			replicas = c.cfg.VerifySeeds
-			need = replicas/2 + 1
-			d.merge.require(seeds, need)
+			k = c.cfg.VerifySeeds
 		}
-		g := &seedGroup{seeds: seeds, need: need, replicas: replicas,
-			holding: make(map[string]int), voted: make(map[string]bool)}
-		ls := make([]*lease, replicas)
-		for i := range ls {
-			ls[i] = &lease{id: leaseID(d.job.ID, d.nextIdx), d: d, seeds: seeds, group: g}
-			d.nextIdx++
-		}
-		c.lt.add(ls)
+		c.lt.fill(d, newSeedGroup(seeds, k))
 		return true
 	}
 	return false
@@ -550,8 +508,7 @@ func (c *Coordinator) expiryLoop() {
 }
 
 // sweep is one expiry pass: dead nodes first (their leases re-queue
-// immediately, ahead of individual deadlines), then overdue leases, then
-// straggler speculation.
+// immediately, ahead of individual deadlines), then overdue leases.
 func (c *Coordinator) sweep(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -561,46 +518,6 @@ func (c *Coordinator) sweep(now time.Time) {
 		c.requeueAll(orphans, fmt.Sprintf("node %s died", n.id))
 	}
 	c.requeueAll(c.lt.expire(now), "lease deadline expired")
-	if c.cfg.SpeculateFactor > 0 {
-		c.speculateLocked(now)
-	}
-}
-
-// speculateLocked hedges stragglers: an active lease older than
-// SpeculateFactor × its expected duration (range size over the fleet's
-// median seeds/sec, floored at the poll interval) gets one speculative
-// replica for another node to race. First delivery wins; the loser is a
-// counted duplicate whose digest still scores a free reputation verdict.
-// Caller holds c.mu.
-func (c *Coordinator) speculateLocked(now time.Time) {
-	median := c.reg.medianRate()
-	if median <= 0 {
-		return
-	}
-	for _, l := range c.lt.byID {
-		if !l.active || l.speculative || l.speculated || l.group == nil || l.d.done {
-			continue
-		}
-		expected := time.Duration(float64(len(l.seeds)) / median * float64(time.Second))
-		if expected < c.cfg.PollInterval {
-			expected = c.cfg.PollInterval
-		}
-		if float64(now.Sub(l.grantedAt)) <= c.cfg.SpeculateFactor*float64(expected) {
-			continue
-		}
-		l.speculated = true
-		g := l.group
-		g.replicas++
-		clone := &lease{
-			id: leaseID(l.d.job.ID, l.d.nextIdx), d: l.d, seeds: l.seeds,
-			group: g, speculative: true, attempt: l.attempt,
-		}
-		l.d.nextIdx++
-		c.lt.add([]*lease{clone})
-		c.speculated.Add(1)
-		c.logf("fleet: lease %s on node %s is a straggler (%.1fs old, expected ~%.1fs), cut speculative replica %s",
-			l.id, l.node, now.Sub(l.grantedAt).Seconds(), expected.Seconds(), clone.id)
-	}
 }
 
 // requeueAll re-leases a batch, failing any job whose lease ran out of
@@ -648,7 +565,7 @@ func (c *Coordinator) quarantineLocked(n *node, now time.Time, reason string) {
 // maybeQuarantineLocked quarantines n if its attestation-failure EWMA
 // crossed the threshold. Caller holds c.mu.
 func (c *Coordinator) maybeQuarantineLocked(n *node, now time.Time, reason string) {
-	if n.quarantined(now) || n.attFailEWMA < c.cfg.QuarantineThreshold {
+	if n.quarantined(now) || n.attFailEWMA < quarantineThreshold {
 		return
 	}
 	c.quarantineLocked(n, now, reason)
@@ -691,8 +608,8 @@ func (c *Coordinator) adoptQuarantineLocked(now time.Time) {
 	for id, reason := range c.binding.RecoveredQuarantine() {
 		n := c.reg.ensure(id, now)
 		n.quarUntil = now.Add(c.cfg.Probation)
-		if n.attFailEWMA < c.cfg.QuarantineThreshold {
-			n.attFailEWMA = c.cfg.QuarantineThreshold
+		if n.attFailEWMA < quarantineThreshold {
+			n.attFailEWMA = quarantineThreshold
 		}
 		c.logf("fleet: node %s quarantine re-adopted from the journal (%s)", id, reason)
 	}
@@ -1116,11 +1033,9 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	c.lt.complete(req.LeaseID)
 	g := l.group
-	if g != nil {
-		g.voted[req.NodeID] = true
-		g.delivered++
-	}
-	out, mergeErr := d.merge.add(req.NodeID, req.Results, digests)
+	g.voted[req.NodeID] = true
+	g.delivered++
+	out, mergeErr := d.merge.add(req.NodeID, req.Results, digests, g.need)
 	if mergeErr != nil {
 		// deliveryFault checked membership, so this is an internal invariant
 		// violation, not peer input — fail loudly.
@@ -1142,7 +1057,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c.merged.Add(int64(len(out.fresh)))
 	c.duplicates.Add(int64(out.dups))
 	n.recordResult(len(req.Results), now)
-	if g != nil && !d.done {
+	if !d.done {
 		c.settleGroupLocked(d, g, now)
 	}
 	d.released = append(d.released, out.released...)
@@ -1167,9 +1082,10 @@ func (c *Coordinator) nodeFaultLocked(n *node, now time.Time, fault error) {
 
 // settleGroupLocked settles a replica group after a delivery: a fully
 // admitted range drops its leftover pending replicas, and a quorum range
-// whose replicas all delivered without reaching a majority escalates — one
-// extra replica per round, capped at MaxLeaseAttempts, then the job fails
-// loudly (a fleet that cannot agree must not guess). Caller holds c.mu.
+// whose replicas all delivered without reaching a majority escalates — want
+// rises by one replica per round, capped at MaxLeaseAttempts, then the job
+// fails loudly (a fleet that cannot agree must not guess). Caller holds
+// c.mu.
 func (c *Coordinator) settleGroupLocked(d *dispatch, g *seedGroup, now time.Time) {
 	all := true
 	for _, s := range g.seeds {
@@ -1191,13 +1107,11 @@ func (c *Coordinator) settleGroupLocked(d *dispatch, g *seedGroup, now time.Time
 		return
 	}
 	g.escalations++
-	g.replicas++
-	extra := &lease{id: leaseID(d.job.ID, d.nextIdx), d: d, seeds: g.seeds, group: g}
-	d.nextIdx++
-	c.lt.add([]*lease{extra})
+	g.want++
+	extra := c.lt.fill(d, g)
 	c.escalations.Add(1)
 	c.logf("fleet: quorum split on seeds %d..%d of job %s, escalating with replica %s (%d/%d votes)",
-		g.seeds[0], g.seeds[len(g.seeds)-1], d.job.ID, extra.id, g.delivered, g.need)
+		g.seeds[0], g.seeds[len(g.seeds)-1], d.job.ID, extra[0].id, g.delivered, g.need)
 }
 
 // anyEligibleLocked reports whether any known alive, unquarantined node

@@ -402,3 +402,87 @@ func TestFleetSurvivesCoordinatorKill9(t *testing.T) {
 		t.Errorf("restarted coordinator log shows no lease adoption:\n%s", coord2.out.String())
 	}
 }
+
+// TestFleetSurvivesChaosAndKills runs the fleet under deterministic wire
+// chaos with real crashes: a journal-backed coordinator injecting faults on
+// its fleet endpoints, two workers injecting faults on their transport
+// (drops, delays, duplicates, corruption, periodic partitions), one worker
+// SIGKILLed mid-lease and restarted under the same id, then the coordinator
+// SIGKILLed mid-job and restarted on the same address over its journal. The
+// merged results must equal a single-node run, with no already-delivered
+// seed re-dispatched. Each kill waits on metrics, so it lands while the job
+// is still running.
+func TestFleetSurvivesChaosAndKills(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and kills child processes")
+	}
+	bin, err := buildSimd()
+	if err != nil {
+		t.Skipf("cannot build simd: %v", err)
+	}
+
+	jdir := t.TempDir()
+	caddr := freePort(t)
+	coordArgs := []string{"-coordinator", "-journal-dir", jdir,
+		"-lease-seeds", "4", "-lease-ttl", "5s", "-node-ttl", "5s", "-fleet-poll", "50ms",
+		"-lease-attempts", "100", "-chaos-spec", "seed=7,drop=0.05,delay=0.1:10ms"}
+	startWorker := func(id string, chaosSeed int) *simdProc {
+		return startSimd(t, bin, "-join", "http://"+caddr, "-node-id", id, "-worker-slots", "1",
+			"-chaos-spec", fmt.Sprintf("seed=%d,drop=0.1,delay=0.2:20ms,dup=0.1,corrupt=0.05,partition=1500ms/6s", chaosSeed))
+	}
+	coord := startSimdAt(t, bin, caddr, coordArgs...)
+	waitReady(t, coord.baseURL())
+	wa := startWorker("chaos-a", 11)
+	wb := startWorker("chaos-b", 13)
+	waitMetric(t, coord.baseURL(), `simd_fleet_nodes{state="alive"} 2`, 30*time.Second)
+
+	spec := service.JobSpec{
+		N: 2000, H: 1, Sources1: 1, Delta: 0.2,
+		Protocol: "voter", Backend: "exact",
+		MaxRounds: 2000, StabilityWindow: 2000,
+	}
+	for s := uint64(1); s <= 64; s++ {
+		spec.Seeds = append(spec.Seeds, s)
+	}
+	client := service.NewClient(coord.baseURL())
+	ctx := context.Background()
+	st, err := client.Submit(ctx, spec)
+	if err != nil {
+		t.Fatalf("submit: %v\n%s", err, coord.out.String())
+	}
+
+	// Worker kill: once worker A is executing a lease.
+	waitMetric(t, wa.baseURL(), "simd_fleet_worker_busy 1", 120*time.Second)
+	wa.kill9(t)
+	wa2 := startWorker("chaos-a", 17)
+	waitReady(t, wa2.baseURL())
+
+	// Coordinator kill: once a result is journaled and a worker is busy.
+	waitMetricAtLeast(t, coord.baseURL(), "simd_fleet_results_merged_total", 1, 120*time.Second)
+	waitMetric(t, wb.baseURL(), "simd_fleet_worker_busy 1", 120*time.Second)
+	coord.kill9(t)
+	coord2 := startSimdAt(t, bin, caddr, coordArgs...)
+	waitReady(t, coord2.baseURL())
+	rctx, rcancel := context.WithTimeout(ctx, 5*time.Second)
+	_, replay, err := client.Ready(rctx)
+	rcancel()
+	if err != nil || replay == nil || replay.Resumed != 1 {
+		t.Fatalf("restarted coordinator replay = %+v (%v), want the job resumed mid-run", replay, err)
+	}
+
+	waitCtx, cancelWait := context.WithTimeout(ctx, 600*time.Second)
+	defer cancelWait()
+	final, err := client.Wait(waitCtx, st.ID, 100*time.Millisecond)
+	if err != nil {
+		t.Fatalf("wait after coordinator restart: %v\ncoordinator:\n%s", err, coord2.out.String())
+	}
+	if final.State != service.StateDone {
+		t.Fatalf("chaos job ended %s (%s)\ncoordinator:\n%s", final.State, final.Error, coord2.out.String())
+	}
+	if want := directResults(t, spec, spec.Seeds); !reflect.DeepEqual(final.Results, want) {
+		t.Fatalf("chaotic fleet results differ from single-node control:\n got %+v\nwant %+v", final.Results, want)
+	}
+	if m := scrapeMetrics(t, coord2.baseURL()); !strings.Contains(m, "simd_fleet_seeds_redispatched_total 0\n") {
+		t.Errorf("already-delivered seeds were re-dispatched after restart:\n%s", m)
+	}
+}

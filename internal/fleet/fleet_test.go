@@ -25,7 +25,7 @@ func TestMergeOrderFreeAndIdempotent(t *testing.T) {
 
 	// Out-of-order arrival: nothing releases until the prefix is closed,
 	// but both results are fresh to the merge.
-	out, err := m.add("wa", []service.SeedResult{sr(9), sr(7)}, nil)
+	out, err := m.add("wa", []service.SeedResult{sr(9), sr(7)}, nil, 1)
 	if err != nil || out.dups != 0 || len(out.released) != 0 {
 		t.Fatalf("add out-of-order: rel=%v dups=%d err=%v", out.released, out.dups, err)
 	}
@@ -33,7 +33,7 @@ func TestMergeOrderFreeAndIdempotent(t *testing.T) {
 		t.Fatalf("fresh = %v, want seeds [9 7]", out.fresh)
 	}
 	// The head seed arrives: the contiguous run 5,7,9 releases in order.
-	out, err = m.add("wa", []service.SeedResult{sr(5)}, nil)
+	out, err = m.add("wa", []service.SeedResult{sr(5)}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestMergeOrderFreeAndIdempotent(t *testing.T) {
 
 	// Duplicate delivery (a re-leased range reporting twice) is discarded;
 	// only the new seed counts as fresh.
-	out, err = m.add("wb", []service.SeedResult{sr(7), sr(11)}, nil)
+	out, err = m.add("wb", []service.SeedResult{sr(7), sr(11)}, nil, 1)
 	if err != nil || out.dups != 1 {
 		t.Fatalf("duplicate add: dups=%d err=%v", out.dups, err)
 	}
@@ -65,7 +65,7 @@ func TestMergeOrderFreeAndIdempotent(t *testing.T) {
 	}
 
 	// A result for a foreign seed is a protocol violation, not a silent drop.
-	if _, err := m.add("wa", []service.SeedResult{sr(42)}, nil); err == nil {
+	if _, err := m.add("wa", []service.SeedResult{sr(42)}, nil, 1); err == nil {
 		t.Fatal("foreign seed merged without error")
 	}
 }
@@ -74,8 +74,8 @@ func TestLeaseTableLifecycle(t *testing.T) {
 	lt := newLeaseTable()
 	d := &dispatch{notify: make(chan struct{}, 1)}
 	ls := []*lease{
-		{id: "l-j-000", d: d, seeds: []uint64{1, 2}},
-		{id: "l-j-001", d: d, seeds: []uint64{3, 4}},
+		{id: "l-j-000", d: d, seeds: []uint64{1, 2}, group: newSeedGroup([]uint64{1, 2}, 1)},
+		{id: "l-j-001", d: d, seeds: []uint64{3, 4}, group: newSeedGroup([]uint64{3, 4}, 1)},
 	}
 	lt.add(ls)
 	if p, a := lt.counts(); p != 2 || a != 0 {

@@ -25,18 +25,8 @@ type lease struct {
 	active   bool
 
 	// group ties replicas of the same seed range together for quorum
-	// verification and speculative re-execution; nil only in tests that
-	// build bare leases.
+	// verification.
 	group *seedGroup
-	// grantedAt is when the current owner took the lease (straggler
-	// detection input).
-	grantedAt time.Time
-	// speculative marks a straggler-hedge copy: it must land on a node
-	// other than the one it hedges against.
-	speculative bool
-	// speculated marks a lease that already has a speculative copy in
-	// flight, so the sweep hedges each straggler at most once.
-	speculated bool
 
 	// recovered marks a lease re-adopted from the journal after a
 	// coordinator restart; its deliveries count as late deliveries.
@@ -47,29 +37,37 @@ type lease struct {
 }
 
 // seedGroup is the shared identity of every replica lease covering one seed
-// range. Unverified ranges have a single-member group (need 1); quorum
-// ranges (-verify-seeds=k) cut k replicas up front (need = k/2+1), and
-// speculation adds replicas later. The group is what enforces replica
-// distinctness: a node holding or having voted on the range is ineligible
-// for further replicas of it.
+// range, and the only place that decides how many replicas of the range
+// run. An unverified range wants one lease; a quorum range
+// (-verify-seeds=k) wants k and admits a seed at need = k/2+1 agreeing
+// votes, and each split round of votes raises want by one. Re-queueing a
+// lease after expiry, node death or quarantine moves a replica rather than
+// adding one. The group is also what enforces replica distinctness: a node
+// holding or having voted on the range is ineligible for further replicas
+// of it.
 type seedGroup struct {
 	seeds       []uint64
+	want        int             // replica leases the range should have
 	need        int             // agreeing votes required per seed (1 = first wins)
-	replicas    int             // replica leases cut so far (initial + escalations + speculative)
+	replicas    int             // replica leases cut so far
 	delivered   int             // replicas that delivered results
-	escalations int             // extra replicas cut because a full round of votes did not reach quorum
+	escalations int             // times a split round of votes raised want
 	holding     map[string]int  // node → live replicas of this range it holds
 	voted       map[string]bool // nodes that already delivered for this range
 }
 
-// eligible reports whether the node may take this lease: replicated ranges
-// (quorum or speculative) must spread across distinct nodes.
+// newSeedGroup builds the group of a range replicated k >= 1 times (k = 1
+// is one unverified lease).
+func newSeedGroup(seeds []uint64, k int) *seedGroup {
+	return &seedGroup{seeds: seeds, want: k, need: k/2 + 1,
+		holding: make(map[string]int), voted: make(map[string]bool)}
+}
+
+// eligible reports whether the node may take this lease: quorum replicas
+// must spread across distinct nodes.
 func (l *lease) eligible(nodeID string) bool {
 	g := l.group
-	if g == nil || (g.need <= 1 && !l.speculative) {
-		return true
-	}
-	return g.holding[nodeID] == 0 && !g.voted[nodeID]
+	return g.need <= 1 || (g.holding[nodeID] == 0 && !g.voted[nodeID])
 }
 
 // leaseTable holds every live lease of every dispatched job: a FIFO pending
@@ -90,6 +88,19 @@ func (t *leaseTable) add(ls []*lease) {
 		t.pending = append(t.pending, l)
 		t.byID[l.id] = l
 	}
+}
+
+// fill cuts replica leases of g, numbered from d's lease-id sequence, until
+// the group has want of them, and enqueues them. It is the only code that
+// builds new leases (journal adoption rebuilds old ones).
+func (t *leaseTable) fill(d *dispatch, g *seedGroup) []*lease {
+	var cut []*lease
+	for ; g.replicas < g.want; g.replicas++ {
+		cut = append(cut, &lease{id: leaseID(d.job.ID, d.nextIdx), d: d, seeds: g.seeds, group: g})
+		d.nextIdx++
+	}
+	t.add(cut)
+	return cut
 }
 
 // install registers journal-recovered leases without granting anything:
@@ -121,9 +132,7 @@ func (t *leaseTable) next(nodeID string, deadline time.Time) *lease {
 		l.node = nodeID
 		l.deadline = deadline
 		l.active = true
-		if g := l.group; g != nil {
-			g.holding[nodeID]++
-		}
+		l.group.holding[nodeID]++
 		return l
 	}
 	return nil
@@ -169,7 +178,7 @@ func (t *leaseTable) complete(id string) *lease {
 
 // releaseHold drops the owning node's replica-hold on the lease's group.
 func (l *lease) releaseHold() {
-	if l.group == nil || l.node == "" {
+	if l.node == "" {
 		return
 	}
 	if n := l.group.holding[l.node]; n > 1 {

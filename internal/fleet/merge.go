@@ -22,16 +22,16 @@ import (
 // Trust model. Per-seed results are deterministic functions of
 // (config, seed), so any two *honest* nodes produce bit-identical results —
 // that is what makes duplicates discardable. A Byzantine node breaks the
-// premise: its delivery is well-formed but wrong. Seeds marked for quorum
-// verification (require) therefore collect attestation digests as votes,
-// keyed by node, and admit a payload only once `need` distinct nodes
-// delivered the same digest; every voter is then scored against the winning
-// digest (verdicts feed node reputation). Unverified seeds keep the fast
-// path — first delivery wins — but the winner's digest is remembered, so any
-// later duplicate with a digest still produces a free agreement check. A
-// result for a seed outside the job is an error — the coordinator validates
-// deliveries against the lease before calling add, so it can only mean an
-// internal invariant broke.
+// premise: its delivery is well-formed but wrong. Seeds of a quorum range
+// (need > 1, from the delivering lease's seed group) therefore collect
+// attestation digests as votes, keyed by node, and admit a payload only once
+// `need` distinct nodes delivered the same digest; every voter is then
+// scored against the winning digest (verdicts feed node reputation).
+// Unverified seeds keep the fast path — first delivery wins — but the
+// winner's digest is remembered, so any later duplicate with a digest still
+// produces a free agreement check. A result for a seed outside the job is an
+// error — the coordinator validates deliveries against the lease before
+// calling add, so it can only mean an internal invariant broke.
 type merge struct {
 	order    []uint64       // spec seed order
 	index    map[uint64]int // seed → position in order
@@ -39,7 +39,6 @@ type merge struct {
 	next     int // first position not yet released
 	received int // distinct seeds merged so far
 
-	need    []int                           // votes required to admit (0/1 = first delivery wins)
 	winner  []string                        // admitted payload's digest ("" if admitted without one)
 	votes   []map[string]string             // node → digest, pre-admission (quorum seeds)
 	payload []map[string]service.SeedResult // digest → first payload carrying it
@@ -71,7 +70,6 @@ func newMerge(seeds []uint64) *merge {
 		order:   seeds,
 		index:   make(map[uint64]int, len(seeds)),
 		got:     make([]*service.SeedResult, len(seeds)),
-		need:    make([]int, len(seeds)),
 		winner:  make([]string, len(seeds)),
 		votes:   make([]map[string]string, len(seeds)),
 		payload: make([]map[string]service.SeedResult, len(seeds)),
@@ -82,22 +80,11 @@ func newMerge(seeds []uint64) *merge {
 	return m
 }
 
-// require marks seeds as quorum-verified: a payload is admitted only once
-// `need` distinct nodes delivered the same attestation digest for it.
-// Called at lease-cut time, before any delivery for the seed.
-func (m *merge) require(seeds []uint64, need int) {
-	for _, s := range seeds {
-		if pos, ok := m.index[s]; ok && m.got[pos] == nil && need > m.need[pos] {
-			m.need[pos] = need
-		}
-	}
-}
-
 // preload admits journal-banked results directly (no digest, no votes):
 // they were merged before a coordinator restart and must never be
 // recomputed or re-voted.
 func (m *merge) preload(results []service.SeedResult) (released, fresh []service.SeedResult, dups int, err error) {
-	out, err := m.add("", results, nil)
+	out, err := m.add("", results, nil, 1)
 	return out.released, out.fresh, out.dups, err
 }
 
@@ -108,11 +95,12 @@ func (m *merge) admitted(seed uint64) bool {
 	return ok && m.got[pos] != nil
 }
 
-// add folds one node's delivery in. digests, when non-nil, is parallel to
-// results and carries the coordinator-recomputed attestation digest of each
-// payload; nil means an unattested source (journal preload, a pre-attestation
-// worker) whose results can satisfy only unverified seeds.
-func (m *merge) add(node string, results []service.SeedResult, digests []string) (mergeOut, error) {
+// add folds one node's delivery in. need is the delivering lease's quorum
+// (1 = first delivery wins). digests, when non-nil, is parallel to results
+// and carries the coordinator-recomputed attestation digest of each payload;
+// nil means an unattested source (journal preload, a pre-attestation worker)
+// whose results can satisfy only unverified seeds.
+func (m *merge) add(node string, results []service.SeedResult, digests []string, need int) (mergeOut, error) {
 	var out mergeOut
 	for i := range results {
 		r := &results[i]
@@ -127,17 +115,16 @@ func (m *merge) add(node string, results []service.SeedResult, digests []string)
 		if m.got[pos] != nil {
 			// Already admitted: idempotent discard, plus a free agreement
 			// check when both sides have digests (late deliveries from
-			// re-leased or speculative copies score reputation at no cost).
+			// re-leased copies score reputation at no cost).
 			out.dups++
 			if digest != "" && m.winner[pos] != "" {
 				out.verdicts = append(out.verdicts, verdict{node, r.Seed, digest == m.winner[pos]})
 			}
 			continue
 		}
-		if m.need[pos] <= 1 {
+		if need <= 1 {
 			// Unverified seed: first delivery wins. Journal preloads land
-			// here too — banking happens before require() marks quorum
-			// seeds, and require() skips anything already admitted.
+			// here too: banked seeds were admitted before the restart.
 			m.admit(pos, *r, digest)
 			out.fresh = append(out.fresh, *r)
 			continue
@@ -173,7 +160,7 @@ func (m *merge) add(node string, results []service.SeedResult, digests []string)
 				n++
 			}
 		}
-		if n < m.need[pos] {
+		if n < need {
 			continue
 		}
 		win := m.payload[pos][digest]

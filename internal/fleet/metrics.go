@@ -142,9 +142,6 @@ func (c *Coordinator) WriteMetrics(w io.Writer) error {
 	p("# HELP simd_fleet_auth_failures_total RPCs rejected by the shared-secret HMAC check.\n")
 	p("# TYPE simd_fleet_auth_failures_total counter\n")
 	p("simd_fleet_auth_failures_total %d\n", c.authFailures.Load())
-	p("# HELP simd_fleet_speculative_leases_total Speculative straggler replicas cut.\n")
-	p("# TYPE simd_fleet_speculative_leases_total counter\n")
-	p("simd_fleet_speculative_leases_total %d\n", c.speculated.Load())
 	return err
 }
 
@@ -176,14 +173,7 @@ func (w *Worker) WriteMetrics(out io.Writer) error {
 	p("# HELP simd_fleet_worker_lease_errors_total Leases that failed on this node (reported to the coordinator).\n")
 	p("# TYPE simd_fleet_worker_lease_errors_total counter\n")
 	p("simd_fleet_worker_lease_errors_total %d\n", w.leaseErrs.Load())
-	state, trips := w.brk.snapshot()
 	queued, dropped := w.sp.stats()
-	p("# HELP simd_fleet_worker_breaker_state Coordinator circuit breaker state (0=closed, 1=open, 2=half-open).\n")
-	p("# TYPE simd_fleet_worker_breaker_state gauge\n")
-	p("simd_fleet_worker_breaker_state %d\n", state)
-	p("# HELP simd_fleet_worker_breaker_trips_total Times the circuit breaker opened.\n")
-	p("# TYPE simd_fleet_worker_breaker_trips_total counter\n")
-	p("simd_fleet_worker_breaker_trips_total %d\n", trips)
 	p("# HELP simd_fleet_worker_spooled_results Result deliveries parked awaiting coordinator heal.\n")
 	p("# TYPE simd_fleet_worker_spooled_results gauge\n")
 	p("simd_fleet_worker_spooled_results %d\n", queued)

@@ -34,9 +34,13 @@ type node struct {
 
 // repAlpha is the attestation-failure EWMA step: failure moves the signal
 // halfway to 1, agreement halfway back to 0 — one confirmed lie against a
-// clean history crosses the default 0.5 quarantine threshold immediately,
-// while a long-honest node needs sustained failures.
+// clean history crosses quarantineThreshold immediately, while a
+// long-honest node needs sustained failures.
 const repAlpha = 0.5
+
+// quarantineThreshold is the attestation-failure EWMA at which a node is
+// quarantined.
+const quarantineThreshold = 0.5
 
 // quarantined reports whether the node is refused leases at time now.
 func (n *node) quarantined(now time.Time) bool {
@@ -181,23 +185,6 @@ func (r *registry) sweep(now time.Time) []*node {
 		}
 	}
 	return died
-}
-
-// medianRate is the median positive throughput EWMA across alive nodes
-// (0 when none has one yet) — the fleet-wide yardstick straggler detection
-// measures a lease's age against.
-func (r *registry) medianRate() float64 {
-	var rates []float64
-	for _, n := range r.nodes {
-		if n.alive && n.rate > 0 {
-			rates = append(rates, n.rate)
-		}
-	}
-	if len(rates) == 0 {
-		return 0
-	}
-	sort.Float64s(rates)
-	return rates[len(rates)/2]
 }
 
 // snapshot returns all nodes as NodeInfo, sorted by id. now resolves the

@@ -2,12 +2,17 @@ package fleet
 
 import "sync"
 
-// maxSpoolAttempts bounds redelivery of one spooled result. Breaker-open
-// rejections don't count — only deliveries the wire actually refused — so
-// this caps work against a reachable-but-rejecting coordinator, not outage
-// length. At the flush cadence this is minutes of retrying; beyond it the
-// range has long been re-leased and the delivery is pure duplicate.
+// maxSpoolAttempts bounds redelivery of one spooled result. Only deliveries
+// the coordinator answered and refused count — an unreachable or unhealthy
+// coordinator costs no attempt — so this caps work against a
+// reachable-but-rejecting coordinator, not outage length. At the flush
+// cadence this is minutes of retrying; beyond it the range has long been
+// re-leased and the delivery is pure duplicate.
 const maxSpoolAttempts = 120
+
+// spoolCap bounds a worker's queue of computed-but-undelivered result
+// reports.
+const spoolCap = 256
 
 // spoolEntry is one undelivered result report awaiting redelivery.
 type spoolEntry struct {
@@ -29,9 +34,6 @@ type spool struct {
 }
 
 func newSpool(capacity int) *spool {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	return &spool{cap: capacity}
 }
 

@@ -52,14 +52,6 @@ type WorkerConfig struct {
 	// RPCTimeout caps one coordinator RPC (including the client's internal
 	// retries); result deliveries get twice this. Default 10s.
 	RPCTimeout time.Duration
-	// BreakerThreshold is how many consecutive unanswered RPCs open the
-	// circuit breaker (default 5); BreakerCooldown is how long it stays open
-	// before admitting a half-open probe (default 3s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// SpoolCap bounds the queue of computed-but-undelivered result reports
-	// kept for redelivery when the coordinator heals. Default 256.
-	SpoolCap int
 }
 
 // Worker is the execution side of the fleet: it registers with the
@@ -82,14 +74,8 @@ type Worker struct {
 	pollIv  time.Duration
 	hbIv    time.Duration
 
-	// Graceful degradation: every coordinator RPC goes through post, which
-	// gates on brk and classifies the outcome; failed result deliveries park
-	// in sp until flushLoop redelivers them (healCh kicks it the moment the
-	// breaker heals, so delivery latency after an outage is one RPC, not one
-	// flush tick).
-	brk    *breaker
-	sp     *spool
-	healCh chan struct{}
+	// Failed result deliveries park in sp until flushLoop redelivers them.
+	sp *spool
 
 	// Counters for the worker-side /metrics rollup.
 	leasesDone     atomic.Int64
@@ -124,9 +110,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cancel:  cancel,
 		running: make(map[string]context.CancelFunc),
 		id:      cfg.NodeID,
-		brk:     newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		sp:      newSpool(cfg.SpoolCap),
-		healCh:  make(chan struct{}, 1),
+		sp:      newSpool(spoolCap),
 	}
 }
 
@@ -179,10 +163,10 @@ func (w *Worker) run() {
 	w.pollLoop()
 }
 
-// coordinatorAnswered classifies an RPC error for the circuit breaker: true
-// means the coordinator processed the request and rejected it (it is alive —
-// 4xx, queue backpressure), false means it is unreachable or unhealthy
-// (network error, 503 while draining or replaying its journal, other 5xx).
+// coordinatorAnswered classifies an RPC error: true means the coordinator
+// processed the request and rejected it (it is alive — 4xx, queue
+// backpressure), false means it is unreachable or unhealthy (network error,
+// 503 while draining or replaying its journal, other 5xx).
 func coordinatorAnswered(err error) bool {
 	if errors.Is(err, service.ErrNotFound) || errors.Is(err, service.ErrQueueFull) {
 		return true
@@ -194,36 +178,14 @@ func coordinatorAnswered(err error) bool {
 	return false
 }
 
-// post is the single funnel for coordinator RPCs: per-request timeout,
-// circuit-breaker gate, and health classification of the outcome. A healed
-// breaker kicks the spool flusher so parked results deliver immediately.
+// post is the single funnel for coordinator RPCs: per-request timeout and
+// health classification of the outcome.
 func (w *Worker) post(path string, in, out any, timeout time.Duration) error {
-	if !w.brk.allow() {
-		return errBreakerOpen
-	}
 	ctx, cancel := context.WithTimeout(w.ctx, timeout)
 	err := w.client.PostIdempotent(ctx, path, in, out)
 	cancel()
-	answered := err == nil || coordinatorAnswered(err)
-	w.up.Store(answered)
-	if answered {
-		if w.brk.success() {
-			w.logf("fleet: coordinator %s reachable again", w.cfg.Coordinator)
-			w.kickFlush()
-		}
-		return err
-	}
-	if w.ctx.Err() == nil {
-		w.brk.failure()
-	}
+	w.up.Store(err == nil || coordinatorAnswered(err))
 	return err
-}
-
-func (w *Worker) kickFlush() {
-	select {
-	case w.healCh <- struct{}{}:
-	default:
-	}
 }
 
 // jitter spreads d over [d/2, 3d/2) so workers started together (or healing
@@ -494,9 +456,8 @@ func (w *Worker) report(req *ResultRequest) {
 	}
 }
 
-// flushLoop drains the result spool: on a steady tick, and immediately when
-// the circuit breaker heals. Head-first, so redelivery order roughly matches
-// computation order.
+// flushLoop drains the result spool on a steady tick. Head-first, so
+// redelivery order roughly matches computation order.
 func (w *Worker) flushLoop() {
 	defer w.wg.Done()
 	ticker := time.NewTicker(500 * time.Millisecond)
@@ -506,15 +467,15 @@ func (w *Worker) flushLoop() {
 		case <-w.ctx.Done():
 			return
 		case <-ticker.C:
-		case <-w.healCh:
 		}
 		w.flushSpool()
 	}
 }
 
 // flushSpool redelivers spooled results until the spool is empty or a
-// delivery fails. Breaker-open rejections don't count against an entry's
-// attempt cap — only deliveries the wire actually refused do.
+// delivery fails. Only a delivery the coordinator answered and refused
+// counts against an entry's attempt cap; an unreachable or unhealthy
+// coordinator costs no attempt.
 func (w *Worker) flushSpool() {
 	for {
 		e := w.sp.head()
@@ -529,7 +490,7 @@ func (w *Worker) flushSpool() {
 			}
 			continue
 		}
-		if errors.Is(err, errBreakerOpen) || w.ctx.Err() != nil {
+		if w.ctx.Err() != nil || !coordinatorAnswered(err) {
 			return
 		}
 		e.attempts++ // flushLoop is the only consumer, so this is unshared

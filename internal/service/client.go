@@ -77,8 +77,8 @@ func apiError(status int, body []byte) error {
 
 // HTTPError is the client-side form of an API error that maps to no
 // sentinel: validation failures and unrecognized statuses. Callers (the
-// fleet worker's circuit breaker) use the status to tell "the server
-// answered and rejected this request" from "the server is unreachable or
+// fleet worker's result spool) use the status to tell "the server answered
+// and rejected this request" from "the server is unreachable or
 // unhealthy".
 type HTTPError struct {
 	Status int
