@@ -66,6 +66,15 @@ var structFaults = &faults.Schedule{Events: []faults.Event{
 	{Kind: faults.KindChurn, Round: 14, Fraction: 0.15, Corruption: faults.CorruptWrongConsensus},
 }}
 
+// churnFaults churns non-sources three times before the round-10
+// checkpoint: into fresh agents, into randomly corrupted ones, and into
+// wrong-consensus ones.
+var churnFaults = &faults.Schedule{Events: []faults.Event{
+	{Kind: faults.KindChurn, Round: 4, Fraction: 0.2},
+	{Kind: faults.KindChurn, Round: 7, Fraction: 0.15, Corruption: faults.CorruptRandom},
+	{Kind: faults.KindChurn, Round: 9, Fraction: 0.1, Corruption: faults.CorruptWrongConsensus},
+}}
+
 // vecCase is a per-agent path configuration.
 type vecCase struct {
 	name string
@@ -229,6 +238,72 @@ func vecCases() []vecCase {
 					MaxRounds:       60,
 					StabilityWindow: 10,
 					Faults:          structFaults,
+				}
+			},
+		},
+		{
+			// Churn on each remaining kernel, multi-chunk, run for a fixed
+			// 20 rounds (the stability window equals the budget).
+			name: "majority churn",
+			cfg: func(t *testing.T, seed uint64) sim.Config {
+				return sim.Config{
+					N: 5000, H: 6, Sources1: 60, Sources0: 15,
+					Noise:           uniformNoise(t, 2, 0.1),
+					Protocol:        protocol.MajorityRule{},
+					Seed:            seed,
+					Backend:         sim.BackendExact,
+					MaxRounds:       20,
+					StabilityWindow: 20,
+					Faults:          churnFaults,
+				}
+			},
+		},
+		{
+			name: "sf alternating churn",
+			cfg: func(t *testing.T, seed uint64) sim.Config {
+				return sim.Config{
+					N: 5000, H: 16, Sources1: 60, Sources0: 15,
+					Noise:     uniformNoise(t, 2, 0.2),
+					Protocol:  protocol.NewSFAlternating(),
+					Seed:      seed,
+					Backend:   sim.BackendExact,
+					MaxRounds: 20,
+					Faults:    churnFaults,
+				}
+			},
+		},
+		{
+			name: "ssf k4 churn",
+			cfg: func(t *testing.T, seed uint64) sim.Config {
+				return sim.Config{
+					N: 5000, H: 8, Sources1: 60, Sources0: 15,
+					Noise:           uniformNoise(t, 4, 0.1),
+					Protocol:        protocol.NewSSF(protocol.WithSSFUpdateQuota(96)),
+					Seed:            seed,
+					Backend:         sim.BackendExact,
+					MaxRounds:       20,
+					StabilityWindow: 20,
+					Faults:          churnFaults,
+				}
+			},
+		},
+		{
+			name: "trustbit ring churn",
+			cfg: func(t *testing.T, seed uint64) sim.Config {
+				g, err := graph.Ring(5000, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sim.Config{
+					N: 5000, H: 6, Sources1: 100, Sources0: 20,
+					Noise:           uniformNoise(t, 4, 0.08),
+					Protocol:        protocol.TrustBit{},
+					Topology:        g,
+					Seed:            seed,
+					Backend:         sim.BackendExact,
+					MaxRounds:       20,
+					StabilityWindow: 20,
+					Faults:          churnFaults,
 				}
 			},
 		},
