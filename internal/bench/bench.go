@@ -1,8 +1,9 @@
 // Package bench defines the repository's benchmark suite as plain data so
-// two front ends can share it: the root bench_test.go (go test -bench) and
-// cmd/bench, which runs the suite standalone via testing.Benchmark and
-// writes a BENCH_<date>.json trajectory file. Keeping the bodies here means
-// the committed JSON and the -bench output always measure the same code.
+// two front ends can share it: BenchmarkSuite (go test -bench
+// ./internal/bench, one sub-benchmark per case) and cmd/bench, which runs
+// the suite standalone via testing.Benchmark and writes a BENCH_<date>.json
+// trajectory file. Keeping the bodies here means the committed JSON and the
+// -bench output always measure the same code.
 package bench
 
 import (
@@ -46,7 +47,6 @@ func Suite() []Case {
 		{"ReduceNoise", ReduceNoise},
 		{"LargeScaleHn", LargeScaleHn},
 		{"ScaleVoter1MAggregate", fixedRoundsCase(1_000_000, 8, 8, noisypull.BackendAggregate, noisypull.VoterBaseline)},
-		{"ScaleVoter1MExact", fixedRoundsCase(1_000_000, 8, 8, noisypull.BackendExact, noisypull.VoterBaseline)},
 		{"ScaleVoter1MCounts", fixedRoundsCase(1_000_000, 8, 8, noisypull.BackendCounts, noisypull.VoterBaseline)},
 		{"ScaleSF1MAggregate", fixedRoundsCase(1_000_000, 8, 8, noisypull.BackendAggregate, noisypull.NewSourceFilter())},
 		{"ScaleMajority1MAggregate", fixedRoundsCase(1_000_000, 8, 8, noisypull.BackendAggregate, noisypull.MajorityBaseline)},
@@ -150,7 +150,7 @@ func ReduceNoise(b *testing.B) {
 	}
 }
 
-// LargeScaleHn showcases the aggregate backend at population scale: every
+// LargeScaleHn showcases the per-agent engine at population scale: every
 // one of 20k agents observes all 20k agents every round.
 func LargeScaleHn(b *testing.B) {
 	const n = 20000
@@ -239,9 +239,9 @@ func RunBatchSequentialBaseline(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchTrials), "ns/trial")
 }
 
-// TopologyExact exercises the graph-restricted exact backend (the only one
-// legal under a topology) on a random regular graph, hitting the cached
-// per-neighborhood mixture sampler.
+// TopologyExact exercises the per-agent engine on a random regular graph
+// (the counts backend cannot run one), hitting the cached per-neighborhood
+// mixture sampler.
 func TopologyExact(b *testing.B) {
 	nm, err := noisypull.UniformNoise(2, 0.2)
 	if err != nil {

@@ -8,9 +8,10 @@ import (
 )
 
 // This file holds the backend-scaling cases introduced with the counts
-// backend: identical fixed-round workloads at n = 10⁶ under the aggregate
-// and counts backends (their ns/op ratio is the per-round speedup), plus a
-// full convergence run at n = 10⁸ that only the counts backend can afford.
+// backend: identical fixed-round workloads at n = 10⁶ under the per-agent
+// engine and the counts backend (their ns/op ratio is the per-round
+// speedup), plus a full convergence run at n = 10⁸ that only the counts
+// backend can afford.
 // The Graph/KOpinion/Faulted cases cover the workloads the struct-of-arrays
 // kernels gained last: per-neighborhood observation laws over a CSR graph,
 // alphabet-4 multinomial kernels, and agent-level fault schedules applied
@@ -21,7 +22,7 @@ import (
 // so converging early would require an all-correct population from round 1
 // on, unreachable with 1% sources (the Rounds check below enforces it).
 // Every backend therefore executes the identical number of rounds. The
-// per-agent backends run the built-in protocols' struct-of-arrays kernels;
+// per-agent engine runs the built-in protocols' struct-of-arrays kernels;
 // BENCH_2026-08-08.json also holds *Scalar twins timed on a per-agent loop
 // the engine no longer has, which the gate skips as baseline-only cases.
 func fixedRoundsCase(n, h, maxRounds int, backend noisypull.Backend, proto noisypull.Protocol) func(b *testing.B) {
@@ -88,7 +89,7 @@ func regular1MGraph() (*noisypull.Topology, error) {
 // graphRoundsCase runs voter dynamics where every agent observes its own
 // 8-regular neighborhood, so the per-agent law collapses to the
 // neighborhood display mixture pushed through the effective channel (one
-// uniform per agent). Topology forces the exact backend.
+// uniform per agent).
 func graphRoundsCase(b *testing.B) {
 	b.Helper()
 	g, err := regular1MGraph()
@@ -135,7 +136,7 @@ func faultedRoundsCase(b *testing.B) {
 
 // ScaleMajority100MCounts runs h-majority with 1% zealots at n = 10⁸ to
 // full convergence on the counts backend — two orders of magnitude beyond
-// what the per-agent backends reach, at microseconds per round.
+// what the per-agent engine reaches, at microseconds per round.
 func ScaleMajority100MCounts(b *testing.B) {
 	const n = 100_000_000
 	nm, err := noisypull.UniformNoise(2, 0.1)

@@ -2,7 +2,7 @@
 // figure and quantitative claim of the paper (see DESIGN.md §4 for the
 // experiment index E1–E12). Each experiment produces an Artifact holding
 // text tables, data series, and shape-check notes; cmd/experiments renders
-// them, and bench_test.go exposes one testing.B benchmark per experiment.
+// them, and internal/bench registers one benchmark case per experiment.
 package experiment
 
 import (

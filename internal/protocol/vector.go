@@ -21,9 +21,9 @@ package protocol
 //
 // Every kernel honors the engine's crash mask: a crashed agent
 // (obs.Crashed) draws nothing, keeps its state, and still tallies its
-// current opinion. CorruptAt mirrors the scalar agent's Corrupt and
-// ReinitAt produces a fresh non-source, so mid-run corruption and churn
-// rewrite the flat slices in place.
+// current opinion. CorruptAt mirrors the scalar agent's Corrupt, and
+// InitRange builds a fresh agent under a corruption mode, so mid-run
+// corruption and churn rewrite the flat slices in place.
 //
 // The kernels draw from the chunk stream in agent-index order; their
 // trajectories are deterministic in (seed, chunk layout) and independent of
@@ -37,20 +37,73 @@ import (
 	"noisypull/internal/sim"
 )
 
-// NewVecPopulation implements sim.VecProtocol.
-func (Voter) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
-	return &voterPop{spec: spec, opinion: make([]uint8, spec.Env.N)}
-}
-
-// voterPop is the voter population: the opinion doubles as the display
-// symbol (sources' opinions are pinned to their preference).
-type voterPop struct {
+// opinionPop is the state the voter and majority populations share: one
+// opinion per agent that doubles as its display symbol (sources' opinions
+// are pinned to their preference). The protocols differ only in InitRange
+// and StepRange.
+type opinionPop struct {
 	spec    sim.VecSpec
 	opinion []uint8
 }
 
-func (p *voterPop) InitRange(lo, hi int, r *rng.Stream) {
-	wrong := uint8(1 - p.spec.Correct)
+func (p *opinionPop) CountRange(lo, hi int, counts []int) {
+	ones := 0
+	for _, o := range p.opinion[lo:hi] {
+		ones += int(o)
+	}
+	counts[1] += ones
+	counts[0] += hi - lo - ones
+}
+
+func (p *opinionPop) DisplayRange(lo, hi int, out []uint8) {
+	copy(out[lo:hi], p.opinion[lo:hi])
+}
+
+// CorruptAt implements sim.VecPopulation, mirroring voterAgent.Corrupt and
+// majorityAgent.Corrupt (sources are immune).
+func (p *opinionPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
+	if i < p.spec.Sources1+p.spec.Sources0 {
+		return
+	}
+	switch mode {
+	case sim.CorruptWrongConsensus:
+		p.opinion[i] = uint8(wrong)
+	case sim.CorruptRandom:
+		p.opinion[i] = uint8(r.Coin())
+	}
+}
+
+func (p *opinionPop) State(i int) (display, opinion int) {
+	return int(p.opinion[i]), int(p.opinion[i])
+}
+
+func (p *opinionPop) SnapshotRange(w *sim.SnapWriter, lo, hi int) {
+	for _, o := range p.opinion[lo:hi] {
+		w.U8(o)
+	}
+}
+
+func (p *opinionPop) RestoreRange(rd *sim.SnapReader, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		o := rd.U8()
+		if o > 1 {
+			return fmt.Errorf("protocol: snapshot agent %d has opinion %d", i, o)
+		}
+		p.opinion[i] = o
+	}
+	return rd.Err()
+}
+
+// NewVecPopulation implements sim.VecProtocol.
+func (Voter) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
+	return &voterPop{opinionPop{spec, make([]uint8, spec.Env.N)}}
+}
+
+// voterPop is the voter population.
+type voterPop struct{ opinionPop }
+
+func (p *voterPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stream) {
+	wrong := 1 - p.spec.Correct
 	s1, s0 := p.spec.Sources1, p.spec.Sources0
 	for i := lo; i < hi; i++ {
 		switch {
@@ -60,23 +113,11 @@ func (p *voterPop) InitRange(lo, hi int, r *rng.Stream) {
 			p.opinion[i] = 0
 		default:
 			p.opinion[i] = 0
-			switch p.spec.Corruption {
-			case sim.CorruptWrongConsensus:
-				p.opinion[i] = wrong
-			case sim.CorruptRandom:
-				p.opinion[i] = uint8(r.Coin())
+			if mode != sim.CorruptNone {
+				p.CorruptAt(i, mode, wrong, r)
 			}
 		}
 	}
-}
-
-func (p *voterPop) CountRange(lo, hi int, counts []int) {
-	ones := 0
-	for _, o := range p.opinion[lo:hi] {
-		ones += int(o)
-	}
-	counts[1] += ones
-	counts[0] += hi - lo - ones
 }
 
 func (p *voterPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int {
@@ -106,65 +147,16 @@ func (p *voterPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int {
 	return ones
 }
 
-func (p *voterPop) DisplayRange(lo, hi int, out []uint8) {
-	copy(out[lo:hi], p.opinion[lo:hi])
-}
-
-// CorruptAt implements sim.VecPopulation, mirroring voterAgent.Corrupt
-// (sources are immune).
-func (p *voterPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
-	if i < p.spec.Sources1+p.spec.Sources0 {
-		return
-	}
-	switch mode {
-	case sim.CorruptWrongConsensus:
-		p.opinion[i] = uint8(wrong)
-	case sim.CorruptRandom:
-		p.opinion[i] = uint8(r.Coin())
-	}
-}
-
-// ReinitAt implements sim.VecPopulation: a freshly arrived non-source
-// voter holds opinion 0, like a new scalar agent before any corruption.
-func (p *voterPop) ReinitAt(i int, r *rng.Stream) {
-	p.opinion[i] = 0
-}
-
-func (p *voterPop) State(i int) (display, opinion int) {
-	return int(p.opinion[i]), int(p.opinion[i])
-}
-
-func (p *voterPop) SnapshotRange(w *sim.SnapWriter, lo, hi int) {
-	for _, o := range p.opinion[lo:hi] {
-		w.U8(o)
-	}
-}
-
-func (p *voterPop) RestoreRange(rd *sim.SnapReader, lo, hi int) error {
-	for i := lo; i < hi; i++ {
-		o := rd.U8()
-		if o > 1 {
-			return fmt.Errorf("protocol: voter snapshot agent %d has opinion %d", i, o)
-		}
-		p.opinion[i] = o
-	}
-	return rd.Err()
-}
-
 // NewVecPopulation implements sim.VecProtocol.
 func (MajorityRule) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
-	return &majorityPop{spec: spec, opinion: make([]uint8, spec.Env.N)}
+	return &majorityPop{opinionPop{spec, make([]uint8, spec.Env.N)}}
 }
 
-// majorityPop is the h-majority population; like voter, the opinion is the
-// display symbol.
-type majorityPop struct {
-	spec    sim.VecSpec
-	opinion []uint8
-}
+// majorityPop is the h-majority population.
+type majorityPop struct{ opinionPop }
 
-func (p *majorityPop) InitRange(lo, hi int, r *rng.Stream) {
-	wrong := uint8(1 - p.spec.Correct)
+func (p *majorityPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stream) {
+	wrong := 1 - p.spec.Correct
 	s1, s0 := p.spec.Sources1, p.spec.Sources0
 	for i := lo; i < hi; i++ {
 		switch {
@@ -175,23 +167,11 @@ func (p *majorityPop) InitRange(lo, hi int, r *rng.Stream) {
 		default:
 			// Balanced parity initialization, as in the scalar agent.
 			p.opinion[i] = uint8(i % 2)
-			switch p.spec.Corruption {
-			case sim.CorruptWrongConsensus:
-				p.opinion[i] = wrong
-			case sim.CorruptRandom:
-				p.opinion[i] = uint8(r.Coin())
+			if mode != sim.CorruptNone {
+				p.CorruptAt(i, mode, wrong, r)
 			}
 		}
 	}
-}
-
-func (p *majorityPop) CountRange(lo, hi int, counts []int) {
-	ones := 0
-	for _, o := range p.opinion[lo:hi] {
-		ones += int(o)
-	}
-	counts[1] += ones
-	counts[0] += hi - lo - ones
 }
 
 func (p *majorityPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int {
@@ -224,51 +204,6 @@ func (p *majorityPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int 
 		ones += int(o)
 	}
 	return ones
-}
-
-func (p *majorityPop) DisplayRange(lo, hi int, out []uint8) {
-	copy(out[lo:hi], p.opinion[lo:hi])
-}
-
-// CorruptAt implements sim.VecPopulation, mirroring
-// majorityAgent.Corrupt (sources are immune).
-func (p *majorityPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
-	if i < p.spec.Sources1+p.spec.Sources0 {
-		return
-	}
-	switch mode {
-	case sim.CorruptWrongConsensus:
-		p.opinion[i] = uint8(wrong)
-	case sim.CorruptRandom:
-		p.opinion[i] = uint8(r.Coin())
-	}
-}
-
-// ReinitAt implements sim.VecPopulation: a fresh non-source carries the
-// balanced parity initialization of the scalar agent.
-func (p *majorityPop) ReinitAt(i int, r *rng.Stream) {
-	p.opinion[i] = uint8(i % 2)
-}
-
-func (p *majorityPop) State(i int) (display, opinion int) {
-	return int(p.opinion[i]), int(p.opinion[i])
-}
-
-func (p *majorityPop) SnapshotRange(w *sim.SnapWriter, lo, hi int) {
-	for _, o := range p.opinion[lo:hi] {
-		w.U8(o)
-	}
-}
-
-func (p *majorityPop) RestoreRange(rd *sim.SnapReader, lo, hi int) error {
-	for i := lo; i < hi; i++ {
-		o := rd.U8()
-		if o > 1 {
-			return fmt.Errorf("protocol: majority snapshot agent %d has opinion %d", i, o)
-		}
-		p.opinion[i] = o
-	}
-	return rd.Err()
 }
 
 // NewVecPopulation implements sim.VecProtocol for SF (both the standard and
@@ -324,7 +259,7 @@ type sfPop struct {
 	boostAll  []int
 }
 
-func (p *sfPop) InitRange(lo, hi int, r *rng.Stream) {
+func (p *sfPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stream) {
 	s1, s0 := p.spec.Sources1, p.spec.Sources0
 	wrong := 1 - p.spec.Correct
 	for i := lo; i < hi; i++ {
@@ -343,16 +278,16 @@ func (p *sfPop) InitRange(lo, hi int, r *rng.Stream) {
 		if p.alt {
 			p.firstSym[i] = uint8(r.Coin())
 		}
-		p.corrupt(i, p.spec.Corruption, wrong, r)
+		if mode != sim.CorruptNone {
+			p.CorruptAt(i, mode, wrong, r)
+		}
 	}
 }
 
-// corrupt applies the given adversary mode to agent i, mirroring
-// sfAgent.Corrupt (which, like the scalar version, also hits sources — SF
-// is not self-stabilizing and the experiments rely on that). It serves both
-// the spec's round-0 corruption (InitRange) and mid-run fault events
-// (CorruptAt).
-func (p *sfPop) corrupt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
+// CorruptAt implements sim.VecPopulation, mirroring sfAgent.Corrupt (which,
+// like the scalar version, also hits sources — SF is not self-stabilizing
+// and the experiments rely on that).
+func (p *sfPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
 	switch mode {
 	case sim.CorruptWrongConsensus:
 		p.opinion[i] = uint8(wrong)
@@ -457,23 +392,6 @@ func (p *sfPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int {
 func (p *sfPop) DisplayRange(lo, hi int, out []uint8) {
 	for i := lo; i < hi; i++ {
 		out[i] = uint8(p.display(i))
-	}
-}
-
-// CorruptAt implements sim.VecPopulation.
-func (p *sfPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
-	p.corrupt(i, mode, wrong, r)
-}
-
-// ReinitAt implements sim.VecPopulation: a freshly arrived non-source
-// starts the schedule from round 0 with cleared counters; the alternating
-// variant redraws its first listening symbol (the scalar SeedInit).
-func (p *sfPop) ReinitAt(i int, r *rng.Stream) {
-	p.round[i], p.counter1[i], p.counter0[i] = 0, 0, 0
-	p.weak[i], p.opinion[i], p.subPhase[i] = 0, 0, 0
-	p.boostOnes[i], p.boostAll[i] = 0, 0
-	if p.alt {
-		p.firstSym[i] = uint8(r.Coin())
 	}
 }
 

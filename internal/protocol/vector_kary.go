@@ -9,7 +9,7 @@ package protocol
 // multiset as a flat 4n counter slab). The kernels follow the conventions
 // documented in vector.go: chunk-stream draws in agent-index order, crash
 // masks honored, and corruption and churn applied in place through
-// CorruptAt and ReinitAt.
+// CorruptAt and InitRange.
 
 import (
 	"fmt"
@@ -38,7 +38,7 @@ type trustBitPop struct {
 	opinion  []uint8
 }
 
-func (p *trustBitPop) InitRange(lo, hi int, r *rng.Stream) {
+func (p *trustBitPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stream) {
 	s1, s0 := p.spec.Sources1, p.spec.Sources0
 	wrong := 1 - p.spec.Correct
 	for i := lo; i < hi; i++ {
@@ -50,7 +50,9 @@ func (p *trustBitPop) InitRange(lo, hi int, r *rng.Stream) {
 		default:
 			// Balanced parity initialization, as in the scalar agent.
 			p.informed[i], p.opinion[i] = 0, uint8(i%2)
-			p.CorruptAt(i, p.spec.Corruption, wrong, r)
+			if mode != sim.CorruptNone {
+				p.CorruptAt(i, mode, wrong, r)
+			}
 		}
 	}
 }
@@ -117,12 +119,6 @@ func (p *trustBitPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rn
 	}
 }
 
-// ReinitAt implements sim.VecPopulation: a fresh non-source is
-// uninformed with the balanced parity opinion.
-func (p *trustBitPop) ReinitAt(i int, r *rng.Stream) {
-	p.informed[i], p.opinion[i] = 0, uint8(i%2)
-}
-
 func (p *trustBitPop) SnapshotRange(w *sim.SnapWriter, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		w.U8(p.informed[i])
@@ -182,7 +178,7 @@ type ssfPop struct {
 	opinion []uint8
 }
 
-func (p *ssfPop) InitRange(lo, hi int, r *rng.Stream) {
+func (p *ssfPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stream) {
 	s1, s0 := p.spec.Sources1, p.spec.Sources0
 	wrong := 1 - p.spec.Correct
 	for i := lo; i < hi; i++ {
@@ -200,7 +196,9 @@ func (p *ssfPop) InitRange(lo, hi int, r *rng.Stream) {
 		// Round-0 corruption hits sources too: SSF is self-stabilizing and
 		// the adversary of Section 1.3 scrambles their memory and clocks
 		// (their display stays pinned to the preference regardless).
-		p.CorruptAt(i, p.spec.Corruption, wrong, r)
+		if mode != sim.CorruptNone {
+			p.CorruptAt(i, mode, wrong, r)
+		}
 	}
 }
 
@@ -290,15 +288,6 @@ func (p *ssfPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Str
 		}
 		p.total[i] = t
 	}
-}
-
-// ReinitAt implements sim.VecPopulation: a fresh non-source with empty
-// memory and zero opinions.
-func (p *ssfPop) ReinitAt(i int, r *rng.Stream) {
-	base := 4 * i
-	p.mem[base], p.mem[base+1], p.mem[base+2], p.mem[base+3] = 0, 0, 0, 0
-	p.total[i] = 0
-	p.weak[i], p.opinion[i] = 0, 0
 }
 
 func (p *ssfPop) SnapshotRange(w *sim.SnapWriter, lo, hi int) {

@@ -36,8 +36,9 @@ type JobSpec struct {
 	StabilityWindow int `json:"stability_window,omitempty"`
 	// Corruption is the adversarial initialization: none, wrong, random.
 	Corruption string `json:"corruption,omitempty"`
-	// Backend selects the observation sampler: auto, exact, aggregate, or
-	// counts (baseline protocols only; rejected at submission otherwise).
+	// Backend selects the engine: counts (baseline protocols only; rejected
+	// at submission otherwise), or the per-agent engine under auto (the
+	// default) or its older names exact and aggregate.
 	Backend string `json:"backend,omitempty"`
 	// Seeds lists the independent trials to run, in order. Empty means the
 	// single seed 1.
@@ -215,14 +216,9 @@ func (s *JobSpec) build() (noisypull.Config, error) {
 		return zero, fmt.Errorf("spec: unknown corruption mode %q", s.Corruption)
 	}
 
-	var backend noisypull.Backend
+	backend := noisypull.BackendAuto
 	switch s.Backend {
-	case "", "auto":
-		backend = noisypull.BackendAuto
-	case "exact":
-		backend = noisypull.BackendExact
-	case "aggregate":
-		backend = noisypull.BackendAggregate
+	case "", "auto", "exact", "aggregate":
 	case "counts":
 		// Countability is checked by cfg.Check() below, so a spec pairing
 		// the counts backend with a non-countable protocol fails here at

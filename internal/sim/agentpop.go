@@ -6,7 +6,7 @@ import (
 	"noisypull/internal/rng"
 )
 
-// agentPop runs a plain Agent protocol on the per-agent engine path: a
+// agentPop runs a plain Agent protocol on the per-agent engine: a
 // VecPopulation holding one Agent per index. New uses it whenever the
 // protocol has no struct-of-arrays kernel (no VecProtocol, or
 // NewVecPopulation returned nil), so every per-agent run shares one round
@@ -16,9 +16,9 @@ import (
 // Agent.Observe takes — K1 on binary alphabets, Counts otherwise — and
 // hands the chunk stream to the agent, so an adapted run is deterministic
 // in the seed and the chunk layout like any kernel. State-changing hooks map
-// onto the optional agent interfaces: InitRange and ReinitAt build agents
-// with NewAgent and Seeder, CorruptAt calls Corruptible, and the snapshot
-// ranges call Snapshotter.
+// onto the optional agent interfaces: InitRange builds agents with NewAgent
+// and Seeder, CorruptAt calls Corruptible, and the snapshot ranges call
+// Snapshotter.
 type agentPop struct {
 	proto  Protocol
 	spec   VecSpec
@@ -44,21 +44,16 @@ func newAgentPop(proto Protocol, spec VecSpec, numChunks int) *agentPop {
 // obsStride is the padded per-chunk length of agentPop.obs.
 func obsStride(d int) int { return (d + 7) &^ 7 }
 
-// newAgent builds agent i with the given role and seeds it from r.
-func (p *agentPop) newAgent(i int, role Role, r *rng.Stream) Agent {
-	a := p.proto.NewAgent(i, role, p.spec.Env)
-	if s, ok := a.(Seeder); ok {
-		s.SeedInit(r)
-	}
-	return a
-}
-
-func (p *agentPop) InitRange(lo, hi int, r *rng.Stream) {
+func (p *agentPop) InitRange(lo, hi int, mode CorruptionMode, r *rng.Stream) {
 	wrong := 1 - p.spec.Correct
 	for i := lo; i < hi; i++ {
-		p.agents[i] = p.newAgent(i, p.spec.Role(i), r)
-		if p.spec.Corruption != CorruptNone {
-			p.CorruptAt(i, p.spec.Corruption, wrong, r)
+		a := p.proto.NewAgent(i, p.spec.Role(i), p.spec.Env)
+		if s, ok := a.(Seeder); ok {
+			s.SeedInit(r)
+		}
+		p.agents[i] = a
+		if mode != CorruptNone {
+			p.CorruptAt(i, mode, wrong, r)
 		}
 	}
 }
@@ -134,10 +129,6 @@ func (p *agentPop) CorruptAt(i int, mode CorruptionMode, wrong int, r *rng.Strea
 	if c, ok := p.agents[i].(Corruptible); ok {
 		c.Corrupt(mode, wrong, r)
 	}
-}
-
-func (p *agentPop) ReinitAt(i int, r *rng.Stream) {
-	p.agents[i] = p.newAgent(i, Role{}, r)
 }
 
 // snapshotErr reports why the population cannot be snapshotted: some agent

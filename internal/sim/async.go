@@ -45,7 +45,7 @@ type AsyncRunner struct {
 func NewAsync(cfg Config) (*AsyncRunner, error) {
 	switch {
 	case cfg.Backend == BackendCounts:
-		return nil, fmt.Errorf("sim: backend %v tracks class counts, not individual agents, and has no asynchronous schedule; use exact or aggregate", cfg.Backend)
+		return nil, fmt.Errorf("sim: backend %v tracks class counts, not individual agents, and has no asynchronous schedule; use the per-agent engine", cfg.Backend)
 	case cfg.Faults != nil:
 		return nil, errors.New("sim: the asynchronous scheduler does not support fault schedules")
 	case cfg.CheckpointEvery > 0:

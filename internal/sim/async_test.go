@@ -31,38 +31,35 @@ func TestNewAsyncValidates(t *testing.T) {
 
 func TestAsyncObservationSumsAndNoiseRate(t *testing.T) {
 	const delta = 0.2
-	for _, backend := range []Backend{BackendExact, BackendAggregate} {
-		cfg := Config{
-			N:         150,
-			H:         40,
-			Sources1:  2,
-			Sources0:  1,
-			Noise:     uniform2(t, delta),
-			Protocol:  &constProtocol{symbol: 0, alphabet: 2},
-			Seed:      5,
-			Backend:   backend,
-			MaxRounds: 20,
-		}
-		r, err := NewAsync(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-		var ones, total float64
-		for _, a := range r.Agents() {
-			for _, counts := range a.(*constAgent).seen {
-				if counts[0]+counts[1] != cfg.H {
-					t.Fatalf("%v: counts sum %d", backend, counts[0]+counts[1])
-				}
-				ones += float64(counts[1])
-				total += float64(cfg.H)
+	cfg := Config{
+		N:         150,
+		H:         40,
+		Sources1:  2,
+		Sources0:  1,
+		Noise:     uniform2(t, delta),
+		Protocol:  &constProtocol{symbol: 0, alphabet: 2},
+		Seed:      5,
+		MaxRounds: 20,
+	}
+	r, err := NewAsync(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var ones, total float64
+	for _, a := range r.Agents() {
+		for _, counts := range a.(*constAgent).seen {
+			if counts[0]+counts[1] != cfg.H {
+				t.Fatalf("counts sum %d", counts[0]+counts[1])
 			}
+			ones += float64(counts[1])
+			total += float64(cfg.H)
 		}
-		if got := ones / total; math.Abs(got-delta) > 0.01 {
-			t.Fatalf("%v: async flip rate %v, want %v", backend, got, delta)
-		}
+	}
+	if got := ones / total; math.Abs(got-delta) > 0.01 {
+		t.Fatalf("async flip rate %v, want %v", got, delta)
 	}
 }
 

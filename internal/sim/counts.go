@@ -23,7 +23,7 @@ const rowSumTol = 1e-6
 //  1. derives the display-count vector from class counts (O(K)),
 //  2. pushes it through the effective channel into the per-observation
 //     distribution q[j] = Σ_σ disp[σ]·N[σ][j] / n (O(|Σ|²)) — the same
-//     mixture the exact backend builds its alias table from,
+//     mixture the per-agent engine draws from,
 //  3. asks the protocol for each occupied class's transition row and
 //     multinomially partitions the class count over successor classes
 //     (O(K²) binomial draws).
@@ -148,7 +148,7 @@ func (ce *countsEngine) step(r *Runner) (int, error) {
 
 	// Per-observation distribution: one uniform sample pushed through the
 	// effective channel is the counts-weighted mixture of its rows — the
-	// identical mixture the exact backend samples from.
+	// identical mixture the per-agent engine samples from.
 	invN := 1 / float64(r.cfg.N)
 	for j := 0; j < d; j++ {
 		acc := 0.0
@@ -167,19 +167,8 @@ func (ce *countsEngine) step(r *Runner) (int, error) {
 			continue
 		}
 		ce.cp.TransitionRow(env, s, ce.obs, ce.row)
-		sum := 0.0
-		for t, p := range ce.row {
-			if math.IsNaN(p) || p < -rowSumTol {
-				return 0, fmt.Errorf("sim: class %d transition row has invalid probability %v at class %d", s, p, t)
-			}
-			if p < 0 {
-				ce.row[t] = 0 // clamp float dust from tail computations
-				continue
-			}
-			sum += p
-		}
-		if math.Abs(sum-1) > rowSumTol {
-			return 0, fmt.Errorf("sim: class %d transition row sums to %v, want 1", s, sum)
+		if err := checkRow(ce.row, s, "transition row"); err != nil {
+			return 0, err
 		}
 		ce.stream.Multinomial(c, ce.row, ce.part)
 		for t, v := range ce.part {
@@ -188,4 +177,26 @@ func (ce *countsEngine) step(r *Runner) (int, error) {
 	}
 	ce.counts, ce.next = ce.next, ce.counts
 	return ce.correctCount(r.correct), nil
+}
+
+// checkRow validates class s's probability row (a TransitionRow or a
+// CorruptRow, named by what): a NaN or clearly negative entry, or a total
+// off 1 by more than rowSumTol, is an error naming the class. Negative float
+// dust from tail computations is clamped to 0 in place.
+func checkRow(row []float64, s int, what string) error {
+	sum := 0.0
+	for t, p := range row {
+		if math.IsNaN(p) || p < -rowSumTol {
+			return fmt.Errorf("class %d %s has invalid probability %v at class %d", s, what, p, t)
+		}
+		if p < 0 {
+			row[t] = 0
+			continue
+		}
+		sum += p
+	}
+	if math.Abs(sum-1) > rowSumTol {
+		return fmt.Errorf("class %d %s sums to %v, want 1", s, what, sum)
+	}
+	return nil
 }

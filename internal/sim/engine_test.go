@@ -30,88 +30,85 @@ func resultsEqual(a, b *Result) bool {
 	return true
 }
 
-// TestDeterminismRegression pins the reuse and parallelism invariants: for a
-// fixed backend, the same seed must produce bit-identical results for
-// Workers=1 vs Workers=GOMAXPROCS, and for a fresh New vs a Reset runner
-// (including a runner previously run under a different seed).
+// TestDeterminismRegression pins the reuse and parallelism invariants: the
+// same seed must produce bit-identical results for Workers=1 vs
+// Workers=GOMAXPROCS, and for a fresh New vs a Reset runner (including a
+// runner previously run under a different seed).
 func TestDeterminismRegression(t *testing.T) {
-	for _, backend := range []Backend{BackendExact, BackendAggregate} {
-		cfg := Config{
-			N:               150,
-			H:               12,
-			Sources1:        4,
-			Sources0:        1,
-			Noise:           uniform2(t, 0.15),
-			Protocol:        copySourceProtocol{},
-			Seed:            1234,
-			Backend:         backend,
-			StabilityWindow: 3,
-			MaxRounds:       400,
-			TrackHistory:    true,
-		}
+	cfg := Config{
+		N:               150,
+		H:               12,
+		Sources1:        4,
+		Sources0:        1,
+		Noise:           uniform2(t, 0.15),
+		Protocol:        copySourceProtocol{},
+		Seed:            1234,
+		StabilityWindow: 3,
+		MaxRounds:       400,
+		TrackHistory:    true,
+	}
 
-		fresh := func(workers int, seed uint64) *Result {
-			c := cfg
-			c.Workers = workers
-			c.Seed = seed
-			r, err := New(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			res, err := r.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-
-		serial := fresh(1, cfg.Seed)
-		parallel := fresh(runtime.GOMAXPROCS(0), cfg.Seed)
-		if !resultsEqual(serial, parallel) {
-			t.Fatalf("%v: Workers=1 and Workers=GOMAXPROCS disagree: %+v vs %+v", backend, serial, parallel)
-		}
-
-		// Reset reuse: run under an unrelated seed first, then Reset to the
-		// reference seed — the rewound runner must match a fresh one.
+	fresh := func(workers int, seed uint64) *Result {
 		c := cfg
-		c.Workers = 1
-		c.Seed = 999
+		c.Workers = workers
+		c.Seed = seed
 		r, err := New(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-		r.Reset(cfg.Seed)
-		reused, err := r.Run()
+		defer r.Close()
+		res, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !resultsEqual(serial, reused) {
-			t.Fatalf("%v: fresh New vs Reset runner disagree: %+v vs %+v", backend, serial, reused)
-		}
+		return res
+	}
 
-		// Reset must also commute with the worker pool.
-		cp := cfg
-		cp.Workers = runtime.GOMAXPROCS(0)
-		rp, err := New(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rp.Close()
-		if _, err := rp.Run(); err != nil {
-			t.Fatal(err)
-		}
-		rp.Reset(cfg.Seed)
-		reusedPool, err := rp.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(serial, reusedPool) {
-			t.Fatalf("%v: pooled Reset runner disagrees: %+v vs %+v", backend, serial, reusedPool)
-		}
+	serial := fresh(1, cfg.Seed)
+	parallel := fresh(runtime.GOMAXPROCS(0), cfg.Seed)
+	if !resultsEqual(serial, parallel) {
+		t.Fatalf("Workers=1 and Workers=GOMAXPROCS disagree: %+v vs %+v", serial, parallel)
+	}
+
+	// Reset reuse: run under an unrelated seed first, then Reset to the
+	// reference seed — the rewound runner must match a fresh one.
+	c := cfg
+	c.Workers = 1
+	c.Seed = 999
+	r, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	r.Reset(cfg.Seed)
+	reused, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(serial, reused) {
+		t.Fatalf("fresh New vs Reset runner disagree: %+v vs %+v", serial, reused)
+	}
+
+	// Reset must also commute with the worker pool.
+	cp := cfg
+	cp.Workers = runtime.GOMAXPROCS(0)
+	rp, err := New(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	if _, err := rp.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rp.Reset(cfg.Seed)
+	reusedPool, err := rp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(serial, reusedPool) {
+		t.Fatalf("pooled Reset runner disagrees: %+v vs %+v", serial, reusedPool)
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"noisypull/internal/faults"
 	"noisypull/internal/noise"
@@ -30,7 +29,7 @@ type faultState struct {
 	// crashUntil[i] is the first round agent i is active again (0 = never
 	// crashed); frozen[i] is the symbol it keeps displaying while crashed.
 	// Allocated only when the schedule contains crash events (per-agent
-	// backends only; Validate rejects crashes on the counts backend).
+	// engine only; Validate rejects crashes on the counts backend).
 	crashUntil []int
 	frozen     []int
 
@@ -46,9 +45,9 @@ type driftState struct {
 }
 
 // newFaultState provisions the fault runtime for a validated schedule.
-func newFaultState(cfg *Config, backend Backend) *faultState {
+func newFaultState(cfg *Config) *faultState {
 	fs := &faultState{}
-	if backend != BackendCounts {
+	if cfg.Backend != BackendCounts {
 		for i := range cfg.Faults.Events {
 			if cfg.Faults.Events[i].Kind == faults.KindCrash {
 				fs.crashUntil = make([]int, cfg.N)
@@ -226,7 +225,7 @@ func clampDelta(d float64, alphabet int) float64 {
 }
 
 // corruptAgents applies a mid-run corruption event on the per-agent
-// backends: each agent is selected independently with the event's fraction
+// engine: each agent is selected independently with the event's fraction
 // (drawn from the fault stream, so selection is deterministic in the seed)
 // and corrupted, exactly as round-0 corruption is. The corruption
 // randomness comes from the fault stream too; this runs single-threaded,
@@ -272,23 +271,19 @@ func (r *Runner) crashAgents(round int, ev faults.Event) (int, error) {
 	return hit, nil
 }
 
-// churnAgents replaces selected non-sources with freshly initialized
-// (optionally corrupted) agents, clearing any crash state — the slot is a
-// new arrival. Sources are never churned: their roles are the ground truth
-// the population spreads.
+// churnAgents replaces selected non-sources with agents rebuilt as at
+// round 0 under the event's corruption mode, clearing any crash state — the
+// slot is a new arrival. Sources are never churned: their roles are the
+// ground truth the population spreads.
 func (r *Runner) churnAgents(ev faults.Event) int {
 	fs := r.fs
 	cfg := &r.cfg
-	wrong := 1 - r.correct
 	hit := 0
 	for i := cfg.Sources1 + cfg.Sources0; i < cfg.N; i++ {
 		if !fs.stream.Bernoulli(ev.Fraction) {
 			continue
 		}
-		r.pop.ReinitAt(i, &fs.stream)
-		if ev.Corruption != CorruptNone {
-			r.pop.CorruptAt(i, ev.Corruption, wrong, &fs.stream)
-		}
+		r.pop.InitRange(i, i+1, ev.Corruption, &fs.stream)
 		if fs.crashUntil != nil {
 			fs.crashUntil[i] = 0
 		}
@@ -320,19 +315,8 @@ func (ce *countsEngine) corrupt(r *Runner, ev faults.Event) (int, error) {
 			continue
 		}
 		cc.CorruptRow(r.env, s, ev.Corruption, wrong, ce.row)
-		sum := 0.0
-		for t, p := range ce.row {
-			if math.IsNaN(p) || p < -rowSumTol {
-				return 0, fmt.Errorf("class %d corrupt row has invalid probability %v at class %d", s, p, t)
-			}
-			if p < 0 {
-				ce.row[t] = 0
-				continue
-			}
-			sum += p
-		}
-		if math.Abs(sum-1) > rowSumTol {
-			return 0, fmt.Errorf("class %d corrupt row sums to %v, want 1", s, sum)
+		if err := checkRow(ce.row, s, "corrupt row"); err != nil {
+			return 0, err
 		}
 		stream.Multinomial(n, ce.row, ce.part)
 		for t, v := range ce.part {

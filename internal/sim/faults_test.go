@@ -1,16 +1,19 @@
 // Fault-injection tests: determinism of fault timelines across Reset reuse,
-// worker counts, and backends; exact per-agent semantics of each fault kind
-// (via a probe protocol); recovery telemetry; and the counts backend's
-// corruption-as-redistribution agreement with the per-agent backends.
+// worker counts, and backend labels; exact per-agent semantics of each
+// fault kind (via a probe protocol); recovery telemetry; and the counts
+// backend's corruption-as-redistribution agreement with the per-agent
+// engine.
 package sim_test
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"sort"
 	"testing"
 
 	"noisypull/internal/faults"
+	"noisypull/internal/graph"
 	"noisypull/internal/protocol"
 	"noisypull/internal/rng"
 	"noisypull/internal/sim"
@@ -287,46 +290,149 @@ func TestFaultDeterminismAcrossResetAndWorkers(t *testing.T) {
 	}
 }
 
-// TestFaultTimelineMatchesAcrossBackends checks that the scheduled part of
-// the fault history — fire rounds, event identity, and affected counts — is
-// bit-identical between the exact and aggregate backends: fault selection
-// draws from a dedicated stream that both backends consume identically.
-// (Recovery rounds are observation-driven and hence only distributionally
-// equal; TestFaultRecoveryCrossBackendChiSquare covers them.)
-func TestFaultTimelineMatchesAcrossBackends(t *testing.T) {
-	base := sim.Config{
-		N: 80, H: 6, Sources1: 3, Sources0: 1,
-		Noise:           uniformNoise(t, 2, 0.1),
-		Protocol:        protocol.MajorityRule{},
-		Seed:            23,
-		MaxRounds:       40,
-		StabilityWindow: 40,
-		Faults:          fullSchedule(t),
+// TestBackendLabelsShareOneEngine: BackendAuto, BackendExact and
+// BackendAggregate select one per-agent engine. Under a full fault
+// schedule, on a ring, and for SSF at h = 16, the same seed gives the same
+// Result and per-agent state under every label, and final snapshots that
+// differ only in the recorded label, the fingerprint hashing it and the
+// checksum. A mid-run snapshot taken under any label restores under every
+// other and finishes identically.
+func TestBackendLabelsShareOneEngine(t *testing.T) {
+	ring, err := graph.Ring(600, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var timelines [2][]faults.Record
-	for bi, backend := range []sim.Backend{sim.BackendExact, sim.BackendAggregate} {
-		cfg := base
-		cfg.Backend = backend
-		r, err := sim.New(cfg)
+	cases := map[string]sim.Config{
+		"majority full schedule": {
+			N: 80, H: 6, Sources1: 3, Sources0: 1,
+			Noise:           uniformNoise(t, 2, 0.1),
+			Protocol:        protocol.MajorityRule{},
+			MaxRounds:       40,
+			StabilityWindow: 40,
+			Faults:          fullSchedule(t),
+		},
+		"trustbit ring": {
+			N: 600, H: 6, Sources1: 20, Sources0: 5,
+			Noise:           uniformNoise(t, 4, 0.08),
+			Protocol:        protocol.TrustBit{},
+			Topology:        ring,
+			MaxRounds:       30,
+			StabilityWindow: 30,
+			Faults:          structFaults,
+		},
+		"ssf h16": {
+			N: 300, H: 16, Sources1: 8, Sources0: 2,
+			Noise:           uniformNoise(t, 4, 0.1),
+			Protocol:        protocol.NewSSF(protocol.WithSSFUpdateQuota(48)),
+			Corruption:      sim.CorruptRandom,
+			MaxRounds:       30,
+			StabilityWindow: 30,
+			Faults:          churnFaults,
+		},
+	}
+	labels := []sim.Backend{sim.BackendAuto, sim.BackendExact, sim.BackendAggregate}
+	const midRound = 12
+	for name, base := range cases {
+		t.Run(name, func(t *testing.T) {
+			type run struct {
+				res       *sim.Result
+				state     []int
+				mid, last []byte
+			}
+			runs := make([]run, len(labels))
+			for li, label := range labels {
+				cfg := base
+				cfg.Seed = 23
+				cfg.Backend = label
+				r, err := sim.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				r.SetCheckpoint(midRound, func(round int, snap []byte) {
+					if round == midRound {
+						runs[li].mid = snap
+					}
+				})
+				if runs[li].res, err = r.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if runs[li].last, err = r.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				runs[li].state = agentStates(t, r, cfg.N)
+			}
+			for li := 1; li < len(labels); li++ {
+				if !reflect.DeepEqual(runs[0].res, runs[li].res) {
+					t.Fatalf("%v and %v results differ:\n%+v\n%+v", labels[0], labels[li], runs[0].res, runs[li].res)
+				}
+				if !reflect.DeepEqual(runs[0].state, runs[li].state) {
+					t.Fatalf("%v and %v per-agent states differ", labels[0], labels[li])
+				}
+				if !bytes.Equal(maskLabel(runs[0].last), maskLabel(runs[li].last)) {
+					t.Fatalf("%v and %v final snapshots differ beyond the label", labels[0], labels[li])
+				}
+			}
+			for from := range labels {
+				for into, label := range labels {
+					if from == into {
+						continue
+					}
+					cfg := base
+					cfg.Seed = 23
+					cfg.Backend = label
+					r, err := sim.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					if err := r.Restore(runs[from].mid); err != nil {
+						t.Fatalf("%v snapshot into %v runner: %v", labels[from], label, err)
+					}
+					res, err := r.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(runs[into].res, res) {
+						t.Fatalf("%v snapshot resumed under %v: result differs", labels[from], label)
+					}
+					if !reflect.DeepEqual(runs[into].state, agentStates(t, r, cfg.N)) {
+						t.Fatalf("%v snapshot resumed under %v: per-agent state differs", labels[from], label)
+					}
+				}
+			}
+		})
+	}
+}
+
+// agentStates lists every agent's display, opinion and weak opinion.
+func agentStates(t *testing.T, r *sim.Runner, n int) []int {
+	t.Helper()
+	out := make([]int, 0, 3*n)
+	for i := 0; i < n; i++ {
+		d, o, err := r.AgentState(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Run()
-		r.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		timelines[bi] = res.Faults
+		w, _ := r.AgentWeakOpinion(i)
+		out = append(out, d, o, w)
 	}
-	if len(timelines[0]) != len(timelines[1]) {
-		t.Fatalf("fault counts differ: %d vs %d", len(timelines[0]), len(timelines[1]))
+	return out
+}
+
+// maskLabel returns a copy of a snapshot with the bytes that depend on the
+// backend label zeroed: the fingerprint (bytes 6–13), the label byte after
+// the four round counters, and the trailing checksum.
+func maskLabel(snap []byte) []byte {
+	out := append([]byte(nil), snap...)
+	for i := 6; i < 14; i++ {
+		out[i] = 0
 	}
-	for i := range timelines[0] {
-		a, b := timelines[0][i], timelines[1][i]
-		if a.Round != b.Round || a.Kind != b.Kind || a.Index != b.Index || a.Affected != b.Affected {
-			t.Fatalf("fault %d differs across backends: %+v vs %+v", i, a, b)
-		}
+	out[6+8+4*8] = 0
+	for i := len(out) - 8; i < len(out); i++ {
+		out[i] = 0
 	}
+	return out
 }
 
 func TestFaultRecoveryTelemetrySSF(t *testing.T) {
@@ -379,10 +485,9 @@ func TestFaultRecoveryTelemetrySSF(t *testing.T) {
 	}
 }
 
-// TestFaultRecoveryCrossBackendChiSquare is the stochastic half of the
-// cross-backend contract: the recovery-time distribution after a mid-run
-// random corruption must agree between the exact, aggregate, and counts
-// backends. A chi-square homogeneity test over recovery-time bins (with
+// TestFaultRecoveryCrossBackendChiSquare: the recovery-time distribution
+// after a mid-run random corruption must agree between the per-agent engine
+// and the counts backend. A chi-square homogeneity test over recovery-time bins (with
 // "never recovered" as its own category) checks it.
 func TestFaultRecoveryCrossBackendChiSquare(t *testing.T) {
 	const (
@@ -400,7 +505,7 @@ func TestFaultRecoveryCrossBackendChiSquare(t *testing.T) {
 			{Kind: faults.KindCorrupt, Round: 5, Fraction: 1, Corruption: faults.CorruptRandom},
 		}},
 	}
-	backends := []sim.Backend{sim.BackendExact, sim.BackendAggregate, sim.BackendCounts}
+	backends := []sim.Backend{sim.BackendAuto, sim.BackendCounts}
 	const never = math.MaxInt32
 	samples := make([][]int, len(backends))
 	for bi, backend := range backends {
@@ -408,7 +513,7 @@ func TestFaultRecoveryCrossBackendChiSquare(t *testing.T) {
 		cfg.Backend = backend
 		seeds := make([]uint64, trials)
 		for i := range seeds {
-			seeds[i] = uint64(10_000*bi + i + 1)
+			seeds[i] = uint64(20_000*bi + i + 1)
 		}
 		results, err := sim.RunBatch(cfg, seeds, 0)
 		if err != nil {

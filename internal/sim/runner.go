@@ -23,19 +23,18 @@ type Runner struct {
 	// noiseEpoch counts effRows repoints (noise faults, Reset); the
 	// neighborhood-law memos key their validity on it.
 	noiseEpoch uint64
-	backend    Backend
 	workers    int
 	correct    int   // the correct opinion (plurality source preference)
 	counts     []int // population display counts per symbol, merged at the Phase A barrier
 
 	scratch []workerScratch
 	pool    *pool
-	ce      *countsEngine // non-nil iff backend == BackendCounts
+	ce      *countsEngine // non-nil iff cfg.Backend == BackendCounts
 	ran     bool          // Run consumed since the last New/Reset
 
-	// Per-agent engine path (see vector.go): every backend but counts keeps
-	// its population as a VecPopulation — the protocol's own kernel, or ap,
-	// the adapter for plain Agent protocols (ap is nil when a kernel runs).
+	// Per-agent engine (see vector.go): the population is a VecPopulation —
+	// the protocol's own kernel, or ap, the adapter for plain Agent
+	// protocols (ap is nil when a kernel runs).
 	// chunkStreams holds one persistent RNG stream per fixed-size chunk;
 	// binDist and vecObs are the per-round observation law, rebuilt at every
 	// Phase A barrier.
@@ -86,14 +85,6 @@ func New(cfg Config) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	backend := cfg.Backend
-	if backend == BackendAuto {
-		if cfg.H <= autoExactLimit || cfg.Topology != nil {
-			backend = BackendExact
-		} else {
-			backend = BackendAggregate
-		}
-	}
 	// Fold the artificial channel (Theorem 8) into the communication channel
 	// once: a sample pushed through N and then P is distributed exactly as
 	// one pushed through N·P, so the observation laws read a single composed
@@ -108,7 +99,7 @@ func New(cfg Config) (*Runner, error) {
 	env := cfg.Env()
 	d := env.Alphabet
 
-	if backend == BackendCounts {
+	if cfg.Backend == BackendCounts {
 		// Countable populations carry no per-agent state: skip the
 		// population, chunk streams, worker scratch, and the pool entirely, so a
 		// counts runner for n = 10⁹ costs O(K + |Σ|) memory.
@@ -120,7 +111,6 @@ func New(cfg Config) (*Runner, error) {
 			cfg:     cfg,
 			env:     env,
 			effRows: make([][]float64, d),
-			backend: backend,
 			workers: 1,
 			correct: cfg.CorrectOpinion(),
 			ce:      ce,
@@ -130,7 +120,7 @@ func New(cfg Config) (*Runner, error) {
 		}
 		if cfg.Faults != nil {
 			r.baseEff, r.curNoise = eff, cfg.Noise
-			r.fs = newFaultState(&cfg, backend)
+			r.fs = newFaultState(&cfg)
 		}
 		r.initPopulation()
 		return r, nil
@@ -149,11 +139,10 @@ func New(cfg Config) (*Runner, error) {
 	// The protocol's struct-of-arrays kernel when it has one for this spec;
 	// otherwise the adapter runs its plain Agents on the same path.
 	spec := VecSpec{
-		Env:        env,
-		Sources1:   cfg.Sources1,
-		Sources0:   cfg.Sources0,
-		Correct:    cfg.CorrectOpinion(),
-		Corruption: cfg.Corruption,
+		Env:      env,
+		Sources1: cfg.Sources1,
+		Sources0: cfg.Sources0,
+		Correct:  cfg.CorrectOpinion(),
 	}
 	var pop VecPopulation
 	if vp, ok := cfg.Protocol.(VecProtocol); ok {
@@ -169,7 +158,6 @@ func New(cfg Config) (*Runner, error) {
 		cfg:          cfg,
 		env:          env,
 		effRows:      make([][]float64, d),
-		backend:      backend,
 		workers:      workers,
 		correct:      cfg.CorrectOpinion(),
 		counts:       make([]int, d),
@@ -197,7 +185,7 @@ func New(cfg Config) (*Runner, error) {
 	}
 	if cfg.Faults != nil {
 		r.baseEff, r.curNoise = eff, cfg.Noise
-		r.fs = newFaultState(&cfg, backend)
+		r.fs = newFaultState(&cfg)
 	}
 	r.initPopulation()
 	if workers > 1 {
@@ -229,7 +217,7 @@ func (r *Runner) initPopulation() {
 	for c := 0; c < r.numChunks; c++ {
 		r.chunkStreams[c].Reseed(rng.DeriveSeed(cfg.Seed, vecStreamID+uint64(c)))
 		lo, hi := r.chunkBounds(c)
-		r.pop.InitRange(lo, hi, &r.chunkStreams[c])
+		r.pop.InitRange(lo, hi, cfg.Corruption, &r.chunkStreams[c])
 	}
 }
 
@@ -283,7 +271,7 @@ func (r *Runner) Agents() []Agent {
 
 // ClassCounts returns a copy of the current per-class population counts of a
 // counts-backend runner (the protocol's CountableProtocol class indexing),
-// or nil for the per-agent backends.
+// or nil for the per-agent engine.
 func (r *Runner) ClassCounts() []int {
 	if r.ce == nil {
 		return nil
@@ -322,10 +310,6 @@ func (r *Runner) AgentWeakOpinion(i int) (weak int, ok bool) {
 
 // Env returns the environment the agents were built with.
 func (r *Runner) Env() Env { return r.env }
-
-// Backend returns the observation backend actually in use after
-// auto-selection.
-func (r *Runner) Backend() Backend { return r.backend }
 
 // SetOnRound replaces the runner's per-round observation hook. It must not
 // be called while a Run is in progress. Harness code that leases a runner

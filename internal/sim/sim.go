@@ -9,11 +9,10 @@
 //
 // The engine has two population representations:
 //
-//   - The per-agent path (BackendExact, BackendAggregate and BackendAuto)
-//     keeps every agent's state in a VecPopulation: the protocol's own
-//     struct-of-arrays kernel, or an adapter over its plain Agents. Each
-//     agent's observation vector is one draw from the round's law (see
-//     vector.go); no sampler reads the exact/aggregate label. AsyncRunner
+//   - The per-agent engine (every Backend but BackendCounts) keeps every
+//     agent's state in a VecPopulation: the protocol's own struct-of-arrays
+//     kernel, or an adapter over its plain Agents. Each agent's observation
+//     vector is one draw from the round's law (see vector.go). AsyncRunner
 //     activates the same populations one agent at a time.
 //   - BackendCounts drops per-agent state entirely for protocols whose
 //     agents are exchangeable within a small set of state classes
@@ -42,28 +41,24 @@ import (
 	"noisypull/internal/rng"
 )
 
-// Backend selects how observations are sampled.
+// Backend selects one of the two engines: BackendCounts, or the per-agent
+// engine under any other label. A run's label is recorded in its snapshots.
 type Backend int
 
 const (
-	// BackendAuto resolves to BackendExact for small h or a topology and to
-	// BackendAggregate otherwise.
+	// BackendAuto selects the per-agent engine.
 	BackendAuto Backend = iota
-	// BackendExact and BackendAggregate both select the per-agent path and
-	// draw from the same observation law; the labels survive in the run
-	// fingerprint and the snapshot header.
+	// BackendExact and BackendAggregate are older names of the per-agent
+	// engine, kept because callers set them and snapshots record them; all
+	// three per-agent labels run the same engine.
 	BackendExact
 	BackendAggregate
 	// BackendCounts advances the population as state-class counts; it
 	// requires a CountableProtocol and the complete graph. Per-round cost is
 	// independent of n, and the round distribution is identical to the
-	// per-agent backends (see counts.go).
+	// per-agent engine's (see counts.go).
 	BackendCounts
 )
-
-// autoExactLimit is the h at or below which BackendAuto resolves to the
-// exact label.
-const autoExactLimit = 8
 
 func (b Backend) String() string {
 	switch b {
@@ -141,7 +136,7 @@ type Protocol interface {
 // per-observation distribution, agents transition independently, and the
 // number of class-s agents moving to each successor class is exactly
 // Multinomial(count[s], TransitionRow(s)). The counts backend is therefore
-// distribution-identical to the per-agent backends, not a mean-field
+// distribution-identical to the per-agent engine, not a mean-field
 // approximation.
 //
 // Implementations must keep the class semantics consistent with NewAgent:
@@ -258,16 +253,16 @@ type Config struct {
 	Artificial *noise.Matrix
 	// Topology, if non-nil, restricts sampling: each agent draws its h
 	// observations uniformly (with replacement) from its graph neighbors
-	// instead of the whole population. Validate rejects the aggregate and
-	// counts backends with a topology, and BackendAuto resolves to
-	// BackendExact. Nil means the paper's complete-graph model.
+	// instead of the whole population. It needs the per-agent engine;
+	// Validate rejects it with BackendCounts. Nil means the paper's
+	// complete-graph model.
 	Topology *graph.Graph
 	// Protocol builds the agents.
 	Protocol Protocol
 	// Seed drives all randomness.
 	Seed uint64
-	// Backend selects the counts backend or the per-agent path;
-	// BackendAuto by default.
+	// Backend selects the counts engine (BackendCounts) or the per-agent
+	// engine (any other label; BackendAuto by default).
 	Backend Backend
 	// MaxRounds caps the run for infinite protocols (and acts as a safety
 	// cap for finite ones). Zero means a default of 200·n + 10000.
@@ -384,7 +379,7 @@ func (c *Config) Validate() error {
 	if c.Backend == BackendCounts {
 		cp, ok := c.Protocol.(CountableProtocol)
 		if !ok {
-			return fmt.Errorf("sim: protocol %T does not implement CountableProtocol; the counts backend needs exchangeable state classes (use exact or aggregate)", c.Protocol)
+			return fmt.Errorf("sim: protocol %T does not implement CountableProtocol; the counts backend needs exchangeable state classes (use the per-agent engine)", c.Protocol)
 		}
 		if k := cp.NumStates(c.Env()); k < 1 {
 			return fmt.Errorf("sim: countable protocol reports %d state classes", k)
@@ -397,8 +392,8 @@ func (c *Config) Validate() error {
 		if c.Topology.MinDegree() < 1 {
 			return errors.New("sim: topology has an isolated vertex; every agent needs at least one neighbor to sample")
 		}
-		if c.Backend == BackendAggregate || c.Backend == BackendCounts {
-			return fmt.Errorf("sim: the %v backend requires the complete graph; use BackendExact (or BackendAuto) with a topology", c.Backend)
+		if c.Backend == BackendCounts {
+			return errors.New("sim: the counts backend requires the complete graph; use the per-agent engine with a topology")
 		}
 	}
 	if c.MaxRounds < 0 {
@@ -415,16 +410,15 @@ func (c *Config) Validate() error {
 			return err
 		}
 		if c.Backend == BackendCounts {
-			cc, countable := c.Protocol.(CountableCorruptible)
+			_, countable := c.Protocol.(CountableCorruptible)
 			for i := range c.Faults.Events {
 				switch kind := c.Faults.Events[i].Kind; kind {
 				case faults.KindCrash, faults.KindChurn:
-					return fmt.Errorf("sim: the counts backend tracks no individual agents, so it cannot %v (event %d); use exact or aggregate", kind, i)
+					return fmt.Errorf("sim: the counts backend tracks no individual agents, so it cannot %v (event %d); use the per-agent engine", kind, i)
 				case faults.KindCorrupt:
 					if !countable {
 						return fmt.Errorf("sim: protocol %T does not implement CountableCorruptible; the counts backend cannot apply corrupt faults (event %d)", c.Protocol, i)
 					}
-					_ = cc
 				}
 			}
 		}
@@ -475,10 +469,7 @@ func effectiveDelta(n, artificial *noise.Matrix) float64 {
 			return combined.UpperDelta()
 		}
 	}
-	if d, ok := n.UniformDelta(1e-9); ok {
-		return d
-	}
-	return n.UpperDelta()
+	return currentDelta(n)
 }
 
 // defaultMaxRounds caps runaway simulations. Linear-in-n protocols need

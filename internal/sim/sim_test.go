@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"noisypull/internal/faults"
@@ -233,117 +234,99 @@ func TestEnvDeltaWithArtificialNoise(t *testing.T) {
 }
 
 func TestObservationCountsSumToH(t *testing.T) {
-	for _, backend := range []Backend{BackendExact, BackendAggregate} {
-		cfg := baseConfig(t)
-		cfg.H = 7
-		cfg.Backend = backend
-		cfg.Protocol = &constProtocol{symbol: 0, alphabet: 2}
-		cfg.MaxRounds = 3
-		r, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg := baseConfig(t)
+	cfg.H = 7
+	cfg.Protocol = &constProtocol{symbol: 0, alphabet: 2}
+	cfg.MaxRounds = 3
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range r.Agents() {
+		ca := a.(*constAgent)
+		if len(ca.seen) != 3 {
+			t.Fatalf("agent %d observed %d rounds", i, len(ca.seen))
 		}
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-		for i, a := range r.Agents() {
-			ca := a.(*constAgent)
-			if len(ca.seen) != 3 {
-				t.Fatalf("%v: agent %d observed %d rounds", backend, i, len(ca.seen))
+		for _, counts := range ca.seen {
+			sum := 0
+			for _, c := range counts {
+				sum += c
 			}
-			for _, counts := range ca.seen {
-				sum := 0
-				for _, c := range counts {
-					sum += c
-				}
-				if sum != cfg.H {
-					t.Fatalf("%v: observation counts sum to %d, want %d", backend, sum, cfg.H)
-				}
+			if sum != cfg.H {
+				t.Fatalf("observation counts sum to %d, want %d", sum, cfg.H)
 			}
 		}
 	}
 }
 
 // TestObservationNoiseRate checks that when everyone displays 0 under
-// δ-uniform noise, the fraction of 1-observations matches δ for both
-// backends.
+// δ-uniform noise, the fraction of 1-observations matches δ.
 func TestObservationNoiseRate(t *testing.T) {
 	const delta = 0.2
-	for _, backend := range []Backend{BackendExact, BackendAggregate} {
-		cfg := Config{
-			N:         200,
-			H:         50,
-			Sources1:  2,
-			Sources0:  1,
-			Noise:     uniform2(t, delta),
-			Protocol:  &constProtocol{symbol: 0, alphabet: 2},
-			Seed:      77,
-			Backend:   backend,
-			MaxRounds: 20,
+	cfg := Config{
+		N:         200,
+		H:         50,
+		Sources1:  2,
+		Sources0:  1,
+		Noise:     uniform2(t, delta),
+		Protocol:  &constProtocol{symbol: 0, alphabet: 2},
+		Seed:      77,
+		MaxRounds: 20,
+	}
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var ones, total float64
+	for _, a := range r.Agents() {
+		for _, counts := range a.(*constAgent).seen {
+			ones += float64(counts[1])
+			total += float64(counts[0] + counts[1])
 		}
-		r, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-		var ones, total float64
-		for _, a := range r.Agents() {
-			for _, counts := range a.(*constAgent).seen {
-				ones += float64(counts[1])
-				total += float64(counts[0] + counts[1])
-			}
-		}
-		got := ones / total
-		if math.Abs(got-delta) > 0.005 {
-			t.Fatalf("%v: observed flip rate %v, want %v", backend, got, delta)
-		}
+	}
+	if got := ones / total; math.Abs(got-delta) > 0.005 {
+		t.Fatalf("observed flip rate %v, want %v", got, delta)
 	}
 }
 
-// TestBackendsStatisticallyAgree compares mean observed-ones per round
-// between the exact and aggregate backends under a mixed display profile.
+// TestBackendsStatisticallyAgree checks the mean observed-ones per round
+// under a mixed display profile against the mixture law.
 func TestBackendsStatisticallyAgree(t *testing.T) {
-	means := make(map[Backend]float64)
-	for _, backend := range []Backend{BackendExact, BackendAggregate} {
-		cfg := Config{
-			N:         150,
-			H:         30,
-			Sources1:  30, // 30 agents display 1 (sources with pref 1)
-			Sources0:  10,
-			Noise:     uniform2(t, 0.25),
-			Protocol:  copyDisplayRoleProtocol{},
-			Seed:      5,
-			Backend:   backend,
-			MaxRounds: 40,
-		}
-		r, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-		var ones, rounds float64
-		for _, a := range r.Agents() {
-			for _, counts := range a.(*roleDisplayAgent).seen {
-				ones += float64(counts[1])
-				rounds++
-			}
-		}
-		means[backend] = ones / rounds
+	cfg := Config{
+		N:         150,
+		H:         30,
+		Sources1:  30, // 30 agents display 1 (sources with pref 1)
+		Sources0:  10,
+		Noise:     uniform2(t, 0.25),
+		Protocol:  copyDisplayRoleProtocol{},
+		Seed:      5,
+		MaxRounds: 40,
 	}
-	// Expected ones per observation: p1 = (40/150 displayed... sources-1
-	// display 1, everyone else displays 0): p = (30*(0.75) + 120*0.25)/150.
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var ones, rounds float64
+	for _, a := range r.Agents() {
+		for _, counts := range a.(*roleDisplayAgent).seen {
+			ones += float64(counts[1])
+			rounds++
+		}
+	}
+	// Expected ones per observation: sources-1 display 1, everyone else
+	// displays 0, so p = (30*(0.75) + 120*0.25)/150.
 	want := (30*0.75 + 120*0.25) / 150 * 30
-	for b, m := range means {
-		if math.Abs(m-want) > 0.25 {
-			t.Fatalf("%v: mean ones %v, want ~%v", b, m, want)
-		}
-	}
-	if math.Abs(means[BackendExact]-means[BackendAggregate]) > 0.3 {
-		t.Fatalf("backends disagree: %v vs %v", means[BackendExact], means[BackendAggregate])
+	if m := ones / rounds; math.Abs(m-want) > 0.25 {
+		t.Fatalf("mean ones %v, want ~%v", m, want)
 	}
 }
 
@@ -556,26 +539,6 @@ func TestCorruptionInvocation(t *testing.T) {
 	}
 }
 
-func TestBackendAutoSelection(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.H = 2
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Backend() != BackendExact {
-		t.Fatalf("auto backend for h=2 = %v", r.Backend())
-	}
-	cfg.H = 64
-	r, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Backend() != BackendAggregate {
-		t.Fatalf("auto backend for h=64 = %v", r.Backend())
-	}
-}
-
 func TestBackendStrings(t *testing.T) {
 	if BackendAuto.String() != "auto" || BackendExact.String() != "exact" ||
 		BackendAggregate.String() != "aggregate" || Backend(9).String() == "" {
@@ -615,25 +578,22 @@ func TestSamplingWithReplacementAllowsHGreaterThanN(t *testing.T) {
 	cfg.H = 50
 	cfg.Sources1 = 2
 	cfg.Sources0 = 1
-	for _, backend := range []Backend{BackendExact, BackendAggregate} {
-		cfg.Backend = backend
-		cfg.MaxRounds = 2
-		r, err := New(cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
-		}
-		if _, err := r.Run(); err != nil {
-			t.Fatalf("%v: %v", backend, err)
-		}
-		for _, a := range r.Agents() {
-			for _, counts := range a.(*constAgent).seen {
-				sum := 0
-				for _, c := range counts {
-					sum += c
-				}
-				if sum != 50 {
-					t.Fatalf("%v: h>n counts sum to %d", backend, sum)
-				}
+	cfg.MaxRounds = 2
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range r.Agents() {
+		for _, counts := range a.(*constAgent).seen {
+			sum := 0
+			for _, c := range counts {
+				sum += c
+			}
+			if sum != 50 {
+				t.Fatalf("h>n counts sum to %d", sum)
 			}
 		}
 	}
@@ -709,12 +669,23 @@ func TestTopologyValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("size-mismatched topology accepted")
 	}
-	// Aggregate backend with topology.
+	// Every per-agent label runs on a topology; the counts backend cannot.
+	for _, b := range []Backend{BackendAuto, BackendExact, BackendAggregate} {
+		cfg = baseConfig(t)
+		cfg.Topology = ring
+		cfg.Backend = b
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%v backend with topology rejected: %v", b, err)
+		}
+	}
 	cfg = baseConfig(t)
 	cfg.Topology = ring
-	cfg.Backend = BackendAggregate
+	cfg.Protocol = rowProto{}
+	cfg.Backend = BackendCounts
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("aggregate backend with topology accepted")
+		t.Fatal("counts backend with topology accepted")
+	} else if !strings.Contains(err.Error(), "complete graph") {
+		t.Fatalf("counts backend with topology: err = %v", err)
 	}
 	// Isolated vertex.
 	empty, err := graph.ErdosRenyi(100, 0, 1)
@@ -750,9 +721,6 @@ func TestTopologySamplingRespectsNeighborhoods(t *testing.T) {
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Backend() != BackendExact {
-		t.Fatalf("backend = %v, want exact with topology", r.Backend())
 	}
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
@@ -795,3 +763,96 @@ func (a *pinnedAgent) Observe(counts []int, r *rng.Stream) {
 	a.seen = append(a.seen, append([]int(nil), counts...))
 }
 func (a *pinnedAgent) Opinion() int { return 0 }
+
+// rowProto is a two-class countable protocol (class = display = opinion,
+// agents split evenly) whose class-1 rows can be set to invalid ones; nil
+// rows keep every class in place.
+type rowProto struct {
+	transition, corrupt []float64
+}
+
+func (rowProto) Alphabet() int { return 2 }
+func (rowProto) NewAgent(id int, role Role, env Env) Agent {
+	return &constAgent{alphabet: 2}
+}
+func (rowProto) NumStates(Env) int          { return 2 }
+func (rowProto) DisplayOf(_ Env, s int) int { return s }
+func (rowProto) OpinionOf(_ Env, s int) int { return s }
+func (rowProto) InitialCounts(env Env, _ CountsInit, counts []int) {
+	counts[0], counts[1] = env.N/2, env.N-env.N/2
+}
+func (p rowProto) TransitionRow(_ Env, s int, _ []float64, row []float64) {
+	p.fill(s, p.transition, row)
+}
+func (p rowProto) CorruptRow(_ Env, s int, _ CorruptionMode, _ int, row []float64) {
+	p.fill(s, p.corrupt, row)
+}
+func (rowProto) fill(s int, bad, row []float64) {
+	if s == 1 && bad != nil {
+		copy(row, bad)
+		return
+	}
+	row[0], row[1] = 0, 0
+	row[s] = 1
+}
+
+// TestCountsRejectsBadRows: a TransitionRow or CorruptRow with a NaN entry
+// or a total off 1 fails the run with an error naming the class and row.
+func TestCountsRejectsBadRows(t *testing.T) {
+	corruptAt3 := &faults.Schedule{Events: []faults.Event{
+		{Kind: faults.KindCorrupt, Round: 3, Fraction: 1, Corruption: faults.CorruptRandom},
+	}}
+	for _, tc := range []struct {
+		name  string
+		proto rowProto
+		sched *faults.Schedule
+		want  string
+	}{
+		{"transition NaN", rowProto{transition: []float64{math.NaN(), 1}}, nil, "class 1 transition row has invalid probability NaN"},
+		{"transition sums to 0.9", rowProto{transition: []float64{0.4, 0.5}}, nil, "class 1 transition row sums to 0.9"},
+		{"corrupt row", rowProto{corrupt: []float64{0.7, 0.7}}, corruptAt3, "class 1 corrupt row sums to 1.4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig(t)
+			cfg.Protocol = tc.proto
+			cfg.Backend = BackendCounts
+			cfg.MaxRounds = 5
+			cfg.Faults = tc.sched
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsUnknownLabel: a snapshot whose header records a backend
+// label outside the four (its checksum recomputed, so only the label is
+// wrong) fails Restore with an error naming the label.
+func TestRestoreRejectsUnknownLabel(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.Protocol = rowProto{}
+	cfg.Backend = BackendCounts
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, version, fingerprint, then four u64 round counters.
+	const labelAt = 4 + 2 + 8 + 4*8
+	snap[labelAt] = 7
+	body := snap[:len(snap)-8]
+	var w SnapWriter
+	w.U64(fnv1a(0, body))
+	copy(snap[len(body):], w.Bytes())
+	if err := r.Restore(snap); err == nil || !strings.Contains(err.Error(), "label 7") {
+		t.Fatalf("err = %v, want one naming label 7", err)
+	}
+}

@@ -20,7 +20,7 @@ import (
 //
 //	magic "npss" | u16 version | u64 config fingerprint
 //	u64 completedRound | u64 streak | u64 firstAllCorrect | u64 lastCorrect
-//	u8 backend marker
+//	u8 backend label (Config.Backend as the caller set it)
 //	population section (per-agent: chunk count, 4×u64 state per chunk
 //	stream, then the population's SnapshotRange payload; counts: 4×u64
 //	stream state, K, counts)
@@ -32,8 +32,8 @@ import (
 // Version policy: the version is bumped whenever the layout or any field
 // semantics change; Restore rejects versions it does not know. A snapshot
 // also embeds a fingerprint of the runner configuration (population shape,
-// seed, protocol identity, backend, noise entries), so restoring into a
-// runner whose trajectory would diverge fails loudly instead of silently.
+// seed, protocol identity, backend label, noise entries), so restoring into
+// a runner whose trajectory would diverge fails loudly instead of silently.
 
 // snapshotVersion is the current encoding version.
 const snapshotVersion = 1
@@ -187,12 +187,17 @@ func fnv1a(h uint64, data []byte) uint64 {
 }
 
 // fingerprint hashes the parts of the configuration a snapshot's trajectory
-// depends on: population shape, seed, protocol identity, backend, and the
-// exact noise (and artificial-noise) matrix entries. MaxRounds and the
-// stability window are deliberately excluded — they only decide when a run
-// stops, not where it goes — so a snapshot may be resumed under a different
-// round budget.
-func (r *Runner) fingerprint() uint64 {
+// depends on: population shape, seed, protocol identity, and the exact noise
+// (and artificial-noise) matrix entries. MaxRounds and the stability window
+// are deliberately excluded — they only decide when a run stops, not where
+// it goes — so a snapshot may be resumed under a different round budget.
+//
+// The backend label is hashed too, although the three per-agent labels run
+// one engine: every checkpoint already written (and every pinned digest)
+// hashes its label, so dropping it would change their bytes. Snapshot hashes
+// the runner's label; Restore hashes the label the snapshot recorded, so a
+// checkpoint taken under any per-agent label restores under any other.
+func (r *Runner) fingerprint(label Backend) uint64 {
 	c := &r.cfg
 	var w SnapWriter
 	w.Int(c.N)
@@ -200,7 +205,7 @@ func (r *Runner) fingerprint() uint64 {
 	w.Int(c.Sources1)
 	w.Int(c.Sources0)
 	w.U64(c.Seed)
-	w.Int(int(r.backend))
+	w.Int(int(label))
 	w.Int(r.env.Alphabet)
 	w.Int(int(c.Corruption))
 	h := fnv1a(0, []byte(fmt.Sprintf("%T", c.Protocol)))
@@ -244,12 +249,12 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	var w SnapWriter
 	w.buf = append(w.buf, snapshotMagic[:]...)
 	w.U16(snapshotVersion)
-	w.U64(r.fingerprint())
+	w.U64(r.fingerprint(r.cfg.Backend))
 	w.U64(uint64(r.completedRound))
 	w.U64(uint64(r.streak))
 	w.U64(uint64(r.firstAll))
 	w.U64(uint64(r.lastCorrect))
-	w.U8(uint8(r.backend))
+	w.U8(uint8(r.cfg.Backend))
 
 	if r.ce != nil {
 		w.U8(snapPopCounts)
@@ -305,10 +310,12 @@ func (r *Runner) Snapshot() ([]byte, error) {
 // Restore rewinds the runner to a previously captured snapshot. The runner
 // must have been built (or Reset) with the same configuration and seed the
 // snapshot was taken under — Restore verifies a configuration fingerprint
-// and fails on mismatch. After a successful Restore, RunContext continues
-// from the snapshot's round and the completed run is bit-identical to one
-// that was never interrupted. A failed Restore leaves the runner in an
-// unspecified population state; Reset it before further use.
+// and fails on mismatch — except that a runner under any per-agent backend
+// label restores a snapshot taken under any other. After a successful
+// Restore, RunContext continues from the snapshot's round and the completed
+// run is bit-identical to one that was never interrupted. A failed Restore
+// leaves the runner in an unspecified population state; Reset it before
+// further use.
 func (r *Runner) Restore(data []byte) error {
 	if len(data) < len(snapshotMagic)+2+8 {
 		return errors.New("sim: snapshot too short")
@@ -326,15 +333,22 @@ func (r *Runner) Restore(data []byte) error {
 	if v := rd.U16(); v != snapshotVersion {
 		return fmt.Errorf("sim: snapshot version %d, this build reads version %d", v, snapshotVersion)
 	}
-	if fp := rd.U64(); fp != r.fingerprint() {
-		return errors.New("sim: snapshot fingerprint mismatch: it was taken under a different configuration or seed")
-	}
+	fp := rd.U64()
 	completed := int(rd.U64())
 	streak := int(rd.U64())
 	firstAll := int(rd.U64())
 	lastCorrect := int(rd.U64())
-	if b := Backend(rd.U8()); b != r.backend {
-		return fmt.Errorf("sim: snapshot backend %v, runner uses %v", b, r.backend)
+	label := Backend(rd.U8())
+	switch label {
+	case BackendAuto, BackendExact, BackendAggregate, BackendCounts:
+	default:
+		return fmt.Errorf("sim: snapshot records unknown backend label %d", int(label))
+	}
+	if (label == BackendCounts) != (r.ce != nil) {
+		return fmt.Errorf("sim: snapshot backend %v, runner uses %v", label, r.cfg.Backend)
+	}
+	if fp != r.fingerprint(label) {
+		return errors.New("sim: snapshot fingerprint mismatch: it was taken under a different configuration or seed")
 	}
 
 	switch marker := rd.U8(); marker {

@@ -1,9 +1,9 @@
 package sim
 
-// The per-agent engine path.
+// The per-agent engine.
 //
-// One round of the exact and aggregate backends factors through a small
-// per-round law instead of h individual channel applications per agent:
+// One round factors through a small per-round law instead of h individual
+// channel applications per agent:
 //
 //   - Complete graph, binary alphabet: given the display counts, each
 //     agent's h observations are i.i.d. draws from the mixture q with
@@ -41,10 +41,10 @@ package sim
 // Fault schedules run on this path too: noise swaps and drift repoint the
 // effective rows the law is rebuilt from every round; crash faults mask the
 // crashed lanes (their stale display snapshot feeds the law, and kernels
-// skip their draws and updates); corruption and churn rewrite agent state in
-// place through CorruptAt and ReinitAt, single-threaded at the round top
-// from the fault stream, so their timing and selection are deterministic in
-// the seed.
+// skip their draws and updates); corruption rewrites agent state in place
+// through CorruptAt, and churn rebuilds an agent through InitRange, both
+// single-threaded at the round top from the fault stream, so their timing
+// and selection are deterministic in the seed.
 
 import (
 	"noisypull/internal/graph"
@@ -284,8 +284,6 @@ type VecSpec struct {
 	// Correct is the plurality source preference; populations use it to
 	// derive the adversary's wrong opinion.
 	Correct int
-	// Corruption is the round-0 adversary applied during InitRange.
-	Corruption CorruptionMode
 }
 
 // Role returns the role of agent i under the spec's layout.
@@ -296,14 +294,17 @@ func (s *VecSpec) Role(i int) Role { return roleOf(i, s.Sources1, s.Sources0) }
 // the adapter that runs a plain Agent protocol. Range methods are called
 // for chunk-aligned [lo, hi) slices; distinct ranges are processed
 // concurrently, so a kernel must only touch state of agents inside its
-// range. CorruptAt and ReinitAt are called single-threaded between rounds
-// with the engine's fault stream, so they may touch any agent state without
-// synchronization.
+// range. Fault events call CorruptAt, and InitRange on the one-agent range
+// [i, i+1), single-threaded between rounds with the engine's fault stream,
+// so those calls may touch any agent state without synchronization.
 type VecPopulation interface {
-	// InitRange (re)initializes agents [lo, hi): role assignment, seeded
-	// initialization, and the spec's round-0 corruption, drawing any needed
-	// randomness from r in agent-index order.
-	InitRange(lo, hi int, r *rng.Stream)
+	// InitRange (re)builds agents [lo, hi) as fresh arrivals: role
+	// assignment, seeded initialization, then the corruption adversary
+	// under mode, drawing any needed randomness from r in agent-index
+	// order. New and Reset pass Config.Corruption over every chunk; churn
+	// rebuilds one non-source under the event's mode. With CorruptNone it
+	// must draw nothing for corruption.
+	InitRange(lo, hi int, mode CorruptionMode, r *rng.Stream)
 	// CountRange accumulates the current display symbol of agents [lo, hi)
 	// into counts (length |Σ|). It must add, not overwrite.
 	CountRange(lo, hi int, counts []int)
@@ -326,10 +327,6 @@ type VecPopulation interface {
 	// CorruptAt applies the mid-run corruption adversary to agent i,
 	// mirroring the protocol's Agent.Corrupt (including its role checks).
 	CorruptAt(i int, mode CorruptionMode, wrong int, r *rng.Stream)
-	// ReinitAt resets agent i to a freshly arrived non-source — the state
-	// of a new agent after NewAgent + SeedInit, without the spec's round-0
-	// corruption. The engine only churns non-sources.
-	ReinitAt(i int, r *rng.Stream)
 }
 
 // VecProtocol is implemented by protocols that provide a struct-of-arrays
@@ -361,7 +358,7 @@ func (r *Runner) chunkBounds(c int) (lo, hi int) {
 	return lo, hi
 }
 
-// stepVec executes one synchronous round on the per-agent path. Phase A
+// stepVec executes one synchronous round on the per-agent engine. Phase A
 // counts displays in per-worker shards (complete graph) or publishes the
 // display vector (topology); the barrier folds in the crash mask and builds
 // the round's observation law; Phase B steps every chunk with its own

@@ -33,7 +33,8 @@ type (
 	Env = sim.Env
 	// Result reports a finished run.
 	Result = sim.Result
-	// Backend selects the observation sampler.
+	// Backend selects the engine: BackendCounts, or the per-agent engine
+	// under any other label.
 	Backend = sim.Backend
 	// CorruptionMode selects the self-stabilization adversary.
 	CorruptionMode = sim.CorruptionMode
@@ -61,7 +62,11 @@ type (
 
 // Re-exported enumeration values.
 const (
-	BackendAuto      = sim.BackendAuto
+	// BackendAuto selects the per-agent engine: every agent keeps its own
+	// state, and each round draws its h observations from the round's law.
+	BackendAuto = sim.BackendAuto
+	// BackendExact and BackendAggregate are older names of the per-agent
+	// engine; they run exactly what BackendAuto runs.
 	BackendExact     = sim.BackendExact
 	BackendAggregate = sim.BackendAggregate
 	// BackendCounts advances the population as state-class counts; per-round
@@ -176,7 +181,9 @@ type Config struct {
 	Protocol Protocol
 	// Seed drives all randomness; equal seeds give bit-identical runs.
 	Seed uint64
-	// Backend selects the observation sampler (default BackendAuto).
+	// Backend selects the engine: BackendCounts, or the per-agent engine
+	// (BackendAuto, the default, or its older names BackendExact and
+	// BackendAggregate).
 	Backend Backend
 	// MaxRounds caps the run for non-terminating protocols (0 = generous
 	// default).
@@ -193,8 +200,8 @@ type Config struct {
 	// noise events and uniform transient corruption only.
 	Faults *FaultSchedule
 	// Topology, if non-nil, restricts each agent's sampling to its graph
-	// neighborhood (requires the exact backend; see RingTopology and
-	// friends). Nil means the paper's complete-graph model.
+	// neighborhood (requires the per-agent engine, not BackendCounts; see
+	// RingTopology and friends). Nil means the paper's complete-graph model.
 	Topology *Topology
 	// Workers bounds simulation goroutines (0 = GOMAXPROCS).
 	Workers int
@@ -258,12 +265,6 @@ func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64) ([]*Result
 	if err != nil {
 		return nil, err
 	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkProtocolDomain(cfg.Protocol, sc.Env()); err != nil {
-		return nil, err
-	}
 	return sim.RunBatchContext(ctx, sc, seeds, cfg.Workers)
 }
 
@@ -282,12 +283,6 @@ type Runner struct {
 func NewRunner(cfg Config) (*Runner, error) {
 	sc, err := cfg.toSim()
 	if err != nil {
-		return nil, err
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkProtocolDomain(cfg.Protocol, sc.Env()); err != nil {
 		return nil, err
 	}
 	r, err := sim.New(sc)
@@ -343,19 +338,11 @@ func (r *Runner) Restore(data []byte) error { return r.r.Restore(data) }
 // Close releases the runner's worker pool. Idempotent.
 func (r *Runner) Close() { r.r.Close() }
 
-// checkProtocolDomain asks protocols that can validate their applicability
-// (SF and SSF expose Check) to do so, turning would-be construction panics
-// into errors.
-func checkProtocolDomain(p Protocol, env sim.Env) error {
-	type checker interface{ Check(sim.Env) error }
-	if c, ok := p.(checker); ok {
-		return c.Check(env)
-	}
-	return nil
-}
-
-// toSim translates the public Config into the engine configuration,
-// performing automatic noise reduction and SSF stability defaulting.
+// toSim translates the public Config into a validated engine
+// configuration, performing automatic noise reduction and SSF stability
+// defaulting. Protocols that can validate their applicability (SF and SSF
+// expose Check) are asked to, turning would-be construction panics into
+// errors.
 func (cfg Config) toSim() (sim.Config, error) {
 	if cfg.Noise == nil {
 		return sim.Config{}, errors.New("noisypull: Config.Noise is required")
@@ -402,6 +389,14 @@ func (cfg Config) toSim() (sim.Config, error) {
 			}
 		}
 	}
+	if err := sc.Validate(); err != nil {
+		return sim.Config{}, err
+	}
+	if c, ok := cfg.Protocol.(interface{ Check(sim.Env) error }); ok {
+		if err := c.Check(sc.Env()); err != nil {
+			return sim.Config{}, err
+		}
+	}
 	return sc, nil
 }
 
@@ -409,14 +404,8 @@ func (cfg Config) toSim() (sim.Config, error) {
 // applicability (noise level within the protocol's domain) — without
 // executing it.
 func (cfg Config) Check() error {
-	sc, err := cfg.toSim()
-	if err != nil {
-		return err
-	}
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-	return checkProtocolDomain(cfg.Protocol, sc.Env())
+	_, err := cfg.toSim()
+	return err
 }
 
 // NoiseEstimator accumulates (displayed, observed) calibration pairs and
@@ -440,12 +429,6 @@ func NewNoiseEstimator(d int) (*NoiseEstimator, error) {
 func RunAsync(cfg Config) (*Result, error) {
 	sc, err := cfg.toSim()
 	if err != nil {
-		return nil, err
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkProtocolDomain(cfg.Protocol, sc.Env()); err != nil {
 		return nil, err
 	}
 	runner, err := sim.NewAsync(sc)
