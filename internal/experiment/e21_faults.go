@@ -14,12 +14,16 @@ import (
 // unboundedSF strips SF's sim.Finite interface so the engine runs it past
 // its designed horizon: the agents keep majority-boosting forever on their
 // own display pool. E21 uses it to show that extra rounds alone do not make
-// SF self-stabilizing — the contrast Theorem 5 draws against Theorem 4.
+// SF self-stabilizing — the contrast Theorem 5 draws against Theorem 4. It
+// forwards SF's kernel, so the run takes the same path as any SF run.
 type unboundedSF struct{ p *protocol.SF }
 
 func (u unboundedSF) Alphabet() int { return u.p.Alphabet() }
 func (u unboundedSF) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
 	return u.p.NewAgent(id, role, env)
+}
+func (u unboundedSF) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
+	return u.p.NewVecPopulation(spec)
 }
 
 // e21Faults measures recovery from runtime fault injection: every agent

@@ -128,7 +128,7 @@ func TestTrialBatchEmpty(t *testing.T) {
 
 // TestAllExperimentsRunQuick executes every experiment at quick scale with
 // minimal trials — the smoke test that the full harness is runnable end to
-// end and produces populated artifacts.
+// end and produces populated artifacts — and asserts E21's verdict.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness smoke test")
@@ -157,7 +157,39 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 					t.Fatalf("table %q renders empty", tb.Title)
 				}
 			}
+			if e.ID == "E21" {
+				checkE21Verdict(t, art)
+			}
 		})
+	}
+}
+
+// checkE21Verdict reads E21's recovery table: at every h, SSF recovers from
+// the mid-run corruption in every trial, and SF run past its horizon in
+// none.
+func checkE21Verdict(t *testing.T, art *Artifact) {
+	t.Helper()
+	tb := art.Tables[0]
+	col := make(map[string]int)
+	for i, c := range tb.Columns {
+		col[c] = i
+	}
+	want := map[string]string{"SSF": "1", "SF (unbounded)": "0"}
+	rows := make(map[string]int)
+	for i := 0; i < tb.NumRows(); i++ {
+		row := tb.Row(i)
+		proto, h, rate := row[col["protocol"]], row[col["h"]], row[col["recovery rate"]]
+		w, ok := want[proto]
+		if !ok {
+			t.Fatalf("E21 row %d: unexpected protocol %q", i, proto)
+		}
+		if rate != w {
+			t.Errorf("E21 h=%s %s: recovery rate %s, want %s", h, proto, rate, w)
+		}
+		rows[proto]++
+	}
+	if rows["SSF"] == 0 || rows["SSF"] != rows["SF (unbounded)"] {
+		t.Errorf("E21 table has %d SSF and %d SF rows, want one of each per h", rows["SSF"], rows["SF (unbounded)"])
 	}
 }
 

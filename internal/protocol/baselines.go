@@ -1,9 +1,6 @@
 package protocol
 
-import (
-	"noisypull/internal/rng"
-	"noisypull/internal/sim"
-)
+import "noisypull/internal/sim"
 
 // This file implements the baseline dynamics that the paper's introduction
 // and related work discuss, against which SF and SSF are compared in the
@@ -24,123 +21,38 @@ import (
 //     so misinformation cascades.
 //
 // All three run forever (no sim.Finite), so the engine measures them with a
-// stability window.
+// stability window. Each is defined by its kernel (vector.go,
+// vector_kary.go); NewAgent returns one-agent views of it.
 
 // Voter is PULL(h) voter dynamics with zealot sources: each round every
 // non-source agent adopts the value of one uniformly chosen observation
 // among its h samples; sources never change their displayed preference.
+// Non-sources start with opinion 0.
 type Voter struct{}
 
 // Alphabet returns 2.
 func (Voter) Alphabet() int { return 2 }
 
-// NewAgent implements sim.Protocol.
-func (Voter) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	a := &voterAgent{role: role}
-	if role.IsSource {
-		a.opinion = role.Preference
-	}
-	return a
-}
-
-type voterAgent struct {
-	role    sim.Role
-	opinion int
-}
-
-func (a *voterAgent) Display() int {
-	if a.role.IsSource {
-		return a.role.Preference
-	}
-	return a.opinion
-}
-
-func (a *voterAgent) Observe(counts []int, r *rng.Stream) {
-	if a.role.IsSource {
-		a.opinion = a.role.Preference
-		return
-	}
-	total := counts[0] + counts[1]
-	if total == 0 {
-		return
-	}
-	// Adopt the symbol of a uniformly chosen observation.
-	if r.Intn(total) < counts[1] {
-		a.opinion = 1
-	} else {
-		a.opinion = 0
-	}
-}
-
-func (a *voterAgent) Opinion() int { return a.opinion }
-
-// Corrupt implements sim.Corruptible for the self-stabilization comparison.
-func (a *voterAgent) Corrupt(mode sim.CorruptionMode, wrongOpinion int, r *rng.Stream) {
-	if a.role.IsSource {
-		return
-	}
-	switch mode {
-	case sim.CorruptWrongConsensus:
-		a.opinion = wrongOpinion
-	case sim.CorruptRandom:
-		a.opinion = r.Coin()
-	}
+// NewAgent implements sim.Protocol: the agent is a one-agent view of the
+// voter kernel (vector.go).
+func (p Voter) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
+	return sim.NewLane(p, id, role, env)
 }
 
 // MajorityRule is plain h-majority dynamics with zealot sources: each round
 // every non-source agent adopts the majority symbol among its h noisy
-// samples (ties broken by coin).
+// samples (ties broken by coin). Non-sources start from an arbitrary
+// opinion, their id parity, so the initial configuration is balanced: the
+// worst case for source-driven convergence.
 type MajorityRule struct{}
 
 // Alphabet returns 2.
 func (MajorityRule) Alphabet() int { return 2 }
 
-// NewAgent implements sim.Protocol.
-func (MajorityRule) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	a := &majorityAgent{role: role}
-	if role.IsSource {
-		a.opinion = role.Preference
-	} else {
-		// Non-sources start from an arbitrary opinion; use the id parity so
-		// the initial configuration is balanced, the worst case for
-		// source-driven convergence.
-		a.opinion = id % 2
-	}
-	return a
-}
-
-type majorityAgent struct {
-	role    sim.Role
-	opinion int
-}
-
-func (a *majorityAgent) Display() int {
-	if a.role.IsSource {
-		return a.role.Preference
-	}
-	return a.opinion
-}
-
-func (a *majorityAgent) Observe(counts []int, r *rng.Stream) {
-	if a.role.IsSource {
-		return
-	}
-	a.opinion = majority(counts[1], counts[0], r.Coin)
-}
-
-func (a *majorityAgent) Opinion() int { return a.opinion }
-
-// Corrupt implements sim.Corruptible.
-func (a *majorityAgent) Corrupt(mode sim.CorruptionMode, wrongOpinion int, r *rng.Stream) {
-	if a.role.IsSource {
-		return
-	}
-	switch mode {
-	case sim.CorruptWrongConsensus:
-		a.opinion = wrongOpinion
-	case sim.CorruptRandom:
-		a.opinion = r.Coin()
-	}
+// NewAgent implements sim.Protocol: the agent is a one-agent view of the
+// majority kernel (vector.go).
+func (p MajorityRule) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
+	return sim.NewLane(p, id, role, env)
 }
 
 // TrustBit is the naive "designated source bit" scheme of the paper's
@@ -149,64 +61,14 @@ func (a *majorityAgent) Corrupt(mode sim.CorruptionMode, wrongOpinion int, r *rn
 // header bit 1 adopts the majority value bit among those messages and
 // thereafter claims to be informed itself, displaying (1, value). Since the
 // header bit is itself noisy, forged headers propagate misinformation.
+// Non-sources start uninformed with their id parity as opinion.
 type TrustBit struct{}
 
 // Alphabet returns 4.
 func (TrustBit) Alphabet() int { return 4 }
 
-// NewAgent implements sim.Protocol.
-func (TrustBit) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	a := &trustBitAgent{role: role}
-	if role.IsSource {
-		a.opinion = role.Preference
-		a.informed = true
-	} else {
-		a.opinion = id % 2
-	}
-	return a
-}
-
-type trustBitAgent struct {
-	role     sim.Role
-	informed bool
-	opinion  int
-}
-
-func (a *trustBitAgent) Display() int {
-	if a.role.IsSource {
-		return ssfSym10 + a.role.Preference
-	}
-	if a.informed {
-		return ssfSym10 + a.opinion
-	}
-	return ssfSym00 + a.opinion
-}
-
-func (a *trustBitAgent) Observe(counts []int, r *rng.Stream) {
-	if a.role.IsSource {
-		return
-	}
-	tagged := counts[ssfSym10] + counts[ssfSym11]
-	if tagged == 0 {
-		return
-	}
-	a.opinion = majority(counts[ssfSym11], counts[ssfSym10], r.Coin)
-	a.informed = true
-}
-
-func (a *trustBitAgent) Opinion() int { return a.opinion }
-
-// Corrupt implements sim.Corruptible.
-func (a *trustBitAgent) Corrupt(mode sim.CorruptionMode, wrongOpinion int, r *rng.Stream) {
-	if a.role.IsSource {
-		return
-	}
-	switch mode {
-	case sim.CorruptWrongConsensus:
-		a.opinion = wrongOpinion
-		a.informed = true
-	case sim.CorruptRandom:
-		a.opinion = r.Coin()
-		a.informed = r.Coin() == 1
-	}
+// NewAgent implements sim.Protocol: the agent is a one-agent view of the
+// TrustBit kernel (vector_kary.go).
+func (p TrustBit) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
+	return sim.NewLane(p, id, role, env)
 }

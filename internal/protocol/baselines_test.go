@@ -7,17 +7,31 @@ import (
 	"noisypull/internal/sim"
 )
 
+// The step tests below drive built-in agents — one-agent views of their
+// protocols' kernels — with hand-picked observation counts, and read or
+// set kernel state through sim.LanePopulation.
+
+// corrupt applies the protocol's corruption adversary to agent a.
+func corrupt(a sim.Agent, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
+	a.(sim.Corruptible).Corrupt(mode, wrong, r)
+}
+
+// informed reports a TrustBit agent's informed flag.
+func informed(a sim.Agent) bool {
+	return sim.LanePopulation(a).(*trustBitPop).informed[0] == 1
+}
+
 func TestVoterAlphabetAndRoles(t *testing.T) {
 	v := Voter{}
 	if v.Alphabet() != 2 {
 		t.Fatal("voter alphabet != 2")
 	}
 	env := sfEnv()
-	src := v.NewAgent(0, sim.Role{IsSource: true, Preference: 1}, env).(*voterAgent)
+	src := v.NewAgent(0, sim.Role{IsSource: true, Preference: 1}, env)
 	if src.Display() != 1 || src.Opinion() != 1 {
 		t.Fatal("voter source does not display preference")
 	}
-	ns := v.NewAgent(1, sim.Role{}, env).(*voterAgent)
+	ns := v.NewAgent(1, sim.Role{}, env)
 	if ns.Display() != 0 {
 		t.Fatal("fresh voter non-source displays nonzero")
 	}
@@ -25,7 +39,7 @@ func TestVoterAlphabetAndRoles(t *testing.T) {
 
 func TestVoterAdoptsObservedSymbol(t *testing.T) {
 	env := sfEnv()
-	a := Voter{}.NewAgent(1, sim.Role{}, env).(*voterAgent)
+	a := Voter{}.NewAgent(1, sim.Role{}, env)
 	r := rng.New(1)
 	a.Observe([]int{0, 10}, r) // all observations are 1
 	if a.Opinion() != 1 {
@@ -48,7 +62,7 @@ func TestVoterAdoptsObservedSymbol(t *testing.T) {
 
 func TestVoterZealotNeverMoves(t *testing.T) {
 	env := sfEnv()
-	a := Voter{}.NewAgent(0, sim.Role{IsSource: true, Preference: 0}, env).(*voterAgent)
+	a := Voter{}.NewAgent(0, sim.Role{IsSource: true, Preference: 0}, env)
 	r := rng.New(2)
 	for i := 0; i < 100; i++ {
 		a.Observe([]int{0, 10}, r)
@@ -58,26 +72,16 @@ func TestVoterZealotNeverMoves(t *testing.T) {
 	}
 }
 
-func TestVoterEmptyObservation(t *testing.T) {
-	env := sfEnv()
-	a := Voter{}.NewAgent(1, sim.Role{}, env).(*voterAgent)
-	a.opinion = 1
-	a.Observe([]int{0, 0}, rng.New(3))
-	if a.Opinion() != 1 {
-		t.Fatal("voter changed opinion on empty observation")
-	}
-}
-
 func TestVoterCorruption(t *testing.T) {
 	env := sfEnv()
 	r := rng.New(4)
-	a := Voter{}.NewAgent(1, sim.Role{}, env).(*voterAgent)
-	a.Corrupt(sim.CorruptWrongConsensus, 1, r)
+	a := Voter{}.NewAgent(1, sim.Role{}, env)
+	corrupt(a, sim.CorruptWrongConsensus, 1, r)
 	if a.Opinion() != 1 {
 		t.Fatal("corruption ignored")
 	}
-	src := Voter{}.NewAgent(0, sim.Role{IsSource: true, Preference: 0}, env).(*voterAgent)
-	src.Corrupt(sim.CorruptWrongConsensus, 1, r)
+	src := Voter{}.NewAgent(0, sim.Role{IsSource: true, Preference: 0}, env)
+	corrupt(src, sim.CorruptWrongConsensus, 1, r)
 	if src.Opinion() != 0 {
 		t.Fatal("source corrupted despite incorruptible preference display")
 	}
@@ -89,11 +93,11 @@ func TestMajorityRuleBasics(t *testing.T) {
 		t.Fatal("majority alphabet != 2")
 	}
 	env := sfEnv()
-	a := m.NewAgent(2, sim.Role{}, env).(*majorityAgent)
+	a := m.NewAgent(2, sim.Role{}, env)
 	if a.Opinion() != 0 { // id parity
 		t.Fatal("id-2 agent initial opinion != 0")
 	}
-	b := m.NewAgent(3, sim.Role{}, env).(*majorityAgent)
+	b := m.NewAgent(3, sim.Role{}, env)
 	if b.Opinion() != 1 {
 		t.Fatal("id-3 agent initial opinion != 1")
 	}
@@ -110,7 +114,7 @@ func TestMajorityRuleBasics(t *testing.T) {
 
 func TestMajorityRuleSourceFixed(t *testing.T) {
 	env := sfEnv()
-	a := MajorityRule{}.NewAgent(0, sim.Role{IsSource: true, Preference: 1}, env).(*majorityAgent)
+	a := MajorityRule{}.NewAgent(0, sim.Role{IsSource: true, Preference: 1}, env)
 	r := rng.New(6)
 	a.Observe([]int{10, 0}, r)
 	if a.Opinion() != 1 || a.Display() != 1 {
@@ -124,12 +128,12 @@ func TestTrustBitBasics(t *testing.T) {
 		t.Fatal("trustbit alphabet != 4")
 	}
 	env := ssfEnv()
-	src := tb.NewAgent(0, sim.Role{IsSource: true, Preference: 1}, env).(*trustBitAgent)
+	src := tb.NewAgent(0, sim.Role{IsSource: true, Preference: 1}, env)
 	if src.Display() != ssfSym11 {
 		t.Fatal("trustbit source display wrong")
 	}
-	ns := tb.NewAgent(2, sim.Role{}, env).(*trustBitAgent)
-	if ns.informed {
+	ns := tb.NewAgent(2, sim.Role{}, env)
+	if informed(ns) {
 		t.Fatal("fresh non-source claims informed")
 	}
 	if ns.Display() != ssfSym00 { // id 2: opinion 0, uninformed
@@ -140,18 +144,18 @@ func TestTrustBitBasics(t *testing.T) {
 func TestTrustBitAdoptionAndCascade(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(7)
-	a := TrustBit{}.NewAgent(2, sim.Role{}, env).(*trustBitAgent)
+	a := TrustBit{}.NewAgent(2, sim.Role{}, env)
 
 	// No tagged messages: nothing happens.
 	a.Observe([]int{5, 5, 0, 0}, r)
-	if a.informed {
+	if informed(a) {
 		t.Fatal("adopted from untagged messages")
 	}
 
 	// Tagged messages leaning 0: adopt 0, become informed, display (1,0).
 	a.Observe([]int{0, 0, 3, 1}, r)
-	if !a.informed || a.Opinion() != 0 {
-		t.Fatalf("informed=%v opinion=%d", a.informed, a.Opinion())
+	if !informed(a) || a.Opinion() != 0 {
+		t.Fatalf("informed=%v opinion=%d", informed(a), a.Opinion())
 	}
 	if a.Display() != ssfSym10 {
 		t.Fatalf("informed display = %d", a.Display())
@@ -167,7 +171,7 @@ func TestTrustBitAdoptionAndCascade(t *testing.T) {
 func TestTrustBitSourceFixed(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(8)
-	src := TrustBit{}.NewAgent(0, sim.Role{IsSource: true, Preference: 0}, env).(*trustBitAgent)
+	src := TrustBit{}.NewAgent(0, sim.Role{IsSource: true, Preference: 0}, env)
 	src.Observe([]int{0, 0, 0, 9}, r)
 	if src.Opinion() != 0 || src.Display() != ssfSym10 {
 		t.Fatal("trustbit source moved")
@@ -177,17 +181,17 @@ func TestTrustBitSourceFixed(t *testing.T) {
 func TestBaselineCorruptions(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(9)
-	a := TrustBit{}.NewAgent(2, sim.Role{}, env).(*trustBitAgent)
-	a.Corrupt(sim.CorruptWrongConsensus, 1, r)
-	if !a.informed || a.Opinion() != 1 {
+	a := TrustBit{}.NewAgent(2, sim.Role{}, env)
+	corrupt(a, sim.CorruptWrongConsensus, 1, r)
+	if !informed(a) || a.Opinion() != 1 {
 		t.Fatal("trustbit corruption ignored")
 	}
-	m := MajorityRule{}.NewAgent(2, sim.Role{}, sfEnv()).(*majorityAgent)
-	m.Corrupt(sim.CorruptWrongConsensus, 1, r)
+	m := MajorityRule{}.NewAgent(2, sim.Role{}, sfEnv())
+	corrupt(m, sim.CorruptWrongConsensus, 1, r)
 	if m.Opinion() != 1 {
 		t.Fatal("majority corruption ignored")
 	}
-	m.Corrupt(sim.CorruptRandom, 1, r)
+	corrupt(m, sim.CorruptRandom, 1, r)
 	if op := m.Opinion(); op != 0 && op != 1 {
 		t.Fatal("random corruption out of range")
 	}

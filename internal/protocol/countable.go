@@ -9,8 +9,9 @@ import (
 // CountableProtocol): their agents are exchangeable within a handful of
 // state classes, so the counts backend can advance the whole population as
 // class counts with per-round cost independent of n. Every method here must
-// stay distribution-identical to the per-agent code in baselines.go — the
-// cross-backend chi-square tests in internal/sim enforce that.
+// stay distribution-identical to the protocols' kernels (vector.go,
+// vector_kary.go), which define them — the exact chain and cross-backend
+// chi-square tests in internal/sim enforce that.
 
 // Class layout shared by Voter and MajorityRule (binary alphabet, one
 // opinion bit, immutable source roles):
@@ -35,9 +36,9 @@ const (
 
 // binInitialCounts fills the shared binary class histogram: sources pinned
 // to their preference classes, non-sources split by the given default op-1
-// count, then corruption applied exactly as the per-agent Corrupt methods
-// do (wrong-consensus moves every non-source to the wrong class; random
-// flips each non-source's opinion with an independent fair coin, which over
+// count, then corruption applied exactly as the kernels' CorruptAt does
+// (wrong-consensus moves every non-source to the wrong class; random
+// draws each non-source's opinion as an independent fair coin, which over
 // ns agents is a Binomial(ns, 1/2) split).
 func binInitialCounts(env sim.Env, init sim.CountsInit, defaultOnes int, counts []int) {
 	counts[binSrc1] = init.Sources1
@@ -108,7 +109,7 @@ func (MajorityRule) DisplayOf(env sim.Env, state int) int { return state & 1 }
 func (MajorityRule) OpinionOf(env sim.Env, state int) int { return state & 1 }
 
 // InitialCounts implements sim.CountableProtocol. Non-sources start from id
-// parity (ids [s, n), odd ids opinion 1), matching NewAgent's balanced
+// parity (ids [s, n), odd ids opinion 1), matching the kernel's balanced
 // worst-case initialization.
 func (MajorityRule) InitialCounts(env sim.Env, init sim.CountsInit, counts []int) {
 	s := init.Sources1 + init.Sources0
@@ -228,9 +229,9 @@ func (TrustBit) TransitionRow(env sim.Env, state int, obs, row []float64) {
 
 // --- Mid-run corruption rows (sim.CountableCorruptible) ---
 //
-// CorruptRow must match the per-agent Corrupt methods in baselines.go: a
-// corrupted non-source lands in the wrong-consensus class (or a coin-flip
-// class under CorruptRandom), sources are untouched (identity row).
+// CorruptRow must match the kernels' CorruptAt: a corrupted non-source
+// lands in the wrong-consensus class (or a coin-flip class under
+// CorruptRandom), sources are untouched (identity row).
 
 // binCorruptRow is the shared binary-layout corrupt row: Voter and
 // MajorityRule agents carry only the opinion bit.
@@ -266,7 +267,7 @@ func (MajorityRule) CorruptRow(env sim.Env, state int, mode sim.CorruptionMode, 
 // CorruptRow implements sim.CountableCorruptible: wrong-consensus makes the
 // agent informed with the wrong opinion; random draws the informed flag and
 // the opinion as independent fair coins (a uniform 4-way split), exactly as
-// trustBitAgent.Corrupt does.
+// the kernel's CorruptAt does.
 func (TrustBit) CorruptRow(env sim.Env, state int, mode sim.CorruptionMode, wrongOpinion int, row []float64) {
 	for i := range row {
 		row[i] = 0

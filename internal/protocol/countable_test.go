@@ -31,33 +31,35 @@ func testRole(id, s1, s0 int) sim.Role {
 }
 
 // classify maps a freshly built agent to its countable class index by
-// inspecting the concrete agent state.
+// reading its one-agent kernel (a source's opinion is its preference).
 func classify(t *testing.T, a sim.Agent) int {
 	t.Helper()
-	switch ag := a.(type) {
-	case *voterAgent:
-		if ag.role.IsSource {
-			return binSrc0 + ag.role.Preference
-		}
-		return binNon0 + ag.opinion
-	case *majorityAgent:
-		if ag.role.IsSource {
-			return binSrc0 + ag.role.Preference
-		}
-		return binNon0 + ag.opinion
-	case *trustBitAgent:
+	switch p := sim.LanePopulation(a).(type) {
+	case *voterPop:
+		return binClass(p.opinionPop)
+	case *majorityPop:
+		return binClass(p.opinionPop)
+	case *trustBitPop:
 		switch {
-		case ag.role.IsSource:
-			return tbSrc0 + ag.role.Preference
-		case ag.informed:
-			return tbInf0 + ag.opinion
+		case p.spec.Sources1+p.spec.Sources0 > 0:
+			return tbSrc0 + int(p.opinion[0])
+		case p.informed[0] == 1:
+			return tbInf0 + int(p.opinion[0])
 		default:
-			return tbUn0 + ag.opinion
+			return tbUn0 + int(p.opinion[0])
 		}
-	default:
-		t.Fatalf("unexpected agent type %T", a)
-		return -1
 	}
+	t.Fatalf("unexpected agent %T", a)
+	return -1
+}
+
+// binClass is the class of the agent of a one-agent voter or majority
+// population.
+func binClass(p opinionPop) int {
+	if p.spec.Sources1+p.spec.Sources0 > 0 {
+		return binSrc0 + int(p.opinion[0])
+	}
+	return binNon0 + int(p.opinion[0])
 }
 
 // TestInitialCountsMatchAgents checks that InitialCounts reproduces the

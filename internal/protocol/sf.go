@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"noisypull/internal/rng"
 	"noisypull/internal/sim"
 )
 
@@ -144,143 +143,8 @@ func (p *SF) Rounds(env sim.Env) int {
 	return 3*t + l*ceilDiv(w, env.H)
 }
 
-// NewAgent implements sim.Protocol.
+// NewAgent implements sim.Protocol: the agent is a one-agent view of the
+// SF kernel (vector.go). It panics on an environment Check rejects.
 func (p *SF) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	m, t, w, l, err := p.params(env)
-	if err != nil {
-		// The engine validates via Rounds/Check before running; reaching
-		// here means the caller skipped validation.
-		panic(fmt.Sprintf("protocol: SF.NewAgent with invalid env: %v", err))
-	}
-	a := &sfAgent{
-		role: role,
-		env:  env,
-		m:    m, phaseT: t, boostW: w, boostL: l,
-		alt: p.alternating,
-	}
-	if role.IsSource {
-		a.opinion = role.Preference
-	}
-	return a
-}
-
-// sfAgent is one agent running Algorithm 1.
-type sfAgent struct {
-	role sim.Role
-	env  sim.Env
-
-	m      int // per-phase sample budget
-	phaseT int // rounds per listening phase, ⌈m/h⌉
-	boostW int // message quota per short boosting sub-phase
-	boostL int // number of short boosting sub-phases
-
-	alt      bool // alternating-display listening variant (§2.1 remark)
-	firstSym int  // the variant's coin-chosen first display symbol
-
-	round    int // rounds already observed
-	counter1 int // 1-messages seen in Phase 0 (variant: in the whole window)
-	counter0 int // 0-messages seen in Phase 1 (variant: in the whole window)
-
-	weakOpinion int
-	opinion     int
-
-	subPhase  int // current boosting sub-phase index (0-based)
-	boostOnes int // 1-messages gathered in the current sub-phase
-	boostAll  int // messages gathered in the current sub-phase
-}
-
-// SeedInit implements sim.Seeder: the alternating variant draws the fair
-// coin that decides its first displayed symbol.
-func (a *sfAgent) SeedInit(r *rng.Stream) {
-	if a.alt {
-		a.firstSym = r.Coin()
-	}
-}
-
-// Display implements sim.Agent.
-func (a *sfAgent) Display() int {
-	if a.round < 2*a.phaseT { // listening window (Phases 0 and 1)
-		if a.role.IsSource {
-			return a.role.Preference
-		}
-		if a.alt {
-			return (a.firstSym + a.round) % 2
-		}
-		if a.round < a.phaseT {
-			return 0 // Phase 0
-		}
-		return 1 // Phase 1
-	}
-	return a.opinion // Majority Boosting
-}
-
-// Observe implements sim.Agent.
-func (a *sfAgent) Observe(counts []int, r *rng.Stream) {
-	defer func() { a.round++ }()
-	switch {
-	case a.round < 2*a.phaseT && a.alt:
-		// Variant: count both symbols throughout the listening window; the
-		// symmetric background cancels in counter1 − counter0.
-		a.counter1 += counts[1]
-		a.counter0 += counts[0]
-		if a.round == 2*a.phaseT-1 {
-			a.weakOpinion = majority(a.counter1, a.counter0, r.Coin)
-			a.opinion = a.weakOpinion
-		}
-	case a.round < a.phaseT:
-		a.counter1 += counts[1]
-	case a.round < 2*a.phaseT:
-		a.counter0 += counts[0]
-		if a.round == 2*a.phaseT-1 {
-			// End of Phase 1: form the weak opinion.
-			a.weakOpinion = majority(a.counter1, a.counter0, r.Coin)
-			a.opinion = a.weakOpinion
-		}
-	default:
-		a.boostOnes += counts[1]
-		a.boostAll += counts[0] + counts[1]
-		quota := a.boostW
-		if a.subPhase >= a.boostL {
-			quota = a.m
-		}
-		if a.boostAll >= quota {
-			a.opinion = majority(a.boostOnes, a.boostAll-a.boostOnes, r.Coin)
-			a.boostOnes, a.boostAll = 0, 0
-			a.subPhase++
-		}
-	}
-}
-
-// Opinion implements sim.Agent.
-func (a *sfAgent) Opinion() int { return a.opinion }
-
-// WeakOpinion exposes the weak opinion Ŷ formed at the end of Phase 1, for
-// analysis of Lemma 28.
-func (a *sfAgent) WeakOpinion() int { return a.weakOpinion }
-
-// Corrupt implements sim.Corruptible. SF is *not* self-stabilizing; this
-// exists so experiments can demonstrate that corruption of counters and
-// clocks breaks it (contrast with SSF).
-func (a *sfAgent) Corrupt(mode sim.CorruptionMode, wrongOpinion int, r *rng.Stream) {
-	total := 3*a.phaseT + a.boostL*ceilDiv(a.boostW, a.env.H)
-	switch mode {
-	case sim.CorruptWrongConsensus:
-		a.opinion = wrongOpinion
-		a.weakOpinion = wrongOpinion
-		if wrongOpinion == 1 {
-			a.counter1, a.counter0 = a.m, 0
-		} else {
-			a.counter1, a.counter0 = 0, a.m
-		}
-		a.round = r.Intn(total)
-	case sim.CorruptRandom:
-		a.opinion = r.Coin()
-		a.weakOpinion = r.Coin()
-		a.counter1 = r.Intn(a.m + 1)
-		a.counter0 = r.Intn(a.m + 1)
-		a.round = r.Intn(total)
-		a.subPhase = r.Intn(a.boostL + 1)
-		a.boostOnes = r.Intn(a.boostW + 1)
-		a.boostAll = a.boostOnes + r.Intn(a.boostW+1)
-	}
+	return sim.NewLane(p, id, role, env)
 }

@@ -7,16 +7,19 @@ import (
 	"noisypull/internal/sim"
 )
 
-// newSFAgent builds an sfAgent with a fixed sample budget so phase lengths
+// newSFAgent builds an SF agent with a fixed sample budget so phase lengths
 // are predictable in unit tests.
-func newSFAgent(t *testing.T, role sim.Role, env sim.Env, m int) *sfAgent {
+func newSFAgent(t *testing.T, role sim.Role, env sim.Env, m int) sim.Agent {
 	t.Helper()
 	p := NewSF(WithSFSampleBudget(m))
 	if err := p.Check(env); err != nil {
 		t.Fatal(err)
 	}
-	return p.NewAgent(0, role, env).(*sfAgent)
+	return p.NewAgent(0, role, env)
 }
+
+// sfLane returns the one-agent SF population behind a; a is its agent 0.
+func sfLane(a sim.Agent) *sfPop { return sim.LanePopulation(a).(*sfPop) }
 
 func TestSFOptions(t *testing.T) {
 	p := NewSF(
@@ -116,7 +119,7 @@ func TestSFDisplaySchedule(t *testing.T) {
 		if source0.Display() != 0 || source1.Display() != 1 {
 			t.Fatalf("round %d: sources displayed %d/%d", round, source0.Display(), source1.Display())
 		}
-		for _, a := range []*sfAgent{nonSource, source0, source1} {
+		for _, a := range []sim.Agent{nonSource, source0, source1} {
 			a.Observe(counts, r)
 		}
 	}
@@ -128,12 +131,12 @@ func TestSFDisplaySchedule(t *testing.T) {
 		if source0.Display() != 0 || source1.Display() != 1 {
 			t.Fatalf("round %d: sources displayed %d/%d", round, source0.Display(), source1.Display())
 		}
-		for _, a := range []*sfAgent{nonSource, source0, source1} {
+		for _, a := range []sim.Agent{nonSource, source0, source1} {
 			a.Observe(counts, r)
 		}
 	}
 	// Boosting: everyone displays their opinion (= weak opinion initially).
-	for _, a := range []*sfAgent{nonSource, source0, source1} {
+	for _, a := range []sim.Agent{nonSource, source0, source1} {
 		if a.Display() != a.Opinion() {
 			t.Fatalf("boosting display %d != opinion %d", a.Display(), a.Opinion())
 		}
@@ -152,8 +155,8 @@ func TestSFWeakOpinionFromCounters(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		a.Observe([]int{1, 4}, r) // counter0 += 1
 	}
-	if a.WeakOpinion() != 1 || a.Opinion() != 1 {
-		t.Fatalf("weak opinion = %d, opinion = %d, want 1", a.WeakOpinion(), a.Opinion())
+	if w := sfLane(a).WeakOpinionAt(0); w != 1 || a.Opinion() != 1 {
+		t.Fatalf("weak opinion = %d, opinion = %d, want 1", w, a.Opinion())
 	}
 
 	// Reverse: more 0s observed in Phase 1.
@@ -164,8 +167,8 @@ func TestSFWeakOpinionFromCounters(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		b.Observe([]int{5, 0}, r) // counter0 += 5
 	}
-	if b.WeakOpinion() != 0 {
-		t.Fatalf("weak opinion = %d, want 0", b.WeakOpinion())
+	if w := sfLane(b).WeakOpinionAt(0); w != 0 {
+		t.Fatalf("weak opinion = %d, want 0", w)
 	}
 }
 
@@ -177,7 +180,7 @@ func TestSFWeakOpinionTieUsesCoin(t *testing.T) {
 		a := newSFAgent(t, sim.Role{}, env, 4)
 		a.Observe([]int{1, 3}, r) // counter1 = 3
 		a.Observe([]int{3, 1}, r) // counter0 = 3
-		ones += a.WeakOpinion()
+		ones += sfLane(a).WeakOpinionAt(0)
 	}
 	if ones < 60 || ones > 140 {
 		t.Fatalf("tie-breaking produced %d/%d ones; want roughly balanced", ones, trials)
@@ -196,7 +199,8 @@ func TestSFBoostingMajorityUpdate(t *testing.T) {
 	a.Observe([]int{5, 0}, r)
 	// Weak opinion: counter1 = 10 vs counter0 = 10 -> coin; force opinion 0
 	// to observe the boosting flip.
-	a.opinion = 0
+	pop := sfLane(a)
+	pop.opinion[0] = 0
 
 	// Feed 0-heavy messages until just below the quota: opinion unchanged.
 	rounds := 625/5 - 1
@@ -211,11 +215,11 @@ func TestSFBoostingMajorityUpdate(t *testing.T) {
 	if a.Opinion() != 1 {
 		t.Fatal("boosting majority did not flip opinion to 1")
 	}
-	if a.boostAll != 0 || a.boostOnes != 0 {
+	if pop.boostAll[0] != 0 || pop.boostOnes[0] != 0 {
 		t.Fatal("sub-phase memory not reset after update")
 	}
-	if a.subPhase != 1 {
-		t.Fatalf("subPhase = %d, want 1", a.subPhase)
+	if pop.subPhase[0] != 1 {
+		t.Fatalf("subPhase = %d, want 1", pop.subPhase[0])
 	}
 }
 
@@ -231,21 +235,22 @@ func TestSFCorruptWrongConsensus(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.1, Sources: 1, Bias: 1}
 	r := rng.New(4)
 	a := newSFAgent(t, sim.Role{}, env, 100)
-	a.Corrupt(sim.CorruptWrongConsensus, 0, r)
-	if a.Opinion() != 0 || a.WeakOpinion() != 0 {
+	corrupt(a, sim.CorruptWrongConsensus, 0, r)
+	pa := sfLane(a)
+	if a.Opinion() != 0 || pa.WeakOpinionAt(0) != 0 {
 		t.Fatal("corruption did not set wrong opinion")
 	}
-	if a.counter0 != 100 || a.counter1 != 0 {
-		t.Fatalf("corruption counters = (%d, %d)", a.counter1, a.counter0)
+	if pa.counter0[0] != 100 || pa.counter1[0] != 0 {
+		t.Fatalf("corruption counters = (%d, %d)", pa.counter1[0], pa.counter0[0])
 	}
 	b := newSFAgent(t, sim.Role{}, env, 100)
-	b.Corrupt(sim.CorruptWrongConsensus, 1, r)
-	if b.counter1 != 100 || b.counter0 != 0 {
-		t.Fatalf("corruption counters = (%d, %d)", b.counter1, b.counter0)
+	corrupt(b, sim.CorruptWrongConsensus, 1, r)
+	if pb := sfLane(b); pb.counter1[0] != 100 || pb.counter0[0] != 0 {
+		t.Fatalf("corruption counters = (%d, %d)", pb.counter1[0], pb.counter0[0])
 	}
 	c := newSFAgent(t, sim.Role{}, env, 100)
-	c.Corrupt(sim.CorruptRandom, 1, r)
-	if c.round < 0 || c.round >= NewSF(WithSFSampleBudget(100)).Rounds(env) {
-		t.Fatalf("random corruption round = %d", c.round)
+	corrupt(c, sim.CorruptRandom, 1, r)
+	if rd := int(sfLane(c).round[0]); rd < 0 || rd >= NewSF(WithSFSampleBudget(100)).Rounds(env) {
+		t.Fatalf("random corruption round = %d", rd)
 	}
 }

@@ -1,19 +1,30 @@
 package protocol
 
 import (
+	"bytes"
 	"testing"
 
 	"noisypull/internal/rng"
 	"noisypull/internal/sim"
 )
 
-func newAltAgent(t *testing.T, role sim.Role, env sim.Env, m int) *sfAgent {
+func newAltAgent(t *testing.T, role sim.Role, env sim.Env, m int) sim.Agent {
 	t.Helper()
 	p := NewSFAlternating(WithSFSampleBudget(m))
 	if err := p.Check(env); err != nil {
 		t.Fatal(err)
 	}
-	return p.NewAgent(0, role, env).(*sfAgent)
+	return p.NewAgent(0, role, env)
+}
+
+// seedInit redraws an agent's seeded state from r, as the engine does.
+func seedInit(a sim.Agent, r *rng.Stream) { a.(sim.Seeder).SeedInit(r) }
+
+// snapshotOf encodes an agent's mutable state.
+func snapshotOf(a sim.Agent) []byte {
+	var w sim.SnapWriter
+	a.(sim.Snapshotter).SnapshotState(&w)
+	return w.Bytes()
 }
 
 func TestNewSFAlternatingSetsVariant(t *testing.T) {
@@ -34,7 +45,7 @@ func TestAlternatingDisplayPattern(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.1, Sources: 1, Bias: 1}
 	a := newAltAgent(t, sim.Role{}, env, 20) // T = 4: listening window 8 rounds
 	r := rng.New(3)
-	a.SeedInit(r)
+	seedInit(a, r)
 	first := a.Display()
 	counts := []int{3, 2}
 	for round := 0; round < 8; round++ {
@@ -54,7 +65,7 @@ func TestAlternatingSourceStillDisplaysPreference(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.1, Sources: 1, Bias: 1}
 	a := newAltAgent(t, sim.Role{IsSource: true, Preference: 1}, env, 20)
 	r := rng.New(4)
-	a.SeedInit(r)
+	seedInit(a, r)
 	for round := 0; round < 8; round++ {
 		if a.Display() != 1 {
 			t.Fatalf("source displayed %d during listening", a.Display())
@@ -67,16 +78,17 @@ func TestAlternatingCountsBothSymbols(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.1, Sources: 1, Bias: 1}
 	a := newAltAgent(t, sim.Role{}, env, 10) // T = 2: window 4 rounds
 	r := rng.New(5)
-	a.SeedInit(r)
+	seedInit(a, r)
 	// Feed 1-heavy traffic for the whole window.
 	for round := 0; round < 4; round++ {
 		a.Observe([]int{1, 4}, r)
 	}
-	if a.counter1 != 16 || a.counter0 != 4 {
-		t.Fatalf("counters = (%d, %d), want (16, 4)", a.counter1, a.counter0)
+	pop := sfLane(a)
+	if pop.counter1[0] != 16 || pop.counter0[0] != 4 {
+		t.Fatalf("counters = (%d, %d), want (16, 4)", pop.counter1[0], pop.counter0[0])
 	}
-	if a.WeakOpinion() != 1 {
-		t.Fatalf("weak opinion = %d", a.WeakOpinion())
+	if w := pop.WeakOpinionAt(0); w != 1 {
+		t.Fatalf("weak opinion = %d", w)
 	}
 }
 
@@ -86,8 +98,8 @@ func TestAlternatingFirstSymbolBalanced(t *testing.T) {
 	const trials = 400
 	for seed := 0; seed < trials; seed++ {
 		a := newAltAgent(t, sim.Role{}, env, 10)
-		a.SeedInit(rng.New(uint64(seed)))
-		ones += a.firstSym
+		seedInit(a, rng.New(uint64(seed)))
+		ones += int(sfLane(a).firstSym[0])
 	}
 	if ones < 150 || ones > 250 {
 		t.Fatalf("first symbols: %d/%d ones; coin appears biased", ones, trials)
@@ -97,9 +109,14 @@ func TestAlternatingFirstSymbolBalanced(t *testing.T) {
 func TestAlternatingSeedInitNoopForStandard(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.1, Sources: 1, Bias: 1}
 	a := newSFAgent(t, sim.Role{}, env, 10)
-	before := *a
-	a.SeedInit(rng.New(1))
-	if *a != before {
-		t.Fatal("SeedInit mutated a standard-SF agent")
+	before := snapshotOf(a)
+	r := rng.New(1)
+	stream := r.State()
+	seedInit(a, r)
+	if !bytes.Equal(snapshotOf(a), before) {
+		t.Fatal("SeedInit changed a fresh standard-SF agent's state")
+	}
+	if r.State() != stream {
+		t.Fatal("SeedInit drew randomness for a standard-SF agent")
 	}
 }

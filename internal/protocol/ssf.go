@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 
-	"noisypull/internal/rng"
 	"noisypull/internal/sim"
 )
 
@@ -65,7 +64,8 @@ func NewSSF(opts ...SSFOption) *SSF {
 // Alphabet returns 4: SSF communicates with Σ = {0,1}².
 func (p *SSF) Alphabet() int { return 4 }
 
-// Check reports whether SSF is applicable in env (alphabet 4, δ < 1/4).
+// Check reports whether SSF is applicable in env (alphabet 4, δ < 1/4) and
+// whether its update quota fits the kernel's counters (m ≤ 2³⁰).
 func (p *SSF) Check(env sim.Env) error {
 	_, err := p.quota(env)
 	return err
@@ -76,14 +76,26 @@ func (p *SSF) UpdateQuota(env sim.Env) (int, error) {
 	return p.quota(env)
 }
 
+// maxSSFQuota is the largest update quota the kernel's int32 memory
+// counters hold: they peak at m + h − 1 before an update empties them.
+const maxSSFQuota = 1 << 30
+
 func (p *SSF) quota(env sim.Env) (int, error) {
-	if p.mOverride > 0 {
+	m := p.mOverride
+	if m > 0 {
 		if err := checkSSFEnv(env); err != nil {
 			return 0, err
 		}
-		return p.mOverride, nil
+	} else {
+		var err error
+		if m, err = SSFMessageCount(env, p.c1); err != nil {
+			return 0, err
+		}
 	}
-	return SSFMessageCount(env, p.c1)
+	if m > maxSSFQuota {
+		return 0, fmt.Errorf("protocol: SSF update quota m = %d exceeds the limit %d of the kernel's counters", m, maxSSFQuota)
+	}
+	return m, nil
 }
 
 // ConvergenceRounds returns the number of rounds after which Theorem 5
@@ -98,90 +110,8 @@ func (p *SSF) ConvergenceRounds(env sim.Env) (int, error) {
 	return 3 * ceilDiv(m, env.H), nil
 }
 
-// NewAgent implements sim.Protocol.
+// NewAgent implements sim.Protocol: the agent is a one-agent view of the
+// SSF kernel (vector_kary.go). It panics on an environment Check rejects.
 func (p *SSF) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	m, err := p.quota(env)
-	if err != nil {
-		panic(fmt.Sprintf("protocol: SSF.NewAgent with invalid env: %v", err))
-	}
-	a := &ssfAgent{role: role, m: m}
-	if role.IsSource {
-		a.opinion = role.Preference
-		a.weakOpinion = role.Preference
-	}
-	return a
-}
-
-// ssfAgent is one agent running Algorithm 2.
-type ssfAgent struct {
-	role sim.Role
-	m    int
-
-	memory [4]int // per-symbol message counts of the multiset M
-	total  int    // |M|
-
-	weakOpinion int
-	opinion     int
-}
-
-// Display implements sim.Agent: sources show (1, preference), non-sources
-// show (0, weak opinion).
-func (a *ssfAgent) Display() int {
-	if a.role.IsSource {
-		return ssfSym10 + a.role.Preference
-	}
-	return ssfSym00 + a.weakOpinion
-}
-
-// Observe implements sim.Agent.
-func (a *ssfAgent) Observe(counts []int, r *rng.Stream) {
-	for s, c := range counts {
-		a.memory[s] += c
-		a.total += c
-	}
-	if a.total < a.m {
-		return
-	}
-	// Update round: recompute weak opinion from source-tagged messages and
-	// opinion from all value bits, then empty the memory.
-	a.weakOpinion = majority(a.memory[ssfSym11], a.memory[ssfSym10], r.Coin)
-	ones := a.memory[ssfSym01] + a.memory[ssfSym11]
-	zeros := a.memory[ssfSym00] + a.memory[ssfSym10]
-	a.opinion = majority(ones, zeros, r.Coin)
-	a.memory = [4]int{}
-	a.total = 0
-}
-
-// Opinion implements sim.Agent.
-func (a *ssfAgent) Opinion() int { return a.opinion }
-
-// WeakOpinion exposes Ŷ for analysis of Lemma 36.
-func (a *ssfAgent) WeakOpinion() int { return a.weakOpinion }
-
-// Corrupt implements sim.Corruptible: the adversary of Section 1.3 sets the
-// memory multiset, opinions, and effective clock arbitrarily (source status
-// and m remain intact).
-func (a *ssfAgent) Corrupt(mode sim.CorruptionMode, wrongOpinion int, r *rng.Stream) {
-	switch mode {
-	case sim.CorruptWrongConsensus:
-		// Memory stuffed with fake source messages for the wrong opinion
-		// plus matching weak opinions, filled to a random level so update
-		// rounds desynchronize across agents.
-		a.weakOpinion = wrongOpinion
-		a.opinion = wrongOpinion
-		fill := r.Intn(a.m)
-		fake := [4]int{}
-		fake[ssfSym10+wrongOpinion] = fill / 2
-		fake[ssfSym00+wrongOpinion] = fill - fill/2
-		a.memory = fake
-		a.total = fill
-	case sim.CorruptRandom:
-		a.weakOpinion = r.Coin()
-		a.opinion = r.Coin()
-		a.total = 0
-		for s := range a.memory {
-			a.memory[s] = r.Intn(a.m/4 + 1)
-			a.total += a.memory[s]
-		}
-	}
+	return sim.NewLane(p, id, role, env)
 }

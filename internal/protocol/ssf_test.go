@@ -7,13 +7,23 @@ import (
 	"noisypull/internal/sim"
 )
 
-func newSSFAgent(t *testing.T, role sim.Role, env sim.Env, m int) *ssfAgent {
+func newSSFAgent(t *testing.T, role sim.Role, env sim.Env, m int) sim.Agent {
 	t.Helper()
 	p := NewSSF(WithSSFUpdateQuota(m))
 	if err := p.Check(env); err != nil {
 		t.Fatal(err)
 	}
-	return p.NewAgent(0, role, env).(*ssfAgent)
+	return p.NewAgent(0, role, env)
+}
+
+// ssfLane returns the one-agent SSF population behind a; a is its agent 0.
+func ssfLane(a sim.Agent) *ssfPop { return sim.LanePopulation(a).(*ssfPop) }
+
+// memory returns an SSF agent's memory multiset as per-symbol counts.
+func memory(a sim.Agent) [4]int32 {
+	var m [4]int32
+	copy(m[:], ssfLane(a).mem)
+	return m
 }
 
 func TestSSFOptions(t *testing.T) {
@@ -50,6 +60,12 @@ func TestSSFCheckRejects(t *testing.T) {
 	env.Alphabet = 2
 	if err := NewSSF().Check(env); err == nil {
 		t.Error("Check accepted alphabet 2")
+	}
+	if err := NewSSF(WithSSFUpdateQuota(1 << 30)).Check(ssfEnv()); err != nil {
+		t.Errorf("Check rejected the largest quota the kernel's counters hold: %v", err)
+	}
+	if err := NewSSF(WithSSFUpdateQuota(1<<30 + 1)).Check(ssfEnv()); err == nil {
+		t.Error("Check accepted a quota past the kernel's counters")
 	}
 }
 
@@ -90,7 +106,7 @@ func TestSSFDisplayEncoding(t *testing.T) {
 	if ns.Display() != ssfSym00 {
 		t.Fatalf("fresh non-source displays %d", ns.Display())
 	}
-	ns.weakOpinion = 1
+	ssfLane(ns).weak[0] = 1
 	if ns.Display() != ssfSym01 {
 		t.Fatalf("weak-1 non-source displays %d", ns.Display())
 	}
@@ -100,23 +116,24 @@ func TestSSFUpdateTriggersAtQuota(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(1)
 	a := newSSFAgent(t, sim.Role{}, env, 20)
+	pop := ssfLane(a)
 
 	// 19 messages: below quota, no update, memory accumulates.
 	a.Observe([]int{0, 0, 4, 15}, r)
-	if a.total != 19 {
-		t.Fatalf("total = %d", a.total)
+	if pop.total[0] != 19 {
+		t.Fatalf("total = %d", pop.total[0])
 	}
-	if a.weakOpinion != 0 {
+	if pop.weak[0] != 0 {
 		t.Fatal("weak opinion updated below quota")
 	}
 	// One more crosses the quota: weak opinion from (1,1) vs (1,0) counts —
 	// 16 vs 4 -> 1; opinion from value bits — 16 ones vs 4 zeros -> 1.
 	a.Observe([]int{0, 0, 0, 1}, r)
-	if a.weakOpinion != 1 || a.opinion != 1 {
-		t.Fatalf("after update: weak = %d, opinion = %d", a.weakOpinion, a.opinion)
+	if pop.weak[0] != 1 || a.Opinion() != 1 {
+		t.Fatalf("after update: weak = %d, opinion = %d", pop.weak[0], a.Opinion())
 	}
-	if a.total != 0 || a.memory != [4]int{} {
-		t.Fatalf("memory not emptied: %v, total %d", a.memory, a.total)
+	if pop.total[0] != 0 || memory(a) != [4]int32{} {
+		t.Fatalf("memory not emptied: %v, total %d", memory(a), pop.total[0])
 	}
 }
 
@@ -128,12 +145,12 @@ func TestSSFWeakOpinionIgnoresUntaggedMessages(t *testing.T) {
 	// a pure coin toss over zero counts... majority(0, 0) -> coin; opinion
 	// follows value bits -> 1.
 	a.Observe([]int{1, 9, 0, 0}, r)
-	if a.opinion != 1 {
-		t.Fatalf("opinion = %d", a.opinion)
+	if a.Opinion() != 1 {
+		t.Fatalf("opinion = %d", a.Opinion())
 	}
 	// Weak opinion came from a tie over zero tagged messages: either value
 	// is possible; just confirm the update consumed the memory.
-	if a.total != 0 {
+	if ssfLane(a).total[0] != 0 {
 		t.Fatal("memory not consumed")
 	}
 }
@@ -145,11 +162,11 @@ func TestSSFOpinionMajorityOverAllValueBits(t *testing.T) {
 	// Tagged messages lean 1 (3 vs 1) but untagged value bits lean 0
 	// (6 zeros vs 2 ones): weak opinion 1, opinion 0 (7 zeros vs 5 ones).
 	a.Observe([]int{6, 2, 1, 3}, r)
-	if a.weakOpinion != 1 {
-		t.Fatalf("weak opinion = %d, want 1", a.weakOpinion)
+	if w := ssfLane(a).weak[0]; w != 1 {
+		t.Fatalf("weak opinion = %d, want 1", w)
 	}
-	if a.opinion != 0 {
-		t.Fatalf("opinion = %d, want 0", a.opinion)
+	if a.Opinion() != 0 {
+		t.Fatalf("opinion = %d, want 0", a.Opinion())
 	}
 }
 
@@ -172,26 +189,27 @@ func TestSSFCorruption(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(5)
 	a := newSSFAgent(t, sim.Role{}, env, 50)
-	a.Corrupt(sim.CorruptWrongConsensus, 0, r)
-	if a.opinion != 0 || a.weakOpinion != 0 {
+	corrupt(a, sim.CorruptWrongConsensus, 0, r)
+	pa := ssfLane(a)
+	if a.Opinion() != 0 || pa.weak[0] != 0 {
 		t.Fatal("wrong-consensus corruption did not set opinions")
 	}
-	if a.total >= 50 {
-		t.Fatalf("corrupted memory size %d >= m", a.total)
+	if pa.total[0] >= 50 {
+		t.Fatalf("corrupted memory size %d >= m", pa.total[0])
 	}
-	sum := a.memory[0] + a.memory[1] + a.memory[2] + a.memory[3]
-	if sum != a.total {
-		t.Fatalf("memory counts %v inconsistent with total %d", a.memory, a.total)
+	mem := memory(a)
+	if sum := mem[0] + mem[1] + mem[2] + mem[3]; sum != pa.total[0] {
+		t.Fatalf("memory counts %v inconsistent with total %d", mem, pa.total[0])
 	}
-	if a.memory[ssfSym01] != 0 || a.memory[ssfSym11] != 0 {
+	if mem[ssfSym01] != 0 || mem[ssfSym11] != 0 {
 		t.Fatal("wrong-consensus corruption injected correct-opinion messages")
 	}
 
 	b := newSSFAgent(t, sim.Role{}, env, 50)
-	b.Corrupt(sim.CorruptRandom, 0, r)
-	sum = b.memory[0] + b.memory[1] + b.memory[2] + b.memory[3]
-	if sum != b.total {
-		t.Fatalf("random corruption inconsistent: %v vs %d", b.memory, b.total)
+	corrupt(b, sim.CorruptRandom, 0, r)
+	mem = memory(b)
+	if sum := mem[0] + mem[1] + mem[2] + mem[3]; sum != ssfLane(b).total[0] {
+		t.Fatalf("random corruption inconsistent: %v vs %d", mem, ssfLane(b).total[0])
 	}
 }
 
@@ -201,12 +219,12 @@ func TestSSFSelfStabilizesAfterCorruption(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(6)
 	a := newSSFAgent(t, sim.Role{}, env, 10)
-	a.Corrupt(sim.CorruptWrongConsensus, 0, r)
+	corrupt(a, sim.CorruptWrongConsensus, 0, r)
 	// Feed genuine 1-source-heavy traffic.
 	for i := 0; i < 4; i++ {
 		a.Observe([]int{0, 0, 0, 5}, r)
 	}
-	if a.opinion != 1 || a.weakOpinion != 1 {
-		t.Fatalf("agent did not recover: opinion %d weak %d", a.opinion, a.weakOpinion)
+	if w := ssfLane(a).weak[0]; a.Opinion() != 1 || w != 1 {
+		t.Fatalf("agent did not recover: opinion %d weak %d", a.Opinion(), w)
 	}
 }

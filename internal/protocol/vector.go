@@ -1,10 +1,11 @@
 package protocol
 
 // Vectorized struct-of-arrays populations (sim.VecPopulation) for the
-// binary-alphabet protocols. Each kernel replicates its scalar agent's
-// update law exactly — same branches, same tie-breaking, same corruption
-// adversary — but stores the population as flat slices and consumes the
-// round's observation law (sim.VecObs) instead of per-agent sample counts:
+// binary-alphabet protocols. Each kernel is its protocol's definition —
+// update rule, tie-breaking, corruption adversary and snapshot format — and
+// its Agents are one-agent views of it (sim.NewLane). A kernel stores the
+// population as flat slices and consumes the round's observation law
+// (sim.VecObs) instead of per-agent sample counts:
 //
 //   - Voter: adopting the symbol of one uniformly chosen observation among
 //     h i.i.d. draws from the mixture q is marginally one Bernoulli(q₁)
@@ -21,14 +22,15 @@ package protocol
 //
 // Every kernel honors the engine's crash mask: a crashed agent
 // (obs.Crashed) draws nothing, keeps its state, and still tallies its
-// current opinion. CorruptAt mirrors the scalar agent's Corrupt, and
+// current opinion. CorruptAt is the protocol's corruption adversary, and
 // InitRange builds a fresh agent under a corruption mode, so mid-run
 // corruption and churn rewrite the flat slices in place.
 //
 // The kernels draw from the chunk stream in agent-index order; their
 // trajectories are deterministic in (seed, chunk layout) and independent of
-// the worker count, but deliberately NOT bit-identical to the scalar agents
-// run through the engine's adapter, which draw per agent (see DESIGN §3.9).
+// the worker count. Run as Agents through the engine's adapter, the same
+// kernels get their observation counts from the law's samplers instead, so
+// the two paths agree in law but not bit for bit (see DESIGN §3.9).
 
 import (
 	"fmt"
@@ -59,8 +61,8 @@ func (p *opinionPop) DisplayRange(lo, hi int, out []uint8) {
 	copy(out[lo:hi], p.opinion[lo:hi])
 }
 
-// CorruptAt implements sim.VecPopulation, mirroring voterAgent.Corrupt and
-// majorityAgent.Corrupt (sources are immune).
+// CorruptAt implements sim.VecPopulation: wrong consensus sets the wrong
+// opinion, random corruption a fair coin. Sources are immune.
 func (p *opinionPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
 	if i < p.spec.Sources1+p.spec.Sources0 {
 		return
@@ -96,7 +98,7 @@ func (p *opinionPop) RestoreRange(rd *sim.SnapReader, lo, hi int) error {
 
 // NewVecPopulation implements sim.VecProtocol.
 func (Voter) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
-	return &voterPop{opinionPop{spec, make([]uint8, spec.Env.N)}}
+	return &voterPop{opinionPop{spec, make([]uint8, spec.N)}}
 }
 
 // voterPop is the voter population.
@@ -149,7 +151,7 @@ func (p *voterPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int {
 
 // NewVecPopulation implements sim.VecProtocol.
 func (MajorityRule) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
-	return &majorityPop{opinionPop{spec, make([]uint8, spec.Env.N)}}
+	return &majorityPop{opinionPop{spec, make([]uint8, spec.N)}}
 }
 
 // majorityPop is the h-majority population.
@@ -165,8 +167,8 @@ func (p *majorityPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stre
 		case i < s1+s0:
 			p.opinion[i] = 0
 		default:
-			// Balanced parity initialization, as in the scalar agent.
-			p.opinion[i] = uint8(i % 2)
+			// Balanced id-parity initialization.
+			p.opinion[i] = uint8((p.spec.First + i) % 2)
 			if mode != sim.CorruptNone {
 				p.CorruptAt(i, mode, wrong, r)
 			}
@@ -211,12 +213,11 @@ func (p *majorityPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int 
 func (p *SF) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
 	m, t, w, l, err := p.params(spec.Env)
 	if err != nil {
-		// The engine validates via Check/Rounds before construction;
-		// reaching here means the caller skipped validation — same contract
-		// as NewAgent.
+		// sim.Config.Validate runs Check before construction; reaching here
+		// means the caller skipped validation.
 		panic(fmt.Sprintf("protocol: SF.NewVecPopulation with invalid env: %v", err))
 	}
-	n := spec.Env.N
+	n := spec.N
 	pop := &sfPop{
 		spec: spec,
 		m:    m, phaseT: t, boostW: w, boostL: l,
@@ -233,30 +234,29 @@ func (p *SF) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
 	if p.alternating {
 		pop.firstSym = make([]uint8, n)
 	}
-	// Boosting counters need to hold up to quota+h−1; keep them in int to
-	// match the scalar agent's arithmetic exactly for any m override.
+	// Boosting counters need to hold up to quota+h−1; keep them in int so
+	// any m override fits.
 	pop.boostOnes = make([]int, n)
 	pop.boostAll = make([]int, n)
 	return pop
 }
 
-// sfPop is the SF population as flat per-field slices; the field meanings
-// mirror sfAgent one-to-one.
+// sfPop is the SF population as flat per-field slices.
 type sfPop struct {
 	spec                      sim.VecSpec
-	m, phaseT, boostW, boostL int
+	m, phaseT, boostW, boostL int // budget, phase length T, boosting quota w, sub-phases L
 	total                     int // full schedule length, for Corrupt's clock scramble
 	alt                       bool
 
-	firstSym  []uint8 // alternating variant only
-	round     []int32
-	counter1  []int32
-	counter0  []int32
-	weak      []uint8
+	firstSym  []uint8 // alternating variant only: the coin-chosen first display symbol
+	round     []int32 // rounds already observed
+	counter1  []int32 // 1-messages seen in Phase 0 (variant: in the whole window)
+	counter0  []int32 // 0-messages seen in Phase 1 (variant: in the whole window)
+	weak      []uint8 // weak opinion Ŷ, formed at the end of Phase 1
 	opinion   []uint8
-	subPhase  []int32
-	boostOnes []int
-	boostAll  []int
+	subPhase  []int32 // current boosting sub-phase (0-based)
+	boostOnes []int   // 1-messages gathered in the current sub-phase
+	boostAll  []int   // messages gathered in the current sub-phase
 }
 
 func (p *sfPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stream) {
@@ -274,7 +274,7 @@ func (p *sfPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stream) {
 		default:
 			p.opinion[i] = 0
 		}
-		// Seeded init, then corruption — the scalar agents' per-agent order.
+		// Seeded init, then corruption, agent by agent.
 		if p.alt {
 			p.firstSym[i] = uint8(r.Coin())
 		}
@@ -284,9 +284,10 @@ func (p *sfPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stream) {
 	}
 }
 
-// CorruptAt implements sim.VecPopulation, mirroring sfAgent.Corrupt (which,
-// like the scalar version, also hits sources — SF is not self-stabilizing
-// and the experiments rely on that).
+// CorruptAt implements sim.VecPopulation: the adversary scrambles opinions,
+// counters and clocks. It hits sources too: SF is not self-stabilizing,
+// and the experiments show that corrupting its counters and clocks breaks
+// it (contrast with SSF).
 func (p *sfPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
 	switch mode {
 	case sim.CorruptWrongConsensus:
@@ -310,7 +311,8 @@ func (p *sfPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stre
 	}
 }
 
-// display mirrors sfAgent.Display for agent i.
+// display is agent i's display: its preference (sources) or the listening
+// schedule's symbol during Phases 0 and 1, its opinion while boosting.
 func (p *sfPop) display(i int) int {
 	rd := int(p.round[i])
 	if rd < 2*p.phaseT { // listening window
@@ -345,8 +347,8 @@ func (p *sfPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int {
 	ones := 0
 	for i := lo; i < hi; i++ {
 		if obs.Crashed(i) {
-			// Crashed: no observations, and — like the scalar agent, whose
-			// Observe is skipped — the schedule clock does not advance.
+			// Crashed: no observations, and the schedule clock does not
+			// advance.
 			ones += int(p.opinion[i])
 			continue
 		}
@@ -354,6 +356,8 @@ func (p *sfPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int {
 		rd := int(p.round[i])
 		switch {
 		case rd < 2*p.phaseT && p.alt:
+			// Count both symbols throughout the listening window; the
+			// symmetric background cancels in counter1 − counter0.
 			p.counter1[i] += int32(k1)
 			p.counter0[i] += int32(h - k1)
 			if rd == 2*p.phaseT-1 {

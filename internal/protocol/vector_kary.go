@@ -1,7 +1,8 @@
 package protocol
 
 // Vectorized populations for the alphabet-4 protocols (TrustBit and SSF),
-// the k-ary counterparts of the binary kernels in vector.go. Both consume
+// the k-ary counterparts of the binary kernels in vector.go and, like them,
+// their protocols' definitions. Both consume
 // the full per-symbol observation vector through obs.Counts — one cached
 // Multinomial(h, q) draw per agent on the complete graph, one
 // neighborhood-law draw on a graph — instead of h individual channel
@@ -20,7 +21,7 @@ import (
 
 // NewVecPopulation implements sim.VecProtocol.
 func (TrustBit) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
-	n := spec.Env.N
+	n := spec.N
 	return &trustBitPop{
 		spec:     spec,
 		informed: make([]uint8, n),
@@ -48,8 +49,8 @@ func (p *trustBitPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stre
 		case i < s1+s0:
 			p.informed[i], p.opinion[i] = 1, 0
 		default:
-			// Balanced parity initialization, as in the scalar agent.
-			p.informed[i], p.opinion[i] = 0, uint8(i%2)
+			// Uninformed, with balanced id-parity opinions.
+			p.informed[i], p.opinion[i] = 0, uint8((p.spec.First+i)%2)
 			if mode != sim.CorruptNone {
 				p.CorruptAt(i, mode, wrong, r)
 			}
@@ -103,8 +104,9 @@ func (p *trustBitPop) State(i int) (display, opinion int) {
 	return p.display(i), int(p.opinion[i])
 }
 
-// CorruptAt implements sim.VecPopulation, mirroring
-// trustBitAgent.Corrupt (sources are immune).
+// CorruptAt implements sim.VecPopulation: wrong consensus makes the agent
+// informed with the wrong opinion; random corruption draws the informed
+// flag and the opinion as fair coins. Sources are immune.
 func (p *trustBitPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
 	if i < p.spec.Sources1+p.spec.Sources0 {
 		return
@@ -139,19 +141,14 @@ func (p *trustBitPop) RestoreRange(rd *sim.SnapReader, lo, hi int) error {
 	return rd.Err()
 }
 
-// NewVecPopulation implements sim.VecProtocol. It panics on an invalid
-// environment (same contract as NewAgent) and returns nil — the engine then
-// runs SSF's Agents through its adapter — for quotas too large for the
-// population's int32 counters.
+// NewVecPopulation implements sim.VecProtocol. It panics on an environment
+// Check rejects, quotas past the counters' limit included.
 func (p *SSF) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
 	m, err := p.quota(spec.Env)
 	if err != nil {
 		panic(fmt.Sprintf("protocol: SSF.NewVecPopulation with invalid env: %v", err))
 	}
-	if m > 1<<30 {
-		return nil
-	}
-	n := spec.Env.N
+	n := spec.N
 	pop := &ssfPop{
 		spec:    spec,
 		m:       m,
@@ -164,10 +161,9 @@ func (p *SSF) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
 }
 
 // ssfPop is the SSF population: agent i's memory multiset lives at
-// mem[4i:4i+4] with total[i] = |M|, and weak/opinion mirror the scalar
-// agent's Ŷ and Y. Memory counts peak at m + h − 1 ≤ 2³⁰ + h before an
-// update empties them, so int32 counters suffice (NewVecPopulation refuses
-// larger quotas).
+// mem[4i:4i+4] with total[i] = |M|, and weak/opinion hold Ŷ and Y. Memory
+// counts peak at m + h − 1 ≤ 2³⁰ + h before an update empties them, so
+// int32 counters suffice (the quota check refuses larger m).
 type ssfPop struct {
 	spec sim.VecSpec
 	m    int
@@ -232,9 +228,8 @@ func (p *ssfPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int {
 			ones += int(p.opinion[i])
 			continue
 		}
-		// Like the scalar Observe, every agent — sources included —
-		// accumulates observations and runs update rounds; sources differ
-		// only in what they display.
+		// Every agent — sources included — accumulates observations and
+		// runs update rounds; sources differ only in what they display.
 		obs.Counts(i, r, buf[:])
 		base := 4 * i
 		t := p.total[i]
@@ -264,8 +259,11 @@ func (p *ssfPop) State(i int) (display, opinion int) {
 // analysis.
 func (p *ssfPop) WeakOpinionAt(i int) int { return int(p.weak[i]) }
 
-// CorruptAt implements sim.VecPopulation, mirroring ssfAgent.Corrupt
-// (which hits sources too — their role and quota are the only intact state).
+// CorruptAt implements sim.VecPopulation: the adversary of Section 1.3 sets
+// the memory multiset and the opinions arbitrarily. It hits sources too;
+// their role and quota are the only intact state. Wrong consensus stuffs
+// the memory with fake messages for the wrong opinion, filled to a random
+// level so update rounds desynchronize across agents.
 func (p *ssfPop) CorruptAt(i int, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
 	base := 4 * i
 	switch mode {

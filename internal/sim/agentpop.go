@@ -8,9 +8,10 @@ import (
 
 // agentPop runs a plain Agent protocol on the per-agent engine: a
 // VecPopulation holding one Agent per index. New uses it whenever the
-// protocol has no struct-of-arrays kernel (no VecProtocol, or
-// NewVecPopulation returned nil), so every per-agent run shares one round
-// loop, one snapshot format and one fault path.
+// protocol has no struct-of-arrays kernel (no VecProtocol), so every
+// per-agent run shares one round loop, one snapshot format and one fault
+// path. A built-in protocol reaches it only when a wrapper hides its
+// kernel; its Agents are then lanes over that kernel (lane.go).
 //
 // StepRange turns the round's VecObs draws into the per-symbol counts
 // Agent.Observe takes — K1 on binary alphabets, Counts otherwise — and
@@ -35,7 +36,7 @@ func newAgentPop(proto Protocol, spec VecSpec, numChunks int) *agentPop {
 	return &agentPop{
 		proto:  proto,
 		spec:   spec,
-		agents: make([]Agent, spec.Env.N),
+		agents: make([]Agent, spec.N),
 		obs:    make([]int, numChunks*obsStride(spec.Env.Alphabet)),
 		errs:   make([]error, numChunks),
 	}

@@ -29,7 +29,7 @@ var checkpointPins = map[string]string{
 	"ssf k4 aggregate":                  "f56428dd343b8d87518d1a8336a4f1a3507524342a9acf111e8e2305a0449f48",
 	"trustbit regular graph":            "ad09bbf62c2d90ce4c9d015dc7b95c902b3b83784fabcc8af8c0e4385b481d16",
 	"voter crash churn corrupt":         "70af1e76a527c82fa359ea62252f077350c0ea46ef09d5745c3ada335a5c7d5b",
-	"wrapped voter crash churn corrupt": "98060da68cd5fe26c3ca2cab6070f9cd5acb4315f3ff30e39d89559589cf0653",
+	"wrapped voter crash churn corrupt": "a3bb4749493dfd1bf2dc98fddfe8fd6610617ae8427b896bc03d1e67743f439b",
 	"majority churn":                    "b8ed8eb68de3430cc6c0e0cda16e5fbad81486ce67549ccfb9006a0d60c0980d",
 	"sf alternating churn":              "57c1973c0b96ad037205df324489ed3793c04c8e3ac6aaa14f6c16c64ddace80",
 	"ssf k4 churn":                      "2224d7fb080a38e11c1e31f500b2ead44d3f2251397746d772b43d9f33a52211",

@@ -322,8 +322,8 @@ func TestGoldenVec(t *testing.T) {
 
 // TestGoldenVecMatchesScalarShape sanity-checks every golden case on the
 // things no trajectory may violate: a positive round count and a
-// correct-opinion count within [0, N]. (Distributional agreement of each
-// kernel with its protocol's Agents is TestVecScalarChiSquare's job.)
+// correct-opinion count within [0, N]. (Agreement of each kernel with the
+// exact law is TestSyncChainOracle's job.)
 func TestGoldenVecMatchesScalarShape(t *testing.T) {
 	for _, c := range goldenCases(t) {
 		tr := runGolden(t, c.cfg)

@@ -136,20 +136,20 @@ func New(cfg Config) (*Runner, error) {
 		workers = numChunks
 	}
 
-	// The protocol's struct-of-arrays kernel when it has one for this spec;
-	// otherwise the adapter runs its plain Agents on the same path.
+	// The protocol's struct-of-arrays kernel when it has one; otherwise the
+	// adapter runs its plain Agents on the same path.
 	spec := VecSpec{
 		Env:      env,
+		N:        cfg.N,
 		Sources1: cfg.Sources1,
 		Sources0: cfg.Sources0,
 		Correct:  cfg.CorrectOpinion(),
 	}
 	var pop VecPopulation
+	var ap *agentPop
 	if vp, ok := cfg.Protocol.(VecProtocol); ok {
 		pop = vp.NewVecPopulation(spec)
-	}
-	var ap *agentPop
-	if pop == nil {
+	} else {
 		ap = newAgentPop(cfg.Protocol, spec, numChunks)
 		pop = ap
 	}

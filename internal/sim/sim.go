@@ -13,7 +13,9 @@
 //     agent's state in a VecPopulation: the protocol's own struct-of-arrays
 //     kernel, or an adapter over its plain Agents. Each agent's observation
 //     vector is one draw from the round's law (see vector.go). AsyncRunner
-//     activates the same populations one agent at a time.
+//     activates the same populations one agent at a time. A protocol with a
+//     kernel builds its Agents as one-agent views of it (NewLane), so the
+//     kernel is its only definition.
 //   - BackendCounts drops per-agent state entirely for protocols whose
 //     agents are exchangeable within a small set of state classes
 //     (CountableProtocol): the population is a vector of class counts and
@@ -332,7 +334,8 @@ type Result struct {
 }
 
 // Validate checks the configuration, returning a descriptive error for the
-// first violated constraint.
+// first violated constraint. A protocol with a Check(Env) error method (SF
+// and SSF) is asked last whether the environment is in its domain.
 func (c *Config) Validate() error {
 	if c.Protocol == nil {
 		return errors.New("sim: config needs a Protocol")
@@ -422,6 +425,9 @@ func (c *Config) Validate() error {
 				}
 			}
 		}
+	}
+	if p, ok := c.Protocol.(interface{ Check(Env) error }); ok {
+		return p.Check(c.Env())
 	}
 	return nil
 }

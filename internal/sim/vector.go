@@ -26,9 +26,11 @@ package sim
 // The population is a VecPopulation and each round runs two bulk passes —
 // count displays (or publish them, on a graph), then draw the per-agent law
 // and update state in place. Built-in protocols keep their population as
-// flat slices with kernels that consume the law directly; any other Agent
-// protocol runs through the agentPop adapter (agentpop.go), which turns the
-// same draws into the counts Agent.Observe takes.
+// flat slices with kernels that consume the law directly; these kernels are
+// the protocols' only definition, and their Agents are one-agent views of
+// them (lane.go). Any other Agent protocol runs through the agentPop
+// adapter (agentpop.go), which turns the same draws into the counts
+// Agent.Observe takes.
 //
 // Determinism is chunk-based rather than agent-based: the population is cut
 // into fixed VecChunkSize-agent chunks, each owning a private RNG stream
@@ -146,7 +148,11 @@ func (o *VecObs) Counts(i int, r *rng.Stream, out []int) {
 // mixes the tally through the effective noise rows, and draws from the
 // resulting binomial/multinomial. All mutable per-draw state is chunk-local
 // (one worker owns a chunk), so concurrent Phase B workers never share it.
+//
+// A lane (lane.go) sets fixed instead: every draw then returns that count
+// vector, the observations Agent.Observe was handed.
 type vecNbrObs struct {
+	fixed    []int         // fixed observation counts; nil on a graph
 	off, adj []int32       // the topology's CSR arrays
 	displays []uint8       // displays[v] = symbol agent v shows this round
 	effRows  [][]float64   // aliases the runner's rows: noise faults repoint entries
@@ -233,12 +239,18 @@ func (nb *vecNbrObs) tallyBinary(i int) (deg, ones int) {
 // p1 is agent i's per-observation probability of reading 1: the
 // neighborhood display mixture pushed through the effective channel.
 func (nb *vecNbrObs) p1(i int) float64 {
+	if nb.fixed != nil {
+		return float64(nb.fixed[1]) / float64(nb.fixed[0]+nb.fixed[1])
+	}
 	deg, ones := nb.tallyBinary(i)
 	return (float64(ones)*nb.effRows[1][1] + float64(deg-ones)*nb.effRows[0][1]) / float64(deg)
 }
 
 // k1 draws Binomial(h, p1(i)) through the chunk's memoized sampler.
 func (nb *vecNbrObs) k1(i int, r *rng.Stream) int {
+	if nb.fixed != nil {
+		return nb.fixed[1]
+	}
 	c := &nb.chunks[i/VecChunkSize]
 	deg, ones := nb.tallyBinary(i)
 	key := int64(deg)<<32 | int64(ones)
@@ -254,6 +266,10 @@ func (nb *vecNbrObs) k1(i int, r *rng.Stream) int {
 // counts draws agent i's k-ary observation vector: tally the neighborhood
 // displays, mix through the effective rows, and draw one multinomial.
 func (nb *vecNbrObs) counts(i int, r *rng.Stream, out []int) {
+	if nb.fixed != nil {
+		copy(out, nb.fixed)
+		return
+	}
 	c := &nb.chunks[i/VecChunkSize]
 	cnt := c.cnt
 	for j := range cnt {
@@ -277,7 +293,16 @@ func (nb *vecNbrObs) counts(i int, r *rng.Stream, out []int) {
 // struct-of-arrays population.
 type VecSpec struct {
 	// Env is the protocol environment, as passed to Protocol.NewAgent.
+	// Env.N is the size of the population the protocol runs in, which the
+	// protocol's parameters depend on; N is the length of this population.
 	Env Env
+	// N is the number of agents to allocate: Config.N for the engine, 1 for
+	// a lane.
+	N int
+	// First is the id of agent 0, so agent i has id First+i: 0 for the
+	// engine, the agent's id for a lane. Kernels whose fresh state depends
+	// on the id (the parity start of majority and TrustBit) read it.
+	First int
 	// Sources1 and Sources0 give the role layout: agents [0, Sources1) are
 	// 1-sources, [Sources1, Sources1+Sources0) are 0-sources.
 	Sources1, Sources0 int
@@ -290,11 +315,11 @@ type VecSpec struct {
 func (s *VecSpec) Role(i int) Role { return roleOf(i, s.Sources1, s.Sources0) }
 
 // VecPopulation is the per-agent engine's population, advanced by bulk
-// kernels over index ranges: a protocol's own struct-of-arrays kernel, or
-// the adapter that runs a plain Agent protocol. Range methods are called
-// for chunk-aligned [lo, hi) slices; distinct ranges are processed
-// concurrently, so a kernel must only touch state of agents inside its
-// range. Fault events call CorruptAt, and InitRange on the one-agent range
+// kernels over index ranges: a protocol's own struct-of-arrays kernel, which
+// defines the protocol, or the adapter that runs a plain Agent protocol.
+// Range methods are called for chunk-aligned [lo, hi) slices; distinct
+// ranges are processed concurrently, so a kernel must only touch state of
+// agents inside its range. Fault events call CorruptAt, and InitRange on the one-agent range
 // [i, i+1), single-threaded between rounds with the engine's fault stream,
 // so those calls may touch any agent state without synchronization.
 type VecPopulation interface {
@@ -324,15 +349,18 @@ type VecPopulation interface {
 	SnapshotRange(w *SnapWriter, lo, hi int)
 	// RestoreRange deserializes agents [lo, hi), validating every field.
 	RestoreRange(rd *SnapReader, lo, hi int) error
-	// CorruptAt applies the mid-run corruption adversary to agent i,
-	// mirroring the protocol's Agent.Corrupt (including its role checks).
+	// CorruptAt applies the protocol's corruption adversary to agent i,
+	// including its role checks (which roles the adversary may touch). The
+	// engine calls it for mid-run corruption, InitRange for round-0
+	// corruption, and a lane's Corrupt for its one agent.
 	CorruptAt(i int, mode CorruptionMode, wrong int, r *rng.Stream)
 }
 
 // VecProtocol is implemented by protocols that provide a struct-of-arrays
-// kernel. NewVecPopulation may return nil when the protocol's options or
-// environment have no kernel; the engine then runs the protocol's Agents
-// through the adapter population, on the same path.
+// kernel; the engine runs every other protocol's Agents through the adapter
+// population, on the same path. NewVecPopulation may panic on an
+// environment outside the protocol's domain, which Config.Validate rejects
+// first through the protocol's Check.
 type VecProtocol interface {
 	Protocol
 	NewVecPopulation(spec VecSpec) VecPopulation

@@ -1,32 +1,33 @@
 // Equivalence suite for the per-agent engine path (vector.go). A built-in
 // protocol runs there as its struct-of-arrays kernel; any other Agent
 // protocol runs as one Agent per index through the adapter population
-// (agentpop.go). A kernel consumes randomness differently from its own
-// protocol's Agents under the adapter, so the two are NOT bit-identical.
-// What this file proves instead:
+// (agentpop.go). A built-in protocol's Agents are one-agent views of its
+// kernel (lane.go), but under the adapter they draw their observations
+// through the law's samplers, so a kernel run and the same protocol's
+// adapted run are in general NOT bit-identical; TestSyncChainOracle
+// (chain_test.go) checks both against the exact law. What this file
+// proves:
 //
 //  1. every run is bit-identical to itself at any Workers / GOMAXPROCS
 //     setting (per-chunk streams + commutative integer merges), adapter
 //     included;
-//  2. each kernel agrees *distributionally* with the same protocol's Agents
-//     run through the adapter — same observation law, indistinguishable
-//     outcome statistics;
-//  3. snapshots resume bit-identically, including under live fault
+//  2. snapshots resume bit-identically, including under live fault
 //     schedules (noise swap/drift, and mid-crash with corruption/churn);
-//  4. cross-path restores (kernel, adapter, counts backend) fail loudly
+//  3. cross-path restores (kernel, adapter, counts backend) fail loudly
 //     instead of silently diverging;
-//  5. every built-in protocol runs its own kernel, every other protocol
-//     the adapter, and the counts backend neither;
-//  6. AsyncRunner activates the same populations: its round-0 state is
+//  4. every built-in protocol runs its own kernel, every other protocol
+//     the adapter, and the counts backend neither; an environment outside
+//     a protocol's domain fails construction with an error;
+//  5. AsyncRunner activates the same populations: its round-0 state is
 //     Runner's, and Reset replays a fresh async runner.
 package sim_test
 
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"noisypull/internal/faults"
@@ -224,9 +225,10 @@ func vecCases() []vecCase {
 			},
 		},
 		{
-			// The same run with the voter's plain Agents through the adapter:
-			// multi-chunk, so worker striding, the per-chunk observation
-			// scratch and the adapter's snapshot payload are all exercised.
+			// The same run with the voter's Agents (views of its kernel)
+			// through the adapter: multi-chunk, so worker striding, the
+			// per-chunk observation scratch and the adapter's snapshot
+			// payload are all exercised.
 			name: "wrapped voter crash churn corrupt",
 			cfg: func(t *testing.T, seed uint64) sim.Config {
 				return sim.Config{
@@ -355,252 +357,6 @@ func TestVecBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestVecMatchesScalarDistribution: each built-in kernel and the same
-// protocol's scalar Agents run through the adapter implement the same
-// stochastic process, so pooled outcome statistics over many independent
-// seeds must agree within sampling error. Voter and majority compare the
-// mean final-correct count; SF and its alternating variant compare the
-// correct-consensus win rate (their dynamics are near-deterministic per
-// seed, so wins carry the signal).
-func TestVecMatchesScalarDistribution(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical A/B needs many trials")
-	}
-	t.Run("voter mean final correct", func(t *testing.T) {
-		const trials = 150
-		base := func(seed uint64) sim.Config {
-			return sim.Config{
-				N: 500, H: 4, Sources1: 6, Sources0: 2,
-				Noise:           uniformNoise(t, 2, 0.15),
-				Protocol:        protocol.Voter{},
-				Seed:            seed,
-				Backend:         sim.BackendAggregate,
-				MaxRounds:       60,
-				StabilityWindow: 4,
-				Workers:         1,
-			}
-		}
-		compareFinalCorrect(t, "voter", base, trials)
-	})
-	t.Run("majority graph mean final correct", func(t *testing.T) {
-		const trials = 120
-		g, err := graph.RandomRegular(500, 8, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := func(seed uint64) sim.Config {
-			return sim.Config{
-				N: 500, H: 5, Sources1: 10, Sources0: 2,
-				Noise:           uniformNoise(t, 2, 0.1),
-				Protocol:        protocol.MajorityRule{},
-				Topology:        g,
-				Seed:            seed,
-				Backend:         sim.BackendExact,
-				MaxRounds:       30,
-				StabilityWindow: 30,
-				Workers:         1,
-			}
-		}
-		compareFinalCorrect(t, "graph majority", base, trials)
-	})
-	for _, sf := range []struct {
-		name  string
-		proto sim.Protocol
-	}{
-		{"sf win rate", protocol.NewSF()},
-		{"sf alternating win rate", protocol.NewSFAlternating()},
-	} {
-		t.Run(sf.name, func(t *testing.T) {
-			const trials = 80
-			base := func(seed uint64) sim.Config {
-				return sim.Config{
-					N: 150, H: 16, Sources1: 2, Sources0: 1,
-					Noise:     uniformNoise(t, 2, 0.2),
-					Protocol:  sf.proto,
-					Seed:      seed,
-					Backend:   sim.BackendAggregate,
-					MaxRounds: 5000,
-					Workers:   1,
-				}
-			}
-			wins := func(adapted bool) int {
-				won := 0
-				for _, fc := range sampleFinalCorrect(t, base, adapted, trials) {
-					if 2*fc > 150 {
-						won++
-					}
-				}
-				return won
-			}
-			kernelWins, agentWins := wins(false), wins(true)
-			z := twoProportionZ(kernelWins, agentWins, trials)
-			if math.Abs(z) > 4.5 {
-				t.Fatalf("%s kernel vs adapter win rate diverges: z = %.2f (kernel %d/%d, adapter %d/%d)",
-					sf.name, z, kernelWins, trials, agentWins, trials)
-			}
-		})
-	}
-}
-
-// compareFinalCorrect Welch-tests the mean final-correct count of a kernel
-// against the same protocol's Agents run through the adapter.
-func compareFinalCorrect(t *testing.T, label string, base func(seed uint64) sim.Config, trials int) {
-	t.Helper()
-	kernel := sampleFinalCorrect(t, base, false, trials)
-	agents := sampleFinalCorrect(t, base, true, trials)
-	if z := welchZ(kernel, agents); math.Abs(z) > 4.5 {
-		t.Fatalf("%s kernel vs adapter mean final-correct diverges: z = %.2f (kernel mean %.1f, adapter mean %.1f)",
-			label, z, mean(kernel), mean(agents))
-	}
-}
-
-// TestVecScalarChiSquare: on a k = 4 alphabet each kernel draws one cached
-// multinomial per agent and updates flat slices, while the adapter hands
-// the same protocol's scalar Agents their counts one by one; both must
-// realize the same display law. Each trial records the final per-symbol
-// display fractions; each symbol's fractions are compared across the two
-// with a Welch z over independent seeds, and the summed z² forms an
-// aggregate chi-square-style statistic.
-func TestVecScalarChiSquare(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical A/B needs many trials")
-	}
-	const trials = 60
-	const n = 400
-	for _, tc := range []struct {
-		name  string
-		proto sim.Protocol
-	}{
-		{"trustbit", protocol.TrustBit{}},
-		{"ssf", protocol.NewSSF(protocol.WithSSFUpdateQuota(24))},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			base := func(seed uint64) sim.Config {
-				return sim.Config{
-					N: n, H: 6, Sources1: 8, Sources0: 2,
-					Noise:           uniformNoise(t, 4, 0.1),
-					Protocol:        tc.proto,
-					Seed:            seed,
-					Backend:         sim.BackendAggregate,
-					MaxRounds:       25,
-					StabilityWindow: 25,
-					Corruption:      sim.CorruptRandom,
-					Workers:         1,
-				}
-			}
-			sample := func(adapted bool) [4][]float64 {
-				var cols [4][]float64
-				for tr := 0; tr < trials; tr++ {
-					r := newRunner(t, base(uint64(3000+tr)), adapted)
-					if _, err := r.Run(); err != nil {
-						t.Fatal(err)
-					}
-					var cnt [4]int
-					for i := 0; i < n; i++ {
-						d, _, err := r.AgentState(i)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cnt[d]++
-					}
-					r.Close()
-					for j := 0; j < 4; j++ {
-						cols[j] = append(cols[j], float64(cnt[j])/float64(n))
-					}
-				}
-				return cols
-			}
-			kernel, agents := sample(false), sample(true)
-			chi2 := 0.0
-			for j := 0; j < 4; j++ {
-				z := welchZ(kernel[j], agents[j])
-				chi2 += z * z
-				if math.Abs(z) > 4.5 {
-					t.Errorf("symbol %d display fraction diverges: z = %.2f (kernel mean %.3f, adapter mean %.3f)",
-						j, z, mean(kernel[j]), mean(agents[j]))
-				}
-			}
-			// Four ~N(0,1) components under the null: 40 sits far beyond any
-			// plausible chi-square(4) quantile while staying robust to the
-			// mild cross-symbol correlation (fractions sum to 1).
-			if chi2 > 40 {
-				t.Errorf("aggregate chi-square statistic %.1f over 4 symbols exceeds threshold 40", chi2)
-			}
-		})
-	}
-}
-
-// newRunner builds cfg's runner, with the protocol's kernel hidden when
-// adapted, and checks that it took the intended population.
-func newRunner(t *testing.T, cfg sim.Config, adapted bool) *sim.Runner {
-	t.Helper()
-	if adapted {
-		cfg.Protocol = agentsOnly(cfg.Protocol)
-	}
-	r, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Agents() != nil; got != adapted {
-		t.Fatalf("runner uses the adapter = %v, want %v", got, adapted)
-	}
-	return r
-}
-
-func sampleFinalCorrect(t *testing.T, base func(seed uint64) sim.Config, adapted bool, trials int) []float64 {
-	t.Helper()
-	out := make([]float64, 0, trials)
-	for tr := 0; tr < trials; tr++ {
-		r := newRunner(t, base(uint64(5000+tr)), adapted)
-		res, err := r.Run()
-		r.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, float64(res.FinalCorrect))
-	}
-	return out
-}
-
-func mean(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func welchZ(a, b []float64) float64 {
-	ma, mb := mean(a), mean(b)
-	va, vb := 0.0, 0.0
-	for _, x := range a {
-		va += (x - ma) * (x - ma)
-	}
-	for _, x := range b {
-		vb += (x - mb) * (x - mb)
-	}
-	va /= float64(len(a) - 1)
-	vb /= float64(len(b) - 1)
-	se := math.Sqrt(va/float64(len(a)) + vb/float64(len(b)))
-	if se == 0 {
-		if ma == mb {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return (ma - mb) / se
-}
-
-func twoProportionZ(k1, k2, n int) float64 {
-	p1, p2 := float64(k1)/float64(n), float64(k2)/float64(n)
-	pool := (float64(k1) + float64(k2)) / float64(2*n)
-	se := math.Sqrt(pool * (1 - pool) * 2 / float64(n))
-	if se == 0 {
-		return 0
-	}
-	return (p1 - p2) / se
-}
-
 // TestVecSnapshotResumeDeterminism: a run interrupted mid-flight — mid-drift
 // with a swapped noise matrix, or mid-crash with live fault telemetry — and
 // resumed from its snapshot in a fresh runner must finish with the identical
@@ -709,8 +465,9 @@ func TestVecCrossPathRestoreRejected(t *testing.T) {
 // built-in protocol runs its own kernel — graph topologies, alphabets > 2,
 // and the full fault palette included — every other Agent protocol runs
 // through the adapter, and the counts backend has no per-agent population.
-// The CI vec-parity step runs this test by name, so a built-in protocol
-// silently dropping to the adapter fails the build.
+// An environment outside a protocol's domain is an error from New, not a
+// panic. The CI vec-parity step runs this test by name, so a built-in
+// protocol silently dropping to the adapter fails the build.
 func TestVecEligibility(t *testing.T) {
 	base := func() sim.Config {
 		return sim.Config{
@@ -790,10 +547,6 @@ func TestVecEligibility(t *testing.T) {
 			c.Topology = ring
 			c.Faults = crashChurn
 		}, kernel},
-		{"ssf quota beyond kernel counters", func(c *sim.Config) {
-			c.Protocol = protocol.NewSSF(protocol.WithSSFUpdateQuota(1 << 31))
-			c.Noise = uniformNoise(t, 4, 0.1)
-		}, adapter},
 		{"wrapped voter", func(c *sim.Config) { c.Protocol = agentsOnly(protocol.Voter{}) }, adapter},
 		{"wrapped sf aggregate", func(c *sim.Config) {
 			c.Protocol = agentsOnly(protocol.NewSF())
@@ -830,6 +583,29 @@ func TestVecEligibility(t *testing.T) {
 			}
 			if _, err := r.Run(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+	// An environment outside a protocol's domain fails New with an error
+	// naming the violated limit.
+	for _, tc := range []struct {
+		name, errHas string
+		mut          func(c *sim.Config)
+	}{
+		{"ssf quota beyond kernel counters", "1073741824", func(c *sim.Config) {
+			c.Protocol = protocol.NewSSF(protocol.WithSSFUpdateQuota(1 << 31))
+			c.Noise = uniformNoise(t, 4, 0.1)
+		}},
+		{"sf at delta 0.5", "outside [0, 0.5)", func(c *sim.Config) {
+			c.Protocol = protocol.NewSF()
+			c.Noise = uniformNoise(t, 2, 0.5)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base()
+			tc.mut(&cfg)
+			if _, err := sim.New(cfg); err == nil || !strings.Contains(err.Error(), tc.errHas) {
+				t.Fatalf("New error = %v, want one naming %q", err, tc.errHas)
 			}
 		})
 	}

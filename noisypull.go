@@ -340,9 +340,8 @@ func (r *Runner) Close() { r.r.Close() }
 
 // toSim translates the public Config into a validated engine
 // configuration, performing automatic noise reduction and SSF stability
-// defaulting. Protocols that can validate their applicability (SF and SSF
-// expose Check) are asked to, turning would-be construction panics into
-// errors.
+// defaulting. Validation includes the protocol's own applicability check
+// (SF and SSF expose Check).
 func (cfg Config) toSim() (sim.Config, error) {
 	if cfg.Noise == nil {
 		return sim.Config{}, errors.New("noisypull: Config.Noise is required")
@@ -391,11 +390,6 @@ func (cfg Config) toSim() (sim.Config, error) {
 	}
 	if err := sc.Validate(); err != nil {
 		return sim.Config{}, err
-	}
-	if c, ok := cfg.Protocol.(interface{ Check(sim.Env) error }); ok {
-		if err := c.Check(sc.Env()); err != nil {
-			return sim.Config{}, err
-		}
 	}
 	return sc, nil
 }
