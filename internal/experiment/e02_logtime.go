@@ -38,13 +38,10 @@ func e2LogTime() Experiment {
 			)
 			var xs, durations, recoveries []float64
 			for g, n := range ns {
-				batch, err := runTrials(opts, g, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: n, Sources1: 1, Sources0: 0,
-						Noise:    nm,
-						Protocol: protocol.NewSF(),
-						Seed:     seed,
-					}
+				batch, err := runTrials(opts, g, trials, sim.Config{
+					N: n, H: n, Sources1: 1, Sources0: 0,
+					Noise:    nm,
+					Protocol: protocol.NewSF(),
 				})
 				if err != nil {
 					return nil, err

@@ -39,13 +39,10 @@ func e3SpeedupH() Experiment {
 			)
 			var xs, durations []float64
 			for g, h := range hs {
-				batch, err := runTrials(opts, g, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: h, Sources1: 1, Sources0: 0,
-						Noise:    nm,
-						Protocol: protocol.NewSF(),
-						Seed:     seed,
-					}
+				batch, err := runTrials(opts, g, trials, sim.Config{
+					N: n, H: h, Sources1: 1, Sources0: 0,
+					Noise:    nm,
+					Protocol: protocol.NewSF(),
 				})
 				if err != nil {
 					return nil, err

@@ -38,13 +38,10 @@ func e4NoiseSweep() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				batch, err := runTrials(opts, g, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: n, Sources1: 1, Sources0: 0,
-						Noise:    nm,
-						Protocol: protocol.NewSF(),
-						Seed:     seed,
-					}
+				batch, err := runTrials(opts, g, trials, sim.Config{
+					N: n, H: n, Sources1: 1, Sources0: 0,
+					Noise:    nm,
+					Protocol: protocol.NewSF(),
 				})
 				if err != nil {
 					return nil, err

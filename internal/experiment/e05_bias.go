@@ -38,13 +38,10 @@ func e5BiasSweep() Experiment {
 			)
 			var xs, durations []float64
 			for g, s := range biases {
-				batch, err := runTrials(opts, g, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: 64, Sources1: s, Sources0: 0,
-						Noise:    nm,
-						Protocol: protocol.NewSF(),
-						Seed:     seed,
-					}
+				batch, err := runTrials(opts, g, trials, sim.Config{
+					N: n, H: 64, Sources1: s, Sources0: 0,
+					Noise:    nm,
+					Protocol: protocol.NewSF(),
 				})
 				if err != nil {
 					return nil, err

@@ -45,11 +45,11 @@ func e7SelfStab() Experiment {
 			grid := 0
 			for _, n := range ns {
 				for _, mode := range []sim.CorruptionMode{sim.CorruptWrongConsensus, sim.CorruptRandom} {
-					makeCfg, err := ssfConfigFactory(ssf, n, h, 1, 0, nm4, mode)
+					cfg, err := ssfTrialConfig(ssf, n, h, 1, 0, nm4, mode)
 					if err != nil {
 						return nil, err
 					}
-					batch, err := runTrials(opts, grid, trials, makeCfg)
+					batch, err := runTrials(opts, grid, trials, cfg)
 					grid++
 					if err != nil {
 						return nil, err
@@ -73,14 +73,11 @@ func e7SelfStab() Experiment {
 				"n", "success",
 			)
 			for i, n := range ns {
-				batch, err := runTrials(opts, grid+i, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: h, Sources1: 1, Sources0: 0,
-						Noise:      nm2,
-						Protocol:   protocol.NewSF(),
-						Seed:       seed,
-						Corruption: sim.CorruptWrongConsensus,
-					}
+				batch, err := runTrials(opts, grid+i, trials, sim.Config{
+					N: n, H: h, Sources1: 1, Sources0: 0,
+					Noise:      nm2,
+					Protocol:   protocol.NewSF(),
+					Corruption: sim.CorruptWrongConsensus,
 				})
 				if err != nil {
 					return nil, err

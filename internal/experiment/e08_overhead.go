@@ -52,25 +52,19 @@ func e8Overhead() Experiment {
 				"n", "h", "s", "SF duration", "SSF recovery", "overhead", "SF ok", "SSF ok",
 			)
 			for g, pt := range grid {
-				pt := pt
-				sfBatch, err := runTrials(opts, 2*g, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: pt.n, H: pt.h, Sources1: pt.s1, Sources0: pt.s0,
-						Noise:    nm2,
-						Protocol: protocol.NewSF(),
-						Seed:     seed,
-					}
+				sfBatch, err := runTrials(opts, 2*g, trials, sim.Config{
+					N: pt.n, H: pt.h, Sources1: pt.s1, Sources0: pt.s0,
+					Noise:    nm2,
+					Protocol: protocol.NewSF(),
 				})
 				if err != nil {
 					return nil, err
 				}
-				ssfBatch, err := runTrials(opts, 2*g+1, trials, func(seed uint64) sim.Config {
-					cfg, err := ssfTrialConfig(ssf, pt.n, pt.h, pt.s1, pt.s0, nm4, sim.CorruptNone, seed)
-					if err != nil {
-						panic(err)
-					}
-					return cfg
-				})
+				ssfCfg, err := ssfTrialConfig(ssf, pt.n, pt.h, pt.s1, pt.s0, nm4, sim.CorruptNone)
+				if err != nil {
+					return nil, err
+				}
+				ssfBatch, err := runTrials(opts, 2*g+1, trials, ssfCfg)
 				if err != nil {
 					return nil, err
 				}

@@ -46,24 +46,19 @@ func e9Plurality() Experiment {
 			)
 			for g, pair := range pairs {
 				s1, s0 := pair[0], pair[1]
-				sfBatch, err := runTrials(opts, 2*g, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: h, Sources1: s1, Sources0: s0,
-						Noise:    nm2,
-						Protocol: protocol.NewSF(),
-						Seed:     seed,
-					}
+				sfBatch, err := runTrials(opts, 2*g, trials, sim.Config{
+					N: n, H: h, Sources1: s1, Sources0: s0,
+					Noise:    nm2,
+					Protocol: protocol.NewSF(),
 				})
 				if err != nil {
 					return nil, err
 				}
-				ssfBatch, err := runTrials(opts, 2*g+1, trials, func(seed uint64) sim.Config {
-					cfg, err := ssfTrialConfig(ssf, n, h, s1, s0, nm4, sim.CorruptNone, seed)
-					if err != nil {
-						panic(err)
-					}
-					return cfg
-				})
+				ssfCfg, err := ssfTrialConfig(ssf, n, h, s1, s0, nm4, sim.CorruptNone)
+				if err != nil {
+					return nil, err
+				}
+				ssfBatch, err := runTrials(opts, 2*g+1, trials, ssfCfg)
 				if err != nil {
 					return nil, err
 				}

@@ -122,14 +122,11 @@ func e10Reduction() Experiment {
 			art.Notef("message-law equality (Definition 6) chi-square passed: %v", lawOK)
 
 			// (3) End-to-end SF under the asymmetric channel via P.
-			batch, err := runTrials(opts, 0, sfTrials, func(seed uint64) sim.Config {
-				return sim.Config{
-					N: 400, H: 32, Sources1: 1, Sources0: 0,
-					Noise:      nm,
-					Artificial: red.P,
-					Protocol:   protocol.NewSF(),
-					Seed:       seed,
-				}
+			batch, err := runTrials(opts, 0, sfTrials, sim.Config{
+				N: 400, H: 32, Sources1: 1, Sources0: 0,
+				Noise:      nm,
+				Artificial: red.P,
+				Protocol:   protocol.NewSF(),
 			})
 			if err != nil {
 				return nil, err

@@ -45,7 +45,6 @@ func e11Baselines() Experiment {
 			)
 			grid := 0
 			for _, h := range hs {
-				h := h
 				sfProto := protocol.NewSF()
 				budget := sfProto.Rounds(sim.Env{
 					N: n, H: h, Alphabet: 2, Delta: delta, Sources: 1, Bias: 1,
@@ -54,11 +53,9 @@ func e11Baselines() Experiment {
 					return nil, fmt.Errorf("experiment: SF budget unavailable for h=%d", h)
 				}
 
-				sfBatch, err := runTrials(opts, grid, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: h, Sources1: 1, Sources0: 0,
-						Noise: nm2, Protocol: sfProto, Seed: seed,
-					}
+				sfBatch, err := runTrials(opts, grid, trials, sim.Config{
+					N: n, H: h, Sources1: 1, Sources0: 0,
+					Noise: nm2, Protocol: sfProto,
 				})
 				grid++
 				if err != nil {
@@ -76,16 +73,12 @@ func e11Baselines() Experiment {
 					{"majority", protocol.MajorityRule{}, nm2},
 					{"trust-bit", protocol.TrustBit{}, nm4},
 				} {
-					b := b
-					batch, err := runTrials(opts, grid, trials, func(seed uint64) sim.Config {
-						return sim.Config{
-							N: n, H: h, Sources1: 1, Sources0: 0,
-							Noise:           b.noise,
-							Protocol:        b.proto,
-							Seed:            seed,
-							MaxRounds:       2 * budget,
-							StabilityWindow: 10,
-						}
+					batch, err := runTrials(opts, grid, trials, sim.Config{
+						N: n, H: h, Sources1: 1, Sources0: 0,
+						Noise:           b.noise,
+						Protocol:        b.proto,
+						MaxRounds:       2 * budget,
+						StabilityWindow: 10,
 					})
 					grid++
 					if err != nil {

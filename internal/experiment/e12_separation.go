@@ -38,21 +38,16 @@ func e12Separation() Experiment {
 			)
 			var xs, dur1, durN []float64
 			for g, n := range ns {
-				n := n
-				batch1, err := runTrials(opts, 2*g, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: 1, Sources1: 1, Sources0: 0,
-						Noise: nm, Protocol: protocol.NewSF(), Seed: seed,
-					}
+				batch1, err := runTrials(opts, 2*g, trials, sim.Config{
+					N: n, H: 1, Sources1: 1, Sources0: 0,
+					Noise: nm, Protocol: protocol.NewSF(),
 				})
 				if err != nil {
 					return nil, err
 				}
-				batchN, err := runTrials(opts, 2*g+1, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: n, Sources1: 1, Sources0: 0,
-						Noise: nm, Protocol: protocol.NewSF(), Seed: seed,
-					}
+				batchN, err := runTrials(opts, 2*g+1, trials, sim.Config{
+					N: n, H: n, Sources1: 1, Sources0: 0,
+					Noise: nm, Protocol: protocol.NewSF(),
 				})
 				if err != nil {
 					return nil, err

@@ -156,10 +156,11 @@ func e13Theory() Experiment {
 				}
 				correct, total := 0, 0
 				for tr := 0; tr < trials; tr++ {
-					cfg, err := ssfTrialConfig(ssf, pt.n, pt.h, 1, 0, nm4, sim.CorruptNone, trialSeed(opts.Seed, 100+g, tr))
+					cfg, err := ssfTrialConfig(ssf, pt.n, pt.h, 1, 0, nm4, sim.CorruptNone)
 					if err != nil {
 						return nil, err
 					}
+					cfg.Seed = trialSeed(opts.Seed, 100+g, tr)
 					cfg.Workers = 1
 					runner, err := sim.New(cfg)
 					if err != nil {

@@ -46,14 +46,10 @@ func e14Alternating() Experiment {
 				var rates [2]float64
 				var rounds float64
 				for v, proto := range []sim.Protocol{protocol.NewSF(), protocol.NewSFAlternating()} {
-					proto := proto
-					batch, err := runTrials(opts, grid, trials, func(seed uint64) sim.Config {
-						return sim.Config{
-							N: n, H: h, Sources1: 1, Sources0: 0,
-							Noise:    nm,
-							Protocol: proto,
-							Seed:     seed,
-						}
+					batch, err := runTrials(opts, grid, trials, sim.Config{
+						N: n, H: h, Sources1: 1, Sources0: 0,
+						Noise:    nm,
+						Protocol: proto,
 					})
 					grid++
 					if err != nil {

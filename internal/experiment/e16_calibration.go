@@ -44,27 +44,21 @@ func e16Calibration() Experiment {
 			var xs, sfRates, ssfRates []float64
 			grid := 0
 			for _, c1 := range c1s {
-				c1 := c1
-				sfBatch, err := runTrials(opts, grid, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: h, Sources1: 1, Sources0: 0,
-						Noise:    nm2,
-						Protocol: protocol.NewSF(protocol.WithSFConstant(c1)),
-						Seed:     seed,
-					}
+				sfBatch, err := runTrials(opts, grid, trials, sim.Config{
+					N: n, H: h, Sources1: 1, Sources0: 0,
+					Noise:    nm2,
+					Protocol: protocol.NewSF(protocol.WithSFConstant(c1)),
 				})
 				grid++
 				if err != nil {
 					return nil, err
 				}
 				ssf := protocol.NewSSF(protocol.WithSSFConstant(c1))
-				ssfBatch, err := runTrials(opts, grid, trials, func(seed uint64) sim.Config {
-					cfg, err := ssfTrialConfig(ssf, n, h, 1, 0, nm4, sim.CorruptWrongConsensus, seed)
-					if err != nil {
-						panic(err)
-					}
-					return cfg
-				})
+				ssfCfg, err := ssfTrialConfig(ssf, n, h, 1, 0, nm4, sim.CorruptWrongConsensus)
+				if err != nil {
+					return nil, err
+				}
+				ssfBatch, err := runTrials(opts, grid, trials, ssfCfg)
 				grid++
 				if err != nil {
 					return nil, err

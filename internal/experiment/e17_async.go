@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"noisypull/internal/noise"
 	"noisypull/internal/protocol"
 	"noisypull/internal/report"
@@ -42,20 +44,32 @@ func e17Async() Experiment {
 				"Fully asynchronous activations, wrong-consensus start (h = 32, delta = 0.1)",
 				"n", "protocol", "success", "median recovery",
 			)
-			ssf := protocol.NewSSF()
-			grid := 0
-			for _, n := range ns {
-				n := n
-				// SSF, asynchronous.
-				makeSSF, err := ssfConfigFactory(ssf, n, h, 1, 0, nm4, sim.CorruptWrongConsensus)
+			// runAsync is runTrials on the asynchronous scheduler.
+			runAsync := func(grid int, cfg sim.Config) (*trialBatch, error) {
+				seeds, err := trialSeeds(opts, grid, trials)
 				if err != nil {
 					return nil, err
 				}
-				ssfBatch, err := runTrialsOn(newAsyncRunner, opts, grid, trials, func(seed uint64) sim.Config {
-					cfg := makeSSF(seed)
-					cfg.MaxRounds *= 2 // asynchrony spreads per-agent schedules
-					return cfg
+				results, err := sim.RunSeeds(opts.ctx(), seeds, opts.Parallel, func(seed uint64) (*sim.AsyncRunner, error) {
+					c := cfg
+					c.Seed = seed
+					return sim.NewAsync(c)
 				})
+				if err != nil {
+					return nil, fmt.Errorf("experiment: grid point %d: %w", grid, err)
+				}
+				return aggregate(results), nil
+			}
+			ssf := protocol.NewSSF()
+			grid := 0
+			for _, n := range ns {
+				// SSF, asynchronous.
+				ssfCfg, err := ssfTrialConfig(ssf, n, h, 1, 0, nm4, sim.CorruptWrongConsensus)
+				if err != nil {
+					return nil, err
+				}
+				ssfCfg.MaxRounds *= 2 // asynchrony spreads per-agent schedules
+				ssfBatch, err := runAsync(grid, ssfCfg)
 				grid++
 				if err != nil {
 					return nil, err
@@ -69,16 +83,13 @@ func e17Async() Experiment {
 				budget := sfProto.Rounds(sim.Env{
 					N: n, H: h, Alphabet: 2, Delta: delta, Sources: 1, Bias: 1,
 				})
-				sfBatch, err := runTrialsOn(newAsyncRunner, opts, grid, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: h, Sources1: 1, Sources0: 0,
-						Noise:           nm2,
-						Protocol:        sfProto,
-						Seed:            seed,
-						Corruption:      sim.CorruptWrongConsensus,
-						MaxRounds:       3 * budget,
-						StabilityWindow: 10,
-					}
+				sfBatch, err := runAsync(grid, sim.Config{
+					N: n, H: h, Sources1: 1, Sources0: 0,
+					Noise:           nm2,
+					Protocol:        sfProto,
+					Corruption:      sim.CorruptWrongConsensus,
+					MaxRounds:       3 * budget,
+					StabilityWindow: 10,
 				})
 				grid++
 				if err != nil {

@@ -54,7 +54,6 @@ func e18Topology() Experiment {
 				{"complete", func(uint64) (*graph.Graph, error) { return nil, nil }},
 			}
 			for _, d := range degrees {
-				d := d
 				topos = append(topos, topo{
 					fmt.Sprintf("random %d-regular", d),
 					func(seed uint64) (*graph.Graph, error) { return graph.RandomRegular(n, d, seed) },
@@ -65,32 +64,32 @@ func e18Topology() Experiment {
 				func(seed uint64) (*graph.Graph, error) { return graph.Ring(n, 4) },
 			})
 
+			sf := protocol.NewSF()
 			for g, tp := range topos {
-				tp := tp
-				// Pre-build per-trial graphs so construction errors surface
-				// on the error path.
-				graphs := make([]*graph.Graph, trials)
-				for tr := range graphs {
-					gg, err := tp.build(trialSeed(opts.Seed, g, tr) | 1)
-					if err != nil {
-						return nil, fmt.Errorf("building %s: %w", tp.name, err)
-					}
-					graphs[tr] = gg
-				}
-				batch, err := runTrials(opts, g, trials, func(seed uint64) sim.Config {
-					return sim.Config{
-						N: n, H: h, Sources1: 1, Sources0: 0,
-						Noise:    nm,
-						Protocol: protocol.NewSF(),
-						Seed:     seed,
-						// Trial workers run makeCfg concurrently; select the
-						// per-trial graph deterministically from the seed.
-						Topology: graphs[seed%uint64(trials)],
-					}
-				})
+				seeds, err := trialSeeds(opts, g, trials)
 				if err != nil {
 					return nil, err
 				}
+				// Trial t samples on its own graph t, so no runner is reused
+				// and the trials run one at a time.
+				results := make([]*sim.Result, trials)
+				for t := range seeds {
+					topology, err := tp.build(seeds[t] | 1)
+					if err != nil {
+						return nil, fmt.Errorf("building %s: %w", tp.name, err)
+					}
+					res, err := sim.RunBatchContext(opts.ctx(), sim.Config{
+						N: n, H: h, Sources1: 1, Sources0: 0,
+						Noise:    nm,
+						Protocol: sf,
+						Topology: topology,
+					}, seeds[t:t+1], 1)
+					if err != nil {
+						return nil, fmt.Errorf("experiment: grid point %d: %w", g, err)
+					}
+					results[t] = res[0]
+				}
+				batch := aggregate(results)
 				table.AddRow(tp.name, batch.SuccessRate(), batch.MedianRecovery())
 				opts.progress("E18: %s done (success %.2f)", tp.name, batch.SuccessRate())
 			}

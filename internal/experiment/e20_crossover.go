@@ -63,17 +63,13 @@ func e20Crossover() Experiment {
 				medAtStar := 0.0
 				h1Success := 0.0
 				for hi, h := range hGrid {
-					h := h
-					batch, err := runTrials(opts, gi*len(hGrid)+hi, trials, func(seed uint64) sim.Config {
-						return sim.Config{
-							N: n, H: h, Sources1: s1, Sources0: 0,
-							Noise:           nm,
-							Protocol:        protocol.MajorityRule{},
-							Seed:            seed,
-							Backend:         sim.BackendCounts,
-							MaxRounds:       maxRounds,
-							StabilityWindow: 10,
-						}
+					batch, err := runTrials(opts, gi*len(hGrid)+hi, trials, sim.Config{
+						N: n, H: h, Sources1: s1, Sources0: 0,
+						Noise:           nm,
+						Protocol:        protocol.MajorityRule{},
+						Backend:         sim.BackendCounts,
+						MaxRounds:       maxRounds,
+						StabilityWindow: 10,
 					})
 					if err != nil {
 						return nil, err

@@ -72,7 +72,7 @@ func e21Faults() Experiment {
 				// (the stability window is two update cycles, so the run
 				// lasts at least that long).
 				ssf := protocol.NewSSF()
-				cfg, err := ssfTrialConfig(ssf, n, h, 1, 0, nm4, sim.CorruptNone, 0)
+				cfg, err := ssfTrialConfig(ssf, n, h, 1, 0, nm4, sim.CorruptNone)
 				if err != nil {
 					return nil, err
 				}

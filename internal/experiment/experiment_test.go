@@ -78,13 +78,10 @@ func TestRunTrialsAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Seed: 7, Parallel: 2}
-	batch, err := runTrials(opts, 0, 6, func(seed uint64) sim.Config {
-		return sim.Config{
-			N: 200, H: 16, Sources1: 1, Sources0: 0,
-			Noise:    nm,
-			Protocol: protocol.NewSF(),
-			Seed:     seed,
-		}
+	batch, err := runTrials(opts, 0, 6, sim.Config{
+		N: 200, H: 16, Sources1: 1, Sources0: 0,
+		Noise:    nm,
+		Protocol: protocol.NewSF(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,13 +105,10 @@ func TestRunTrialsAggregation(t *testing.T) {
 }
 
 func TestRunTrialsPropagatesErrors(t *testing.T) {
-	if _, err := runTrials(Options{}, 0, 0, nil); err == nil {
+	if _, err := runTrials(Options{}, 0, 0, sim.Config{}); err == nil {
 		t.Fatal("zero trials did not error")
 	}
-	_, err := runTrials(Options{}, 0, 2, func(seed uint64) sim.Config {
-		return sim.Config{} // invalid
-	})
-	if err == nil {
+	if _, err := runTrials(Options{}, 0, 2, sim.Config{}); err == nil { // invalid
 		t.Fatal("invalid config did not error")
 	}
 }
@@ -199,14 +193,14 @@ func TestSSFTrialConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	ssf := protocol.NewSSF()
-	cfg, err := ssfTrialConfig(ssf, 200, 16, 1, 0, nm, sim.CorruptWrongConsensus, 7)
+	cfg, err := ssfTrialConfig(ssf, 200, 16, 1, 0, nm, sim.CorruptWrongConsensus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.StabilityWindow <= 0 || cfg.MaxRounds <= cfg.StabilityWindow {
 		t.Fatalf("windows: %+v", cfg)
 	}
-	if cfg.Corruption != sim.CorruptWrongConsensus || cfg.Seed != 7 {
+	if cfg.Corruption != sim.CorruptWrongConsensus {
 		t.Fatalf("fields not propagated: %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -217,7 +211,7 @@ func TestSSFTrialConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ssfTrialConfig(ssf, 200, 16, 1, 0, bad, sim.CorruptNone, 1); err == nil {
+	if _, err := ssfTrialConfig(ssf, 200, 16, 1, 0, bad, sim.CorruptNone); err == nil {
 		t.Fatal("invalid SSF noise accepted")
 	}
 }

@@ -6,16 +6,15 @@ import (
 	"noisypull/internal/sim"
 )
 
-// ssfTrialConfig assembles a sim.Config for one SSF trial: the stability
-// window spans two full update cycles (so "converged" means consensus
-// survives across memory flushes) and the round cap is a small multiple of
-// Theorem 5's convergence horizon.
-func ssfTrialConfig(ssf *protocol.SSF, n, h, s1, s0 int, nm *noise.Matrix, corrupt sim.CorruptionMode, seed uint64) (sim.Config, error) {
+// ssfTrialConfig assembles the sim.Config of an SSF grid point: the
+// stability window spans two full update cycles (so "converged" means
+// consensus survives across memory flushes) and the round cap is a small
+// multiple of Theorem 5's convergence horizon.
+func ssfTrialConfig(ssf *protocol.SSF, n, h, s1, s0 int, nm *noise.Matrix, corrupt sim.CorruptionMode) (sim.Config, error) {
 	cfg := sim.Config{
 		N: n, H: h, Sources1: s1, Sources0: s0,
 		Noise:      nm,
 		Protocol:   ssf,
-		Seed:       seed,
 		Corruption: corrupt,
 	}
 	env := cfg.Env()
@@ -31,22 +30,4 @@ func ssfTrialConfig(ssf *protocol.SSF, n, h, s1, s0 int, nm *noise.Matrix, corru
 	}
 	cfg.MaxRounds = 6*conv + cfg.StabilityWindow
 	return cfg, nil
-}
-
-// ssfConfigFactory validates the SSF trial parameters once and returns a
-// per-seed config builder suitable for runTrials. This keeps configuration
-// errors on the error path instead of panicking inside trial workers.
-func ssfConfigFactory(ssf *protocol.SSF, n, h, s1, s0 int, nm *noise.Matrix, corrupt sim.CorruptionMode) (func(seed uint64) sim.Config, error) {
-	if _, err := ssfTrialConfig(ssf, n, h, s1, s0, nm, corrupt, 0); err != nil {
-		return nil, err
-	}
-	return func(seed uint64) sim.Config {
-		cfg, err := ssfTrialConfig(ssf, n, h, s1, s0, nm, corrupt, seed)
-		if err != nil {
-			// Unreachable: parameters were validated above and only the
-			// seed varies.
-			panic(err)
-		}
-		return cfg
-	}, nil
 }

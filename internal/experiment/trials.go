@@ -1,11 +1,8 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"noisypull/internal/rng"
 	"noisypull/internal/sim"
@@ -58,112 +55,37 @@ func (b *trialBatch) Wilson95() stats.Proportion {
 	return stats.Wilson(b.Successes, b.Trials, 1.96)
 }
 
-// trialRunner is the part of sim.Runner and sim.AsyncRunner the trial loop
-// drives.
-type trialRunner interface {
-	Reset(seed uint64)
-	RunContext(ctx context.Context) (*sim.Result, error)
-}
-
-// newSyncRunner and newAsyncRunner are the constructors runTrialsOn takes:
-// the synchronous engine and the asynchronous scheduler.
-func newSyncRunner(cfg sim.Config) (trialRunner, error)  { return sim.New(cfg) }
-func newAsyncRunner(cfg sim.Config) (trialRunner, error) { return sim.NewAsync(cfg) }
-
-// runTrials executes trials of the configuration produced by makeCfg (which
-// receives the trial seed) on the synchronous engine and aggregates the
-// outcomes; runTrialsOn does the work.
-func runTrials(opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config) (*trialBatch, error) {
-	return runTrialsOn(newSyncRunner, opts, gridPoint, trials, makeCfg)
-}
-
-// runTrialsOn executes trials on runners built by newRunner. Trials execute
-// concurrently on opts.Parallel goroutines with single-worker simulations,
-// keeping total CPU use at the configured level while staying fully
-// deterministic (each trial's behaviour depends only on its seed).
-//
-// Each worker goroutine keeps one runner and rewinds it with Reset between
-// trials whenever consecutive configurations are identical up to the seed
-// (the common case: grid-point closures reuse their noise matrix, protocol,
-// and topology), so the experiment grids do not pay population construction
-// and channel building per trial. Configurations that genuinely differ (for
-// example per-trial random graphs) fall back to a fresh runner.
-func runTrialsOn(newRunner func(sim.Config) (trialRunner, error), opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config) (*trialBatch, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("experiment: trials = %d", trials)
-	}
-	parallel := opts.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > trials {
-		parallel = trials
-	}
-
-	ctx := opts.ctx()
-	results := make([]*sim.Result, trials)
-	errs := make([]error, trials)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var runner trialRunner
-			var runnerCfg sim.Config
-			for t := range next {
-				cfg := makeCfg(trialSeed(opts.Seed, gridPoint, t))
-				cfg.Workers = 1
-				if runner != nil && runnerCfg.ResetCompatible(&cfg) {
-					runner.Reset(cfg.Seed)
-				} else {
-					var err error
-					if runner, err = newRunner(cfg); err != nil {
-						errs[t] = err
-						runner = nil
-						continue
-					}
-					runnerCfg = cfg
-				}
-				results[t], errs[t] = runner.RunContext(ctx)
-			}
-		}()
-	}
-	done := ctx.Done()
-feed:
-	for t := 0; t < trials; t++ {
-		select {
-		case next <- t:
-		case <-done:
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+// runTrials executes trials of cfg (its Seed is ignored) on the synchronous
+// engine and aggregates the outcomes.
+func runTrials(opts Options, gridPoint, trials int, cfg sim.Config) (*trialBatch, error) {
+	results, err := runTrialsRaw(opts, gridPoint, trials, cfg)
+	if err != nil {
 		return nil, err
 	}
-
-	batch := &trialBatch{Trials: trials}
-	for t := 0; t < trials; t++ {
-		if errs[t] != nil {
-			return nil, fmt.Errorf("experiment: trial %d: %w", t, errs[t])
-		}
-		res := results[t]
-		batch.Durations = append(batch.Durations, float64(res.Rounds))
-		if res.Converged {
-			batch.Successes++
-			batch.Recoveries = append(batch.Recoveries, float64(res.FirstAllCorrect))
-		}
-	}
-	return batch, nil
+	return aggregate(results), nil
 }
 
-// runTrialsRaw executes trials of one fixed configuration (seeds derived
-// from opts as in runTrials) and returns the per-trial Results unaggregated.
-// Experiments that need fields trialBatch drops — fault telemetry, opinion
-// histories — use this instead of runTrials.
+// runTrialsRaw executes trials of cfg and returns the per-trial Results
+// unaggregated. Trial t runs under trialSeed(opts.Seed, gridPoint, t) on
+// sim.RunBatchContext, so trials execute concurrently on opts.Parallel
+// single-worker runners that are rewound between seeds, and each trial's
+// result depends only on its seed. Experiments that need fields trialBatch
+// drops — fault telemetry, opinion histories — use this instead of
+// runTrials.
 func runTrialsRaw(opts Options, gridPoint, trials int, cfg sim.Config) ([]*sim.Result, error) {
+	seeds, err := trialSeeds(opts, gridPoint, trials)
+	if err != nil {
+		return nil, err
+	}
+	results, err := sim.RunBatchContext(opts.ctx(), cfg, seeds, opts.Parallel)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: grid point %d: %w", gridPoint, err)
+	}
+	return results, nil
+}
+
+// trialSeeds returns the seeds of a grid point's trials.
+func trialSeeds(opts Options, gridPoint, trials int) ([]uint64, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("experiment: trials = %d", trials)
 	}
@@ -171,11 +93,20 @@ func runTrialsRaw(opts Options, gridPoint, trials int, cfg sim.Config) ([]*sim.R
 	for t := range seeds {
 		seeds[t] = trialSeed(opts.Seed, gridPoint, t)
 	}
-	results, err := sim.RunBatchContext(opts.ctx(), cfg, seeds, opts.Parallel)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: grid point %d: %w", gridPoint, err)
+	return seeds, nil
+}
+
+// aggregate folds per-trial results into a trialBatch.
+func aggregate(results []*sim.Result) *trialBatch {
+	batch := &trialBatch{Trials: len(results)}
+	for _, res := range results {
+		batch.Durations = append(batch.Durations, float64(res.Rounds))
+		if res.Converged {
+			batch.Successes++
+			batch.Recoveries = append(batch.Recoveries, float64(res.FirstAllCorrect))
+		}
 	}
-	return results, nil
+	return batch
 }
 
 // lnF returns the natural log of n as a float64.

@@ -13,6 +13,7 @@ import (
 	"noisypull"
 	"noisypull/internal/buildinfo"
 	"noisypull/internal/service"
+	"noisypull/internal/sim"
 )
 
 // WorkerConfig tunes a Worker.
@@ -56,13 +57,16 @@ type WorkerConfig struct {
 
 // Worker is the execution side of the fleet: it registers with the
 // coordinator, polls for leases when it has a free slot, executes each
-// lease's seed range on a local runner (reused across the range's seeds —
-// the RunBatch amortization), heartbeats while busy, and posts results
-// back. It never receives population data; every lease is regenerated
-// locally from (spec, seeds).
+// lease's seed range on the slot's runner, heartbeats while busy, and posts
+// results back. Each slot keeps its runner in a sim.Executor keyed by the
+// lease's config fingerprint, so the runner is rewound with Reset across
+// the seeds of a lease and across leases of one job (the RunBatch
+// amortization). It never receives population data; every lease is
+// regenerated locally from (spec, seeds).
 type Worker struct {
 	cfg    WorkerConfig
 	client *service.Client
+	execs  []executor // one per slot; pollLoop hands them out as semaphore tokens
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -108,11 +112,15 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		client:  client,
 		ctx:     ctx,
 		cancel:  cancel,
+		execs:   make([]executor, cfg.Slots),
 		running: make(map[string]context.CancelFunc),
 		id:      cfg.NodeID,
 		sp:      newSpool(spoolCap),
 	}
 }
+
+// executor is a slot's cached runner, keyed by lease fingerprint.
+type executor = sim.Executor[*noisypull.Runner, string]
 
 func (w *Worker) rpcTimeout() time.Duration {
 	if w.cfg.RPCTimeout > 0 {
@@ -145,11 +153,15 @@ func (w *Worker) Start() {
 
 // Close stops the worker abruptly: running leases are abandoned without a
 // result report (the coordinator re-leases them after the deadline), loops
-// stop, goroutines are reaped. A graceful fleet removal is just Close —
-// determinism makes abandoned work recomputable anywhere.
+// stop, goroutines are reaped, and the slots' runners are closed. A graceful
+// fleet removal is just Close — determinism makes abandoned work
+// recomputable anywhere.
 func (w *Worker) Close() {
 	w.cancel()
 	w.wg.Wait()
+	for i := range w.execs {
+		w.execs[i].Close()
+	}
 }
 
 func (w *Worker) run() {
@@ -242,23 +254,24 @@ func (w *Worker) register() bool {
 	}
 }
 
-// pollLoop asks for work whenever a slot is free. slots is a semaphore;
-// lease execution returns its token when the lease (and its result report)
-// finishes.
+// pollLoop asks for work whenever a slot is free. slots is a semaphore
+// whose tokens are the slots' executors; lease execution returns its token
+// when the lease (and its result report) finishes.
 func (w *Worker) pollLoop() {
-	slots := make(chan struct{}, w.cfg.Slots)
-	for i := 0; i < w.cfg.Slots; i++ {
-		slots <- struct{}{}
+	slots := make(chan *executor, len(w.execs))
+	for i := range w.execs {
+		slots <- &w.execs[i]
 	}
 	for {
+		var ex *executor
 		select {
 		case <-w.ctx.Done():
 			return
-		case <-slots:
+		case ex = <-slots:
 		}
 		lease, ok := w.poll()
 		if !ok || lease == nil {
-			slots <- struct{}{}
+			slots <- ex
 			if !sleepCtx(w.ctx, jitter(w.interval(&w.pollIv))) {
 				return
 			}
@@ -267,8 +280,8 @@ func (w *Worker) pollLoop() {
 		w.wg.Add(1)
 		go func(wl *WireLease) {
 			defer w.wg.Done()
-			defer func() { slots <- struct{}{} }()
-			w.runLease(wl)
+			defer func() { slots <- ex }()
+			w.runLease(ex, wl)
 		}(lease)
 	}
 }
@@ -353,12 +366,12 @@ func (w *Worker) interval(field *time.Duration) time.Duration {
 	return 500 * time.Millisecond
 }
 
-// runLease executes one lease's seed range on a single runner (built once,
-// Reset per seed — deterministic, so results are bit-identical to any other
+// runLease executes one lease's seed range on the slot's executor (Reset
+// per seed — deterministic, so results are bit-identical to any other
 // node's run of the same range) and reports the outcome. An abandoned lease
 // (worker closed, or the coordinator cancelled it) reports nothing; the
 // coordinator's deadline machinery owns that case.
-func (w *Worker) runLease(wl *WireLease) {
+func (w *Worker) runLease(ex *executor, wl *WireLease) {
 	w.busy.Add(1)
 	defer w.busy.Add(-1)
 
@@ -373,7 +386,7 @@ func (w *Worker) runLease(wl *WireLease) {
 		w.mu.Unlock()
 	}()
 
-	results, err := w.execute(ctx, wl)
+	results, err := w.execute(ctx, ex, wl)
 	if ctx.Err() != nil {
 		w.logf("fleet: lease %s abandoned mid-run", wl.ID)
 		return
@@ -395,39 +408,26 @@ func (w *Worker) runLease(wl *WireLease) {
 	w.report(req)
 }
 
-// execute runs every seed of the lease. Engine/protocol panics are
-// recovered into the lease's error — a poisonous spec fails its job on the
-// coordinator instead of killing fleet nodes one by one.
-func (w *Worker) execute(ctx context.Context, wl *WireLease) (results []service.SeedResult, err error) {
-	var runner *noisypull.Runner
-	defer func() {
-		if runner != nil {
-			runner.Close()
+// execute runs every seed of the lease on ex, under the lease's
+// fingerprint (WireLease.Validate checked it against the spec). Engine and
+// protocol panics come back as the lease's error — a poisonous spec fails
+// its job on the coordinator instead of killing fleet nodes one by one.
+func (w *Worker) execute(ctx context.Context, ex *executor, wl *WireLease) ([]service.SeedResult, error) {
+	build := func(seed uint64) (*noisypull.Runner, error) {
+		cfg, err := wl.Spec.Build()
+		if err != nil {
+			return nil, err
 		}
-		if p := recover(); p != nil {
-			results, err = nil, fmt.Errorf("panic in protocol/engine: %v", p)
-		}
-	}()
-
-	cfg, err := wl.Spec.Build()
-	if err != nil {
-		return nil, err
+		cfg.Workers = w.cfg.SimWorkers
+		cfg.Seed = seed
+		return noisypull.NewRunner(cfg)
 	}
-	cfg.Workers = w.cfg.SimWorkers
-
+	var results []service.SeedResult
 	for i, seed := range wl.Seeds {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if runner == nil {
-			cfg.Seed = seed
-			if runner, err = noisypull.NewRunner(cfg); err != nil {
-				return nil, err
-			}
-		} else {
-			runner.Reset(seed)
-		}
-		res, err := runner.RunContext(ctx)
+		res, err := ex.Run(ctx, wl.Fingerprint, seed, build, nil)
 		if err != nil {
 			return nil, fmt.Errorf("seed %d (%d/%d of lease %s): %w", seed, i+1, len(wl.Seeds), wl.ID, err)
 		}

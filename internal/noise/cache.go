@@ -40,9 +40,9 @@ var (
 //
 // Matrix and Channel are immutable after construction, so runners whose
 // configurations carry content-equal channels (a RunBatch fleet sharing
-// pointers, service runner leases holding distinct but equal matrices) all
-// receive the same instances instead of each rebuilding the composition and
-// its alias tables.
+// pointers, service runners cached per job shape holding distinct but equal
+// matrices) all receive the same instances instead of each rebuilding the
+// composition and its alias tables.
 func SharedChannel(n, artificial *Matrix) (*Matrix, *Channel, error) {
 	key := channelKey(n, artificial)
 	if eff, ch, ok := sharedLookup(key, n, artificial); ok {

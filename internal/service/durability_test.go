@@ -181,9 +181,10 @@ func resumableSpec(seeds ...uint64) JobSpec {
 // TestRecoveryResumesFromCheckpoint journals an engine checkpoint (captured
 // from a real runner at round 100) and restarts: the recovered job must
 // restore it, run only the remaining rounds, and still produce the exact
-// result of an uninterrupted run.
+// result of an uninterrupted run. The same checkpoint with one byte flipped
+// fails Restore; the job must rerun the seed from round 0 to the same result
+// and count the fallback.
 func TestRecoveryResumesFromCheckpoint(t *testing.T) {
-	dir := t.TempDir()
 	spec := resumableSpec(7)
 	spec.normalize()
 	cfg, err := spec.build()
@@ -213,28 +214,73 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 	if snap == nil {
 		t.Fatal("no checkpoint captured")
 	}
+	flipped := append([]byte(nil), snap...)
+	flipped[len(flipped)/2] ^= 1
 
-	jl, err := openJournal(dir, nil, nil)
+	for _, tc := range []struct {
+		name            string
+		checkpoint      []byte
+		restoreFailures int64
+	}{
+		{"intact", snap, 0},
+		{"flipped-byte", flipped, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jl, err := openJournal(dir, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jl.appendSubmit("j-000001", &spec)
+			jl.appendState("j-000001", StateRunning)
+			jl.appendCheckpoint("j-000001", 7, snapRound, tc.checkpoint, 100)
+			jl.close()
+
+			s := openJournaled(t, dir, Config{Workers: 1})
+			defer s.Close()
+			final := waitState(t, s, "j-000001", StateDone)
+			if want := directResult(t, spec, 7); !sameSeedResult(final.Results[0], want) {
+				t.Fatalf("resumed-from-checkpoint result %+v != uninterrupted control %+v", final.Results[0], want)
+			}
+			if got := s.metrics.restoreFailures.Load(); got != tc.restoreFailures {
+				t.Fatalf("restore failures %d, want %d", got, tc.restoreFailures)
+			}
+			// A restored run only replays the rounds after the checkpoint
+			// and credits the skipped prefix to the rounds metric; a failed
+			// restore reruns them all. Either way the metric covers one
+			// full run.
+			if got := s.metrics.rounds.Load(); got != 400 {
+				t.Fatalf("rounds metric %d, want 400 (checkpoint %d + remainder)", got, snapRound)
+			}
+		})
+	}
+}
+
+// TestReusedRunnerDropsCheckpointHook runs a checkpointing job and then a
+// job of the same shape with checkpoints off on one worker. The second job
+// reuses the first one's runner and must not journal checkpoints through
+// the hook the first job set.
+func TestReusedRunnerDropsCheckpointHook(t *testing.T) {
+	s := openJournaled(t, t.TempDir(), Config{Workers: 1})
+	defer s.Close()
+	first, err := s.Submit(resumableSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jl.appendSubmit("j-000001", &spec)
-	jl.appendState("j-000001", StateRunning)
-	jl.appendCheckpoint("j-000001", 7, snapRound, snap, 100)
-	jl.close()
-
-	s := openJournaled(t, dir, Config{Workers: 1})
-	defer s.Close()
-	final := waitState(t, s, "j-000001", StateDone)
-	if want := directResult(t, spec, 7); !sameSeedResult(final.Results[0], want) {
-		t.Fatalf("resumed-from-checkpoint result %+v != uninterrupted control %+v", final.Results[0], want)
+	waitState(t, s, first.ID, StateDone)
+	checkpoints := s.metrics.checkpoints.Load()
+	if checkpoints == 0 {
+		t.Fatal("checkpointing job journaled no checkpoints")
 	}
-	// The engine only replayed the rounds after the checkpoint; the skipped
-	// prefix is credited to the rounds metric, not re-simulated. The round
-	// counter covering checkpoint + remainder equals one full run's rounds
-	// only if the restore actually took.
-	if got := s.metrics.rounds.Load(); got != 400 {
-		t.Fatalf("rounds metric %d, want 400 (checkpoint %d + remainder)", got, snapRound)
+	spec := resumableSpec(2)
+	spec.CheckpointRounds = -1
+	second, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, second.ID, StateDone)
+	if got := s.metrics.checkpoints.Load(); got != checkpoints {
+		t.Fatalf("job with checkpoints off journaled %d checkpoints", got-checkpoints)
 	}
 }
 

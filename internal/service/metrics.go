@@ -29,6 +29,7 @@ type metrics struct {
 	checkpointBytes atomic.Int64 // size of the most recent checkpoint
 	replayMS        atomic.Int64 // last journal replay duration
 	journalErrors   atomic.Int64 // journal write failures (durability lost)
+	restoreFailures atomic.Int64 // journaled checkpoints that failed Restore
 }
 
 // WriteMetrics emits the service metrics in Prometheus text exposition
@@ -88,6 +89,9 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	p("# HELP simd_checkpoints_total Engine checkpoints written to the journal.\n")
 	p("# TYPE simd_checkpoints_total counter\n")
 	p("simd_checkpoints_total %d\n", m.checkpoints.Load())
+	p("# HELP simd_checkpoint_restore_failures_total Journaled checkpoints that failed to restore; their seeds reran from round 0.\n")
+	p("# TYPE simd_checkpoint_restore_failures_total counter\n")
+	p("simd_checkpoint_restore_failures_total %d\n", m.restoreFailures.Load())
 	p("# HELP simd_checkpoint_bytes Size of the most recently journaled engine checkpoint.\n")
 	p("# TYPE simd_checkpoint_bytes gauge\n")
 	p("simd_checkpoint_bytes %d\n", m.checkpointBytes.Load())

@@ -1,6 +1,7 @@
 // Package service turns the simulation engine into a long-running
 // simulation-as-a-service subsystem: a bounded job queue with backpressure,
-// a scheduler whose workers lease reusable noisypull.Runners across jobs
+// a scheduler whose workers each keep one noisypull.Runner in a
+// sim.Executor and rewind it across the seeds of every job of one shape
 // (the RunBatch amortization, extended to a daemon's lifetime), a per-job
 // state machine (pending → running → done/failed/cancelled) with context
 // cancellation threaded into the engine's round loop, an in-memory result
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"noisypull"
+	"noisypull/internal/sim"
 )
 
 // Sentinel errors mapped to HTTP statuses by the handlers (and back by the
@@ -43,7 +45,7 @@ type Config struct {
 	// Default 16.
 	QueueCapacity int
 	// Workers is the number of scheduler goroutines executing jobs (each
-	// holds at most one leased runner). Default GOMAXPROCS.
+	// holds at most one cached runner). Default GOMAXPROCS.
 	Workers int
 	// SimWorkers is the engine worker count per simulation. Default 1, so a
 	// loaded daemon's CPU use is governed by Workers alone; raise it for
@@ -68,7 +70,7 @@ type Config struct {
 	CheckpointRounds int
 	// Dispatcher, when non-nil, replaces local seed execution: scheduler
 	// workers hand each job's remaining seeds to it instead of running them
-	// on a leased runner. The fleet coordinator implements it to fan seeds
+	// on a cached runner. The fleet coordinator implements it to fan seeds
 	// out across worker nodes; everything around the dispatch — queueing,
 	// backpressure, the job state machine, journaling, recovery, streams,
 	// and the watchdog — is shared with the local path.
@@ -445,37 +447,26 @@ func (s *Service) lookup(id string) (*job, error) {
 // QueueDepth reports the number of jobs waiting for a worker.
 func (s *Service) QueueDepth() int { return len(s.queue) }
 
-// lease is a scheduler worker's cached runner: rebuilt only when the next
-// job's shape differs, rewound with Reset otherwise.
-type lease struct {
-	runner *noisypull.Runner
-	shape  shapeKey
-	ok     bool
-}
-
-func (l *lease) drop() {
-	if l.runner != nil {
-		l.runner.Close()
-		l.runner = nil
-	}
-	l.ok = false
-}
+// executor is a scheduler worker's cached runner, keyed by job shape: it is
+// rewound with Reset while consecutive seeds share a shape and rebuilt when
+// the shape changes.
+type executor = sim.Executor[*noisypull.Runner, shapeKey]
 
 // worker executes jobs off the queue until the queue closes (drain).
 func (s *Service) worker() {
 	defer s.workers.Done()
-	var l lease
-	defer l.drop()
+	var ex executor
+	defer ex.Close()
 	for j := range s.queue {
-		s.runJob(j, &l)
+		s.runJob(j, &ex)
 	}
 }
 
-// runJob drives one job through its seeds on the worker's leased runner. A
+// runJob drives one job through its seeds on the worker's executor. A
 // recovered job re-enters here with its journaled results preloaded: the
 // completed prefix of the seed list is skipped, and the first remaining seed
 // restores from the job's checkpoint when one was journaled.
-func (s *Service) runJob(j *job, l *lease) {
+func (s *Service) runJob(j *job, ex *executor) {
 	j.mu.Lock()
 	if j.state != StatePending { // cancelled while queued
 		j.mu.Unlock()
@@ -493,7 +484,7 @@ func (s *Service) runJob(j *job, l *lease) {
 
 	// Stuck-job watchdog: a job exceeding its wall-clock budget is cancelled
 	// and finalized as failed — a runaway spec must not pin a scheduler
-	// worker (and its runner lease) forever.
+	// worker (and its runner) forever.
 	if ms := j.spec.MaxWallMS; ms > 0 {
 		timer := time.AfterFunc(time.Duration(ms)*time.Millisecond, func() {
 			if j.watchdog.CompareAndSwap(false, true) {
@@ -509,7 +500,7 @@ func (s *Service) runJob(j *job, l *lease) {
 	if s.cfg.Dispatcher != nil {
 		runErr = s.runDispatched(j, start)
 	} else {
-		runErr = s.runLocal(j, l, start)
+		runErr = s.runLocal(j, ex, start)
 	}
 	if runErr != nil && j.ctx.Err() == nil {
 		s.finalize(j, StateFailed, runErr.Error())
@@ -532,14 +523,14 @@ func (s *Service) runJob(j *job, l *lease) {
 }
 
 // runLocal is the single-node execution path: the job's remaining seeds run
-// in order on the scheduler worker's leased runner. A seed error is returned
-// (the job fails); cancellation surfaces as a nil return with j.ctx done.
-func (s *Service) runLocal(j *job, l *lease, start int) error {
+// in order on the scheduler worker's executor. A seed error is returned (the
+// job fails); cancellation surfaces as a nil return with j.ctx done.
+func (s *Service) runLocal(j *job, ex *executor, start int) error {
 	for _, seed := range j.spec.Seeds[start:] {
 		if j.ctx.Err() != nil {
 			return nil
 		}
-		res, err := s.runSeed(j, l, seed)
+		res, err := s.runSeed(j, ex, seed)
 		if err != nil {
 			if j.ctx.Err() != nil {
 				return nil // cancelled (watchdog or drain deadline); caller finalizes
@@ -613,72 +604,60 @@ func MakeSeedResult(seed uint64, res *noisypull.Result) SeedResult {
 	return sr
 }
 
-// runSeed executes one trial on the worker's leased runner. Panics from
-// protocol or engine code are recovered and surfaced as the trial's error,
-// so a misbehaving job fails alone instead of taking down its scheduler
-// worker (and with it the daemon's capacity). The recovered runner is
-// dropped — its mid-round state is arbitrary. Recovery covers the engine's
-// synchronous path, which is how service jobs run (SimWorkers defaults
-// to 1).
-func (s *Service) runSeed(j *job, l *lease, seed uint64) (res *noisypull.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			l.drop()
-			s.metrics.panics.Add(1)
-			res, err = nil, fmt.Errorf("panic in protocol/engine: %v", p)
-		}
-	}()
-	if l.ok && l.shape == j.shape {
-		l.runner.Reset(seed)
-	} else {
-		l.drop()
+// runSeed executes one trial on the worker's executor, which reuses its
+// runner across seeds and jobs of one shape. A panic in protocol or engine
+// code fails the seed, and so the job, without taking down the scheduler
+// worker (and with it the daemon's capacity); the executor drops the
+// runner, whose mid-round state is arbitrary. Recovery covers the engine's
+// synchronous path, which is how service jobs run (SimWorkers defaults to
+// 1).
+func (s *Service) runSeed(j *job, ex *executor, seed uint64) (*noisypull.Result, error) {
+	build := func(seed uint64) (*noisypull.Runner, error) {
 		cfg := j.cfg
 		cfg.Seed = seed
-		runner, err := noisypull.NewRunner(cfg)
-		if err != nil {
-			return nil, err
-		}
-		l.runner, l.shape, l.ok = runner, j.shape, true
+		return noisypull.NewRunner(cfg)
 	}
-
-	// A recovered job restores its journaled checkpoint into the fresh (or
-	// rewound) runner, skipping the rounds that already ran before the
-	// crash. A restore failure is not fatal: the engine is deterministic, so
-	// rerunning the seed from round zero reproduces the identical trajectory
-	// — the checkpoint is an optimization, not a correctness dependency.
-	if rs := j.resume; rs != nil && rs.seed == seed {
-		j.resume = nil
-		if restoreErr := l.runner.Restore(rs.data); restoreErr != nil {
-			s.logf("job %s: checkpoint restore failed, rerunning seed %d from round 0: %v", j.id, seed, restoreErr)
-			l.runner.Reset(seed) // a failed Restore leaves unspecified state
-		} else {
-			s.metrics.rounds.Add(int64(rs.round))
+	// prepare sets all three hooks on every seed, so a reused runner never
+	// carries another job's.
+	prepare := func(r *noisypull.Runner) error {
+		// A recovered job restores its journaled checkpoint into the fresh
+		// (or rewound) runner, skipping the rounds that already ran before
+		// the crash. A restore failure is not fatal: the engine is
+		// deterministic, so rerunning the seed from round zero reproduces
+		// the identical trajectory — the checkpoint is an optimization, not
+		// a correctness dependency.
+		if rs := j.resume; rs != nil && rs.seed == seed {
+			j.resume = nil
+			if err := r.Restore(rs.data); err != nil {
+				s.metrics.restoreFailures.Add(1)
+				s.logf("job %s: checkpoint restore failed, rerunning seed %d from round 0: %v", j.id, seed, err)
+				r.Reset(seed) // a failed Restore leaves unspecified state
+			} else {
+				s.metrics.rounds.Add(int64(rs.round))
+			}
 		}
-	}
-
-	l.runner.SetOnRound(func(round, correct int) {
-		s.metrics.rounds.Add(1)
-		j.publish(Event{Type: "round", Seed: seed, Round: round, Correct: correct})
-	})
-	l.runner.SetOnFault(func(rec noisypull.FaultRecord) {
-		s.metrics.faults.Add(1)
-		j.publish(Event{Type: "fault", Seed: seed, Round: rec.Round, Kind: rec.Kind.String(), Affected: rec.Affected})
-	})
-	if every := j.spec.CheckpointRounds; every > 0 && s.journal != nil {
-		l.runner.SetCheckpoint(every, func(round int, data []byte) {
-			s.metrics.checkpoints.Add(1)
-			s.metrics.checkpointBytes.Store(int64(len(data)))
-			s.journal.appendCheckpoint(j.id, seed, round, data, j.seq.Load())
+		r.SetOnRound(func(round, correct int) {
+			s.metrics.rounds.Add(1)
+			j.publish(Event{Type: "round", Seed: seed, Round: round, Correct: correct})
 		})
+		r.SetOnFault(func(rec noisypull.FaultRecord) {
+			s.metrics.faults.Add(1)
+			j.publish(Event{Type: "fault", Seed: seed, Round: rec.Round, Kind: rec.Kind.String(), Affected: rec.Affected})
+		})
+		if every := j.spec.CheckpointRounds; every > 0 && s.journal != nil {
+			r.SetCheckpoint(every, func(round int, data []byte) {
+				s.metrics.checkpoints.Add(1)
+				s.metrics.checkpointBytes.Store(int64(len(data)))
+				s.journal.appendCheckpoint(j.id, seed, round, data, j.seq.Load())
+			})
+		} else {
+			r.SetCheckpoint(0, nil)
+		}
+		return nil
 	}
-	res, err = l.runner.RunContext(j.ctx)
-	l.runner.SetOnRound(nil)
-	l.runner.SetOnFault(nil)
-	l.runner.SetCheckpoint(0, nil)
-	if err != nil && j.ctx.Err() == nil {
-		// A protocol/engine error poisons neither the worker nor the lease
-		// shape logic, but the runner may be mid-round: drop it.
-		l.drop()
+	res, err := ex.Run(j.ctx, j.shape, seed, build, prepare)
+	if errors.Is(err, sim.ErrPanic) {
+		s.metrics.panics.Add(1)
 	}
 	return res, err
 }

@@ -121,7 +121,7 @@ func TestJobDoneMatchesDirectRun(t *testing.T) {
 }
 
 // TestCountsBackendJob: a counts-backend job for a countable baseline is
-// accepted, runs (two seeds share one leased runner via Reset), and matches
+// accepted, runs (two seeds share one cached runner via Reset), and matches
 // direct noisypull.Run results bit-for-bit.
 func TestCountsBackendJob(t *testing.T) {
 	s := New(Config{Workers: 1})
@@ -345,6 +345,7 @@ func TestMetricsOutput(t *testing.T) {
 		`simd_jobs_completed_total{state="done"} 1`,
 		"simd_rounds_total",
 		"simd_queue_depth 0",
+		"simd_checkpoint_restore_failures_total 0",
 	} {
 		if !strings.Contains(out, line) {
 			t.Errorf("metrics missing %q:\n%s", line, out)

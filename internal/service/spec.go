@@ -85,7 +85,7 @@ type FaultSpec struct {
 
 // shapeKey is the comparable identity of a spec up to its seeds: two jobs
 // with equal shapes produce engine configurations that differ only in the
-// seed, so a scheduler worker's leased runner can be rewound with Reset
+// seed, so a scheduler worker's cached runner can be rewound with Reset
 // instead of rebuilt (the RunBatch reuse pattern, extended across jobs).
 type shapeKey struct {
 	n, h, s1, s0          int
@@ -125,7 +125,7 @@ func (s *JobSpec) Fingerprint() string {
 
 // faultFingerprint canonicalizes a fault schedule into a comparable string:
 // equal fingerprints mean the built noisypull.FaultSchedule values are equal
-// field-for-field, so a leased runner's compiled timeline depends only on
+// field-for-field, so a cached runner's compiled timeline depends only on
 // the seed and the runner may be rewound with Reset across jobs.
 func faultFingerprint(fs []FaultSpec) string {
 	if len(fs) == 0 {

@@ -71,6 +71,9 @@ func (r *AsyncRunner) Reset(seed uint64) {
 	r.ran = false
 }
 
+// Close releases the engine, like Runner.Close. Idempotent.
+func (r *AsyncRunner) Close() { r.eng.Close() }
+
 // Agents exposes the agents of a plain Agent protocol run through the
 // adapter population; like Runner.Agents, it is nil when the protocol's own
 // kernel runs.

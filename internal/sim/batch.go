@@ -4,18 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 )
 
-// RunBatch executes one independent trial per seed over a fleet of reused
-// runners: parallel runners are constructed once (with Workers = 1 each, so
-// total CPU use stays at the configured level) and rewound with Reset
-// between trials, amortizing population construction, channel composition,
-// and scratch allocation across the whole batch. cfg.Seed is ignored; trial
-// t runs under seeds[t], and its result depends only on that seed, not on
-// parallel or on which runner happened to execute it.
+// RunBatch executes one independent trial per seed over reused runners:
+// RunSeeds gives each of parallel goroutines one runner (with Workers = 1,
+// so total CPU use stays at the configured level), built for its first seed
+// and rewound with Reset for the next, amortizing population construction,
+// channel composition, and scratch allocation across the whole batch.
+// cfg.Seed is ignored; trial t runs under seeds[t], and its result depends
+// only on that seed, not on parallel or on which runner happened to execute
+// it.
 //
 // parallel <= 0 means GOMAXPROCS. cfg.OnRound must be nil (trials run
 // concurrently; use TrackHistory for per-trial trajectories).
@@ -27,7 +27,8 @@ func RunBatch(cfg Config, seeds []uint64, parallel int) ([]*Result, error) {
 // cancelled no further seeds are launched, every in-flight trial stops
 // within one round (via RunContext), and the call returns ctx.Err(); partial
 // results are discarded. An uncancelled context yields results element-wise
-// identical to RunBatch.
+// identical to RunBatch. A panic in protocol or engine code fails its trial
+// with an error that wraps ErrPanic.
 func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64, parallel int) ([]*Result, error) {
 	if cfg.OnRound != nil {
 		return nil, errors.New("sim: RunBatch does not support OnRound (trials run concurrently); use TrackHistory")
@@ -41,6 +42,26 @@ func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64, parallel i
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.Workers = 1
+	return RunSeeds(ctx, seeds, parallel, cfg.newSeeded)
+}
+
+// newSeeded builds a Runner for c under seed. RunBatchContext passes it as a
+// method value, which binds a copy of c in one allocation; a closure over
+// cfg would move cfg to the heap as a second one.
+func (c Config) newSeeded(seed uint64) (*Runner, error) {
+	c.Seed = seed
+	return New(c)
+}
+
+// RunSeeds runs one trial per seed on parallel goroutines and returns the
+// results in seed order. Each goroutine holds one runner in an Executor
+// under a constant key, so build must return runners of one configuration
+// up to the seed: a goroutine calls it for its first seed (and after an
+// error drops the runner) and rewinds the runner with Reset for the rest.
+// build is called concurrently. parallel <= 0 means GOMAXPROCS. Once ctx is
+// cancelled no further seeds are launched and the call returns ctx.Err().
+func RunSeeds[R Trial](ctx context.Context, seeds []uint64, parallel int, build func(seed uint64) (R, error)) ([]*Result, error) {
 	if len(seeds) == 0 {
 		return nil, nil
 	}
@@ -50,7 +71,6 @@ func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64, parallel i
 	if parallel > len(seeds) {
 		parallel = len(seeds)
 	}
-	cfg.Workers = 1
 
 	results := make([]*Result, len(seeds))
 	errs := make([]error, len(seeds))
@@ -60,20 +80,10 @@ func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64, parallel i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var runner *Runner
+			var ex Executor[R, struct{}]
+			defer ex.Close()
 			for t := range next {
-				if runner == nil {
-					c := cfg
-					c.Seed = seeds[t]
-					var err error
-					if runner, err = New(c); err != nil {
-						errs[t] = err
-						continue
-					}
-				} else {
-					runner.Reset(seeds[t])
-				}
-				results[t], errs[t] = runner.RunContext(ctx)
+				results[t], errs[t] = ex.Run(ctx, struct{}{}, seeds[t], build, nil)
 			}
 		}()
 	}
@@ -100,40 +110,74 @@ feed:
 	return results, nil
 }
 
-// ResetCompatible reports whether a Runner built from c can be reused via
-// Reset to execute o: the configurations must be identical up to Seed.
-// Pointer-typed fields (Noise, Artificial, Topology, Faults) compare by
-// identity, and callbacks must be absent (funcs are not comparable). Harness
-// code uses this to decide between rewinding a pooled runner and
-// constructing a fresh one.
-func (c *Config) ResetCompatible(o *Config) bool {
-	return c.N == o.N && c.H == o.H &&
-		c.Sources1 == o.Sources1 && c.Sources0 == o.Sources0 &&
-		c.Noise == o.Noise && c.Artificial == o.Artificial &&
-		c.Topology == o.Topology &&
-		protocolEqual(c.Protocol, o.Protocol) &&
-		c.Backend == o.Backend &&
-		c.MaxRounds == o.MaxRounds &&
-		c.StabilityWindow == o.StabilityWindow &&
-		c.Corruption == o.Corruption &&
-		c.Faults == o.Faults &&
-		c.Workers == o.Workers &&
-		c.TrackHistory == o.TrackHistory &&
-		c.OnRound == nil && o.OnRound == nil &&
-		c.OnFault == nil && o.OnFault == nil &&
-		c.OnCheckpoint == nil && o.OnCheckpoint == nil &&
-		c.CheckpointEvery == o.CheckpointEvery
+// ErrPanic marks a trial that failed because protocol or engine code
+// panicked; Executor.Run wraps it with the panic value.
+var ErrPanic = errors.New("panic in protocol/engine")
+
+// Trial is a runner an Executor can reuse across seeds: Reset rewinds it,
+// bit-identically to a fresh build, under a new seed. *Runner, *AsyncRunner
+// and the public noisypull.Runner implement it.
+type Trial interface {
+	Reset(seed uint64)
+	RunContext(ctx context.Context) (*Result, error)
+	Close()
 }
 
-// protocolEqual compares two Protocol values without panicking on dynamic
-// types that are not comparable (e.g. implementations containing slices).
-func protocolEqual(a, b Protocol) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+// Executor runs seeds one after another on one cached runner. The runner is
+// held under a key the caller gives; equal keys promise configurations that
+// differ only in the seed, so a repeated key rewinds the runner with Reset
+// and any other key closes it and builds a new one. The zero value is ready
+// to use. An Executor is not safe for concurrent use.
+type Executor[R Trial, K comparable] struct {
+	runner R
+	key    K
+	held   bool
+}
+
+// Run executes one trial under seed. If the cached runner's key equals key
+// it is Reset to seed; otherwise it is closed and build makes a new one.
+// prepare, if non-nil, runs after Reset or build and before the run (to
+// restore a checkpoint or set hooks).
+//
+// A panic in build, prepare or the run is returned as an error wrapping
+// ErrPanic. It drops the runner, whose state is then arbitrary, as does any
+// other error unless ctx is done: a cancelled runner is kept, because Reset
+// rewinds it bit-identically. Only panics on the calling goroutine are
+// recovered; one in an engine pool worker (Workers > 1) ends the process.
+func (e *Executor[R, K]) Run(ctx context.Context, key K, seed uint64, build func(seed uint64) (R, error), prepare func(R) error) (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			e.Close()
+			res, err = nil, fmt.Errorf("%w: %v", ErrPanic, p)
+		}
+	}()
+	if e.held && e.key == key {
+		e.runner.Reset(seed)
+	} else {
+		e.Close()
+		var r R
+		if r, err = build(seed); err != nil {
+			return nil, err
+		}
+		e.runner, e.key, e.held = r, key, true
 	}
-	ta, tb := reflect.TypeOf(a), reflect.TypeOf(b)
-	if ta != tb || !ta.Comparable() {
-		return false
+	if prepare != nil {
+		err = prepare(e.runner)
 	}
-	return a == b
+	if err == nil {
+		res, err = e.runner.RunContext(ctx)
+	}
+	if err != nil && ctx.Err() == nil {
+		e.Close()
+	}
+	return res, err
+}
+
+// Close closes the cached runner, if any. It is idempotent.
+func (e *Executor[R, K]) Close() {
+	if e.held {
+		e.runner.Close()
+	}
+	var zero R
+	e.runner, e.held = zero, false
 }

@@ -376,70 +376,6 @@ func TestRunBatchValidation(t *testing.T) {
 	}
 }
 
-func TestResetCompatible(t *testing.T) {
-	a := baseConfig(t)
-	b := a
-	b.Seed = 99
-	if !a.ResetCompatible(&b) {
-		t.Fatal("configs differing only in Seed must be compatible")
-	}
-	b = a
-	b.H = 5
-	if a.ResetCompatible(&b) {
-		t.Fatal("differing H must not be compatible")
-	}
-	b = a
-	b.Noise = uniform2(t, 0.1) // equal values, distinct pointer
-	if a.ResetCompatible(&b) {
-		t.Fatal("distinct noise matrices must not be compatible")
-	}
-	b = a
-	b.OnRound = func(int, int) {}
-	if a.ResetCompatible(&b) || b.ResetCompatible(&a) {
-		t.Fatal("OnRound configs must not be compatible")
-	}
-	// Protocols with non-comparable dynamic types must not panic.
-	type sliceProto struct {
-		copySourceProtocol
-		_ []int
-	}
-	b = a
-	b.Protocol = &sliceProto{}
-	a2 := a
-	a2.Protocol = &sliceProto{}
-	_ = a2.ResetCompatible(&b) // pointer types compare fine
-	b.Protocol = sliceProtoVal{}
-	a2.Protocol = sliceProtoVal{}
-	if a2.ResetCompatible(&b) {
-		t.Fatal("non-comparable protocol values must report incompatible, not panic")
-	}
-
-	// Fault schedules compare by pointer identity, like Noise.
-	sched := &faults.Schedule{Events: []faults.Event{
-		{Kind: faults.KindChurn, Round: 1, Fraction: 0.5},
-	}}
-	b = a
-	b.Faults = sched
-	if a.ResetCompatible(&b) {
-		t.Fatal("differing fault schedules must not be compatible")
-	}
-	a2 = a
-	a2.Faults = sched
-	if !a2.ResetCompatible(&b) {
-		t.Fatal("identical fault-schedule pointers must be compatible")
-	}
-	b = a
-	b.OnFault = func(faults.Record) {}
-	if a.ResetCompatible(&b) || b.ResetCompatible(&a) {
-		t.Fatal("OnFault configs must not be compatible")
-	}
-}
-
-type sliceProtoVal struct {
-	copySourceProtocol
-	pad []int
-}
-
 // TestCloseIdempotent: Close twice, and Close on a pool-less runner.
 func TestCloseIdempotent(t *testing.T) {
 	cfg := baseConfig(t)

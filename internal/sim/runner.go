@@ -89,7 +89,7 @@ func New(cfg Config) (*Runner, error) {
 	// once: a sample pushed through N and then P is distributed exactly as
 	// one pushed through N·P, so the observation laws read a single composed
 	// matrix instead of two. The composed matrix is immutable, so runners
-	// with content-equal channels (RunBatch fleets, service runner leases)
+	// with content-equal channels (RunBatch fleets, cached service runners)
 	// share one instance from a process-wide cache.
 	eff, _, err := noise.SharedChannel(cfg.Noise, cfg.Artificial)
 	if err != nil {

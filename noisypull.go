@@ -257,7 +257,8 @@ func RunBatch(cfg Config, seeds []uint64) ([]*Result, error) {
 
 // RunBatchContext is RunBatch with cooperative cancellation: once ctx is
 // cancelled no further seeds are launched, in-flight trials stop within one
-// round, and the call returns ctx.Err().
+// round, and the call returns ctx.Err(). A panic in protocol or engine code
+// fails the batch with an error instead of ending the process.
 func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64) ([]*Result, error) {
 	cfg.OnRound = nil
 	cfg.OnFault = nil
@@ -272,7 +273,7 @@ func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64) ([]*Result
 // instantiation, channel composition (including the Theorem 8 reduction),
 // and all per-round scratch once, and Reset rewinds it for further seeds
 // over the same allocations — the mechanism behind RunBatch, exposed so
-// long-lived harnesses (for example the simd job scheduler) can lease
+// long-lived harnesses (for example the simd job scheduler) can reuse
 // runners across requests.
 type Runner struct {
 	r *sim.Runner
