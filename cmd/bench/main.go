@@ -9,6 +9,10 @@
 //	bench -cpu 1,4,8                   # sweep GOMAXPROCS per case
 //	bench -list                        # print case names and exit
 //	bench -gate -baseline BENCH.json   # CI perf gate: fail on regression
+//
+// Without -cpu, the gate runs every case at the GOMAXPROCS its baseline
+// file records, so cases whose work follows the worker count (RunBatch
+// allocates one runner per worker) compare like with like on any runner.
 package main
 
 import (
@@ -77,6 +81,11 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {
+	return runCases(ctx, args, out, bench.Suite())
+}
+
+// runCases is run over the given cases instead of the repository suite.
+func runCases(ctx context.Context, args []string, out io.Writer, cases []bench.Case) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
@@ -108,7 +117,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	if *list {
-		for _, c := range bench.Suite() {
+		for _, c := range cases {
 			if re.MatchString(c.Name) {
 				fmt.Fprintln(out, c.Name)
 			}
@@ -124,9 +133,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	var base map[string]Record
+	// procs is the GOMAXPROCS of the cases run without -cpu: the process
+	// default, or in -gate mode the baseline's, recorded as CPU 0 so the
+	// records keep matching the baseline's keys.
+	procs := 0
 	if *baseline != "" {
-		if base, err = loadBaseline(*baseline); err != nil {
+		var baseProcs int
+		if base, baseProcs, err = loadBaseline(*baseline); err != nil {
 			return err
+		}
+		if *gate && *cpuList == "" {
+			procs = baseProcs
 		}
 	}
 
@@ -136,7 +153,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Notes:      notes,
 	}
-	for _, c := range bench.Suite() {
+	if procs > 0 {
+		file.GOMAXPROCS = procs
+	}
+	for _, c := range cases {
 		if !re.MatchString(c.Name) {
 			continue
 		}
@@ -158,7 +178,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				label = fmt.Sprintf("%s@%d", c.Name, cpu)
 			}
 			fmt.Fprintf(out, "%-28s ", label)
-			res := benchmarkAt(cpu, c.F)
+			runAt := cpu
+			if cpu == 0 {
+				runAt = procs
+			}
+			res := benchmarkAt(runAt, c.F)
 			rec := Record{
 				Name:        c.Name,
 				CPU:         cpu,
@@ -334,20 +358,20 @@ func recordKey(name string, cpu int) string {
 }
 
 // loadBaseline indexes a prior output file by case name (and cpu, for files
-// written with -cpu).
-func loadBaseline(path string) (map[string]Record, error) {
+// written with -cpu), and returns the GOMAXPROCS the file records.
+func loadBaseline(path string) (map[string]Record, int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
+		return nil, 0, fmt.Errorf("baseline: %w", err)
 	}
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
+		return nil, 0, fmt.Errorf("baseline %s: %w", path, err)
 	}
 	m := make(map[string]Record, len(f.Benchmarks))
 	for _, r := range f.Benchmarks {
 		r.Baseline = nil // do not chain baselines across generations
 		m[recordKey(r.Name, r.CPU)] = r
 	}
-	return m, nil
+	return m, f.GOMAXPROCS, nil
 }

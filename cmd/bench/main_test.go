@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"noisypull/internal/bench"
 )
 
 func TestListMatchesFilter(t *testing.T) {
@@ -227,6 +230,58 @@ func TestGateNewCaseNotGated(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "new (not gated)") {
 		t.Fatalf("new case not reported: %s", sb.String())
+	}
+}
+
+// TestGateRunsAtBaselineGOMAXPROCS: without -cpu, -gate runs each case at
+// the GOMAXPROCS the baseline file records, keyed as CPU 0 so it still
+// matches the baseline record; a plain run keeps the process default.
+func TestGateRunsAtBaselineGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	var seen []int
+	cases := []bench.Case{{Name: "Procs", F: func(b *testing.B) {
+		seen = append(seen, runtime.GOMAXPROCS(0))
+	}}}
+	dir := t.TempDir()
+	base := writeBaseline(t, dir, File{Date: "2000-01-01", GOMAXPROCS: 1,
+		Benchmarks: []Record{{Name: "Procs", NsPerOp: 1e12, AllocsPerOp: 1 << 40}}})
+	for _, c := range []struct {
+		args  []string
+		procs int
+	}{
+		{[]string{"-gate"}, 1},
+		{nil, 2},
+	} {
+		seen = nil
+		outPath := filepath.Join(dir, "out.json")
+		args := append(c.args, "-baseline", base, "-out", outPath)
+		var sb strings.Builder
+		if err := runCases(context.Background(), args, &sb, cases); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, sb.String())
+		}
+		if len(seen) == 0 {
+			t.Fatalf("%v: case never ran", args)
+		}
+		for _, p := range seen {
+			if p != c.procs {
+				t.Fatalf("%v: case ran at GOMAXPROCS %v, want %d", args, seen, c.procs)
+			}
+		}
+		raw, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f File
+		if err := json.Unmarshal(raw, &f); err != nil {
+			t.Fatal(err)
+		}
+		if f.GOMAXPROCS != c.procs {
+			t.Fatalf("%v: file records GOMAXPROCS %d, want %d", args, f.GOMAXPROCS, c.procs)
+		}
+		if rec := f.Benchmarks[0]; rec.CPU != 0 || rec.Baseline == nil {
+			t.Fatalf("%v: record %+v not keyed as the baseline's CPU 0 record", args, rec)
+		}
 	}
 }
 

@@ -68,10 +68,13 @@ func e19Memory() Experiment {
 
 			// Shape check: the normalized ratios must stay bounded (flat or
 			// decreasing) while n spans orders of magnitude.
-			for name, ratios := range map[string][]float64{"SF": sfRatios, "SSF": ssfRatios} {
-				s := stats.Summarize(ratios)
+			for _, c := range []struct {
+				name   string
+				ratios []float64
+			}{{"SF", sfRatios}, {"SSF", ssfRatios}} {
+				s := stats.Summarize(c.ratios)
 				art.Notef("%s: bits/(lg T + lg h) stays in [%.2f, %.2f] across n = %d…%d — the O(log T + log h) memory clause",
-					name, s.Min, s.Max, ns[0], ns[len(ns)-1])
+					c.name, s.Min, s.Max, ns[0], ns[len(ns)-1])
 			}
 			return art, nil
 		},

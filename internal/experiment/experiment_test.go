@@ -220,12 +220,12 @@ func TestSSFTrialConfig(t *testing.T) {
 // options and requires byte-identical tables — the whole pipeline (trial
 // seeding, concurrent execution, aggregation, rendering) must be
 // reproducible, on the synchronous engine and (E17) the asynchronous
-// scheduler alike.
+// scheduler alike, with notes in a fixed order (E19).
 func TestExperimentArtifactsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness test")
 	}
-	for _, id := range []string{"E1", "E2", "E17"} {
+	for _, id := range []string{"E1", "E2", "E17", "E19"} {
 		e, ok := ByID(id)
 		if !ok {
 			t.Fatalf("missing %s", id)

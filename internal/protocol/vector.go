@@ -122,6 +122,9 @@ func (p *voterPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stream)
 	}
 }
 
+// MarginalOnly implements sim.VecMarginalOnly: StepRange reads obs.P1 only.
+func (*voterPop) MarginalOnly() {}
+
 func (p *voterPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int {
 	ones := 0
 	s1, s0 := p.spec.Sources1, p.spec.Sources0

@@ -15,13 +15,19 @@ import "math"
 // distribution, so one initialized BinomialDist may be shared by
 // concurrent workers, each sampling with its own stream.
 type BinomialDist struct {
-	n    int
-	kind binKind
-	flip bool // sampling Binomial(n, 1-p); Sample returns n - draw
+	n       int
+	kind    binKind
+	flip    bool // sampling Binomial(n, 1-p); Sample returns n - draw
+	guideOK bool // guide holds this Init's table (PrecomputeGuide)
 
 	// Inversion constants (kind == binInversion).
 	s  float64 // p/q
 	f0 float64 // (1-p)^n = P(X = 0)
+
+	// guide[b] is the inversion result shared by every uniform whose top
+	// guideBits bits are b, or guideMiss when the bucket straddles a step
+	// of the CDF walk; built by PrecomputeGuide, read when guideOK.
+	guide [1 << guideBits]uint8
 
 	// BTRS constants (kind == binBTRS), Hörmann's transformed rejection
 	// with squeeze; names follow the paper.
@@ -45,6 +51,7 @@ func (d *BinomialDist) Init(n int, p float64) {
 	}
 	d.n = n
 	d.flip = false
+	d.guideOK = false
 	switch {
 	case n == 0 || p <= 0:
 		d.kind = binConstZero
@@ -105,12 +112,77 @@ func (d *BinomialDist) Sample(r *Stream) int {
 	return k
 }
 
-// sampleInversion walks the CDF from k = 0; one uniform per draw. The
-// recurrence and float evaluation order match Stream.binomialInversion's
-// historical implementation exactly.
+// Guide-table geometry: the top guideBits bits of the 53-bit uniform pick
+// one of 1<<guideBits equal buckets of [0, 1). guideMiss marks a bucket
+// that needs the walk, so a guide holds results up to maxGuideN.
+const (
+	guideBits  = 6
+	guideShift = 53 - guideBits
+	guideMiss  = 255
+	maxGuideN  = guideMiss - 1
+)
+
+// PrecomputeGuide builds the guide table of an inversion-regime sampler
+// (n ≤ 254), after which Sample answers most draws with one table load
+// instead of the CDF walk. It is exact: Sample returns what the walk
+// returns for every uniform, consuming the stream identically. The walk
+// maps u to the first k with u_k ≤ f_k (or n), where u_0 = u and
+// u_{k+1} = fl(u_k − f_k); rounded subtraction of a fixed f_k never
+// decreases as u grows, so neither does the result. Every uniform in a
+// bucket therefore walks to the bucket's k whenever its two boundaries
+// walk to the same k, and only those buckets are stored. The build costs
+// 65 walks, worth it when the sampler serves many draws (a round's shared
+// law); callers that draw a few times per Init skip it. A no-op for every
+// other kind; it allocates nothing. Call it between Init and sharing the
+// sampler with concurrent workers: Sample never writes the table.
+func (d *BinomialDist) PrecomputeGuide() {
+	if d.kind != binInversion || d.n > maxGuideN {
+		return
+	}
+	// The pmf terms the walk would compute, with its own recurrence and
+	// evaluation order, so the boundary walks below are the walk itself.
+	var f [maxGuideN + 1]float64
+	f[0] = d.f0
+	for k := 1; k <= d.n; k++ {
+		f[k] = f[k-1] * (d.s * float64(d.n-k+1) / float64(k))
+	}
+	walk := func(u float64) int {
+		k := 0
+		for u > f[k] && k < d.n {
+			u -= f[k]
+			k++
+		}
+		return k
+	}
+	lo := walk(0)
+	for b := range d.guide {
+		// The upper boundary is the next bucket's first uniform (1.0 for
+		// the last bucket), so the stored k covers the whole bucket.
+		hi := walk(float64(uint64(b+1)<<guideShift) * 0x1p-53)
+		if lo == hi {
+			d.guide[b] = uint8(lo)
+		} else {
+			d.guide[b] = guideMiss
+		}
+		lo = hi
+	}
+	d.guideOK = true
+}
+
+// sampleInversion walks the CDF from k = 0; one uniform per draw, formed
+// exactly as Stream.Float64 forms it. The recurrence and float evaluation
+// order match Stream.binomialInversion's historical implementation
+// exactly. A built guide answers the draw from the uniform's bucket when
+// the whole bucket walks to one k.
 func (d *BinomialDist) sampleInversion(r *Stream) int {
+	x := r.Uint64() >> 11
+	if d.guideOK {
+		if k := d.guide[x>>guideShift]; k != guideMiss {
+			return int(k)
+		}
+	}
 	f := d.f0
-	u := r.Float64()
+	u := float64(x) * 0x1p-53
 	k := 0
 	for u > f && k < d.n {
 		u -= f

@@ -50,6 +50,12 @@ type MultinomialDist struct {
 	jointVecs []uint8
 	jointW    []float64
 	jointOK   bool
+	// PrecomputeJoint's scratch, kept so a rebuild allocates nothing:
+	// invFact[c] = 1/c!, and per component i of the composition walk its
+	// count cur[i], its input weight in[i] and its running product run[i].
+	invFact []float64
+	cur     []uint8
+	in, run []float64
 }
 
 // Init prepares the sampler for Multinomial(n, probs). The probabilities
@@ -216,28 +222,50 @@ func (d *MultinomialDist) PrecomputeJoint(maxSupport int) bool {
 	d.jointW = d.jointW[:0]
 	// invFact[c] = 1/c!; the pmf n!·∏ pᵢ^cᵢ/cᵢ! only needs relative weights,
 	// so the common n! factor is dropped.
-	invFact := make([]float64, d.n+1)
-	invFact[0] = 1
+	d.invFact = grow(d.invFact, d.n+1)
+	d.invFact[0] = 1
 	for c := 1; c <= d.n; c++ {
-		invFact[c] = invFact[c-1] / float64(c)
+		d.invFact[c] = d.invFact[c-1] / float64(c)
 	}
-	cur := make([]uint8, d.k)
-	var walk func(comp int, left int, weight float64)
-	walk = func(comp int, left int, weight float64) {
-		if comp == d.k-1 {
-			cur[comp] = uint8(left)
-			d.jointVecs = append(d.jointVecs, cur...)
-			d.jointW = append(d.jointW, weight*pow(d.probs[comp], left)*invFact[left])
-			return
-		}
-		w := weight
-		for c := 0; c <= left; c++ {
-			cur[comp] = uint8(c)
-			walk(comp+1, left-c, w*invFact[c])
-			w *= d.probs[comp]
-		}
+	if cap(d.cur) < d.k {
+		d.cur = make([]uint8, d.k)
 	}
-	walk(0, d.n, 1)
+	cur := d.cur[:d.k]
+	in, run := grow(d.in, d.k), grow(d.run, d.k)
+	d.in, d.run = in, run
+	// Walk the compositions in lexicographic order, components 0…k−2 as an
+	// odometer with the last taking what is left. Component i holds count
+	// cur[i] of left = n − Σ_{j<i} cur[j]; its running product is
+	// in[i]·probs[i]^cur[i], built by repeated multiplication, and the next
+	// component's input weight is run[i]·invFact[cur[i]]. These are the
+	// products, in the same order, of a recursive walk over c = 0…left.
+	last := d.k - 1
+	left := d.n
+	in[0] = 1
+	i := 0
+	for {
+		// Descend from component i with count 0 at every level.
+		for ; i < last; i++ {
+			cur[i] = 0
+			run[i] = in[i]
+			in[i+1] = run[i] * d.invFact[0]
+		}
+		cur[last] = uint8(left)
+		d.jointVecs = append(d.jointVecs, cur...)
+		d.jointW = append(d.jointW, in[last]*pow(d.probs[last], left)*d.invFact[left])
+		// Advance the deepest component that still has trials to take.
+		for i = last - 1; i >= 0 && left == 0; i-- {
+			left += int(cur[i])
+		}
+		if i < 0 {
+			break
+		}
+		cur[i]++
+		left--
+		run[i] *= d.probs[i]
+		in[i+1] = run[i] * d.invFact[cur[i]]
+		i++
+	}
 	if err := d.joint.Init(d.jointW); err != nil {
 		return false
 	}

@@ -279,3 +279,91 @@ func TestMultinomialDistJointFallback(t *testing.T) {
 		}
 	}
 }
+
+// recursiveJoint is the recursive composition walk PrecomputeJoint's
+// odometer replaced: the support and relative pmf weights in its order,
+// with its multiplication order.
+func recursiveJoint(n int, probs []float64) (vecs []uint8, w []float64) {
+	k := len(probs)
+	invFact := make([]float64, n+1)
+	invFact[0] = 1
+	for c := 1; c <= n; c++ {
+		invFact[c] = invFact[c-1] / float64(c)
+	}
+	cur := make([]uint8, k)
+	var walk func(comp, left int, weight float64)
+	walk = func(comp, left int, weight float64) {
+		if comp == k-1 {
+			cur[comp] = uint8(left)
+			vecs = append(vecs, cur...)
+			w = append(w, weight*pow(probs[comp], left)*invFact[left])
+			return
+		}
+		wt := weight
+		for c := 0; c <= left; c++ {
+			cur[comp] = uint8(c)
+			walk(comp+1, left-c, wt*invFact[c])
+			wt *= probs[comp]
+		}
+	}
+	walk(0, n, 1)
+	return vecs, w
+}
+
+// TestPrecomputeJointMatchesRecursiveWalk: the joint support and weights
+// are bit-identical to the recursive walk's, so the alias table, and every
+// k-ary complete-graph trajectory, is unchanged.
+func TestPrecomputeJointMatchesRecursiveWalk(t *testing.T) {
+	cases := []struct {
+		n     int
+		probs []float64
+	}{
+		{0, []float64{0.3, 0.7}},
+		{1, []float64{0.3, 0.7}},
+		{8, []float64{0.1, 0.2, 0.3, 0.4}},
+		{8, []float64{0.97, 0.01, 0.01, 0.01}},
+		{5, []float64{0.2, 0, 0.5, 0.3}},
+		{12, []float64{0.25, 0.25, 0.25, 0.25, 1e-9}},
+		{40, []float64{0.6, 0.4}},
+		{3, []float64{0.1, 0.1, 0.1, 0.1, 0.1, 0.5}},
+	}
+	var d MultinomialDist
+	for _, c := range cases {
+		d.Init(c.n, c.probs)
+		if !d.PrecomputeJoint(1 << 16) {
+			t.Fatalf("n=%d k=%d: PrecomputeJoint refused", c.n, len(c.probs))
+		}
+		vecs, w := recursiveJoint(c.n, d.probs)
+		if len(d.jointVecs) != len(vecs) || len(d.jointW) != len(w) {
+			t.Fatalf("n=%d k=%d: support %d, want %d", c.n, len(c.probs), len(d.jointW), len(w))
+		}
+		for i := range vecs {
+			if d.jointVecs[i] != vecs[i] {
+				t.Fatalf("n=%d k=%d: support byte %d is %d, want %d", c.n, len(c.probs), i, d.jointVecs[i], vecs[i])
+			}
+		}
+		for i := range w {
+			if math.Float64bits(d.jointW[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("n=%d k=%d: weight %d is %v, want %v", c.n, len(c.probs), i, d.jointW[i], w[i])
+			}
+		}
+	}
+}
+
+// TestPrecomputeJointAllocs: a rebuild with the same (n, k) reuses every
+// buffer, so the k-ary engine's once-per-round rebuild allocates nothing.
+func TestPrecomputeJointAllocs(t *testing.T) {
+	var d MultinomialDist
+	probs := []float64{0.4, 0.3, 0.2, 0.1}
+	d.Init(8, probs)
+	d.PrecomputeJoint(4096)
+	if allocs := testing.AllocsPerRun(50, func() {
+		probs[0], probs[1] = probs[1], probs[0]
+		d.Init(8, probs)
+		if !d.PrecomputeJoint(4096) {
+			t.Fatal("PrecomputeJoint refused")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Init+PrecomputeJoint allocates %v per call, want 0", allocs)
+	}
+}

@@ -7,3 +7,7 @@ type CopySourceProtocol = copySourceProtocol
 
 // AsyncEngine returns the Runner whose population an AsyncRunner activates.
 func AsyncEngine(r *AsyncRunner) *Runner { return r.eng }
+
+// BuildsRoundGuide reports whether r's rounds build the guide table of the
+// shared binary sampler.
+func BuildsRoundGuide(r *Runner) bool { return r.guide }

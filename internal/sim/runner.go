@@ -47,6 +47,10 @@ type Runner struct {
 	vecQ         []float64           // per-symbol observation law scratch
 	vecNbr       *vecNbrObs          // graph topology: per-neighborhood laws
 	vecObs       VecObs
+	// guide: stepVec builds binDist's guide table every round, because
+	// enough agents draw k₁ from it (complete graph, binary alphabet, at
+	// least guideMinAgents agents, a kernel that draws K1).
+	guide bool
 
 	// Fault-injection runtime (nil without a schedule). Noise faults repoint
 	// effRows mid-run; baseEff keeps the configured effective matrix for
@@ -170,6 +174,8 @@ func New(cfg Config) (*Runner, error) {
 	for sigma := 0; sigma < d; sigma++ {
 		r.effRows[sigma] = eff.Row(sigma)
 	}
+	_, marginal := pop.(VecMarginalOnly)
+	r.guide = d == 2 && cfg.Topology == nil && cfg.N >= guideMinAgents && !marginal
 	if cfg.Topology != nil {
 		// The neighborhood laws alias r.effRows, so mid-run noise faults
 		// (which repoint its entries in place) propagate automatically.

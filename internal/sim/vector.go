@@ -158,6 +158,11 @@ type vecNbrObs struct {
 	effRows  [][]float64   // aliases the runner's rows: noise faults repoint entries
 	d, h     int           // alphabet, samples per round
 	chunks   []vecNbrChunk // per-chunk scratch + law memo, indexed i/VecChunkSize
+	// guide: memo entries build their guide table. Only on a regular graph
+	// of degree < 64, where every reachable tally has its own slot, so an
+	// entry serves every draw of its tally until the next noise epoch; on
+	// other graphs slots are shared and rebuilt between draws.
+	guide bool
 }
 
 // vecNbrChunk is one chunk's private neighborhood-law state. bins is a
@@ -180,6 +185,9 @@ type vecNbrChunk struct {
 	_       [64]byte
 }
 
+// maxNbrSlots caps a chunk's binomial memo (vecNbrChunk.bins).
+const maxNbrSlots = 64
+
 func newVecNbrObs(g *graph.Graph, effRows [][]float64, d, h, numChunks int) *vecNbrObs {
 	nb := &vecNbrObs{
 		displays: make([]uint8, g.N()),
@@ -192,9 +200,10 @@ func newVecNbrObs(g *graph.Graph, effRows [][]float64, d, h, numChunks int) *vec
 	// One memo slot per reachable ones-tally on a regular graph, capped so
 	// high-degree graphs direct-map (ones mod slots) instead of ballooning.
 	slots := g.MaxDegree() + 1
-	if slots > 64 {
-		slots = 64
+	if slots > maxNbrSlots {
+		slots = maxNbrSlots
 	}
+	nb.guide = g.MinDegree() == g.MaxDegree() && g.MaxDegree() < maxNbrSlots
 	if slots < 1 {
 		slots = 1
 	}
@@ -258,6 +267,9 @@ func (nb *vecNbrObs) k1(i int, r *rng.Stream) int {
 	if c.binKeys[slot] != key {
 		q1 := (float64(ones)*nb.effRows[1][1] + float64(deg-ones)*nb.effRows[0][1]) / float64(deg)
 		c.bins[slot].Init(nb.h, q1)
+		if nb.guide {
+			c.bins[slot].PrecomputeGuide()
+		}
 		c.binKeys[slot] = key
 	}
 	return c.bins[slot].Sample(r)
@@ -366,6 +378,20 @@ type VecProtocol interface {
 	NewVecPopulation(spec VecSpec) VecPopulation
 }
 
+// VecMarginalOnly is implemented by binary kernels that read a round's law
+// only through VecObs.P1 and never draw VecObs.K1, such as the voter
+// kernel, whose adoption is one Bernoulli(q₁). The engine builds no guide
+// table for their rounds' sampler: only K1 draws read it.
+type VecMarginalOnly interface {
+	MarginalOnly()
+}
+
+// guideMinAgents is the smallest population whose rounds build the guide
+// table of the shared binary sampler (rng.BinomialDist.PrecomputeGuide).
+// The build costs about as much as 20–30 walked draws, so a smaller round
+// draws too few times to pay for it.
+const guideMinAgents = 64
+
 // VecWeakOpinions is optionally implemented by populations whose protocol
 // exposes a weak opinion (SF's and SSF's Ŷ); Runner.AgentWeakOpinion uses
 // it.
@@ -443,6 +469,11 @@ func (r *Runner) stepVec() (int, error) {
 			}
 		}
 		r.completeLaw(crashUntil, round)
+		if r.guide {
+			// Not in completeLaw: the async scheduler rebuilds the law
+			// there and then draws once.
+			r.binDist.PrecomputeGuide()
+		}
 	}
 
 	if r.pool != nil {

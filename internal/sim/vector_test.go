@@ -611,6 +611,106 @@ func TestVecEligibility(t *testing.T) {
 	}
 }
 
+// TestRoundGuideSelection pins which runs build the guide table of the
+// round's shared binary sampler: binary complete-graph runs of at least
+// 64 agents whose population draws K1. The voter kernel reads only the
+// marginal q₁, and graphs, k-ary alphabets and the counts backend have no
+// shared binary sampler.
+func TestRoundGuideSelection(t *testing.T) {
+	ring, err := graph.Ring(200, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		mut  func(c *sim.Config)
+		want bool
+	}{
+		{"majority", func(c *sim.Config) {}, true},
+		{"sf", func(c *sim.Config) { c.Protocol, c.H, c.MaxRounds = protocol.NewSF(), 16, 5000 }, true},
+		{"wrapped voter", func(c *sim.Config) { c.Protocol = agentsOnly(protocol.Voter{}) }, true},
+		{"voter", func(c *sim.Config) { c.Protocol = protocol.Voter{} }, false},
+		{"63 agents", func(c *sim.Config) { c.N = 63 }, false},
+		{"topology", func(c *sim.Config) { c.Topology = ring }, false},
+		{"counts", func(c *sim.Config) { c.Backend = sim.BackendCounts }, false},
+		{"alphabet 4", func(c *sim.Config) {
+			c.Protocol = protocol.TrustBit{}
+			c.Noise = uniformNoise(t, 4, 0.1)
+		}, false},
+	}
+	for _, tc := range cases {
+		cfg := sim.Config{
+			N: 200, H: 4, Sources1: 3, Sources0: 1,
+			Noise:     uniformNoise(t, 2, 0.1),
+			Protocol:  protocol.MajorityRule{},
+			Seed:      1,
+			MaxRounds: 10,
+		}
+		tc.mut(&cfg)
+		r, err := sim.New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := sim.BuildsRoundGuide(r); got != tc.want {
+			t.Errorf("%s: builds guide %v, want %v", tc.name, got, tc.want)
+		}
+		r.Close()
+	}
+}
+
+// TestRoundsAllocateNothing: a run's allocations do not grow with its
+// round count, so the per-round law builds (the binary guide table, the
+// k-ary joint alias table, the regular-graph memo's guides) reuse their
+// storage.
+func TestRoundsAllocateNothing(t *testing.T) {
+	regular, err := graph.RandomRegular(512, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		mut  func(c *sim.Config)
+	}{
+		{"majority", func(c *sim.Config) {}},
+		{"sf", func(c *sim.Config) { c.Protocol = protocol.NewSF() }},
+		{"trustbit alphabet 4", func(c *sim.Config) {
+			c.Protocol = protocol.TrustBit{}
+			c.Noise = uniformNoise(t, 4, 0.1)
+		}},
+		{"majority on a regular graph", func(c *sim.Config) { c.Topology = regular }},
+	}
+	for _, tc := range cases {
+		allocs := func(rounds int) float64 {
+			cfg := sim.Config{
+				N: 512, H: 8, Sources1: 8,
+				Noise:           uniformNoise(t, 2, 0.1),
+				Protocol:        protocol.MajorityRule{},
+				Seed:            1,
+				MaxRounds:       rounds,
+				StabilityWindow: rounds,
+				Workers:         1,
+			}
+			tc.mut(&cfg)
+			r, err := sim.New(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			defer r.Close()
+			seed := uint64(1)
+			return testing.AllocsPerRun(5, func() {
+				seed++
+				r.Reset(seed)
+				if res, err := r.Run(); err != nil || res.Rounds != rounds {
+					t.Fatalf("%s: %d rounds, %v; want %d", tc.name, res.Rounds, err, rounds)
+				}
+			})
+		}
+		if short, long := allocs(4), allocs(24); long != short {
+			t.Errorf("%s: %v allocations over 4 rounds, %v over 24", tc.name, short, long)
+		}
+	}
+}
+
 // TestVecAgentWeakOpinion: the weak-opinion accessor must work on every
 // kernel whose protocol forms one — including the k-ary SSF population and
 // graph-topology runs — and report ok = false (not a silent zero with
