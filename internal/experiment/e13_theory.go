@@ -72,32 +72,11 @@ func e13Theory() Experiment {
 				}
 
 				// Measure: pool weak opinions over agents and trials.
-				correct, total := 0, 0
-				for tr := 0; tr < trials; tr++ {
-					cfg := sim.Config{
-						N: pt.n, H: pt.h, Sources1: pt.s1, Sources0: pt.s0,
-						Noise:    nm,
-						Protocol: sf,
-						Seed:     trialSeed(opts.Seed, g, tr),
-						Workers:  1,
-					}
-					runner, err := sim.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					if _, err := runner.Run(); err != nil {
-						return nil, err
-					}
-					for i := 0; i < pt.n; i++ {
-						w, ok := runner.AgentWeakOpinion(i)
-						if !ok {
-							continue
-						}
-						if w == 1 { // correct opinion is 1
-							correct++
-						}
-						total++
-					}
+				correct, total, err := weakOpinions(opts, g, trials, sim.Config{
+					N: pt.n, H: pt.h, Sources1: pt.s1, Sources0: pt.s0, Noise: nm, Protocol: sf,
+				})
+				if err != nil {
+					return nil, err
 				}
 				measured := float64(correct) / float64(total)
 				// Weak opinions are i.i.d. across agents (Lemma 28), so the
@@ -154,31 +133,13 @@ func e13Theory() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				correct, total := 0, 0
-				for tr := 0; tr < trials; tr++ {
-					cfg, err := ssfTrialConfig(ssf, pt.n, pt.h, 1, 0, nm4, sim.CorruptNone)
-					if err != nil {
-						return nil, err
-					}
-					cfg.Seed = trialSeed(opts.Seed, 100+g, tr)
-					cfg.Workers = 1
-					runner, err := sim.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					if _, err := runner.Run(); err != nil {
-						return nil, err
-					}
-					for i := 0; i < pt.n; i++ {
-						w, ok := runner.AgentWeakOpinion(i)
-						if !ok {
-							continue
-						}
-						if w == 1 {
-							correct++
-						}
-						total++
-					}
+				cfg, err := ssfTrialConfig(ssf, pt.n, pt.h, 1, 0, nm4, sim.CorruptNone)
+				if err != nil {
+					return nil, err
+				}
+				correct, total, err := weakOpinions(opts, 100+g, trials, cfg)
+				if err != nil {
+					return nil, err
 				}
 				measured := float64(correct) / float64(total)
 				se := math.Sqrt(predicted * (1 - predicted) / float64(total))
@@ -202,4 +163,38 @@ func e13Theory() Experiment {
 			return art, nil
 		},
 	}
+}
+
+// weakOpinions runs a grid point's trials of cfg on one single-worker
+// runner, rewound with Reset (bit-identical to a fresh build) for each
+// trial's seed, and pools the weak opinions formed (total) and those equal
+// to 1, E13's correct opinion (correct).
+func weakOpinions(opts Options, gridPoint, trials int, cfg sim.Config) (correct, total int, err error) {
+	seeds, err := trialSeeds(opts, gridPoint, trials)
+	if err != nil {
+		return 0, 0, err
+	}
+	cfg.Seed, cfg.Workers = seeds[0], 1
+	runner, err := sim.New(cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer runner.Close()
+	for t, seed := range seeds {
+		if t > 0 {
+			runner.Reset(seed)
+		}
+		if _, err := runner.RunContext(opts.ctx()); err != nil {
+			return 0, 0, err
+		}
+		for i := 0; i < cfg.N; i++ {
+			if w, ok := runner.AgentWeakOpinion(i); ok {
+				total++
+				if w == 1 {
+					correct++
+				}
+			}
+		}
+	}
+	return correct, total, nil
 }

@@ -286,7 +286,8 @@ func Reduce(n *Matrix) (*Reduction, error) {
 }
 
 // Compose returns the noise matrix of the composed channel "first a, then
-// b", i.e. the product a·b.
+// b", i.e. the product a·b. The product is a fresh matrix, so it is wrapped
+// as it is once it passes FromRows's stochasticity check.
 func Compose(a, b *Matrix) (*Matrix, error) {
 	if a.d != b.d {
 		return nil, fmt.Errorf("noise: cannot compose alphabets %d and %d", a.d, b.d)
@@ -295,13 +296,8 @@ func Compose(a, b *Matrix) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FromRows(rowsOf(m))
-}
-
-func rowsOf(m *linalg.Matrix) [][]float64 {
-	rows := make([][]float64, m.Rows())
-	for i := range rows {
-		rows[i] = m.Row(i)
+	if !m.IsStochastic(stochTol) {
+		return nil, errors.New("noise: composed matrix is not stochastic (rows must be non-negative and sum to 1)")
 	}
-	return rows
+	return &Matrix{d: a.d, m: m}, nil
 }

@@ -34,27 +34,14 @@ const (
 	tbStates = 6
 )
 
-// binInitialCounts fills the shared binary class histogram: sources pinned
-// to their preference classes, non-sources split by the given default op-1
-// count, then corruption applied exactly as the kernels' CorruptAt does
-// (wrong-consensus moves every non-source to the wrong class; random
-// draws each non-source's opinion as an independent fair coin, which over
-// ns agents is a Binomial(ns, 1/2) split).
-func binInitialCounts(env sim.Env, init sim.CountsInit, defaultOnes int, counts []int) {
-	counts[binSrc1] = init.Sources1
-	counts[binSrc0] = init.Sources0
-	ns := env.N - init.Sources1 - init.Sources0
-	switch init.Corruption {
-	case sim.CorruptWrongConsensus:
-		counts[binNon0+init.WrongOpinion] = ns
-	case sim.CorruptRandom:
-		ones := init.Stream.Binomial(ns, 0.5)
-		counts[binNon1] = ones
-		counts[binNon0] = ns - ones
-	default:
-		counts[binNon1] = defaultOnes
-		counts[binNon0] = ns - defaultOnes
-	}
+// binInitialCounts fills the shared binary class histogram of a fresh
+// population: sources pinned to their preference classes, non-sources split
+// by the given op-1 count.
+func binInitialCounts(env sim.Env, sources1, sources0, ones int, counts []int) {
+	counts[binSrc1] = sources1
+	counts[binSrc0] = sources0
+	counts[binNon1] = ones
+	counts[binNon0] = env.N - sources1 - sources0 - ones
 }
 
 // oddIDsFrom returns the number of odd agent ids in [s, n) — the op-1 count
@@ -77,8 +64,8 @@ func (Voter) OpinionOf(env sim.Env, state int) int { return state & 1 }
 
 // InitialCounts implements sim.CountableProtocol. Voter non-sources start
 // with the zero-value opinion 0.
-func (Voter) InitialCounts(env sim.Env, init sim.CountsInit, counts []int) {
-	binInitialCounts(env, init, 0, counts)
+func (Voter) InitialCounts(env sim.Env, sources1, sources0 int, counts []int) {
+	binInitialCounts(env, sources1, sources0, 0, counts)
 }
 
 // TransitionRow implements sim.CountableProtocol: a non-source adopts the
@@ -111,9 +98,8 @@ func (MajorityRule) OpinionOf(env sim.Env, state int) int { return state & 1 }
 // InitialCounts implements sim.CountableProtocol. Non-sources start from id
 // parity (ids [s, n), odd ids opinion 1), matching the kernel's balanced
 // worst-case initialization.
-func (MajorityRule) InitialCounts(env sim.Env, init sim.CountsInit, counts []int) {
-	s := init.Sources1 + init.Sources0
-	binInitialCounts(env, init, oddIDsFrom(s, env.N), counts)
+func (MajorityRule) InitialCounts(env sim.Env, sources1, sources0 int, counts []int) {
+	binInitialCounts(env, sources1, sources0, oddIDsFrom(sources1+sources0, env.N), counts)
 }
 
 // TransitionRow implements sim.CountableProtocol: a non-source adopts the
@@ -162,28 +148,14 @@ func (TrustBit) OpinionOf(env sim.Env, state int) int {
 }
 
 // InitialCounts implements sim.CountableProtocol. Non-sources start
-// uninformed with parity opinions; wrong-consensus corruption makes them
-// all informed with the wrong opinion, random corruption draws the informed
-// flag and the opinion as independent fair coins (a uniform 4-way split).
-func (TrustBit) InitialCounts(env sim.Env, init sim.CountsInit, counts []int) {
-	counts[tbSrc1] = init.Sources1
-	counts[tbSrc0] = init.Sources0
-	s := init.Sources1 + init.Sources0
-	ns := env.N - s
-	switch init.Corruption {
-	case sim.CorruptWrongConsensus:
-		counts[tbInf0+init.WrongOpinion] = ns
-	case sim.CorruptRandom:
-		quarters := []float64{0.25, 0.25, 0.25, 0.25}
-		var split [4]int
-		init.Stream.Multinomial(ns, quarters, split[:])
-		counts[tbUn0], counts[tbUn1] = split[0], split[1]
-		counts[tbInf0], counts[tbInf1] = split[2], split[3]
-	default:
-		ones := oddIDsFrom(s, env.N)
-		counts[tbUn1] = ones
-		counts[tbUn0] = ns - ones
-	}
+// uninformed with parity opinions.
+func (TrustBit) InitialCounts(env sim.Env, sources1, sources0 int, counts []int) {
+	counts[tbSrc1] = sources1
+	counts[tbSrc0] = sources0
+	s := sources1 + sources0
+	ones := oddIDsFrom(s, env.N)
+	counts[tbUn1] = ones
+	counts[tbUn0] = env.N - s - ones
 }
 
 // TransitionRow implements sim.CountableProtocol. A non-source that sees no
@@ -227,14 +199,17 @@ func (TrustBit) TransitionRow(env sim.Env, state int, obs, row []float64) {
 	row[tbInf0] += pWin0
 }
 
-// --- Mid-run corruption rows (sim.CountableCorruptible) ---
+// --- Corruption rows ---
 //
 // CorruptRow must match the kernels' CorruptAt: a corrupted non-source
 // lands in the wrong-consensus class (or a coin-flip class under
-// CorruptRandom), sources are untouched (identity row).
+// CorruptRandom), sources are untouched (identity row). The counts backend
+// applies it to the fresh population for Config.Corruption and to each hit
+// agent of a KindCorrupt fault.
 
 // binCorruptRow is the shared binary-layout corrupt row: Voter and
-// MajorityRule agents carry only the opinion bit.
+// MajorityRule agents carry only the opinion bit, which CorruptRandom draws
+// as a fair coin.
 func binCorruptRow(state int, mode sim.CorruptionMode, wrongOpinion int, row []float64) {
 	for i := range row {
 		row[i] = 0
@@ -254,17 +229,17 @@ func binCorruptRow(state int, mode sim.CorruptionMode, wrongOpinion int, row []f
 	}
 }
 
-// CorruptRow implements sim.CountableCorruptible.
+// CorruptRow implements sim.CountableProtocol.
 func (Voter) CorruptRow(env sim.Env, state int, mode sim.CorruptionMode, wrongOpinion int, row []float64) {
 	binCorruptRow(state, mode, wrongOpinion, row)
 }
 
-// CorruptRow implements sim.CountableCorruptible.
+// CorruptRow implements sim.CountableProtocol.
 func (MajorityRule) CorruptRow(env sim.Env, state int, mode sim.CorruptionMode, wrongOpinion int, row []float64) {
 	binCorruptRow(state, mode, wrongOpinion, row)
 }
 
-// CorruptRow implements sim.CountableCorruptible: wrong-consensus makes the
+// CorruptRow implements sim.CountableProtocol: wrong-consensus makes the
 // agent informed with the wrong opinion; random draws the informed flag and
 // the opinion as independent fair coins (a uniform 4-way split), exactly as
 // the kernel's CorruptAt does.
@@ -287,11 +262,9 @@ func (TrustBit) CorruptRow(env sim.Env, state int, mode sim.CorruptionMode, wron
 	}
 }
 
-// Compile-time interface checks: the three baselines must stay countable
-// (and corruptible as counts, so the counts backend supports mid-run
-// corruption faults).
+// Compile-time interface checks: the three baselines must stay countable.
 var (
-	_ sim.CountableCorruptible = Voter{}
-	_ sim.CountableCorruptible = MajorityRule{}
-	_ sim.CountableCorruptible = TrustBit{}
+	_ sim.CountableProtocol = Voter{}
+	_ sim.CountableProtocol = MajorityRule{}
+	_ sim.CountableProtocol = TrustBit{}
 )

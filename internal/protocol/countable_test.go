@@ -62,9 +62,11 @@ func binClass(p opinionPop) int {
 	return binNon0 + int(p.opinion[0])
 }
 
-// TestInitialCountsMatchAgents checks that InitialCounts reproduces the
-// exact class histogram of per-agent construction for the deterministic
-// corruption modes (none and wrong-consensus), for both source layouts.
+// TestInitialCountsMatchAgents checks that InitialCounts, followed by
+// CorruptRow on every agent as the counts backend applies round-0
+// corruption, reproduces the exact class histogram of per-agent
+// construction for the deterministic corruption modes (none and
+// wrong-consensus, whose rows are one-hot), for both source layouts.
 func TestInitialCountsMatchAgents(t *testing.T) {
 	protos := []struct {
 		name string
@@ -95,12 +97,22 @@ func TestInitialCountsMatchAgents(t *testing.T) {
 					want[classify(t, a)]++
 				}
 
-				got := make([]int, pr.p.NumStates(env))
-				stream := rng.New(7)
-				pr.p.InitialCounts(env, sim.CountsInit{
-					Sources1: lay.s1, Sources0: lay.s0,
-					Corruption: mode, WrongOpinion: wrong, Stream: stream,
-				}, got)
+				fresh := make([]int, pr.p.NumStates(env))
+				pr.p.InitialCounts(env, lay.s1, lay.s0, fresh)
+				got := make([]int, len(fresh))
+				row := make([]float64, len(fresh))
+				for s, c := range fresh {
+					pr.p.CorruptRow(env, s, mode, wrong, row)
+					for to, p := range row {
+						switch p {
+						case 0:
+						case 1:
+							got[to] += c
+						default:
+							t.Fatalf("%s mode=%v: class %d corrupt row %v is not one-hot", pr.name, mode, s, row)
+						}
+					}
+				}
 
 				for s := range want {
 					if got[s] != want[s] {
@@ -109,42 +121,6 @@ func TestInitialCountsMatchAgents(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestInitialCountsRandomCorruption checks the randomized corruption split:
-// totals must be exact and the binomial split must stay within 6 sigma of
-// its mean (deterministic given the fixed seed; the bound documents why).
-func TestInitialCountsRandomCorruption(t *testing.T) {
-	const n, s1, s0 = 10001, 3, 0
-	ns := n - s1 - s0
-	for _, pr := range []struct {
-		name string
-		p    sim.CountableProtocol
-	}{{"voter", Voter{}}, {"majority", MajorityRule{}}, {"trustbit", TrustBit{}}} {
-		env := countableEnv(n, 4, pr.p.Alphabet(), s1, s0)
-		got := make([]int, pr.p.NumStates(env))
-		pr.p.InitialCounts(env, sim.CountsInit{
-			Sources1: s1, Sources0: s0,
-			Corruption: sim.CorruptRandom, WrongOpinion: 0, Stream: rng.New(11),
-		}, got)
-		total := 0
-		for _, c := range got {
-			total += c
-		}
-		if total != n {
-			t.Fatalf("%s: counts sum to %d, want %d", pr.name, total, n)
-		}
-		var ones int
-		if pr.p.Alphabet() == 2 {
-			ones = got[binNon1]
-		} else {
-			ones = got[tbUn1] + got[tbInf1]
-		}
-		mean, sigma := float64(ns)/2, math.Sqrt(float64(ns))/2
-		if math.Abs(float64(ones)-mean) > 6*sigma {
-			t.Errorf("%s: random corruption put %d agents on opinion 1, want %v +- %v", pr.name, ones, mean, 6*sigma)
 		}
 	}
 }

@@ -29,7 +29,8 @@ import (
 // Finite protocols are run for MaxRounds with the usual stability-window
 // semantics rather than their synchronous schedule, since a global
 // schedule has no meaning here. Fault schedules and checkpoints need round
-// barriers, so NewAsync rejects them.
+// barriers, so NewAsync rejects fault schedules and AsyncRunner takes no
+// checkpoints.
 type AsyncRunner struct {
 	eng   *Runner
 	sched rng.Stream
@@ -48,8 +49,6 @@ func NewAsync(cfg Config) (*AsyncRunner, error) {
 		return nil, fmt.Errorf("sim: backend %v tracks class counts, not individual agents, and has no asynchronous schedule; use the per-agent engine", cfg.Backend)
 	case cfg.Faults != nil:
 		return nil, errors.New("sim: the asynchronous scheduler does not support fault schedules")
-	case cfg.CheckpointEvery > 0:
-		return nil, errors.New("sim: the asynchronous scheduler does not support checkpoints")
 	}
 	cfg.Workers = 1
 	eng, err := New(cfg)

@@ -14,18 +14,12 @@ func TestNewAsyncValidates(t *testing.T) {
 	if _, err := NewAsync(cfg); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	// Faults and checkpoints fire at round barriers, which asynchronous
-	// activation does not have.
+	// Faults fire at round barriers, which asynchronous activation does not
+	// have.
 	cfg = baseConfig(t)
 	cfg.Faults = &faults.Schedule{Events: []faults.Event{{Kind: faults.KindChurn, Round: 2, Fraction: 0.5}}}
 	if _, err := NewAsync(cfg); err == nil || !strings.Contains(err.Error(), "asynchronous scheduler does not support fault schedules") {
 		t.Fatalf("fault schedule: err = %v", err)
-	}
-	cfg = baseConfig(t)
-	cfg.CheckpointEvery = 5
-	cfg.OnCheckpoint = func(int, []byte) {}
-	if _, err := NewAsync(cfg); err == nil || !strings.Contains(err.Error(), "asynchronous scheduler does not support checkpoints") {
-		t.Fatalf("checkpointing: err = %v", err)
 	}
 }
 

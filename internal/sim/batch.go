@@ -36,9 +36,6 @@ func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64, parallel i
 	if cfg.OnFault != nil {
 		return nil, errors.New("sim: RunBatch does not support OnFault (trials run concurrently); use Result.Faults")
 	}
-	if cfg.OnCheckpoint != nil {
-		return nil, errors.New("sim: RunBatch does not support OnCheckpoint (trials run concurrently); checkpoint via a dedicated Runner")
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -48,9 +48,7 @@ func completeChainLaw(cfg sim.Config, rounds int, selfSample bool) []float64 {
 	correct := cfg.CorrectOpinion()
 
 	var init chainState
-	cp.InitialCounts(env, sim.CountsInit{
-		Sources1: cfg.Sources1, Sources0: cfg.Sources0, WrongOpinion: 1 - correct,
-	}, init[:k])
+	cp.InitialCounts(env, cfg.Sources1, cfg.Sources0, init[:k])
 	dist := map[chainState]float64{init: 1}
 	q := make([]float64, d)
 	row := make([]float64, k)
@@ -447,7 +445,7 @@ func classChain(cfg sim.Config, exact bool) *syncChain {
 	wrong := 1 - correct
 	corruptRow := func(s int, mode sim.CorruptionMode) []float64 {
 		row := make([]float64, k)
-		cfg.Protocol.(sim.CountableCorruptible).CorruptRow(env, s, mode, wrong, row)
+		cp.CorruptRow(env, s, mode, wrong, row)
 		return row
 	}
 	c := &syncChain{
@@ -462,9 +460,7 @@ func classChain(cfg sim.Config, exact bool) *syncChain {
 		opinion: func(s int) int { return cp.OpinionOf(env, s) },
 	}
 	counts := make([]int, k)
-	cp.InitialCounts(env, sim.CountsInit{
-		Sources1: cfg.Sources1, Sources0: cfg.Sources0, WrongOpinion: wrong,
-	}, counts)
+	cp.InitialCounts(env, cfg.Sources1, cfg.Sources0, counts)
 	for s, cnt := range counts {
 		for ; cnt > 0; cnt-- {
 			law := deterministic(s)
@@ -803,6 +799,10 @@ func syncCases(t *testing.T) []syncCase {
 	}}
 	randomStart := complete(protocol.TrustBit{}, 2, 0.15)
 	randomStart.Corruption = sim.CorruptRandom
+	// Majority's fresh non-sources start from id parity, so round-0
+	// corruption hits two classes.
+	majorityRandom := complete(protocol.MajorityRule{}, 3, 0.2)
+	majorityRandom.Corruption = sim.CorruptRandom
 	sf := func(opts ...protocol.SFOption) sim.Config {
 		opts = append(opts, protocol.WithSFSampleBudget(4), protocol.WithSFBoostWindow(0.3), protocol.WithSFBoostSubPhases(0.5))
 		return complete(protocol.NewSF(opts...), 2, 0.1)
@@ -825,6 +825,7 @@ func syncCases(t *testing.T) []syncCase {
 		{"trustbit", complete(protocol.TrustBit{}, 2, 0.15), 3, classChain, true},
 		{"majority corrupt fault", corrupted, 3, classChain, true},
 		{"trustbit random start", randomStart, 3, classChain, true},
+		{"majority random start", majorityRandom, 3, classChain, true},
 		{"sf", sf(), 7, func(cfg sim.Config, exact bool) *syncChain { return sfChain(cfg, false, exact) }, false},
 		{"sf alternating", sf(protocol.WithSFAlternating()), 7, func(cfg sim.Config, exact bool) *syncChain { return sfChain(cfg, true, exact) }, false},
 		{"ssf", complete(protocol.NewSSF(protocol.WithSSFUpdateQuota(2)), 1, 0.1), 4, ssfChain, false},

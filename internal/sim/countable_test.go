@@ -13,7 +13,7 @@ import (
 	"noisypull/internal/stats"
 )
 
-func uniformNoise(t *testing.T, d int, delta float64) *noise.Matrix {
+func uniformNoise(t testing.TB, d int, delta float64) *noise.Matrix {
 	t.Helper()
 	m, err := noise.Uniform(d, delta)
 	if err != nil {

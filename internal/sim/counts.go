@@ -50,8 +50,9 @@ type countsEngine struct {
 	classDisplay []int
 	classOpinion []int
 
-	// initErr records an InitialCounts violation (counts not summing to n,
-	// negative class size); Run surfaces it before the first round.
+	// initErr records a bad initial population (InitialCounts not summing
+	// to n or giving a negative class size, or a bad round-0 corrupt row);
+	// Run surfaces it before the first round.
 	initErr error
 }
 
@@ -90,20 +91,14 @@ func newCountsEngine(cp CountableProtocol, env Env) (*countsEngine, error) {
 }
 
 // reset rewinds the engine to the initial population of (cfg, seed): the
-// stream is re-derived and the protocol repopulates the class counts,
-// exactly as construction does.
+// stream is re-derived, the protocol repopulates the class counts, and
+// round-0 corruption hits every agent, exactly as construction does.
 func (ce *countsEngine) reset(cfg *Config, env Env, correct int) {
 	ce.stream.Reseed(rng.DeriveSeed(cfg.Seed, countsStreamID))
 	for s := range ce.counts {
 		ce.counts[s] = 0
 	}
-	ce.cp.InitialCounts(env, CountsInit{
-		Sources1:     cfg.Sources1,
-		Sources0:     cfg.Sources0,
-		Corruption:   cfg.Corruption,
-		WrongOpinion: 1 - correct,
-		Stream:       &ce.stream,
-	}, ce.counts)
+	ce.cp.InitialCounts(env, cfg.Sources1, cfg.Sources0, ce.counts)
 	total := 0
 	ce.initErr = nil
 	for s, c := range ce.counts {
@@ -115,7 +110,49 @@ func (ce *countsEngine) reset(cfg *Config, env Env, correct int) {
 	}
 	if total != cfg.N {
 		ce.initErr = fmt.Errorf("sim: InitialCounts placed %d agents, population is %d", total, cfg.N)
+		return
 	}
+	if cfg.Corruption != CorruptNone {
+		if _, err := ce.corrupt(env, 1, cfg.Corruption, 1-correct, &ce.stream); err != nil {
+			ce.initErr = fmt.Errorf("sim: round-0 corruption: %w", err)
+		}
+	}
+}
+
+// corrupt is the counts backend's one corruption rule: every class loses
+// Binomial(count, fraction) agents to the adversary, and the hit agents are
+// multinomially partitioned over the protocol's CorruptRow —
+// distribution-identical to selecting and corrupting individual agents. It
+// returns the number of agents hit. Round-0 corruption passes fraction 1
+// and the engine's stream, a KindCorrupt event its fraction and the fault
+// stream. Binomial(c, 1) draws nothing and neither does a one-hot row, so
+// wrong-consensus corruption consumes no randomness.
+func (ce *countsEngine) corrupt(env Env, fraction float64, mode CorruptionMode, wrong int, stream *rng.Stream) (int, error) {
+	hit := 0
+	for s := range ce.next {
+		ce.next[s] = 0
+	}
+	for s, c := range ce.counts {
+		if c == 0 {
+			continue
+		}
+		n := stream.Binomial(c, fraction)
+		ce.next[s] += c - n
+		if n == 0 {
+			continue
+		}
+		ce.cp.CorruptRow(env, s, mode, wrong, ce.row)
+		if err := checkRow(ce.row, s, "corrupt row"); err != nil {
+			return 0, err
+		}
+		stream.Multinomial(n, ce.row, ce.part)
+		for t, v := range ce.part {
+			ce.next[t] += v
+		}
+		hit += n
+	}
+	ce.counts, ce.next = ce.next, ce.counts
+	return hit, nil
 }
 
 // correctCount tallies the agents currently holding the correct opinion.

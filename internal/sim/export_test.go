@@ -11,3 +11,12 @@ func AsyncEngine(r *AsyncRunner) *Runner { return r.eng }
 // BuildsRoundGuide reports whether r's rounds build the guide table of the
 // shared binary sampler.
 func BuildsRoundGuide(r *Runner) bool { return r.guide }
+
+// Reseal recomputes the trailing checksum of a snapshot a test has edited,
+// so Restore reads past the checksum to the edited field.
+func Reseal(snap []byte) {
+	body := snap[:len(snap)-8]
+	var w SnapWriter
+	w.U64(fnv1a(0, body))
+	copy(snap[len(body):], w.Bytes())
+}

@@ -114,7 +114,7 @@ func (r *Runner) applyFault(round int, ev faults.Event) (int, error) {
 	case faults.KindNoiseSwap:
 		// A swap supersedes any drift in progress.
 		r.fs.driftOn = false
-		if err := r.setNoise(ev.Matrix, true); err != nil {
+		if err := r.setNoise(ev.Matrix); err != nil {
 			return 0, err
 		}
 		return r.cfg.N, nil
@@ -132,7 +132,7 @@ func (r *Runner) applyFault(round int, ev faults.Event) (int, error) {
 		return r.cfg.N, nil
 	case faults.KindCorrupt:
 		if r.ce != nil {
-			return r.ce.corrupt(r, ev)
+			return r.ce.corrupt(r.env, ev.Fraction, ev.Corruption, 1-r.correct, &r.fs.stream)
 		}
 		return r.corruptAgents(ev), nil
 	case faults.KindCrash:
@@ -146,9 +146,7 @@ func (r *Runner) applyFault(round int, ev faults.Event) (int, error) {
 
 // stepDrift advances an in-progress drift: round s of the drift uses the
 // level interpolated s/rounds of the way from start to target, so the final
-// drift round lands exactly on the target. Drift channels are composed
-// directly (bypassing the shared-channel cache: a fresh matrix per round
-// would evict the whole cache every drift step).
+// drift round lands exactly on the target.
 func (r *Runner) stepDrift(round int) error {
 	d := &r.fs.drift
 	step := round - d.from + 1
@@ -164,24 +162,25 @@ func (r *Runner) stepDrift(round int) error {
 	if err != nil {
 		return err
 	}
-	return r.setNoise(m, false)
+	return r.setNoise(m)
+}
+
+// composeChannel folds the artificial channel (Theorem 8) into the
+// communication matrix m: a sample pushed through m and then artificial is
+// distributed exactly as one pushed through m·artificial, so the
+// observation laws read one composed matrix instead of two.
+func composeChannel(m, artificial *noise.Matrix) (*noise.Matrix, error) {
+	if artificial == nil {
+		return m, nil
+	}
+	return noise.Compose(m, artificial)
 }
 
 // setNoise replaces the communication matrix mid-run, recomposing the
 // effective matrix (with any artificial layer) and repointing the mixture
-// rows every backend reads. shared selects the process-wide channel cache,
-// appropriate for discrete swaps between recurring matrices; drift composes
-// throwaway matrices directly.
-func (r *Runner) setNoise(m *noise.Matrix, shared bool) error {
-	var (
-		eff = m
-		err error
-	)
-	if shared {
-		eff, _, err = noise.SharedChannel(m, r.cfg.Artificial)
-	} else if r.cfg.Artificial != nil {
-		eff, err = noise.Compose(m, r.cfg.Artificial)
-	}
+// rows every backend reads.
+func (r *Runner) setNoise(m *noise.Matrix) error {
+	eff, err := composeChannel(m, r.cfg.Artificial)
 	if err != nil {
 		return err
 	}
@@ -290,42 +289,6 @@ func (r *Runner) churnAgents(ev faults.Event) int {
 		hit++
 	}
 	return hit
-}
-
-// corrupt applies a mid-run corruption event on the counts backend as count
-// redistribution: every class loses Binomial(count, fraction) agents to the
-// corruption adversary, and the hit agents are multinomially partitioned
-// over the protocol's CorruptRow — distribution-identical to selecting and
-// corrupting individual agents.
-func (ce *countsEngine) corrupt(r *Runner, ev faults.Event) (int, error) {
-	cc := ce.cp.(CountableCorruptible)
-	wrong := 1 - r.correct
-	stream := &r.fs.stream
-	hit := 0
-	for s := range ce.next {
-		ce.next[s] = 0
-	}
-	for s, c := range ce.counts {
-		if c == 0 {
-			continue
-		}
-		n := stream.Binomial(c, ev.Fraction)
-		ce.next[s] += c - n
-		if n == 0 {
-			continue
-		}
-		cc.CorruptRow(r.env, s, ev.Corruption, wrong, ce.row)
-		if err := checkRow(ce.row, s, "corrupt row"); err != nil {
-			return 0, err
-		}
-		stream.Multinomial(n, ce.row, ce.part)
-		for t, v := range ce.part {
-			ce.next[t] += v
-		}
-		hit += n
-	}
-	ce.counts, ce.next = ce.next, ce.counts
-	return hit, nil
 }
 
 // attachFaults copies the fault telemetry into a finished Result.

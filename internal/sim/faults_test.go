@@ -587,25 +587,6 @@ func TestFaultRecoveryCrossBackendChiSquare(t *testing.T) {
 	}
 }
 
-// countableOnly forwards the CountableProtocol interface while hiding any
-// CorruptRow method, to exercise the counts backend's rejection of corrupt
-// faults on protocols that cannot redistribute them.
-type countableOnly struct{ p sim.CountableProtocol }
-
-func (c countableOnly) Alphabet() int { return c.p.Alphabet() }
-func (c countableOnly) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	return c.p.NewAgent(id, role, env)
-}
-func (c countableOnly) NumStates(env sim.Env) int            { return c.p.NumStates(env) }
-func (c countableOnly) DisplayOf(env sim.Env, state int) int { return c.p.DisplayOf(env, state) }
-func (c countableOnly) OpinionOf(env sim.Env, state int) int { return c.p.OpinionOf(env, state) }
-func (c countableOnly) InitialCounts(env sim.Env, init sim.CountsInit, counts []int) {
-	c.p.InitialCounts(env, init, counts)
-}
-func (c countableOnly) TransitionRow(env sim.Env, state int, obs, row []float64) {
-	c.p.TransitionRow(env, state, obs, row)
-}
-
 func TestFaultCountsBackendRestrictions(t *testing.T) {
 	base := sim.Config{
 		N: 64, H: 8, Sources1: 4,
@@ -637,22 +618,6 @@ func TestFaultCountsBackendRestrictions(t *testing.T) {
 				t.Fatalf("Validate accepted %s", tc.name)
 			}
 		})
-	}
-
-	// Corrupt faults need CountableCorruptible, not just CountableProtocol.
-	cfg := base
-	cfg.Protocol = countableOnly{p: protocol.Voter{}}
-	cfg.Faults = &faults.Schedule{Events: []faults.Event{
-		{Kind: faults.KindCorrupt, Round: 3, Fraction: 0.5, Corruption: faults.CorruptRandom},
-	}}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Validate accepted a corrupt fault for a non-CountableCorruptible protocol on the counts backend")
-	}
-	cfg.Faults = &faults.Schedule{Events: []faults.Event{
-		{Kind: faults.KindNoiseDrift, Round: 3, Delta: 0.2, DriftRounds: 4},
-	}}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("noise drift should not require CountableCorruptible: %v", err)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 
 // Runner executes one configured simulation. Create it with New, run it with
 // Run, and rewind it with Reset to run further trials over the same
-// allocations. All buffers, RNG streams, alias tables, and worker goroutines
-// are provisioned at construction, so steady-state rounds allocate nothing
+// allocations. All buffers, RNG streams, and worker goroutines are
+// provisioned at construction, so steady-state rounds allocate nothing
 // and spawn nothing.
 type Runner struct {
 	cfg     Config
@@ -72,6 +72,10 @@ type Runner struct {
 	streak         int
 	firstAll       int
 	lastCorrect    int
+
+	// Periodic checkpointing, set by SetCheckpoint.
+	checkpointEvery int
+	onCheckpoint    func(round int, snapshot []byte)
 }
 
 // workerScratch is the preallocated private state of one worker: its Phase A
@@ -89,13 +93,7 @@ func New(cfg Config) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Fold the artificial channel (Theorem 8) into the communication channel
-	// once: a sample pushed through N and then P is distributed exactly as
-	// one pushed through N·P, so the observation laws read a single composed
-	// matrix instead of two. The composed matrix is immutable, so runners
-	// with content-equal channels (RunBatch fleets, cached service runners)
-	// share one instance from a process-wide cache.
-	eff, _, err := noise.SharedChannel(cfg.Noise, cfg.Artificial)
+	eff, err := composeChannel(cfg.Noise, cfg.Artificial)
 	if err != nil {
 		return nil, fmt.Errorf("sim: building noise channel: %w", err)
 	}
@@ -335,11 +333,13 @@ func (r *Runner) SetOnFault(fn func(faults.Record)) {
 // SetCheckpoint configures periodic checkpointing: every `every` rounds the
 // engine snapshots its state at the round barrier and hands the encoding to
 // fn (see Snapshot/Restore). every <= 0 or a nil fn disables checkpointing.
-// Like SetOnRound, it must not be called while a Run is in progress; harness
-// code repoints it between Reset and Run.
+// Checkpoints do not perturb the trajectory. fn runs on the engine's
+// goroutine and owns the freshly allocated snapshot. Like SetOnRound, it
+// must not be called while a Run is in progress; harness code repoints it
+// between Reset and Run, which keeps it.
 func (r *Runner) SetCheckpoint(every int, fn func(round int, snapshot []byte)) {
-	r.cfg.CheckpointEvery = every
-	r.cfg.OnCheckpoint = fn
+	r.checkpointEvery = every
+	r.onCheckpoint = fn
 }
 
 // Run executes rounds until the protocol finishes (finite protocols), the
@@ -361,10 +361,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	}
 	r.ran = true
 	cfg := &r.cfg
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = defaultMaxRounds(cfg.N)
-	}
+	maxRounds := cfg.maxRounds()
 	window := cfg.StabilityWindow
 	if window == 0 {
 		window = 1
@@ -402,6 +399,13 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	res.FirstAllCorrect = r.firstAll
 	res.Rounds = r.completedRound
 	res.FinalCorrect = r.lastCorrect
+	if finiteRounds > 0 && r.completedRound == finiteRounds {
+		// Restored from a checkpoint taken at the schedule's last round: the
+		// run is over, as it was when the checkpoint was taken.
+		res.Converged = r.lastCorrect == cfg.N
+		r.attachFaults(res)
+		return res, nil
+	}
 	for round := r.completedRound + 1; round <= maxRounds; round++ {
 		if done != nil {
 			select {
@@ -445,12 +449,12 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		if cfg.OnRound != nil {
 			cfg.OnRound(round, correctCount)
 		}
-		if cfg.CheckpointEvery > 0 && cfg.OnCheckpoint != nil && round%cfg.CheckpointEvery == 0 {
+		if r.checkpointEvery > 0 && r.onCheckpoint != nil && round%r.checkpointEvery == 0 {
 			data, err := r.Snapshot()
 			if err != nil {
 				return nil, fmt.Errorf("sim: round %d: checkpoint: %w", round, err)
 			}
-			cfg.OnCheckpoint(round, data)
+			r.onCheckpoint(round, data)
 		}
 
 		if finiteRounds > 0 {

@@ -142,11 +142,14 @@ type Protocol interface {
 // approximation.
 //
 // Implementations must keep the class semantics consistent with NewAgent:
-// InitialCounts must reproduce the class histogram of a freshly built
-// per-agent population (including corruption), DisplayOf/OpinionOf must
-// match Agent.Display/Opinion for agents in the class, and TransitionRow
-// must equal the conditional law of one agent's update given its class and
-// the observation distribution.
+// InitialCounts must reproduce the class histogram of a freshly built,
+// uncorrupted per-agent population, DisplayOf/OpinionOf must match
+// Agent.Display/Opinion for agents in the class, TransitionRow must equal
+// the conditional law of one agent's update given its class and the
+// observation distribution, and CorruptRow the law of one agent's class
+// after the adversary hits it. CorruptRow is the backend's only corruption
+// rule: Config.Corruption hits every agent of the fresh population with it,
+// and a KindCorrupt fault each agent with the event's fraction.
 type CountableProtocol interface {
 	Protocol
 	// NumStates returns the number K of agent-state equivalence classes.
@@ -156,40 +159,21 @@ type CountableProtocol interface {
 	DisplayOf(env Env, state int) int
 	// OpinionOf returns the opinion in {0, 1} held by agents of the class.
 	OpinionOf(env Env, state int) int
-	// InitialCounts fills counts (length NumStates) with the number of
-	// agents starting in each class, distribution-identical to per-agent
-	// construction under init's corruption mode. init.Stream drives any
-	// randomized initialization.
-	InitialCounts(env Env, init CountsInit, counts []int)
+	// InitialCounts fills counts (length NumStates, zeroed) with the number
+	// of agents starting in each class of a fresh, uncorrupted population
+	// with sources1 and sources0 sources preferring 1 and 0.
+	InitialCounts(env Env, sources1, sources0 int, counts []int)
 	// TransitionRow fills row (length NumStates) with the probability that
 	// an agent currently in the class moves to each class this round, given
 	// that each of its env.H observations is independently distributed over
 	// the alphabet as obs (which sums to 1).
 	TransitionRow(env Env, state int, obs []float64, row []float64)
-}
-
-// CountsInit carries the population-initialization inputs a
-// CountableProtocol needs to reproduce per-agent construction as counts.
-type CountsInit struct {
-	// Sources1 and Sources0 are the source counts preferring 1 and 0.
-	Sources1, Sources0 int
-	// Corruption is the adversarial initialization mode.
-	Corruption CorruptionMode
-	// WrongOpinion is the complement of the correct opinion.
-	WrongOpinion int
-	// Stream drives randomized initialization (e.g. CorruptRandom splits).
-	Stream *rng.Stream
-}
-
-// CountableCorruptible is an optional CountableProtocol extension that lets
-// the counts backend apply mid-run transient corruption (KindCorrupt fault
-// events) as count redistribution: CorruptRow fills row (length NumStates)
-// with the probability that one agent currently in the class lands in each
-// class after being hit by the adversary. It must be distribution-identical
-// to applying Corruptible.Corrupt to one agent of the class (sources whose
-// Corrupt is a no-op get an identity row).
-type CountableCorruptible interface {
-	CountableProtocol
+	// CorruptRow fills row (length NumStates) with the probability that one
+	// agent currently in the class lands in each class after the adversary
+	// hits it under mode; wrongOpinion is the complement of the correct
+	// opinion. It must be distribution-identical to Corruptible.Corrupt on
+	// one agent of the class (a source, which Corrupt leaves alone, gets an
+	// identity row).
 	CorruptRow(env Env, state int, mode CorruptionMode, wrongOpinion int, row []float64)
 }
 
@@ -279,8 +263,7 @@ type Config struct {
 	// corruption, crashes, churn, and noise-matrix changes, applied before
 	// the observations of their fire round. The timeline is deterministic in
 	// Seed. The counts backend supports noise events and uniform transient
-	// corruption (for CountableCorruptible protocols) only; Validate rejects
-	// the rest.
+	// corruption only; Validate rejects the rest.
 	Faults *faults.Schedule
 	// Workers is the number of goroutines stepping agents; 0 means
 	// GOMAXPROCS. Results do not depend on it.
@@ -297,16 +280,6 @@ type Config struct {
 	// Result.Faults for the completed records). It runs on the engine's
 	// goroutine.
 	OnFault func(faults.Record)
-	// CheckpointEvery, when positive, makes the engine snapshot its complete
-	// state every CheckpointEvery rounds and pass the encoding to
-	// OnCheckpoint (see Runner.Snapshot/Restore). Zero disables
-	// checkpointing. Checkpoints are taken at round barriers and do not
-	// perturb the trajectory.
-	CheckpointEvery int
-	// OnCheckpoint receives each periodic checkpoint. It runs on the
-	// engine's goroutine; the snapshot buffer is freshly allocated and owned
-	// by the callee.
-	OnCheckpoint func(round int, snapshot []byte)
 }
 
 // Result reports a finished simulation.
@@ -413,15 +386,9 @@ func (c *Config) Validate() error {
 			return err
 		}
 		if c.Backend == BackendCounts {
-			_, countable := c.Protocol.(CountableCorruptible)
 			for i := range c.Faults.Events {
-				switch kind := c.Faults.Events[i].Kind; kind {
-				case faults.KindCrash, faults.KindChurn:
+				if kind := c.Faults.Events[i].Kind; kind == faults.KindCrash || kind == faults.KindChurn {
 					return fmt.Errorf("sim: the counts backend tracks no individual agents, so it cannot %v (event %d); use the per-agent engine", kind, i)
-				case faults.KindCorrupt:
-					if !countable {
-						return fmt.Errorf("sim: protocol %T does not implement CountableCorruptible; the counts backend cannot apply corrupt faults (event %d)", c.Protocol, i)
-					}
 				}
 			}
 		}
@@ -476,6 +443,15 @@ func effectiveDelta(n, artificial *noise.Matrix) float64 {
 		}
 	}
 	return currentDelta(n)
+}
+
+// maxRounds is the run's round budget: MaxRounds, or the default when it
+// is zero.
+func (c *Config) maxRounds() int {
+	if c.MaxRounds == 0 {
+		return defaultMaxRounds(c.N)
+	}
+	return c.MaxRounds
 }
 
 // defaultMaxRounds caps runaway simulations. Linear-in-n protocols need

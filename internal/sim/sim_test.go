@@ -778,7 +778,7 @@ func (rowProto) NewAgent(id int, role Role, env Env) Agent {
 func (rowProto) NumStates(Env) int          { return 2 }
 func (rowProto) DisplayOf(_ Env, s int) int { return s }
 func (rowProto) OpinionOf(_ Env, s int) int { return s }
-func (rowProto) InitialCounts(env Env, _ CountsInit, counts []int) {
+func (rowProto) InitialCounts(env Env, _, _ int, counts []int) {
 	counts[0], counts[1] = env.N/2, env.N-env.N/2
 }
 func (p rowProto) TransitionRow(_ Env, s int, _ []float64, row []float64) {
@@ -797,7 +797,9 @@ func (rowProto) fill(s int, bad, row []float64) {
 }
 
 // TestCountsRejectsBadRows: a TransitionRow or CorruptRow with a NaN entry
-// or a total off 1 fails the run with an error naming the class and row.
+// or a total off 1 fails the run with an error naming the class and row,
+// whether the corrupt row serves a KindCorrupt fault or round-0
+// corruption.
 func TestCountsRejectsBadRows(t *testing.T) {
 	corruptAt3 := &faults.Schedule{Events: []faults.Event{
 		{Kind: faults.KindCorrupt, Round: 3, Fraction: 1, Corruption: faults.CorruptRandom},
@@ -806,11 +808,13 @@ func TestCountsRejectsBadRows(t *testing.T) {
 		name  string
 		proto rowProto
 		sched *faults.Schedule
+		start CorruptionMode
 		want  string
 	}{
-		{"transition NaN", rowProto{transition: []float64{math.NaN(), 1}}, nil, "class 1 transition row has invalid probability NaN"},
-		{"transition sums to 0.9", rowProto{transition: []float64{0.4, 0.5}}, nil, "class 1 transition row sums to 0.9"},
-		{"corrupt row", rowProto{corrupt: []float64{0.7, 0.7}}, corruptAt3, "class 1 corrupt row sums to 1.4"},
+		{"transition NaN", rowProto{transition: []float64{math.NaN(), 1}}, nil, CorruptNone, "class 1 transition row has invalid probability NaN"},
+		{"transition sums to 0.9", rowProto{transition: []float64{0.4, 0.5}}, nil, CorruptNone, "class 1 transition row sums to 0.9"},
+		{"corrupt row", rowProto{corrupt: []float64{0.7, 0.7}}, corruptAt3, CorruptNone, "class 1 corrupt row sums to 1.4"},
+		{"round-0 corrupt row", rowProto{corrupt: []float64{0.7, 0.7}}, nil, CorruptRandom, "class 1 corrupt row sums to 1.4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := baseConfig(t)
@@ -818,6 +822,7 @@ func TestCountsRejectsBadRows(t *testing.T) {
 			cfg.Backend = BackendCounts
 			cfg.MaxRounds = 5
 			cfg.Faults = tc.sched
+			cfg.Corruption = tc.start
 			r, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -848,10 +853,7 @@ func TestRestoreRejectsUnknownLabel(t *testing.T) {
 	// magic, version, fingerprint, then four u64 round counters.
 	const labelAt = 4 + 2 + 8 + 4*8
 	snap[labelAt] = 7
-	body := snap[:len(snap)-8]
-	var w SnapWriter
-	w.U64(fnv1a(0, body))
-	copy(snap[len(body):], w.Bytes())
+	Reseal(snap)
 	if err := r.Restore(snap); err == nil || !strings.Contains(err.Error(), "label 7") {
 		t.Fatalf("err = %v, want one naming label 7", err)
 	}

@@ -237,7 +237,7 @@ func matrixBytes(m *noise.Matrix) []byte {
 }
 
 // Snapshot encodes the runner's complete mutable state at the last completed
-// round boundary. It is valid to call from an OnRound or OnCheckpoint hook
+// round boundary. It is valid to call from an OnRound or SetCheckpoint hook
 // (the engine is at a barrier there), between New/Reset and Run (capturing
 // round 0), or after RunContext returned — including after cancellation,
 // whose check happens at a round boundary. It must not be called from
@@ -350,6 +350,23 @@ func (r *Runner) Restore(data []byte) error {
 	if fp != r.fingerprint(label) {
 		return errors.New("sim: snapshot fingerprint mismatch: it was taken under a different configuration or seed")
 	}
+	// The checksum guards against accidents, not forgery: a counter outside
+	// what a run can reach would make Run loop past its budget or a finite
+	// schedule, or misreport its rounds.
+	last := r.cfg.maxRounds()
+	if f, ok := r.cfg.Protocol.(Finite); ok {
+		last = min(last, f.Rounds(r.env))
+	}
+	switch {
+	case completed < 0 || completed > last:
+		return fmt.Errorf("sim: snapshot completedRound %d outside [0, %d], the run's last round", completed, last)
+	case streak < 0 || streak > completed:
+		return fmt.Errorf("sim: snapshot streak %d outside [0, completedRound %d]", streak, completed)
+	case firstAll < 0 || firstAll > completed:
+		return fmt.Errorf("sim: snapshot firstAllCorrect %d outside [0, completedRound %d]", firstAll, completed)
+	case lastCorrect < 0 || lastCorrect > r.cfg.N:
+		return fmt.Errorf("sim: snapshot lastCorrect %d outside [0, N %d]", lastCorrect, r.cfg.N)
+	}
 
 	switch marker := rd.U8(); marker {
 	case snapPopCounts:
@@ -407,7 +424,7 @@ func (r *Runner) Restore(data []byte) error {
 		if r.fs == nil {
 			return errors.New("sim: snapshot carries fault state, but runner has no fault schedule")
 		}
-		if err := r.fs.restore(rd, r.cfg.N); err != nil {
+		if err := r.fs.restore(rd, r.cfg.N, r.env.Alphabet); err != nil {
 			return err
 		}
 		if rd.Bool() { // noise matrix dirty
@@ -432,7 +449,7 @@ func (r *Runner) Restore(data []byte) error {
 			if err != nil {
 				return fmt.Errorf("sim: snapshot noise matrix invalid: %w", err)
 			}
-			if err := r.setNoise(m, false); err != nil {
+			if err := r.setNoise(m); err != nil {
 				return err
 			}
 		}
@@ -506,8 +523,9 @@ func (fs *faultState) snapshot(w *SnapWriter) {
 }
 
 // restore reads the state written by snapshot. n is the population size (for
-// crash-array bounds).
-func (fs *faultState) restore(rd *SnapReader, n int) error {
+// crash-array bounds) and alphabet the number of symbols a crashed agent
+// can keep displaying.
+func (fs *faultState) restore(rd *SnapReader, n, alphabet int) error {
 	cursor := rd.Int()
 	var st [4]uint64
 	for i := range st {
@@ -542,9 +560,15 @@ func (fs *faultState) restore(rd *SnapReader, n int) error {
 		return errors.New("sim: snapshot crash bookkeeping does not match the runner's schedule")
 	}
 	if hasCrash {
-		for i := 0; i < n; i++ {
-			fs.crashUntil[i] = rd.Int()
-			fs.frozen[i] = rd.Int()
+		for i := 0; i < n && rd.Err() == nil; i++ {
+			until, sym := rd.Int(), rd.Int()
+			if until < 0 {
+				return fmt.Errorf("sim: snapshot agent %d crashUntil %d is negative", i, until)
+			}
+			if sym < 0 || sym >= alphabet {
+				return fmt.Errorf("sim: snapshot agent %d frozen symbol %d outside alphabet [0, %d)", i, sym, alphabet)
+			}
+			fs.crashUntil[i], fs.frozen[i] = until, sym
 		}
 	}
 	driftOn := rd.Bool()

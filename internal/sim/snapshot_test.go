@@ -5,7 +5,9 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"noisypull/internal/faults"
@@ -308,6 +310,48 @@ func TestSnapshotCheckpointHook(t *testing.T) {
 	sameResult(t, control, res, "last-checkpoint restore")
 }
 
+// TestSnapshotFiniteLastRound: a checkpoint taken at a finite protocol's
+// last round restores into a finished run with the uninterrupted result,
+// instead of stepping the protocol past its schedule to MaxRounds.
+func TestSnapshotFiniteLastRound(t *testing.T) {
+	cfg := sim.Config{
+		N: 200, H: 16, Sources1: 1,
+		Noise:    uniformNoise(t, 2, 0.1),
+		Protocol: protocol.NewSF(),
+		Seed:     3,
+		Workers:  1,
+	}
+	r, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	last := cfg.Protocol.(sim.Finite).Rounds(r.Env())
+	var snap []byte
+	r.SetCheckpoint(last, func(_ int, data []byte) { snap = data })
+	control, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatal("no checkpoint at the schedule's last round")
+	}
+
+	r2, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if err := r2.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r2.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, control, res, "last-round restore")
+}
+
 // TestSnapshotRestoreRejections: corrupted, truncated, or mismatched
 // snapshots fail loudly instead of silently diverging.
 func TestSnapshotRestoreRejections(t *testing.T) {
@@ -376,6 +420,163 @@ func TestSnapshotRestoreRejections(t *testing.T) {
 	t.Run("garbage fails", func(t *testing.T) {
 		if err := fresh(nil).Restore([]byte("not a snapshot, definitely")); err == nil {
 			t.Fatal("garbage accepted")
+		}
+	})
+}
+
+// forgeConfig is a faulted majority run whose round-6 checkpoint carries
+// crash state: half the agents crash at round 3 until round 13. The window
+// of 6 keeps the snapshot run from converging before round 6; the
+// restoring runner's budget of 40 rounds is what Restore checks
+// completedRound against.
+func forgeConfig(t testing.TB, maxRounds int) sim.Config {
+	return sim.Config{
+		N: 64, H: 5, Sources1: 4,
+		Noise:           uniformNoise(t, 2, 0.2),
+		Protocol:        protocol.MajorityRule{},
+		Seed:            9,
+		MaxRounds:       maxRounds,
+		StabilityWindow: 6,
+		Workers:         1,
+		Faults: &faults.Schedule{Events: []faults.Event{
+			{Kind: faults.KindCorrupt, Round: 2, Fraction: 0.3, Corruption: faults.CorruptRandom},
+			{Kind: faults.KindCrash, Round: 3, Fraction: 0.5, Duration: 10},
+			{Kind: faults.KindChurn, Round: 4, Fraction: 0.2},
+		}},
+	}
+}
+
+// forgeSnapshot runs forgeConfig for 6 rounds and returns its snapshot.
+func forgeSnapshot(t testing.TB) []byte {
+	r, err := sim.New(forgeConfig(t, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// Byte offsets into forgeSnapshot: the four u64 round counters follow the
+// magic, version and fingerprint; the crash arrays (crashUntil, frozen per
+// agent) end right before the drift state (1 + 4×8 bytes), the dirty-noise
+// flag and the checksum.
+const forgeCounters = 4 + 2 + 8
+
+func forgeCrashAt(snap []byte, n, agent int) int {
+	return len(snap) - 8 - 1 - 33 - 16*(n-agent)
+}
+
+// forgeCrashed returns the offset of the first agent whose crashUntil reads
+// 13 (crashed at round 3 for 10 rounds), or −1. Its frozen symbol is what
+// the resumed rounds display.
+func forgeCrashed(snap []byte, n int) int {
+	for i := 0; i < n; i++ {
+		if at := forgeCrashAt(snap, n, i); binary.LittleEndian.Uint64(snap[at:]) == 13 {
+			return at
+		}
+	}
+	return -1
+}
+
+// TestRestoreRejectsForgedFields: a snapshot with one header counter or one
+// agent's crash state out of its reachable range (its checksum recomputed,
+// so only that field is wrong) fails Restore with an error naming the
+// field; unforged, the same snapshot restores and runs.
+func TestRestoreRejectsForgedFields(t *testing.T) {
+	cfg := forgeConfig(t, 40)
+	snap := forgeSnapshot(t)
+	if got := binary.LittleEndian.Uint64(snap[forgeCounters:]); got != 6 {
+		t.Fatalf("completedRound reads %d at its offset, want 6", got)
+	}
+	for i := 0; i < cfg.N; i++ {
+		if until := binary.LittleEndian.Uint64(snap[forgeCrashAt(snap, cfg.N, i):]); until != 0 && until != 13 {
+			t.Fatalf("agent %d crashUntil reads %d at its offset, want 0 or 13", i, until)
+		}
+	}
+	agent := forgeCrashed(snap, cfg.N)
+	if agent < 0 {
+		t.Fatal("no agent crashed before the snapshot")
+	}
+
+	restore := func(data []byte) (*sim.Runner, error) {
+		r, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		return r, r.Restore(data)
+	}
+	r, err := restore(snap)
+	if err != nil {
+		t.Fatalf("unforged snapshot: %v", err)
+	}
+	if res, err := r.Run(); err != nil || res.Rounds > cfg.MaxRounds {
+		t.Fatalf("unforged snapshot: result %+v, err %v", res, err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    int64
+		want string
+	}{
+		{"completedRound negative", forgeCounters, -100000, "completedRound -100000"},
+		{"completedRound past MaxRounds", forgeCounters, 1 << 40, "completedRound 1099511627776"},
+		{"streak negative", forgeCounters + 8, -1, "streak -1"},
+		{"streak past completedRound", forgeCounters + 8, 7, "streak 7"},
+		{"firstAllCorrect negative", forgeCounters + 16, -1, "firstAllCorrect -1"},
+		{"firstAllCorrect past completedRound", forgeCounters + 16, 7, "firstAllCorrect 7"},
+		{"lastCorrect negative", forgeCounters + 24, -1, "lastCorrect -1"},
+		{"lastCorrect past N", forgeCounters + 24, 65, "lastCorrect 65"},
+		{"crashUntil negative", agent, -1, "crashUntil -1"},
+		{"frozen symbol past alphabet", agent + 8, 128, "frozen symbol 128"},
+		{"frozen symbol negative", agent + 8, -1, "frozen symbol -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), snap...)
+			binary.LittleEndian.PutUint64(bad[tc.at:], uint64(tc.v))
+			sim.Reseal(bad)
+			if _, err := restore(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzRestore overwrites 8 bytes of forgeSnapshot at a fuzzed offset and
+// reseals the checksum. Restore must reject the result, or the restored run
+// must end within MaxRounds without a panic.
+func FuzzRestore(f *testing.F) {
+	cfg := forgeConfig(f, 40)
+	snap := forgeSnapshot(f)
+	crashed := forgeCrashed(snap, cfg.N)
+	for _, at := range []int{forgeCounters, forgeCounters + 8, forgeCounters + 16, forgeCounters + 24, crashed, crashed + 8} {
+		f.Add(uint(at), uint64(1)<<40)
+		f.Add(uint(at), ^uint64(0))
+		f.Add(uint(at), uint64(128))
+	}
+	f.Fuzz(func(t *testing.T, at uint, v uint64) {
+		data := append([]byte(nil), snap...)
+		// Any offset whose 8 bytes end inside the body.
+		binary.LittleEndian.PutUint64(data[at%uint(len(data)-15):], v)
+		sim.Reseal(data)
+		r, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if r.Restore(data) != nil {
+			return
+		}
+		if res, err := r.Run(); err == nil && res.Rounds > cfg.MaxRounds {
+			t.Fatalf("restored run reports %d rounds, MaxRounds is %d", res.Rounds, cfg.MaxRounds)
 		}
 	})
 }

@@ -23,7 +23,12 @@ type (
 	// Protocol builds per-agent state machines for the simulator.
 	Protocol = sim.Protocol
 	// CountableProtocol extends Protocol with the state-class interface the
-	// counts backend needs (BackendCounts); the three baselines implement it.
+	// counts backend needs (BackendCounts); the three baselines implement
+	// it. Its CorruptRow is the backend's one corruption rule, for
+	// Config.Corruption and corrupt faults alike. Every type its methods
+	// take is re-exported here, so code outside this module can implement
+	// it (NewAgent may return a baseline's Agents: the counts backend never
+	// builds them).
 	CountableProtocol = sim.CountableProtocol
 	// Agent is one protocol instance inside a simulation.
 	Agent = sim.Agent

@@ -355,3 +355,71 @@ func TestTopologyFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// lazyVoter is a countable protocol written against the facade alone, as
+// code outside this module writes one: a non-source keeps its opinion with
+// probability 1/2 and otherwise adopts one observation. Classes are 0/1
+// for non-sources by opinion and 2/3 for sources by preference. Its Agents
+// come from VoterBaseline; the counts backend never builds them.
+type lazyVoter struct{ noisypull.Protocol }
+
+func (lazyVoter) NumStates(noisypull.Env) int          { return 4 }
+func (lazyVoter) DisplayOf(_ noisypull.Env, s int) int { return s & 1 }
+func (lazyVoter) OpinionOf(_ noisypull.Env, s int) int { return s & 1 }
+func (lazyVoter) isSource(s int) bool                  { return s >= 2 }
+func (lazyVoter) identity(s int, row []float64)        { clear(row); row[s] = 1 }
+func (lazyVoter) InitialCounts(env noisypull.Env, s1, s0 int, counts []int) {
+	counts[0], counts[2], counts[3] = env.N-s1-s0, s0, s1
+}
+
+func (p lazyVoter) TransitionRow(_ noisypull.Env, s int, obs, row []float64) {
+	p.identity(s, row)
+	if !p.isSource(s) {
+		row[1] = float64(s)/2 + obs[1]/2
+		row[0] = 1 - row[1]
+	}
+}
+
+func (p lazyVoter) CorruptRow(_ noisypull.Env, s int, mode noisypull.CorruptionMode, wrong int, row []float64) {
+	p.identity(s, row)
+	switch {
+	case p.isSource(s):
+	case mode == noisypull.CorruptWrongConsensus:
+		row[s], row[wrong] = 0, 1
+	case mode == noisypull.CorruptRandom:
+		row[0], row[1] = 0.5, 0.5
+	}
+}
+
+// TestCountableProtocolThroughFacade: every parameter type of
+// CountableProtocol is re-exported, so a protocol outside the module runs
+// on the counts backend, round-0 corruption included, deterministically in
+// the seed.
+func TestCountableProtocolThroughFacade(t *testing.T) {
+	var _ noisypull.CountableProtocol = lazyVoter{}
+	nm, err := noisypull.UniformNoise(2, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []noisypull.CorruptionMode{noisypull.CorruptWrongConsensus, noisypull.CorruptRandom} {
+		cfg := noisypull.Config{
+			N: 1000, H: 1, Sources1: 20, Noise: nm,
+			Protocol:   lazyVoter{noisypull.VoterBaseline},
+			Seed:       5,
+			Backend:    noisypull.BackendCounts,
+			MaxRounds:  30,
+			Corruption: mode,
+		}
+		a, err := noisypull.Run(cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		b, err := noisypull.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Rounds != 30 || a.FinalCorrect < cfg.Sources1 || a.FinalCorrect != b.FinalCorrect {
+			t.Fatalf("%v: runs gave %+v and %+v", mode, a, b)
+		}
+	}
+}
