@@ -49,6 +49,8 @@ func e13Theory() Experiment {
 				"n", "h", "s1", "s0", "delta", "m", "predicted", "measured", "z-score", "agree",
 			)
 			allAgree := true
+			var ex sim.Executor[*sim.Runner, int]
+			defer ex.Close()
 			for g, pt := range grid {
 				pt := pt
 				nm, err := noise.Uniform(2, pt.delta)
@@ -72,7 +74,7 @@ func e13Theory() Experiment {
 				}
 
 				// Measure: pool weak opinions over agents and trials.
-				correct, total, err := weakOpinions(opts, g, trials, sim.Config{
+				correct, total, err := weakOpinions(opts, &ex, g, trials, sim.Config{
 					N: pt.n, H: pt.h, Sources1: pt.s1, Sources0: pt.s0, Noise: nm, Protocol: sf,
 				})
 				if err != nil {
@@ -137,7 +139,7 @@ func e13Theory() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				correct, total, err := weakOpinions(opts, 100+g, trials, cfg)
+				correct, total, err := weakOpinions(opts, &ex, 100+g, trials, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -165,26 +167,30 @@ func e13Theory() Experiment {
 	}
 }
 
-// weakOpinions runs a grid point's trials of cfg on one single-worker
-// runner, rewound with Reset (bit-identical to a fresh build) for each
-// trial's seed, and pools the weak opinions formed (total) and those equal
-// to 1, E13's correct opinion (correct).
-func weakOpinions(opts Options, gridPoint, trials int, cfg sim.Config) (correct, total int, err error) {
+// weakOpinions runs a grid point's trials of cfg on ex, keyed by the grid
+// point, so one single-worker runner serves them all, rewound with Reset for
+// each trial's seed, and pools the weak opinions formed (total) and those
+// equal to 1, E13's correct opinion (correct).
+func weakOpinions(opts Options, ex *sim.Executor[*sim.Runner, int], gridPoint, trials int, cfg sim.Config) (correct, total int, err error) {
 	seeds, err := trialSeeds(opts, gridPoint, trials)
 	if err != nil {
 		return 0, 0, err
 	}
-	cfg.Seed, cfg.Workers = seeds[0], 1
-	runner, err := sim.New(cfg)
-	if err != nil {
-		return 0, 0, err
+	cfg.Workers = 1
+	build := func(seed uint64) (*sim.Runner, error) {
+		c := cfg
+		c.Seed = seed
+		return sim.New(c)
 	}
-	defer runner.Close()
-	for t, seed := range seeds {
-		if t > 0 {
-			runner.Reset(seed)
-		}
-		if _, err := runner.RunContext(opts.ctx()); err != nil {
+	// The executor hands its runner to prepare before each run and keeps it
+	// after, so the weak opinions are read off the runner prepare saw.
+	var runner *sim.Runner
+	hold := func(r *sim.Runner) error {
+		runner = r
+		return nil
+	}
+	for _, seed := range seeds {
+		if _, err := ex.Run(opts.ctx(), gridPoint, seed, build, hold); err != nil {
 			return 0, 0, err
 		}
 		for i := 0; i < cfg.N; i++ {

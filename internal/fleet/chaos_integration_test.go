@@ -185,8 +185,18 @@ func TestWorkerSpoolsThroughCoordinatorOutage(t *testing.T) {
 	if !reflect.DeepEqual(final.Results, want) {
 		t.Fatalf("post-outage results differ:\n got %+v\nwant %+v", final.Results, want)
 	}
-	if w.spoolDelivered.Load() == 0 {
-		t.Error("spool never delivered — the job completed via a re-lease instead")
+	if n := coord.releases.Load(); n != 0 {
+		t.Errorf("%d ranges re-leased during the outage", n)
+	}
+	// The coordinator finishes the job while it handles the flushed
+	// delivery, before the worker's post returns and counts it, so wait for
+	// the count instead of reading it once.
+	deadline = time.Now().Add(10 * time.Second)
+	for w.spoolDelivered.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("spool never delivered — the job completed via a re-lease instead")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

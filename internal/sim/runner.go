@@ -399,9 +399,11 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	res.FirstAllCorrect = r.firstAll
 	res.Rounds = r.completedRound
 	res.FinalCorrect = r.lastCorrect
-	if finiteRounds > 0 && r.completedRound == finiteRounds {
-		// Restored from a checkpoint taken at the schedule's last round: the
-		// run is over, as it was when the checkpoint was taken.
+	if finiteRounds > 0 && r.completedRound == finiteRounds ||
+		finiteRounds < 0 && r.completedRound > 0 && stable >= window {
+		// Restored from a checkpoint taken at the round the run met its
+		// stopping rule (the schedule's last round, or a full stability
+		// window): the run is over, as it was when the checkpoint was taken.
 		res.Converged = r.lastCorrect == cfg.N
 		r.attachFaults(res)
 		return res, nil

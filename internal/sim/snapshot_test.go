@@ -6,6 +6,7 @@ package sim_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -314,27 +315,113 @@ func TestSnapshotCheckpointHook(t *testing.T) {
 // last round restores into a finished run with the uninterrupted result,
 // instead of stepping the protocol past its schedule to MaxRounds.
 func TestSnapshotFiniteLastRound(t *testing.T) {
+	cfg := lastRoundConfig(t)
+	restoreStoppedRun(t, cfg, finiteRounds(t, cfg))
+}
+
+// TestSnapshotConvergedRound: a checkpoint taken at the round an infinite
+// protocol fills its stability window restores into a finished run with the
+// uninterrupted result, instead of stepping past the convergence round.
+func TestSnapshotConvergedRound(t *testing.T) {
 	cfg := sim.Config{
-		N: 200, H: 16, Sources1: 1,
-		Noise:    uniformNoise(t, 2, 0.1),
-		Protocol: protocol.NewSF(),
-		Seed:     3,
-		Workers:  1,
+		N: 200, H: 7, Sources1: 10,
+		Noise:           uniformNoise(t, 2, 0.1),
+		Protocol:        protocol.MajorityRule{},
+		Seed:            5,
+		MaxRounds:       300,
+		StabilityWindow: 4,
+		Workers:         1,
 	}
 	r, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	last := cfg.Protocol.(sim.Finite).Rounds(r.Env())
-	var snap []byte
-	r.SetCheckpoint(last, func(_ int, data []byte) { snap = data })
 	control, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap == nil {
-		t.Fatal("no checkpoint at the schedule's last round")
+	if !control.Converged || control.Rounds < cfg.StabilityWindow {
+		t.Fatalf("control: converged %v at round %d, want convergence after a full window", control.Converged, control.Rounds)
+	}
+	restoreStoppedRun(t, cfg, control.Rounds)
+}
+
+// TestRestoreRejectsRoundPastSchedule: a finite protocol's snapshot whose
+// completedRound is forged one past the schedule's last round, though still
+// inside MaxRounds, fails Restore with an error naming the field.
+func TestRestoreRejectsRoundPastSchedule(t *testing.T) {
+	cfg := lastRoundConfig(t)
+	last := finiteRounds(t, cfg)
+	if last+1 > cfg.MaxRounds {
+		t.Fatalf("schedule of %d rounds leaves no room below MaxRounds %d", last, cfg.MaxRounds)
+	}
+	r, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var snap []byte
+	r.SetCheckpoint(last, func(_ int, data []byte) { snap = data })
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(snap[forgeCounters:], uint64(last+1))
+	sim.Reseal(snap)
+
+	r2, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	want := fmt.Sprintf("completedRound %d", last+1)
+	if err := r2.Restore(snap); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want one naming %q", err, want)
+	}
+}
+
+// lastRoundConfig is an SF run whose MaxRounds lies well past its schedule.
+func lastRoundConfig(t *testing.T) sim.Config {
+	return sim.Config{
+		N: 200, H: 16, Sources1: 1,
+		Noise:     uniformNoise(t, 2, 0.1),
+		Protocol:  protocol.NewSF(),
+		Seed:      3,
+		MaxRounds: 5000,
+		Workers:   1,
+	}
+}
+
+// finiteRounds returns the length of cfg's finite schedule.
+func finiteRounds(t *testing.T, cfg sim.Config) int {
+	r, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	return cfg.Protocol.(sim.Finite).Rounds(r.Env())
+}
+
+// restoreStoppedRun runs cfg with a checkpoint every `round` rounds, which
+// must land on the round the run stops at, restores that checkpoint into a
+// fresh runner, and requires the restored run to report the uninterrupted
+// result.
+func restoreStoppedRun(t *testing.T, cfg sim.Config, round int) {
+	t.Helper()
+	r, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var snap []byte
+	snapAt := 0
+	r.SetCheckpoint(round, func(at int, data []byte) { snap, snapAt = data, at })
+	control, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapAt != control.Rounds {
+		t.Fatalf("last checkpoint at round %d, run stopped at round %d", snapAt, control.Rounds)
 	}
 
 	r2, err := sim.New(cfg)
@@ -349,7 +436,7 @@ func TestSnapshotFiniteLastRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, control, res, "last-round restore")
+	sameResult(t, control, res, "stopping-round restore")
 }
 
 // TestSnapshotRestoreRejections: corrupted, truncated, or mismatched
