@@ -1,5 +1,7 @@
 // Command noisypull runs a single simulation of the noisy PULL(h) model
-// from command-line flags and reports the outcome.
+// from command-line flags and reports the outcome. The flags fill a simd
+// job spec (service.JobSpec), so protocols, channels and corruption modes
+// are named and checked exactly as in a job submitted over HTTP.
 //
 // Examples:
 //
@@ -22,6 +24,7 @@ import (
 	"noisypull"
 	"noisypull/internal/buildinfo"
 	"noisypull/internal/report"
+	"noisypull/internal/service"
 )
 
 func main() {
@@ -59,77 +62,27 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	alphabet := 2
-	if *protoName == "ssf" || *protoName == "trustbit" {
-		alphabet = 4
+	spec := service.JobSpec{
+		N: *n, H: *h, Sources1: *s1, Sources0: *s0,
+		Delta:           *delta,
+		Protocol:        *protoName,
+		C1:              *c1,
+		MaxRounds:       *maxRounds,
+		StabilityWindow: *window,
+		Corruption:      *corrupt,
 	}
-
-	var nm *noisypull.NoiseMatrix
-	var err error
-	if *p01 >= 0 || *p10 >= 0 {
-		if alphabet != 2 {
-			return fmt.Errorf("-p01/-p10 define a binary channel; protocol %q uses alphabet 4", *protoName)
-		}
-		if *p01 < 0 || *p10 < 0 {
-			return fmt.Errorf("set both -p01 and -p10 for an asymmetric channel")
-		}
-		nm, err = noisypull.AsymmetricNoise(*p01, *p10)
-	} else {
-		nm, err = noisypull.UniformNoise(alphabet, *delta)
+	if *p01 >= 0 {
+		spec.P01 = p01
 	}
+	if *p10 >= 0 {
+		spec.P10 = p10
+	}
+	cfg, err := spec.Build()
 	if err != nil {
 		return err
 	}
-
-	var proto noisypull.Protocol
-	switch *protoName {
-	case "sf":
-		var opts []noisypull.SFOption
-		if *c1 > 0 {
-			opts = append(opts, noisypull.WithSFConstant(*c1))
-		}
-		proto = noisypull.NewSourceFilter(opts...)
-	case "ssf":
-		var opts []noisypull.SSFOption
-		if *c1 > 0 {
-			opts = append(opts, noisypull.WithSSFConstant(*c1))
-		}
-		proto = noisypull.NewSelfStabilizing(opts...)
-	case "voter":
-		proto = noisypull.VoterBaseline
-	case "majority":
-		proto = noisypull.MajorityBaseline
-	case "trustbit":
-		proto = noisypull.TrustBitBaseline
-	default:
-		return fmt.Errorf("unknown protocol %q", *protoName)
-	}
-
-	var mode noisypull.CorruptionMode
-	switch *corrupt {
-	case "none":
-		mode = noisypull.CorruptNone
-	case "wrong":
-		mode = noisypull.CorruptWrongConsensus
-	case "random":
-		mode = noisypull.CorruptRandom
-	default:
-		return fmt.Errorf("unknown corruption mode %q", *corrupt)
-	}
-
-	cfg := noisypull.Config{
-		N: *n, H: *h, Sources1: *s1, Sources0: *s0,
-		Noise:           nm,
-		Protocol:        proto,
-		Seed:            *seed,
-		MaxRounds:       *maxRounds,
-		StabilityWindow: *window,
-		Corruption:      mode,
-		TrackHistory:    *history,
-	}
-	if err := cfg.Check(); err != nil {
-		return err
-	}
+	cfg.Seed = *seed
+	cfg.TrackHistory = *history
 
 	res, err := noisypull.Run(cfg)
 	if err != nil {

@@ -32,10 +32,10 @@
 // arbitrary corruption of agent memories, opinions, and clocks.
 //
 // Package-level Run executes any protocol in the simulated noisy PULL(h)
-// model. When the supplied noise matrix is not δ-uniform, Run automatically
-// applies the artificial-noise reduction of Theorem 8 (agents re-randomize
-// each received message through P = N⁻¹·T so the effective channel becomes
-// f(δ)-uniform).
+// model. When the supplied noise matrix is not δ-uniform, the engine
+// automatically applies the artificial-noise reduction of Theorem 8 (agents
+// re-randomize each received message through P = N⁻¹·T so the effective
+// channel becomes f(δ)-uniform).
 //
 // # Quick start
 //

@@ -124,9 +124,8 @@ func e10Reduction() Experiment {
 			// (3) End-to-end SF under the asymmetric channel via P.
 			batch, err := runTrials(opts, 0, sfTrials, sim.Config{
 				N: 400, H: 32, Sources1: 1, Sources0: 0,
-				Noise:      nm,
-				Artificial: red.P,
-				Protocol:   protocol.NewSF(),
+				Noise:    nm,
+				Protocol: protocol.NewSF(),
 			})
 			if err != nil {
 				return nil, err

@@ -6,10 +6,8 @@ import (
 	"noisypull/internal/sim"
 )
 
-// ssfTrialConfig assembles the sim.Config of an SSF grid point: the
-// stability window spans two full update cycles (so "converged" means
-// consensus survives across memory flushes) and the round cap is a small
-// multiple of Theorem 5's convergence horizon.
+// ssfTrialConfig assembles the sim.Config of an SSF grid point, with the
+// stability window and round cap of SSF.RunBounds.
 func ssfTrialConfig(ssf *protocol.SSF, n, h, s1, s0 int, nm *noise.Matrix, corrupt sim.CorruptionMode) (sim.Config, error) {
 	cfg := sim.Config{
 		N: n, H: h, Sources1: s1, Sources0: s0,
@@ -17,17 +15,9 @@ func ssfTrialConfig(ssf *protocol.SSF, n, h, s1, s0 int, nm *noise.Matrix, corru
 		Protocol:   ssf,
 		Corruption: corrupt,
 	}
-	env := cfg.Env()
-	m, err := ssf.UpdateQuota(env)
-	if err != nil {
+	var err error
+	if cfg.StabilityWindow, cfg.MaxRounds, err = ssf.RunBounds(cfg.Env()); err != nil {
 		return sim.Config{}, err
 	}
-	updateRounds := (m + h - 1) / h
-	cfg.StabilityWindow = 2 * updateRounds
-	conv, err := ssf.ConvergenceRounds(env)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	cfg.MaxRounds = 6*conv + cfg.StabilityWindow
 	return cfg, nil
 }

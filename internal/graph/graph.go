@@ -152,7 +152,9 @@ func Ring(n, k int) (*Graph, error) {
 // RandomRegular returns a random d-regular simple graph via the pairing
 // (configuration) model followed by random edge-swap repair of self-loops
 // and duplicate edges (pure rejection is infeasible beyond small d: the
-// acceptance probability is ≈ exp(−(d²−1)/4)). It requires n·d even,
+// acceptance probability is ≈ exp(−(d²−1)/4)). A dense shape, 2d > n−1,
+// stalls the repair, so it is built as the complement of the
+// (n−1−d)-regular graph under the same seed. It requires n·d even,
 // 1 ≤ d < n and n·d ≤ math.MaxInt32. Building takes O(n·d) time plus O(d)
 // per swap attempt, and about 12·n·d bytes at its peak.
 func RandomRegular(n, d int, seed uint64) (*Graph, error) {
@@ -164,6 +166,9 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 	}
 	if n*d%2 != 0 {
 		return nil, fmt.Errorf("graph: RandomRegular needs n·d even, got %d·%d", n, d)
+	}
+	if 2*d > n-1 {
+		return denseRegular(n, d, seed)
 	}
 	r := rng.New(seed)
 	half := make([]int32, n*d)
@@ -258,6 +263,43 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 		vs[i], vs[j] = d2, b
 	}
 	return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d) repair did not converge", n, d)
+}
+
+// denseRegular returns the complement of the random (n−1−d)-regular graph
+// built under seed, which is d-regular and simple; the graph complemented
+// is the empty graph when d = n−1. Its n·(n−1−d) is even because n·d and
+// n·(n−1) are, and 2(n−1−d) < n−1, so that graph takes the sparse path.
+func denseRegular(n, d int, seed uint64) (*Graph, error) {
+	var sparse *Graph
+	if c := n - 1 - d; c > 0 {
+		var err error
+		if sparse, err = RandomRegular(n, c, seed); err != nil {
+			return nil, err
+		}
+	}
+	m := n * d / 2
+	us := make([]int32, 0, m)
+	vs := make([]int32, 0, m)
+	adjacent := make([]bool, n) // v's neighbors in the sparse graph
+	for v := 0; v < n; v++ {
+		if sparse != nil {
+			for _, w := range sparse.Neighbors(v) {
+				adjacent[w] = true
+			}
+		}
+		for w := v + 1; w < n; w++ {
+			if !adjacent[w] {
+				us = append(us, int32(v))
+				vs = append(vs, int32(w))
+			}
+		}
+		if sparse != nil {
+			for _, w := range sparse.Neighbors(v) {
+				adjacent[w] = false
+			}
+		}
+	}
+	return build(n, us, vs), nil
 }
 
 // ErdosRenyi returns a G(n, p) random graph. Isolated vertices are

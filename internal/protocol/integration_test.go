@@ -176,18 +176,11 @@ func TestSSFConvergesAndStabilizes(t *testing.T) {
 					Seed:       seed,
 					Corruption: tc.corrupt,
 				}
-				env := cfg.Env()
-				m, err := ssf.UpdateQuota(env)
-				if err != nil {
-					t.Fatal(err)
-				}
 				// Require stability across two full update cycles.
-				cfg.StabilityWindow = 2 * ((m + tc.h - 1) / tc.h)
-				conv, err := ssf.ConvergenceRounds(env)
-				if err != nil {
+				var err error
+				if cfg.StabilityWindow, cfg.MaxRounds, err = ssf.RunBounds(cfg.Env()); err != nil {
 					t.Fatal(err)
 				}
-				cfg.MaxRounds = 6*conv + cfg.StabilityWindow
 				r, err := sim.New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -206,8 +199,8 @@ func TestSSFConvergesAndStabilizes(t *testing.T) {
 }
 
 // TestSFUnderNonUniformNoise exercises the full Theorem 8 pipeline: a
-// δ-upper-bounded (asymmetric) channel, reduced to uniform noise via the
-// artificial matrix P, with SF parameterized by δ′ = f(δ).
+// δ-upper-bounded (asymmetric) channel, which the engine reduces to uniform
+// noise via the artificial matrix P, with SF parameterized by δ′ = f(δ).
 func TestSFUnderNonUniformNoise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -216,17 +209,12 @@ func TestSFUnderNonUniformNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := noise.Reduce(nm)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for seed := uint64(0); seed < 3; seed++ {
 		res := runSF(t, sim.Config{
 			N: 400, H: 32, Sources1: 1, Sources0: 0,
-			Noise:      nm,
-			Artificial: red.P,
-			Protocol:   protocol.NewSF(),
-			Seed:       seed,
+			Noise:    nm,
+			Protocol: protocol.NewSF(),
+			Seed:     seed,
 		})
 		if !res.Converged {
 			t.Fatalf("seed %d: SF under reduced non-uniform noise did not converge (%d/%d)",
@@ -338,11 +326,11 @@ func TestSSFSurvivesAsynchrony(t *testing.T) {
 			Corruption: sim.CorruptWrongConsensus,
 		}
 		env := cfg.Env()
-		m, err := ssf.UpdateQuota(env)
+		window, _, err := ssf.RunBounds(env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.StabilityWindow = 2 * ((m + cfg.H - 1) / cfg.H)
+		cfg.StabilityWindow = window
 		conv, err := ssf.ConvergenceRounds(env)
 		if err != nil {
 			t.Fatal(err)

@@ -110,6 +110,20 @@ func (p *SSF) ConvergenceRounds(env sim.Env) (int, error) {
 	return 3 * ceilDiv(m, env.H), nil
 }
 
+// RunBounds returns the stability window and round cap that size an SSF run
+// in env: the window spans two full update cycles, 2·⌈m/h⌉ rounds, so
+// "converged" means consensus survives memory flushes, and the cap is
+// 6·ConvergenceRounds plus the window.
+func (p *SSF) RunBounds(env sim.Env) (window, maxRounds int, err error) {
+	m, err := p.quota(env)
+	if err != nil {
+		return 0, 0, err
+	}
+	updateRounds := ceilDiv(m, env.H)
+	window = 2 * updateRounds
+	return window, 6*3*updateRounds + window, nil
+}
+
 // NewAgent implements sim.Protocol: the agent is a one-agent view of the
 // SSF kernel (vector_kary.go). It panics on an environment Check rejects.
 func (p *SSF) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {

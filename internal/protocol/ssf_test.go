@@ -81,6 +81,25 @@ func TestSSFConvergenceRounds(t *testing.T) {
 	}
 }
 
+func TestSSFRunBounds(t *testing.T) {
+	env := ssfEnv() // h = 10
+	for _, tc := range []struct{ m, window, maxRounds int }{
+		{100, 20, 6*30 + 20}, // 2·⌈100/10⌉; 6·3·⌈100/10⌉ + window
+		{101, 22, 6*33 + 22},
+	} {
+		window, maxRounds, err := NewSSF(WithSSFUpdateQuota(tc.m)).RunBounds(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if window != tc.window || maxRounds != tc.maxRounds {
+			t.Errorf("m = %d: RunBounds = (%d, %d), want (%d, %d)", tc.m, window, maxRounds, tc.window, tc.maxRounds)
+		}
+	}
+	if _, _, err := NewSSF(WithSSFUpdateQuota(1<<30 + 1)).RunBounds(env); err == nil {
+		t.Error("RunBounds accepted a quota past the kernel's counters")
+	}
+}
+
 func TestSSFNewAgentPanicsOnInvalidEnv(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -73,6 +73,42 @@ func sameSeedResult(a, b SeedResult) bool {
 		a.FinalCorrect == b.FinalCorrect
 }
 
+// TestRecoveryKeepsTerminalExpiry restarts a journal-backed service with a
+// short ResultTTL around a finished job: inside the TTL the job comes back
+// with its original finish time, and past it the job stays evicted.
+func TestRecoveryKeepsTerminalExpiry(t *testing.T) {
+	const ttl = 2 * time.Second
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, ResultTTL: ttl}
+	s1 := openJournaled(t, dir, cfg)
+	st, err := s1.Submit(quickSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := waitState(t, s1, st.ID, StateDone)
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond) // a restart time distinct from the finish time
+
+	s2 := openJournaled(t, dir, cfg)
+	after, err := s2.Get(st.ID)
+	s2.Close()
+	if err != nil {
+		t.Fatalf("job inside its TTL not restored: %v", err)
+	}
+	if after.Finished == nil || after.Finished.UnixMilli() != before.Finished.UnixMilli() {
+		t.Fatalf("restored finish time %v, want %v", after.Finished, before.Finished)
+	}
+
+	time.Sleep(time.Until(before.Finished.Add(ttl + 50*time.Millisecond)))
+	s3 := openJournaled(t, dir, cfg)
+	defer s3.Close()
+	if _, err := s3.Get(st.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("job past its TTL: Get error %v, want ErrNotFound", err)
+	}
+}
+
 // TestRecoveryRestoresTerminalJobs restarts the service over a journal whose
 // only job finished cleanly: it must come back queryable with identical
 // results, and the id counter must continue past it.

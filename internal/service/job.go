@@ -211,13 +211,14 @@ func (j *job) publish(ev Event) uint64 {
 }
 
 // finish moves the job to a terminal state, stamps the eviction deadline,
-// and closes every subscriber channel.
-func (j *job) finish(state State, errMsg string, ttl time.Duration) {
+// closes every subscriber channel, and returns the finish time.
+func (j *job) finish(state State, errMsg string, ttl time.Duration) time.Time {
 	j.mu.Lock()
 	j.state = state
 	j.errMsg = errMsg
-	j.finished = time.Now()
-	j.expiry = j.finished.Add(ttl)
+	finished := time.Now()
+	j.finished = finished
+	j.expiry = finished.Add(ttl)
 	subs := j.subs
 	j.subs = nil
 	j.nsubs.Store(0)
@@ -226,4 +227,5 @@ func (j *job) finish(state State, errMsg string, ttl time.Duration) {
 	for ch := range subs {
 		close(ch)
 	}
+	return finished
 }

@@ -45,8 +45,8 @@ const (
 // journalRecord is one NDJSON line. Which fields are set depends on T:
 // submit carries Spec; state carries State; seed carries Seed/Result/Seq;
 // checkpoint carries Seed/Round/Data/Seq (Data is the engine snapshot,
-// base64 on the wire); terminal carries State and Error; lease carries
-// Op/Lease/Node/Seeds/Attempt and, for result ops, Results.
+// base64 on the wire); terminal carries State, Error and Finished; lease
+// carries Op/Lease/Node/Seeds/Attempt and, for result ops, Results.
 type journalRecord struct {
 	T      string      `json:"t"`
 	Job    string      `json:"job,omitempty"`
@@ -58,6 +58,10 @@ type journalRecord struct {
 	Seq    uint64      `json:"seq,omitempty"`
 	Round  int         `json:"round,omitempty"`
 	Data   []byte      `json:"data,omitempty"`
+	// Finished is a terminal job's finish time in unix milliseconds, so
+	// replay keeps its expiry. Terminal records written before it existed
+	// lack it.
+	Finished int64 `json:"finished,omitempty"`
 
 	// Fleet lease-lifecycle fields (T == recLease).
 	Op      LeaseOp      `json:"op,omitempty"`
@@ -209,8 +213,8 @@ func (jl *journal) appendCheckpoint(id string, seed uint64, round int, data []by
 	jl.append(&journalRecord{T: recCheckpoint, Job: id, Seed: &seed, Round: round, Data: data, Seq: seq}, false)
 }
 
-func (jl *journal) appendTerminal(id string, state State, errMsg string) {
-	jl.append(&journalRecord{T: recTerminal, Job: id, State: state, Error: errMsg}, true)
+func (jl *journal) appendTerminal(id string, state State, errMsg string, finished time.Time) {
+	jl.append(&journalRecord{T: recTerminal, Job: id, State: state, Error: errMsg, Finished: finished.UnixMilli()}, true)
 }
 
 func (jl *journal) appendLease(rec *LeaseRecord) {
@@ -247,7 +251,8 @@ type checkpointState struct {
 type recoveredJob struct {
 	id       string
 	spec     JobSpec
-	terminal State // "" while non-terminal
+	terminal State     // "" while non-terminal
+	finished time.Time // the terminal record's finish time; zero if it has none
 	errMsg   string
 	results  []SeedResult
 	seen     map[uint64]bool // seeds with a journaled result
@@ -283,7 +288,8 @@ type ReplaySummary struct {
 	TornTail bool `json:"torn_tail,omitempty"`
 	// Jobs is the number of distinct jobs in the journal.
 	Jobs int `json:"jobs"`
-	// Restored is how many terminal jobs were reinstalled into the store.
+	// Restored is how many terminal jobs were reinstalled into the store
+	// (those past their result TTL stay evicted).
 	Restored int `json:"restored"`
 	// Resumed is how many interrupted jobs were re-enqueued (from their last
 	// checkpoint when one was journaled, from scratch otherwise).
@@ -406,6 +412,10 @@ func applyRecord(byID map[string]*recoveredJob, out *replayOutcome, rec *journal
 		if rec.State.Terminal() {
 			j.terminal = rec.State
 			j.errMsg = rec.Error
+			j.finished = time.Time{}
+			if rec.Finished > 0 {
+				j.finished = time.UnixMilli(rec.Finished)
+			}
 			j.ck = nil
 		}
 	case recLease:
@@ -557,8 +567,9 @@ func (s *Service) recover() {
 	for _, rj := range outcome.jobs {
 		switch {
 		case rj.terminal != "":
-			s.installTerminal(rj, now)
-			summary.Restored++
+			if s.installTerminal(rj, now) {
+				summary.Restored++
+			}
 		default:
 			if s.resubmit(rj) {
 				summary.Resumed++
@@ -586,18 +597,30 @@ func (s *Service) recover() {
 	s.logf("journal: replay done: %s", summary.String())
 }
 
-// installTerminal puts a finished job straight into the result store, with a
-// fresh TTL (its original finish time did not survive the restart).
-func (s *Service) installTerminal(rj *recoveredJob, now time.Time) {
+// installTerminal puts a finished job straight into the result store with
+// the finish time its terminal record gives and the expiry that follows from
+// it, reporting whether it did: a job already past its expiry, which the
+// janitor evicted or would evict, stays gone. A record without a finish time
+// gets the restart time and a fresh TTL. The submission time is not
+// journaled, so a restored job's creation time reads its finish time.
+func (s *Service) installTerminal(rj *recoveredJob, now time.Time) bool {
+	finished := rj.finished
+	if finished.IsZero() {
+		finished = now
+	}
+	expiry := finished.Add(s.cfg.ResultTTL)
+	if now.After(expiry) {
+		return false
+	}
 	j := &job{
 		id:       rj.id,
 		spec:     rj.spec,
 		state:    rj.terminal,
 		errMsg:   rj.errMsg,
 		results:  rj.results,
-		created:  now,
-		finished: now,
-		expiry:   now.Add(s.cfg.ResultTTL),
+		created:  finished,
+		finished: finished,
+		expiry:   expiry,
 	}
 	j.ctx, j.cancel = context.WithCancel(s.rootCtx)
 	j.cancel() // terminal: nothing will ever run under this context
@@ -607,6 +630,7 @@ func (s *Service) installTerminal(rj *recoveredJob, now time.Time) {
 		s.order = append(s.order, j.id)
 	}
 	s.mu.Unlock()
+	return true
 }
 
 // resubmit re-enqueues an interrupted job, reporting whether it is live

@@ -10,7 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
+
+// testFinished is the finish time the unit tests journal for terminal jobs.
+var testFinished = time.UnixMilli(1_760_000_000_000)
 
 // buildJournal writes a journal with the given appends into dir and returns
 // the file path and its raw bytes.
@@ -64,7 +68,7 @@ func TestJournalTerminalClearsCheckpoint(t *testing.T) {
 	path, _ := buildJournal(t, t.TempDir(), func(jl *journal) {
 		jl.appendSubmit("j-000001", &spec)
 		jl.appendCheckpoint("j-000001", 1, 10, []byte("x"), 3)
-		jl.appendTerminal("j-000001", StateDone, "")
+		jl.appendTerminal("j-000001", StateDone, "", testFinished)
 	})
 	out, err := replayJournal(path)
 	if err != nil {
@@ -73,6 +77,9 @@ func TestJournalTerminalClearsCheckpoint(t *testing.T) {
 	j := out.jobs[0]
 	if j.terminal != StateDone || j.ck != nil {
 		t.Fatalf("terminal job kept checkpoint: terminal=%q ck=%v", j.terminal, j.ck)
+	}
+	if !j.finished.Equal(testFinished) {
+		t.Fatalf("finish time %v did not round-trip as %v", j.finished, testFinished)
 	}
 }
 
@@ -134,7 +141,7 @@ func TestJournalReplayTruncatedAtEveryOffset(t *testing.T) {
 		jl.appendState("j-000001", StateRunning)
 		jl.appendSeed("j-000001", 3, &SeedResult{Seed: 3, Rounds: 21, Converged: true}, 8)
 		jl.appendCheckpoint("j-000001", 4, 17, []byte{0x00, 0x01, 0xFF}, 12)
-		jl.appendTerminal("j-000001", StateFailed, "boom")
+		jl.appendTerminal("j-000001", StateFailed, "boom", testFinished)
 	})
 	full, err := replayJournal(fullPath)
 	if err != nil {
@@ -224,7 +231,7 @@ func TestJournalNilAndClosedAreNoops(t *testing.T) {
 	jl.appendState("j-000001", StateRunning)
 	jl.appendSeed("j-000001", 1, &SeedResult{}, 1)
 	jl.appendCheckpoint("j-000001", 1, 1, []byte("x"), 1)
-	jl.appendTerminal("j-000001", StateDone, "")
+	jl.appendTerminal("j-000001", StateDone, "", testFinished)
 	jl.close()
 
 	real, err := openJournal(t.TempDir(), nil, nil)
@@ -257,7 +264,7 @@ func FuzzJournalReplay(f *testing.F) {
 		jl.appendState("j-000001", StateRunning)
 		jl.appendSeed("j-000001", 1, &SeedResult{Seed: 1, Rounds: 9}, 4)
 		jl.appendCheckpoint("j-000001", 2, 33, []byte("snap"), 6)
-		jl.appendTerminal("j-000001", StateDone, "")
+		jl.appendTerminal("j-000001", StateDone, "", testFinished)
 		jl.close()
 		data, err := os.ReadFile(jl.path)
 		if err != nil {

@@ -412,8 +412,8 @@ func (s *Service) Cancel(id string) (*JobStatus, error) {
 // the service goes through here, which is what guarantees that a journaled
 // submission always gains a journaled terminal record.
 func (s *Service) finalize(j *job, state State, errMsg string) {
-	j.finish(state, errMsg, s.cfg.ResultTTL)
-	s.journal.appendTerminal(j.id, state, errMsg)
+	finished := j.finish(state, errMsg, s.cfg.ResultTTL)
+	s.journal.appendTerminal(j.id, state, errMsg, finished)
 	switch state {
 	case StateDone:
 		s.metrics.done.Add(1)

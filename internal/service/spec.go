@@ -9,9 +9,10 @@ import (
 )
 
 // JobSpec is the wire format of a simulation job: the JSON body of
-// POST /v1/jobs. It mirrors the scalar surface of noisypull.Config (plus the
-// cmd/noisypull protocol vocabulary) so a job is fully described by data —
-// no Go values cross the API.
+// POST /v1/jobs. It mirrors the scalar surface of noisypull.Config, naming
+// protocols, channels and corruption modes by string, so a job is fully
+// described by data — no Go values cross the API. It is also the
+// vocabulary of the cmd/noisypull flags, which fill one and Build it.
 type JobSpec struct {
 	// N is the population size.
 	N int `json:"n"`

@@ -112,8 +112,8 @@ feed:
 var ErrPanic = errors.New("panic in protocol/engine")
 
 // Trial is a runner an Executor can reuse across seeds: Reset rewinds it,
-// bit-identically to a fresh build, under a new seed. *Runner, *AsyncRunner
-// and the public noisypull.Runner implement it.
+// bit-identically to a fresh build, under a new seed. *Runner (which the
+// public noisypull.Runner aliases) and *AsyncRunner implement it.
 type Trial interface {
 	Reset(seed uint64)
 	RunContext(ctx context.Context) (*Result, error)

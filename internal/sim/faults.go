@@ -165,24 +165,18 @@ func (r *Runner) stepDrift(round int) error {
 	return r.setNoise(m)
 }
 
-// composeChannel folds the artificial channel (Theorem 8) into the
-// communication matrix m: a sample pushed through m and then artificial is
-// distributed exactly as one pushed through m·artificial, so the
-// observation laws read one composed matrix instead of two.
-func composeChannel(m, artificial *noise.Matrix) (*noise.Matrix, error) {
-	if artificial == nil {
-		return m, nil
-	}
-	return noise.Compose(m, artificial)
-}
-
 // setNoise replaces the communication matrix mid-run, recomposing the
-// effective matrix (with any artificial layer) and repointing the mixture
-// rows every backend reads.
+// effective matrix with the run's artificial layer and repointing the
+// mixture rows every backend reads. A sample pushed through m and then P is
+// distributed exactly as one pushed through m·P, so the observation laws
+// read one composed matrix instead of two.
 func (r *Runner) setNoise(m *noise.Matrix) error {
-	eff, err := composeChannel(m, r.cfg.Artificial)
-	if err != nil {
-		return err
+	eff := m
+	if r.artificial != nil {
+		var err error
+		if eff, err = noise.Compose(m, r.artificial); err != nil {
+			return err
+		}
 	}
 	r.curNoise = m
 	for sigma := range r.effRows {

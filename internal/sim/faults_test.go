@@ -447,11 +447,11 @@ func TestFaultRecoveryTelemetrySSF(t *testing.T) {
 		}},
 	}
 	env := cfg.Env()
-	m, err := ssf.UpdateQuota(env)
+	window, _, err := ssf.RunBounds(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.StabilityWindow = 2 * ((m + cfg.H - 1) / cfg.H)
+	cfg.StabilityWindow = window
 	conv, err := ssf.ConvergenceRounds(env)
 	if err != nil {
 		t.Fatal(err)

@@ -284,20 +284,45 @@ func oracleCases(t *testing.T) []oracleCase {
 	cases = append(cases, oracleCase{"ring k4", c, 6,
 		observationLaw(matrixRows(kary), displaysOf(12, karyDisplay), neighbourSet(ring, 6))})
 
-	// Asymmetric binary N with its Theorem 8 artificial matrix P: every
-	// observation goes through N and then P, so the channel is N·P.
+	// A non-uniform N, from which the engine derives the Theorem 8
+	// artificial matrix P: every observation goes through N and then P, so
+	// the channel is N·P, which equals the f(δ)-uniform T(δ′). The twins
+	// check both laws, on the binary and on the k-ary sampler.
 	asym, err := noise.FromRows([][]float64{{0.9, 0.1}, {0.25, 0.75}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := noise.Reduce(asym)
+	asym4, err := noise.FromRows([][]float64{
+		{0.85, 0.05, 0.04, 0.06},
+		{0.02, 0.90, 0.05, 0.03},
+		{0.06, 0.01, 0.88, 0.05},
+		{0.03, 0.04, 0.02, 0.91},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c = base(8, 12, asym, binDisplay)
-	c.Artificial = red.P
-	cases = append(cases, oracleCase{"theorem 8 N·P", c, 7,
-		observationLaw(matMul(matrixRows(asym), matrixRows(red.P)), displaysOf(8, binDisplay), upTo(8))})
+	for _, tc := range []struct {
+		suffix   string
+		nm       *noise.Matrix
+		h, agent int
+		display  func(int) int
+	}{{"", asym, 12, 7, binDisplay}, {" k4", asym4, 4, 5, karyDisplay}} {
+		red, err := noise.Reduce(tc.nm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := tc.nm.Alphabet()
+		target, err := noise.Uniform(d, noise.F(tc.nm.UpperDelta(), d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = base(8, tc.h, tc.nm, tc.display)
+		cases = append(cases,
+			oracleCase{"theorem 8 N·P" + tc.suffix, c, tc.agent,
+				observationLaw(matMul(matrixRows(tc.nm), matrixRows(red.P)), displaysOf(8, tc.display), upTo(8))},
+			oracleCase{"theorem 8 T(δ′)" + tc.suffix, c, tc.agent,
+				observationLaw(matrixRows(target), displaysOf(8, tc.display), upTo(8))})
+	}
 
 	// Crash-frozen agents corrupted after freezing: every agent crashes with
 	// the display it shows, every agent is then corrupted (its live display

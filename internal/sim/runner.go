@@ -17,9 +17,13 @@ import (
 // provisioned at construction, so steady-state rounds allocate nothing
 // and spawn nothing.
 type Runner struct {
-	cfg     Config
-	env     Env
-	effRows [][]float64 // effective matrix rows: Noise composed with Artificial
+	cfg Config
+	env Env
+	// artificial is the Theorem 8 matrix P the agents apply after every
+	// channel (nil for a δ-uniform Noise); effRows are the rows of the
+	// channel in effect composed with it.
+	artificial *noise.Matrix
+	effRows    [][]float64
 	// noiseEpoch counts effRows repoints (noise faults, Reset); the
 	// neighborhood-law memos key their validity on it.
 	noiseEpoch uint64
@@ -90,15 +94,11 @@ type workerScratch struct {
 // applying any adversarial corruption), provisions all per-round scratch and
 // the persistent worker pool, and returns a ready Runner.
 func New(cfg Config) (*Runner, error) {
-	if err := cfg.Validate(); err != nil {
+	rc, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
-	eff, err := composeChannel(cfg.Noise, cfg.Artificial)
-	if err != nil {
-		return nil, fmt.Errorf("sim: building noise channel: %w", err)
-	}
-
-	env := cfg.Env()
+	env, eff := rc.env, rc.eff
 	d := env.Alphabet
 
 	if cfg.Backend == BackendCounts {
@@ -110,12 +110,13 @@ func New(cfg Config) (*Runner, error) {
 			return nil, err
 		}
 		r := &Runner{
-			cfg:     cfg,
-			env:     env,
-			effRows: make([][]float64, d),
-			workers: 1,
-			correct: cfg.CorrectOpinion(),
-			ce:      ce,
+			cfg:        cfg,
+			env:        env,
+			artificial: rc.artificial,
+			effRows:    make([][]float64, d),
+			workers:    1,
+			correct:    cfg.CorrectOpinion(),
+			ce:         ce,
 		}
 		for sigma := 0; sigma < d; sigma++ {
 			r.effRows[sigma] = eff.Row(sigma)
@@ -159,6 +160,7 @@ func New(cfg Config) (*Runner, error) {
 	r := &Runner{
 		cfg:          cfg,
 		env:          env,
+		artificial:   rc.artificial,
 		effRows:      make([][]float64, d),
 		workers:      workers,
 		correct:      cfg.CorrectOpinion(),

@@ -232,17 +232,11 @@ type Config struct {
 	// They must differ (bias ≥ 1) and satisfy s0, s1 ≤ n/4 (Eq. 18).
 	Sources1, Sources0 int
 	// Noise is the communication channel's noise matrix. Its alphabet must
-	// match the protocol's.
+	// match the protocol's. If it is not δ-uniform, every agent applies the
+	// Theorem 8 artificial noise P = N⁻¹·T to each received message
+	// (Definition 6), so the agents observe through the f(δ)-uniform channel
+	// N·P; a matrix the reduction cannot handle fails with ErrNotReducible.
 	Noise *noise.Matrix
-	// Artificial, if non-nil, is applied by every agent to each received
-	// message after Noise (Definition 6, simulation with artificial noise).
-	Artificial *noise.Matrix
-	// Topology, if non-nil, restricts sampling: each agent draws its h
-	// observations uniformly (with replacement) from its graph neighbors
-	// instead of the whole population. It needs the per-agent engine;
-	// Validate rejects it with BackendCounts. Nil means the paper's
-	// complete-graph model.
-	Topology *graph.Graph
 	// Protocol builds the agents.
 	Protocol Protocol
 	// Seed drives all randomness.
@@ -265,6 +259,12 @@ type Config struct {
 	// Seed. The counts backend supports noise events and uniform transient
 	// corruption only; Validate rejects the rest.
 	Faults *faults.Schedule
+	// Topology, if non-nil, restricts sampling: each agent draws its h
+	// observations uniformly (with replacement) from its graph neighbors
+	// instead of the whole population. It needs the per-agent engine;
+	// Validate rejects it with BackendCounts. Nil means the paper's
+	// complete-graph model.
+	Topology *graph.Graph
 	// Workers is the number of goroutines stepping agents; 0 means
 	// GOMAXPROCS. Results do not depend on it.
 	Workers int
@@ -306,97 +306,152 @@ type Result struct {
 	Faults []faults.Record
 }
 
-// Validate checks the configuration, returning a descriptive error for the
-// first violated constraint. A protocol with a Check(Env) error method (SF
-// and SSF) is asked last whether the environment is in its domain.
-func (c *Config) Validate() error {
+// ErrNotReducible is returned when Config.Noise is not δ-uniform and too
+// noisy for the Theorem 8 reduction (its upper-bound level is not below
+// 1/|Σ|).
+var ErrNotReducible = errors.New("noisypull: noise matrix is not reducible to uniform (delta >= 1/|alphabet|)")
+
+// resolved is what a run reads from its Config beyond the fields
+// themselves.
+type resolved struct {
+	// artificial is the Theorem 8 matrix P = N⁻¹·T every agent applies to
+	// each received message; nil when Noise is δ-uniform.
+	artificial *noise.Matrix
+	// eff is the channel the observation laws read: Noise composed with
+	// artificial.
+	eff *noise.Matrix
+	// env is the environment handed to the agents.
+	env Env
+}
+
+// resolve validates the configuration (see Validate) and derives the run's
+// channel and environment. The environment is set once the channel is
+// derived, even if a later check fails.
+func (c *Config) resolve() (resolved, error) {
+	var rc resolved
 	if c.Protocol == nil {
-		return errors.New("sim: config needs a Protocol")
+		return rc, errors.New("sim: config needs a Protocol")
 	}
 	if c.Noise == nil {
-		return errors.New("sim: config needs a Noise matrix")
+		return rc, errors.New("sim: config needs a Noise matrix")
 	}
 	if c.N < 2 {
-		return fmt.Errorf("sim: N = %d, need at least 2 agents", c.N)
+		return rc, fmt.Errorf("sim: N = %d, need at least 2 agents", c.N)
 	}
 	if c.H < 1 {
-		return fmt.Errorf("sim: H = %d, need at least 1 sample per round", c.H)
+		return rc, fmt.Errorf("sim: H = %d, need at least 1 sample per round", c.H)
 	}
 	if c.Sources0 < 0 || c.Sources1 < 0 {
-		return fmt.Errorf("sim: negative source counts (%d, %d)", c.Sources0, c.Sources1)
+		return rc, fmt.Errorf("sim: negative source counts (%d, %d)", c.Sources0, c.Sources1)
 	}
 	if c.Sources0 == c.Sources1 {
-		return fmt.Errorf("sim: bias is zero (s0 = s1 = %d); the correct opinion is undefined", c.Sources0)
+		return rc, fmt.Errorf("sim: bias is zero (s0 = s1 = %d); the correct opinion is undefined", c.Sources0)
 	}
 	if c.Sources0+c.Sources1 == 0 {
-		return errors.New("sim: no sources")
+		return rc, errors.New("sim: no sources")
 	}
 	if c.Sources0+c.Sources1 > c.N {
-		return fmt.Errorf("sim: %d sources exceed population %d", c.Sources0+c.Sources1, c.N)
+		return rc, fmt.Errorf("sim: %d sources exceed population %d", c.Sources0+c.Sources1, c.N)
 	}
 	if 4*c.Sources0 > c.N || 4*c.Sources1 > c.N {
-		return fmt.Errorf("sim: source counts (%d, %d) violate s0, s1 <= n/4 with n = %d (Eq. 18)", c.Sources0, c.Sources1, c.N)
+		return rc, fmt.Errorf("sim: source counts (%d, %d) violate s0, s1 <= n/4 with n = %d (Eq. 18)", c.Sources0, c.Sources1, c.N)
 	}
 	d := c.Protocol.Alphabet()
 	if d < 2 {
-		return fmt.Errorf("sim: protocol alphabet %d < 2", d)
+		return rc, fmt.Errorf("sim: protocol alphabet %d < 2", d)
 	}
 	if c.Noise.Alphabet() != d {
-		return fmt.Errorf("sim: noise alphabet %d != protocol alphabet %d", c.Noise.Alphabet(), d)
+		return rc, fmt.Errorf("sim: noise alphabet %d != protocol alphabet %d", c.Noise.Alphabet(), d)
 	}
-	if c.Artificial != nil && c.Artificial.Alphabet() != d {
-		return fmt.Errorf("sim: artificial noise alphabet %d != protocol alphabet %d", c.Artificial.Alphabet(), d)
+	// The protocol is parameterized at the level of the channel its agents
+	// observe through: N's own level when it is uniform, else the reduced
+	// level δ′ = f(δ), read from N·P at the looser tolerance its rounding
+	// needs.
+	delta, uniform := c.Noise.UniformDelta(1e-9)
+	if uniform {
+		rc.eff = c.Noise
+	} else {
+		red, err := noise.Reduce(c.Noise)
+		if err != nil {
+			return rc, fmt.Errorf("%w: %v", ErrNotReducible, err)
+		}
+		eff, err := noise.Compose(c.Noise, red.P)
+		if err != nil {
+			return rc, fmt.Errorf("sim: building noise channel: %w", err)
+		}
+		rc.artificial, rc.eff = red.P, eff
+		if delta, uniform = eff.UniformDelta(1e-6); !uniform {
+			delta = eff.UpperDelta()
+		}
+	}
+	rc.env = Env{
+		N:        c.N,
+		H:        c.H,
+		Alphabet: d,
+		Delta:    delta,
+		Sources:  c.Sources0 + c.Sources1,
+		Bias:     c.Bias(),
 	}
 	switch c.Backend {
 	case BackendAuto, BackendExact, BackendAggregate, BackendCounts:
 	default:
-		return fmt.Errorf("sim: unknown backend %d", int(c.Backend))
+		return rc, fmt.Errorf("sim: unknown backend %d", int(c.Backend))
 	}
 	if c.Backend == BackendCounts {
 		cp, ok := c.Protocol.(CountableProtocol)
 		if !ok {
-			return fmt.Errorf("sim: protocol %T does not implement CountableProtocol; the counts backend needs exchangeable state classes (use the per-agent engine)", c.Protocol)
+			return rc, fmt.Errorf("sim: protocol %T does not implement CountableProtocol; the counts backend needs exchangeable state classes (use the per-agent engine)", c.Protocol)
 		}
-		if k := cp.NumStates(c.Env()); k < 1 {
-			return fmt.Errorf("sim: countable protocol reports %d state classes", k)
+		if k := cp.NumStates(rc.env); k < 1 {
+			return rc, fmt.Errorf("sim: countable protocol reports %d state classes", k)
 		}
 	}
 	if c.Topology != nil {
 		if c.Topology.N() != c.N {
-			return fmt.Errorf("sim: topology has %d vertices, population has %d", c.Topology.N(), c.N)
+			return rc, fmt.Errorf("sim: topology has %d vertices, population has %d", c.Topology.N(), c.N)
 		}
 		if c.Topology.MinDegree() < 1 {
-			return errors.New("sim: topology has an isolated vertex; every agent needs at least one neighbor to sample")
+			return rc, errors.New("sim: topology has an isolated vertex; every agent needs at least one neighbor to sample")
 		}
 		if c.Backend == BackendCounts {
-			return errors.New("sim: the counts backend requires the complete graph; use the per-agent engine with a topology")
+			return rc, errors.New("sim: the counts backend requires the complete graph; use the per-agent engine with a topology")
 		}
 	}
 	if c.MaxRounds < 0 {
-		return fmt.Errorf("sim: negative MaxRounds %d", c.MaxRounds)
+		return rc, fmt.Errorf("sim: negative MaxRounds %d", c.MaxRounds)
 	}
 	if c.StabilityWindow < 0 {
-		return fmt.Errorf("sim: negative StabilityWindow %d", c.StabilityWindow)
+		return rc, fmt.Errorf("sim: negative StabilityWindow %d", c.StabilityWindow)
 	}
 	if c.MaxRounds > 0 && c.StabilityWindow > c.MaxRounds {
-		return fmt.Errorf("sim: StabilityWindow %d exceeds MaxRounds %d; the run can never converge", c.StabilityWindow, c.MaxRounds)
+		return rc, fmt.Errorf("sim: StabilityWindow %d exceeds MaxRounds %d; the run can never converge", c.StabilityWindow, c.MaxRounds)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(d); err != nil {
-			return err
+			return rc, err
 		}
 		if c.Backend == BackendCounts {
 			for i := range c.Faults.Events {
 				if kind := c.Faults.Events[i].Kind; kind == faults.KindCrash || kind == faults.KindChurn {
-					return fmt.Errorf("sim: the counts backend tracks no individual agents, so it cannot %v (event %d); use the per-agent engine", kind, i)
+					return rc, fmt.Errorf("sim: the counts backend tracks no individual agents, so it cannot %v (event %d); use the per-agent engine", kind, i)
 				}
 			}
 		}
 	}
 	if p, ok := c.Protocol.(interface{ Check(Env) error }); ok {
-		return p.Check(c.Env())
+		return rc, p.Check(rc.env)
 	}
-	return nil
+	return rc, nil
+}
+
+// Validate checks the configuration, returning a descriptive error for the
+// first violated constraint; a non-uniform Noise the Theorem 8 reduction
+// cannot handle fails with ErrNotReducible. A protocol with a Check(Env)
+// error method (SF and SSF) is asked last whether the environment is in
+// its domain.
+func (c *Config) Validate() error {
+	_, err := c.resolve()
+	return err
 }
 
 // CorrectOpinion returns the plurality preference among sources.
@@ -417,32 +472,13 @@ func (c *Config) Bias() int {
 }
 
 // Env returns the environment handed to agents. The uniform noise level is
-// taken from the effective channel: the artificial-noise target level if an
-// artificial matrix is set, else the noise matrix's own uniform level (or
-// its upper-bound level if it is not uniform).
+// taken from the channel the agents observe through: the noise matrix's own
+// level when it is δ-uniform, else the Theorem 8 level f(δ) of N·P. Env is
+// the zero value when the configuration is too malformed to derive a
+// channel from (see Validate).
 func (c *Config) Env() Env {
-	delta := effectiveDelta(c.Noise, c.Artificial)
-	return Env{
-		N:        c.N,
-		H:        c.H,
-		Alphabet: c.Protocol.Alphabet(),
-		Delta:    delta,
-		Sources:  c.Sources0 + c.Sources1,
-		Bias:     c.Bias(),
-	}
-}
-
-func effectiveDelta(n, artificial *noise.Matrix) float64 {
-	if artificial != nil {
-		combined, err := noise.Compose(n, artificial)
-		if err == nil {
-			if d, ok := combined.UniformDelta(1e-6); ok {
-				return d
-			}
-			return combined.UpperDelta()
-		}
-	}
-	return currentDelta(n)
+	rc, _ := c.resolve()
+	return rc.env
 }
 
 // maxRounds is the run's round budget: MaxRounds, or the default when it

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -120,6 +121,12 @@ func TestValidateRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	irreducible, err := noise.TwoSymbol(0.6, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the row named notReducible may fail with ErrNotReducible.
+	const notReducible = "irreducible noise"
 	cases := []struct {
 		name string
 		mut  func(*Config)
@@ -134,7 +141,7 @@ func TestValidateRejections(t *testing.T) {
 		{"too many sources", func(c *Config) { c.Sources1 = 90; c.Sources0 = 20 }},
 		{"sources over n/4", func(c *Config) { c.Sources1 = 30; c.Sources0 = 1 }},
 		{"alphabet mismatch", func(c *Config) { c.Noise = n4 }},
-		{"artificial mismatch", func(c *Config) { c.Artificial = n4 }},
+		{notReducible, func(c *Config) { c.Noise = irreducible }},
 		{"bad backend", func(c *Config) { c.Backend = Backend(99) }},
 		{"negative max rounds", func(c *Config) { c.MaxRounds = -1 }},
 		{"negative window", func(c *Config) { c.StabilityWindow = -2 }},
@@ -153,8 +160,12 @@ func TestValidateRejections(t *testing.T) {
 			if err := cfg.Validate(); err == nil {
 				t.Fatalf("Validate accepted %s", tc.name)
 			}
-			if _, err := New(cfg); err == nil {
+			_, err := New(cfg)
+			if err == nil {
 				t.Fatalf("New accepted %s", tc.name)
+			}
+			if errors.Is(err, ErrNotReducible) != (tc.name == notReducible) {
+				t.Fatalf("New: %v; only %q fails with ErrNotReducible", err, notReducible)
 			}
 		})
 	}
@@ -226,7 +237,6 @@ func TestEnvDeltaWithArtificialNoise(t *testing.T) {
 	}
 	cfg := baseConfig(t)
 	cfg.Noise = nm
-	cfg.Artificial = red.P
 	env := cfg.Env()
 	if math.Abs(env.Delta-red.DeltaPrime) > 1e-9 {
 		t.Fatalf("env delta = %v, want %v", env.Delta, red.DeltaPrime)

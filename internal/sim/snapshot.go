@@ -211,7 +211,7 @@ func (r *Runner) fingerprint(label Backend) uint64 {
 	h := fnv1a(0, []byte(fmt.Sprintf("%T", c.Protocol)))
 	h = fnv1a(h, w.Bytes())
 	h = fnv1a(h, matrixBytes(c.Noise))
-	h = fnv1a(h, matrixBytes(c.Artificial))
+	h = fnv1a(h, matrixBytes(r.artificial))
 	if c.Faults != nil {
 		h = fnv1a(h, []byte(fmt.Sprintf("%+v", c.Faults.Events)))
 	}

@@ -2,8 +2,6 @@ package noisypull
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"noisypull/internal/faults"
 	"noisypull/internal/graph"
@@ -177,9 +175,9 @@ type Config struct {
 	// Sources1 and Sources0 are the source counts preferring 1 and 0; they
 	// must differ, and each must be at most N/4.
 	Sources1, Sources0 int
-	// Noise is the communication channel. If it is not δ-uniform, Run
-	// applies the Theorem 8 reduction automatically (agents add artificial
-	// noise P and the protocol is parameterized at δ′ = f(δ)).
+	// Noise is the communication channel. If it is not δ-uniform, the
+	// engine applies the Theorem 8 reduction automatically (agents add
+	// artificial noise P and the protocol is parameterized at δ′ = f(δ)).
 	Noise *NoiseMatrix
 	// Protocol is the agent protocol (NewSourceFilter, NewSelfStabilizing,
 	// a baseline, or a custom implementation).
@@ -195,7 +193,7 @@ type Config struct {
 	MaxRounds int
 	// StabilityWindow is the number of consecutive all-correct rounds a
 	// non-terminating protocol must hold to count as converged (0 = 1; for
-	// SSF, Run defaults it to two full update cycles).
+	// SSF, Run defaults it and a zero MaxRounds to SelfStabilizing.RunBounds).
 	StabilityWindow int
 	// Corruption selects adversarial initialization of agent state.
 	Corruption CorruptionMode
@@ -220,14 +218,14 @@ type Config struct {
 
 // ErrNotReducible is returned when the supplied noise matrix is too noisy
 // for the Theorem 8 reduction (its upper-bound level is not below 1/|Σ|).
-var ErrNotReducible = errors.New("noisypull: noise matrix is not reducible to uniform (delta >= 1/|alphabet|)")
+var ErrNotReducible = sim.ErrNotReducible
 
 // Run executes the configured simulation and reports the outcome.
 //
-// If cfg.Noise is not δ-uniform, Run computes the artificial-noise matrix
-// P = N⁻¹·T of Theorem 8 and has every agent apply it to each received
-// message, so protocols always operate under exactly uniform noise — the
-// setting their guarantees are stated in.
+// If cfg.Noise is not δ-uniform, the engine derives the artificial-noise
+// matrix P = N⁻¹·T of Theorem 8 and has every agent apply it to each
+// received message, so protocols always operate under exactly uniform
+// noise — the setting their guarantees are stated in.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
@@ -267,11 +265,7 @@ func RunBatch(cfg Config, seeds []uint64) ([]*Result, error) {
 func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64) ([]*Result, error) {
 	cfg.OnRound = nil
 	cfg.OnFault = nil
-	sc, err := cfg.toSim()
-	if err != nil {
-		return nil, err
-	}
-	return sim.RunBatchContext(ctx, sc, seeds, cfg.Workers)
+	return sim.RunBatchContext(ctx, cfg.toSim(), seeds, cfg.Workers)
 }
 
 // Runner is a reusable simulation executor: construction pays for population
@@ -279,133 +273,40 @@ func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64) ([]*Result
 // and all per-round scratch once, and Reset rewinds it for further seeds
 // over the same allocations — the mechanism behind RunBatch, exposed so
 // long-lived harnesses (for example the simd job scheduler) can reuse
-// runners across requests.
-type Runner struct {
-	r *sim.Runner
-}
+// runners across requests. It is the engine's runner: Snapshot and Restore
+// checkpoint it, and Agents, ClassCounts, AgentState, AgentWeakOpinion and
+// Env read its population and environment.
+type Runner = sim.Runner
 
 // NewRunner validates cfg and provisions a reusable runner for it. The
 // caller should Close it when done (a finalizer reclaims forgotten ones).
 func NewRunner(cfg Config) (*Runner, error) {
-	sc, err := cfg.toSim()
-	if err != nil {
-		return nil, err
-	}
-	r, err := sim.New(sc)
-	if err != nil {
-		return nil, err
-	}
-	return &Runner{r: r}, nil
+	return sim.New(cfg.toSim())
 }
 
-// Run executes the runner's configured simulation. A Runner runs once per
-// NewRunner or Reset; calling Run again without a Reset is an error.
-func (r *Runner) Run() (*Result, error) { return r.r.Run() }
-
-// RunContext is Run with cooperative cancellation, checked once per round.
-// A cancelled runner remains reusable: Reset rewinds it to a state
-// bit-identical to a freshly constructed one.
-func (r *Runner) RunContext(ctx context.Context) (*Result, error) { return r.r.RunContext(ctx) }
-
-// Reset rewinds the runner under a new seed, reusing its allocations and
-// worker pool; the subsequent Run is bit-identical to a fresh runner's.
-func (r *Runner) Reset(seed uint64) { r.r.Reset(seed) }
-
-// SetOnRound replaces the per-round observation hook (round index and
-// correct-opinion count). It must not be called while a Run is in progress.
-func (r *Runner) SetOnRound(fn func(round, correct int)) { r.r.SetOnRound(fn) }
-
-// SetOnFault replaces the fault-application hook, under the same rules as
-// SetOnRound.
-func (r *Runner) SetOnFault(fn func(FaultRecord)) { r.r.SetOnFault(fn) }
-
-// SetCheckpoint configures periodic checkpointing: every `every` rounds the
-// runner snapshots itself and hands the encoded state to fn. every <= 0 or a
-// nil fn disables checkpointing. Must not be called while a Run is in
-// progress.
-func (r *Runner) SetCheckpoint(every int, fn func(round int, snapshot []byte)) {
-	r.r.SetCheckpoint(every, fn)
-}
-
-// Snapshot serializes the runner's complete resumable state — population,
-// RNG streams, round bookkeeping, and pending-fault position — into a
-// versioned, checksummed binary blob. Valid between runs, from OnRound /
-// checkpoint hooks, and after a cancelled run; Restore on an identically
-// configured runner then continues the run bit-identically.
-func (r *Runner) Snapshot() ([]byte, error) { return r.r.Snapshot() }
-
-// Restore rewinds the runner to a state previously captured by Snapshot on
-// an identically configured runner (same shape, seed, protocol, noise, and
-// fault schedule — enforced by an embedded fingerprint). The subsequent
-// Run continues from the snapshot's round and is bit-identical to the
-// uninterrupted run.
-func (r *Runner) Restore(data []byte) error { return r.r.Restore(data) }
-
-// Close releases the runner's worker pool. Idempotent.
-func (r *Runner) Close() { r.r.Close() }
-
-// toSim translates the public Config into a validated engine
-// configuration, performing automatic noise reduction and SSF stability
-// defaulting. Validation includes the protocol's own applicability check
-// (SF and SSF expose Check).
-func (cfg Config) toSim() (sim.Config, error) {
-	if cfg.Noise == nil {
-		return sim.Config{}, errors.New("noisypull: Config.Noise is required")
-	}
-	if cfg.Protocol == nil {
-		return sim.Config{}, errors.New("noisypull: Config.Protocol is required")
-	}
-	sc := sim.Config{
-		N:               cfg.N,
-		H:               cfg.H,
-		Sources1:        cfg.Sources1,
-		Sources0:        cfg.Sources0,
-		Noise:           cfg.Noise,
-		Protocol:        cfg.Protocol,
-		Seed:            cfg.Seed,
-		Backend:         cfg.Backend,
-		MaxRounds:       cfg.MaxRounds,
-		StabilityWindow: cfg.StabilityWindow,
-		Corruption:      cfg.Corruption,
-		Faults:          cfg.Faults,
-		Topology:        cfg.Topology,
-		Workers:         cfg.Workers,
-		TrackHistory:    cfg.TrackHistory,
-		OnRound:         cfg.OnRound,
-		OnFault:         cfg.OnFault,
-	}
-	if _, uniform := cfg.Noise.UniformDelta(1e-9); !uniform {
-		red, err := noise.Reduce(cfg.Noise)
-		if err != nil {
-			return sim.Config{}, fmt.Errorf("%w: %v", ErrNotReducible, err)
-		}
-		sc.Artificial = red.P
-	}
-	// Default the stability window of SSF runs to two update cycles so
-	// "converged" means surviving memory flushes.
+// toSim converts the public Config into the engine's, defaulting an SSF
+// run's stability window and round cap to SelfStabilizing.RunBounds. It
+// does not validate: the engine does, with the protocol's own
+// applicability check (SF and SSF expose Check).
+func (cfg Config) toSim() sim.Config {
+	sc := sim.Config(cfg)
 	if ssf, ok := cfg.Protocol.(*SelfStabilizing); ok && cfg.StabilityWindow == 0 {
-		env := sc.Env()
-		if m, err := ssf.UpdateQuota(env); err == nil && cfg.H > 0 {
-			sc.StabilityWindow = 2 * ((m + cfg.H - 1) / cfg.H)
+		if window, maxRounds, err := ssf.RunBounds(sc.Env()); err == nil {
+			sc.StabilityWindow = window
 			if sc.MaxRounds == 0 {
-				if conv, err := ssf.ConvergenceRounds(env); err == nil {
-					sc.MaxRounds = 6*conv + sc.StabilityWindow
-				}
+				sc.MaxRounds = maxRounds
 			}
 		}
 	}
-	if err := sc.Validate(); err != nil {
-		return sim.Config{}, err
-	}
-	return sc, nil
+	return sc
 }
 
 // Check validates that the configuration is runnable — including protocol
 // applicability (noise level within the protocol's domain) — without
 // executing it.
 func (cfg Config) Check() error {
-	_, err := cfg.toSim()
-	return err
+	sc := cfg.toSim()
+	return sc.Validate()
 }
 
 // NoiseEstimator accumulates (displayed, observed) calibration pairs and
@@ -427,11 +328,7 @@ func NewNoiseEstimator(d int) (*NoiseEstimator, error) {
 // the same automatic Theorem 8 noise reduction as Run applies. Fault
 // schedules fire at common rounds, so RunAsync rejects them.
 func RunAsync(cfg Config) (*Result, error) {
-	sc, err := cfg.toSim()
-	if err != nil {
-		return nil, err
-	}
-	runner, err := sim.NewAsync(sc)
+	runner, err := sim.NewAsync(cfg.toSim())
 	if err != nil {
 		return nil, err
 	}
@@ -451,8 +348,10 @@ func RingTopology(n, k int) (*Topology, error) {
 
 // RandomRegularTopology returns a random d-regular simple graph (an
 // expander w.h.p. for d ≥ 3). It needs n·d even, 1 ≤ d < n and
-// n·d ≤ math.MaxInt32. Building takes O(n·d) time and about 12·n·d bytes
-// at its peak, 4·n·d of which the returned graph keeps.
+// n·d ≤ math.MaxInt32. A dense shape (2d > n−1) is the complement of the
+// (n−1−d)-regular graph built under the same seed. Building takes O(n·d)
+// time and about 12·n·d bytes at its peak, 4·n·d of which the returned
+// graph keeps.
 func RandomRegularTopology(n, d int, seed uint64) (*Topology, error) {
 	return graph.RandomRegular(n, d, seed)
 }
