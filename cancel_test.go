@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"noisypull"
 )
@@ -32,15 +33,11 @@ func endlessPublicConfig(t *testing.T) noisypull.Config {
 
 func TestPublicRunContextCancel(t *testing.T) {
 	cfg := endlessPublicConfig(t)
-	ctx, cancel := context.WithCancel(context.Background())
+	// Uncancelled, the run lasts 2^20 rounds: far past the deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	cfg.OnRound = func(round, correct int) {
-		if round == 4 {
-			cancel()
-		}
-	}
-	if _, err := noisypull.RunContext(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext error = %v, want context.Canceled", err)
+	if _, err := noisypull.RunContext(ctx, cfg); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunContext error = %v, want context.DeadlineExceeded", err)
 	}
 }
 

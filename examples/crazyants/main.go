@@ -38,7 +38,6 @@ func main() {
 	fmt.Printf("%8s  %10s  %16s  %s\n", "ants", "rounds", "aligned since", "ratio to ln(n)")
 
 	for _, n := range []int{64, 256, 1024, 4096} {
-		var lastAligned int
 		cfg := noisypull.Config{
 			N:        n,
 			H:        n, // sensing the load aggregates everyone's force
@@ -46,15 +45,6 @@ func main() {
 			Noise:    sensing,
 			Protocol: noisypull.NewSourceFilter(),
 			Seed:     7,
-			OnRound: func(round, correct int) {
-				if correct == n {
-					if lastAligned == 0 {
-						lastAligned = round
-					}
-				} else {
-					lastAligned = 0
-				}
-			},
 		}
 		res, err := noisypull.Run(cfg)
 		if err != nil {

@@ -19,9 +19,6 @@ import (
 type unboundedSF struct{ p *protocol.SF }
 
 func (u unboundedSF) Alphabet() int { return u.p.Alphabet() }
-func (u unboundedSF) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	return u.p.NewAgent(id, role, env)
-}
 func (u unboundedSF) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
 	return u.p.NewVecPopulation(spec)
 }

@@ -60,7 +60,8 @@ type Kind int
 
 const (
 	// KindCorrupt re-corrupts a fraction of agents mid-run, reusing the
-	// protocol's Corruptible adversary (Theorem 5's transient-fault regime).
+	// protocol's round-0 corruption adversary (Theorem 5's transient-fault
+	// regime).
 	KindCorrupt Kind = iota
 	// KindCrash freezes a fraction of agents for Duration rounds: a crashed
 	// agent keeps displaying the symbol it showed when it crashed but stops

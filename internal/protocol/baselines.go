@@ -1,7 +1,5 @@
 package protocol
 
-import "noisypull/internal/sim"
-
 // This file implements the baseline dynamics that the paper's introduction
 // and related work discuss, against which SF and SSF are compared in the
 // experiment harness (experiment E11):
@@ -22,7 +20,7 @@ import "noisypull/internal/sim"
 //
 // All three run forever (no sim.Finite), so the engine measures them with a
 // stability window. Each is defined by its kernel (vector.go,
-// vector_kary.go); NewAgent returns one-agent views of it.
+// vector_kary.go).
 
 // Voter is PULL(h) voter dynamics with zealot sources: each round every
 // non-source agent adopts the value of one uniformly chosen observation
@@ -33,12 +31,6 @@ type Voter struct{}
 // Alphabet returns 2.
 func (Voter) Alphabet() int { return 2 }
 
-// NewAgent implements sim.Protocol: the agent is a one-agent view of the
-// voter kernel (vector.go).
-func (p Voter) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	return sim.NewLane(p, id, role, env)
-}
-
 // MajorityRule is plain h-majority dynamics with zealot sources: each round
 // every non-source agent adopts the majority symbol among its h noisy
 // samples (ties broken by coin). Non-sources start from an arbitrary
@@ -48,12 +40,6 @@ type MajorityRule struct{}
 
 // Alphabet returns 2.
 func (MajorityRule) Alphabet() int { return 2 }
-
-// NewAgent implements sim.Protocol: the agent is a one-agent view of the
-// majority kernel (vector.go).
-func (p MajorityRule) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	return sim.NewLane(p, id, role, env)
-}
 
 // TrustBit is the naive "designated source bit" scheme of the paper's
 // footnote 2, on the alphabet Σ = {0,1}² (same encoding as SSF). Sources
@@ -66,9 +52,3 @@ type TrustBit struct{}
 
 // Alphabet returns 4.
 func (TrustBit) Alphabet() int { return 4 }
-
-// NewAgent implements sim.Protocol: the agent is a one-agent view of the
-// TrustBit kernel (vector_kary.go).
-func (p TrustBit) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	return sim.NewLane(p, id, role, env)
-}

@@ -7,18 +7,63 @@ import (
 	"noisypull/internal/sim"
 )
 
-// The step tests below drive built-in agents — one-agent views of their
-// protocols' kernels — with hand-picked observation counts, and read or
-// set kernel state through sim.LanePopulation.
+// The step tests below drive one agent of a protocol's kernel with
+// hand-picked observation counts, and read or set kernel state directly.
+
+// role is an agent's source status in the step tests.
+type role int
+
+const (
+	nonSource role = iota
+	source0        // a source preferring 0
+	source1        // a source preferring 1
+)
+
+// agent is agent i of a kernel population.
+type agent struct {
+	pop sim.VecPopulation
+	i   int
+}
+
+// newAgent builds p's kernel for env and returns its agent id as a fresh
+// arrival: the last agent of an id+1-agent population, so a parity start
+// reads id. A source's population holds only sources of its preference.
+func newAgent(p sim.Protocol, id int, ro role, env sim.Env) agent {
+	spec := sim.VecSpec{Env: env, N: id + 1}
+	switch ro {
+	case source1:
+		spec.Sources1 = id + 1
+	case source0:
+		spec.Sources0 = id + 1
+	}
+	a := agent{p.NewVecPopulation(spec), id}
+	a.pop.InitRange(0, id+1, sim.CorruptNone, rng.New(uint64(id)))
+	return a
+}
+
+func (a agent) Display() int {
+	display, _ := a.pop.State(a.i)
+	return display
+}
+
+func (a agent) Opinion() int {
+	_, opinion := a.pop.State(a.i)
+	return opinion
+}
+
+// Observe steps the agent once on a law whose every draw is counts.
+func (a agent) Observe(counts []int, r *rng.Stream) {
+	a.pop.StepRange(a.i, a.i+1, sim.FixedObs(counts), r)
+}
 
 // corrupt applies the protocol's corruption adversary to agent a.
-func corrupt(a sim.Agent, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
-	a.(sim.Corruptible).Corrupt(mode, wrong, r)
+func corrupt(a agent, mode sim.CorruptionMode, wrong int, r *rng.Stream) {
+	a.pop.CorruptAt(a.i, mode, wrong, r)
 }
 
 // informed reports a TrustBit agent's informed flag.
-func informed(a sim.Agent) bool {
-	return sim.LanePopulation(a).(*trustBitPop).informed[0] == 1
+func informed(a agent) bool {
+	return a.pop.(*trustBitPop).informed[a.i] == 1
 }
 
 func TestVoterAlphabetAndRoles(t *testing.T) {
@@ -27,11 +72,11 @@ func TestVoterAlphabetAndRoles(t *testing.T) {
 		t.Fatal("voter alphabet != 2")
 	}
 	env := sfEnv()
-	src := v.NewAgent(0, sim.Role{IsSource: true, Preference: 1}, env)
+	src := newAgent(v, 0, source1, env)
 	if src.Display() != 1 || src.Opinion() != 1 {
 		t.Fatal("voter source does not display preference")
 	}
-	ns := v.NewAgent(1, sim.Role{}, env)
+	ns := newAgent(v, 1, nonSource, env)
 	if ns.Display() != 0 {
 		t.Fatal("fresh voter non-source displays nonzero")
 	}
@@ -39,7 +84,7 @@ func TestVoterAlphabetAndRoles(t *testing.T) {
 
 func TestVoterAdoptsObservedSymbol(t *testing.T) {
 	env := sfEnv()
-	a := Voter{}.NewAgent(1, sim.Role{}, env)
+	a := newAgent(Voter{}, 1, nonSource, env)
 	r := rng.New(1)
 	a.Observe([]int{0, 10}, r) // all observations are 1
 	if a.Opinion() != 1 {
@@ -62,7 +107,7 @@ func TestVoterAdoptsObservedSymbol(t *testing.T) {
 
 func TestVoterZealotNeverMoves(t *testing.T) {
 	env := sfEnv()
-	a := Voter{}.NewAgent(0, sim.Role{IsSource: true, Preference: 0}, env)
+	a := newAgent(Voter{}, 0, source0, env)
 	r := rng.New(2)
 	for i := 0; i < 100; i++ {
 		a.Observe([]int{0, 10}, r)
@@ -75,12 +120,12 @@ func TestVoterZealotNeverMoves(t *testing.T) {
 func TestVoterCorruption(t *testing.T) {
 	env := sfEnv()
 	r := rng.New(4)
-	a := Voter{}.NewAgent(1, sim.Role{}, env)
+	a := newAgent(Voter{}, 1, nonSource, env)
 	corrupt(a, sim.CorruptWrongConsensus, 1, r)
 	if a.Opinion() != 1 {
 		t.Fatal("corruption ignored")
 	}
-	src := Voter{}.NewAgent(0, sim.Role{IsSource: true, Preference: 0}, env)
+	src := newAgent(Voter{}, 0, source0, env)
 	corrupt(src, sim.CorruptWrongConsensus, 1, r)
 	if src.Opinion() != 0 {
 		t.Fatal("source corrupted despite incorruptible preference display")
@@ -93,11 +138,11 @@ func TestMajorityRuleBasics(t *testing.T) {
 		t.Fatal("majority alphabet != 2")
 	}
 	env := sfEnv()
-	a := m.NewAgent(2, sim.Role{}, env)
+	a := newAgent(m, 2, nonSource, env)
 	if a.Opinion() != 0 { // id parity
 		t.Fatal("id-2 agent initial opinion != 0")
 	}
-	b := m.NewAgent(3, sim.Role{}, env)
+	b := newAgent(m, 3, nonSource, env)
 	if b.Opinion() != 1 {
 		t.Fatal("id-3 agent initial opinion != 1")
 	}
@@ -114,7 +159,7 @@ func TestMajorityRuleBasics(t *testing.T) {
 
 func TestMajorityRuleSourceFixed(t *testing.T) {
 	env := sfEnv()
-	a := MajorityRule{}.NewAgent(0, sim.Role{IsSource: true, Preference: 1}, env)
+	a := newAgent(MajorityRule{}, 0, source1, env)
 	r := rng.New(6)
 	a.Observe([]int{10, 0}, r)
 	if a.Opinion() != 1 || a.Display() != 1 {
@@ -128,11 +173,11 @@ func TestTrustBitBasics(t *testing.T) {
 		t.Fatal("trustbit alphabet != 4")
 	}
 	env := ssfEnv()
-	src := tb.NewAgent(0, sim.Role{IsSource: true, Preference: 1}, env)
+	src := newAgent(tb, 0, source1, env)
 	if src.Display() != ssfSym11 {
 		t.Fatal("trustbit source display wrong")
 	}
-	ns := tb.NewAgent(2, sim.Role{}, env)
+	ns := newAgent(tb, 2, nonSource, env)
 	if informed(ns) {
 		t.Fatal("fresh non-source claims informed")
 	}
@@ -144,7 +189,7 @@ func TestTrustBitBasics(t *testing.T) {
 func TestTrustBitAdoptionAndCascade(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(7)
-	a := TrustBit{}.NewAgent(2, sim.Role{}, env)
+	a := newAgent(TrustBit{}, 2, nonSource, env)
 
 	// No tagged messages: nothing happens.
 	a.Observe([]int{5, 5, 0, 0}, r)
@@ -171,7 +216,7 @@ func TestTrustBitAdoptionAndCascade(t *testing.T) {
 func TestTrustBitSourceFixed(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(8)
-	src := TrustBit{}.NewAgent(0, sim.Role{IsSource: true, Preference: 0}, env)
+	src := newAgent(TrustBit{}, 0, source0, env)
 	src.Observe([]int{0, 0, 0, 9}, r)
 	if src.Opinion() != 0 || src.Display() != ssfSym10 {
 		t.Fatal("trustbit source moved")
@@ -181,12 +226,12 @@ func TestTrustBitSourceFixed(t *testing.T) {
 func TestBaselineCorruptions(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(9)
-	a := TrustBit{}.NewAgent(2, sim.Role{}, env)
+	a := newAgent(TrustBit{}, 2, nonSource, env)
 	corrupt(a, sim.CorruptWrongConsensus, 1, r)
 	if !informed(a) || a.Opinion() != 1 {
 		t.Fatal("trustbit corruption ignored")
 	}
-	m := MajorityRule{}.NewAgent(2, sim.Role{}, sfEnv())
+	m := newAgent(MajorityRule{}, 2, nonSource, sfEnv())
 	corrupt(m, sim.CorruptWrongConsensus, 1, r)
 	if m.Opinion() != 1 {
 		t.Fatal("majority corruption ignored")

@@ -17,55 +17,41 @@ func countableEnv(n, h, alphabet, s1, s0 int) sim.Env {
 	return sim.Env{N: n, H: h, Alphabet: alphabet, Delta: 0.1, Sources: s1 + s0, Bias: bias}
 }
 
-// testRole mirrors the engine's deterministic role layout: ids [0, s1) are
-// 1-sources, [s1, s1+s0) are 0-sources.
-func testRole(id, s1, s0 int) sim.Role {
-	switch {
-	case id < s1:
-		return sim.Role{IsSource: true, Preference: 1}
-	case id < s1+s0:
-		return sim.Role{IsSource: true, Preference: 0}
-	default:
-		return sim.Role{}
-	}
-}
-
-// classify maps a freshly built agent to its countable class index by
-// reading its one-agent kernel (a source's opinion is its preference).
-func classify(t *testing.T, a sim.Agent) int {
+// classify maps agent i of a kernel population to its countable class
+// index (a source's opinion is its preference).
+func classify(t *testing.T, pop sim.VecPopulation, i int) int {
 	t.Helper()
-	switch p := sim.LanePopulation(a).(type) {
+	switch p := pop.(type) {
 	case *voterPop:
-		return binClass(p.opinionPop)
+		return binClass(p.opinionPop, i)
 	case *majorityPop:
-		return binClass(p.opinionPop)
+		return binClass(p.opinionPop, i)
 	case *trustBitPop:
 		switch {
-		case p.spec.Sources1+p.spec.Sources0 > 0:
-			return tbSrc0 + int(p.opinion[0])
-		case p.informed[0] == 1:
-			return tbInf0 + int(p.opinion[0])
+		case i < p.spec.Sources1+p.spec.Sources0:
+			return tbSrc0 + int(p.opinion[i])
+		case p.informed[i] == 1:
+			return tbInf0 + int(p.opinion[i])
 		default:
-			return tbUn0 + int(p.opinion[0])
+			return tbUn0 + int(p.opinion[i])
 		}
 	}
-	t.Fatalf("unexpected agent %T", a)
+	t.Fatalf("unexpected population %T", pop)
 	return -1
 }
 
-// binClass is the class of the agent of a one-agent voter or majority
-// population.
-func binClass(p opinionPop) int {
-	if p.spec.Sources1+p.spec.Sources0 > 0 {
-		return binSrc0 + int(p.opinion[0])
+// binClass is the class of agent i of a voter or majority population.
+func binClass(p opinionPop, i int) int {
+	if i < p.spec.Sources1+p.spec.Sources0 {
+		return binSrc0 + int(p.opinion[i])
 	}
-	return binNon0 + int(p.opinion[0])
+	return binNon0 + int(p.opinion[i])
 }
 
 // TestInitialCountsMatchAgents checks that InitialCounts, followed by
 // CorruptRow on every agent as the counts backend applies round-0
-// corruption, reproduces the exact class histogram of per-agent
-// construction for the deterministic corruption modes (none and
+// corruption, reproduces the exact class histogram of the kernel's round-0
+// population for the deterministic corruption modes (none and
 // wrong-consensus, whose rows are one-hot), for both source layouts.
 func TestInitialCountsMatchAgents(t *testing.T) {
 	protos := []struct {
@@ -88,13 +74,10 @@ func TestInitialCountsMatchAgents(t *testing.T) {
 				wrong := 1 - correct
 
 				want := make([]int, pr.p.NumStates(env))
+				pop := pr.p.NewVecPopulation(sim.VecSpec{Env: env, N: n, Sources1: lay.s1, Sources0: lay.s0, Correct: correct})
+				pop.InitRange(0, n, mode, rng.New(7))
 				for id := 0; id < n; id++ {
-					a := pr.p.NewAgent(id, testRole(id, lay.s1, lay.s0), env)
-					if mode != sim.CorruptNone {
-						stream := rng.Derive(7, uint64(id))
-						a.(sim.Corruptible).Corrupt(mode, wrong, stream)
-					}
-					want[classify(t, a)]++
+					want[classify(t, pop, id)]++
 				}
 
 				fresh := make([]int, pr.p.NumStates(env))

@@ -101,12 +101,6 @@ func TestSFWrongPreferenceSourcesFlip(t *testing.T) {
 	}
 }
 
-// weakOpinioner is implemented by both protocol agents.
-type weakOpinioner interface {
-	WeakOpinion() int
-	Opinion() int
-}
-
 // TestSFWeakOpinionBias is the empirical check of Lemma 28: after the two
 // listening phases the weak opinions are correct with probability strictly
 // above 1/2. We pool weak opinions across seeds; with ~1600 samples the

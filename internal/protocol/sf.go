@@ -142,9 +142,3 @@ func (p *SF) Rounds(env sim.Env) int {
 	}
 	return 3*t + l*ceilDiv(w, env.H)
 }
-
-// NewAgent implements sim.Protocol: the agent is a one-agent view of the
-// SF kernel (vector.go). It panics on an environment Check rejects.
-func (p *SF) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	return sim.NewLane(p, id, role, env)
-}

@@ -9,17 +9,17 @@ import (
 
 // newSFAgent builds an SF agent with a fixed sample budget so phase lengths
 // are predictable in unit tests.
-func newSFAgent(t *testing.T, role sim.Role, env sim.Env, m int) sim.Agent {
+func newSFAgent(t *testing.T, ro role, env sim.Env, m int) agent {
 	t.Helper()
 	p := NewSF(WithSFSampleBudget(m))
 	if err := p.Check(env); err != nil {
 		t.Fatal(err)
 	}
-	return p.NewAgent(0, role, env)
+	return newAgent(p, 0, ro, env)
 }
 
-// sfLane returns the one-agent SF population behind a; a is its agent 0.
-func sfLane(a sim.Agent) *sfPop { return sim.LanePopulation(a).(*sfPop) }
+// sfLane returns the SF population holding a; a is its agent 0.
+func sfLane(a agent) *sfPop { return a.pop.(*sfPop) }
 
 func TestSFOptions(t *testing.T) {
 	p := NewSF(
@@ -90,15 +90,17 @@ func TestSFRoundsInvalidEnvReportsZero(t *testing.T) {
 	}
 }
 
+// TestSFNewAgentPanicsOnInvalidEnv: building SF's agents, its kernel, in an
+// environment Check rejects panics.
 func TestSFNewAgentPanicsOnInvalidEnv(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewAgent with invalid env did not panic")
+			t.Fatal("NewVecPopulation with invalid env did not panic")
 		}
 	}()
 	env := sfEnv()
 	env.Delta = 0.7
-	NewSF().NewAgent(0, sim.Role{}, env)
+	NewSF().NewVecPopulation(sim.VecSpec{Env: env, N: 1})
 }
 
 func TestSFDisplaySchedule(t *testing.T) {
@@ -106,37 +108,37 @@ func TestSFDisplaySchedule(t *testing.T) {
 	m := 10 // T = 2 rounds per phase
 	r := rng.New(1)
 
-	nonSource := newSFAgent(t, sim.Role{}, env, m)
-	source0 := newSFAgent(t, sim.Role{IsSource: true, Preference: 0}, env, m)
-	source1 := newSFAgent(t, sim.Role{IsSource: true, Preference: 1}, env, m)
+	ns := newSFAgent(t, nonSource, env, m)
+	s0 := newSFAgent(t, source0, env, m)
+	s1 := newSFAgent(t, source1, env, m)
 
 	counts := []int{3, 2}
 	// Phase 0 (rounds 0,1): non-source displays 0; sources their preference.
 	for round := 0; round < 2; round++ {
-		if nonSource.Display() != 0 {
-			t.Fatalf("round %d: non-source displayed %d in Phase 0", round, nonSource.Display())
+		if ns.Display() != 0 {
+			t.Fatalf("round %d: non-source displayed %d in Phase 0", round, ns.Display())
 		}
-		if source0.Display() != 0 || source1.Display() != 1 {
-			t.Fatalf("round %d: sources displayed %d/%d", round, source0.Display(), source1.Display())
+		if s0.Display() != 0 || s1.Display() != 1 {
+			t.Fatalf("round %d: sources displayed %d/%d", round, s0.Display(), s1.Display())
 		}
-		for _, a := range []sim.Agent{nonSource, source0, source1} {
+		for _, a := range []agent{ns, s0, s1} {
 			a.Observe(counts, r)
 		}
 	}
 	// Phase 1 (rounds 2,3): non-source displays 1; sources their preference.
 	for round := 2; round < 4; round++ {
-		if nonSource.Display() != 1 {
-			t.Fatalf("round %d: non-source displayed %d in Phase 1", round, nonSource.Display())
+		if ns.Display() != 1 {
+			t.Fatalf("round %d: non-source displayed %d in Phase 1", round, ns.Display())
 		}
-		if source0.Display() != 0 || source1.Display() != 1 {
-			t.Fatalf("round %d: sources displayed %d/%d", round, source0.Display(), source1.Display())
+		if s0.Display() != 0 || s1.Display() != 1 {
+			t.Fatalf("round %d: sources displayed %d/%d", round, s0.Display(), s1.Display())
 		}
-		for _, a := range []sim.Agent{nonSource, source0, source1} {
+		for _, a := range []agent{ns, s0, s1} {
 			a.Observe(counts, r)
 		}
 	}
 	// Boosting: everyone displays their opinion (= weak opinion initially).
-	for _, a := range []sim.Agent{nonSource, source0, source1} {
+	for _, a := range []agent{ns, s0, s1} {
 		if a.Display() != a.Opinion() {
 			t.Fatalf("boosting display %d != opinion %d", a.Display(), a.Opinion())
 		}
@@ -148,7 +150,7 @@ func TestSFWeakOpinionFromCounters(t *testing.T) {
 	r := rng.New(2)
 
 	// Phase 0 heavy in 1s, Phase 1 light in 0s -> weak opinion 1.
-	a := newSFAgent(t, sim.Role{}, env, 10)
+	a := newSFAgent(t, nonSource, env, 10)
 	for i := 0; i < 2; i++ {
 		a.Observe([]int{0, 5}, r) // counter1 += 5
 	}
@@ -160,7 +162,7 @@ func TestSFWeakOpinionFromCounters(t *testing.T) {
 	}
 
 	// Reverse: more 0s observed in Phase 1.
-	b := newSFAgent(t, sim.Role{}, env, 10)
+	b := newSFAgent(t, nonSource, env, 10)
 	for i := 0; i < 2; i++ {
 		b.Observe([]int{5, 0}, r) // counter1 += 0
 	}
@@ -177,7 +179,7 @@ func TestSFWeakOpinionTieUsesCoin(t *testing.T) {
 	ones, trials := 0, 200
 	for seed := 0; seed < trials; seed++ {
 		r := rng.New(uint64(seed))
-		a := newSFAgent(t, sim.Role{}, env, 4)
+		a := newSFAgent(t, nonSource, env, 4)
 		a.Observe([]int{1, 3}, r) // counter1 = 3
 		a.Observe([]int{3, 1}, r) // counter0 = 3
 		ones += sfLane(a).WeakOpinionAt(0)
@@ -191,7 +193,7 @@ func TestSFBoostingMajorityUpdate(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.3, Sources: 1, Bias: 1}
 	// w = ceil(100/(1-0.6)^2) = 625 messages per sub-phase.
 	r := rng.New(3)
-	a := newSFAgent(t, sim.Role{}, env, 10)
+	a := newSFAgent(t, nonSource, env, 10)
 	// Fast-forward through the two listening phases (2 rounds each).
 	a.Observe([]int{0, 5}, r)
 	a.Observe([]int{0, 5}, r)
@@ -225,7 +227,7 @@ func TestSFBoostingMajorityUpdate(t *testing.T) {
 
 func TestSFSourceInitialOpinionIsPreference(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.1, Sources: 2, Bias: 2}
-	a := newSFAgent(t, sim.Role{IsSource: true, Preference: 1}, env, 10)
+	a := newSFAgent(t, source1, env, 10)
 	if a.Opinion() != 1 {
 		t.Fatalf("source initial opinion = %d", a.Opinion())
 	}
@@ -234,7 +236,7 @@ func TestSFSourceInitialOpinionIsPreference(t *testing.T) {
 func TestSFCorruptWrongConsensus(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.1, Sources: 1, Bias: 1}
 	r := rng.New(4)
-	a := newSFAgent(t, sim.Role{}, env, 100)
+	a := newSFAgent(t, nonSource, env, 100)
 	corrupt(a, sim.CorruptWrongConsensus, 0, r)
 	pa := sfLane(a)
 	if a.Opinion() != 0 || pa.WeakOpinionAt(0) != 0 {
@@ -243,12 +245,12 @@ func TestSFCorruptWrongConsensus(t *testing.T) {
 	if pa.counter0[0] != 100 || pa.counter1[0] != 0 {
 		t.Fatalf("corruption counters = (%d, %d)", pa.counter1[0], pa.counter0[0])
 	}
-	b := newSFAgent(t, sim.Role{}, env, 100)
+	b := newSFAgent(t, nonSource, env, 100)
 	corrupt(b, sim.CorruptWrongConsensus, 1, r)
 	if pb := sfLane(b); pb.counter1[0] != 100 || pb.counter0[0] != 0 {
 		t.Fatalf("corruption counters = (%d, %d)", pb.counter1[0], pb.counter0[0])
 	}
-	c := newSFAgent(t, sim.Role{}, env, 100)
+	c := newSFAgent(t, nonSource, env, 100)
 	corrupt(c, sim.CorruptRandom, 1, r)
 	if rd := int(sfLane(c).round[0]); rd < 0 || rd >= NewSF(WithSFSampleBudget(100)).Rounds(env) {
 		t.Fatalf("random corruption round = %d", rd)

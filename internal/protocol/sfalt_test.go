@@ -8,22 +8,23 @@ import (
 	"noisypull/internal/sim"
 )
 
-func newAltAgent(t *testing.T, role sim.Role, env sim.Env, m int) sim.Agent {
+func newAltAgent(t *testing.T, ro role, env sim.Env, m int) agent {
 	t.Helper()
 	p := NewSFAlternating(WithSFSampleBudget(m))
 	if err := p.Check(env); err != nil {
 		t.Fatal(err)
 	}
-	return p.NewAgent(0, role, env)
+	return newAgent(p, 0, ro, env)
 }
 
-// seedInit redraws an agent's seeded state from r, as the engine does.
-func seedInit(a sim.Agent, r *rng.Stream) { a.(sim.Seeder).SeedInit(r) }
+// seedInit rebuilds an agent as a fresh arrival, drawing its seeded state
+// from r, as the engine does.
+func seedInit(a agent, r *rng.Stream) { a.pop.InitRange(a.i, a.i+1, sim.CorruptNone, r) }
 
 // snapshotOf encodes an agent's mutable state.
-func snapshotOf(a sim.Agent) []byte {
+func snapshotOf(a agent) []byte {
 	var w sim.SnapWriter
-	a.(sim.Snapshotter).SnapshotState(&w)
+	a.pop.SnapshotRange(&w, a.i, a.i+1)
 	return w.Bytes()
 }
 
@@ -43,7 +44,7 @@ func TestNewSFAlternatingSetsVariant(t *testing.T) {
 
 func TestAlternatingDisplayPattern(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.1, Sources: 1, Bias: 1}
-	a := newAltAgent(t, sim.Role{}, env, 20) // T = 4: listening window 8 rounds
+	a := newAltAgent(t, nonSource, env, 20) // T = 4: listening window 8 rounds
 	r := rng.New(3)
 	seedInit(a, r)
 	first := a.Display()
@@ -63,7 +64,7 @@ func TestAlternatingDisplayPattern(t *testing.T) {
 
 func TestAlternatingSourceStillDisplaysPreference(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.1, Sources: 1, Bias: 1}
-	a := newAltAgent(t, sim.Role{IsSource: true, Preference: 1}, env, 20)
+	a := newAltAgent(t, source1, env, 20)
 	r := rng.New(4)
 	seedInit(a, r)
 	for round := 0; round < 8; round++ {
@@ -76,7 +77,7 @@ func TestAlternatingSourceStillDisplaysPreference(t *testing.T) {
 
 func TestAlternatingCountsBothSymbols(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.1, Sources: 1, Bias: 1}
-	a := newAltAgent(t, sim.Role{}, env, 10) // T = 2: window 4 rounds
+	a := newAltAgent(t, nonSource, env, 10) // T = 2: window 4 rounds
 	r := rng.New(5)
 	seedInit(a, r)
 	// Feed 1-heavy traffic for the whole window.
@@ -97,7 +98,7 @@ func TestAlternatingFirstSymbolBalanced(t *testing.T) {
 	ones := 0
 	const trials = 400
 	for seed := 0; seed < trials; seed++ {
-		a := newAltAgent(t, sim.Role{}, env, 10)
+		a := newAltAgent(t, nonSource, env, 10)
 		seedInit(a, rng.New(uint64(seed)))
 		ones += int(sfLane(a).firstSym[0])
 	}
@@ -108,15 +109,15 @@ func TestAlternatingFirstSymbolBalanced(t *testing.T) {
 
 func TestAlternatingSeedInitNoopForStandard(t *testing.T) {
 	env := sim.Env{N: 100, H: 5, Alphabet: 2, Delta: 0.1, Sources: 1, Bias: 1}
-	a := newSFAgent(t, sim.Role{}, env, 10)
+	a := newSFAgent(t, nonSource, env, 10)
 	before := snapshotOf(a)
 	r := rng.New(1)
 	stream := r.State()
 	seedInit(a, r)
 	if !bytes.Equal(snapshotOf(a), before) {
-		t.Fatal("SeedInit changed a fresh standard-SF agent's state")
+		t.Fatal("seeded init changed a fresh standard-SF agent's state")
 	}
 	if r.State() != stream {
-		t.Fatal("SeedInit drew randomness for a standard-SF agent")
+		t.Fatal("seeded init drew randomness for a standard-SF agent")
 	}
 }

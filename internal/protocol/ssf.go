@@ -123,9 +123,3 @@ func (p *SSF) RunBounds(env sim.Env) (window, maxRounds int, err error) {
 	window = 2 * updateRounds
 	return window, 6*3*updateRounds + window, nil
 }
-
-// NewAgent implements sim.Protocol: the agent is a one-agent view of the
-// SSF kernel (vector_kary.go). It panics on an environment Check rejects.
-func (p *SSF) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	return sim.NewLane(p, id, role, env)
-}

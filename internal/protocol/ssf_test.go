@@ -7,20 +7,20 @@ import (
 	"noisypull/internal/sim"
 )
 
-func newSSFAgent(t *testing.T, role sim.Role, env sim.Env, m int) sim.Agent {
+func newSSFAgent(t *testing.T, ro role, env sim.Env, m int) agent {
 	t.Helper()
 	p := NewSSF(WithSSFUpdateQuota(m))
 	if err := p.Check(env); err != nil {
 		t.Fatal(err)
 	}
-	return p.NewAgent(0, role, env)
+	return newAgent(p, 0, ro, env)
 }
 
-// ssfLane returns the one-agent SSF population behind a; a is its agent 0.
-func ssfLane(a sim.Agent) *ssfPop { return sim.LanePopulation(a).(*ssfPop) }
+// ssfLane returns the SSF population holding a; a is its agent 0.
+func ssfLane(a agent) *ssfPop { return a.pop.(*ssfPop) }
 
 // memory returns an SSF agent's memory multiset as per-symbol counts.
-func memory(a sim.Agent) [4]int32 {
+func memory(a agent) [4]int32 {
 	var m [4]int32
 	copy(m[:], ssfLane(a).mem)
 	return m
@@ -100,22 +100,24 @@ func TestSSFRunBounds(t *testing.T) {
 	}
 }
 
+// TestSSFNewAgentPanicsOnInvalidEnv: building SSF's agents, its kernel, in
+// an environment Check rejects panics.
 func TestSSFNewAgentPanicsOnInvalidEnv(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewAgent with invalid env did not panic")
+			t.Fatal("NewVecPopulation with invalid env did not panic")
 		}
 	}()
 	env := ssfEnv()
 	env.Delta = 0.3
-	NewSSF().NewAgent(0, sim.Role{}, env)
+	NewSSF().NewVecPopulation(sim.VecSpec{Env: env, N: 1})
 }
 
 func TestSSFDisplayEncoding(t *testing.T) {
 	env := ssfEnv()
-	s1 := newSSFAgent(t, sim.Role{IsSource: true, Preference: 1}, env, 10)
-	s0 := newSSFAgent(t, sim.Role{IsSource: true, Preference: 0}, env, 10)
-	ns := newSSFAgent(t, sim.Role{}, env, 10)
+	s1 := newSSFAgent(t, source1, env, 10)
+	s0 := newSSFAgent(t, source0, env, 10)
+	ns := newSSFAgent(t, nonSource, env, 10)
 	if s1.Display() != ssfSym11 {
 		t.Fatalf("1-source displays %d", s1.Display())
 	}
@@ -134,7 +136,7 @@ func TestSSFDisplayEncoding(t *testing.T) {
 func TestSSFUpdateTriggersAtQuota(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(1)
-	a := newSSFAgent(t, sim.Role{}, env, 20)
+	a := newSSFAgent(t, nonSource, env, 20)
 	pop := ssfLane(a)
 
 	// 19 messages: below quota, no update, memory accumulates.
@@ -159,7 +161,7 @@ func TestSSFUpdateTriggersAtQuota(t *testing.T) {
 func TestSSFWeakOpinionIgnoresUntaggedMessages(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(2)
-	a := newSSFAgent(t, sim.Role{}, env, 10)
+	a := newSSFAgent(t, nonSource, env, 10)
 	// All messages untagged (first bit 0), heavily value-1: weak opinion is
 	// a pure coin toss over zero counts... majority(0, 0) -> coin; opinion
 	// follows value bits -> 1.
@@ -177,7 +179,7 @@ func TestSSFWeakOpinionIgnoresUntaggedMessages(t *testing.T) {
 func TestSSFOpinionMajorityOverAllValueBits(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(3)
-	a := newSSFAgent(t, sim.Role{}, env, 12)
+	a := newSSFAgent(t, nonSource, env, 12)
 	// Tagged messages lean 1 (3 vs 1) but untagged value bits lean 0
 	// (6 zeros vs 2 ones): weak opinion 1, opinion 0 (7 zeros vs 5 ones).
 	a.Observe([]int{6, 2, 1, 3}, r)
@@ -192,7 +194,7 @@ func TestSSFOpinionMajorityOverAllValueBits(t *testing.T) {
 func TestSSFSourceDisplayUnaffectedByState(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(4)
-	a := newSSFAgent(t, sim.Role{IsSource: true, Preference: 0}, env, 8)
+	a := newSSFAgent(t, source0, env, 8)
 	// Flood with 1-leaning messages; the source's display must stay (1,0)
 	// even though its internal opinion converges to 1.
 	a.Observe([]int{0, 0, 0, 8}, r)
@@ -207,7 +209,7 @@ func TestSSFSourceDisplayUnaffectedByState(t *testing.T) {
 func TestSSFCorruption(t *testing.T) {
 	env := ssfEnv()
 	r := rng.New(5)
-	a := newSSFAgent(t, sim.Role{}, env, 50)
+	a := newSSFAgent(t, nonSource, env, 50)
 	corrupt(a, sim.CorruptWrongConsensus, 0, r)
 	pa := ssfLane(a)
 	if a.Opinion() != 0 || pa.weak[0] != 0 {
@@ -224,7 +226,7 @@ func TestSSFCorruption(t *testing.T) {
 		t.Fatal("wrong-consensus corruption injected correct-opinion messages")
 	}
 
-	b := newSSFAgent(t, sim.Role{}, env, 50)
+	b := newSSFAgent(t, nonSource, env, 50)
 	corrupt(b, sim.CorruptRandom, 0, r)
 	mem = memory(b)
 	if sum := mem[0] + mem[1] + mem[2] + mem[3]; sum != ssfLane(b).total[0] {
@@ -237,7 +239,7 @@ func TestSSFSelfStabilizesAfterCorruption(t *testing.T) {
 	// genuine messages is fully governed by them after two updates.
 	env := ssfEnv()
 	r := rng.New(6)
-	a := newSSFAgent(t, sim.Role{}, env, 10)
+	a := newSSFAgent(t, nonSource, env, 10)
 	corrupt(a, sim.CorruptWrongConsensus, 0, r)
 	// Feed genuine 1-source-heavy traffic.
 	for i := 0; i < 4; i++ {

@@ -2,10 +2,9 @@ package protocol
 
 // Vectorized struct-of-arrays populations (sim.VecPopulation) for the
 // binary-alphabet protocols. Each kernel is its protocol's definition —
-// update rule, tie-breaking, corruption adversary and snapshot format — and
-// its Agents are one-agent views of it (sim.NewLane). A kernel stores the
-// population as flat slices and consumes the round's observation law
-// (sim.VecObs) instead of per-agent sample counts:
+// update rule, tie-breaking, corruption adversary and snapshot format. A
+// kernel stores the population as flat slices and consumes the round's
+// observation law (sim.VecObs) instead of per-agent sample counts:
 //
 //   - Voter: adopting the symbol of one uniformly chosen observation among
 //     h i.i.d. draws from the mixture q is marginally one Bernoulli(q₁)
@@ -28,9 +27,7 @@ package protocol
 //
 // The kernels draw from the chunk stream in agent-index order; their
 // trajectories are deterministic in (seed, chunk layout) and independent of
-// the worker count. Run as Agents through the engine's adapter, the same
-// kernels get their observation counts from the law's samplers instead, so
-// the two paths agree in law but not bit for bit (see DESIGN §3.9).
+// the worker count.
 
 import (
 	"fmt"
@@ -96,7 +93,7 @@ func (p *opinionPop) RestoreRange(rd *sim.SnapReader, lo, hi int) error {
 	return rd.Err()
 }
 
-// NewVecPopulation implements sim.VecProtocol.
+// NewVecPopulation implements sim.Protocol.
 func (Voter) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
 	return &voterPop{opinionPop{spec, make([]uint8, spec.N)}}
 }
@@ -152,7 +149,7 @@ func (p *voterPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int {
 	return ones
 }
 
-// NewVecPopulation implements sim.VecProtocol.
+// NewVecPopulation implements sim.Protocol.
 func (MajorityRule) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
 	return &majorityPop{opinionPop{spec, make([]uint8, spec.N)}}
 }
@@ -171,7 +168,7 @@ func (p *majorityPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stre
 			p.opinion[i] = 0
 		default:
 			// Balanced id-parity initialization.
-			p.opinion[i] = uint8((p.spec.First + i) % 2)
+			p.opinion[i] = uint8(i % 2)
 			if mode != sim.CorruptNone {
 				p.CorruptAt(i, mode, wrong, r)
 			}
@@ -211,7 +208,7 @@ func (p *majorityPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int 
 	return ones
 }
 
-// NewVecPopulation implements sim.VecProtocol for SF (both the standard and
+// NewVecPopulation implements sim.Protocol for SF (both the standard and
 // the alternating listening schedule).
 func (p *SF) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
 	m, t, w, l, err := p.params(spec.Env)

@@ -19,7 +19,7 @@ import (
 	"noisypull/internal/sim"
 )
 
-// NewVecPopulation implements sim.VecProtocol.
+// NewVecPopulation implements sim.Protocol.
 func (TrustBit) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
 	n := spec.N
 	return &trustBitPop{
@@ -50,7 +50,7 @@ func (p *trustBitPop) InitRange(lo, hi int, mode sim.CorruptionMode, r *rng.Stre
 			p.informed[i], p.opinion[i] = 1, 0
 		default:
 			// Uninformed, with balanced id-parity opinions.
-			p.informed[i], p.opinion[i] = 0, uint8((p.spec.First+i)%2)
+			p.informed[i], p.opinion[i] = 0, uint8(i%2)
 			if mode != sim.CorruptNone {
 				p.CorruptAt(i, mode, wrong, r)
 			}
@@ -141,7 +141,7 @@ func (p *trustBitPop) RestoreRange(rd *sim.SnapReader, lo, hi int) error {
 	return rd.Err()
 }
 
-// NewVecPopulation implements sim.VecProtocol. It panics on an environment
+// NewVecPopulation implements sim.Protocol. It panics on an environment
 // Check rejects, quotas past the counters' limit included.
 func (p *SSF) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
 	m, err := p.quota(spec.Env)

@@ -352,7 +352,7 @@ func TestRecoveryMarksUnresumableJobsLost(t *testing.T) {
 // with max_wall_ms set must be killed and finalized as failed (not
 // cancelled), with the kill counted.
 func TestWatchdogKillsStuckJob(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openService(t, Config{Workers: 1})
 	defer s.Close()
 	spec := endlessSpec(1)
 	spec.MaxWallMS = 150
@@ -433,7 +433,7 @@ func TestSubmitDrainRaceLeavesNoOrphans(t *testing.T) {
 // status "replaying" before recovery finishes, 503 with "draining" during
 // shutdown — and ErrNotReady from Submit while not ready.
 func TestReadyz(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openService(t, Config{Workers: 1})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := NewClient(srv.URL)
@@ -496,7 +496,7 @@ func TestReadyzReportsReplaySummary(t *testing.T) {
 // TestStreamFromSkipsDeliveredEvents pins the reconnect contract: a stream
 // opened with ?from=N delivers only events with seq > N, in order.
 func TestStreamFromSkipsDeliveredEvents(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openService(t, Config{Workers: 1})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

@@ -12,34 +12,37 @@ import (
 
 	"noisypull"
 	"noisypull/internal/rng"
+	"noisypull/internal/sim"
 )
 
-// panicProto blows up in Observe after a few rounds — a stand-in for a
-// buggy protocol that must fail its own job without taking down the
-// scheduler worker.
+// panicProto runs the voter kernel and blows up on its third StepRange call
+// — a stand-in for a buggy protocol that must fail its own job without
+// taking down the scheduler worker.
 type panicProto struct{}
 
 func (panicProto) Alphabet() int { return 2 }
-func (panicProto) NewAgent(id int, role noisypull.Role, env noisypull.Env) noisypull.Agent {
-	return &panicAgent{}
+func (panicProto) NewVecPopulation(spec sim.VecSpec) sim.VecPopulation {
+	return &panicPop{VecPopulation: noisypull.VoterBaseline.NewVecPopulation(spec)}
 }
 
-type panicAgent struct{ rounds int }
+type panicPop struct {
+	sim.VecPopulation
+	steps int
+}
 
-func (a *panicAgent) Display() int { return 0 }
-func (a *panicAgent) Observe(counts []int, r *rng.Stream) {
-	a.rounds++
-	if a.rounds >= 3 {
+func (p *panicPop) StepRange(lo, hi int, obs *sim.VecObs, r *rng.Stream) int {
+	p.steps++
+	if p.steps >= 3 {
 		panic("deliberate test panic")
 	}
+	return p.VecPopulation.StepRange(lo, hi, obs, r)
 }
-func (a *panicAgent) Opinion() int { return 0 }
 
 func TestPanickingJobFailsAlone(t *testing.T) {
 	testProtocols = map[string]noisypull.Protocol{"test-panic": panicProto{}}
 	defer func() { testProtocols = nil }()
 
-	s := New(Config{Workers: 1, QueueCapacity: 4})
+	s := openService(t, Config{Workers: 1, QueueCapacity: 4})
 	defer s.Close()
 
 	boom, err := s.Submit(JobSpec{
@@ -109,7 +112,7 @@ func faultSpec(seeds ...uint64) JobSpec {
 }
 
 func TestFaultJobStreamsEventsAndTelemetry(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCapacity: 4})
+	s := openService(t, Config{Workers: 1, QueueCapacity: 4})
 	defer s.Close()
 
 	// Park the worker so the subscription attaches before the job runs.
@@ -168,7 +171,7 @@ func TestFaultJobStreamsEventsAndTelemetry(t *testing.T) {
 }
 
 func TestFaultSpecValidation(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openService(t, Config{Workers: 1})
 	defer s.Close()
 	bad := []JobSpec{
 		// Unknown kind.

@@ -38,7 +38,7 @@ var (
 	ErrNotReady = errors.New("service: replaying journal, not ready")
 )
 
-// Config tunes a Service. The zero value gets sensible defaults from New.
+// Config tunes a Service. The zero value gets sensible defaults from Open.
 type Config struct {
 	// QueueCapacity bounds the number of jobs waiting to run; submissions
 	// beyond it are rejected with ErrQueueFull (backpressure, not buffering).
@@ -136,7 +136,7 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Service is the simulation job scheduler. Create it with New, submit with
+// Service is the simulation job scheduler. Create it with Open, submit with
 // Submit, and stop it with Drain (graceful) or Close (forced).
 type Service struct {
 	cfg Config
@@ -171,23 +171,11 @@ type Service struct {
 	metrics metrics
 }
 
-// New starts a Service: cfg.Workers scheduler goroutines plus a TTL janitor.
-// It panics if the journal cannot be opened — embedders that set JournalDir
-// and want the error instead use Open (New predates durability and keeps its
-// simple signature for the common journal-less case, where it cannot fail).
-func New(cfg Config) *Service {
-	s, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Open starts a Service like New, returning journal initialization errors
-// instead of panicking. With Config.JournalDir set, the returned service is
-// not yet ready: it replays the journal in the background (Submit returns
-// ErrNotReady meanwhile) and flips ready once recovery finishes — poll
-// Ready or GET /readyz.
+// Open starts a Service: cfg.Workers scheduler goroutines plus a TTL
+// janitor. It fails only if the journal cannot be opened. With
+// Config.JournalDir set, the returned service is not yet ready: it replays
+// the journal in the background (Submit returns ErrNotReady meanwhile) and
+// flips ready once recovery finishes — poll Ready or GET /readyz.
 func Open(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -36,6 +36,16 @@ func endlessSpec(seeds ...uint64) JobSpec {
 	}
 }
 
+// openService starts a journal-less service, failing the test on error.
+func openService(t *testing.T, cfg Config) *Service {
+	t.Helper()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func waitState(t *testing.T, s *Service, id string, want State) *JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
@@ -57,7 +67,7 @@ func waitState(t *testing.T, s *Service, id string, want State) *JobStatus {
 }
 
 func TestSpecValidation(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openService(t, Config{Workers: 1})
 	defer s.Close()
 	p := 0.1
 	bad := []JobSpec{
@@ -76,7 +86,7 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}
-	s2 := New(Config{Workers: 1, MaxSeedsPerJob: 3})
+	s2 := openService(t, Config{Workers: 1, MaxSeedsPerJob: 3})
 	defer s2.Close()
 	if _, err := s2.Submit(quickSpec(1, 2, 3, 4)); err == nil {
 		t.Error("submission above MaxSeedsPerJob accepted")
@@ -87,7 +97,7 @@ func TestSpecValidation(t *testing.T) {
 // results must be identical to one-shot noisypull.Run calls, across leased
 // runner reuse (two seeds share one runner via Reset).
 func TestJobDoneMatchesDirectRun(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openService(t, Config{Workers: 1})
 	defer s.Close()
 	st, err := s.Submit(quickSpec(5, 9))
 	if err != nil {
@@ -124,7 +134,7 @@ func TestJobDoneMatchesDirectRun(t *testing.T) {
 // accepted, runs (two seeds share one cached runner via Reset), and matches
 // direct noisypull.Run results bit-for-bit.
 func TestCountsBackendJob(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openService(t, Config{Workers: 1})
 	defer s.Close()
 	spec := JobSpec{
 		N: 100000, H: 8, Sources1: 100, Sources0: 0,
@@ -164,7 +174,7 @@ func TestCountsBackendJob(t *testing.T) {
 }
 
 func TestQueueBackpressureAndPendingCancel(t *testing.T) {
-	s := New(Config{QueueCapacity: 1, Workers: 1})
+	s := openService(t, Config{QueueCapacity: 1, Workers: 1})
 	defer s.Close()
 
 	running, err := s.Submit(endlessSpec(1))
@@ -201,7 +211,7 @@ func TestQueueBackpressureAndPendingCancel(t *testing.T) {
 }
 
 func TestTTLEviction(t *testing.T) {
-	s := New(Config{Workers: 1, ResultTTL: 50 * time.Millisecond})
+	s := openService(t, Config{Workers: 1, ResultTTL: 50 * time.Millisecond})
 	defer s.Close()
 	st, err := s.Submit(quickSpec(3))
 	if err != nil {
@@ -222,7 +232,7 @@ func TestTTLEviction(t *testing.T) {
 }
 
 func TestDrainClean(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := openService(t, Config{Workers: 2})
 	a, err := s.Submit(quickSpec(1))
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +261,7 @@ func TestDrainClean(t *testing.T) {
 }
 
 func TestDrainDeadlineCancelsInFlight(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCapacity: 4})
+	s := openService(t, Config{Workers: 1, QueueCapacity: 4})
 	run, err := s.Submit(endlessSpec(1))
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +288,7 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 }
 
 func TestSubscribeStreamsRoundsAndCloses(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCapacity: 4})
+	s := openService(t, Config{Workers: 1, QueueCapacity: 4})
 	defer s.Close()
 	// Park the single worker on an endless job so the quick job stays pending
 	// while we attach the subscription.
@@ -328,7 +338,7 @@ func TestSubscribeStreamsRoundsAndCloses(t *testing.T) {
 }
 
 func TestMetricsOutput(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openService(t, Config{Workers: 1})
 	defer s.Close()
 	st, err := s.Submit(quickSpec(1))
 	if err != nil {

@@ -21,10 +21,10 @@ import (
 // expected to break. Experiment E17 measures exactly this contrast.
 //
 // The population is the synchronous engine's: a one-worker Runner builds
-// it (the protocol's kernel, or the adapter for plain Agents) with the same
-// round-0 state as Runner under the same seed, and an activation of agent i
-// steps the range [i, i+1) against the law of the live displays. The
-// schedule stream picks the agent and feeds its draws.
+// the protocol's kernel with the same round-0 state as Runner under the
+// same seed, and an activation of agent i steps the range [i, i+1) against
+// the law of the live displays. The schedule stream picks the agent and
+// feeds its draws.
 //
 // Finite protocols are run for MaxRounds with the usual stability-window
 // semantics rather than their synchronous schedule, since a global
@@ -73,10 +73,10 @@ func (r *AsyncRunner) Reset(seed uint64) {
 // Close releases the engine, like Runner.Close. Idempotent.
 func (r *AsyncRunner) Close() { r.eng.Close() }
 
-// Agents exposes the agents of a plain Agent protocol run through the
-// adapter population; like Runner.Agents, it is nil when the protocol's own
-// kernel runs.
-func (r *AsyncRunner) Agents() []Agent { return r.eng.Agents() }
+// SetOnRound sets the per-round observation hook, as Runner.SetOnRound
+// does: after every parallel round, fn gets the round index and the number
+// of agents holding the correct opinion.
+func (r *AsyncRunner) SetOnRound(fn func(round, correct int)) { r.eng.onRound = fn }
 
 // Env returns the agents' environment.
 func (r *AsyncRunner) Env() Env { return r.eng.env }
@@ -95,9 +95,7 @@ func (r *AsyncRunner) RunContext(ctx context.Context) (*Result, error) {
 		return nil, errors.New("sim: AsyncRunner.Run called again without Reset")
 	}
 	r.ran = true
-	if err := r.start(); err != nil {
-		return nil, err
-	}
+	r.start()
 	cfg := &r.eng.cfg
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
@@ -128,17 +126,15 @@ func (r *AsyncRunner) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 		for step := 0; step < n; step++ {
-			if err := r.activate(r.sched.Intn(n)); err != nil {
-				return nil, fmt.Errorf("sim: round %d: %w", round, err)
-			}
+			r.activate(r.sched.Intn(n))
 		}
 		res.Rounds = round
 		res.FinalCorrect = r.correct
 		if cfg.TrackHistory {
 			res.History = append(res.History, r.correct)
 		}
-		if cfg.OnRound != nil {
-			cfg.OnRound(round, r.correct)
+		if r.eng.onRound != nil {
+			r.eng.onRound(round, r.correct)
 		}
 		allCorrect := r.correct == n
 		if allCorrect && res.FirstAllCorrect == 0 {
@@ -160,14 +156,9 @@ func (r *AsyncRunner) RunContext(ctx context.Context) (*Result, error) {
 
 // start takes the round-0 display counts (or publishes the displays, on a
 // graph) and the correct-opinion tally.
-func (r *AsyncRunner) start() error {
+func (r *AsyncRunner) start() {
 	e := r.eng
 	e.vecCountRange(0)
-	if e.ap != nil {
-		if err := e.ap.displayErr(); err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-	}
 	if e.vecNbr != nil {
 		e.vecNbr.resetRound(e.noiseEpoch)
 		e.vecObs = VecObs{H: e.cfg.H, nbr: e.vecNbr}
@@ -181,12 +172,11 @@ func (r *AsyncRunner) start() error {
 			r.correct++
 		}
 	}
-	return nil
 }
 
 // activate steps agent i against the live displays and folds its new
 // display and opinion into the counts and the correct-opinion tally.
-func (r *AsyncRunner) activate(i int) error {
+func (r *AsyncRunner) activate(i int) {
 	e := r.eng
 	if r.lawStale {
 		e.completeLaw(nil, 0)
@@ -196,9 +186,6 @@ func (r *AsyncRunner) activate(i int) error {
 	e.pop.StepRange(i, i+1, &e.vecObs, &r.sched)
 	sym, op := e.pop.State(i)
 	if sym != was {
-		if d := e.env.Alphabet; sym < 0 || sym >= d {
-			return fmt.Errorf("agent %d displayed symbol %d outside alphabet [0, %d)", i, sym, d)
-		}
 		if e.vecNbr != nil {
 			e.vecNbr.displays[i] = uint8(sym)
 		} else {
@@ -214,5 +201,4 @@ func (r *AsyncRunner) activate(i int) error {
 			r.correct--
 		}
 	}
-	return nil
 }

@@ -31,7 +31,7 @@ func TestAsyncObservationSumsAndNoiseRate(t *testing.T) {
 		Sources1:  2,
 		Sources0:  1,
 		Noise:     uniform2(t, delta),
-		Protocol:  &constProtocol{symbol: 0, alphabet: 2},
+		Protocol:  constProbe(0, 2),
 		Seed:      5,
 		MaxRounds: 20,
 	}
@@ -43,8 +43,8 @@ func TestAsyncObservationSumsAndNoiseRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ones, total float64
-	for _, a := range r.Agents() {
-		for _, counts := range a.(*constAgent).seen {
+	for _, seen := range r.eng.pop.(*ProbePop).Seen {
+		for _, counts := range seen {
 			if counts[0]+counts[1] != cfg.H {
 				t.Fatalf("counts sum %d", counts[0]+counts[1])
 			}
@@ -68,8 +68,8 @@ func TestAsyncActivationCountsAreFair(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each agent activates Binomial(50·n, 1/n) times: mean 50, sd ~7.
-	for i, a := range r.Agents() {
-		got := len(a.(*constAgent).seen)
+	for i, seen := range r.eng.pop.(*ProbePop).Seen {
+		got := len(seen)
 		if got < 15 || got > 105 {
 			t.Fatalf("agent %d activated %d times, want ~50", i, got)
 		}
@@ -83,7 +83,7 @@ func TestAsyncConvergenceBookkeeping(t *testing.T) {
 		Sources1:        4,
 		Sources0:        1,
 		Noise:           uniform2(t, 0.05),
-		Protocol:        copySourceProtocol{},
+		Protocol:        copySource(),
 		Seed:            9,
 		StabilityWindow: 3,
 		MaxRounds:       500,
@@ -116,7 +116,7 @@ func TestAsyncDeterministicPerSeed(t *testing.T) {
 			Sources1:     2,
 			Sources0:     1,
 			Noise:        uniform2(t, 0.1),
-			Protocol:     copySourceProtocol{},
+			Protocol:     copySource(),
 			Seed:         77,
 			MaxRounds:    30,
 			TrackHistory: true,
@@ -148,13 +148,13 @@ func TestAsyncEnvAndAgents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Env().N != cfg.N || len(r.Agents()) != cfg.N {
+	if r.Env().N != cfg.N || len(r.eng.pop.(*ProbePop).Display) != cfg.N {
 		t.Fatal("async accessors wrong")
 	}
 }
 
 func TestAsyncMaxRoundsCap(t *testing.T) {
-	cfg := baseConfig(t) // constProtocol: opinion 0, correct 1 -> never converges
+	cfg := baseConfig(t) // constProbe: opinion 0, correct 1 -> never converges
 	cfg.MaxRounds = 7
 	r, err := NewAsync(cfg)
 	if err != nil {

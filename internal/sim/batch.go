@@ -17,8 +17,8 @@ import (
 // only on that seed, not on parallel or on which runner happened to execute
 // it.
 //
-// parallel <= 0 means GOMAXPROCS. cfg.OnRound must be nil (trials run
-// concurrently; use TrackHistory for per-trial trajectories).
+// parallel <= 0 means GOMAXPROCS. Use TrackHistory for per-trial
+// trajectories and Result.Faults for fault telemetry.
 func RunBatch(cfg Config, seeds []uint64, parallel int) ([]*Result, error) {
 	return RunBatchContext(context.Background(), cfg, seeds, parallel)
 }
@@ -30,12 +30,6 @@ func RunBatch(cfg Config, seeds []uint64, parallel int) ([]*Result, error) {
 // identical to RunBatch. A panic in protocol or engine code fails its trial
 // with an error that wraps ErrPanic.
 func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64, parallel int) ([]*Result, error) {
-	if cfg.OnRound != nil {
-		return nil, errors.New("sim: RunBatch does not support OnRound (trials run concurrently); use TrackHistory")
-	}
-	if cfg.OnFault != nil {
-		return nil, errors.New("sim: RunBatch does not support OnFault (trials run concurrently); use Result.Faults")
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

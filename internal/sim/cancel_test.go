@@ -13,8 +13,7 @@ import (
 )
 
 // endlessConfig is a run that cannot converge (sources disagree with what
-// copySourceProtocol spreads), so it executes MaxRounds rounds unless
-// cancelled.
+// copySource spreads), so it executes MaxRounds rounds unless cancelled.
 func endlessConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
@@ -23,7 +22,7 @@ func endlessConfig(t *testing.T) Config {
 		Sources1:  1,
 		Sources0:  4, // correct opinion 0, but observing any 1 locks agents at 1
 		Noise:     uniform2(t, 0.2),
-		Protocol:  copySourceProtocol{},
+		Protocol:  copySource(),
 		Seed:      99,
 		MaxRounds: 1 << 20,
 		Workers:   1,
@@ -36,17 +35,17 @@ func TestRunContextCancelStopsWithinOneRound(t *testing.T) {
 	defer cancel()
 	const stopAt = 5
 	rounds := 0
-	cfg.OnRound = func(round, correct int) {
-		rounds = round
-		if round == stopAt {
-			cancel()
-		}
-	}
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	r.SetOnRound(func(round, correct int) {
+		rounds = round
+		if round == stopAt {
+			cancel()
+		}
+	})
 	res, err := r.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext error = %v, want context.Canceled", err)
@@ -62,12 +61,12 @@ func TestRunContextCancelStopsWithinOneRound(t *testing.T) {
 func TestRunContextPreCancelledRunsNoRounds(t *testing.T) {
 	cfg := endlessConfig(t)
 	called := false
-	cfg.OnRound = func(round, correct int) { called = true }
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	r.SetOnRound(func(round, correct int) { called = true })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.RunContext(ctx); !errors.Is(err, context.Canceled) {
@@ -87,7 +86,7 @@ func TestCancelledRunnerReusable(t *testing.T) {
 		Sources1:        4,
 		Sources0:        1,
 		Noise:           uniform2(t, 0.15),
-		Protocol:        copySourceProtocol{},
+		Protocol:        copySource(),
 		Seed:            1234,
 		StabilityWindow: 3,
 		MaxRounds:       400,
@@ -111,16 +110,16 @@ func TestCancelledRunnerReusable(t *testing.T) {
 	c2.Seed = 777
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	c2.OnRound = func(round, correct int) {
-		if round == 2 {
-			cancel()
-		}
-	}
 	reused, err := New(c2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reused.Close()
+	reused.SetOnRound(func(round, correct int) {
+		if round == 2 {
+			cancel()
+		}
+	})
 	if _, err := reused.RunContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run error = %v, want context.Canceled", err)
 	}
@@ -180,15 +179,15 @@ func TestAsyncRunContextCancel(t *testing.T) {
 	cfg := endlessConfig(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg.OnRound = func(round, correct int) {
-		if round == 3 {
-			cancel()
-		}
-	}
 	r, err := NewAsync(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.SetOnRound(func(round, correct int) {
+		if round == 3 {
+			cancel()
+		}
+	})
 	if _, err := r.RunContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("async error = %v, want context.Canceled", err)
 	}

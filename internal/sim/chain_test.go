@@ -11,12 +11,12 @@
 // distribution through n activations per parallel round, and
 // TestSyncChainOracle through synchronous rounds that move every agent at
 // once; both chi-square the engine's FinalCorrect histogram against it. The
-// kernels and the adapter never read TransitionRow, so agreement is
-// independent evidence.
+// kernels never read TransitionRow, so agreement is independent evidence.
 package sim_test
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -243,30 +243,23 @@ func chainCases(t *testing.T) []chainCase {
 }
 
 // TestAsyncChainOracle chi-squares the asynchronous scheduler's
-// FinalCorrect law against the exact chain for each protocol's own
-// population and for its plain Agents behind the adapter, and requires the
-// negative-control law to be rejected by the same histogram.
+// FinalCorrect law against the exact chain for each protocol's kernel, and
+// requires the negative-control law to be rejected by the same histogram.
 func TestAsyncChainOracle(t *testing.T) {
 	for _, tc := range chainCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			law := tc.law(tc.cfg, tc.rounds, true)
 			wrong := tc.law(tc.cfg, tc.rounds, false)
-			for _, pop := range []string{"kernel", "adapter"} {
-				cfg := tc.cfg
-				if pop == "adapter" {
-					cfg.Protocol = agentsOnly(cfg.Protocol)
-				}
-				hist := asyncFinalCorrect(t, cfg, tc.rounds)
-				stat, crit := chainChiSquare(hist, law)
-				if stat > crit {
-					t.Errorf("%s: chi-square %.1f exceeds critical value %.1f (alpha %g): histogram %v, exact law %v", pop, stat, crit, chainAlpha, hist, law)
-				}
-				wstat, wcrit := chainChiSquare(hist, wrong)
-				if wstat <= wcrit {
-					t.Errorf("%s: negative-control law accepted: chi-square %.1f <= critical value %.1f", pop, wstat, wcrit)
-				}
-				t.Logf("%s: chi-square %.1f (negative control %.1f), critical value %.1f", pop, stat, wstat, crit)
+			hist := asyncFinalCorrect(t, tc.cfg, tc.rounds)
+			stat, crit := chainChiSquare(hist, law)
+			if stat > crit {
+				t.Errorf("chi-square %.1f exceeds critical value %.1f (alpha %g): histogram %v, exact law %v", stat, crit, chainAlpha, hist, law)
 			}
+			wstat, wcrit := chainChiSquare(hist, wrong)
+			if wstat <= wcrit {
+				t.Errorf("negative-control law accepted: chi-square %.1f <= critical value %.1f", wstat, wcrit)
+			}
+			t.Logf("chi-square %.1f (negative control %.1f), critical value %.1f", stat, wstat, crit)
 		})
 	}
 }
@@ -780,7 +773,7 @@ type syncCase struct {
 	// chain builds the exact chain, or with exact false the negative
 	// control's, which the same histograms must fail.
 	chain func(cfg sim.Config, exact bool) *syncChain
-	// counts adds the counts backend to the kernel and the adapter.
+	// counts adds the counts backend to the kernel.
 	counts bool
 }
 
@@ -834,35 +827,70 @@ func syncCases(t *testing.T) []syncCase {
 	}
 }
 
+// restoredFinalCorrect is finalCorrect with every seed also run restored:
+// cfg checkpoints at round ⌊rounds/2⌋, and a second runner, rewound to the
+// same seed, restores those bytes and runs to the end. The restored result
+// must equal the uninterrupted one. It returns both histograms.
+func restoredFinalCorrect(t *testing.T, cfg sim.Config, rounds int) (hist, restored []int) {
+	t.Helper()
+	cfg.MaxRounds, cfg.StabilityWindow = rounds, rounds
+	r, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	resumed, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	mid := rounds / 2
+	var snap []byte
+	r.SetCheckpoint(mid, func(round int, data []byte) {
+		if round == mid {
+			snap = data
+		}
+	})
+	hist, restored = make([]int, cfg.N+1), make([]int, cfg.N+1)
+	for s := uint64(1); s <= chainTrials; s++ {
+		r.Reset(s)
+		snap = nil
+		want, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Rounds != rounds || snap == nil {
+			t.Fatalf("seed %d: ran %d rounds (want %d), checkpoint at round %d taken: %v", s, want.Rounds, rounds, mid, snap != nil)
+		}
+		resumed.Reset(s)
+		if err := resumed.Restore(snap); err != nil {
+			t.Fatalf("seed %d: %v", s, err)
+		}
+		got, err := resumed.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: restored at round %d, the run ended %+v, uninterrupted %+v", s, mid, got, want)
+		}
+		hist[want.FinalCorrect]++
+		restored[got.FinalCorrect]++
+	}
+	return hist, restored
+}
+
 // TestSyncChainOracle chi-squares the synchronous engine's FinalCorrect
-// law against the exact chain for each protocol's own population, for its
-// Agents behind the adapter and, for countable protocols, for the counts
-// backend. The same histograms must reject the negative control's law with
-// a statistic of at least twice its critical value.
+// law against the exact chain for each protocol's kernel and, for
+// countable protocols, for the counts backend. Each population also runs
+// restored from a mid-run checkpoint, seed by seed equal to its
+// uninterrupted run. The histograms must reject the negative control's law
+// with a statistic of at least twice its critical value.
 func TestSyncChainOracle(t *testing.T) {
 	for _, tc := range syncCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			law := tc.chain(tc.cfg, true).law(tc.rounds)
 			wrong := tc.chain(tc.cfg, false).law(tc.rounds)
-			pops := []string{"kernel", "adapter"}
-			if tc.counts {
-				pops = append(pops, "counts")
-			}
-			for _, pop := range pops {
-				cfg := tc.cfg
-				switch pop {
-				case "adapter":
-					cfg.Protocol = agentsOnly(cfg.Protocol)
-				case "counts":
-					cfg.Backend = sim.BackendCounts
-				}
-				cfg.MaxRounds, cfg.StabilityWindow = tc.rounds, tc.rounds
-				r, err := sim.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hist := finalCorrect(t, r, cfg.N, tc.rounds)
-				r.Close()
+			check := func(pop string, hist []int) {
 				stat, crit := chainChiSquare(hist, law)
 				if stat > crit {
 					t.Errorf("%s: chi-square %.1f exceeds critical value %.1f (alpha %g): histogram %v, exact law %v", pop, stat, crit, chainAlpha, hist, law)
@@ -872,6 +900,19 @@ func TestSyncChainOracle(t *testing.T) {
 					t.Errorf("%s: negative control rejected too weakly: chi-square %.1f < twice its critical value %.1f", pop, wstat, wcrit)
 				}
 				t.Logf("%s: chi-square %.1f (negative control %.1f), critical value %.1f", pop, stat, wstat, crit)
+			}
+			pops := []string{"kernel"}
+			if tc.counts {
+				pops = append(pops, "counts")
+			}
+			for _, pop := range pops {
+				cfg := tc.cfg
+				if pop == "counts" {
+					cfg.Backend = sim.BackendCounts
+				}
+				hist, restored := restoredFinalCorrect(t, cfg, tc.rounds)
+				check(pop, hist)
+				check(pop+" restored", restored)
 			}
 		})
 	}

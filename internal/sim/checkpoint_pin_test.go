@@ -21,19 +21,18 @@ import (
 // breaks every checkpoint written before it. Never re-pin to make this test
 // pass: a mismatch means old checkpoints no longer restore.
 var checkpointPins = map[string]string{
-	"voter aggregate multichunk":        "24460bcce56865a50232ba59773f66acbad7fd14f8c6d32b02bc58677ffe8043",
-	"majority exact":                    "b4007007e248636f8a1a2443161debf33e895f9850b751e3aee422104698bb26",
-	"sf aggregate":                      "eaf742eb48cc68157d01d61e10106160ca28a2341bae5d813d3d0c435a71bf2e",
-	"voter noise faults":                "984dc407fd7eb707ee11164e8a5dbe28d27e34d1428eedbf470d770e168ca34d",
-	"majority regular graph":            "65dbc455f7bbc5ae9e6484d8e3fa9b70003d72b7c9c329460acaaeea40adc860",
-	"ssf k4 aggregate":                  "f56428dd343b8d87518d1a8336a4f1a3507524342a9acf111e8e2305a0449f48",
-	"trustbit regular graph":            "ad09bbf62c2d90ce4c9d015dc7b95c902b3b83784fabcc8af8c0e4385b481d16",
-	"voter crash churn corrupt":         "70af1e76a527c82fa359ea62252f077350c0ea46ef09d5745c3ada335a5c7d5b",
-	"wrapped voter crash churn corrupt": "a3bb4749493dfd1bf2dc98fddfe8fd6610617ae8427b896bc03d1e67743f439b",
-	"majority churn":                    "b8ed8eb68de3430cc6c0e0cda16e5fbad81486ce67549ccfb9006a0d60c0980d",
-	"sf alternating churn":              "57c1973c0b96ad037205df324489ed3793c04c8e3ac6aaa14f6c16c64ddace80",
-	"ssf k4 churn":                      "2224d7fb080a38e11c1e31f500b2ead44d3f2251397746d772b43d9f33a52211",
-	"trustbit ring churn":               "517f838c6eded3fc54e37a50aade07aaf71ec2c0d705df3ca67a904a44b484d6",
+	"voter aggregate multichunk": "24460bcce56865a50232ba59773f66acbad7fd14f8c6d32b02bc58677ffe8043",
+	"majority exact":             "b4007007e248636f8a1a2443161debf33e895f9850b751e3aee422104698bb26",
+	"sf aggregate":               "eaf742eb48cc68157d01d61e10106160ca28a2341bae5d813d3d0c435a71bf2e",
+	"voter noise faults":         "984dc407fd7eb707ee11164e8a5dbe28d27e34d1428eedbf470d770e168ca34d",
+	"majority regular graph":     "65dbc455f7bbc5ae9e6484d8e3fa9b70003d72b7c9c329460acaaeea40adc860",
+	"ssf k4 aggregate":           "f56428dd343b8d87518d1a8336a4f1a3507524342a9acf111e8e2305a0449f48",
+	"trustbit regular graph":     "ad09bbf62c2d90ce4c9d015dc7b95c902b3b83784fabcc8af8c0e4385b481d16",
+	"voter crash churn corrupt":  "70af1e76a527c82fa359ea62252f077350c0ea46ef09d5745c3ada335a5c7d5b",
+	"majority churn":             "b8ed8eb68de3430cc6c0e0cda16e5fbad81486ce67549ccfb9006a0d60c0980d",
+	"sf alternating churn":       "57c1973c0b96ad037205df324489ed3793c04c8e3ac6aaa14f6c16c64ddace80",
+	"ssf k4 churn":               "2224d7fb080a38e11c1e31f500b2ead44d3f2251397746d772b43d9f33a52211",
+	"trustbit ring churn":        "517f838c6eded3fc54e37a50aade07aaf71ec2c0d705df3ca67a904a44b484d6",
 }
 
 // TestCheckpointBytesPinned runs each pinned config to its first checkpoint
@@ -197,14 +196,8 @@ func TestCheckpointsFromParentRestore(t *testing.T) {
 					}
 				}
 			}
-			s1, err := control.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			s2, err := resumed.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
+			s1 := control.Snapshot()
+			s2 := resumed.Snapshot()
 			if !bytes.Equal(s1, s2) {
 				t.Fatal("final snapshots differ")
 			}

@@ -283,8 +283,7 @@ func TestCountsInitialClassCounts(t *testing.T) {
 	}
 
 	// Per-agent backends report no class counts. MajorityRule on the exact
-	// backend runs its own kernel (no Agents slice, AgentState works); with
-	// the kernel hidden, the adapter materializes its Agents.
+	// backend runs its kernel, whose agents AgentState reads.
 	cfg := base
 	cfg.Backend = sim.BackendExact
 	r, err := sim.New(cfg)
@@ -295,22 +294,8 @@ func TestCountsInitialClassCounts(t *testing.T) {
 	if got := r.ClassCounts(); got != nil {
 		t.Errorf("exact backend ClassCounts = %v, want nil", got)
 	}
-	if r.Agents() != nil {
-		t.Error("kernel runner exposes an Agents slice")
-	}
 	if _, _, err := r.AgentState(0); err != nil {
 		t.Errorf("kernel AgentState: %v", err)
-	}
-
-	adapted := cfg
-	adapted.Protocol = agentsOnly(cfg.Protocol)
-	ra, err := sim.New(adapted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ra.Close()
-	if ra.Agents() == nil {
-		t.Error("adapter runner Agents() = nil")
 	}
 }
 

@@ -1,18 +1,13 @@
 package sim
 
 // Tests for the persistent-pool round engine: seeded determinism across
-// worker counts, across runner reuse (New vs Reset), batch execution, and
-// error propagation for misbehaving protocols.
+// worker counts, across runner reuse (New vs Reset), and batch execution.
 
 import (
-	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
-	"noisypull/internal/faults"
 	"noisypull/internal/graph"
-	"noisypull/internal/rng"
 )
 
 // resultsEqual compares every field of two results, including history.
@@ -41,7 +36,7 @@ func TestDeterminismRegression(t *testing.T) {
 		Sources1:        4,
 		Sources0:        1,
 		Noise:           uniform2(t, 0.15),
-		Protocol:        copySourceProtocol{},
+		Protocol:        copySource(),
 		Seed:            1234,
 		StabilityWindow: 3,
 		MaxRounds:       400,
@@ -147,154 +142,12 @@ func TestRunTwiceWithoutReset(t *testing.T) {
 	}
 }
 
-// badDisplayProtocol displays a symbol outside the alphabet from a chosen
-// agent onward.
-type badDisplayProtocol struct{ badID int }
-
-func (p badDisplayProtocol) Alphabet() int { return 2 }
-func (p badDisplayProtocol) NewAgent(id int, role Role, env Env) Agent {
-	sym := 0
-	if id == p.badID {
-		sym = 7
-	}
-	return &constAgent{symbol: sym, alphabet: 2}
-}
-
-// lateBadProtocol's agent badID displays 0 until it first observes, then a
-// symbol outside the alphabet.
-type lateBadProtocol struct{ badID int }
-
-func (p lateBadProtocol) Alphabet() int { return 2 }
-func (p lateBadProtocol) NewAgent(id int, role Role, env Env) Agent {
-	if id == p.badID {
-		return &lateBadAgent{constAgent{alphabet: 2}}
-	}
-	return &constAgent{alphabet: 2}
-}
-
-type lateBadAgent struct{ constAgent }
-
-func (a *lateBadAgent) Observe(counts []int, r *rng.Stream) { a.symbol = 7 }
-
-// TestBadDisplayReturnsError verifies a protocol displaying a symbol
-// outside the alphabet surfaces as an error from Run — not a panic — under
-// both the serial path and the worker pool, on several chunks, and on a
-// graph, where displays are published instead of counted. The asynchronous
-// scheduler must report it both at the round-0 count and after the
-// activation that produced it.
-func TestBadDisplayReturnsError(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		n, badID int
-		ring     bool
-	}{
-		{"complete", 100, 57, false},
-		{"multichunk", 3 * VecChunkSize, 2*VecChunkSize + 57, false},
-		{"ring", 100, 57, true},
-		{"multichunk ring", 3 * VecChunkSize, 2*VecChunkSize + 57, true},
-	} {
-		for _, workers := range []int{1, 4} {
-			cfg := baseConfig(t)
-			cfg.N = tc.n
-			cfg.Protocol = badDisplayProtocol{badID: tc.badID}
-			cfg.Workers = workers
-			if tc.ring {
-				ring, err := graph.Ring(tc.n, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Topology = ring
-			}
-			r, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = r.Run()
-			r.Close()
-			if err == nil {
-				t.Fatalf("%s workers=%d: misbehaving protocol did not error", tc.name, workers)
-			}
-			if !strings.Contains(err.Error(), fmt.Sprintf("agent %d ", tc.badID)) || !strings.Contains(err.Error(), "symbol 7") {
-				t.Fatalf("%s workers=%d: unhelpful error %q", tc.name, workers, err)
-			}
-		}
-	}
-	for _, p := range []Protocol{badDisplayProtocol{badID: 57}, lateBadProtocol{badID: 57}} {
-		for _, ring := range []bool{false, true} {
-			cfg := baseConfig(t)
-			cfg.Protocol = p
-			if ring {
-				g, err := graph.Ring(cfg.N, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Topology = g
-			}
-			r, err := NewAsync(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = r.Run()
-			if err == nil || !strings.Contains(err.Error(), "agent 57 ") || !strings.Contains(err.Error(), "symbol 7") {
-				t.Fatalf("async %T ring=%v: err = %v", p, ring, err)
-			}
-		}
-	}
-}
-
-// mendedAgent displays an out-of-alphabet symbol until it is corrupted.
-type mendedAgent struct{ constAgent }
-
-func (a *mendedAgent) Corrupt(mode CorruptionMode, wrong int, r *rng.Stream) { a.symbol = 0 }
-
-type mendedProtocol struct{}
-
-func (mendedProtocol) Alphabet() int { return 2 }
-func (mendedProtocol) NewAgent(id int, role Role, env Env) Agent {
-	return &mendedAgent{constAgent{symbol: 7, alphabet: 2}}
-}
-
-// TestBadFrozenDisplayReturnsError: an agent that crashes while showing a
-// symbol outside the alphabet and is corrupted into a legal one in the same
-// round must still end Run with an error, since later rounds read the
-// frozen symbol, not the live one.
-func TestBadFrozenDisplayReturnsError(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Protocol = mendedProtocol{}
-	cfg.Faults = &faults.Schedule{Events: []faults.Event{
-		{Kind: faults.KindCrash, Round: 1, Fraction: 1, Duration: 2},
-		{Kind: faults.KindCorrupt, Round: 1, Fraction: 1, Corruption: faults.CorruptRandom},
-	}}
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "agent 0 ") || !strings.Contains(err.Error(), "symbol 7") {
-		t.Fatalf("crash-frozen bad display: err = %v", err)
-	}
-}
-
-// TestSnapshotNeedsSnapshotter: checkpointing a plain Agent protocol whose
-// agents cannot serialize their state must fail, not write a snapshot that
-// silently drops it.
-func TestSnapshotNeedsSnapshotter(t *testing.T) {
-	r, err := New(baseConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := r.Snapshot(); err == nil || !strings.Contains(err.Error(), "Snapshotter") {
-		t.Fatalf("Snapshot of non-Snapshotter agents: err = %v", err)
-	}
-}
-
 // TestFiniteProtocolCappedByMaxRounds covers MaxRounds < the protocol's own
 // schedule: the run stops at the cap and does not count as converged, even
 // if the population happens to be all-correct.
 func TestFiniteProtocolCappedByMaxRounds(t *testing.T) {
 	cfg := baseConfig(t)
-	cfg.Protocol = finiteWrap{Protocol: copySourceProtocol{}, rounds: 50}
+	cfg.Protocol = finiteWrap{Protocol: copySource(), rounds: 50}
 	cfg.Noise = uniform2(t, 0.3) // plenty of 1-observations: all-correct fast
 	cfg.MaxRounds = 9
 	r, err := New(cfg)
@@ -325,7 +178,7 @@ func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 		Sources1:        3,
 		Sources0:        1,
 		Noise:           uniform2(t, 0.2),
-		Protocol:        copySourceProtocol{},
+		Protocol:        copySource(),
 		StabilityWindow: 2,
 		MaxRounds:       300,
 		TrackHistory:    true,
@@ -360,11 +213,6 @@ func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 
 func TestRunBatchValidation(t *testing.T) {
 	cfg := baseConfig(t)
-	cfg.OnRound = func(round, correct int) {}
-	if _, err := RunBatch(cfg, []uint64{1}, 1); err == nil {
-		t.Fatal("RunBatch accepted OnRound")
-	}
-	cfg = baseConfig(t)
 	cfg.N = 0
 	if _, err := RunBatch(cfg, []uint64{1}, 1); err == nil {
 		t.Fatal("RunBatch accepted invalid config")
@@ -415,8 +263,8 @@ func TestTopologyMixturePaths(t *testing.T) {
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range r.Agents() {
-			for _, counts := range a.(*constAgent).seen {
+		for _, seen := range r.pop.(*ProbePop).Seen {
+			for _, counts := range seen {
 				sum := 0
 				for _, c := range counts {
 					sum += c

@@ -2,8 +2,8 @@ package sim
 
 // Test-only exports for the external sim_test package.
 
-// CopySourceProtocol is the convergent test protocol of sim_test.go.
-type CopySourceProtocol = copySourceProtocol
+// ProbeOf returns the test kernel r steps; r must run a *Probe.
+func ProbeOf(r *Runner) *ProbePop { return r.pop.(*ProbePop) }
 
 // AsyncEngine returns the Runner whose population an AsyncRunner activates.
 func AsyncEngine(r *AsyncRunner) *Runner { return r.eng }

@@ -102,8 +102,8 @@ func (r *Runner) applyFaults(round int) error {
 		}
 		rec := faults.Record{Round: round, Kind: te.Event.Kind, Index: te.Index, Affected: affected}
 		fs.records = append(fs.records, rec)
-		if r.cfg.OnFault != nil {
-			r.cfg.OnFault(rec)
+		if r.onFault != nil {
+			r.onFault(rec)
 		}
 	}
 	return nil
@@ -136,7 +136,7 @@ func (r *Runner) applyFault(round int, ev faults.Event) (int, error) {
 		}
 		return r.corruptAgents(ev), nil
 	case faults.KindCrash:
-		return r.crashAgents(round, ev)
+		return r.crashAgents(round, ev), nil
 	case faults.KindChurn:
 		return r.churnAgents(ev), nil
 	default:
@@ -238,10 +238,8 @@ func (r *Runner) corruptAgents(ev faults.Event) int {
 
 // crashAgents freezes selected agents for the event's duration: they keep
 // displaying the symbol they show at crash time and skip observation and
-// update until they rejoin. Overlapping crashes extend, never shorten. A
-// frozen symbol outside the alphabet is an error, since later rounds read
-// it without checking.
-func (r *Runner) crashAgents(round int, ev faults.Event) (int, error) {
+// update until they rejoin. Overlapping crashes extend, never shorten.
+func (r *Runner) crashAgents(round int, ev faults.Event) int {
 	fs := r.fs
 	hit := 0
 	until := round + ev.Duration
@@ -250,18 +248,14 @@ func (r *Runner) crashAgents(round int, ev faults.Event) (int, error) {
 			continue
 		}
 		if fs.crashUntil[i] <= round {
-			sym, _ := r.pop.State(i)
-			if sym < 0 || sym >= r.env.Alphabet {
-				return 0, fmt.Errorf("agent %d displayed symbol %d outside alphabet [0, %d)", i, sym, r.env.Alphabet)
-			}
-			fs.frozen[i] = sym
+			fs.frozen[i], _ = r.pop.State(i)
 		}
 		if until > fs.crashUntil[i] {
 			fs.crashUntil[i] = until
 		}
 		hit++
 	}
-	return hit, nil
+	return hit
 }
 
 // churnAgents replaces selected non-sources with agents rebuilt as at

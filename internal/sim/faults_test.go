@@ -15,36 +15,18 @@ import (
 	"noisypull/internal/faults"
 	"noisypull/internal/graph"
 	"noisypull/internal/protocol"
-	"noisypull/internal/rng"
 	"noisypull/internal/sim"
 	"noisypull/internal/stats"
 )
 
-// probeProto instruments the engine's fault hooks: agents count Observe and
-// Corrupt invocations and record the per-round count of observed 1-symbols.
-// All agents display 0 and hold opinion 0.
-type probeProto struct{}
-
-func (probeProto) Alphabet() int { return 2 }
-func (probeProto) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	return &probeAgent{}
-}
-
+// probeAgent is what the fault tests read of one agent of the probe kernel,
+// on which every agent displays 0 and holds opinion 0: its observation and
+// corruption counts since it arrived, the last corruption's mode, and the
+// 1-symbols it observed in each round.
 type probeAgent struct {
 	observes, corrupts int
 	mode               sim.CorruptionMode
 	onesByRound        []int
-}
-
-func (a *probeAgent) Display() int { return 0 }
-func (a *probeAgent) Observe(counts []int, r *rng.Stream) {
-	a.observes++
-	a.onesByRound = append(a.onesByRound, counts[1])
-}
-func (a *probeAgent) Opinion() int { return 0 }
-func (a *probeAgent) Corrupt(mode sim.CorruptionMode, wrong int, r *rng.Stream) {
-	a.corrupts++
-	a.mode = mode
 }
 
 // probeConfig runs 10 rounds without converging (the probe's opinion is 0,
@@ -54,7 +36,7 @@ func probeConfig(t *testing.T, sched *faults.Schedule) sim.Config {
 	return sim.Config{
 		N: 40, H: 4, Sources1: 2, Sources0: 1,
 		Noise:     uniformNoise(t, 2, 0),
-		Protocol:  probeProto{},
+		Protocol:  &sim.Probe{Symbols: 2, Display: func(int) int { return 0 }},
 		Seed:      3,
 		MaxRounds: 10,
 		Faults:    sched,
@@ -72,9 +54,14 @@ func runProbe(t *testing.T, cfg sim.Config) (*sim.Result, []*probeAgent) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := sim.ProbeOf(r)
 	agents := make([]*probeAgent, cfg.N)
-	for i, a := range r.Agents() {
-		agents[i] = a.(*probeAgent)
+	for i, seen := range k.Seen {
+		a := &probeAgent{observes: len(seen), corrupts: k.Corrupts[i], mode: k.Mode[i]}
+		for _, counts := range seen {
+			a.onesByRound = append(a.onesByRound, counts[1])
+		}
+		agents[i] = a
 	}
 	return res, agents
 }
@@ -357,9 +344,7 @@ func TestBackendLabelsShareOneEngine(t *testing.T) {
 				if runs[li].res, err = r.Run(); err != nil {
 					t.Fatal(err)
 				}
-				if runs[li].last, err = r.Snapshot(); err != nil {
-					t.Fatal(err)
-				}
+				runs[li].last = r.Snapshot()
 				runs[li].state = agentStates(t, r, cfg.N)
 			}
 			for li := 1; li < len(labels); li++ {

@@ -289,20 +289,11 @@ func goldenFile(t *testing.T, path string, traces map[string]goldenTrace, update
 }
 
 // TestGoldenVec pins the built-in kernels against their committed
-// trajectories, and checks that every case runs its protocol's own kernel
-// rather than the Agent adapter.
+// trajectories.
 func TestGoldenVec(t *testing.T) {
 	cases := goldenCases(t)
 	got := make(map[string]goldenTrace, len(cases))
 	for _, c := range cases {
-		r, err := sim.New(c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Agents() != nil {
-			t.Errorf("%s: ran through the Agent adapter, want the protocol's kernel", c.name)
-		}
-		r.Close()
 		got[c.name] = runGolden(t, c.cfg)
 	}
 	path := filepath.Join("testdata", "golden_vec.json")

@@ -19,7 +19,6 @@ import (
 	"noisypull/internal/faults"
 	"noisypull/internal/graph"
 	"noisypull/internal/noise"
-	"noisypull/internal/rng"
 	"noisypull/internal/sim"
 	"noisypull/internal/stats"
 )
@@ -30,32 +29,21 @@ const (
 	asyncOracleRounds = 3
 )
 
-// oracleProto pins each agent's display by id and records the counts each
-// agent observed last. Corrupt moves an agent to the next symbol, so an
+// oracleProto pins each agent's display by id; its kernel records the counts
+// each agent observes. Corruption moves an agent to the next symbol, so an
 // agent corrupted while crashed shows a live display that differs from the
 // one it froze with.
-type oracleProto struct {
-	alphabet int
-	display  func(id int) int
+func oracleProto(alphabet int, display func(id int) int) *sim.Probe {
+	return &sim.Probe{Symbols: alphabet, Display: display, Shift: true}
 }
 
-func (p oracleProto) Alphabet() int { return p.alphabet }
-func (p oracleProto) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	return &oracleAgent{sym: p.display(id), d: p.alphabet}
-}
-
-type oracleAgent struct {
-	sym, d int
-	last   []int
-}
-
-func (a *oracleAgent) Display() int { return a.sym }
-func (a *oracleAgent) Observe(counts []int, r *rng.Stream) {
-	a.last = append(a.last[:0], counts...)
-}
-func (a *oracleAgent) Opinion() int { return 0 }
-func (a *oracleAgent) Corrupt(mode sim.CorruptionMode, wrong int, r *rng.Stream) {
-	a.sym = (a.sym + 1) % a.d
+// lastSeen returns the counts agent observed last, or nil if it observed
+// nothing.
+func lastSeen(k *sim.ProbePop, agent int) []int {
+	if seen := k.Seen[agent]; len(seen) > 0 {
+		return seen[len(seen)-1]
+	}
+	return nil
 }
 
 // oracleHistogram runs one round per seed on a single reused runner and
@@ -75,11 +63,11 @@ func oracleHistogram(t *testing.T, cfg sim.Config, agent int) map[string]int {
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
-		a := r.Agents()[agent].(*oracleAgent)
-		if len(a.last) == 0 {
+		last := lastSeen(sim.ProbeOf(r), agent)
+		if last == nil {
 			t.Fatalf("seed %d: agent %d observed nothing", s, agent)
 		}
-		hist[fmt.Sprint(a.last)]++
+		hist[fmt.Sprint(last)]++
 	}
 	return hist
 }
@@ -102,8 +90,8 @@ func asyncOracleHistogram(t *testing.T, cfg sim.Config, agent int) map[string]in
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if a := r.Agents()[agent].(*oracleAgent); len(a.last) > 0 {
-			hist[fmt.Sprint(a.last)]++
+		if last := lastSeen(sim.ProbeOf(sim.AsyncEngine(r)), agent); last != nil {
+			hist[fmt.Sprint(last)]++
 		}
 	}
 	return hist
@@ -243,7 +231,7 @@ func oracleCases(t *testing.T) []oracleCase {
 		return sim.Config{
 			N: n, H: h, Sources1: 2, Sources0: 1,
 			Noise:    m,
-			Protocol: oracleProto{alphabet: m.Alphabet(), display: display},
+			Protocol: oracleProto(m.Alphabet(), display),
 			Seed:     1,
 		}
 	}
@@ -374,7 +362,7 @@ func TestOracleRejectsWrongLaw(t *testing.T) {
 	tc := oracleCases(t)[0]
 	others := upTo(tc.cfg.N)
 	others = append(others[:tc.agent], others[tc.agent+1:]...)
-	display := tc.cfg.Protocol.(oracleProto).display
+	display := tc.cfg.Protocol.(*sim.Probe).Display
 	q := observationLaw(matrixRows(tc.cfg.Noise), displaysOf(tc.cfg.N, display), others)
 	stat, crit := lawChiSquare(oracleHistogram(t, tc.cfg, tc.agent), tc.cfg.H, q)
 	if stat <= crit {

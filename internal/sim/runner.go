@@ -36,14 +36,11 @@ type Runner struct {
 	ce      *countsEngine // non-nil iff cfg.Backend == BackendCounts
 	ran     bool          // Run consumed since the last New/Reset
 
-	// Per-agent engine (see vector.go): the population is a VecPopulation —
-	// the protocol's own kernel, or ap, the adapter for plain Agent
-	// protocols (ap is nil when a kernel runs).
-	// chunkStreams holds one persistent RNG stream per fixed-size chunk;
-	// binDist and vecObs are the per-round observation law, rebuilt at every
-	// Phase A barrier.
+	// Per-agent engine (see vector.go): the population is the protocol's
+	// kernel. chunkStreams holds one persistent RNG stream per fixed-size
+	// chunk; binDist and vecObs are the per-round observation law, rebuilt
+	// at every Phase A barrier.
 	pop          VecPopulation
-	ap           *agentPop
 	chunkStreams []rng.Stream
 	numChunks    int
 	binDist      rng.BinomialDist
@@ -77,7 +74,9 @@ type Runner struct {
 	firstAll       int
 	lastCorrect    int
 
-	// Periodic checkpointing, set by SetCheckpoint.
+	// Hooks, set by SetOnRound, SetOnFault and SetCheckpoint.
+	onRound         func(round, correct int)
+	onFault         func(faults.Record)
 	checkpointEvery int
 	onCheckpoint    func(round int, snapshot []byte)
 }
@@ -139,23 +138,13 @@ func New(cfg Config) (*Runner, error) {
 		workers = numChunks
 	}
 
-	// The protocol's struct-of-arrays kernel when it has one; otherwise the
-	// adapter runs its plain Agents on the same path.
-	spec := VecSpec{
+	pop := cfg.Protocol.NewVecPopulation(VecSpec{
 		Env:      env,
 		N:        cfg.N,
 		Sources1: cfg.Sources1,
 		Sources0: cfg.Sources0,
 		Correct:  cfg.CorrectOpinion(),
-	}
-	var pop VecPopulation
-	var ap *agentPop
-	if vp, ok := cfg.Protocol.(VecProtocol); ok {
-		pop = vp.NewVecPopulation(spec)
-	} else {
-		ap = newAgentPop(cfg.Protocol, spec, numChunks)
-		pop = ap
-	}
+	})
 
 	r := &Runner{
 		cfg:          cfg,
@@ -167,7 +156,6 @@ func New(cfg Config) (*Runner, error) {
 		counts:       make([]int, d),
 		scratch:      make([]workerScratch, workers),
 		pop:          pop,
-		ap:           ap,
 		chunkStreams: make([]rng.Stream, numChunks),
 		numChunks:    numChunks,
 	}
@@ -248,33 +236,6 @@ func (r *Runner) Close() {
 	}
 }
 
-// roleOf assigns roles deterministically: agents [0, s1) are 1-sources,
-// agents [s1, s1+s0) are 0-sources, the rest are non-sources. Identities
-// are immaterial under uniform sampling.
-func roleOf(id, s1, s0 int) Role {
-	switch {
-	case id < s1:
-		return Role{IsSource: true, Preference: 1}
-	case id < s1+s0:
-		return Role{IsSource: true, Preference: 0}
-	default:
-		return Role{}
-	}
-}
-
-// Agents exposes the agents of a plain Agent protocol run through the
-// adapter population (read-only use intended: tests and diagnostics inspect
-// protocol state through it). It is nil for the counts backend, which
-// materializes no individual agents, and for protocols whose own kernel
-// stores the population as flat slices; use ClassCounts or the
-// AgentState/AgentWeakOpinion accessors there.
-func (r *Runner) Agents() []Agent {
-	if r.ap == nil {
-		return nil
-	}
-	return r.ap.agents
-}
-
 // ClassCounts returns a copy of the current per-class population counts of a
 // counts-backend runner (the protocol's CountableProtocol class indexing),
 // or nil for the per-agent engine.
@@ -317,19 +278,23 @@ func (r *Runner) AgentWeakOpinion(i int) (weak int, ok bool) {
 // Env returns the environment the agents were built with.
 func (r *Runner) Env() Env { return r.env }
 
-// SetOnRound replaces the runner's per-round observation hook. It must not
-// be called while a Run is in progress. Harness code that leases a runner
-// across jobs (service scheduler, batch drivers) uses it to repoint progress
-// streaming at the current job between Reset and Run.
+// SetOnRound sets the runner's per-round observation hook: after every
+// round, fn gets the round index (1-based) and the number of agents holding
+// the correct opinion, on the engine's goroutine. nil removes it. It must
+// not be called while a Run is in progress. Harness code that leases a
+// runner across jobs (service scheduler, seed executors) uses it to repoint
+// progress streaming at the current job between Reset and Run, which keeps
+// it.
 func (r *Runner) SetOnRound(fn func(round, correct int)) {
-	r.cfg.OnRound = fn
+	r.onRound = fn
 }
 
-// SetOnFault replaces the runner's fault-application hook, under the same
-// rules as SetOnRound: not while a Run is in progress, intended for harness
-// code repointing telemetry between Reset and Run.
+// SetOnFault sets the runner's fault-application hook: fn gets each
+// scheduled fault as it is applied, with RecoveredAt still zero (recovery
+// is only known later; see Result.Faults for the completed records). It
+// follows SetOnRound's rules.
 func (r *Runner) SetOnFault(fn func(faults.Record)) {
-	r.cfg.OnFault = fn
+	r.onFault = fn
 }
 
 // SetCheckpoint configures periodic checkpointing: every `every` rounds the
@@ -450,15 +415,11 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		// Round barrier: the bookkeeping Snapshot captures is consistent from
 		// here on, so the hooks below may checkpoint.
 		r.completedRound, r.streak, r.firstAll, r.lastCorrect = round, stable, res.FirstAllCorrect, correctCount
-		if cfg.OnRound != nil {
-			cfg.OnRound(round, correctCount)
+		if r.onRound != nil {
+			r.onRound(round, correctCount)
 		}
 		if r.checkpointEvery > 0 && r.onCheckpoint != nil && round%r.checkpointEvery == 0 {
-			data, err := r.Snapshot()
-			if err != nil {
-				return nil, fmt.Errorf("sim: round %d: checkpoint: %w", round, err)
-			}
-			r.onCheckpoint(round, data)
+			r.onCheckpoint(round, r.Snapshot())
 		}
 
 		if finiteRounds > 0 {
@@ -488,5 +449,5 @@ func (r *Runner) step() (int, error) {
 	if r.ce != nil {
 		return r.ce.step(r)
 	}
-	return r.stepVec()
+	return r.stepVec(), nil
 }

@@ -10,12 +10,10 @@
 // The engine has two population representations:
 //
 //   - The per-agent engine (every Backend but BackendCounts) keeps every
-//     agent's state in a VecPopulation: the protocol's own struct-of-arrays
-//     kernel, or an adapter over its plain Agents. Each agent's observation
-//     vector is one draw from the round's law (see vector.go). AsyncRunner
-//     activates the same populations one agent at a time. A protocol with a
-//     kernel builds its Agents as one-agent views of it (NewLane), so the
-//     kernel is its only definition.
+//     agent's state in a VecPopulation: the protocol's struct-of-arrays
+//     kernel, which is its only definition. Each agent's observation vector
+//     is one draw from the round's law (see vector.go). AsyncRunner
+//     activates the same populations one agent at a time.
 //   - BackendCounts drops per-agent state entirely for protocols whose
 //     agents are exchangeable within a small set of state classes
 //     (CountableProtocol): the population is a vector of class counts and
@@ -40,7 +38,6 @@ import (
 	"noisypull/internal/faults"
 	"noisypull/internal/graph"
 	"noisypull/internal/noise"
-	"noisypull/internal/rng"
 )
 
 // Backend selects one of the two engines: BackendCounts, or the per-agent
@@ -77,15 +74,6 @@ func (b Backend) String() string {
 	}
 }
 
-// Role describes an agent's (incorruptible) source status.
-type Role struct {
-	// IsSource reports whether the agent is a source.
-	IsSource bool
-	// Preference is the source's initial preference in {0, 1}; it is
-	// meaningful only when IsSource is true.
-	Preference int
-}
-
 // Env carries the system parameters the paper allows protocol designers to
 // know (Theorems 4 and 5 are stated for a designer who knows n, h, the
 // noise level, the number of sources, and the bias — but crucially not
@@ -106,27 +94,16 @@ type Env struct {
 	Bias int
 }
 
-// Agent is one protocol instance. The engine calls Display at the start of
-// every round and Observe at its end. Implementations are driven by exactly
-// one goroutine at a time and need no internal locking.
-type Agent interface {
-	// Display returns the symbol in [0, |Σ|) to show this round.
-	// Display must not change state: the engine may call it more than once
-	// in a round, because the crash barrier reads live displays.
-	Display() int
-	// Observe delivers this round's noisy observations as per-symbol counts
-	// (summing to h) along with the agent's private random stream.
-	Observe(counts []int, r *rng.Stream)
-	// Opinion returns the agent's current opinion in {0, 1}.
-	Opinion() int
-}
-
-// Protocol builds agents. Implementations live in package protocol.
+// Protocol is a protocol's struct-of-arrays kernel: the engine builds the
+// population with NewVecPopulation and advances it through the
+// VecPopulation range methods. Implementations live in package protocol.
 type Protocol interface {
 	// Alphabet returns the message alphabet size the protocol uses.
 	Alphabet() int
-	// NewAgent creates the agent with the given id and role.
-	NewAgent(id int, role Role, env Env) Agent
+	// NewVecPopulation allocates a population for spec. It may panic on an
+	// environment outside the protocol's domain, which Config.Validate
+	// rejects first through the protocol's Check.
+	NewVecPopulation(spec VecSpec) VecPopulation
 }
 
 // CountableProtocol is an optional Protocol extension for protocols whose
@@ -141,11 +118,11 @@ type Protocol interface {
 // distribution-identical to the per-agent engine, not a mean-field
 // approximation.
 //
-// Implementations must keep the class semantics consistent with NewAgent:
-// InitialCounts must reproduce the class histogram of a freshly built,
-// uncorrupted per-agent population, DisplayOf/OpinionOf must match
-// Agent.Display/Opinion for agents in the class, TransitionRow must equal
-// the conditional law of one agent's update given its class and the
+// Implementations must keep the class semantics consistent with the
+// protocol's kernel: InitialCounts must reproduce the class histogram of a
+// freshly built, uncorrupted per-agent population, DisplayOf/OpinionOf must
+// match VecPopulation.State for agents in the class, TransitionRow must
+// equal the conditional law of one agent's update given its class and the
 // observation distribution, and CorruptRow the law of one agent's class
 // after the adversary hits it. CorruptRow is the backend's only corruption
 // rule: Config.Corruption hits every agent of the fresh population with it,
@@ -171,9 +148,9 @@ type CountableProtocol interface {
 	// CorruptRow fills row (length NumStates) with the probability that one
 	// agent currently in the class lands in each class after the adversary
 	// hits it under mode; wrongOpinion is the complement of the correct
-	// opinion. It must be distribution-identical to Corruptible.Corrupt on
-	// one agent of the class (a source, which Corrupt leaves alone, gets an
-	// identity row).
+	// opinion. It must be distribution-identical to VecPopulation.CorruptAt
+	// on one agent of the class (a source, which CorruptAt leaves alone,
+	// gets an identity row).
 	CorruptRow(env Env, state int, mode CorruptionMode, wrongOpinion int, row []float64)
 }
 
@@ -205,22 +182,6 @@ const (
 	CorruptRandom = faults.CorruptRandom
 )
 
-// Corruptible is implemented by agents that support adversarial
-// initialization. wrongOpinion is the complement of the correct opinion.
-// The engine invokes it at round 0 (Config.Corruption) and again whenever a
-// KindCorrupt fault fires mid-run.
-type Corruptible interface {
-	Corrupt(mode CorruptionMode, wrongOpinion int, r *rng.Stream)
-}
-
-// Seeder is implemented by agents whose initial state is randomized (for
-// example the alternating-display SF variant flips a fair coin for its
-// first message). The engine calls SeedInit exactly once, right after
-// construction and before any corruption, with the agent's private stream.
-type Seeder interface {
-	SeedInit(r *rng.Stream)
-}
-
 // Config specifies one simulation.
 type Config struct {
 	// N is the number of agents.
@@ -237,7 +198,7 @@ type Config struct {
 	// (Definition 6), so the agents observe through the f(δ)-uniform channel
 	// N·P; a matrix the reduction cannot handle fails with ErrNotReducible.
 	Noise *noise.Matrix
-	// Protocol builds the agents.
+	// Protocol builds the population.
 	Protocol Protocol
 	// Seed drives all randomness.
 	Seed uint64
@@ -271,15 +232,6 @@ type Config struct {
 	// TrackHistory records the per-round count of agents holding the
 	// correct opinion in Result.History.
 	TrackHistory bool
-	// OnRound, if non-nil, is called after every round with the round index
-	// (1-based) and the number of agents currently holding the correct
-	// opinion. It runs on the engine's goroutine.
-	OnRound func(round, correct int)
-	// OnFault, if non-nil, is called when a scheduled fault is applied, with
-	// RecoveredAt still zero (recovery is only known later; see
-	// Result.Faults for the completed records). It runs on the engine's
-	// goroutine.
-	OnFault func(faults.Record)
 }
 
 // Result reports a finished simulation.

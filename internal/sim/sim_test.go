@@ -12,62 +12,19 @@ import (
 	"noisypull/internal/rng"
 )
 
-// constProtocol displays a fixed symbol, records observations, and always
-// holds opinion 0. It is the instrument used to test the engine itself.
-type constProtocol struct {
-	symbol   int
-	alphabet int
+// constProbe displays a fixed symbol everywhere, records observations, and
+// always holds opinion 0. It is the instrument used to test the engine
+// itself.
+func constProbe(symbol, alphabet int) *Probe {
+	return &Probe{Symbols: alphabet, Display: func(int) int { return symbol }}
 }
 
-func (p *constProtocol) Alphabet() int { return p.alphabet }
-func (p *constProtocol) NewAgent(id int, role Role, env Env) Agent {
-	return &constAgent{symbol: p.symbol, alphabet: p.alphabet}
-}
-
-type constAgent struct {
-	symbol   int
-	alphabet int
-	seen     [][]int
-}
-
-func (a *constAgent) Display() int { return a.symbol }
-func (a *constAgent) Observe(counts []int, r *rng.Stream) {
-	cp := append([]int(nil), counts...)
-	a.seen = append(a.seen, cp)
-}
-func (a *constAgent) Opinion() int { return 0 }
-
-// copySourceProtocol is a deliberately trivial convergent protocol used to
-// test the engine's convergence bookkeeping (not noise robustness): any
-// observed 1 makes the agent stick to opinion 1 forever. When the correct
-// opinion is 1 and noise is positive, the whole population converges within
-// a couple of rounds.
-type copySourceProtocol struct{}
-
-func (copySourceProtocol) Alphabet() int { return 2 }
-func (copySourceProtocol) NewAgent(id int, role Role, env Env) Agent {
-	return &copyAgent{role: role}
-}
-
-type copyAgent struct {
-	role    Role
-	opinion int
-}
-
-func (a *copyAgent) Display() int {
-	if a.role.IsSource {
-		return a.role.Preference
-	}
-	return a.opinion
-}
-
-func (a *copyAgent) Observe(counts []int, r *rng.Stream) {
-	if counts[1] > 0 {
-		a.opinion = 1
-	}
-}
-
-func (a *copyAgent) Opinion() int { return a.opinion }
+// copySource is a deliberately trivial convergent protocol used to test the
+// engine's convergence bookkeeping (not noise robustness): any observed 1
+// makes the agent stick to opinion 1 forever. When the correct opinion is 1
+// and noise is positive, the whole population converges within a couple of
+// rounds.
+func copySource() *Probe { return &Probe{Symbols: 2, Sticky: true} }
 
 // finiteWrap runs any protocol for a fixed number of rounds.
 type finiteWrap struct {
@@ -94,7 +51,7 @@ func baseConfig(t *testing.T) Config {
 		Sources1: 2,
 		Sources0: 1,
 		Noise:    uniform2(t, 0.1),
-		Protocol: &constProtocol{symbol: 0, alphabet: 2},
+		Protocol: constProbe(0, 2),
 		Seed:     1,
 	}
 }
@@ -182,33 +139,20 @@ func TestConfigHelpers(t *testing.T) {
 	}
 }
 
+// TestRoleAssignment: the engine builds the kernel for the configured
+// population, role layout (agents [0, s1) are 1-sources, [s1, s1+s0)
+// 0-sources), correct opinion and environment.
 func TestRoleAssignment(t *testing.T) {
 	cfg := baseConfig(t)
-	cfg.Protocol = copySourceProtocol{}
+	cfg.Protocol = copySource()
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agents := r.Agents()
-	if len(agents) != cfg.N {
-		t.Fatalf("got %d agents", len(agents))
-	}
-	for i, a := range agents {
-		ca := a.(*copyAgent)
-		switch {
-		case i < cfg.Sources1:
-			if !ca.role.IsSource || ca.role.Preference != 1 {
-				t.Fatalf("agent %d role = %+v, want 1-source", i, ca.role)
-			}
-		case i < cfg.Sources1+cfg.Sources0:
-			if !ca.role.IsSource || ca.role.Preference != 0 {
-				t.Fatalf("agent %d role = %+v, want 0-source", i, ca.role)
-			}
-		default:
-			if ca.role.IsSource {
-				t.Fatalf("agent %d role = %+v, want non-source", i, ca.role)
-			}
-		}
+	defer r.Close()
+	want := VecSpec{Env: cfg.Env(), N: cfg.N, Sources1: cfg.Sources1, Sources0: cfg.Sources0, Correct: 1}
+	if got := r.pop.(*ProbePop).Spec; got != want {
+		t.Fatalf("kernel spec = %+v, want %+v", got, want)
 	}
 }
 
@@ -246,7 +190,6 @@ func TestEnvDeltaWithArtificialNoise(t *testing.T) {
 func TestObservationCountsSumToH(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.H = 7
-	cfg.Protocol = &constProtocol{symbol: 0, alphabet: 2}
 	cfg.MaxRounds = 3
 	r, err := New(cfg)
 	if err != nil {
@@ -255,12 +198,11 @@ func TestObservationCountsSumToH(t *testing.T) {
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, a := range r.Agents() {
-		ca := a.(*constAgent)
-		if len(ca.seen) != 3 {
-			t.Fatalf("agent %d observed %d rounds", i, len(ca.seen))
+	for i, seen := range r.pop.(*ProbePop).Seen {
+		if len(seen) != 3 {
+			t.Fatalf("agent %d observed %d rounds", i, len(seen))
 		}
-		for _, counts := range ca.seen {
+		for _, counts := range seen {
 			sum := 0
 			for _, c := range counts {
 				sum += c
@@ -282,7 +224,7 @@ func TestObservationNoiseRate(t *testing.T) {
 		Sources1:  2,
 		Sources0:  1,
 		Noise:     uniform2(t, delta),
-		Protocol:  &constProtocol{symbol: 0, alphabet: 2},
+		Protocol:  constProbe(0, 2),
 		Seed:      77,
 		MaxRounds: 20,
 	}
@@ -294,8 +236,8 @@ func TestObservationNoiseRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ones, total float64
-	for _, a := range r.Agents() {
-		for _, counts := range a.(*constAgent).seen {
+	for _, seen := range r.pop.(*ProbePop).Seen {
+		for _, counts := range seen {
 			ones += float64(counts[1])
 			total += float64(counts[0] + counts[1])
 		}
@@ -314,7 +256,7 @@ func TestBackendsStatisticallyAgree(t *testing.T) {
 		Sources1:  30, // 30 agents display 1 (sources with pref 1)
 		Sources0:  10,
 		Noise:     uniform2(t, 0.25),
-		Protocol:  copyDisplayRoleProtocol{},
+		Protocol:  &Probe{Symbols: 2}, // 1-sources display 1, everyone else 0
 		Seed:      5,
 		MaxRounds: 40,
 	}
@@ -326,8 +268,8 @@ func TestBackendsStatisticallyAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ones, rounds float64
-	for _, a := range r.Agents() {
-		for _, counts := range a.(*roleDisplayAgent).seen {
+	for _, seen := range r.pop.(*ProbePop).Seen {
+		for _, counts := range seen {
 			ones += float64(counts[1])
 			rounds++
 		}
@@ -340,30 +282,6 @@ func TestBackendsStatisticallyAgree(t *testing.T) {
 	}
 }
 
-// copyDisplayRoleProtocol: sources with preference 1 display 1, everyone
-// else displays 0; observations are recorded.
-type copyDisplayRoleProtocol struct{}
-
-func (copyDisplayRoleProtocol) Alphabet() int { return 2 }
-func (copyDisplayRoleProtocol) NewAgent(id int, role Role, env Env) Agent {
-	sym := 0
-	if role.IsSource && role.Preference == 1 {
-		sym = 1
-	}
-	return &roleDisplayAgent{symbol: sym}
-}
-
-type roleDisplayAgent struct {
-	symbol int
-	seen   [][]int
-}
-
-func (a *roleDisplayAgent) Display() int { return a.symbol }
-func (a *roleDisplayAgent) Observe(counts []int, r *rng.Stream) {
-	a.seen = append(a.seen, append([]int(nil), counts...))
-}
-func (a *roleDisplayAgent) Opinion() int { return 0 }
-
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) *Result {
 		cfg := Config{
@@ -372,7 +290,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			Sources1:        3,
 			Sources0:        1,
 			Noise:           uniform2(t, 0.15),
-			Protocol:        copySourceProtocol{},
+			Protocol:        copySource(),
 			Seed:            42,
 			Workers:         workers,
 			StabilityWindow: 3,
@@ -409,7 +327,7 @@ func TestConvergenceBookkeeping(t *testing.T) {
 		Sources1:        6,
 		Sources0:        2,
 		Noise:           uniform2(t, 0.05),
-		Protocol:        copySourceProtocol{},
+		Protocol:        copySource(),
 		Seed:            3,
 		StabilityWindow: 5,
 		MaxRounds:       1000,
@@ -441,7 +359,7 @@ func TestConvergenceBookkeeping(t *testing.T) {
 
 func TestFiniteProtocolRunsExactRounds(t *testing.T) {
 	cfg := baseConfig(t)
-	cfg.Protocol = finiteWrap{Protocol: copySourceProtocol{}, rounds: 17}
+	cfg.Protocol = finiteWrap{Protocol: copySource(), rounds: 17}
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +375,7 @@ func TestFiniteProtocolRunsExactRounds(t *testing.T) {
 
 func TestFiniteProtocolInvalidDuration(t *testing.T) {
 	cfg := baseConfig(t)
-	cfg.Protocol = finiteWrap{Protocol: copySourceProtocol{}, rounds: 0}
+	cfg.Protocol = finiteWrap{Protocol: copySource(), rounds: 0}
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +386,7 @@ func TestFiniteProtocolInvalidDuration(t *testing.T) {
 }
 
 func TestMaxRoundsCapsInfiniteProtocol(t *testing.T) {
-	cfg := baseConfig(t) // constProtocol never reaches opinion 1... correct is 1
+	cfg := baseConfig(t) // constProbe never reaches opinion 1... correct is 1
 	cfg.MaxRounds = 25
 	r, err := New(cfg)
 	if err != nil {
@@ -487,11 +405,11 @@ func TestOnRoundCallback(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.MaxRounds = 5
 	var rounds []int
-	cfg.OnRound = func(round, correct int) { rounds = append(rounds, round) }
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.SetOnRound(func(round, correct int) { rounds = append(rounds, round) })
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -500,51 +418,35 @@ func TestOnRoundCallback(t *testing.T) {
 	}
 }
 
-// corruptibleAgent verifies that the engine invokes Corrupt exactly when
-// configured.
-type corruptibleProtocol struct{ corrupted *int }
-
-func (p corruptibleProtocol) Alphabet() int { return 2 }
-func (p corruptibleProtocol) NewAgent(id int, role Role, env Env) Agent {
-	return &corruptibleAgent{corrupted: p.corrupted}
-}
-
-type corruptibleAgent struct {
-	corrupted *int
-	wrongSeen int
-}
-
-func (a *corruptibleAgent) Display() int                        { return 0 }
-func (a *corruptibleAgent) Observe(counts []int, r *rng.Stream) {}
-func (a *corruptibleAgent) Opinion() int                        { return 0 }
-func (a *corruptibleAgent) Corrupt(mode CorruptionMode, wrong int, r *rng.Stream) {
-	*a.corrupted++
-	a.wrongSeen = wrong
-}
-
+// TestCorruptionInvocation verifies that the engine corrupts every agent
+// at round 0 exactly when configured.
 func TestCorruptionInvocation(t *testing.T) {
-	count := 0
+	corrupted := func(r *Runner) int {
+		count := 0
+		for _, c := range r.pop.(*ProbePop).Corrupts {
+			count += c
+		}
+		return count
+	}
 	cfg := baseConfig(t)
-	cfg.Protocol = corruptibleProtocol{corrupted: &count}
 	cfg.Corruption = CorruptWrongConsensus
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != cfg.N {
+	if count := corrupted(r); count != cfg.N {
 		t.Fatalf("corrupted %d agents, want %d", count, cfg.N)
 	}
 	// Correct opinion is 1 (s1 > s0), so the adversary pushes 0.
-	if got := r.Agents()[0].(*corruptibleAgent).wrongSeen; got != 0 {
+	if got := r.pop.(*ProbePop).Wrong; got != 0 {
 		t.Fatalf("wrong opinion = %d", got)
 	}
 
-	count = 0
 	cfg.Corruption = CorruptNone
-	if _, err := New(cfg); err != nil {
+	if r, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if count != 0 {
+	if count := corrupted(r); count != 0 {
 		t.Fatalf("CorruptNone corrupted %d agents", count)
 	}
 }
@@ -596,8 +498,8 @@ func TestSamplingWithReplacementAllowsHGreaterThanN(t *testing.T) {
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range r.Agents() {
-		for _, counts := range a.(*constAgent).seen {
+	for _, seen := range r.pop.(*ProbePop).Seen {
+		for _, counts := range seen {
 			sum := 0
 			for _, c := range counts {
 				sum += c
@@ -635,7 +537,7 @@ func TestConfigFuzzConsistency(t *testing.T) {
 			Sources1:  r.Intn(8) - 1,
 			Sources0:  r.Intn(8) - 1,
 			Noise:     matrix,
-			Protocol:  &constProtocol{symbol: 0, alphabet: alphabet},
+			Protocol:  constProbe(0, alphabet),
 			Seed:      uint64(trial),
 			Backend:   Backend(r.Intn(4) - 1), // may be invalid
 			MaxRounds: 3,
@@ -719,7 +621,12 @@ func TestTopologySamplingRespectsNeighborhoods(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Display 1 only at vertices 10 and 12; everyone else displays 0.
-	proto := &pinnedDisplayProtocol{ones: map[int]bool{10: true, 12: true}}
+	proto := &Probe{Symbols: 2, Display: func(i int) int {
+		if i == 10 || i == 12 {
+			return 1
+		}
+		return 0
+	}}
 	cfg := Config{
 		N: n, H: 50, Sources1: 2, Sources0: 1,
 		Noise:     uniform2(t, 0), // noiseless: observations are exact
@@ -735,10 +642,9 @@ func TestTopologySamplingRespectsNeighborhoods(t *testing.T) {
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, a := range r.Agents() {
-		pa := a.(*pinnedAgent)
+	for i, seen := range r.pop.(*ProbePop).Seen {
 		sawOne := false
-		for _, counts := range pa.seen {
+		for _, counts := range seen {
 			if counts[1] > 0 {
 				sawOne = true
 			}
@@ -752,28 +658,6 @@ func TestTopologySamplingRespectsNeighborhoods(t *testing.T) {
 	}
 }
 
-type pinnedDisplayProtocol struct{ ones map[int]bool }
-
-func (p *pinnedDisplayProtocol) Alphabet() int { return 2 }
-func (p *pinnedDisplayProtocol) NewAgent(id int, role Role, env Env) Agent {
-	sym := 0
-	if p.ones[id] {
-		sym = 1
-	}
-	return &pinnedAgent{symbol: sym}
-}
-
-type pinnedAgent struct {
-	symbol int
-	seen   [][]int
-}
-
-func (a *pinnedAgent) Display() int { return a.symbol }
-func (a *pinnedAgent) Observe(counts []int, r *rng.Stream) {
-	a.seen = append(a.seen, append([]int(nil), counts...))
-}
-func (a *pinnedAgent) Opinion() int { return 0 }
-
 // rowProto is a two-class countable protocol (class = display = opinion,
 // agents split evenly) whose class-1 rows can be set to invalid ones; nil
 // rows keep every class in place.
@@ -782,8 +666,8 @@ type rowProto struct {
 }
 
 func (rowProto) Alphabet() int { return 2 }
-func (rowProto) NewAgent(id int, role Role, env Env) Agent {
-	return &constAgent{alphabet: 2}
+func (rowProto) NewVecPopulation(spec VecSpec) VecPopulation {
+	return constProbe(0, 2).NewVecPopulation(spec)
 }
 func (rowProto) NumStates(Env) int          { return 2 }
 func (rowProto) DisplayOf(_ Env, s int) int { return s }
@@ -856,10 +740,7 @@ func TestRestoreRejectsUnknownLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	snap, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := r.Snapshot()
 	// magic, version, fingerprint, then four u64 round counters.
 	const labelAt = 4 + 2 + 8 + 4*8
 	snap[labelAt] = 7

@@ -49,19 +49,11 @@ const (
 	snapPopVec    = 3
 )
 
-// Snapshotter is implemented by agents that support checkpoint/resume:
-// SnapshotState appends the agent's mutable state to the writer and
-// RestoreState reads it back in the same order. Immutable construction
-// parameters (role, derived protocol constants) are not serialized — Restore
-// targets a freshly built population, so only state that evolves during a
-// run belongs in the payload. All built-in protocols implement it.
-type Snapshotter interface {
-	SnapshotState(w *SnapWriter)
-	RestoreState(r *SnapReader)
-}
-
 // SnapWriter appends fixed-width little-endian values to a buffer. It is the
-// encoding half of the Snapshotter contract.
+// encoding half of VecPopulation's SnapshotRange/RestoreRange contract:
+// a population writes only state that evolves during a run, not
+// construction parameters (roles, derived protocol constants), because
+// Restore targets a freshly built population.
 type SnapWriter struct {
 	buf []byte
 }
@@ -237,15 +229,12 @@ func matrixBytes(m *noise.Matrix) []byte {
 }
 
 // Snapshot encodes the runner's complete mutable state at the last completed
-// round boundary. It is valid to call from an OnRound or SetCheckpoint hook
+// round boundary. It is valid to call from a SetOnRound or SetCheckpoint hook
 // (the engine is at a barrier there), between New/Reset and Run (capturing
 // round 0), or after RunContext returned — including after cancellation,
 // whose check happens at a round boundary. It must not be called from
 // another goroutine while Run is executing rounds.
-//
-// Snapshot fails if the protocol runs plain Agents that do not implement
-// Snapshotter.
-func (r *Runner) Snapshot() ([]byte, error) {
+func (r *Runner) Snapshot() []byte {
 	var w SnapWriter
 	w.buf = append(w.buf, snapshotMagic[:]...)
 	w.U16(snapshotVersion)
@@ -266,11 +255,6 @@ func (r *Runner) Snapshot() ([]byte, error) {
 			w.Int(c)
 		}
 	} else {
-		if r.ap != nil {
-			if err := r.ap.snapshotErr(); err != nil {
-				return nil, err
-			}
-		}
 		w.U8(snapPopVec)
 		w.Int(r.numChunks)
 		for c := range r.chunkStreams {
@@ -304,7 +288,7 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	}
 
 	w.U64(fnv1a(0, w.Bytes()))
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // Restore rewinds the runner to a previously captured snapshot. The runner

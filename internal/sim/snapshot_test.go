@@ -142,10 +142,7 @@ func runWithFinalSnap(t *testing.T, cfg sim.Config) (*sim.Result, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := r.Snapshot()
 	return res, snap
 }
 
@@ -185,12 +182,7 @@ func TestSnapshotResumeDeterminism(t *testing.T) {
 			var snap []byte
 			r.SetOnRound(func(round, correct int) {
 				if round == tc.snapRound {
-					s, err := r.Snapshot()
-					if err != nil {
-						t.Errorf("Snapshot at round %d: %v", round, err)
-						return
-					}
-					snap = s
+					snap = r.Snapshot()
 				}
 			})
 			if _, err := r.Run(); err != nil {
@@ -214,10 +206,7 @@ func TestSnapshotResumeDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameResult(t, control, resumed, "resumed result")
-			resumedFinal, err := r2.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
+			resumedFinal := r2.Snapshot()
 			if !bytes.Equal(controlFinal, resumedFinal) {
 				t.Fatal("final engine state differs between uninterrupted and resumed run")
 			}
@@ -248,10 +237,7 @@ func TestSnapshotRoundZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	snap, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := r.Snapshot()
 	r2, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -448,10 +434,7 @@ func TestSnapshotRestoreRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	snap, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := r.Snapshot()
 
 	fresh := func(mut func(c *sim.Config)) *sim.Runner {
 		c := cfg
@@ -543,10 +526,7 @@ func forgeSnapshot(t testing.TB) []byte {
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := r.Snapshot()
 	return snap
 }
 

@@ -25,12 +25,9 @@ package sim
 //
 // The population is a VecPopulation and each round runs two bulk passes —
 // count displays (or publish them, on a graph), then draw the per-agent law
-// and update state in place. Built-in protocols keep their population as
-// flat slices with kernels that consume the law directly; these kernels are
-// the protocols' only definition, and their Agents are one-agent views of
-// them (lane.go). Any other Agent protocol runs through the agentPop
-// adapter (agentpop.go), which turns the same draws into the counts
-// Agent.Observe takes.
+// and update state in place. A protocol keeps its population as flat
+// slices with kernels that consume the law directly; the kernel is the
+// protocol's only definition.
 //
 // Determinism is chunk-based rather than agent-based: the population is cut
 // into fixed VecChunkSize-agent chunks, each owning a private RNG stream
@@ -69,25 +66,24 @@ const vecStreamID uint64 = 0x76656363_5eed0005
 
 // VecObs is the round's shared observation law, built once at the Phase A
 // barrier and read concurrently by every worker during Phase B. Kernels
-// consume it through the accessors (P1, K1, Counts, Crashed), which
+// consume it through H and the accessors (P1, K1, Counts, Crashed), which
 // dispatch on the population mode: exactly one of the complete-graph laws
-// (Bin for binary, Mult/Q for k-ary) or the per-neighborhood law (Nbr) is
-// set.
+// (bin for binary, mult for k-ary) or the per-neighborhood law (nbr) is
+// set. Outside the engine, FixedObs builds one.
 type VecObs struct {
 	// H is the per-round sample count.
 	H int
-	// Q1 is the probability that a single observation reads symbol 1 after
+	// q1 is the probability that a single observation reads symbol 1 after
 	// the (composed) noise channel — complete graph, binary alphabet only.
-	Q1 float64
-	// Bin is an initialized Binomial(H, Q1) sampler; Sample is read-only,
+	q1 float64
+	// bin is an initialized Binomial(H, q1) sampler; Sample is read-only,
 	// so workers share it with their chunk streams.
-	Bin *rng.BinomialDist
-	// Q is the per-symbol observation law q_j — complete graph, alphabet
-	// > 2 only — and Mult the matching cached Multinomial(H, Q) batcher.
-	Q    []float64
-	Mult *rng.MultinomialDist
-	// nbr carries the per-agent neighborhood laws on graph-topology runs;
-	// nil on the complete graph.
+	bin *rng.BinomialDist
+	// mult is the cached Multinomial(H, q) batcher of the per-symbol
+	// observation law q — complete graph, alphabet > 2 only.
+	mult *rng.MultinomialDist
+	// nbr carries the per-agent neighborhood laws on graph-topology runs
+	// and FixedObs's counts; nil on the complete graph.
 	nbr *vecNbrObs
 	// crashUntil aliases the fault engine's crash bookkeeping when the
 	// schedule contains crash events (nil otherwise): agent i is crashed —
@@ -95,6 +91,18 @@ type VecObs struct {
 	// round, the round being executed.
 	crashUntil []int
 	round      int
+}
+
+// FixedObs returns a law whose every draw is counts (length |Σ|, summing to
+// the law's H): K1 returns counts[1], Counts copies counts, and P1 is the
+// share of ones. No agent is crashed. Tests step a kernel on it with
+// hand-picked observations.
+func FixedObs(counts []int) *VecObs {
+	h := 0
+	for _, c := range counts {
+		h += c
+	}
+	return &VecObs{H: h, nbr: &vecNbrObs{fixed: counts}}
 }
 
 // Crashed reports whether agent i is crash-frozen this round. Kernels must
@@ -110,7 +118,7 @@ func (o *VecObs) P1(i int) float64 {
 	if o.nbr != nil {
 		return o.nbr.p1(i)
 	}
-	return o.Q1
+	return o.q1
 }
 
 // K1 draws the number of 1-observations among agent i's H samples (binary
@@ -120,7 +128,7 @@ func (o *VecObs) K1(i int, r *rng.Stream) int {
 	if o.nbr != nil {
 		return o.nbr.k1(i, r)
 	}
-	return o.Bin.Sample(r)
+	return o.bin.Sample(r)
 }
 
 // maxJointSupport caps the support size completeLaw will ask
@@ -139,7 +147,7 @@ func (o *VecObs) Counts(i int, r *rng.Stream, out []int) {
 		o.nbr.counts(i, r, out)
 		return
 	}
-	o.Mult.SampleJoint(r, out)
+	o.mult.SampleJoint(r, out)
 }
 
 // vecNbrObs derives per-agent observation laws from a CSR graph: Phase A
@@ -149,8 +157,8 @@ func (o *VecObs) Counts(i int, r *rng.Stream, out []int) {
 // resulting binomial/multinomial. All mutable per-draw state is chunk-local
 // (one worker owns a chunk), so concurrent Phase B workers never share it.
 //
-// A lane (lane.go) sets fixed instead: every draw then returns that count
-// vector, the observations Agent.Observe was handed.
+// A FixedObs law sets fixed instead: every draw then returns that count
+// vector.
 type vecNbrObs struct {
 	fixed    []int         // fixed observation counts; nil on a graph
 	off, adj []int32       // the topology's CSR arrays
@@ -304,36 +312,31 @@ func (nb *vecNbrObs) counts(i int, r *rng.Stream, out []int) {
 // VecSpec carries everything a protocol needs to build and (re)initialize a
 // struct-of-arrays population.
 type VecSpec struct {
-	// Env is the protocol environment, as passed to Protocol.NewAgent.
-	// Env.N is the size of the population the protocol runs in, which the
-	// protocol's parameters depend on; N is the length of this population.
+	// Env is the protocol environment. Env.N is the size of the population
+	// the protocol runs in, which the protocol's parameters depend on; N is
+	// the length of this population.
 	Env Env
-	// N is the number of agents to allocate: Config.N for the engine, 1 for
-	// a lane.
+	// N is the number of agents to allocate (Config.N for the engine).
+	// Agent i has id i; kernels whose fresh state depends on the id (the
+	// parity start of majority and TrustBit) read i.
 	N int
-	// First is the id of agent 0, so agent i has id First+i: 0 for the
-	// engine, the agent's id for a lane. Kernels whose fresh state depends
-	// on the id (the parity start of majority and TrustBit) read it.
-	First int
 	// Sources1 and Sources0 give the role layout: agents [0, Sources1) are
-	// 1-sources, [Sources1, Sources1+Sources0) are 0-sources.
+	// 1-sources, [Sources1, Sources1+Sources0) are 0-sources, the rest are
+	// non-sources. Identities are immaterial under uniform sampling.
 	Sources1, Sources0 int
 	// Correct is the plurality source preference; populations use it to
 	// derive the adversary's wrong opinion.
 	Correct int
 }
 
-// Role returns the role of agent i under the spec's layout.
-func (s *VecSpec) Role(i int) Role { return roleOf(i, s.Sources1, s.Sources0) }
-
 // VecPopulation is the per-agent engine's population, advanced by bulk
-// kernels over index ranges: a protocol's own struct-of-arrays kernel, which
-// defines the protocol, or the adapter that runs a plain Agent protocol.
-// Range methods are called for chunk-aligned [lo, hi) slices; distinct
-// ranges are processed concurrently, so a kernel must only touch state of
-// agents inside its range. Fault events call CorruptAt, and InitRange on the one-agent range
-// [i, i+1), single-threaded between rounds with the engine's fault stream,
-// so those calls may touch any agent state without synchronization.
+// kernels over index ranges: the protocol's struct-of-arrays kernel, which
+// defines the protocol. Range methods are called for chunk-aligned [lo, hi)
+// slices; distinct ranges are processed concurrently, so a kernel must only
+// touch state of agents inside its range. Fault events call CorruptAt, and
+// InitRange on the one-agent range [i, i+1), single-threaded between rounds
+// with the engine's fault stream, so those calls may touch any agent state
+// without synchronization.
 type VecPopulation interface {
 	// InitRange (re)builds agents [lo, hi) as fresh arrivals: role
 	// assignment, seeded initialization, then the corruption adversary
@@ -363,19 +366,9 @@ type VecPopulation interface {
 	RestoreRange(rd *SnapReader, lo, hi int) error
 	// CorruptAt applies the protocol's corruption adversary to agent i,
 	// including its role checks (which roles the adversary may touch). The
-	// engine calls it for mid-run corruption, InitRange for round-0
-	// corruption, and a lane's Corrupt for its one agent.
+	// engine calls it for mid-run corruption, and InitRange for round-0
+	// corruption.
 	CorruptAt(i int, mode CorruptionMode, wrong int, r *rng.Stream)
-}
-
-// VecProtocol is implemented by protocols that provide a struct-of-arrays
-// kernel; the engine runs every other protocol's Agents through the adapter
-// population, on the same path. NewVecPopulation may panic on an
-// environment outside the protocol's domain, which Config.Validate rejects
-// first through the protocol's Check.
-type VecProtocol interface {
-	Protocol
-	NewVecPopulation(spec VecSpec) VecPopulation
 }
 
 // VecMarginalOnly is implemented by binary kernels that read a round's law
@@ -417,18 +410,11 @@ func (r *Runner) chunkBounds(c int) (lo, hi int) {
 // display vector (topology); the barrier folds in the crash mask and builds
 // the round's observation law; Phase B steps every chunk with its own
 // stream. It allocates nothing in steady state.
-func (r *Runner) stepVec() (int, error) {
+func (r *Runner) stepVec() int {
 	if r.pool != nil {
 		r.pool.dispatch(phaseSnapshot)
 	} else {
 		r.vecCountRange(0)
-	}
-	if r.ap != nil {
-		// A plain Agent protocol may display a symbol outside the alphabet;
-		// the adapter counted it as 0, and the round stops here.
-		if err := r.ap.displayErr(); err != nil {
-			return 0, err
-		}
 	}
 	round := r.curRound
 	var crashUntil []int
@@ -486,9 +472,9 @@ func (r *Runner) stepVec() (int, error) {
 		ones += r.scratch[w].partial
 	}
 	if r.correct == 1 {
-		return ones, nil
+		return ones
 	}
-	return r.cfg.N - ones, nil
+	return r.cfg.N - ones
 }
 
 // completeLaw builds r.vecObs, the complete-graph observation law of the
@@ -500,7 +486,7 @@ func (r *Runner) completeLaw(crashUntil []int, round int) {
 	if r.env.Alphabet == 2 {
 		q1 := (float64(r.counts[0])*r.effRows[0][1] + float64(r.counts[1])*r.effRows[1][1]) / float64(r.cfg.N)
 		r.binDist.Init(r.cfg.H, q1)
-		r.vecObs = VecObs{H: r.cfg.H, Q1: q1, Bin: &r.binDist, crashUntil: crashUntil, round: round}
+		r.vecObs = VecObs{H: r.cfg.H, q1: q1, bin: &r.binDist, crashUntil: crashUntil, round: round}
 		return
 	}
 	d := r.env.Alphabet
@@ -521,7 +507,7 @@ func (r *Runner) completeLaw(crashUntil []int, round int) {
 	if !r.multDist.PrecomputeJoint(maxJointSupport) {
 		r.multDist.PrecomputeCond()
 	}
-	r.vecObs = VecObs{H: r.cfg.H, Q: r.vecQ, Mult: &r.multDist, crashUntil: crashUntil, round: round}
+	r.vecObs = VecObs{H: r.cfg.H, mult: &r.multDist, crashUntil: crashUntil, round: round}
 }
 
 // vecCountRange is Phase A for worker w: accumulate display counts of the

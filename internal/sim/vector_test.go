@@ -1,23 +1,16 @@
-// Equivalence suite for the per-agent engine path (vector.go). A built-in
-// protocol runs there as its struct-of-arrays kernel; any other Agent
-// protocol runs as one Agent per index through the adapter population
-// (agentpop.go). A built-in protocol's Agents are one-agent views of its
-// kernel (lane.go), but under the adapter they draw their observations
-// through the law's samplers, so a kernel run and the same protocol's
-// adapted run are in general NOT bit-identical; TestSyncChainOracle
-// (chain_test.go) checks both against the exact law. What this file
+// Equivalence suite for the per-agent engine path (vector.go), on which
+// every protocol runs as its struct-of-arrays kernel. What this file
 // proves:
 //
 //  1. every run is bit-identical to itself at any Workers / GOMAXPROCS
-//     setting (per-chunk streams + commutative integer merges), adapter
-//     included;
+//     setting (per-chunk streams + commutative integer merges);
 //  2. snapshots resume bit-identically, including under live fault
 //     schedules (noise swap/drift, and mid-crash with corruption/churn);
-//  3. cross-path restores (kernel, adapter, counts backend) fail loudly
-//     instead of silently diverging;
-//  4. every built-in protocol runs its own kernel, every other protocol
-//     the adapter, and the counts backend neither; an environment outside
-//     a protocol's domain fails construction with an error;
+//  3. cross-path restores (kernel, counts backend) fail loudly instead of
+//     silently diverging;
+//  4. every configuration but the counts backend has a per-agent
+//     population, and an environment outside a protocol's domain fails
+//     construction with an error;
 //  5. AsyncRunner activates the same populations: its round-0 state is
 //     Runner's, and Reset replays a fresh async runner.
 package sim_test
@@ -35,28 +28,6 @@ import (
 	"noisypull/internal/protocol"
 	"noisypull/internal/sim"
 )
-
-// agentsOnly hides p's struct-of-arrays kernel, so the engine runs p's plain
-// Agents through the adapter population. It forwards Finite, the one other
-// protocol extension the per-agent path reads.
-func agentsOnly(p sim.Protocol) sim.Protocol {
-	if f, ok := p.(sim.Finite); ok {
-		return finiteAgents{plainAgents{p}, f}
-	}
-	return plainAgents{p}
-}
-
-type plainAgents struct{ p sim.Protocol }
-
-func (w plainAgents) Alphabet() int { return w.p.Alphabet() }
-func (w plainAgents) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
-	return w.p.NewAgent(id, role, env)
-}
-
-type finiteAgents struct {
-	plainAgents
-	sim.Finite
-}
 
 // structFaults is the structural fault palette: mid-run corruption, a crash
 // window spanning the snapshot round of the resume test (12 → 22, over
@@ -225,25 +196,6 @@ func vecCases() []vecCase {
 			},
 		},
 		{
-			// The same run with the voter's Agents (views of its kernel)
-			// through the adapter: multi-chunk, so worker striding, the
-			// per-chunk observation scratch and the adapter's snapshot
-			// payload are all exercised.
-			name: "wrapped voter crash churn corrupt",
-			cfg: func(t *testing.T, seed uint64) sim.Config {
-				return sim.Config{
-					N: 6000, H: 4, Sources1: 40, Sources0: 10,
-					Noise:           uniformNoise(t, 2, 0.12),
-					Protocol:        agentsOnly(protocol.Voter{}),
-					Seed:            seed,
-					Backend:         sim.BackendExact,
-					MaxRounds:       60,
-					StabilityWindow: 10,
-					Faults:          structFaults,
-				}
-			},
-		},
-		{
 			// Churn on each remaining kernel, multi-chunk, run for a fixed
 			// 20 rounds (the stability window equals the budget).
 			name: "majority churn",
@@ -337,11 +289,8 @@ func TestVecBitIdenticalAcrossParallelism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					snap, err := r.Snapshot()
+					snap := r.Snapshot()
 					r.Close()
-					if err != nil {
-						t.Fatal(err)
-					}
 					if refSnap == nil {
 						refRes, refSnap = res, snap
 						continue
@@ -381,12 +330,7 @@ func TestVecSnapshotResumeDeterminism(t *testing.T) {
 			var snap []byte
 			r.SetOnRound(func(round, correct int) {
 				if round == snapRound {
-					s, err := r.Snapshot()
-					if err != nil {
-						t.Errorf("Snapshot at round %d: %v", round, err)
-						return
-					}
-					snap = s
+					snap = r.Snapshot()
 				}
 			})
 			if _, err := r.Run(); err != nil {
@@ -409,10 +353,7 @@ func TestVecSnapshotResumeDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameResult(t, control, resumed, "resumed vec result")
-			resumedFinal, err := r2.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
+			resumedFinal := r2.Snapshot()
 			if !bytes.Equal(controlFinal, resumedFinal) {
 				t.Fatal("final engine state differs between uninterrupted and resumed vec run")
 			}
@@ -420,28 +361,22 @@ func TestVecSnapshotResumeDeterminism(t *testing.T) {
 	}
 }
 
-// TestVecCrossPathRestoreRejected: a protocol's kernel and its Agents under
-// the adapter draw randomness differently, and the counts backend keeps no
-// per-agent state, so restoring a snapshot across any two of them would
-// silently change the trajectory. Every direction must fail.
+// TestVecCrossPathRestoreRejected: the counts backend keeps no per-agent
+// state, so restoring a snapshot between it and a kernel would silently
+// change the trajectory. Both directions must fail.
 func TestVecCrossPathRestoreRejected(t *testing.T) {
 	kernel := vecCases()[0].cfg(t, 5)
-	adapter := kernel
-	adapter.Protocol = agentsOnly(kernel.Protocol)
 	counts := kernel
 	counts.Backend = sim.BackendCounts
-	cfgs := map[string]sim.Config{"kernel": kernel, "adapter": adapter, "counts": counts}
+	cfgs := map[string]sim.Config{"kernel": kernel, "counts": counts}
 	snaps := make(map[string][]byte)
 	for name, cfg := range cfgs {
 		r, err := sim.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := r.Snapshot()
+		snap := r.Snapshot()
 		r.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
 		snaps[name] = snap
 	}
 	for from, snap := range snaps {
@@ -462,12 +397,10 @@ func TestVecCrossPathRestoreRejected(t *testing.T) {
 }
 
 // TestVecEligibility pins which population each configuration gets: every
-// built-in protocol runs its own kernel — graph topologies, alphabets > 2,
-// and the full fault palette included — every other Agent protocol runs
-// through the adapter, and the counts backend has no per-agent population.
-// An environment outside a protocol's domain is an error from New, not a
-// panic. The CI vec-parity step runs this test by name, so a built-in
-// protocol silently dropping to the adapter fails the build.
+// built-in protocol runs its kernel — graph topologies, alphabets > 2, and
+// the full fault palette included — and the counts backend has no
+// per-agent population. An environment outside a protocol's domain is an
+// error from New, not a panic.
 func TestVecEligibility(t *testing.T) {
 	base := func() sim.Config {
 		return sim.Config{
@@ -488,7 +421,6 @@ func TestVecEligibility(t *testing.T) {
 	}}
 	const (
 		kernel = iota
-		adapter
 		counts
 	)
 	cases := []struct {
@@ -547,23 +479,6 @@ func TestVecEligibility(t *testing.T) {
 			c.Topology = ring
 			c.Faults = crashChurn
 		}, kernel},
-		{"wrapped voter", func(c *sim.Config) { c.Protocol = agentsOnly(protocol.Voter{}) }, adapter},
-		{"wrapped sf aggregate", func(c *sim.Config) {
-			c.Protocol = agentsOnly(protocol.NewSF())
-			c.Backend = sim.BackendAggregate
-			c.H = 16
-			c.MaxRounds = 5000
-		}, adapter},
-		{"wrapped trustbit on topology", func(c *sim.Config) {
-			c.Protocol = agentsOnly(protocol.TrustBit{})
-			c.Noise = uniformNoise(t, 4, 0.1)
-			c.Topology = ring
-		}, adapter},
-		{"wrapped majority crash+churn on graph", func(c *sim.Config) {
-			c.Protocol = agentsOnly(protocol.MajorityRule{})
-			c.Topology = ring
-			c.Faults = crashChurn
-		}, adapter},
 		{"counts backend", func(c *sim.Config) { c.Backend = sim.BackendCounts }, counts},
 	}
 	for _, tc := range cases {
@@ -575,9 +490,6 @@ func TestVecEligibility(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if got := r.Agents() != nil; got != (tc.want == adapter) {
-				t.Fatalf("runner uses the adapter = %v, want %v", got, tc.want == adapter)
-			}
 			if _, _, err := r.AgentState(0); (err != nil) != (tc.want == counts) {
 				t.Fatalf("AgentState error = %v; only the counts backend has no per-agent population", err)
 			}
@@ -628,7 +540,6 @@ func TestRoundGuideSelection(t *testing.T) {
 	}{
 		{"majority", func(c *sim.Config) {}, true},
 		{"sf", func(c *sim.Config) { c.Protocol, c.H, c.MaxRounds = protocol.NewSF(), 16, 5000 }, true},
-		{"wrapped voter", func(c *sim.Config) { c.Protocol = agentsOnly(protocol.Voter{}) }, true},
 		{"voter", func(c *sim.Config) { c.Protocol = protocol.Voter{} }, false},
 		{"63 agents", func(c *sim.Config) { c.N = 63 }, false},
 		{"topology", func(c *sim.Config) { c.Topology = ring }, false},
@@ -803,61 +714,37 @@ func asyncSSFConfig(t *testing.T) sim.Config {
 
 // TestAsyncRoundZeroMatchesSync: NewAsync builds its population through
 // the synchronous engine, so before any activation its state, random
-// corruption included, is byte-for-byte Runner's under the same seed, on
-// the kernel and on the adapter.
+// corruption included, is byte-for-byte Runner's under the same seed.
 func TestAsyncRoundZeroMatchesSync(t *testing.T) {
-	for _, wrap := range []func(sim.Protocol) sim.Protocol{
-		func(p sim.Protocol) sim.Protocol { return p },
-		agentsOnly,
-	} {
-		cfg := asyncSSFConfig(t)
-		cfg.Protocol = wrap(cfg.Protocol)
-		r, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := sim.NewAsync(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := r.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sim.AsyncEngine(a).Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%T: async round-0 state differs from the synchronous runner's", cfg.Protocol)
-		}
+	cfg := asyncSSFConfig(t)
+	r, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := sim.NewAsync(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sim.AsyncEngine(a).Snapshot(), r.Snapshot()) {
+		t.Fatal("async round-0 state differs from the synchronous runner's")
 	}
 }
 
 // TestAsyncResetMatchesFresh: Reset(s) followed by Run replays NewAsync at
-// seed s exactly, for SSF on its kernel and for a plain Agent protocol on
-// the adapter.
+// seed s exactly, for SSF and for the convergent test probe.
 func TestAsyncResetMatchesFresh(t *testing.T) {
 	copySource := sim.Config{
 		N: 80, H: 8, Sources1: 4, Sources0: 1,
 		Noise:           uniformNoise(t, 2, 0.05),
-		Protocol:        sim.CopySourceProtocol{},
+		Protocol:        &sim.Probe{Symbols: 2, Sticky: true},
 		StabilityWindow: 3,
 		MaxRounds:       200,
 		TrackHistory:    true,
 	}
-	for _, tc := range []struct {
-		cfg    sim.Config
-		kernel bool
-	}{{asyncSSFConfig(t), true}, {copySource, false}} {
-		cfg := tc.cfg
+	for _, cfg := range []sim.Config{asyncSSFConfig(t), copySource} {
 		r, err := sim.NewAsync(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		// Agents is nil exactly when the protocol's own kernel runs.
-		if kernel := r.Agents() == nil; kernel != tc.kernel {
-			t.Fatalf("%T: kernel = %v, want %v", cfg.Protocol, kernel, tc.kernel)
 		}
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)

@@ -18,20 +18,17 @@ type (
 	NoiseMatrix = noise.Matrix
 	// Reduction is the Theorem 8 artificial-noise decomposition.
 	Reduction = noise.Reduction
-	// Protocol builds per-agent state machines for the simulator.
+	// Protocol is a protocol's per-agent kernel: the built-in protocols
+	// (NewSourceFilter, NewSelfStabilizing, the baselines) implement it.
 	Protocol = sim.Protocol
 	// CountableProtocol extends Protocol with the state-class interface the
 	// counts backend needs (BackendCounts); the three baselines implement
 	// it. Its CorruptRow is the backend's one corruption rule, for
-	// Config.Corruption and corrupt faults alike. Every type its methods
-	// take is re-exported here, so code outside this module can implement
-	// it (NewAgent may return a baseline's Agents: the counts backend never
-	// builds them).
+	// Config.Corruption and corrupt faults alike. Every type its own
+	// methods take is re-exported here, so code outside this module
+	// implements it by embedding a built-in Protocol for the kernel, which
+	// the counts backend never builds, and adding the class methods.
 	CountableProtocol = sim.CountableProtocol
-	// Agent is one protocol instance inside a simulation.
-	Agent = sim.Agent
-	// Role describes an agent's source status.
-	Role = sim.Role
 	// Env carries the designer-known system parameters.
 	Env = sim.Env
 	// Result reports a finished run.
@@ -180,7 +177,7 @@ type Config struct {
 	// artificial noise P and the protocol is parameterized at δ′ = f(δ)).
 	Noise *NoiseMatrix
 	// Protocol is the agent protocol (NewSourceFilter, NewSelfStabilizing,
-	// a baseline, or a custom implementation).
+	// a baseline, or a CountableProtocol that embeds one).
 	Protocol Protocol
 	// Seed drives all randomness; equal seeds give bit-identical runs.
 	Seed uint64
@@ -208,12 +205,10 @@ type Config struct {
 	Topology *Topology
 	// Workers bounds simulation goroutines (0 = GOMAXPROCS).
 	Workers int
-	// TrackHistory records per-round correct-opinion counts in the Result.
+	// TrackHistory records per-round correct-opinion counts in the Result
+	// (a Runner's SetOnRound and SetOnFault observe rounds and faults as
+	// they happen).
 	TrackHistory bool
-	// OnRound, if set, observes each round's correct-opinion count.
-	OnRound func(round, correct int)
-	// OnFault, if set, observes each applied fault as it fires.
-	OnFault func(FaultRecord)
 }
 
 // ErrNotReducible is returned when the supplied noise matrix is too noisy
@@ -252,8 +247,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // simulating single-threaded, so total CPU use stays at the configured
 // level. Every trial's result depends only on its seed: RunBatch(cfg, seeds)
 // is element-wise identical to calling Run with each seed, for any Workers.
-// cfg.Seed and cfg.OnRound are ignored (use TrackHistory for per-trial
-// trajectories).
+// cfg.Seed is ignored (use TrackHistory for per-trial trajectories).
 func RunBatch(cfg Config, seeds []uint64) ([]*Result, error) {
 	return RunBatchContext(context.Background(), cfg, seeds)
 }
@@ -263,8 +257,6 @@ func RunBatch(cfg Config, seeds []uint64) ([]*Result, error) {
 // round, and the call returns ctx.Err(). A panic in protocol or engine code
 // fails the batch with an error instead of ending the process.
 func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64) ([]*Result, error) {
-	cfg.OnRound = nil
-	cfg.OnFault = nil
 	return sim.RunBatchContext(ctx, cfg.toSim(), seeds, cfg.Workers)
 }
 
@@ -274,8 +266,9 @@ func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64) ([]*Result
 // over the same allocations — the mechanism behind RunBatch, exposed so
 // long-lived harnesses (for example the simd job scheduler) can reuse
 // runners across requests. It is the engine's runner: Snapshot and Restore
-// checkpoint it, and Agents, ClassCounts, AgentState, AgentWeakOpinion and
-// Env read its population and environment.
+// checkpoint it, SetOnRound, SetOnFault and SetCheckpoint set its hooks, and
+// ClassCounts, AgentState, AgentWeakOpinion and Env read its population and
+// environment.
 type Runner = sim.Runner
 
 // NewRunner validates cfg and provisions a reusable runner for it. The

@@ -359,8 +359,8 @@ func TestTopologyFacade(t *testing.T) {
 // lazyVoter is a countable protocol written against the facade alone, as
 // code outside this module writes one: a non-source keeps its opinion with
 // probability 1/2 and otherwise adopts one observation. Classes are 0/1
-// for non-sources by opinion and 2/3 for sources by preference. Its Agents
-// come from VoterBaseline; the counts backend never builds them.
+// for non-sources by opinion and 2/3 for sources by preference. Its kernel
+// comes from VoterBaseline; the counts backend never builds it.
 type lazyVoter struct{ noisypull.Protocol }
 
 func (lazyVoter) NumStates(noisypull.Env) int          { return 4 }
