@@ -3,6 +3,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Alias samples from a fixed discrete distribution in O(1) per draw using
@@ -118,11 +119,24 @@ func growInts(s []int, n int) []int {
 // Len returns the number of outcomes.
 func (a *Alias) Len() int { return len(a.prob) }
 
-// Sample draws one outcome index using stream r.
+// Sample draws one outcome index using stream r. It draws the column as
+// Intn(Len()) would and then the coin as Float64 would, consuming the stream
+// identically, with Intn's arithmetic written out so that the common draw
+// makes no call below Sample.
 func (a *Alias) Sample(r *Stream) int {
-	i := r.Intn(len(a.prob))
+	n := uint64(len(a.prob))
+	var i uint64
+	if n&(n-1) == 0 {
+		i = r.Uint64() & (n - 1)
+	} else {
+		var lo uint64
+		i, lo = bits.Mul64(r.Uint64(), n)
+		if lo < n {
+			i = r.uint64nReject(n, i, lo)
+		}
+	}
 	if r.Float64() < a.prob[i] {
-		return i
+		return int(i)
 	}
 	return a.alias[i]
 }

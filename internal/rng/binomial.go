@@ -93,18 +93,24 @@ func (d *BinomialDist) Init(n int, p float64) {
 func (d *BinomialDist) N() int { return d.n }
 
 // Sample draws one variate using r's randomness. It is safe for concurrent
-// use with distinct streams.
+// use with distinct streams. A built guide answers the draw here, from the
+// uniform's bucket, and falls back to the walk on that same uniform only
+// when the bucket straddles a step of the CDF.
 func (d *BinomialDist) Sample(r *Stream) int {
 	var k int
-	switch d.kind {
-	case binConstZero:
-		k = 0
-	case binConstN:
-		k = d.n
-	case binInversion:
-		k = d.sampleInversion(r)
-	default:
+	switch {
+	case d.guideOK:
+		x := r.Uint64() >> 11
+		if k = int(d.guide[x>>guideShift]); k == guideMiss {
+			k = d.walk(x)
+		}
+	case d.kind == binInversion:
+		k = d.walk(r.Uint64() >> 11)
+	case d.kind == binBTRS:
 		k = d.sampleBTRS(r)
+	case d.kind == binConstN:
+		k = d.n
+	default: // binConstZero draws 0
 	}
 	if d.flip {
 		return d.n - k
@@ -114,9 +120,12 @@ func (d *BinomialDist) Sample(r *Stream) int {
 
 // Guide-table geometry: the top guideBits bits of the 53-bit uniform pick
 // one of 1<<guideBits equal buckets of [0, 1). guideMiss marks a bucket
-// that needs the walk, so a guide holds results up to maxGuideN.
+// that needs the walk, so a guide holds results up to maxGuideN. The build
+// walks the boundaries of the 1<<coarseBits coarse buckets first; each
+// coarse bucket holds four fine ones.
 const (
-	guideBits  = 6
+	coarseBits = 6
+	guideBits  = coarseBits + 2
 	guideShift = 53 - guideBits
 	guideMiss  = 255
 	maxGuideN  = guideMiss - 1
@@ -130,11 +139,16 @@ const (
 // u_{k+1} = fl(u_k − f_k); rounded subtraction of a fixed f_k never
 // decreases as u grows, so neither does the result. Every uniform in a
 // bucket therefore walks to the bucket's k whenever its two boundaries
-// walk to the same k, and only those buckets are stored. The build costs
-// 65 walks, worth it when the sampler serves many draws (a round's shared
-// law); callers that draw a few times per Init skip it. A no-op for every
-// other kind; it allocates nothing. Call it between Init and sharing the
-// sampler with concurrent workers: Sample never writes the table.
+// walk to the same k, and only those buckets are stored. By the same
+// argument a coarse bucket whose two boundaries walk to one k holds only
+// fine buckets of that k, so the build walks the 65 coarse boundaries and
+// then, inside each coarse bucket that straddles a step (at most n of
+// them), its middle boundary and the quarter boundary of each half whose
+// ends differ: at most 65 + 3n walks instead of all 257 fine boundaries,
+// with the same table as a result. It is worth it when the sampler serves many draws (a
+// round's shared law); callers that draw a few times per Init skip it. A no-op for every other kind; it allocates nothing. Call it
+// between Init and sharing the sampler with concurrent workers: Sample
+// never writes the table.
 func (d *BinomialDist) PrecomputeGuide() {
 	if d.kind != binInversion || d.n > maxGuideN {
 		return
@@ -146,7 +160,10 @@ func (d *BinomialDist) PrecomputeGuide() {
 	for k := 1; k <= d.n; k++ {
 		f[k] = f[k-1] * (d.s * float64(d.n-k+1) / float64(k))
 	}
-	walk := func(u float64) int {
+	// boundary returns the walk's result at the fine boundary b·2^-guideBits;
+	// b = 1<<guideBits is 1.0, the first uniform past the last bucket.
+	boundary := func(b int) int {
+		u := float64(b) * (1.0 / (1 << guideBits))
 		k := 0
 		for u > f[k] && k < d.n {
 			u -= f[k]
@@ -154,33 +171,43 @@ func (d *BinomialDist) PrecomputeGuide() {
 		}
 		return k
 	}
-	lo := walk(0)
-	for b := range d.guide {
-		// The upper boundary is the next bucket's first uniform (1.0 for
-		// the last bucket), so the stored k covers the whole bucket.
-		hi := walk(float64(uint64(b+1)<<guideShift) * 0x1p-53)
+	lo := boundary(0)
+	for c := 0; c < len(d.guide); c += 4 {
+		hi := boundary(c + 4)
 		if lo == hi {
-			d.guide[b] = uint8(lo)
-		} else {
-			d.guide[b] = guideMiss
+			// Written out: a loop over the four bytes costs more than the
+			// coarse walk.
+			k := uint8(lo)
+			d.guide[c], d.guide[c+1], d.guide[c+2], d.guide[c+3] = k, k, k, k
+			continue
+		}
+		// A coarse bucket that straddles a step: walk its middle boundary,
+		// then the quarter boundary of each half whose ends still differ.
+		// e[j] is the walk's result at fine boundary c+j.
+		e := [5]int{lo, lo, boundary(c + 2), hi, hi}
+		if e[0] != e[2] {
+			e[1] = boundary(c + 1)
+		}
+		if e[2] != e[4] {
+			e[3] = boundary(c + 3)
+		}
+		for j := 0; j < 4; j++ {
+			if e[j] == e[j+1] {
+				d.guide[c+j] = uint8(e[j])
+			} else {
+				d.guide[c+j] = guideMiss
+			}
 		}
 		lo = hi
 	}
 	d.guideOK = true
 }
 
-// sampleInversion walks the CDF from k = 0; one uniform per draw, formed
-// exactly as Stream.Float64 forms it. The recurrence and float evaluation
-// order match Stream.binomialInversion's historical implementation
-// exactly. A built guide answers the draw from the uniform's bucket when
-// the whole bucket walks to one k.
-func (d *BinomialDist) sampleInversion(r *Stream) int {
-	x := r.Uint64() >> 11
-	if d.guideOK {
-		if k := d.guide[x>>guideShift]; k != guideMiss {
-			return int(k)
-		}
-	}
+// walk is the inversion draw of the uniform x·2⁻⁵³ (x < 2⁵³, formed
+// exactly as Stream.Float64 forms it): it walks the CDF from k = 0. The
+// recurrence and float evaluation order match Stream.binomialInversion's
+// historical implementation exactly.
+func (d *BinomialDist) walk(x uint64) int {
 	f := d.f0
 	u := float64(x) * 0x1p-53
 	k := 0

@@ -203,6 +203,32 @@ func TestBinomialGuideExact(t *testing.T) {
 	})
 }
 
+// TestBinomialGuideRefinedBuild compares the guide PrecomputeGuide builds
+// from coarse boundaries with the plain build that walks all 257 fine
+// boundaries, bucket for bucket, over TestBinomialGuideExact's grid.
+func TestBinomialGuideRefinedBuild(t *testing.T) {
+	guideParams(func(n int, p float64) {
+		var d BinomialDist
+		d.Init(n, p)
+		d.PrecomputeGuide()
+		if !d.guideOK {
+			return
+		}
+		lo := refWalk(&d, 0)
+		for b, got := range d.guide {
+			hi := refWalk(&d, uint64(b+1)<<guideShift)
+			want := uint8(guideMiss)
+			if lo == hi {
+				want = uint8(lo)
+			}
+			if got != want {
+				t.Fatalf("n=%d p=%v bucket %d: refined build %d, plain build %d", n, p, b, got, want)
+			}
+			lo = hi
+		}
+	})
+}
+
 // TestBinomialGuideMatchesStream: a sampler with its guide built draws
 // exactly what Stream.Binomial draws, consuming the stream in lockstep.
 func TestBinomialGuideMatchesStream(t *testing.T) {

@@ -23,6 +23,7 @@ package rng
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // SplitMix64 returns the next value of the splitmix64 sequence for the given
@@ -97,19 +98,14 @@ func (r *Stream) SetState(s [4]uint64) error {
 	return nil
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 uniformly random bits.
+// Uint64 returns the next 64 uniformly random bits. It is the xoshiro256++
+// step in closed form: the state is loaded once and stored once, which
+// keeps the step cheap enough for the compiler to inline into Float64,
+// Coin and every sampler's draw.
 func (r *Stream) Uint64() uint64 {
-	result := rotl(r.s[0]+r.s[3], 23) + r.s[0]
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	a, b, c, d := r.s[0], r.s[1], r.s[2], r.s[3]
+	r.s = [4]uint64{a ^ b ^ d, a ^ b ^ c, a ^ c ^ (b << 17), bits.RotateLeft64(b^d, 45)}
+	return bits.RotateLeft64(a+d, 23) + a
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
@@ -121,35 +117,29 @@ func (r *Stream) Float64() float64 {
 // It uses Lemire's multiply-shift method with rejection, so the result is
 // exactly uniform.
 func (r *Stream) Uint64n(n uint64) uint64 {
-	if n == 0 {
-		panic("rng: Uint64n with n == 0")
-	}
 	// Fast path for powers of two.
 	if n&(n-1) == 0 {
+		if n == 0 {
+			panic("rng: Uint64n with n == 0")
+		}
 		return r.Uint64() & (n - 1)
 	}
-	x := r.Uint64()
-	hi, lo := mul64(x, n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
-		thresh := (-n) % n
-		for lo < thresh {
-			x = r.Uint64()
-			hi, lo = mul64(x, n)
-		}
+		hi = r.uint64nReject(n, hi, lo)
 	}
 	return hi
 }
 
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
+// uint64nReject finishes a Uint64n draw whose first product (hi, lo) fell
+// in the low band lo < n: it redraws while lo is below 2⁶⁴ mod n, which
+// happens with probability (2⁶⁴ mod n)/2⁶⁴ per draw. Alias.Sample shares it.
+func (r *Stream) uint64nReject(n, hi, lo uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.Uint64(), n)
+	}
+	return hi
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.

@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"os/exec"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -618,5 +620,150 @@ func TestMultinomialMatchesBinomialMarginal(t *testing.T) {
 	limit := float64(df) + 4*math.Sqrt(2*float64(df)) + 15
 	if chi > limit {
 		t.Fatalf("multinomial marginal chi-square = %v (df=%d, limit %v)", chi, df, limit)
+	}
+}
+
+// refStep is the xoshiro256++ step written statement by statement, as the
+// reference implementation states it; Stream.Uint64 computes it in closed
+// form.
+func refStep(s *[4]uint64) uint64 {
+	rotl := func(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
+	result := rotl(s[0]+s[3], 23) + s[0]
+	t := s[1] << 17
+	s[2] ^= s[0]
+	s[3] ^= s[1]
+	s[1] ^= s[2]
+	s[0] ^= s[3]
+	s[2] ^= t
+	s[3] = rotl(s[3], 45)
+	return result
+}
+
+// TestUint64KnownAnswers pins Uint64 to xoshiro256++: the reference
+// generator's first outputs from the state {1, 2, 3, 4}, and 10⁶ outputs
+// of several seeded streams against the statement-by-statement step, with
+// the state compared after every output.
+func TestUint64KnownAnswers(t *testing.T) {
+	var r Stream
+	if err := r.SetState([4]uint64{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []uint64{41943041, 58720359, 3588806011781223, 3591011842654386, 9228616714210784205} {
+		if got := r.Uint64(); got != want {
+			t.Fatalf("output %d from state {1, 2, 3, 4} = %d, want %d", i, got, want)
+		}
+	}
+	draws := 1_000_000
+	if testing.Short() {
+		draws = 50_000
+	}
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		r := Derive(seed, 7)
+		ref := r.State()
+		for i := 0; i < draws; i++ {
+			got, want := r.Uint64(), refStep(&ref)
+			if got != want || r.State() != ref {
+				t.Fatalf("seed %d output %d: %#x (state %x), reference %#x (state %x)", seed, i, got, r.State(), want, ref)
+			}
+		}
+	}
+}
+
+// refMul64 is the 128-bit product by 32-bit halves, the arithmetic
+// Uint64n used before it called math/bits.
+func refMul64(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask32 + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+// refUint64n is Lemire's multiply-shift draw on refStep and refMul64.
+func refUint64n(s *[4]uint64, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return refStep(s) & (n - 1)
+	}
+	hi, lo := refMul64(refStep(s), n)
+	if lo < n {
+		thresh := (-n) % n
+		for lo < thresh {
+			hi, lo = refMul64(refStep(s), n)
+		}
+	}
+	return hi
+}
+
+// TestUint64nMatchesReference checks Uint64n, Intn and Alias.Sample against
+// the reference draw, value by value and state by state. n = 2⁶³ + 1
+// rejects about half of its first products, so the rejection loop runs.
+func TestUint64nMatchesReference(t *testing.T) {
+	const draws = 20_000
+	for _, n := range []uint64{1, 2, 3, 7, 1<<32 + 1, 1<<63 + 1, math.MaxUint64} {
+		r := Derive(11, n)
+		ref := r.State()
+		for i := 0; i < draws; i++ {
+			got, want := r.Uint64n(n), refUint64n(&ref, n)
+			if got != want || r.State() != ref {
+				t.Fatalf("Uint64n(%d) draw %d: %d, reference %d (states equal: %v)", n, i, got, want, r.State() == ref)
+			}
+			if n > math.MaxInt {
+				continue
+			}
+			got, want = uint64(r.Intn(int(n))), refUint64n(&ref, n)
+			if got != want || r.State() != ref {
+				t.Fatalf("Intn(%d) draw %d: %d, reference %d (states equal: %v)", n, i, got, want, r.State() == ref)
+			}
+		}
+	}
+	for _, k := range []int{1, 2, 3, 7, 64, 1000} {
+		w := make([]float64, k)
+		for i := range w {
+			w[i] = float64(i%5 + 1)
+		}
+		a, err := NewAlias(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := Derive(12, uint64(k))
+		ref := r.State()
+		for i := 0; i < draws; i++ {
+			col := refUint64n(&ref, uint64(k))
+			want := a.alias[col]
+			if float64(refStep(&ref)>>11)*0x1p-53 < a.prob[col] {
+				want = int(col)
+			}
+			if got := a.Sample(r); got != want || r.State() != ref {
+				t.Fatalf("Alias.Sample over %d outcomes, draw %d: %d, reference %d (states equal: %v)", k, i, got, want, r.State() == ref)
+			}
+		}
+	}
+}
+
+// TestIntendedInlining compiles the package with -gcflags=-m and fails
+// unless the compiler reports the stream's per-draw helpers inlinable:
+// the samplers' hot paths rely on Uint64 inlining into them.
+func TestIntendedInlining(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("no go command: %v", err)
+	}
+	out, err := exec.Command(goBin, "build", "-gcflags=-m", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	inlinable := map[string]bool{}
+	for _, line := range strings.Split(string(out), "\n") {
+		if _, fn, ok := strings.Cut(line, ": can inline "); ok {
+			inlinable[strings.Fields(fn)[0]] = true
+		}
+	}
+	for _, fn := range []string{"(*Stream).Uint64", "(*Stream).Float64", "(*Stream).Coin", "(*Stream).Intn"} {
+		if !inlinable[fn] {
+			t.Errorf("%s is not inlinable", fn)
+		}
 	}
 }

@@ -317,22 +317,27 @@ func (s *Service) Submit(spec JobSpec) (*JobStatus, error) {
 		state:   StatePending,
 		created: time.Now(),
 	}
-	j.ctx, j.cancel = context.WithCancel(s.rootCtx)
-	select {
-	case s.queue <- j:
-	default:
+	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
 		s.metrics.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
+	j.ctx, j.cancel = context.WithCancel(s.rootCtx)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	// Journal the submission inside the critical section that checked
-	// draining: Drain flips draining and finalizes leftover queued jobs under
-	// this same mutex ordering, so a submission is either rejected with 503
-	// before any journal write, or fully journaled and guaranteed a journaled
-	// terminal record — never journaled then silently orphaned.
+	// Journal the submission before the job reaches the queue, and inside
+	// the critical section that checked draining. Before the send no worker
+	// can see the job, so its submit record precedes every state, seed and
+	// terminal record a worker journals for it; replay skips records of a
+	// job it has not seen submitted. Drain flips draining and finalizes
+	// leftover queued jobs under this same mutex ordering, so a submission
+	// is either rejected with 503 before any journal write, or fully
+	// journaled and guaranteed a journaled terminal record — never journaled
+	// then silently orphaned. Every send to s.queue happens under s.mu and
+	// workers only take from it, so the room checked above is still there
+	// and the send cannot block.
 	s.journal.appendSubmit(j.id, &spec)
+	s.queue <- j
 	s.mu.Unlock()
 
 	s.metrics.submitted.Add(1)

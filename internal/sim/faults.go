@@ -32,6 +32,10 @@ type faultState struct {
 	// engine only; Validate rejects crashes on the counts backend).
 	crashUntil []int
 	frozen     []int
+	// crashEnd is the latest round any crash lasts until: no agent is
+	// crashed in a round at or past it, so the engine scans no crash mask
+	// there. Churn may end a crash early, so it is an upper bound.
+	crashEnd int
 
 	driftOn bool
 	drift   driftState
@@ -71,6 +75,17 @@ func (fs *faultState) reset(cfg *Config) {
 	for i := range fs.crashUntil {
 		fs.crashUntil[i] = 0
 	}
+	fs.crashEnd = 0
+}
+
+// crashMask returns the crash bookkeeping when some agent may be crashed in
+// round, and nil when none is (or the run has no fault state), so the
+// engine scans the mask only while a crash is live.
+func (fs *faultState) crashMask(round int) []int {
+	if fs == nil || round >= fs.crashEnd {
+		return nil
+	}
+	return fs.crashUntil
 }
 
 // markRecovered stamps every fault applied at or before an all-correct
@@ -254,6 +269,9 @@ func (r *Runner) crashAgents(round int, ev faults.Event) int {
 			fs.crashUntil[i] = until
 		}
 		hit++
+	}
+	if hit > 0 && until > fs.crashEnd {
+		fs.crashEnd = until
 	}
 	return hit
 }

@@ -6,12 +6,14 @@ import "sync"
 const (
 	phaseSnapshot = iota // Phase A: sharded display counts, or the display vector on a graph
 	phaseObserve         // Phase B: observe, update, tally opinions
+	phaseInit            // New and Reset: reseed chunk streams and rebuild the population
 )
 
 // pool is the persistent worker pool of a Runner. Workers are spawned once
 // at construction and parked on per-worker gate channels; a round costs two
 // barrier crossings (one per phase) and zero goroutine creations or heap
-// allocations.
+// allocations. New and Reset use the same workers for a third phase that
+// rebuilds the population.
 //
 // The pool deliberately holds no reference to its Runner while idle: the
 // coordinator attaches the Runner for the duration of a Run and detaches it
@@ -41,16 +43,20 @@ func newPool(workers int) *pool {
 // synchronized.
 func (p *pool) worker(w int) {
 	for ph := range p.gates[w] {
-		if ph == phaseSnapshot {
+		switch ph {
+		case phaseSnapshot:
 			p.r.vecCountRange(w)
-		} else {
+		case phaseObserve:
 			p.r.vecStepRange(w)
+		default:
+			p.r.vecInitRange(w)
 		}
 		p.wg.Done()
 	}
 }
 
-// attach points the workers at r for an upcoming Run.
+// attach points the workers at r for an upcoming Run, or for the
+// population rebuild of New and Reset.
 func (p *pool) attach(r *Runner) { p.r = r }
 
 // detach releases the Runner reference so an idle pool does not keep it

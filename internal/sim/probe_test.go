@@ -38,6 +38,7 @@ func (p *Probe) NewVecPopulation(spec VecSpec) VecPopulation {
 		Seen:     make([][][]int, n),
 		Corrupts: make([]int, n),
 		Mode:     make([]CorruptionMode, n),
+		Wrong:    make([]int, n),
 	}
 }
 
@@ -51,10 +52,12 @@ type ProbePop struct {
 	// Seen[i] lists the observation counts agent i drew, one per step.
 	Seen [][][]int
 	// Corrupts[i] counts the corruptions that hit agent i, Mode[i] is the
-	// last one's mode, and Wrong the wrong opinion CorruptAt last got.
+	// last one's mode, and Wrong[i] the wrong opinion it got (−1 before
+	// any). They are per agent because the engine builds distinct chunks
+	// concurrently.
 	Corrupts []int
 	Mode     []CorruptionMode
-	Wrong    int
+	Wrong    []int
 }
 
 func (k *ProbePop) InitRange(lo, hi int, mode CorruptionMode, r *rng.Stream) {
@@ -67,7 +70,7 @@ func (k *ProbePop) InitRange(lo, hi int, mode CorruptionMode, r *rng.Stream) {
 		default:
 			k.Display[i] = 0
 		}
-		k.Opinion[i], k.Seen[i], k.Corrupts[i], k.Mode[i] = 0, k.Seen[i][:0], 0, CorruptNone
+		k.Opinion[i], k.Seen[i], k.Corrupts[i], k.Mode[i], k.Wrong[i] = 0, k.Seen[i][:0], 0, CorruptNone, -1
 		if mode != CorruptNone {
 			k.CorruptAt(i, mode, 1-k.Spec.Correct, r)
 		}
@@ -114,7 +117,7 @@ func (k *ProbePop) State(i int) (display, opinion int) { return k.Display[i], k.
 
 func (k *ProbePop) CorruptAt(i int, mode CorruptionMode, wrong int, r *rng.Stream) {
 	k.Corrupts[i]++
-	k.Mode[i], k.Wrong = mode, wrong
+	k.Mode[i], k.Wrong[i] = mode, wrong
 	if k.p.Shift {
 		k.Display[i] = (k.Display[i] + 1) % k.p.Symbols
 	}

@@ -181,21 +181,23 @@ func New(cfg Config) (*Runner, error) {
 		r.baseEff, r.curNoise = eff, cfg.Noise
 		r.fs = newFaultState(&cfg)
 	}
-	r.initPopulation()
 	if workers > 1 {
+		// Started before the population is built, which runs on it.
 		r.pool = newPool(workers)
 		// Safety net: reclaim the pool goroutines if the caller forgets
 		// Close. The workers reference only the pool (p.r is nil while
 		// idle), so an abandoned Runner does become unreachable.
 		runtime.SetFinalizer(r, (*Runner).Close)
 	}
+	r.initPopulation()
 	return r, nil
 }
 
 // initPopulation reseeds every chunk stream from the run seed and rebuilds
-// the population (seeded initialization and round-0 corruption included),
-// or the class counts on the counts backend. It is the shared construction
-// path of New and Reset, so a Reset runner is bit-identical to a fresh one.
+// the population (seeded initialization and round-0 corruption included)
+// on the worker pool, or the class counts on the counts backend. It is the
+// shared construction path of New and Reset, so a Reset runner is
+// bit-identical to a fresh one.
 func (r *Runner) initPopulation() {
 	cfg := &r.cfg
 	r.curRound = 0
@@ -208,10 +210,12 @@ func (r *Runner) initPopulation() {
 		r.ce.reset(cfg, r.env, r.correct)
 		return
 	}
-	for c := 0; c < r.numChunks; c++ {
-		r.chunkStreams[c].Reseed(rng.DeriveSeed(cfg.Seed, vecStreamID+uint64(c)))
-		lo, hi := r.chunkBounds(c)
-		r.pop.InitRange(lo, hi, cfg.Corruption, &r.chunkStreams[c])
+	if r.pool != nil {
+		r.pool.attach(r)
+		r.pool.dispatch(phaseInit)
+		r.pool.detach()
+	} else {
+		r.vecInitRange(0)
 	}
 }
 

@@ -438,8 +438,10 @@ func TestCorruptionInvocation(t *testing.T) {
 		t.Fatalf("corrupted %d agents, want %d", count, cfg.N)
 	}
 	// Correct opinion is 1 (s1 > s0), so the adversary pushes 0.
-	if got := r.pop.(*ProbePop).Wrong; got != 0 {
-		t.Fatalf("wrong opinion = %d", got)
+	for i, got := range r.pop.(*ProbePop).Wrong {
+		if got != 0 {
+			t.Fatalf("agent %d: wrong opinion = %d", i, got)
+		}
 	}
 
 	cfg.Corruption = CorruptNone

@@ -544,6 +544,7 @@ func (fs *faultState) restore(rd *SnapReader, n, alphabet int) error {
 		return errors.New("sim: snapshot crash bookkeeping does not match the runner's schedule")
 	}
 	if hasCrash {
+		fs.crashEnd = 0
 		for i := 0; i < n && rd.Err() == nil; i++ {
 			until, sym := rd.Int(), rd.Int()
 			if until < 0 {
@@ -553,6 +554,7 @@ func (fs *faultState) restore(rd *SnapReader, n, alphabet int) error {
 				return fmt.Errorf("sim: snapshot agent %d frozen symbol %d outside alphabet [0, %d)", i, sym, alphabet)
 			}
 			fs.crashUntil[i], fs.frozen[i] = until, sym
+			fs.crashEnd = max(fs.crashEnd, until)
 		}
 	}
 	driftOn := rd.Bool()

@@ -333,16 +333,19 @@ type VecSpec struct {
 // kernels over index ranges: the protocol's struct-of-arrays kernel, which
 // defines the protocol. Range methods are called for chunk-aligned [lo, hi)
 // slices; distinct ranges are processed concurrently, so a kernel must only
-// touch state of agents inside its range. Fault events call CorruptAt, and
-// InitRange on the one-agent range [i, i+1), single-threaded between rounds
-// with the engine's fault stream, so those calls may touch any agent state
-// without synchronization.
+// touch state of agents inside its range. That includes InitRange at New
+// and Reset, which build distinct chunks concurrently on the worker pool,
+// and the CorruptAt calls InitRange makes. Fault events call CorruptAt,
+// and InitRange on the one-agent range [i, i+1), single-threaded between
+// rounds with the engine's fault stream, so those calls may touch any
+// agent state without synchronization.
 type VecPopulation interface {
 	// InitRange (re)builds agents [lo, hi) as fresh arrivals: role
 	// assignment, seeded initialization, then the corruption adversary
 	// under mode, drawing any needed randomness from r in agent-index
-	// order. New and Reset pass Config.Corruption over every chunk; churn
-	// rebuilds one non-source under the event's mode. With CorruptNone it
+	// order. New and Reset pass Config.Corruption over every chunk,
+	// distinct chunks concurrently; churn rebuilds one non-source under the
+	// event's mode. With CorruptNone it
 	// must draw nothing for corruption.
 	InitRange(lo, hi int, mode CorruptionMode, r *rng.Stream)
 	// CountRange accumulates the current display symbol of agents [lo, hi)
@@ -407,9 +410,9 @@ func (r *Runner) chunkBounds(c int) (lo, hi int) {
 
 // stepVec executes one synchronous round on the per-agent engine. Phase A
 // counts displays in per-worker shards (complete graph) or publishes the
-// display vector (topology); the barrier folds in the crash mask and builds
-// the round's observation law; Phase B steps every chunk with its own
-// stream. It allocates nothing in steady state.
+// display vector (topology), each worker folding in the crash mask over its
+// own chunks; the barrier builds the round's observation law; Phase B steps
+// every chunk with its own stream. It allocates nothing in steady state.
 func (r *Runner) stepVec() int {
 	if r.pool != nil {
 		r.pool.dispatch(phaseSnapshot)
@@ -417,20 +420,8 @@ func (r *Runner) stepVec() int {
 		r.vecCountRange(0)
 	}
 	round := r.curRound
-	var crashUntil []int
-	if r.fs != nil && r.fs.crashUntil != nil {
-		crashUntil = r.fs.crashUntil
-	}
+	crashUntil := r.fs.crashMask(round)
 	if r.vecNbr != nil {
-		// Masked lanes: a crashed agent's neighbors keep seeing the display
-		// it froze with, not its live state.
-		if crashUntil != nil {
-			for i, until := range crashUntil {
-				if until > round {
-					r.vecNbr.displays[i] = uint8(r.fs.frozen[i])
-				}
-			}
-		}
 		r.vecNbr.resetRound(r.noiseEpoch)
 		r.vecObs = VecObs{H: r.cfg.H, nbr: r.vecNbr, crashUntil: crashUntil, round: round}
 	} else {
@@ -440,18 +431,6 @@ func (r *Runner) stepVec() int {
 		for w := range r.scratch {
 			for j, c := range r.scratch[w].shard {
 				r.counts[j] += c
-			}
-		}
-		// Phase A counted live displays; swap crashed agents' contributions
-		// for their stale crash-time snapshot (they differ only when a
-		// corruption fault rewrote a crashed agent's state mid-freeze).
-		if crashUntil != nil {
-			for i, until := range crashUntil {
-				if until > round {
-					live, _ := r.pop.State(i)
-					r.counts[live]--
-					r.counts[r.fs.frozen[i]]++
-				}
 			}
 		}
 		r.completeLaw(crashUntil, round)
@@ -521,6 +500,7 @@ func (r *Runner) vecCountRange(w int) {
 	for j := range s.shard {
 		s.shard[j] = 0
 	}
+	crashUntil := r.fs.crashMask(r.curRound)
 	for c := w; c < r.numChunks; c += r.workers {
 		lo, hi := r.chunkBounds(c)
 		if r.vecNbr != nil {
@@ -528,6 +508,41 @@ func (r *Runner) vecCountRange(w int) {
 		} else {
 			r.pop.CountRange(lo, hi, s.shard)
 		}
+		if crashUntil != nil {
+			r.freezeCrashed(lo, hi, crashUntil, s.shard)
+		}
+	}
+}
+
+// freezeCrashed makes the agents of [lo, hi) that are crashed this round
+// show the display they froze with instead of their live one: in the
+// published display vector on a graph, where their neighbors read it, and
+// otherwise in the worker's count shard (the two differ only when a
+// corruption fault rewrote a crashed agent's state mid-freeze).
+func (r *Runner) freezeCrashed(lo, hi int, crashUntil, shard []int) {
+	round, frozen := r.curRound, r.fs.frozen
+	for i := lo; i < hi; i++ {
+		if crashUntil[i] <= round {
+			continue
+		}
+		if r.vecNbr != nil {
+			r.vecNbr.displays[i] = uint8(frozen[i])
+		} else {
+			live, _ := r.pop.State(i)
+			shard[live]--
+			shard[frozen[i]]++
+		}
+	}
+}
+
+// vecInitRange rebuilds worker w's chunks for New and Reset: it reseeds
+// each chunk's stream from the run seed and builds the chunk's agents from
+// it, so a chunk's draws do not depend on which worker runs it.
+func (r *Runner) vecInitRange(w int) {
+	for c := w; c < r.numChunks; c += r.workers {
+		r.chunkStreams[c].Reseed(rng.DeriveSeed(r.cfg.Seed, vecStreamID+uint64(c)))
+		lo, hi := r.chunkBounds(c)
+		r.pop.InitRange(lo, hi, r.cfg.Corruption, &r.chunkStreams[c])
 	}
 }
 
