@@ -32,10 +32,19 @@
 // arbitrary corruption of agent memories, opinions, and clocks.
 //
 // Package-level Run executes any protocol in the simulated noisy PULL(h)
-// model. When the supplied noise matrix is not δ-uniform, the engine
-// automatically applies the artificial-noise reduction of Theorem 8 (agents
-// re-randomize each received message through P = N⁻¹·T so the effective
-// channel becomes f(δ)-uniform).
+// model, and RunAsync under an asynchronous activation schedule. When the
+// supplied noise matrix is not δ-uniform, the engine automatically applies
+// the artificial-noise reduction of Theorem 8 (agents re-randomize each
+// received message through P = N⁻¹·T so the effective channel becomes
+// f(δ)-uniform).
+//
+// Config is the engine's configuration type, and the engine resolves it
+// once — channel, environment and stopping rule — so one Config is one run
+// through Run, NewRunner, RunBatch and RunAsync alike. A zero
+// StabilityWindow takes the window of a protocol that sizes its own runs
+// (SSF: consensus must survive two memory flushes), and a zero MaxRounds
+// with it that protocol's cap. Config.Validate checks a configuration,
+// protocol applicability included, without running it.
 //
 // # Quick start
 //
@@ -51,7 +60,8 @@
 //	// res.Converged, res.FirstAllCorrect, res.Rounds ...
 //
 // See examples/ for runnable programs (quickstart, the crazy-ants
-// cooperative-transport scenario, self-stabilization, and conflicting
-// sources), and internal/experiment for the harness that regenerates every
-// figure and theorem-claim of the paper (run cmd/experiments).
+// cooperative-transport scenario, self-stabilization, conflicting sources,
+// house hunting, and topologies), and internal/experiment for the harness
+// that regenerates every figure and theorem-claim of the paper (run
+// cmd/experiments).
 package noisypull

@@ -45,11 +45,12 @@ func e7SelfStab() Experiment {
 			grid := 0
 			for _, n := range ns {
 				for _, mode := range []sim.CorruptionMode{sim.CorruptWrongConsensus, sim.CorruptRandom} {
-					cfg, err := ssfTrialConfig(ssf, n, h, 1, 0, nm4, mode)
-					if err != nil {
-						return nil, err
-					}
-					batch, err := runTrials(opts, grid, trials, cfg)
+					batch, err := runTrials(opts, grid, trials, sim.Config{
+						N: n, H: h, Sources1: 1,
+						Noise:      nm4,
+						Protocol:   ssf,
+						Corruption: mode,
+					})
 					grid++
 					if err != nil {
 						return nil, err

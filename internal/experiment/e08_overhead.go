@@ -60,11 +60,11 @@ func e8Overhead() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				ssfCfg, err := ssfTrialConfig(ssf, pt.n, pt.h, pt.s1, pt.s0, nm4, sim.CorruptNone)
-				if err != nil {
-					return nil, err
-				}
-				ssfBatch, err := runTrials(opts, 2*g+1, trials, ssfCfg)
+				ssfBatch, err := runTrials(opts, 2*g+1, trials, sim.Config{
+					N: pt.n, H: pt.h, Sources1: pt.s1, Sources0: pt.s0,
+					Noise:    nm4,
+					Protocol: ssf,
+				})
 				if err != nil {
 					return nil, err
 				}

@@ -54,11 +54,11 @@ func e9Plurality() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				ssfCfg, err := ssfTrialConfig(ssf, n, h, s1, s0, nm4, sim.CorruptNone)
-				if err != nil {
-					return nil, err
-				}
-				ssfBatch, err := runTrials(opts, 2*g+1, trials, ssfCfg)
+				ssfBatch, err := runTrials(opts, 2*g+1, trials, sim.Config{
+					N: n, H: h, Sources1: s1, Sources0: s0,
+					Noise:    nm4,
+					Protocol: ssf,
+				})
 				if err != nil {
 					return nil, err
 				}

@@ -135,11 +135,11 @@ func e13Theory() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				cfg, err := ssfTrialConfig(ssf, pt.n, pt.h, 1, 0, nm4, sim.CorruptNone)
-				if err != nil {
-					return nil, err
-				}
-				correct, total, err := weakOpinions(opts, &ex, 100+g, trials, cfg)
+				correct, total, err := weakOpinions(opts, &ex, 100+g, trials, sim.Config{
+					N: pt.n, H: pt.h, Sources1: 1,
+					Noise:    nm4,
+					Protocol: ssf,
+				})
 				if err != nil {
 					return nil, err
 				}

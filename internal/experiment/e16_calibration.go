@@ -54,11 +54,12 @@ func e16Calibration() Experiment {
 					return nil, err
 				}
 				ssf := protocol.NewSSF(protocol.WithSSFConstant(c1))
-				ssfCfg, err := ssfTrialConfig(ssf, n, h, 1, 0, nm4, sim.CorruptWrongConsensus)
-				if err != nil {
-					return nil, err
-				}
-				ssfBatch, err := runTrials(opts, grid, trials, ssfCfg)
+				ssfBatch, err := runTrials(opts, grid, trials, sim.Config{
+					N: n, H: h, Sources1: 1,
+					Noise:      nm4,
+					Protocol:   ssf,
+					Corruption: sim.CorruptWrongConsensus,
+				})
 				grid++
 				if err != nil {
 					return nil, err

@@ -63,12 +63,19 @@ func e17Async() Experiment {
 			ssf := protocol.NewSSF()
 			grid := 0
 			for _, n := range ns {
-				// SSF, asynchronous.
-				ssfCfg, err := ssfTrialConfig(ssf, n, h, 1, 0, nm4, sim.CorruptWrongConsensus)
+				// SSF, asynchronous, on its own stability window and twice
+				// its round cap: asynchrony spreads per-agent schedules.
+				ssfCfg := sim.Config{
+					N: n, H: h, Sources1: 1,
+					Noise:      nm4,
+					Protocol:   ssf,
+					Corruption: sim.CorruptWrongConsensus,
+				}
+				_, maxRounds, err := ssf.RunBounds(ssfCfg.Env())
 				if err != nil {
 					return nil, err
 				}
-				ssfCfg.MaxRounds *= 2 // asynchrony spreads per-agent schedules
+				ssfCfg.MaxRounds = 2 * maxRounds
 				ssfBatch, err := runAsync(grid, ssfCfg)
 				grid++
 				if err != nil {

@@ -69,14 +69,16 @@ func e21Faults() Experiment {
 				// (the stability window is two update cycles, so the run
 				// lasts at least that long).
 				ssf := protocol.NewSSF()
-				cfg, err := ssfTrialConfig(ssf, n, h, 1, 0, nm4, sim.CorruptNone)
+				cfg := sim.Config{
+					N: n, H: h, Sources1: 1,
+					Noise:    nm4,
+					Protocol: ssf,
+				}
+				window, budget, err := ssf.RunBounds(cfg.Env())
 				if err != nil {
 					return nil, err
 				}
-				faultRound := cfg.StabilityWindow / 2
-				if faultRound < 1 {
-					faultRound = 1
-				}
+				faultRound := max(window/2, 1)
 				cfg.Faults = &faults.Schedule{Events: []faults.Event{{
 					Kind:       faults.KindCorrupt,
 					Round:      faultRound,
@@ -84,9 +86,9 @@ func e21Faults() Experiment {
 					Corruption: faults.CorruptWrongConsensus,
 				}}}
 				// The pre-fault budget already covers one convergence; give
-				// the recovery the same slack again.
-				budget := cfg.MaxRounds
-				cfg.MaxRounds += faultRound + budget
+				// the recovery the same slack again. The engine keeps SSF's
+				// window.
+				cfg.MaxRounds = budget + faultRound + budget
 
 				ssfStats, err := recoveryStats(opts, grid, trials, cfg, faultRound)
 				grid++

@@ -1,12 +1,35 @@
 package experiment
 
 import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"noisypull/internal/noise"
 	"noisypull/internal/protocol"
+	"noisypull/internal/report"
 	"noisypull/internal/sim"
+)
+
+// quickPins holds the sha256 of every CSV file TestAllExperimentsRunQuick's
+// artifacts render to, one "<hex>  <file>" line each, sorted by file name.
+// Rewrite it with
+//
+//	go test ./internal/experiment -run TestAllExperimentsRunQuick -update
+//
+// only for a change meant to move experiment results, never to paper over
+// an engine diff.
+var (
+	updatePins = flag.Bool("update", false, "rewrite "+quickPins)
+	quickPins  = filepath.Join("testdata", "quick.sha256")
 )
 
 func TestRegistryShape(t *testing.T) {
@@ -122,14 +145,19 @@ func TestTrialBatchEmpty(t *testing.T) {
 
 // TestAllExperimentsRunQuick executes every experiment at quick scale with
 // minimal trials — the smoke test that the full harness is runnable end to
-// end and produces populated artifacts — and asserts E21's verdict.
+// end and produces populated artifacts — asserts E21's verdict, and checks
+// every table and series, rendered as CSV as cmd/experiments -csv writes
+// them, against its pinned hash.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness smoke test")
 	}
+	got := make(map[string]string)
+	ran := make(map[string]bool)
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			ran[e.ID] = true
 			art, err := e.Run(Options{Scale: ScaleQuick, Trials: 2, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -154,7 +182,94 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if e.ID == "E21" {
 				checkE21Verdict(t, art)
 			}
+			for name, sum := range csvHashes(t, art) {
+				got[name] = sum
+			}
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	if *updatePins {
+		if len(ran) != len(All()) {
+			t.Fatal("-update rewrites every pin, so it needs every experiment to run")
+		}
+		writePins(t, got)
+		return
+	}
+	want := readPins(t)
+	for name, sum := range got {
+		if w, ok := want[name]; !ok {
+			t.Errorf("%s: not in %s (run with -update to add it)", name, quickPins)
+		} else if sum != w {
+			t.Errorf("%s: sha256 %s, pinned %s", name, sum, w)
+		}
+	}
+	for name := range want {
+		id, _, _ := strings.Cut(name, "_")
+		if _, ok := got[name]; ran[id] && !ok {
+			t.Errorf("%s: pinned in %s, but %s did not render it", name, quickPins, id)
+		}
+	}
+}
+
+// csvHashes renders art's series and tables to the CSV files cmd/experiments
+// -csv writes (<ID>_series.csv, <ID>_table<i>.csv) and returns the sha256
+// of each, by file name.
+func csvHashes(t *testing.T, art *Artifact) map[string]string {
+	t.Helper()
+	sums := make(map[string]string)
+	add := func(name string, write func(*bytes.Buffer) error) {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		sums[name] = hex.EncodeToString(sum[:])
+	}
+	if len(art.Series) > 0 {
+		add(art.ID+"_series.csv", func(b *bytes.Buffer) error { return report.WriteSeriesCSV(b, art.Series...) })
+	}
+	for i, tb := range art.Tables {
+		add(fmt.Sprintf("%s_table%d.csv", art.ID, i+1), func(b *bytes.Buffer) error { return tb.WriteCSV(b) })
+	}
+	return sums
+}
+
+func readPins(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(quickPins)
+	if err != nil {
+		t.Fatalf("reading pins (run with -update to create them): %v", err)
+	}
+	want := make(map[string]string)
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		sum, name, ok := strings.Cut(sc.Text(), "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", quickPins, sc.Text())
+		}
+		want[name] = sum
+	}
+	return want
+}
+
+func writePins(t *testing.T, sums map[string]string) {
+	t.Helper()
+	names := make([]string, 0, len(sums))
+	for name := range sums {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var buf bytes.Buffer
+	for _, name := range names {
+		fmt.Fprintf(&buf, "%s  %s\n", sums[name], name)
+	}
+	if err := os.MkdirAll(filepath.Dir(quickPins), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(quickPins, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -184,35 +299,6 @@ func checkE21Verdict(t *testing.T, art *Artifact) {
 	}
 	if rows["SSF"] == 0 || rows["SSF"] != rows["SF (unbounded)"] {
 		t.Errorf("E21 table has %d SSF and %d SF rows, want one of each per h", rows["SSF"], rows["SF (unbounded)"])
-	}
-}
-
-func TestSSFTrialConfig(t *testing.T) {
-	nm, err := noise.Uniform(4, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssf := protocol.NewSSF()
-	cfg, err := ssfTrialConfig(ssf, 200, 16, 1, 0, nm, sim.CorruptWrongConsensus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.StabilityWindow <= 0 || cfg.MaxRounds <= cfg.StabilityWindow {
-		t.Fatalf("windows: %+v", cfg)
-	}
-	if cfg.Corruption != sim.CorruptWrongConsensus {
-		t.Fatalf("fields not propagated: %+v", cfg)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Invalid delta for SSF propagates as an error.
-	bad, err := noise.Uniform(4, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ssfTrialConfig(ssf, 200, 16, 1, 0, bad, sim.CorruptNone); err == nil {
-		t.Fatal("invalid SSF noise accepted")
 	}
 }
 

@@ -38,8 +38,9 @@ func SplitMix64(state uint64) (value, next uint64) {
 }
 
 // Stream is a xoshiro256++ pseudo-random generator. The zero value is not
-// usable; construct streams with New or Derive. Stream is not safe for
-// concurrent use: give each goroutine (each simulated agent) its own stream.
+// usable; construct streams with New, or Reseed one with DeriveSeed. Stream
+// is not safe for concurrent use: give each goroutine (each simulated
+// agent) its own stream.
 type Stream struct {
 	s [4]uint64
 }
@@ -52,18 +53,13 @@ func New(seed uint64) *Stream {
 	return &st
 }
 
-// Derive returns a Stream for sub-stream id of seed. Streams derived from
-// the same seed with distinct ids are statistically independent: the seed
-// material is passed through two rounds of splitmix64 mixing so that
-// adjacent ids do not produce correlated states.
-func Derive(seed, id uint64) *Stream {
-	return New(DeriveSeed(seed, id))
-}
-
-// DeriveSeed returns the mixed seed that Derive(seed, id) expands into
-// stream state. It lets callers reinitialize an existing Stream in place
-// (stream.Reseed(DeriveSeed(seed, id))) without allocating, which is what
-// makes simulation runners reusable across trials.
+// DeriveSeed returns the seed of sub-stream id of seed. Streams seeded
+// from the same seed with distinct ids are statistically independent: the
+// seed material is passed through two rounds of splitmix64 mixing so that
+// adjacent ids do not produce correlated states. Callers reinitialize an
+// existing Stream in place (stream.Reseed(DeriveSeed(seed, id))) without
+// allocating, which is what makes simulation runners reusable across
+// trials.
 func DeriveSeed(seed, id uint64) uint64 {
 	v1, _ := SplitMix64(seed ^ 0x8f1bbcdcbfa53e0b)
 	v2, _ := SplitMix64(id ^ 0x2545f4914f6cdd1d)
@@ -253,37 +249,4 @@ func (r *Stream) Multinomial(n int, probs []float64, out []int) {
 			return
 		}
 	}
-}
-
-// jumpPoly is the xoshiro256++ jump polynomial: Jump advances the stream
-// by 2^128 steps, partitioning the period into non-overlapping blocks.
-var jumpPoly = [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-
-// longJumpPoly advances by 2^192 steps.
-var longJumpPoly = [4]uint64{0x76e15d3efefdcbbf, 0xc5004e441c522fb3, 0x77710069854ee241, 0x39109bb02acbe635}
-
-// Jump advances the stream by 2^128 positions — equivalent to 2^128 calls
-// to Uint64. Jumping k times from a common seed yields k non-overlapping
-// sub-sequences, an alternative to Derive when provable disjointness is
-// wanted.
-func (r *Stream) Jump() { r.applyJump(jumpPoly) }
-
-// LongJump advances the stream by 2^192 positions, for partitioning among
-// coarse-grained computations each of which uses Jump internally.
-func (r *Stream) LongJump() { r.applyJump(longJumpPoly) }
-
-func (r *Stream) applyJump(poly [4]uint64) {
-	var s0, s1, s2, s3 uint64
-	for _, p := range poly {
-		for b := 0; b < 64; b++ {
-			if p&(1<<uint(b)) != 0 {
-				s0 ^= r.s[0]
-				s1 ^= r.s[1]
-				s2 ^= r.s[2]
-				s3 ^= r.s[3]
-			}
-			r.Uint64()
-		}
-	}
-	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }

@@ -55,7 +55,7 @@ func TestDeriveIndependence(t *testing.T) {
 	// their first outputs differ and a simple bit-balance test passes.
 	seen := make(map[uint64]bool)
 	for id := uint64(0); id < 1000; id++ {
-		v := Derive(42, id).Uint64()
+		v := New(DeriveSeed(42, id)).Uint64()
 		if seen[v] {
 			t.Fatalf("duplicate first output for derived stream id %d", id)
 		}
@@ -526,64 +526,6 @@ func BenchmarkAliasSample(b *testing.B) {
 	}
 }
 
-func TestJumpProducesDisjointStreams(t *testing.T) {
-	a := New(123)
-	b := New(123)
-	b.Jump()
-	// The jumped stream must differ from the original over a long prefix.
-	for i := 0; i < 10000; i++ {
-		if a.Uint64() == b.Uint64() {
-			// A single collision is possible but astronomically unlikely
-			// repeatedly; require full divergence over the window.
-			same := 1
-			for j := 0; j < 10; j++ {
-				if a.Uint64() == b.Uint64() {
-					same++
-				}
-			}
-			if same > 1 {
-				t.Fatalf("jumped stream tracks the original near step %d", i)
-			}
-		}
-	}
-}
-
-func TestJumpDeterministic(t *testing.T) {
-	a := New(9)
-	b := New(9)
-	a.Jump()
-	b.Jump()
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("Jump is not deterministic")
-		}
-	}
-	a.LongJump()
-	b.LongJump()
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("LongJump is not deterministic")
-		}
-	}
-}
-
-func TestJumpKnownRelation(t *testing.T) {
-	// Jump then LongJump must differ from LongJump then Jump only in
-	// ordering of the same commutative composition: both land at
-	// 2^128 + 2^192 steps, so the sequences must coincide.
-	a := New(31)
-	a.Jump()
-	a.LongJump()
-	b := New(31)
-	b.LongJump()
-	b.Jump()
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("jumps do not commute; polynomial application is broken")
-		}
-	}
-}
-
 // TestMultinomialMatchesBinomialMarginal: the first component of a
 // 2-outcome multinomial must be distributed Binomial(n, p) — chi-square
 // against the exact PMF.
@@ -658,7 +600,7 @@ func TestUint64KnownAnswers(t *testing.T) {
 		draws = 50_000
 	}
 	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
-		r := Derive(seed, 7)
+		r := New(DeriveSeed(seed, 7))
 		ref := r.State()
 		for i := 0; i < draws; i++ {
 			got, want := r.Uint64(), refStep(&ref)
@@ -703,7 +645,7 @@ func refUint64n(s *[4]uint64, n uint64) uint64 {
 func TestUint64nMatchesReference(t *testing.T) {
 	const draws = 20_000
 	for _, n := range []uint64{1, 2, 3, 7, 1<<32 + 1, 1<<63 + 1, math.MaxUint64} {
-		r := Derive(11, n)
+		r := New(DeriveSeed(11, n))
 		ref := r.State()
 		for i := 0; i < draws; i++ {
 			got, want := r.Uint64n(n), refUint64n(&ref, n)
@@ -728,7 +670,7 @@ func TestUint64nMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := Derive(12, uint64(k))
+		r := New(DeriveSeed(12, uint64(k)))
 		ref := r.State()
 		for i := 0; i < draws; i++ {
 			col := refUint64n(&ref, uint64(k))

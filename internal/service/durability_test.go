@@ -168,7 +168,7 @@ func TestRecoveryCompletesInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	jl.appendSubmit("j-000004", &spec)
-	jl.appendState("j-000004", StateRunning)
+	appendOldState(jl, "j-000004")
 	jl.appendSeed("j-000004", 5, &first, journaledSeq)
 	jl.close()
 
@@ -268,7 +268,7 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			jl.appendSubmit("j-000001", &spec)
-			jl.appendState("j-000001", StateRunning)
+			appendOldState(jl, "j-000001")
 			jl.appendCheckpoint("j-000001", 7, snapRound, tc.checkpoint, 100)
 			jl.close()
 

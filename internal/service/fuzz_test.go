@@ -42,8 +42,8 @@ func FuzzJobSpecDecode(f *testing.F) {
 			return
 		}
 		// A spec that builds must have produced a config the engine accepts.
-		if err := cfg.Check(); err != nil {
-			t.Fatalf("build succeeded but Check failed: %v\nspec: %s", err, data)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("build succeeded but Validate failed: %v\nspec: %s", err, data)
 		}
 	})
 }

@@ -15,12 +15,11 @@ import (
 )
 
 // This file implements the service's write-ahead job journal: an append-only
-// NDJSON file that records every submission, state transition, per-seed
-// result, engine checkpoint, and terminal outcome. On startup the service
-// replays it, reinstalling terminal jobs into the result store and
-// re-enqueueing non-terminal ones (resuming from their last checkpoint when
-// one was recorded), so a kill -9 loses at most the tail of the round in
-// flight.
+// NDJSON file that records every submission, per-seed result, engine
+// checkpoint, and terminal outcome. On startup the service replays it,
+// reinstalling terminal jobs into the result store and re-enqueueing
+// non-terminal ones (resuming from their last checkpoint when one was
+// recorded), so a kill -9 loses at most the tail of the round in flight.
 //
 // Durability contract: every record is flushed to the OS when appended (a
 // crash loses at most the final, possibly torn line — replay tolerates
@@ -35,7 +34,6 @@ const journalFile = "simd-journal.ndjson"
 // Journal record types (journalRecord.T).
 const (
 	recSubmit     = "submit"
-	recState      = "state"
 	recSeed       = "seed"
 	recCheckpoint = "checkpoint"
 	recTerminal   = "terminal"
@@ -43,7 +41,7 @@ const (
 )
 
 // journalRecord is one NDJSON line. Which fields are set depends on T:
-// submit carries Spec; state carries State; seed carries Seed/Result/Seq;
+// submit carries Spec; seed carries Seed/Result/Seq;
 // checkpoint carries Seed/Round/Data/Seq (Data is the engine snapshot,
 // base64 on the wire); terminal carries State, Error and Finished; lease
 // carries Op/Lease/Node/Seeds/Attempt and, for result ops, Results.
@@ -199,10 +197,6 @@ func (jl *journal) append(rec *journalRecord, sync bool) {
 
 func (jl *journal) appendSubmit(id string, spec *JobSpec) {
 	jl.append(&journalRecord{T: recSubmit, Job: id, Spec: spec}, false)
-}
-
-func (jl *journal) appendState(id string, state State) {
-	jl.append(&journalRecord{T: recState, Job: id, State: state}, false)
 }
 
 func (jl *journal) appendSeed(id string, seed uint64, res *SeedResult, seq uint64) {
@@ -385,9 +379,6 @@ func applyRecord(byID map[string]*recoveredJob, out *replayOutcome, rec *journal
 		return
 	}
 	switch rec.T {
-	case recState:
-		// Transitions only matter for logging today; the pending/running
-		// distinction is irrelevant to recovery (both re-enqueue).
 	case recSeed:
 		if rec.Seed == nil || rec.Result == nil || j.seen[*rec.Seed] {
 			return

@@ -33,11 +33,17 @@ func buildJournal(t *testing.T, dir string, write func(jl *journal)) (string, []
 	return jl.path, data
 }
 
+// appendOldState writes the state record that older daemons journaled at
+// every job start; replay skips it.
+func appendOldState(jl *journal, id string) {
+	jl.append(&journalRecord{T: "state", Job: id, State: StateRunning}, false)
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	spec := quickSpec(1, 2)
 	path, _ := buildJournal(t, t.TempDir(), func(jl *journal) {
 		jl.appendSubmit("j-000007", &spec)
-		jl.appendState("j-000007", StateRunning)
+		appendOldState(jl, "j-000007")
 		jl.appendSeed("j-000007", 1, &SeedResult{Seed: 1, Rounds: 12, Converged: true}, 13)
 		jl.appendCheckpoint("j-000007", 2, 40, []byte("snapshot-bytes"), 55)
 	})
@@ -138,7 +144,7 @@ func TestJournalReplayTruncatedAtEveryOffset(t *testing.T) {
 	spec := quickSpec(3, 4)
 	fullPath, data := buildJournal(t, t.TempDir(), func(jl *journal) {
 		jl.appendSubmit("j-000001", &spec)
-		jl.appendState("j-000001", StateRunning)
+		appendOldState(jl, "j-000001")
 		jl.appendSeed("j-000001", 3, &SeedResult{Seed: 3, Rounds: 21, Converged: true}, 8)
 		jl.appendCheckpoint("j-000001", 4, 17, []byte{0x00, 0x01, 0xFF}, 12)
 		jl.appendTerminal("j-000001", StateFailed, "boom", testFinished)
@@ -228,7 +234,6 @@ func TestJournalNilAndClosedAreNoops(t *testing.T) {
 	var jl *journal
 	spec := quickSpec(1)
 	jl.appendSubmit("j-000001", &spec)
-	jl.appendState("j-000001", StateRunning)
 	jl.appendSeed("j-000001", 1, &SeedResult{}, 1)
 	jl.appendCheckpoint("j-000001", 1, 1, []byte("x"), 1)
 	jl.appendTerminal("j-000001", StateDone, "", testFinished)
@@ -261,7 +266,7 @@ func FuzzJournalReplay(f *testing.F) {
 			f.Fatal(err)
 		}
 		jl.appendSubmit("j-000001", &spec)
-		jl.appendState("j-000001", StateRunning)
+		appendOldState(jl, "j-000001")
 		jl.appendSeed("j-000001", 1, &SeedResult{Seed: 1, Rounds: 9}, 4)
 		jl.appendCheckpoint("j-000001", 2, 33, []byte("snap"), 6)
 		jl.appendTerminal("j-000001", StateDone, "", testFinished)

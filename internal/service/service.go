@@ -472,7 +472,6 @@ func (s *Service) runJob(j *job, ex *executor) {
 
 	s.metrics.running.Add(1)
 	defer s.metrics.running.Add(-1)
-	s.journal.appendState(j.id, StateRunning)
 	s.logf("job %s running (%d seeds)", j.id, len(j.spec.Seeds)-start)
 
 	// Stuck-job watchdog: a job exceeding its wall-clock budget is cancelled

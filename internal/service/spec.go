@@ -221,7 +221,7 @@ func (s *JobSpec) build() (noisypull.Config, error) {
 	switch s.Backend {
 	case "", "auto", "exact", "aggregate":
 	case "counts":
-		// Countability is checked by cfg.Check() below, so a spec pairing
+		// Countability is checked by cfg.Validate() below, so a spec pairing
 		// the counts backend with a non-countable protocol fails here at
 		// submission time (HTTP 400), not later as a failed job.
 		backend = noisypull.BackendCounts
@@ -253,7 +253,7 @@ func (s *JobSpec) build() (noisypull.Config, error) {
 	if s.CheckpointRounds < -1 {
 		return zero, fmt.Errorf("spec: checkpoint_rounds %d (use a cadence, 0 for the service default, or -1 for off)", s.CheckpointRounds)
 	}
-	if err := cfg.Check(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return zero, fmt.Errorf("spec: %w", err)
 	}
 	return cfg, nil
@@ -261,8 +261,8 @@ func (s *JobSpec) build() (noisypull.Config, error) {
 
 // buildFaults translates the wire schedule into a noisypull.FaultSchedule.
 // Structural validation (windows, fractions, durations) happens in
-// cfg.Check() via the engine's own Validate; only the string vocabularies
-// and the swap-matrix construction are resolved here.
+// cfg.Validate(); only the string vocabularies and the swap-matrix
+// construction are resolved here.
 func buildFaults(fs []FaultSpec, alphabet int) (*noisypull.FaultSchedule, error) {
 	if len(fs) == 0 {
 		return nil, nil

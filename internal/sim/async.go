@@ -26,19 +26,26 @@ import (
 // the law of the live displays. The schedule stream picks the agent and
 // feeds its draws.
 //
-// Finite protocols are run for MaxRounds with the usual stability-window
-// semantics rather than their synchronous schedule, since a global
-// schedule has no meaning here. Fault schedules and checkpoints need round
-// barriers, so NewAsync rejects fault schedules and AsyncRunner takes no
-// checkpoints.
+// The engine runs the schedule on its own round loop, one round being n
+// activations, under the stopping rule Config resolves, except that a
+// finite protocol runs to the round budget with the usual stability-window
+// semantics rather than its synchronous schedule, since a global schedule
+// has no meaning here. Fault schedules and checkpoints need round barriers,
+// so NewAsync rejects fault schedules, and AsyncRunner exposes none of
+// Runner's checkpoint or fault-hook methods.
 type AsyncRunner struct {
-	eng   *Runner
-	sched rng.Stream
-	// eng.counts holds the live display counts on the complete graph;
-	// lawStale marks a display change since eng.vecObs was built from them.
+	eng *Runner
+}
+
+// asyncSched is the state of the asynchronous schedule on a Runner.
+type asyncSched struct {
+	// stream picks the agent and feeds its draws.
+	stream rng.Stream
+	// The runner's counts hold the live display counts on the complete
+	// graph; lawStale marks a display change since its vecObs was built
+	// from them.
 	lawStale bool
 	correct  int // number of agents currently holding the correct opinion
-	ran      bool
 }
 
 // NewAsync validates cfg and instantiates the asynchronous simulation.
@@ -55,20 +62,17 @@ func NewAsync(cfg Config) (*AsyncRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &AsyncRunner{eng: eng}
-	r.sched.Reseed(rng.DeriveSeed(cfg.Seed, ^uint64(0)))
-	return r, nil
+	eng.finite = 0
+	eng.async = new(asyncSched)
+	eng.asyncStart()
+	return &AsyncRunner{eng: eng}, nil
 }
 
 // Reset rewinds the runner to a freshly constructed state under the given
 // seed, reusing its allocations — the async analogue of Runner.Reset. A
 // Reset runner is bit-identical to one built with NewAsync under the same
 // configuration and seed.
-func (r *AsyncRunner) Reset(seed uint64) {
-	r.eng.Reset(seed)
-	r.sched.Reseed(rng.DeriveSeed(seed, ^uint64(0)))
-	r.ran = false
-}
+func (r *AsyncRunner) Reset(seed uint64) { r.eng.Reset(seed) }
 
 // Close releases the engine, like Runner.Close. Idempotent.
 func (r *AsyncRunner) Close() { r.eng.Close() }
@@ -82,123 +86,74 @@ func (r *AsyncRunner) SetOnRound(fn func(round, correct int)) { r.eng.onRound = 
 func (r *AsyncRunner) Env() Env { return r.eng.env }
 
 // Run executes activations until the population has been all-correct for
-// StabilityWindow consecutive parallel rounds or MaxRounds parallel rounds
-// elapse. An AsyncRunner runs once per NewAsync or Reset.
-func (r *AsyncRunner) Run() (*Result, error) {
-	return r.RunContext(context.Background())
-}
+// the stability window or the round budget of parallel rounds elapses. An
+// AsyncRunner runs once per NewAsync or Reset.
+func (r *AsyncRunner) Run() (*Result, error) { return r.eng.Run() }
 
 // RunContext is Run with cooperative cancellation, checked once per parallel
 // round (n activations); a cancelled run returns ctx.Err().
 func (r *AsyncRunner) RunContext(ctx context.Context) (*Result, error) {
-	if r.ran {
-		return nil, errors.New("sim: AsyncRunner.Run called again without Reset")
-	}
-	r.ran = true
-	r.start()
-	cfg := &r.eng.cfg
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = defaultMaxRounds(cfg.N)
-	}
-	window := cfg.StabilityWindow
-	if window == 0 {
-		window = 1
-	}
-	res := &Result{CorrectOpinion: r.eng.correct}
-	if cfg.TrackHistory {
-		capRounds := maxRounds
-		if capRounds > 1<<20 {
-			capRounds = 1 << 20
-		}
-		res.History = make([]int, 0, capRounds)
-	}
-
-	n := cfg.N
-	done := ctx.Done()
-	stable := 0
-	for round := 1; round <= maxRounds; round++ {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		for step := 0; step < n; step++ {
-			r.activate(r.sched.Intn(n))
-		}
-		res.Rounds = round
-		res.FinalCorrect = r.correct
-		if cfg.TrackHistory {
-			res.History = append(res.History, r.correct)
-		}
-		if r.eng.onRound != nil {
-			r.eng.onRound(round, r.correct)
-		}
-		allCorrect := r.correct == n
-		if allCorrect && res.FirstAllCorrect == 0 {
-			res.FirstAllCorrect = round
-		}
-		if allCorrect {
-			stable++
-		} else {
-			stable = 0
-			res.FirstAllCorrect = 0
-		}
-		if stable >= window {
-			res.Converged = true
-			return res, nil
-		}
-	}
-	return res, nil
+	return r.eng.RunContext(ctx)
 }
 
-// start takes the round-0 display counts (or publishes the displays, on a
-// graph) and the correct-opinion tally.
-func (r *AsyncRunner) start() {
-	e := r.eng
-	e.vecCountRange(0)
-	if e.vecNbr != nil {
-		e.vecNbr.resetRound(e.noiseEpoch)
-		e.vecObs = VecObs{H: e.cfg.H, nbr: e.vecNbr}
+// asyncStart reseeds the schedule stream from the run seed and takes the
+// round-0 display counts (or publishes the displays, on a graph) and the
+// correct-opinion tally. initPopulation calls it after building the
+// population, so a Reset runner replays a fresh one.
+func (r *Runner) asyncStart() {
+	a := r.async
+	a.stream.Reseed(rng.DeriveSeed(r.cfg.Seed, ^uint64(0)))
+	r.vecCountRange(0)
+	if r.vecNbr != nil {
+		r.vecNbr.resetRound(r.noiseEpoch)
+		r.vecObs = VecObs{H: r.cfg.H, nbr: r.vecNbr}
 	} else {
-		copy(e.counts, e.scratch[0].shard)
-		r.lawStale = true
+		copy(r.counts, r.scratch[0].shard)
+		a.lawStale = true
 	}
-	r.correct = 0
-	for i := 0; i < e.cfg.N; i++ {
-		if _, op := e.pop.State(i); op == e.correct {
-			r.correct++
+	a.correct = 0
+	for i := 0; i < r.cfg.N; i++ {
+		if _, op := r.pop.State(i); op == r.correct {
+			a.correct++
 		}
 	}
+}
+
+// asyncRound runs one parallel round, n activations of uniformly random
+// agents, and returns the number of agents holding the correct opinion.
+func (r *Runner) asyncRound() int {
+	n := r.cfg.N
+	for step := 0; step < n; step++ {
+		r.activate(r.async.stream.Intn(n))
+	}
+	return r.async.correct
 }
 
 // activate steps agent i against the live displays and folds its new
 // display and opinion into the counts and the correct-opinion tally.
-func (r *AsyncRunner) activate(i int) {
-	e := r.eng
-	if r.lawStale {
-		e.completeLaw(nil, 0)
-		r.lawStale = false
+func (r *Runner) activate(i int) {
+	a := r.async
+	if a.lawStale {
+		r.completeLaw(nil, 0)
+		a.lawStale = false
 	}
-	was, wasOp := e.pop.State(i)
-	e.pop.StepRange(i, i+1, &e.vecObs, &r.sched)
-	sym, op := e.pop.State(i)
+	was, wasOp := r.pop.State(i)
+	r.pop.StepRange(i, i+1, &r.vecObs, &a.stream)
+	sym, op := r.pop.State(i)
 	if sym != was {
-		if e.vecNbr != nil {
-			e.vecNbr.displays[i] = uint8(sym)
+		if r.vecNbr != nil {
+			r.vecNbr.displays[i] = uint8(sym)
 		} else {
-			e.counts[was]--
-			e.counts[sym]++
-			r.lawStale = true
+			r.counts[was]--
+			r.counts[sym]++
+			a.lawStale = true
 		}
 	}
-	if right := op == e.correct; right != (wasOp == e.correct) {
+	if right := op == r.correct; right != (wasOp == r.correct) {
 		if right {
-			r.correct++
+			a.correct++
 		} else {
-			r.correct--
+			a.correct--
 		}
 	}
 }

@@ -8,27 +8,21 @@ import (
 	"sync"
 )
 
-// RunBatch executes one independent trial per seed over reused runners:
-// RunSeeds gives each of parallel goroutines one runner (with Workers = 1,
-// so total CPU use stays at the configured level), built for its first seed
-// and rewound with Reset for the next, amortizing population construction,
-// channel composition, and scratch allocation across the whole batch.
-// cfg.Seed is ignored; trial t runs under seeds[t], and its result depends
-// only on that seed, not on parallel or on which runner happened to execute
-// it.
+// RunBatchContext executes one independent trial per seed over reused
+// runners: RunSeeds gives each of parallel goroutines one runner (with
+// Workers = 1, so total CPU use stays at the configured level), built for
+// its first seed and rewound with Reset for the next, amortizing
+// population construction, channel composition, and scratch allocation
+// across the whole batch. cfg.Seed is ignored; trial t runs under
+// seeds[t], and its result depends only on that seed, not on parallel or
+// on which runner happened to execute it.
 //
 // parallel <= 0 means GOMAXPROCS. Use TrackHistory for per-trial
-// trajectories and Result.Faults for fault telemetry.
-func RunBatch(cfg Config, seeds []uint64, parallel int) ([]*Result, error) {
-	return RunBatchContext(context.Background(), cfg, seeds, parallel)
-}
-
-// RunBatchContext is RunBatch with cooperative cancellation. Once ctx is
+// trajectories and Result.Faults for fault telemetry. Once ctx is
 // cancelled no further seeds are launched, every in-flight trial stops
-// within one round (via RunContext), and the call returns ctx.Err(); partial
-// results are discarded. An uncancelled context yields results element-wise
-// identical to RunBatch. A panic in protocol or engine code fails its trial
-// with an error that wraps ErrPanic.
+// within one round (via RunContext), and the call returns ctx.Err();
+// partial results are discarded. A panic in protocol or engine code fails
+// its trial with an error that wraps ErrPanic.
 func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64, parallel int) ([]*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@
 package sim_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -340,7 +341,7 @@ func TestCountsRunBatch(t *testing.T) {
 		MaxRounds: 100,
 	}
 	seeds := []uint64{1, 2, 3, 4, 5, 6}
-	results, err := sim.RunBatch(cfg, seeds, 3)
+	results, err := sim.RunBatchContext(context.Background(), cfg, seeds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

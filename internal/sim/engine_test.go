@@ -4,6 +4,7 @@ package sim
 // worker counts, across runner reuse (New vs Reset), and batch execution.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -169,8 +170,8 @@ func TestFiniteProtocolCappedByMaxRounds(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesIndividualRuns: RunBatch must be element-wise identical
-// to fresh per-seed runs, regardless of parallelism.
+// TestRunBatchMatchesIndividualRuns: RunBatchContext must be element-wise
+// identical to fresh per-seed runs, regardless of parallelism.
 func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 	cfg := Config{
 		N:               80,
@@ -185,7 +186,7 @@ func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 	}
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7}
 	for _, parallel := range []int{1, 3} {
-		batch, err := RunBatch(cfg, seeds, parallel)
+		batch, err := RunBatchContext(context.Background(), cfg, seeds, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,11 +215,11 @@ func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 func TestRunBatchValidation(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.N = 0
-	if _, err := RunBatch(cfg, []uint64{1}, 1); err == nil {
-		t.Fatal("RunBatch accepted invalid config")
+	if _, err := RunBatchContext(context.Background(), cfg, []uint64{1}, 1); err == nil {
+		t.Fatal("RunBatchContext accepted invalid config")
 	}
 	cfg = baseConfig(t)
-	res, err := RunBatch(cfg, nil, 1)
+	res, err := RunBatchContext(context.Background(), cfg, nil, 1)
 	if err != nil || res != nil {
 		t.Fatalf("empty batch = %v, %v", res, err)
 	}

@@ -7,6 +7,7 @@ package sim_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"sort"
@@ -500,7 +501,7 @@ func TestFaultRecoveryCrossBackendChiSquare(t *testing.T) {
 		for i := range seeds {
 			seeds[i] = uint64(20_000*bi + i + 1)
 		}
-		results, err := sim.RunBatch(cfg, seeds, 0)
+		results, err := sim.RunBatchContext(context.Background(), cfg, seeds, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,17 +148,18 @@ func goldenCases(t *testing.T) []goldenCase {
 	cases = append(cases, goldenCase{name: "trustbit-exact", cfg: tb})
 
 	ssf := sim.Config{
-		N:            120,
-		H:            6,
-		Sources1:     4,
-		Sources0:     1,
-		Noise:        goldenNoise(t, 4, 0.12),
-		Protocol:     protocol.NewSSF(),
-		Seed:         111,
-		Backend:      sim.BackendExact,
-		MaxRounds:    300,
-		TrackHistory: true,
-		Workers:      1,
+		N:               120,
+		H:               6,
+		Sources1:        4,
+		Sources0:        1,
+		Noise:           goldenNoise(t, 4, 0.12),
+		Protocol:        protocol.NewSSF(),
+		Seed:            111,
+		Backend:         sim.BackendExact,
+		MaxRounds:       300,
+		StabilityWindow: 1, // the window this trace was recorded with
+		TrackHistory:    true,
+		Workers:         1,
 	}
 	cases = append(cases, goldenCase{name: "ssf-exact", cfg: ssf})
 

@@ -19,6 +19,11 @@ import (
 type Runner struct {
 	cfg Config
 	env Env
+	// window, last and finite are the run's stopping rule, as Config
+	// resolves it: the stability window, the round budget, and a Finite
+	// protocol's schedule (0 for any other, and on the asynchronous
+	// schedule, which has no global clock).
+	window, last, finite int
 	// artificial is the Theorem 8 matrix P the agents apply after every
 	// channel (nil for a δ-uniform Noise); effRows are the rows of the
 	// channel in effect composed with it.
@@ -34,6 +39,7 @@ type Runner struct {
 	scratch []workerScratch
 	pool    *pool
 	ce      *countsEngine // non-nil iff cfg.Backend == BackendCounts
+	async   *asyncSched   // non-nil on the asynchronous schedule (see NewAsync)
 	ran     bool          // Run consumed since the last New/Reset
 
 	// Per-agent engine (see vector.go): the population is the protocol's
@@ -111,6 +117,9 @@ func New(cfg Config) (*Runner, error) {
 		r := &Runner{
 			cfg:        cfg,
 			env:        env,
+			window:     rc.window,
+			last:       rc.last,
+			finite:     rc.finite,
 			artificial: rc.artificial,
 			effRows:    make([][]float64, d),
 			workers:    1,
@@ -149,6 +158,9 @@ func New(cfg Config) (*Runner, error) {
 	r := &Runner{
 		cfg:          cfg,
 		env:          env,
+		window:       rc.window,
+		last:         rc.last,
+		finite:       rc.finite,
 		artificial:   rc.artificial,
 		effRows:      make([][]float64, d),
 		workers:      workers,
@@ -216,6 +228,9 @@ func (r *Runner) initPopulation() {
 		r.pool.detach()
 	} else {
 		r.vecInitRange(0)
+	}
+	if r.async != nil {
+		r.asyncStart()
 	}
 }
 
@@ -315,15 +330,16 @@ func (r *Runner) SetCheckpoint(every int, fn func(round int, snapshot []byte)) {
 
 // Run executes rounds until the protocol finishes (finite protocols), the
 // population has been all-correct for the stability window (infinite
-// protocols), or MaxRounds elapse. A Runner runs once per New or Reset;
-// calling Run again without a Reset is an error.
+// protocols), or the round budget elapses, by the stopping rule Config
+// resolves (see Config.StabilityWindow and MaxRounds). A Runner runs once
+// per New or Reset; calling Run again without a Reset is an error.
 func (r *Runner) Run() (*Result, error) {
 	return r.RunContext(context.Background())
 }
 
 // RunContext is Run with cooperative cancellation: the context is checked
 // once per round, so a cancelled run stops within one round instead of
-// running to MaxRounds, returning ctx.Err() (context.Canceled or
+// running to its budget, returning ctx.Err() (context.Canceled or
 // context.DeadlineExceeded). A cancelled runner stays reusable — Reset
 // rewinds it to a state bit-identical to a freshly constructed one.
 func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
@@ -332,30 +348,9 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	}
 	r.ran = true
 	cfg := &r.cfg
-	maxRounds := cfg.maxRounds()
-	window := cfg.StabilityWindow
-	if window == 0 {
-		window = 1
-	}
-
-	finiteRounds := -1
-	if f, ok := cfg.Protocol.(Finite); ok {
-		finiteRounds = f.Rounds(r.env)
-		if finiteRounds < 1 {
-			return nil, fmt.Errorf("sim: finite protocol reports %d rounds", finiteRounds)
-		}
-	}
-
 	res := &Result{CorrectOpinion: r.correct}
 	if cfg.TrackHistory {
-		capRounds := maxRounds
-		if finiteRounds > 0 && finiteRounds < capRounds {
-			capRounds = finiteRounds
-		}
-		if capRounds > 1<<20 {
-			capRounds = 1 << 20
-		}
-		res.History = make([]int, 0, capRounds)
+		res.History = make([]int, 0, min(r.lastRound(), 1<<20))
 	}
 
 	if r.pool != nil {
@@ -370,8 +365,8 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	res.FirstAllCorrect = r.firstAll
 	res.Rounds = r.completedRound
 	res.FinalCorrect = r.lastCorrect
-	if finiteRounds > 0 && r.completedRound == finiteRounds ||
-		finiteRounds < 0 && r.completedRound > 0 && stable >= window {
+	if r.finite > 0 && r.completedRound == r.finite ||
+		r.finite == 0 && r.completedRound > 0 && stable >= r.window {
 		// Restored from a checkpoint taken at the round the run met its
 		// stopping rule (the schedule's last round, or a full stability
 		// window): the run is over, as it was when the checkpoint was taken.
@@ -379,7 +374,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		r.attachFaults(res)
 		return res, nil
 	}
-	for round := r.completedRound + 1; round <= maxRounds; round++ {
+	for round := r.completedRound + 1; round <= r.last; round++ {
 		if done != nil {
 			select {
 			case <-done:
@@ -426,15 +421,15 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 			r.onCheckpoint(round, r.Snapshot())
 		}
 
-		if finiteRounds > 0 {
-			if round == finiteRounds {
+		if r.finite > 0 {
+			if round == r.finite {
 				res.Converged = allCorrect
 				r.attachFaults(res)
 				return res, nil
 			}
 			continue
 		}
-		if stable >= window {
+		if stable >= r.window {
 			res.Converged = true
 			r.attachFaults(res)
 			return res, nil
@@ -447,11 +442,24 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// step executes one synchronous round and returns the number of agents
-// holding the correct opinion at its end.
+// lastRound is the last round a run can reach: the budget, or a finite
+// schedule when that is shorter.
+func (r *Runner) lastRound() int {
+	if r.finite > 0 {
+		return min(r.last, r.finite)
+	}
+	return r.last
+}
+
+// step executes one round (synchronous, or n activations on the
+// asynchronous schedule) and returns the number of agents holding the
+// correct opinion at its end.
 func (r *Runner) step() (int, error) {
 	if r.ce != nil {
 		return r.ce.step(r)
+	}
+	if r.async != nil {
+		return r.asyncRound(), nil
 	}
 	return r.stepVec(), nil
 }

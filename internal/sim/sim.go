@@ -156,7 +156,7 @@ type CountableProtocol interface {
 
 // Finite is implemented by protocols with a predetermined duration (such as
 // SF, whose phases are fixed by n, h, δ, s): the engine runs them for
-// exactly Rounds rounds.
+// exactly Rounds rounds, which Config.Validate requires to be at least 1.
 type Finite interface {
 	// Rounds returns the total number of rounds the protocol runs.
 	Rounds(env Env) int
@@ -182,7 +182,9 @@ const (
 	CorruptRandom = faults.CorruptRandom
 )
 
-// Config specifies one simulation.
+// Config specifies one simulation (the public noisypull.Config is this
+// type). The zero value is not runnable: N, H, sources, Noise and Protocol
+// are required.
 type Config struct {
 	// N is the number of agents.
 	N int
@@ -198,18 +200,23 @@ type Config struct {
 	// (Definition 6), so the agents observe through the f(δ)-uniform channel
 	// N·P; a matrix the reduction cannot handle fails with ErrNotReducible.
 	Noise *noise.Matrix
-	// Protocol builds the population.
+	// Protocol builds the population: a built-in protocol (SF, SSF, a
+	// baseline) or a CountableProtocol that embeds one.
 	Protocol Protocol
-	// Seed drives all randomness.
+	// Seed drives all randomness; equal seeds give bit-identical runs.
 	Seed uint64
 	// Backend selects the counts engine (BackendCounts) or the per-agent
 	// engine (any other label; BackendAuto by default).
 	Backend Backend
 	// MaxRounds caps the run for infinite protocols (and acts as a safety
-	// cap for finite ones). Zero means a default of 200·n + 10000.
+	// cap for finite ones). Zero means the cap of the protocol's RunBounds
+	// when StabilityWindow is also zero, else a default of 200·n + 10000.
 	MaxRounds int
 	// StabilityWindow is how many consecutive all-correct rounds an
-	// infinite protocol must hold to count as converged. Zero means 1.
+	// infinite protocol must hold to count as converged. Zero means the
+	// window of a protocol that sizes its own runs with a RunBounds(Env)
+	// (window, maxRounds int, err error) method — SSF's spans two update
+	// cycles, 2·⌈m/h⌉ rounds — else 1.
 	StabilityWindow int
 	// Corruption selects adversarial initialization for the
 	// self-stabilizing setting.
@@ -218,7 +225,8 @@ type Config struct {
 	// corruption, crashes, churn, and noise-matrix changes, applied before
 	// the observations of their fire round. The timeline is deterministic in
 	// Seed. The counts backend supports noise events and uniform transient
-	// corruption only; Validate rejects the rest.
+	// corruption only; Validate rejects the rest. Telemetry lands in
+	// Result.Faults.
 	Faults *faults.Schedule
 	// Topology, if non-nil, restricts sampling: each agent draws its h
 	// observations uniformly (with replacement) from its graph neighbors
@@ -230,7 +238,8 @@ type Config struct {
 	// GOMAXPROCS. Results do not depend on it.
 	Workers int
 	// TrackHistory records the per-round count of agents holding the
-	// correct opinion in Result.History.
+	// correct opinion in Result.History (a Runner's SetOnRound and
+	// SetOnFault observe rounds and faults as they happen).
 	TrackHistory bool
 }
 
@@ -274,11 +283,22 @@ type resolved struct {
 	eff *noise.Matrix
 	// env is the environment handed to the agents.
 	env Env
+	// window, last and finite decide when the run stops: after window
+	// consecutive all-correct rounds, at round last (the budget) at the
+	// latest, and at round finite for a Finite protocol (0 for any other).
+	window, last, finite int
+}
+
+// runBounds is implemented by protocols that size their own runs (SSF): a
+// zero StabilityWindow takes their window, and a zero MaxRounds with it
+// their round cap.
+type runBounds interface {
+	RunBounds(env Env) (window, maxRounds int, err error)
 }
 
 // resolve validates the configuration (see Validate) and derives the run's
-// channel and environment. The environment is set once the channel is
-// derived, even if a later check fails.
+// channel, environment and stopping rule. The environment is set once the
+// channel is derived, even if a later check fails.
 func (c *Config) resolve() (resolved, error) {
 	var rc resolved
 	if c.Protocol == nil {
@@ -375,9 +395,24 @@ func (c *Config) resolve() (resolved, error) {
 	if c.StabilityWindow < 0 {
 		return rc, fmt.Errorf("sim: negative StabilityWindow %d", c.StabilityWindow)
 	}
-	if c.MaxRounds > 0 && c.StabilityWindow > c.MaxRounds {
-		return rc, fmt.Errorf("sim: StabilityWindow %d exceeds MaxRounds %d; the run can never converge", c.StabilityWindow, c.MaxRounds)
+	// A protocol that sizes its own runs fills a zero window, and a zero
+	// budget with it. If it cannot size this one, its Check says why below.
+	rc.window, rc.last = c.StabilityWindow, c.MaxRounds
+	if b, ok := c.Protocol.(runBounds); ok && rc.window == 0 {
+		if window, last, err := b.RunBounds(rc.env); err == nil {
+			rc.window = window
+			if rc.last == 0 {
+				rc.last = last
+			}
+		}
 	}
+	if rc.last > 0 && rc.window > rc.last {
+		return rc, fmt.Errorf("sim: StabilityWindow %d exceeds MaxRounds %d; the run can never converge", rc.window, rc.last)
+	}
+	if rc.last == 0 {
+		rc.last = defaultMaxRounds(c.N)
+	}
+	rc.window = max(rc.window, 1)
 	if c.Faults != nil {
 		if err := c.Faults.Validate(d); err != nil {
 			return rc, err
@@ -391,7 +426,14 @@ func (c *Config) resolve() (resolved, error) {
 		}
 	}
 	if p, ok := c.Protocol.(interface{ Check(Env) error }); ok {
-		return rc, p.Check(rc.env)
+		if err := p.Check(rc.env); err != nil {
+			return rc, err
+		}
+	}
+	if f, ok := c.Protocol.(Finite); ok {
+		if rc.finite = f.Rounds(rc.env); rc.finite < 1 {
+			return rc, fmt.Errorf("sim: finite protocol reports %d rounds", rc.finite)
+		}
 	}
 	return rc, nil
 }
@@ -399,8 +441,8 @@ func (c *Config) resolve() (resolved, error) {
 // Validate checks the configuration, returning a descriptive error for the
 // first violated constraint; a non-uniform Noise the Theorem 8 reduction
 // cannot handle fails with ErrNotReducible. A protocol with a Check(Env)
-// error method (SF and SSF) is asked last whether the environment is in
-// its domain.
+// error method (SF and SSF) is asked whether the environment is in its
+// domain, and a Finite protocol's schedule must last at least one round.
 func (c *Config) Validate() error {
 	_, err := c.resolve()
 	return err
@@ -431,15 +473,6 @@ func (c *Config) Bias() int {
 func (c *Config) Env() Env {
 	rc, _ := c.resolve()
 	return rc.env
-}
-
-// maxRounds is the run's round budget: MaxRounds, or the default when it
-// is zero.
-func (c *Config) maxRounds() int {
-	if c.MaxRounds == 0 {
-		return defaultMaxRounds(c.N)
-	}
-	return c.MaxRounds
 }
 
 // defaultMaxRounds caps runaway simulations. Linear-in-n protocols need

@@ -34,6 +34,16 @@ type finiteWrap struct {
 
 func (f finiteWrap) Rounds(env Env) int { return f.rounds }
 
+// sized sizes its own runs, as SSF does with RunBounds.
+type sized struct {
+	Protocol
+	window, maxRounds int
+}
+
+func (s sized) RunBounds(Env) (window, maxRounds int, err error) {
+	return s.window, s.maxRounds, nil
+}
+
 func uniform2(t *testing.T, delta float64) *noise.Matrix {
 	t.Helper()
 	n, err := noise.Uniform(2, delta)
@@ -103,6 +113,7 @@ func TestValidateRejections(t *testing.T) {
 		{"negative max rounds", func(c *Config) { c.MaxRounds = -1 }},
 		{"negative window", func(c *Config) { c.StabilityWindow = -2 }},
 		{"window exceeds cap", func(c *Config) { c.MaxRounds = 5; c.StabilityWindow = 6 }},
+		{"protocol's window exceeds cap", func(c *Config) { c.Protocol = sized{c.Protocol, 6, 20}; c.MaxRounds = 5 }},
 		{"empty fault schedule", func(c *Config) { c.Faults = &faults.Schedule{} }},
 		{"bad fault event", func(c *Config) {
 			c.Faults = &faults.Schedule{Events: []faults.Event{
@@ -373,15 +384,48 @@ func TestFiniteProtocolRunsExactRounds(t *testing.T) {
 	}
 }
 
+// TestResolveStoppingRule: a zero StabilityWindow takes the window of a
+// protocol that sizes its own runs, and a zero MaxRounds with it that
+// protocol's cap; otherwise the budget defaults from N and the window to 1.
+// A Finite protocol's schedule is read once, at construction.
+func TestResolveStoppingRule(t *testing.T) {
+	def := defaultMaxRounds(100)
+	for _, tc := range []struct {
+		name                 string
+		proto                Protocol
+		window, maxRounds    int
+		wantWindow, wantLast int
+		wantFinite           int
+	}{
+		{"defaults", constProbe(0, 2), 0, 0, 1, def, 0},
+		{"caller's", constProbe(0, 2), 3, 40, 3, 40, 0},
+		{"protocol's", sized{constProbe(0, 2), 6, 50}, 0, 0, 6, 50, 0},
+		{"protocol's window, caller's cap", sized{constProbe(0, 2), 6, 50}, 0, 30, 6, 30, 0},
+		{"caller's window", sized{constProbe(0, 2), 6, 50}, 2, 0, 2, def, 0},
+		{"finite", finiteWrap{copySource(), 7}, 0, 0, 1, def, 7},
+	} {
+		cfg := baseConfig(t)
+		cfg.Protocol, cfg.StabilityWindow, cfg.MaxRounds = tc.proto, tc.window, tc.maxRounds
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r.window != tc.wantWindow || r.last != tc.wantLast || r.finite != tc.wantFinite {
+			t.Errorf("%s: window %d, budget %d, schedule %d; want %d, %d, %d", tc.name, r.window, r.last, r.finite, tc.wantWindow, tc.wantLast, tc.wantFinite)
+		}
+	}
+}
+
+// TestFiniteProtocolInvalidDuration: a finite schedule shorter than one
+// round is a configuration error, which Validate and New report.
 func TestFiniteProtocolInvalidDuration(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Protocol = finiteWrap{Protocol: copySource(), rounds: 0}
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("Validate accepted a zero-duration finite protocol")
 	}
-	if _, err := r.Run(); err == nil {
-		t.Fatal("zero-duration finite protocol did not error")
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New accepted a zero-duration finite protocol")
 	}
 }
 

@@ -337,10 +337,7 @@ func (r *Runner) Restore(data []byte) error {
 	// The checksum guards against accidents, not forgery: a counter outside
 	// what a run can reach would make Run loop past its budget or a finite
 	// schedule, or misreport its rounds.
-	last := r.cfg.maxRounds()
-	if f, ok := r.cfg.Protocol.(Finite); ok {
-		last = min(last, f.Rounds(r.env))
-	}
+	last := r.lastRound()
 	switch {
 	case completed < 0 || completed > last:
 		return fmt.Errorf("sim: snapshot completedRound %d outside [0, %d], the run's last round", completed, last)

@@ -703,12 +703,13 @@ func asyncSSFConfig(t *testing.T) sim.Config {
 	t.Helper()
 	return sim.Config{
 		N: 150, H: 32, Sources1: 1,
-		Noise:        uniformNoise(t, 4, 0.1),
-		Protocol:     protocol.NewSSF(),
-		Corruption:   sim.CorruptRandom,
-		MaxRounds:    40,
-		TrackHistory: true,
-		Workers:      1,
+		Noise:           uniformNoise(t, 4, 0.1),
+		Protocol:        protocol.NewSSF(),
+		Corruption:      sim.CorruptRandom,
+		MaxRounds:       40,
+		StabilityWindow: 1,
+		TrackHistory:    true,
+		Workers:         1,
 	}
 }
 

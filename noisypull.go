@@ -161,55 +161,12 @@ func F(delta float64, d int) float64 {
 	return noise.F(delta, d)
 }
 
-// Config specifies one simulated execution of the noisy PULL(h) model. The
-// zero value is not runnable: N, H, sources, Noise, and Protocol are
-// required.
-type Config struct {
-	// N is the population size.
-	N int
-	// H is the number of agents sampled (with replacement) per round.
-	H int
-	// Sources1 and Sources0 are the source counts preferring 1 and 0; they
-	// must differ, and each must be at most N/4.
-	Sources1, Sources0 int
-	// Noise is the communication channel. If it is not δ-uniform, the
-	// engine applies the Theorem 8 reduction automatically (agents add
-	// artificial noise P and the protocol is parameterized at δ′ = f(δ)).
-	Noise *NoiseMatrix
-	// Protocol is the agent protocol (NewSourceFilter, NewSelfStabilizing,
-	// a baseline, or a CountableProtocol that embeds one).
-	Protocol Protocol
-	// Seed drives all randomness; equal seeds give bit-identical runs.
-	Seed uint64
-	// Backend selects the engine: BackendCounts, or the per-agent engine
-	// (BackendAuto, the default, or its older names BackendExact and
-	// BackendAggregate).
-	Backend Backend
-	// MaxRounds caps the run for non-terminating protocols (0 = generous
-	// default).
-	MaxRounds int
-	// StabilityWindow is the number of consecutive all-correct rounds a
-	// non-terminating protocol must hold to count as converged (0 = 1; for
-	// SSF, Run defaults it and a zero MaxRounds to SelfStabilizing.RunBounds).
-	StabilityWindow int
-	// Corruption selects adversarial initialization of agent state.
-	Corruption CorruptionMode
-	// Faults, if non-nil, schedules runtime fault injection (mid-run
-	// corruption, crashes, churn, noise swaps and drifts), deterministic in
-	// Seed; telemetry lands in Result.Faults. The counts backend supports
-	// noise events and uniform transient corruption only.
-	Faults *FaultSchedule
-	// Topology, if non-nil, restricts each agent's sampling to its graph
-	// neighborhood (requires the per-agent engine, not BackendCounts; see
-	// RingTopology and friends). Nil means the paper's complete-graph model.
-	Topology *Topology
-	// Workers bounds simulation goroutines (0 = GOMAXPROCS).
-	Workers int
-	// TrackHistory records per-round correct-opinion counts in the Result
-	// (a Runner's SetOnRound and SetOnFault observe rounds and faults as
-	// they happen).
-	TrackHistory bool
-}
+// Config specifies one simulated execution of the noisy PULL(h) model: it
+// is the engine's configuration, and Validate checks it — protocol
+// applicability (noise level within the protocol's domain) included —
+// without running it. The zero value is not runnable: N, H, sources, Noise,
+// and Protocol are required.
+type Config = sim.Config
 
 // ErrNotReducible is returned when the supplied noise matrix is too noisy
 // for the Theorem 8 reduction (its upper-bound level is not below 1/|Σ|).
@@ -257,7 +214,7 @@ func RunBatch(cfg Config, seeds []uint64) ([]*Result, error) {
 // round, and the call returns ctx.Err(). A panic in protocol or engine code
 // fails the batch with an error instead of ending the process.
 func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64) ([]*Result, error) {
-	return sim.RunBatchContext(ctx, cfg.toSim(), seeds, cfg.Workers)
+	return sim.RunBatchContext(ctx, cfg, seeds, cfg.Workers)
 }
 
 // Runner is a reusable simulation executor: construction pays for population
@@ -274,32 +231,7 @@ type Runner = sim.Runner
 // NewRunner validates cfg and provisions a reusable runner for it. The
 // caller should Close it when done (a finalizer reclaims forgotten ones).
 func NewRunner(cfg Config) (*Runner, error) {
-	return sim.New(cfg.toSim())
-}
-
-// toSim converts the public Config into the engine's, defaulting an SSF
-// run's stability window and round cap to SelfStabilizing.RunBounds. It
-// does not validate: the engine does, with the protocol's own
-// applicability check (SF and SSF expose Check).
-func (cfg Config) toSim() sim.Config {
-	sc := sim.Config(cfg)
-	if ssf, ok := cfg.Protocol.(*SelfStabilizing); ok && cfg.StabilityWindow == 0 {
-		if window, maxRounds, err := ssf.RunBounds(sc.Env()); err == nil {
-			sc.StabilityWindow = window
-			if sc.MaxRounds == 0 {
-				sc.MaxRounds = maxRounds
-			}
-		}
-	}
-	return sc
-}
-
-// Check validates that the configuration is runnable — including protocol
-// applicability (noise level within the protocol's domain) — without
-// executing it.
-func (cfg Config) Check() error {
-	sc := cfg.toSim()
-	return sc.Validate()
+	return sim.New(cfg)
 }
 
 // NoiseEstimator accumulates (displayed, observed) calibration pairs and
@@ -321,7 +253,7 @@ func NewNoiseEstimator(d int) (*NoiseEstimator, error) {
 // the same automatic Theorem 8 noise reduction as Run applies. Fault
 // schedules fire at common rounds, so RunAsync rejects them.
 func RunAsync(cfg Config) (*Result, error) {
-	runner, err := sim.NewAsync(cfg.toSim())
+	runner, err := sim.NewAsync(cfg)
 	if err != nil {
 		return nil, err
 	}

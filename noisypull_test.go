@@ -149,13 +149,13 @@ func TestCheckReportsProtocolDomain(t *testing.T) {
 		Noise:    nm,
 		Protocol: noisypull.NewSourceFilter(),
 	}
-	if err := cfg.Check(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	// SSF cannot run on a 2-symbol alphabet.
 	cfg.Protocol = noisypull.NewSelfStabilizing()
-	if err := cfg.Check(); err == nil {
-		t.Fatal("alphabet mismatch passed Check")
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("alphabet mismatch passed Validate")
 	}
 }
 
