@@ -413,7 +413,7 @@ func TestDeliveryOutsideLeaseIsNodeFault(t *testing.T) {
 
 func TestQuarantineAdoptedFromJournalAndHeals(t *testing.T) {
 	b := &fakeBinding{replayed: true, jobs: map[string]service.State{},
-		quar: map[string]string{"wl": "delivered a rejected result"}}
+		nodeRecs: []service.LeaseRecord{{Op: service.LeaseQuarantine, Node: "wl", Reason: "delivered a rejected result"}}}
 	cfg := fastFleet()
 	cfg.Probation = 60 * time.Millisecond
 	c := NewCoordinator(cfg)

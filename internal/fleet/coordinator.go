@@ -112,9 +112,8 @@ type dispatch struct {
 	job   service.DispatchJob
 	merge *merge
 
-	backlog   []uint64        // seeds not yet cut into leases, spec order
-	bankedSet map[uint64]bool // journal-banked seeds (re-leasing one is a bug)
-	nextIdx   int             // next lease id index
+	backlog []uint64 // seeds not yet cut into leases, spec order
+	nextIdx int      // next lease id index
 
 	// released holds merged results in seed order, not yet handed to the
 	// scheduler; err/done is the terminal outcome. Guarded by the
@@ -193,10 +192,10 @@ type Binding interface {
 	// JobState resolves a job id to its current state, distinguishing "job
 	// recovering, not yet re-dispatched" from "job gone".
 	JobState(id string) (service.State, bool)
-	// RecoveredQuarantine returns journal-recovered node quarantine
-	// (node id → reason) so a lying node does not regain leases just
-	// because the coordinator restarted.
-	RecoveredQuarantine() map[string]string
+	// NodeRecords returns the replayed lease records that name no job
+	// (quarantine, absolve), in journal order, so a lying node does not
+	// regain leases just because the coordinator restarted.
+	NodeRecords() []service.LeaseRecord
 }
 
 // Bind connects the service's durability layer. Call before the wire
@@ -273,64 +272,19 @@ func (c *Coordinator) Dispatch(ctx context.Context, job service.DispatchJob, emi
 	// banked results go straight into the merge (already computed — never
 	// again), and the crash's in-flight leases are re-adopted under their
 	// original ids so their owners' heartbeats and late deliveries land on
-	// live leases instead of being cancelled. Quorum-cut leases are the
-	// exception: their votes died with the coordinator (votes are not
-	// journaled — only admitted results are), so their ranges go back on the
-	// backlog for a fresh replicated cut. That never re-leases a delivered
-	// seed: quorum seeds only journal results at admission.
-	preReleased, _, _, bankErr := d.merge.preload(job.Banked)
-	if bankErr != nil {
-		return fmt.Errorf("fleet: job %s recovered banked results are inconsistent: %w", job.ID, bankErr)
+	// live leases instead of being cancelled.
+	banked, adopted := d.fold()
+	preReleased, err := d.merge.preload(banked)
+	if err != nil {
+		return fmt.Errorf("fleet: job %s recovered banked results are inconsistent: %w", job.ID, err)
 	}
-	d.bankedSet = make(map[uint64]bool, len(job.Banked))
-	claimed := make(map[uint64]bool, len(job.Seeds))
-	for _, sr := range job.Banked {
-		d.bankedSet[sr.Seed] = true
-		claimed[sr.Seed] = true
+	// Log before the dispatch is installed: polls then cut from d.backlog.
+	if len(banked) > 0 || len(adopted) > 0 {
+		c.logf("fleet: job %s dispatched: %d seeds (%d banked results, %d leases to adopt, %d on the backlog)",
+			job.ID, len(job.Seeds), len(banked), len(adopted), len(d.backlog))
+	} else {
+		c.logf("fleet: job %s dispatched: %d seeds on the backlog", job.ID, len(job.Seeds))
 	}
-	var adopted []*lease
-	maxIdx := -1
-	for _, rl := range job.Leases {
-		if idx, ok := leaseIndex(job.ID, rl.ID); ok && idx > maxIdx {
-			maxIdx = idx
-		}
-		if rl.Quorum > 1 {
-			continue // re-cut under a fresh quorum; seeds stay unclaimed
-		}
-		// The service's replay already normalized these (in-job, disjoint,
-		// unseen); re-check here so the dispatcher's invariants don't rest on
-		// the caller.
-		bad := len(rl.Seeds) == 0
-		within := make(map[uint64]bool, len(rl.Seeds))
-		for _, s := range rl.Seeds {
-			if _, inJob := d.merge.index[s]; !inJob || claimed[s] || within[s] {
-				bad = true
-				break
-			}
-			within[s] = true
-		}
-		if bad {
-			continue
-		}
-		for _, s := range rl.Seeds {
-			claimed[s] = true
-		}
-		g := newSeedGroup(rl.Seeds, 1)
-		g.replicas = 1
-		l := &lease{id: rl.ID, d: d, seeds: rl.Seeds, attempt: rl.Attempt, group: g, recovered: true}
-		if rl.Node != "" {
-			l.node = rl.Node
-			l.active = true
-			g.holding[rl.Node] = 1
-		}
-		adopted = append(adopted, l)
-	}
-	for _, s := range job.Seeds {
-		if !claimed[s] {
-			d.backlog = append(d.backlog, s)
-		}
-	}
-	d.nextIdx = maxIdx + 1
 
 	c.mu.Lock()
 	now := time.Now()
@@ -338,7 +292,6 @@ func (c *Coordinator) Dispatch(ctx context.Context, job service.DispatchJob, emi
 		if l.active {
 			l.deadline = now.Add(c.cfg.LeaseTTL)
 		}
-		l.journaledAt = now
 	}
 	c.lt.install(adopted)
 	c.dispatches[job.ID] = d
@@ -355,12 +308,6 @@ func (c *Coordinator) Dispatch(ctx context.Context, job service.DispatchJob, emi
 		d.wake()
 	}
 	c.mu.Unlock()
-	if len(job.Banked) > 0 || len(adopted) > 0 {
-		c.logf("fleet: job %s dispatched: %d seeds (%d banked results, %d leases to adopt, %d on the backlog)",
-			job.ID, len(job.Seeds), len(job.Banked), len(adopted), len(d.backlog))
-	} else {
-		c.logf("fleet: job %s dispatched: %d seeds on the backlog", job.ID, len(job.Seeds))
-	}
 
 	defer func() {
 		c.mu.Lock()
@@ -456,10 +403,11 @@ func (c *Coordinator) cutLocked(nodeID string) bool {
 		seeds := d.backlog[:m:m]
 		d.backlog = d.backlog[m:]
 		for _, s := range seeds {
-			if d.bankedSet[s] {
-				// Structurally unreachable (banked seeds never reach the
-				// backlog); the counter exists so a regression shows up in
-				// /metrics and the restart e2e, not in silently burned CPU.
+			if d.merge.admitted(s) {
+				// Structurally unreachable (delivered seeds, banked ones
+				// included, never reach the backlog); the counter exists so a
+				// regression shows up in /metrics and the restart e2e, not in
+				// silently burned CPU.
 				c.redispatched.Add(1)
 			}
 		}
@@ -605,7 +553,7 @@ func (c *Coordinator) adoptQuarantineLocked(now time.Time) {
 		return
 	}
 	c.quarAdopted = true
-	for id, reason := range c.binding.RecoveredQuarantine() {
+	for id, reason := range foldQuarantine(c.binding.NodeRecords()) {
 		n := c.reg.ensure(id, now)
 		n.quarUntil = now.Add(c.cfg.Probation)
 		if n.attFailEWMA < quarantineThreshold {
@@ -843,7 +791,6 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 	l := c.grantLocked(req.NodeID, now)
 	if l != nil {
-		l.journaledAt = now
 		c.appendLeaseRec(service.LeaseGrant, l, nil)
 		resp.Lease = &WireLease{
 			ID:          l.id,
@@ -893,13 +840,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			n.slots = req.Slots
 		}
 	}
-	renewed, cancel := c.lt.renew(req.NodeID, req.Leases, now.Add(c.cfg.LeaseTTL))
-	for _, l := range renewed {
-		if now.Sub(l.journaledAt) >= c.cfg.LeaseTTL {
-			l.journaledAt = now
-			c.appendLeaseRec(service.LeaseRenew, l, nil)
-		}
-	}
+	cancel := c.lt.renew(req.NodeID, req.Leases, now.Add(c.cfg.LeaseTTL))
 	if len(cancel) > 0 {
 		// Grace for the replay→re-dispatch window: a lease the table doesn't
 		// know but whose job is still recovering is about to be adopted —

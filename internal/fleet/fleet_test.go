@@ -90,14 +90,15 @@ func TestLeaseTableLifecycle(t *testing.T) {
 
 	// Renewal extends only leases the caller still owns; everything else
 	// comes back as a cancel instruction.
-	renewed, cancel := lt.renew("wa", []string{"l-j-000", "l-j-001", "l-gone"}, now.Add(2*time.Second))
+	renewed := now.Add(2 * time.Second)
+	cancel := lt.renew("wa", []string{"l-j-000", "l-j-001", "l-gone"}, renewed)
 	if !reflect.DeepEqual(cancel, []string{"l-j-001", "l-gone"}) {
 		t.Fatalf("renew cancel = %v", cancel)
 	}
-	if len(renewed) != 1 || renewed[0].id != "l-j-000" {
-		t.Fatalf("renewed = %v, want [l-j-000]", renewed)
+	if !l.deadline.Equal(renewed) {
+		t.Fatalf("renewed deadline = %v, want %v", l.deadline, renewed)
 	}
-	if _, got := lt.renew("wb", []string{"l-j-000"}, now); len(got) != 1 {
+	if got := lt.renew("wb", []string{"l-j-000"}, now); len(got) != 1 || !l.deadline.Equal(renewed) {
 		t.Fatal("renew from a non-owner extended the lease")
 	}
 

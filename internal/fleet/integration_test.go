@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -157,13 +158,37 @@ func TestFleetMergedResultMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// killOnGrant binds a coordinator as the service would and kills one
+// worker inside the critical section that grants it its first lease: the
+// worker dies holding an active lease that it can never deliver.
+type killOnGrant struct {
+	fakeBinding
+	node string
+	kill func()
+	once sync.Once
+}
+
+func (b *killOnGrant) AppendLease(rec service.LeaseRecord) {
+	if rec.Op == service.LeaseGrant && rec.Node == b.node {
+		b.once.Do(b.kill)
+	}
+	b.fakeBinding.AppendLease(rec)
+}
+
 func TestFleetWorkerDeathRealeasesAndStaysBitIdentical(t *testing.T) {
 	h := newFleetHarness(t, fastFleet(), service.Config{Workers: 2})
 	wa := h.startWorker(t, "wa", 1)
 	h.startWorker(t, "wb", 1)
 
-	// Long-ish trials (~everything runs its full horizon) so wa is
-	// guaranteed to be mid-lease when it dies.
+	// Kill wa abruptly the moment it is granted a lease: no result report,
+	// no dereg — exactly what a SIGKILL looks like to the coordinator. Its
+	// lease must be re-leased to wb after the node dies. The kill happens
+	// inside the grant, not after the test sees the lease: a lease runs for
+	// milliseconds, and on a loaded host the test can look only after wa
+	// has delivered it.
+	killed := make(chan struct{})
+	h.coord.Bind(&killOnGrant{fakeBinding: fakeBinding{replayed: true}, node: "wa",
+		kill: func() { wa.cancel(); close(killed) }})
 	spec := service.JobSpec{
 		N: 500, H: 1, Sources1: 1, Delta: 0.2,
 		Protocol: "voter", Backend: "exact",
@@ -176,22 +201,10 @@ func TestFleetWorkerDeathRealeasesAndStaysBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Wait until wa owns an active lease, then kill it abruptly: no result
-	// report, no dereg — exactly what a SIGKILL looks like to the
-	// coordinator. Its lease must be re-leased to wb after the deadline.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("wa never acquired an active lease")
-		}
-		h.coord.mu.Lock()
-		held := len(h.coord.lt.activeOn("wa"))
-		h.coord.mu.Unlock()
-		if held > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-killed:
+	case <-time.After(15 * time.Second):
+		t.Fatal("wa never acquired an active lease")
 	}
 	wa.Close()
 

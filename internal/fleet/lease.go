@@ -31,9 +31,6 @@ type lease struct {
 	// recovered marks a lease re-adopted from the journal after a
 	// coordinator restart; its deliveries count as late deliveries.
 	recovered bool
-	// journaledAt is when the lease's state last hit the journal; heartbeat
-	// renewals re-journal at most once per TTL.
-	journaledAt time.Time
 }
 
 // seedGroup is the shared identity of every replica lease covering one seed
@@ -92,7 +89,7 @@ func (t *leaseTable) add(ls []*lease) {
 
 // fill cuts replica leases of g, numbered from d's lease-id sequence, until
 // the group has want of them, and enqueues them. It is the only code that
-// builds new leases (journal adoption rebuilds old ones).
+// builds new leases (dispatch.fold rebuilds journaled ones).
 func (t *leaseTable) fill(d *dispatch, g *seedGroup) []*lease {
 	var cut []*lease
 	for ; g.replicas < g.want; g.replicas++ {
@@ -142,10 +139,9 @@ func (t *leaseTable) next(nodeID string, deadline time.Time) *lease {
 func (t *leaseTable) get(id string) *lease { return t.byID[id] }
 
 // renew extends the deadlines of the listed leases where the reporting node
-// still owns them (returned as renewed, for lease journaling), and returns
-// the ids the node should abort: leases it claims to run that were
-// re-leased elsewhere, finished, or cancelled.
-func (t *leaseTable) renew(nodeID string, ids []string, deadline time.Time) (renewed []*lease, cancel []string) {
+// still owns them, and returns the ids the node should abort: leases it
+// claims to run that were re-leased elsewhere, finished, or cancelled.
+func (t *leaseTable) renew(nodeID string, ids []string, deadline time.Time) (cancel []string) {
 	for _, id := range ids {
 		l := t.byID[id]
 		if l == nil || !l.active || l.node != nodeID {
@@ -153,9 +149,8 @@ func (t *leaseTable) renew(nodeID string, ids []string, deadline time.Time) (ren
 			continue
 		}
 		l.deadline = deadline
-		renewed = append(renewed, l)
 	}
-	return renewed, cancel
+	return cancel
 }
 
 // complete removes a finished lease from the table. It returns the lease if

@@ -33,11 +33,10 @@ import (
 // error — the coordinator validates deliveries against the lease before
 // calling add, so it can only mean an internal invariant broke.
 type merge struct {
-	order    []uint64       // spec seed order
-	index    map[uint64]int // seed → position in order
-	got      []*service.SeedResult
-	next     int // first position not yet released
-	received int // distinct seeds merged so far
+	order []uint64       // spec seed order
+	index map[uint64]int // seed → position in order
+	got   []*service.SeedResult
+	next  int // first position not yet released
 
 	winner  []string                        // admitted payload's digest ("" if admitted without one)
 	votes   []map[string]string             // node → digest, pre-admission (quorum seeds)
@@ -82,10 +81,10 @@ func newMerge(seeds []uint64) *merge {
 
 // preload admits journal-banked results directly (no digest, no votes):
 // they were merged before a coordinator restart and must never be
-// recomputed or re-voted.
-func (m *merge) preload(results []service.SeedResult) (released, fresh []service.SeedResult, dups int, err error) {
+// recomputed or re-voted. It returns the in-order run they release.
+func (m *merge) preload(results []service.SeedResult) ([]service.SeedResult, error) {
 	out, err := m.add("", results, nil, 1)
-	return out.released, out.fresh, out.dups, err
+	return out.released, err
 }
 
 // admitted reports whether the seed's payload has been accepted (released
@@ -182,7 +181,6 @@ func (m *merge) admit(pos int, r service.SeedResult, digest string) {
 	stored := r
 	m.got[pos] = &stored
 	m.winner[pos] = digest
-	m.received++
 }
 
 // done reports whether every seed has been released.

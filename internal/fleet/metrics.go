@@ -79,7 +79,7 @@ func (c *Coordinator) WriteMetrics(w io.Writer) error {
 	p("# HELP simd_fleet_polls_total Work polls served.\n")
 	p("# TYPE simd_fleet_polls_total counter\n")
 	p("simd_fleet_polls_total %d\n", c.polls.Load())
-	p("# HELP simd_fleet_leases_journaled_total Lease records written to the journal (grants, renewals, results, requeues, abandons).\n")
+	p("# HELP simd_fleet_leases_journaled_total Lease grants written to the journal (fresh grants, re-grants and adoptions).\n")
 	p("# TYPE simd_fleet_leases_journaled_total counter\n")
 	p("simd_fleet_leases_journaled_total %d\n", c.journaledLeases.Load())
 	p("# HELP simd_fleet_leases_adopted_total In-flight leases reconstructed from the journal after a restart.\n")

@@ -12,6 +12,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -25,13 +28,13 @@ type fakeBinding struct {
 	replayed bool
 	jobs     map[string]service.State
 	recs     []service.LeaseRecord
-	quar     map[string]string
+	nodeRecs []service.LeaseRecord
 }
 
-func (b *fakeBinding) RecoveredQuarantine() map[string]string {
+func (b *fakeBinding) NodeRecords() []service.LeaseRecord {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.quar
+	return b.nodeRecs
 }
 
 func (b *fakeBinding) AppendLease(rec service.LeaseRecord) {
@@ -141,11 +144,13 @@ func TestDispatchAdoptsJournaledLeases(t *testing.T) {
 	spec := service.JobSpec{N: 100, H: 1, Sources1: 1, Delta: 0.2, Protocol: "sf"}
 	job := service.DispatchJob{
 		ID: "j-000001", Spec: spec, Fingerprint: spec.Fingerprint(),
-		Seeds:  []uint64{1, 2, 3, 4, 5, 6},
-		Banked: []service.SeedResult{sr(1), sr(2)},
-		Leases: []service.RecoveredLease{
-			{ID: "l-j-000001-001", Node: "wa", Seeds: []uint64{3, 4}, Attempt: 1},
-			{ID: "l-j-000001-002", Node: "", Seeds: []uint64{5}},
+		Seeds: []uint64{1, 2, 3, 4, 5, 6},
+		Records: []service.LeaseRecord{
+			{Op: service.LeaseGrant, Lease: "l-j-000001-000", Node: "wb", Seeds: []uint64{1, 2}},
+			{Op: service.LeaseResult, Lease: "l-j-000001-000", Node: "wb", Results: []service.SeedResult{sr(1), sr(2)}},
+			{Op: service.LeaseGrant, Lease: "l-j-000001-001", Node: "wa", Seeds: []uint64{3, 4}, Attempt: 1},
+			{Op: service.LeaseGrant, Lease: "l-j-000001-002", Node: "wc", Seeds: []uint64{5}},
+			{Op: service.LeaseRequeue, Lease: "l-j-000001-002", Seeds: []uint64{5}},
 		},
 	}
 	resCh, errCh := startDispatch(t, c, job)
@@ -219,6 +224,109 @@ func TestDispatchAdoptsJournaledLeases(t *testing.T) {
 		if sr.Seed != uint64(i+1) {
 			t.Fatalf("emit order broken at %d: %+v", i, got)
 		}
+	}
+}
+
+// TestRestartedCoordinatorNumbersPastDeliveredLeases restarts a
+// journal-backed coordinator over a job whose lease l-j-000001-001 (seeds
+// 3, 4) was delivered by wb and banked before the crash, while
+// l-j-000001-000 (seeds 1, 2) was still in flight on wa. The first fresh
+// lease must not reuse a journaled id: wb's spooled redelivery of
+// l-j-000001-001 is then acknowledged as duplicates, instead of landing on
+// a fresh range, failing its check and quarantining an honest node.
+func TestRestartedCoordinatorNumbersPastDeliveredLeases(t *testing.T) {
+	dir := t.TempDir()
+	spec := service.JobSpec{N: 100, H: 1, Sources1: 1, Delta: 0.2, Protocol: "sf", Seeds: []uint64{1, 2, 3, 4, 5, 6}}
+	var journal bytes.Buffer
+	for _, rec := range []map[string]any{
+		{"t": "submit", "job": "j-000001", "spec": spec},
+		{"t": "lease", "job": "j-000001", "op": "grant", "lease": "l-j-000001-000", "node": "wa", "seeds": []uint64{1, 2}},
+		{"t": "lease", "job": "j-000001", "op": "grant", "lease": "l-j-000001-001", "node": "wb", "seeds": []uint64{3, 4}},
+		{"t": "lease", "job": "j-000001", "op": "result", "lease": "l-j-000001-001", "node": "wb", "seeds": []uint64{3, 4},
+			"results": []service.SeedResult{sr(3), sr(4)}},
+	} {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal.Write(append(line, '\n'))
+	}
+	if err := os.WriteFile(filepath.Join(dir, "simd-journal.ndjson"), journal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := NewCoordinator(fastFleet())
+	defer c.Close()
+	svc, err := service.Open(service.Config{Workers: 1, JournalDir: dir, Dispatcher: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	c.Bind(svc)
+	mux := http.NewServeMux()
+	c.Routes(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	waitDispatched(t, c, "j-000001")
+
+	for _, id := range []string{"wa", "wb", "wc"} {
+		if st, body := postWire(t, ts.URL+PathRegister, RegisterRequest{NodeID: id}, nil); st != http.StatusOK {
+			t.Fatalf("register %s: %d %s", id, st, body)
+		}
+	}
+	var pr PollResponse
+	postWire(t, ts.URL+PathPoll, PollRequest{NodeID: "wc"}, &pr)
+	if pr.Lease == nil {
+		t.Fatal("poll after the restart granted no lease")
+	}
+	if idx, ok := leaseIndex("j-000001", pr.Lease.ID); !ok || idx < 2 {
+		t.Fatalf("first fresh lease %s reuses a journaled lease id", pr.Lease.ID)
+	}
+
+	var res ResultResponse
+	st, body := postWire(t, ts.URL+PathResult, ResultRequest{
+		NodeID: "wb", LeaseID: "l-j-000001-001", Results: []service.SeedResult{sr(3), sr(4)},
+	}, &res)
+	if st != http.StatusOK || res.Duplicates != 2 || res.Merged != 0 {
+		t.Fatalf("redelivery of the banked lease: %d %s %+v, want 2 duplicates", st, body, res)
+	}
+	if got := c.attFailures.Load(); got != 0 {
+		t.Fatalf("attestation failures = %d after an honest redelivery", got)
+	}
+	for _, n := range c.Nodes() {
+		if n.ID == "wb" && n.Quarantined {
+			t.Fatalf("honest node wb quarantined: %+v", n)
+		}
+	}
+
+	postWire(t, ts.URL+PathResult, ResultRequest{
+		NodeID: "wa", LeaseID: "l-j-000001-000", Results: []service.SeedResult{sr(1), sr(2)},
+	}, nil)
+	fresh := ResultRequest{NodeID: "wc", LeaseID: pr.Lease.ID}
+	for _, s := range pr.Lease.Seeds {
+		fresh.Results = append(fresh.Results, sr(s))
+	}
+	postWire(t, ts.URL+PathResult, fresh, nil)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := svc.Get("j-000001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == service.StateDone {
+			want := []service.SeedResult{sr(1), sr(2), sr(3), sr(4), sr(5), sr(6)}
+			if !reflect.DeepEqual(st.Results, want) {
+				t.Fatalf("results = %+v, want %+v", st.Results, want)
+			}
+			break
+		}
+		if st.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job state %s (%s), want done", st.State, st.Error)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := c.redispatched.Load(); got != 0 {
+		t.Fatalf("redispatched = %d, want 0", got)
 	}
 }
 

@@ -120,15 +120,6 @@ func (c *Client) retryDelay(attempt int, retryAfter string) time.Duration {
 	return time.Duration(rand.Int64N(int64(d)) + 1)
 }
 
-// Do issues one JSON API request against BaseURL+path with the client's
-// retry/backoff policy: HTTP 429 is retried for every method, transient
-// network errors only for GET/DELETE (a failed POST may have been applied).
-// Exported for subsystems that extend the daemon's API surface — the fleet
-// wire protocol rides on it.
-func (c *Client) Do(ctx context.Context, method, path string, in, out any) error {
-	return c.do(ctx, method, path, in, out)
-}
-
 // PostIdempotent issues a JSON POST whose transient network errors are
 // retried like a GET's — for requests that are idempotent by construction.
 // Every fleet RPC qualifies: registration and heartbeats are upserts, polls

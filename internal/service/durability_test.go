@@ -200,6 +200,51 @@ func TestRecoveryCompletesInterruptedJob(t *testing.T) {
 	}
 }
 
+// TestRecoverySkipsOutOfOrderSeedRecord replays a journal whose only seed
+// record is for the spec's last seed. Both execution paths release results
+// in spec order, so that record is not the job's completed prefix: the
+// recovered job must run every seed in order, not report seed 13 twice and
+// never run seed 5.
+func TestRecoverySkipsOutOfOrderSeedRecord(t *testing.T) {
+	recoverFromStraySeedRecord(t, 13)
+}
+
+// TestRecoverySkipsForeignSeedRecord replays a journal whose only seed
+// record is for a seed the spec lacks: it is no result of the job.
+func TestRecoverySkipsForeignSeedRecord(t *testing.T) {
+	recoverFromStraySeedRecord(t, 77)
+}
+
+// recoverFromStraySeedRecord journals a submit of seeds 5, 9, 13 and one
+// seed record for stray, which is not the job's first seed, and requires
+// the recovered job to end with every spec seed's own result, in order.
+func recoverFromStraySeedRecord(t *testing.T, stray uint64) {
+	t.Helper()
+	dir := t.TempDir()
+	spec := quickSpec(5, 9, 13)
+	spec.normalize()
+	jl, err := openJournal(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.appendSubmit("j-000001", &spec)
+	res := directResult(t, spec, stray)
+	jl.appendSeed("j-000001", stray, &res, 1)
+	jl.close()
+
+	s := openJournaled(t, dir, Config{Workers: 1})
+	defer s.Close()
+	final := waitState(t, s, "j-000001", StateDone)
+	if len(final.Results) != len(spec.Seeds) {
+		t.Fatalf("recovered job has %d results for %d seeds", len(final.Results), len(spec.Seeds))
+	}
+	for i, seed := range spec.Seeds {
+		if want := directResult(t, spec, seed); !sameSeedResult(final.Results[i], want) {
+			t.Fatalf("result %d = %+v, want seed %d's %+v", i, final.Results[i], seed, want)
+		}
+	}
+}
+
 // resumableSpec is a deterministic non-converging voter run: exactly
 // MaxRounds rounds, long enough to checkpoint mid-flight.
 func resumableSpec(seeds ...uint64) JobSpec {

@@ -114,12 +114,10 @@ type job struct {
 	// scheduler consumes it once.
 	resume *checkpointState
 
-	// fleetBanked/fleetLeases, when set by journal recovery, carry the
-	// lease-journal state (delivered-but-unreleased results, in-flight
-	// leases) into the job's first re-dispatch. Consumed once, like resume;
-	// meaningless without a Dispatcher.
-	fleetBanked []SeedResult
-	fleetLeases []RecoveredLease
+	// leases, when set by journal recovery, are the job's lease records,
+	// handed to its first re-dispatch (DispatchJob.Records). Consumed once,
+	// like resume; meaningless without a Dispatcher.
+	leases []LeaseRecord
 
 	mu       sync.Mutex
 	state    State

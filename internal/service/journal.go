@@ -73,16 +73,17 @@ type journalRecord struct {
 	Quorum int `json:"quorum,omitempty"`
 }
 
-// LeaseOp names one fleet lease-lifecycle event in the journal.
+// LeaseOp names one fleet lease-lifecycle event in the journal. The service
+// stores lease records without interpreting them: replay hands each job's
+// records to its dispatcher (DispatchJob.Records) and the records that name
+// no job to the fleet coordinator (NodeRecords), and the fleet alone folds
+// them.
 type LeaseOp string
 
 const (
 	// LeaseGrant: the lease went active on a node (or was adopted after a
 	// restart). Re-grants of a requeued lease overwrite the earlier grant.
 	LeaseGrant LeaseOp = "grant"
-	// LeaseRenew: a heartbeat extended the lease (journaled at most once
-	// per TTL, so a healthy fleet doesn't swamp the journal).
-	LeaseRenew LeaseOp = "renew"
 	// LeaseResult: the node delivered the lease's results; Results carries
 	// the fresh (not-yet-merged) ones. Those seeds are banked — a restarted
 	// coordinator must never recompute them even though they are not yet
@@ -105,7 +106,7 @@ const (
 )
 
 // LeaseRecord is one lease-lifecycle event as handed to AppendLease by the
-// fleet coordinator.
+// fleet coordinator, and as replay hands it back.
 type LeaseRecord struct {
 	Op      LeaseOp
 	Job     string
@@ -118,18 +119,6 @@ type LeaseRecord struct {
 	Quorum int
 	// Reason annotates quarantine records (journaled in the Error field).
 	Reason string
-}
-
-// RecoveredLease is an in-flight lease reconstructed by journal replay,
-// handed back to the dispatcher (DispatchJob.Leases) so a restarted
-// coordinator re-adopts it — same id, owner, and attempt count — instead
-// of re-dispatching the range from scratch.
-type RecoveredLease struct {
-	ID      string
-	Node    string // "" = was pending at the crash
-	Seeds   []uint64
-	Attempt int
-	Quorum  int // agreeing-votes requirement the grant was cut under (0/1 = none)
 }
 
 // journal is the append side. A nil *journal is a valid no-op (the service
@@ -248,18 +237,21 @@ type recoveredJob struct {
 	terminal State     // "" while non-terminal
 	finished time.Time // the terminal record's finish time; zero if it has none
 	errMsg   string
-	results  []SeedResult
-	seen     map[uint64]bool // seeds with a journaled result
+	results  []SeedResult // the released prefix of spec.Seeds, in spec order
 	ck       *checkpointState
 	seq      uint64 // max event seq journaled; resumed publishing continues past it
 
-	// Fleet lease state (recLease records): leases still in flight at the
-	// crash, in grant order, plus results delivered but not yet part of the
-	// released prefix ("banked" — they must never recompute).
-	leaseOrder []string
-	leases     map[string]*RecoveredLease
-	banked     map[uint64]SeedResult
-	bankOrder  []uint64
+	// leases are the job's lease records in journal order, for the fleet
+	// dispatcher to fold.
+	leases []LeaseRecord
+}
+
+// isNext reports whether seed is the job's next unreleased seed: the only
+// seed a seed or checkpoint record may carry, since both execution paths
+// release results in spec order.
+func (j *recoveredJob) isNext(seed *uint64) bool {
+	n := len(j.results)
+	return seed != nil && n < len(j.spec.Seeds) && *seed == j.spec.Seeds[n]
 }
 
 // replayOutcome is what replayJournal hands the service's recovery pass.
@@ -268,9 +260,9 @@ type replayOutcome struct {
 	torn    bool
 	jobs    []*recoveredJob // journal (submission) order
 	maxID   uint64
-	// quarantined maps node id → reason for nodes whose quarantine record
-	// has no later absolve — fleet-level state, not tied to any job.
-	quarantined map[string]string
+	// nodeRecords are the lease records that name no job (quarantine,
+	// absolve), in journal order.
+	nodeRecords []LeaseRecord
 }
 
 // ReplaySummary reports a journal replay to /readyz and the startup log.
@@ -346,32 +338,20 @@ func replayJournal(path string) (*replayOutcome, error) {
 // applyRecord folds one journal record into the replay state. Records for
 // unknown jobs or of unknown types are skipped (forward compatibility).
 func applyRecord(byID map[string]*recoveredJob, out *replayOutcome, rec *journalRecord) {
-	if rec.T == recSubmit {
+	switch {
+	case rec.T == recSubmit:
 		if rec.Spec == nil || rec.Job == "" || byID[rec.Job] != nil {
 			return
 		}
-		j := &recoveredJob{id: rec.Job, spec: *rec.Spec, seen: make(map[uint64]bool)}
+		j := &recoveredJob{id: rec.Job, spec: *rec.Spec}
 		byID[rec.Job] = j
 		out.jobs = append(out.jobs, j)
 		if id := parseJobID(rec.Job); id > out.maxID {
 			out.maxID = id
 		}
 		return
-	}
-	// Fleet-level quarantine records carry no job id: handle them before
-	// the job lookup would drop them.
-	if rec.T == recLease && (rec.Op == LeaseQuarantine || rec.Op == LeaseAbsolve) {
-		if rec.Node == "" {
-			return
-		}
-		if rec.Op == LeaseQuarantine {
-			if out.quarantined == nil {
-				out.quarantined = make(map[string]string)
-			}
-			out.quarantined[rec.Node] = rec.Error
-		} else {
-			delete(out.quarantined, rec.Node)
-		}
+	case rec.T == recLease && rec.Job == "":
+		out.nodeRecords = append(out.nodeRecords, rec.leaseRecord())
 		return
 	}
 	j := byID[rec.Job]
@@ -380,19 +360,16 @@ func applyRecord(byID map[string]*recoveredJob, out *replayOutcome, rec *journal
 	}
 	switch rec.T {
 	case recSeed:
-		if rec.Seed == nil || rec.Result == nil || j.seen[*rec.Seed] {
+		if rec.Result == nil || !j.isNext(rec.Seed) || rec.Result.Seed != *rec.Seed {
 			return
 		}
-		j.seen[*rec.Seed] = true
 		j.results = append(j.results, *rec.Result)
 		if rec.Seq > j.seq {
 			j.seq = rec.Seq
 		}
-		if j.ck != nil && j.ck.seed == *rec.Seed {
-			j.ck = nil // the checkpointed seed finished; the checkpoint is stale
-		}
+		j.ck = nil // a checkpoint is only ever of this seed, which finished
 	case recCheckpoint:
-		if rec.Seed == nil || len(rec.Data) == 0 || j.seen[*rec.Seed] {
+		if len(rec.Data) == 0 || !j.isNext(rec.Seed) {
 			return
 		}
 		j.ck = &checkpointState{seed: *rec.Seed, round: rec.Round, data: rec.Data, seq: rec.Seq}
@@ -410,114 +387,16 @@ func applyRecord(byID map[string]*recoveredJob, out *replayOutcome, rec *journal
 			j.ck = nil
 		}
 	case recLease:
-		applyLease(j, rec)
+		j.leases = append(j.leases, rec.leaseRecord())
 	}
 }
 
-// bankResult records a delivered-but-unreleased seed result. Released
-// seeds (recSeed) and earlier bankings win.
-func (j *recoveredJob) bankResult(res SeedResult) {
-	if j.seen[res.Seed] {
-		return // already in the released prefix; recSeed is authoritative
+// leaseRecord converts a lease line back into the record AppendLease wrote.
+func (rec *journalRecord) leaseRecord() LeaseRecord {
+	return LeaseRecord{
+		Op: rec.Op, Job: rec.Job, Lease: rec.Lease, Node: rec.Node, Seeds: rec.Seeds,
+		Attempt: rec.Attempt, Results: rec.Results, Quorum: rec.Quorum, Reason: rec.Error,
 	}
-	if _, dup := j.banked[res.Seed]; dup {
-		return
-	}
-	if j.banked == nil {
-		j.banked = make(map[uint64]SeedResult)
-	}
-	j.banked[res.Seed] = res
-	j.bankOrder = append(j.bankOrder, res.Seed)
-}
-
-// applyLease folds one lease-lifecycle record into the replay state.
-func applyLease(j *recoveredJob, rec *journalRecord) {
-	if rec.Lease == "" {
-		return
-	}
-	switch rec.Op {
-	case LeaseGrant:
-		if len(rec.Seeds) == 0 {
-			return
-		}
-		if j.leases == nil {
-			j.leases = make(map[string]*RecoveredLease)
-		}
-		if _, known := j.leases[rec.Lease]; !known {
-			j.leaseOrder = append(j.leaseOrder, rec.Lease)
-		}
-		j.leases[rec.Lease] = &RecoveredLease{
-			ID: rec.Lease, Node: rec.Node,
-			Seeds: append([]uint64(nil), rec.Seeds...), Attempt: rec.Attempt,
-			Quorum: rec.Quorum,
-		}
-	case LeaseRenew:
-		if l := j.leases[rec.Lease]; l != nil && rec.Node != "" {
-			l.Node = rec.Node
-		}
-	case LeaseRequeue:
-		if l := j.leases[rec.Lease]; l != nil {
-			l.Node = ""
-			if rec.Attempt > l.Attempt {
-				l.Attempt = rec.Attempt
-			}
-		}
-	case LeaseResult:
-		delete(j.leases, rec.Lease)
-		for _, res := range rec.Results {
-			j.bankResult(res)
-		}
-	case LeaseAbandon:
-		delete(j.leases, rec.Lease)
-	}
-}
-
-// fleetState distills the replayed lease records into what a re-dispatch
-// needs: banked results (delivered but unreleased — never recompute) and
-// the leases in flight at the crash. Both are filtered defensively so a
-// torn, reordered, or fuzzed journal can never yield overlapping or
-// out-of-job work: banked seeds must belong to the spec and not be in the
-// released prefix; a lease survives only if every one of its seeds is
-// still unclaimed. These invariants are what FuzzLeaseJournalReplay pins.
-func (rj *recoveredJob) fleetState() (banked []SeedResult, leases []RecoveredLease) {
-	if len(rj.banked) == 0 && len(rj.leases) == 0 {
-		return nil, nil
-	}
-	inJob := make(map[uint64]bool, len(rj.spec.Seeds))
-	for _, s := range rj.spec.Seeds {
-		inJob[s] = true
-	}
-	claimed := make(map[uint64]bool)
-	for _, s := range rj.bankOrder {
-		if !inJob[s] || rj.seen[s] || claimed[s] {
-			continue
-		}
-		claimed[s] = true
-		banked = append(banked, rj.banked[s])
-	}
-	for _, id := range rj.leaseOrder {
-		l := rj.leases[id]
-		if l == nil {
-			continue // resulted or abandoned
-		}
-		ok := len(l.Seeds) > 0
-		within := make(map[uint64]bool, len(l.Seeds))
-		for _, s := range l.Seeds {
-			if !inJob[s] || rj.seen[s] || claimed[s] || within[s] {
-				ok = false
-				break
-			}
-			within[s] = true
-		}
-		if !ok {
-			continue
-		}
-		for _, s := range l.Seeds {
-			claimed[s] = true
-		}
-		leases = append(leases, *l)
-	}
-	return banked, leases
 }
 
 // parseJobID extracts the numeric part of a "j-000123" id (0 if foreign).
@@ -582,7 +461,7 @@ func (s *Service) recover() {
 	s.replayMu.Lock()
 	s.replay = summary
 	s.replayDone = true
-	s.fleetQuarantine = outcome.quarantined
+	s.nodeRecords = outcome.nodeRecords
 	s.replayMu.Unlock()
 	s.ready.Store(true)
 	s.logf("journal: replay done: %s", summary.String())
@@ -651,18 +530,16 @@ func (s *Service) resubmit(rj *recoveredJob) bool {
 	}
 	cfg.Workers = s.cfg.SimWorkers
 
-	banked, leases := rj.fleetState()
 	j := &job{
-		id:          rj.id,
-		spec:        spec,
-		shape:       spec.shape(),
-		cfg:         cfg,
-		state:       StatePending,
-		created:     time.Now(),
-		results:     rj.results,
-		resume:      rj.ck,
-		fleetBanked: banked,
-		fleetLeases: leases,
+		id:      rj.id,
+		spec:    spec,
+		shape:   spec.shape(),
+		cfg:     cfg,
+		state:   StatePending,
+		created: time.Now(),
+		results: rj.results,
+		resume:  rj.ck,
+		leases:  rj.leases,
 	}
 	j.seq.Store(rj.seq)
 	j.ctx, j.cancel = context.WithCancel(s.rootCtx)
@@ -694,9 +571,9 @@ func (s *Service) resubmit(rj *recoveredJob) bool {
 	case rj.ck != nil:
 		s.logf("job %s recovered: resuming seed %d from checkpoint at round %d (%d/%d seeds done)",
 			j.id, rj.ck.seed, rj.ck.round, len(rj.results), len(spec.Seeds))
-	case len(banked) > 0 || len(leases) > 0:
-		s.logf("job %s recovered: re-enqueued (%d/%d seeds done, %d banked results, %d in-flight leases to adopt)",
-			j.id, len(rj.results), len(spec.Seeds), len(banked), len(leases))
+	case len(rj.leases) > 0:
+		s.logf("job %s recovered: re-enqueued (%d/%d seeds done, %d lease records for the dispatcher)",
+			j.id, len(rj.results), len(spec.Seeds), len(rj.leases))
 	default:
 		s.logf("job %s recovered: re-enqueued (%d/%d seeds done)", j.id, len(rj.results), len(spec.Seeds))
 	}

@@ -1,14 +1,18 @@
 package service
 
-// Tests for the lease-lifecycle journal records (recLease): replay
-// reconstruction of banked results and in-flight leases, torn-tail tolerance
-// at every byte offset, and a fuzz target pinning the fleetState invariants
-// (banked ∩ released = ∅, lease seed sets pairwise disjoint and in-job).
+// Tests for the lease-lifecycle journal records (recLease). Replay stores
+// them without interpreting them — the fleet folds them (internal/fleet
+// fold_test.go) — so what replay owns, and these tests pin, is that it
+// never errors on file content and that each job's records are that job's
+// journal records, in order, after its submit (the job-less ones in a list
+// of their own), at every byte offset and for fuzzed bytes.
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -16,163 +20,96 @@ func leaseRec(op LeaseOp, job, lease, node string, seeds []uint64, attempt int, 
 	return &LeaseRecord{Op: op, Job: job, Lease: lease, Node: node, Seeds: seeds, Attempt: attempt, Results: results}
 }
 
-func TestLeaseJournalRoundTrip(t *testing.T) {
-	spec := quickSpec(1, 2, 3, 4, 5, 6, 7, 8)
-	path, _ := buildJournal(t, t.TempDir(), func(jl *journal) {
-		jl.appendSubmit("j-000001", &spec)
-		// l-...-000 delivers: its seeds bank, the lease dies.
-		jl.appendLease(leaseRec(LeaseGrant, "j-000001", "l-j-000001-000", "wa", []uint64{3, 4}, 0, nil))
-		jl.appendLease(leaseRec(LeaseResult, "j-000001", "l-j-000001-000", "wa", []uint64{3, 4}, 0,
-			[]SeedResult{{Seed: 3, Rounds: 30}, {Seed: 4, Rounds: 40}}))
-		// l-...-001 stays active on wb (renewed, node updated).
-		jl.appendLease(leaseRec(LeaseGrant, "j-000001", "l-j-000001-001", "wa", []uint64{5, 6}, 0, nil))
-		jl.appendLease(leaseRec(LeaseRenew, "j-000001", "l-j-000001-001", "wb", nil, 0, nil))
-		// l-...-002 was requeued: ownerless, attempt bumped.
-		jl.appendLease(leaseRec(LeaseGrant, "j-000001", "l-j-000001-002", "wc", []uint64{7, 8}, 0, nil))
-		jl.appendLease(leaseRec(LeaseRequeue, "j-000001", "l-j-000001-002", "", []uint64{7, 8}, 1, nil))
-		// l-...-003 hit the attempt cap and is gone.
-		jl.appendLease(leaseRec(LeaseGrant, "j-000001", "l-j-000001-003", "wd", []uint64{1}, 4, nil))
-		jl.appendLease(leaseRec(LeaseAbandon, "j-000001", "l-j-000001-003", "wd", []uint64{1}, 4, nil))
-	})
-	out, err := replayJournal(path)
-	if err != nil {
-		t.Fatal(err)
+// wantLeaseRecords reads a journal the way replay must see it — whole
+// lines, up to the first that does not parse — and returns each submitted
+// job's lease records after its first submit, and the lease records that
+// name no job, in journal order.
+func wantLeaseRecords(data []byte) (jobs map[string][]LeaseRecord, nodes []LeaseRecord) {
+	jobs = make(map[string][]LeaseRecord)
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if len(line) == 0 {
+			break
+		}
+		var rec journalRecord
+		if json.Unmarshal(line, &rec) != nil {
+			break
+		}
+		if rec.T == recSubmit && rec.Spec != nil && rec.Job != "" && jobs[rec.Job] == nil {
+			jobs[rec.Job] = []LeaseRecord{}
+		}
+		if rec.T != recLease {
+			continue
+		}
+		lr := LeaseRecord{Op: rec.Op, Job: rec.Job, Lease: rec.Lease, Node: rec.Node, Seeds: rec.Seeds,
+			Attempt: rec.Attempt, Results: rec.Results, Quorum: rec.Quorum, Reason: rec.Error}
+		if rec.Job == "" {
+			nodes = append(nodes, lr)
+		} else if recs, ok := jobs[rec.Job]; ok {
+			jobs[rec.Job] = append(recs, lr)
+		}
 	}
-	if len(out.jobs) != 1 {
-		t.Fatalf("replayed %d jobs", len(out.jobs))
-	}
-	banked, leases := out.jobs[0].fleetState()
-
-	if len(banked) != 2 || banked[0].Seed != 3 || banked[1].Seed != 4 {
-		t.Fatalf("banked = %+v, want seeds [3 4]", banked)
-	}
-	if banked[0].Rounds != 30 || banked[1].Rounds != 40 {
-		t.Fatalf("banked payload lost: %+v", banked)
-	}
-	if len(leases) != 2 {
-		t.Fatalf("leases = %+v, want 2", leases)
-	}
-	if l := leases[0]; l.ID != "l-j-000001-001" || l.Node != "wb" || l.Attempt != 0 {
-		t.Fatalf("active lease = %+v", l)
-	}
-	if l := leases[1]; l.ID != "l-j-000001-002" || l.Node != "" || l.Attempt != 1 {
-		t.Fatalf("requeued lease = %+v", l)
-	}
+	return jobs, nodes
 }
 
-func TestLeaseJournalReleasedPrefixWinsOverBank(t *testing.T) {
-	spec := quickSpec(1, 2)
-	path, _ := buildJournal(t, t.TempDir(), func(jl *journal) {
-		jl.appendSubmit("j-000001", &spec)
-		jl.appendLease(leaseRec(LeaseGrant, "j-000001", "l-j-000001-000", "wa", []uint64{1, 2}, 0, nil))
-		jl.appendLease(leaseRec(LeaseResult, "j-000001", "l-j-000001-000", "wa", []uint64{1, 2}, 0,
-			[]SeedResult{{Seed: 1, Rounds: 10}, {Seed: 2, Rounds: 20}}))
-		// Seed 1 then made it into the released prefix before the crash: the
-		// recSeed record is authoritative and the bank must drop it.
-		jl.appendSeed("j-000001", 1, &SeedResult{Seed: 1, Rounds: 10}, 1)
-	})
-	out, err := replayJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	banked, leases := out.jobs[0].fleetState()
-	if len(banked) != 1 || banked[0].Seed != 2 {
-		t.Fatalf("banked = %+v, want just seed 2", banked)
-	}
-	if len(leases) != 0 {
-		t.Fatalf("leases = %+v, want none", leases)
-	}
-}
-
-// TestLeaseJournalQuarantineRoundTrip pins the job-less quarantine records:
-// replay must surface quarantined nodes (with their reasons) minus any later
-// absolve, so a lying node stays benched across a coordinator restart.
-func TestLeaseJournalQuarantineRoundTrip(t *testing.T) {
-	spec := quickSpec(1, 2)
-	path, _ := buildJournal(t, t.TempDir(), func(jl *journal) {
-		jl.appendSubmit("j-000001", &spec)
-		jl.appendLease(&LeaseRecord{Op: LeaseQuarantine, Node: "wl", Reason: "first offense"})
-		jl.appendLease(&LeaseRecord{Op: LeaseQuarantine, Node: "wx", Reason: "outvoted"})
-		jl.appendLease(&LeaseRecord{Op: LeaseAbsolve, Node: "wx"})
-		// Re-quarantine after an absolve, with a fresh reason: latest wins.
-		jl.appendLease(&LeaseRecord{Op: LeaseQuarantine, Node: "wl", Reason: "second offense"})
-		// Node-less records are malformed; replay must drop them, not panic.
-		jl.appendLease(&LeaseRecord{Op: LeaseQuarantine})
-		jl.appendLease(&LeaseRecord{Op: LeaseAbsolve})
-	})
-	out, err := replayJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{"wl": "second offense"}
-	if len(out.quarantined) != 1 || out.quarantined["wl"] != want["wl"] {
-		t.Fatalf("quarantined = %+v, want %+v", out.quarantined, want)
-	}
-	// The quarantine records are job-less by design: the recovered job's
-	// fleet state must be untouched by them.
-	banked, leases := out.jobs[0].fleetState()
-	if len(banked) != 0 || len(leases) != 0 {
-		t.Fatalf("quarantine records leaked into job state: banked=%v leases=%v", banked, leases)
-	}
-}
-
-// checkFleetInvariants asserts the properties a re-dispatch relies on, for
-// any journal content whatsoever.
-func checkFleetInvariants(t *testing.T, rj *recoveredJob) {
+// checkReplay asserts what replay owns for any journal bytes: it does not
+// error, each recovered job carries exactly its own lease records in
+// journal order and the job-less ones come back in order, and a job's
+// released results are a prefix of its spec's seeds.
+func checkReplay(t *testing.T, data []byte) {
 	t.Helper()
-	banked, leases := rj.fleetState()
-	inJob := make(map[uint64]bool, len(rj.spec.Seeds))
-	for _, s := range rj.spec.Seeds {
-		inJob[s] = true
+	path := filepath.Join(t.TempDir(), journalFile)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	claimed := make(map[uint64]bool)
-	for _, sr := range banked {
-		if !inJob[sr.Seed] {
-			t.Fatalf("banked seed %d not in job %v", sr.Seed, rj.spec.Seeds)
-		}
-		if rj.seen[sr.Seed] {
-			t.Fatalf("banked seed %d already in the released prefix", sr.Seed)
-		}
-		if claimed[sr.Seed] {
-			t.Fatalf("banked seed %d claimed twice", sr.Seed)
-		}
-		claimed[sr.Seed] = true
+	out, err := replayJournal(path)
+	if err != nil {
+		t.Fatalf("replay errored on file content: %v", err)
 	}
-	for _, l := range leases {
-		if len(l.Seeds) == 0 {
-			t.Fatalf("lease %s has no seeds", l.ID)
+	jobs, nodes := wantLeaseRecords(data)
+	if len(out.jobs) != len(jobs) {
+		t.Fatalf("replayed %d jobs, want %d", len(out.jobs), len(jobs))
+	}
+	for _, rj := range out.jobs {
+		if want := jobs[rj.id]; len(want) != len(rj.leases) || (len(want) > 0 && !reflect.DeepEqual(rj.leases, want)) {
+			t.Fatalf("job %s lease records = %+v, want %+v", rj.id, rj.leases, want)
 		}
-		for _, s := range l.Seeds {
-			if !inJob[s] {
-				t.Fatalf("lease %s seed %d not in job", l.ID, s)
+		for i, r := range rj.results {
+			if i >= len(rj.spec.Seeds) || r.Seed != rj.spec.Seeds[i] {
+				t.Fatalf("job %s result %d is seed %d, spec seeds %v", rj.id, i, r.Seed, rj.spec.Seeds)
 			}
-			if rj.seen[s] {
-				t.Fatalf("lease %s seed %d already released", l.ID, s)
-			}
-			if claimed[s] {
-				t.Fatalf("lease %s seed %d claimed twice", l.ID, s)
-			}
-			claimed[s] = true
 		}
+		if n := len(rj.results); rj.ck != nil && (n == len(rj.spec.Seeds) || rj.ck.seed != rj.spec.Seeds[n]) {
+			t.Fatalf("job %s kept a checkpoint of seed %d after releasing %d of seeds %v", rj.id, rj.ck.seed, n, rj.spec.Seeds)
+		}
+	}
+	if len(nodes) != len(out.nodeRecords) || (len(nodes) > 0 && !reflect.DeepEqual(out.nodeRecords, nodes)) {
+		t.Fatalf("job-less records = %+v, want %+v", out.nodeRecords, nodes)
 	}
 }
 
 // leaseJournalBytes is the canonical lease journal the truncation and fuzz
-// tests start from.
+// tests start from: grants, a delivery, a released seed, a requeue, a
+// quarantine and its absolve, a record of an unknown job, and an old
+// coordinator's renew.
 func leaseJournalBytes(t testing.TB) []byte {
 	spec := quickSpec(1, 2, 3, 4, 5, 6)
 	jl, err := openJournal(t.TempDir(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	jl.appendLease(leaseRec(LeaseGrant, "j-000001", "l-j-000001-009", "wz", []uint64{1}, 0, nil)) // before its submit
 	jl.appendSubmit("j-000001", &spec)
 	jl.appendLease(leaseRec(LeaseGrant, "j-000001", "l-j-000001-000", "wa", []uint64{1, 2}, 0, nil))
 	jl.appendLease(leaseRec(LeaseGrant, "j-000001", "l-j-000001-001", "wb", []uint64{3, 4}, 0, nil))
 	jl.appendLease(leaseRec(LeaseResult, "j-000001", "l-j-000001-000", "wa", []uint64{1, 2}, 0,
 		[]SeedResult{{Seed: 1, Rounds: 11}, {Seed: 2, Rounds: 12}}))
 	jl.appendSeed("j-000001", 1, &SeedResult{Seed: 1, Rounds: 11}, 1)
+	jl.appendLease(&LeaseRecord{Op: LeaseQuarantine, Node: "wb", Reason: "outvoted"})
 	jl.appendLease(leaseRec(LeaseRequeue, "j-000001", "l-j-000001-001", "", []uint64{3, 4}, 1, nil))
+	jl.appendLease(leaseRec("renew", "j-000001", "l-j-000001-001", "wa", nil, 0, nil))
+	jl.appendLease(leaseRec(LeaseGrant, "j-000002", "l-j-000002-000", "wa", []uint64{1}, 0, nil)) // never submitted
 	jl.appendLease(leaseRec(LeaseGrant, "j-000001", "l-j-000001-002", "wc", []uint64{5, 6}, 0, nil))
+	jl.appendLease(&LeaseRecord{Op: LeaseAbsolve, Node: "wb"})
 	jl.close()
 	data, err := os.ReadFile(jl.path)
 	if err != nil {
@@ -182,29 +119,22 @@ func leaseJournalBytes(t testing.TB) []byte {
 }
 
 // TestLeaseJournalTruncatedAtEveryOffset cuts a lease-bearing journal at
-// every byte position: replay must never error, and whatever state survives
-// must still satisfy the fleet invariants.
+// every byte position: replay must never error, and must hand each job
+// exactly the lease records that survived the cut.
 func TestLeaseJournalTruncatedAtEveryOffset(t *testing.T) {
 	data := leaseJournalBytes(t)
-	path := filepath.Join(t.TempDir(), journalFile)
+	jobs, nodes := wantLeaseRecords(data)
+	if len(jobs["j-000001"]) != 6 || len(nodes) != 2 {
+		t.Fatalf("canonical journal holds %d job records and %d job-less ones, want 6 and 2", len(jobs["j-000001"]), len(nodes))
+	}
 	for cut := 0; cut <= len(data); cut++ {
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out, err := replayJournal(path)
-		if err != nil {
-			t.Fatalf("cut=%d: replay error: %v", cut, err)
-		}
-		for _, rj := range out.jobs {
-			checkFleetInvariants(t, rj)
-		}
+		checkReplay(t, data[:cut])
 	}
 }
 
-// FuzzLeaseJournalReplay throws arbitrary bytes at replay and asserts the
-// fleetState invariants hold for every recovered job — a mangled journal may
-// lose work (recomputed; harmless) but must never yield overlapping or
-// out-of-job leases, which would corrupt a dispatch.
+// FuzzLeaseJournalReplay throws arbitrary bytes at replay and asserts what
+// replay owns for every recovered job; the fleet's fold of the records is
+// fuzzed by internal/fleet's FuzzLeaseFold.
 func FuzzLeaseJournalReplay(f *testing.F) {
 	valid := leaseJournalBytes(f)
 	f.Add(valid)
@@ -217,17 +147,5 @@ func FuzzLeaseJournalReplay(f *testing.F) {
 	f.Add([]byte(`{"t":"lease","op":"quarantine","node":"wl","error":"lied"}` + "\n" +
 		`{"t":"lease","op":"absolve","node":"wl"}` + "\n" +
 		`{"t":"lease","op":"quarantine"}` + "\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), journalFile)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out, err := replayJournal(path)
-		if err != nil {
-			t.Fatalf("replay errored on file content: %v", err)
-		}
-		for _, rj := range out.jobs {
-			checkFleetInvariants(t, rj)
-		}
-	})
+	f.Fuzz(checkReplay)
 }

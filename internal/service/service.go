@@ -84,25 +84,20 @@ type Config struct {
 
 // DispatchJob describes the remaining work of one job handed to a
 // Dispatcher: the spec, its shape fingerprint (the lease identity), and the
-// seeds that still need results, in spec order.
+// seeds that still need results, in spec order — exactly the seeds without
+// a released result.
 type DispatchJob struct {
 	ID          string
 	Spec        JobSpec
 	Fingerprint string
 	Seeds       []uint64
 
-	// Banked are results recovered from the lease journal: workers delivered
-	// them before a coordinator crash but they were not yet part of the
-	// released prefix. The dispatcher must fold them into its merge instead
-	// of re-dispatching their seeds — already-delivered seeds never
-	// recompute. Always a subset of Seeds.
-	Banked []SeedResult
-	// Leases are the in-flight leases recovered from the lease journal. The
-	// dispatcher re-adopts them under their original ids, owners, and
-	// attempt counts so workers still executing (or re-delivering) them land
-	// on live leases instead of being cancelled. Their seed sets are
-	// pairwise disjoint and disjoint from Banked.
-	Leases []RecoveredLease
+	// Records are the job's lease records replayed from the journal, in
+	// journal order, as the dispatcher appended them before a restart (nil
+	// on a first dispatch). The service does not interpret them: the
+	// dispatcher folds them into delivered results it must not recompute
+	// and in-flight leases it re-adopts.
+	Records []LeaseRecord
 }
 
 // Dispatcher executes a job's seeds somewhere other than the scheduler
@@ -163,10 +158,9 @@ type Service struct {
 	replayMu   sync.Mutex
 	replay     ReplaySummary
 	replayDone bool
-	// fleetQuarantine holds node quarantine reconstructed by journal replay
-	// (node id → reason), for the fleet coordinator to re-adopt. Written
-	// once by recover, under replayMu.
-	fleetQuarantine map[string]string
+	// nodeRecords are the replayed lease records that name no job, for the
+	// fleet coordinator to fold. Written once by recover, under replayMu.
+	nodeRecords []LeaseRecord
 
 	metrics metrics
 }
@@ -237,21 +231,14 @@ func (s *Service) AppendLease(rec LeaseRecord) {
 	s.journal.appendLease(&rec)
 }
 
-// RecoveredQuarantine returns the node quarantine reconstructed by journal
-// replay (node id → reason), nil before replay finishes or without a
-// journal. The fleet coordinator re-adopts it so a quarantined node does
-// not regain leases just because the coordinator restarted.
-func (s *Service) RecoveredQuarantine() map[string]string {
+// NodeRecords returns the replayed lease records that name no job
+// (quarantine, absolve), in journal order; nil before replay finishes or
+// without a journal. The fleet coordinator folds them so a quarantined node
+// does not regain leases just because the coordinator restarted.
+func (s *Service) NodeRecords() []LeaseRecord {
 	s.replayMu.Lock()
 	defer s.replayMu.Unlock()
-	if len(s.fleetQuarantine) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(s.fleetQuarantine))
-	for k, v := range s.fleetQuarantine {
-		out[k] = v
-	}
-	return out
+	return s.nodeRecords
 }
 
 // JobState reports a job's current state by id.
@@ -546,11 +533,10 @@ func (s *Service) runDispatched(j *job, start int) error {
 		Spec:        j.spec,
 		Fingerprint: j.spec.Fingerprint(),
 		Seeds:       j.spec.Seeds[start:],
-		Banked:      j.fleetBanked,
-		Leases:      j.fleetLeases,
+		Records:     j.leases,
 	}
 	// Recovery state is consumed by the first dispatch only, like resume.
-	j.fleetBanked, j.fleetLeases = nil, nil
+	j.leases = nil
 	err := s.cfg.Dispatcher.Dispatch(j.ctx, dj, func(sr SeedResult) {
 		s.metrics.rounds.Add(int64(sr.Rounds))
 		s.metrics.faults.Add(int64(len(sr.Faults)))

@@ -63,8 +63,10 @@ func newFaultState(cfg *Config) *faultState {
 	return fs
 }
 
-// reset recompiles the timeline for the current seed and clears all runtime
-// state, as part of New/Reset population construction.
+// reset recompiles the timeline for the current seed and clears the
+// runtime state, as part of New/Reset population construction. The
+// per-agent crash bookkeeping is cleared chunk by chunk on the worker pool,
+// with the population (vecInitRange).
 func (fs *faultState) reset(cfg *Config) {
 	fs.timeline = cfg.Faults.Compile(cfg.Seed)
 	fs.cursor = 0
@@ -72,9 +74,6 @@ func (fs *faultState) reset(cfg *Config) {
 	fs.records = fs.records[:0]
 	fs.firstPending = 0
 	fs.driftOn = false
-	for i := range fs.crashUntil {
-		fs.crashUntil[i] = 0
-	}
 	fs.crashEnd = 0
 }
 

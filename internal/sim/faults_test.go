@@ -278,6 +278,62 @@ func TestFaultDeterminismAcrossResetAndWorkers(t *testing.T) {
 	}
 }
 
+// TestResetClearsCrashesOnEveryChunk: a crash that outlasts the run leaves
+// crash bookkeeping on every chunk, and Reset must clear all of it, so a
+// rerun under another seed, whose crash fires again, equals a fresh run of
+// that seed in its Result and in its final snapshot bytes. Voter at
+// n = 12,000 spans three chunks on two workers.
+func TestResetClearsCrashesOnEveryChunk(t *testing.T) {
+	cfg := sim.Config{
+		N: 12000, H: 4, Sources1: 40, Sources0: 10,
+		Noise:           uniformNoise(t, 2, 0.2),
+		Protocol:        protocol.Voter{},
+		Seed:            1,
+		MaxRounds:       20,
+		StabilityWindow: 20,
+		Workers:         2,
+		Faults: &faults.Schedule{Events: []faults.Event{
+			{Kind: faults.KindCrash, Round: 3, Fraction: 0.3, Duration: 1000},
+		}},
+	}
+	if cfg.N <= 2*sim.VecChunkSize {
+		t.Fatalf("n = %d spans fewer than 3 chunks", cfg.N)
+	}
+	reused, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reused.Close()
+	if _, err := reused.Run(); err != nil {
+		t.Fatal(err)
+	}
+	reused.Reset(2)
+	got, err := reused.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Seed = 2
+	fresh, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	want, err := fresh.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Faults) != 1 || want.Faults[0].Affected == 0 {
+		t.Fatalf("crash did not fire after Reset: %+v", want.Faults)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Reset run diverged from a fresh run:\n%+v\n%+v", got, want)
+	}
+	if !bytes.Equal(reused.Snapshot(), fresh.Snapshot()) {
+		t.Fatal("Reset run's final engine state differs from a fresh run's")
+	}
+}
+
 // TestBackendLabelsShareOneEngine: BackendAuto, BackendExact and
 // BackendAggregate select one per-agent engine. Under a full fault
 // schedule, on a ring, and for SSF at h = 16, the same seed gives the same

@@ -537,12 +537,18 @@ func (r *Runner) freezeCrashed(lo, hi int, crashUntil, shard []int) {
 
 // vecInitRange rebuilds worker w's chunks for New and Reset: it reseeds
 // each chunk's stream from the run seed and builds the chunk's agents from
-// it, so a chunk's draws do not depend on which worker runs it.
+// it, so a chunk's draws do not depend on which worker runs it, and clears
+// the chunk's crash bookkeeping.
 func (r *Runner) vecInitRange(w int) {
+	crashed := r.fs != nil && r.fs.crashUntil != nil
 	for c := w; c < r.numChunks; c += r.workers {
 		r.chunkStreams[c].Reseed(rng.DeriveSeed(r.cfg.Seed, vecStreamID+uint64(c)))
 		lo, hi := r.chunkBounds(c)
 		r.pop.InitRange(lo, hi, r.cfg.Corruption, &r.chunkStreams[c])
+		if crashed {
+			clear(r.fs.crashUntil[lo:hi])
+			clear(r.fs.frozen[lo:hi])
+		}
 	}
 }
 

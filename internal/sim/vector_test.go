@@ -180,6 +180,27 @@ func vecCases() []vecCase {
 			},
 		},
 		{
+			// SSF on a graph: the k-ary kernel publishes its displays for
+			// per-agent neighborhood laws, multi-chunk.
+			name: "ssf ring",
+			cfg: func(t *testing.T, seed uint64) sim.Config {
+				g, err := graph.Ring(5000, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sim.Config{
+					N: 5000, H: 8, Sources1: 60, Sources0: 15,
+					Noise:           uniformNoise(t, 4, 0.1),
+					Protocol:        protocol.NewSSF(protocol.WithSSFUpdateQuota(96)),
+					Topology:        g,
+					Seed:            seed,
+					Backend:         sim.BackendExact,
+					MaxRounds:       40,
+					StabilityWindow: 40,
+				}
+			},
+		},
+		{
 			// The structural fault palette on the SoA population.
 			name: "voter crash churn corrupt",
 			cfg: func(t *testing.T, seed uint64) sim.Config {
