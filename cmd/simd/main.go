@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		leaseMax    = fs.Int("lease-attempts", 0, "fleet: times one seed range may be leased before its job fails (0 = default 5)")
 		chaosSpec   = fs.String("chaos-spec", "", `fleet: deterministic wire-fault injection, e.g. "seed=7,drop=0.1,delay=0.2:20ms,dup=0.1,corrupt=0.05,partition=1500ms/6s" (chaos testing only)`)
 
-		fleetSecret  = fs.String("fleet-secret", "", "fleet: shared secret; every fleet RPC carries an HMAC-SHA256 body signature (must match on all nodes)")
+		fleetSecret  = fs.String("fleet-secret", "", "fleet: shared secret keying the HMAC-SHA256 body tag every fleet RPC carries (must match on all nodes; empty = the empty key, an integrity check only)")
 		verifySeeds  = fs.Int("verify-seeds", 0, "fleet: lease each verified seed range to this many distinct nodes and admit results only on majority digest agreement (0 or 1 = trust workers)")
 		verifySample = fs.Float64("verify-sample", 1, "fleet: fraction of seed ranges quorum-verified when -verify-seeds is set (deterministic per range)")
 		quarProbe    = fs.Duration("quarantine-probation", 2*time.Minute, "fleet: how long a quarantined node is refused leases before it may heal")

@@ -19,9 +19,9 @@ import (
 const lieStreamID = 0x6c696172_5eed0002 // "liar"
 
 // LieSpec declares how a Byzantine worker lies about its computed results.
-// Unlike package chaos's wire faults — which checksums catch — a liar
-// mutates results *before* sealing and attesting them, so every envelope
-// it sends is internally consistent; only the coordinator's digest
+// Unlike package chaos's wire faults — which the fleet's body HMAC catches —
+// a liar mutates results *before* attesting and tagging them, so every
+// envelope it sends is internally consistent; only the coordinator's digest
 // self-check and quorum comparison can expose it. Zero-valued fields
 // disable their lie class.
 type LieSpec struct {

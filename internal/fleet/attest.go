@@ -13,8 +13,8 @@ import (
 // Result attestation is the fleet's defense against workers that are wrong
 // rather than slow or dead: a worker with bad RAM, a skewed build, or
 // adversarial intent can deliver a well-formed result whose numbers are
-// simply false. Per-message checksums (wire.go) cannot catch that — the liar
-// checksums its lie honestly. Attestation makes the *content* comparable:
+// simply false. The body HMAC (auth.go) cannot catch that — the liar tags
+// its lie honestly. Attestation makes the *content* comparable:
 // every seed result carries a digest over the canonical result payload, the
 // job's config fingerprint, and the producing build, so two independent
 // nodes agree on a seed if and only if they computed byte-identical results
@@ -22,8 +22,8 @@ import (
 // admits a seed only when enough digests agree.
 
 // attLen is the hex length of an attestation digest — same truncation as
-// the wire checksums (64 bits of sha256 is plenty for corruption/equality
-// checking; this is not a signature).
+// the lease checksum (64 bits of sha256 is plenty for equality checking;
+// this is not a signature).
 const attLen = 16
 
 // Attest computes the attestation digest for one seed result produced under
@@ -40,7 +40,7 @@ func Attest(sr *service.SeedResult, fingerprint, build string) string {
 	h.Write([]byte{0})
 	// SeedResult is flat integers and bools, so a decode/re-encode round
 	// trip is byte-stable and both ends compute identical digests from
-	// their in-memory structs (same property the wire checksums rely on).
+	// their in-memory structs.
 	_ = json.NewEncoder(h).Encode(sr)
 	return hex.EncodeToString(h.Sum(nil))[:attLen]
 }

@@ -7,17 +7,18 @@ import (
 	"net/http"
 )
 
-// Shared-secret HMAC auth for the fleet wire. Attestation (attest.go)
-// defends the merge against workers that compute wrong answers; auth
-// defends the coordinator against endpoints that were never fleet members
-// at all — anyone who can reach the port can otherwise register, poll
-// leases away from real workers, or deliver results. A shared secret
-// (`-fleet-secret` on every node) gates all four RPCs: the client stamps
-// each request with an HMAC-SHA256 of the body, the coordinator verifies
-// it in constant time before the body is decoded. This is transport-level
-// peer authentication, not per-node identity — any holder of the secret
-// can speak as any node id (quorum + reputation handle a member that
-// turns Byzantine).
+// Body HMAC for the fleet wire: the one check every fleet request passes
+// before it is decoded. The client stamps each request with an
+// HMAC-SHA256 of the body, keyed by the shared secret (`-fleet-secret` on
+// every node, or the empty key when none is set); the coordinator verifies
+// it in constant time and answers 401 on a missing or wrong tag. With the
+// empty key the tag is an integrity check only: a body corrupted in flight
+// bounces at the door instead of decoding into a different node id, lease
+// or result. With a secret it is also the membership check: anyone who can
+// reach the port can otherwise register, poll leases away from real
+// workers, or deliver results. Either way this is transport-level, not
+// per-node identity — any holder of the secret can speak as any node id
+// (quorum + reputation handle a member that turns Byzantine).
 
 // AuthHeader carries the request's HMAC tag, hex-encoded.
 const AuthHeader = "X-Fleet-Auth"
@@ -30,12 +31,9 @@ func authMAC(secret string, body []byte) string {
 }
 
 // Signer returns a request-signing hook for service.Client.Sign that stamps
-// AuthHeader on every outgoing fleet RPC. An empty secret returns nil (no
-// header, compatible with an auth-less coordinator).
+// AuthHeader on every outgoing fleet RPC, keyed by secret (empty = the
+// empty key).
 func Signer(secret string) func(*http.Request, []byte) {
-	if secret == "" {
-		return nil
-	}
 	return func(req *http.Request, body []byte) {
 		req.Header.Set(AuthHeader, authMAC(secret, body))
 	}

@@ -67,22 +67,8 @@ func TestFleetAuthRejectsUnsigned(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	body, _ := json.Marshal(RegisterRequest{NodeID: "wa"})
 	post := func(sign func(*http.Request, []byte)) int {
-		req, err := http.NewRequest("POST", ts.URL+PathRegister, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if sign != nil {
-			sign(req, body)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		resp, _ := postTagged(t, ts.URL+PathRegister, sign, RegisterRequest{NodeID: "wa"})
 		return resp.StatusCode
 	}
 
@@ -92,22 +78,92 @@ func TestFleetAuthRejectsUnsigned(t *testing.T) {
 	if st := post(Signer("wrong-secret")); st != http.StatusUnauthorized {
 		t.Fatalf("wrong-secret register = %d, want 401", st)
 	}
-	if got := c.authFailures.Load(); got != 2 {
-		t.Fatalf("authFailures = %d, want 2", got)
+	// A secretless peer tags with the empty key, which is no member's key.
+	if st := post(Signer("")); st != http.StatusUnauthorized {
+		t.Fatalf("empty-key register = %d, want 401", st)
+	}
+	if got := c.authFailures.Load(); got != 3 {
+		t.Fatalf("authFailures = %d, want 3", got)
 	}
 	if st := post(Signer("s3cret")); st != http.StatusOK {
 		t.Fatalf("signed register = %d, want 200", st)
 	}
-	if got := c.authFailures.Load(); got != 2 {
-		t.Fatalf("authFailures after valid RPC = %d, want 2", got)
-	}
-	if Signer("") != nil {
-		t.Fatal("Signer(\"\") should be nil (no auth)")
+	if got := c.authFailures.Load(); got != 3 {
+		t.Fatalf("authFailures after valid RPC = %d, want 3", got)
 	}
 	// A worker configured with the secret signs transparently.
 	w := NewWorker(WorkerConfig{Coordinator: ts.URL, Secret: "s3cret"})
 	if w.client.Sign == nil {
 		t.Fatal("worker with Secret has no client signer")
+	}
+}
+
+// servedJob serves a coordinator without a secret, dispatches a two-seed
+// job (one lease under fastFleet) and registers node wa.
+func servedJob(t *testing.T, jobID string) (c *Coordinator, url string, job service.DispatchJob, errs <-chan error) {
+	t.Helper()
+	c = NewCoordinator(fastFleet())
+	t.Cleanup(c.Close)
+	mux := http.NewServeMux()
+	c.Routes(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	spec := service.JobSpec{N: 100, H: 1, Sources1: 1, Delta: 0.2, Protocol: "sf"}
+	job = service.DispatchJob{ID: jobID, Spec: spec, Fingerprint: spec.Fingerprint(), Seeds: []uint64{1, 2}}
+	_, errs = startDispatch(t, c, job)
+	waitDispatched(t, c, job.ID)
+	if st, body := postWire(t, ts.URL+PathRegister, RegisterRequest{NodeID: "wa"}, nil); st != http.StatusOK {
+		t.Fatalf("register wa: %d %s", st, body)
+	}
+	return c, ts.URL, job, errs
+}
+
+// stillRunning fails the test if the dispatch already ended.
+func stillRunning(t *testing.T, errs <-chan error) {
+	t.Helper()
+	select {
+	case err := <-errs:
+		t.Fatalf("job terminated: %v", err)
+	default:
+	}
+}
+
+// TestFleetRejectsUntaggedWithoutSecret: a coordinator without a secret
+// still requires the body tag, keyed by the empty key, on all four RPCs.
+// Untagged ones get 401 and change nothing: no node registers, no lease is
+// granted, no result merges.
+func TestFleetRejectsUntaggedWithoutSecret(t *testing.T) {
+	c, url, job, errs := servedJob(t, "j-000025")
+	for _, rpc := range []struct {
+		path string
+		body any
+	}{
+		{PathRegister, RegisterRequest{NodeID: "wx"}},
+		{PathPoll, PollRequest{NodeID: "wa"}},
+		{PathHeartbeat, HeartbeatRequest{NodeID: "wa", Leases: []string{"l-j-000025-000"}}},
+		{PathResult, attested("wa", "l-j-000025-000", job.Fingerprint, sr(1), sr(2))},
+	} {
+		if resp, body := postTagged(t, url+rpc.path, nil, rpc.body); resp.StatusCode != http.StatusUnauthorized {
+			t.Fatalf("untagged %s = %d %s, want 401", rpc.path, resp.StatusCode, body)
+		}
+	}
+	if got := c.authFailures.Load(); got != 4 {
+		t.Fatalf("authFailures = %d, want 4", got)
+	}
+	if nodes := c.Nodes(); len(nodes) != 1 || nodes[0].ID != "wa" {
+		t.Fatalf("registry = %+v, want wa alone", nodes)
+	}
+	c.mu.Lock()
+	_, active := c.lt.counts()
+	c.mu.Unlock()
+	if active != 0 || c.merged.Load() != 0 {
+		t.Fatalf("untagged RPCs left %d active leases and %d merged results", active, c.merged.Load())
+	}
+	stillRunning(t, errs)
+	// The same poll, tagged, gets the lease the untagged one did not.
+	var pr PollResponse
+	if postWire(t, url+PathPoll, PollRequest{NodeID: "wa"}, &pr); pr.Lease == nil {
+		t.Fatal("tagged poll granted no lease")
 	}
 }
 
@@ -155,15 +211,9 @@ func TestQuorumSplitEscalatesAndQuarantines(t *testing.T) {
 	honest := []service.SeedResult{sr(1), sr(2)}
 	lie := []service.SeedResult{sr(1), sr(2)}
 	lie[0].Rounds++ // wb lies about seed 1, agrees on seed 2
-	build := "test-build"
 	deliver := func(node, leaseID string, results []service.SeedResult) *ResultResponse {
-		req := ResultRequest{
-			NodeID: node, LeaseID: leaseID, Results: results,
-			Build: build, Atts: AttestAll(results, job.Fingerprint, build),
-		}
-		req.Seal()
 		var res ResultResponse
-		if st, body := postWire(t, ts.URL+PathResult, req, &res); st != 200 {
+		if st, body := postWire(t, ts.URL+PathResult, attested(node, leaseID, job.Fingerprint, results...), &res); st != 200 {
 			t.Fatalf("deliver %s on %s: %d %s", node, leaseID, st, body)
 		}
 		return &res
@@ -208,16 +258,8 @@ func TestQuorumSplitEscalatesAndQuarantines(t *testing.T) {
 	}
 
 	// Anything a quarantined node delivers is refused before lease lookup.
-	req := ResultRequest{NodeID: "wb", LeaseID: "l-j-000021-000", Results: honest}
-	data, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+PathResult, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("quarantined delivery = %d, want 403", resp.StatusCode)
+	if st, body := postWire(t, ts.URL+PathResult, attested("wb", "l-j-000021-000", job.Fingerprint, honest...), nil); st != http.StatusForbidden {
+		t.Fatalf("quarantined delivery = %d %s, want 403", st, body)
 	}
 	if got := c.quarRejected.Load(); got != 1 {
 		t.Fatalf("quarRejected = %d, want 1", got)
@@ -267,14 +309,9 @@ func TestQuorumUnresolvedFailsJob(t *testing.T) {
 				if pr.Lease == nil {
 					t.Fatalf("%s polled no replica", node)
 				}
-				results := []service.SeedResult{sr(1)}
-				results[0].Rounds = rounds
-				req := ResultRequest{
-					NodeID: node, LeaseID: pr.Lease.ID, Results: results,
-					Build: "test-build", Atts: AttestAll(results, job.Fingerprint, "test-build"),
-				}
-				req.Seal()
-				if st, body := postWire(t, ts.URL+PathResult, req, nil); st != http.StatusOK {
+				r := sr(1)
+				r.Rounds = rounds
+				if st, body := postWire(t, ts.URL+PathResult, attested(node, pr.Lease.ID, job.Fingerprint, r), nil); st != http.StatusOK {
 					t.Fatalf("deliver %s on %s: %d %s", node, pr.Lease.ID, st, body)
 				}
 			}
@@ -331,16 +368,8 @@ func TestAttestationSelfCheckFaultsDelivery(t *testing.T) {
 		NodeID: "wa", LeaseID: pr.Lease.ID, Results: results,
 		Build: "b1", Atts: AttestAll(results, "a-stale-fingerprint", "b1"),
 	}
-	req.Seal()
-	data, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+PathResult, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("digests to")) {
-		t.Fatalf("stale-fingerprint delivery = %d %s, want 400 with digest mismatch", resp.StatusCode, body)
+	if st, body := postWire(t, ts.URL+PathResult, req, nil); st != http.StatusBadRequest || !strings.Contains(body, "digests to") {
+		t.Fatalf("stale-fingerprint delivery = %d %s, want 400 with digest mismatch", st, body)
 	}
 	if got := c.attFailures.Load(); got != 1 {
 		t.Fatalf("attFailures = %d, want 1", got)
@@ -390,16 +419,9 @@ func TestDeliveryOutsideLeaseIsNodeFault(t *testing.T) {
 	}
 
 	// In-job seeds, but not this lease's seeds.
-	bad := ResultRequest{NodeID: "wa", LeaseID: pr.Lease.ID, Results: []service.SeedResult{sr(3), sr(4)}}
-	data, _ := json.Marshal(bad)
-	resp, err := http.Post(ts.URL+PathResult, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-lease delivery = %d, want 400", resp.StatusCode)
+	bad := attested("wa", pr.Lease.ID, job.Fingerprint, sr(3), sr(4))
+	if st, body := postWire(t, ts.URL+PathResult, bad, nil); st != http.StatusBadRequest {
+		t.Fatalf("out-of-lease delivery = %d %s, want 400", st, body)
 	}
 	if got := c.attFailures.Load(); got != 1 {
 		t.Fatalf("attFailures = %d, want 1", got)
@@ -408,6 +430,86 @@ func TestDeliveryOutsideLeaseIsNodeFault(t *testing.T) {
 	case err := <-errCh:
 		t.Fatalf("job terminated on a node fault: %v", err)
 	default:
+	}
+}
+
+// TestDeliveryWithoutAttestationsRejected: every result must carry its
+// attestation. A tagged delivery without them is 400 at decode: nothing
+// merges, the lease stays live and the job keeps running.
+func TestDeliveryWithoutAttestationsRejected(t *testing.T) {
+	c, url, job, errs := servedJob(t, "j-000026")
+	var pr PollResponse
+	postWire(t, url+PathPoll, PollRequest{NodeID: "wa"}, &pr)
+	if pr.Lease == nil {
+		t.Fatal("no lease granted")
+	}
+	bare := attested("wa", pr.Lease.ID, job.Fingerprint, sr(1), sr(2))
+	bare.Atts = nil
+	if st, body := postWire(t, url+PathResult, bare, nil); st != http.StatusBadRequest || !strings.Contains(body, "attestations") {
+		t.Fatalf("unattested delivery = %d %s, want 400 naming the attestations", st, body)
+	}
+	c.mu.Lock()
+	live := c.lt.get(pr.Lease.ID) != nil
+	c.mu.Unlock()
+	if got := c.merged.Load(); got != 0 || !live {
+		t.Fatalf("unattested delivery merged %d results, lease live = %v", got, live)
+	}
+	stillRunning(t, errs)
+}
+
+// TestCorruptedResultIsNotANodeFault: a result body with one bit flipped
+// after tagging — still valid JSON, with a different payload — bounces at
+// the tag check with 401. Corruption is not a reputation fault: the node's
+// attestation failures stay 0, and the intact copy a worker's spool
+// redelivers merges.
+func TestCorruptedResultIsNotANodeFault(t *testing.T) {
+	c, url, job, errs := servedJob(t, "j-000027")
+	var pr PollResponse
+	postWire(t, url+PathPoll, PollRequest{NodeID: "wa"}, &pr)
+	if pr.Lease == nil {
+		t.Fatal("no lease granted")
+	}
+	req := attested("wa", pr.Lease.ID, job.Fingerprint, sr(1), sr(2))
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte(`"rounds":20`))
+	if i < 0 {
+		t.Fatalf("no seed-2 rounds in %s", data)
+	}
+	corrupt := bytes.Clone(data)
+	corrupt[i+len(`"rounds":`)] ^= 1 // seed 2's rounds 20 → 30
+	hr, err := http.NewRequest(http.MethodPost, url+PathResult, bytes.NewReader(corrupt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	Signer("")(hr, data)
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("corrupted delivery = %d, want 401", resp.StatusCode)
+	}
+	if a, f := c.authFailures.Load(), c.attFailures.Load(); a != 1 || f != 0 {
+		t.Fatalf("authFailures = %d, attFailures = %d; want 1 and 0", a, f)
+	}
+	for _, n := range c.Nodes() {
+		if n.AttFailures != 0 || n.Quarantined {
+			t.Fatalf("corruption scored against node %s: %+v", n.ID, n)
+		}
+	}
+	stillRunning(t, errs)
+
+	var res ResultResponse
+	if st, body := postWire(t, url+PathResult, req, &res); st != http.StatusOK || res.Merged != 2 {
+		t.Fatalf("intact redelivery = %d %s %+v, want 2 merged", st, body, res)
+	}
+	if err := <-errs; err != nil {
+		t.Fatal(err)
 	}
 }
 

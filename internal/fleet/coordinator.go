@@ -1,11 +1,9 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -62,9 +60,10 @@ type Config struct {
 	// Probation is how long a quarantined node is refused leases before it
 	// may earn its way back. Default 2m.
 	Probation time.Duration
-	// Secret, when set, requires every fleet RPC to carry a valid
-	// HMAC-SHA256 of its body in the AuthHeader header (`-fleet-secret` on
-	// every node). Empty serves unauthenticated, the pre-auth behavior.
+	// Secret keys the HMAC-SHA256 body tag every fleet RPC must carry in
+	// the AuthHeader header (`-fleet-secret` on every node). Empty is the
+	// empty key: the tag then checks the body's integrity only; a secret
+	// makes it the membership check too.
 	Secret string
 
 	// Logf, if non-nil, receives fleet lifecycle lines.
@@ -164,7 +163,7 @@ type Coordinator struct {
 	abandoned       atomic.Int64 // leases abandoned at the attempt cap
 
 	// Byzantine-tolerance counters.
-	authFailures  atomic.Int64 // RPCs rejected by the shared-secret check
+	authFailures  atomic.Int64 // RPCs rejected by the body HMAC check
 	attFailures   atomic.Int64 // deliveries rejected before merging (bad digest / out-of-lease seeds)
 	agreements    atomic.Int64 // quorum votes matching the admitted payload
 	disagreements atomic.Int64 // quorum votes outvoted by the majority
@@ -590,18 +589,17 @@ func (c *Coordinator) Routes(mux *http.ServeMux) {
 // RoutesWith mounts the wire protocol with every fleet handler wrapped by
 // mw — how -chaos-spec scopes server-side fault injection to the fleet
 // endpoints without touching the job API. Nil mw mounts the handlers bare.
-// The shared-secret check sits inside mw: injected chaos hits the wire
-// before authentication, exactly like a real middlebox would.
+// The body HMAC check sits inside mw: injected chaos hits the wire before
+// the check, exactly like a real middlebox would.
 func (c *Coordinator) RoutesWith(mux *http.ServeMux, mw func(http.Handler) http.Handler) {
-	wrap := func(h http.HandlerFunc) http.Handler {
-		h = c.requireAuth(h)
-		if mw == nil {
-			return h
+	wrap := func(h func(http.ResponseWriter, []byte)) http.Handler {
+		checked := http.Handler(c.requireAuth(h))
+		if mw != nil {
+			if wrapped := mw(checked); wrapped != nil {
+				return wrapped
+			}
 		}
-		if wrapped := mw(h); wrapped != nil {
-			return wrapped
-		}
-		return h
+		return checked
 	}
 	mux.Handle("POST "+PathRegister, wrap(c.handleRegister))
 	mux.Handle("POST "+PathPoll, wrap(c.handlePoll))
@@ -609,30 +607,26 @@ func (c *Coordinator) RoutesWith(mux *http.ServeMux, mw func(http.Handler) http.
 	mux.Handle("POST "+PathResult, wrap(c.handleResult))
 }
 
-// errUnauthorized is the 401 body for a missing or wrong fleet secret.
+// errUnauthorized is the 401 body for a missing or wrong body tag.
 var errUnauthorized = errors.New("fleet: missing or invalid " + AuthHeader + " signature")
 
-// requireAuth wraps a fleet handler with the shared-secret HMAC check when
-// Config.Secret is set: the body is read once, verified in constant time
-// against the AuthHeader tag, and replayed to the handler. No secret, no
-// check — the wrapper is the identity.
-func (c *Coordinator) requireAuth(h http.HandlerFunc) http.HandlerFunc {
-	if c.cfg.Secret == "" {
-		return h
-	}
+// requireAuth wraps a fleet handler with the body HMAC check, keyed by
+// Config.Secret: the body is read once, verified in constant time against
+// the AuthHeader tag, and handed to the handler. A missing or wrong tag —
+// a foreign or misconfigured peer, or a body corrupted in flight — is 401.
+func (c *Coordinator) requireAuth(h func(http.ResponseWriter, []byte)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWireBytes))
 		if err != nil {
-			writeWireError(w, http.StatusBadRequest, err)
+			service.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if !VerifyAuth(c.cfg.Secret, r.Header.Get(AuthHeader), data) {
 			c.authFailures.Add(1)
-			writeWireError(w, http.StatusUnauthorized, errUnauthorized)
+			service.WriteError(w, http.StatusUnauthorized, errUnauthorized)
 			return
 		}
-		r.Body = io.NopCloser(bytes.NewReader(data))
-		h(w, r)
+		h(w, data)
 	}
 }
 
@@ -651,7 +645,7 @@ func (c *Coordinator) notReady(w http.ResponseWriter) bool {
 		return false
 	}
 	w.Header().Set("Retry-After", "1")
-	writeWireError(w, http.StatusServiceUnavailable, errReplaying)
+	service.WriteError(w, http.StatusServiceUnavailable, errReplaying)
 	return true
 }
 
@@ -701,56 +695,23 @@ func (c *Coordinator) awaitingAdoption(leaseID string) bool {
 	return known && !st.Terminal()
 }
 
-// readBody slurps a bounded request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWireBytes))
-	if err != nil {
-		writeWireError(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	return data, true
-}
-
-// writeWireJSON / writeWireError mirror the service handlers' envelope (the
-// {"error": ...} body is what service.Client's apiError parses), keeping the
-// fleet endpoints indistinguishable from the rest of the API surface.
-func writeWireJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeWireError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(map[string]string{"error": err.Error()})
-}
-
 // errUnknownNode is the 404 body workers key their re-registration on.
 var errUnknownNode = errors.New("fleet: unknown node, re-register")
 
 // errQuarantined is the 403 body for RPCs from a quarantined node.
 var errQuarantined = errors.New("fleet: node is quarantined")
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	data, ok := readBody(w, r)
-	if !ok {
-		return
-	}
+func (c *Coordinator) handleRegister(w http.ResponseWriter, data []byte) {
 	req, err := DecodeRegister(data)
 	if err != nil {
-		writeWireError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	c.mu.Lock()
 	n := c.reg.register(req, time.Now())
 	c.mu.Unlock()
 	c.logf("fleet: node %s registered (version=%q gomaxprocs=%d slots=%d)", n.id, req.Version, req.GoMaxProcs, req.Slots)
-	writeWireJSON(w, RegisterResponse{
+	service.WriteJSON(w, http.StatusOK, RegisterResponse{
 		NodeID:      n.id,
 		PollMS:      c.cfg.PollInterval.Milliseconds(),
 		HeartbeatMS: c.cfg.HeartbeatInterval.Milliseconds(),
@@ -758,17 +719,13 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handlePoll(w http.ResponseWriter, data []byte) {
 	if c.notReady(w) {
-		return
-	}
-	data, ok := readBody(w, r)
-	if !ok {
 		return
 	}
 	req, err := DecodePoll(data)
 	if err != nil {
-		writeWireError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	c.polls.Add(1)
@@ -778,7 +735,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	n := c.reg.touch(req.NodeID, now)
 	if n == nil {
 		c.mu.Unlock()
-		writeWireError(w, http.StatusNotFound, errUnknownNode)
+		service.WriteError(w, http.StatusNotFound, errUnknownNode)
 		return
 	}
 	var resp PollResponse
@@ -786,7 +743,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		// A quarantined node keeps its liveness (touch above) but gets no
 		// work; it heals through this same path once probation elapses.
 		c.mu.Unlock()
-		writeWireJSON(w, resp)
+		service.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	l := c.grantLocked(req.NodeID, now)
@@ -803,20 +760,16 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		resp.Lease.Seal()
 	}
 	c.mu.Unlock()
-	writeWireJSON(w, resp)
+	service.WriteJSON(w, http.StatusOK, resp)
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, data []byte) {
 	if c.notReady(w) {
-		return
-	}
-	data, ok := readBody(w, r)
-	if !ok {
 		return
 	}
 	req, err := DecodeHeartbeat(data)
 	if err != nil {
-		writeWireError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	now := time.Now()
@@ -856,7 +809,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		cancel = kept
 	}
 	c.mu.Unlock()
-	writeWireJSON(w, HeartbeatResponse{Cancel: cancel})
+	service.WriteJSON(w, http.StatusOK, HeartbeatResponse{Cancel: cancel})
 }
 
 // errAwaitingAdoption is the 503 body for a delivery whose lease belongs
@@ -868,8 +821,8 @@ var errAwaitingAdoption = errors.New("fleet: job not ready, lease adoption in pr
 // results must cover exactly the leased seeds (DecodeResult already
 // rejected duplicates, so length plus membership implies exactness). A
 // violation is a node fault, not a job failure — honest workers echo the
-// lease's own seed list, so only corruption (caught earlier by checksums)
-// or a lying peer produces one.
+// lease's own seed list, and the body HMAC already bounced corruption, so
+// only a lying peer produces one.
 func deliveryFault(l *lease, req *ResultRequest) error {
 	if len(req.Results) != len(l.seeds) {
 		return fmt.Errorf("fleet: lease %s delivered %d results for %d leased seeds", l.id, len(req.Results), len(l.seeds))
@@ -886,17 +839,13 @@ func deliveryFault(l *lease, req *ResultRequest) error {
 	return nil
 }
 
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleResult(w http.ResponseWriter, data []byte) {
 	if c.notReady(w) {
-		return
-	}
-	data, ok := readBody(w, r)
-	if !ok {
 		return
 	}
 	req, err := DecodeResult(data)
 	if err != nil {
-		writeWireError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	now := time.Now()
@@ -905,7 +854,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	n := c.reg.touch(req.NodeID, now)
 	if n == nil {
 		c.mu.Unlock()
-		writeWireError(w, http.StatusNotFound, errUnknownNode)
+		service.WriteError(w, http.StatusNotFound, errUnknownNode)
 		return
 	}
 	if c.quarCheckLocked(n, now) {
@@ -914,7 +863,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		// delivery lands as a late duplicate or a fresh vote.
 		c.quarRejected.Add(1)
 		c.mu.Unlock()
-		writeWireError(w, http.StatusForbidden, errQuarantined)
+		service.WriteError(w, http.StatusForbidden, errQuarantined)
 		return
 	}
 	l := c.lt.get(req.LeaseID)
@@ -924,13 +873,13 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			// acking now as a duplicate would discard computed results.
 			c.mu.Unlock()
 			w.Header().Set("Retry-After", "1")
-			writeWireError(w, http.StatusServiceUnavailable, errAwaitingAdoption)
+			service.WriteError(w, http.StatusServiceUnavailable, errAwaitingAdoption)
 			return
 		}
 		// Already merged via a re-lease, or the job is gone: idempotent OK.
 		c.duplicates.Add(int64(len(req.Results)))
 		c.mu.Unlock()
-		writeWireJSON(w, ResultResponse{Duplicates: len(req.Results)})
+		service.WriteJSON(w, http.StatusOK, ResultResponse{Duplicates: len(req.Results)})
 		return
 	}
 	d := l.d
@@ -943,7 +892,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.lt.complete(req.LeaseID)
 		c.fail(d, fmt.Errorf("fleet: lease %s failed on node %s: %s", l.id, req.NodeID, req.Error))
 		c.mu.Unlock()
-		writeWireJSON(w, ResultResponse{})
+		service.WriteJSON(w, http.StatusOK, ResultResponse{})
 		return
 	}
 	if fault := deliveryFault(l, req); fault != nil {
@@ -952,7 +901,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		// reputation takes the hit.
 		c.nodeFaultLocked(n, now, fault)
 		c.mu.Unlock()
-		writeWireError(w, http.StatusBadRequest, fault)
+		service.WriteError(w, http.StatusBadRequest, fault)
 		return
 	}
 	// The coordinator attests every payload itself; a worker-claimed digest
@@ -960,16 +909,14 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	// what catches stale-fingerprint replays immediately — the claimed
 	// digests were computed over the wrong fingerprint).
 	digests := AttestAll(req.Results, d.job.Fingerprint, req.Build)
-	if len(req.Atts) == len(digests) {
-		for i := range digests {
-			if req.Atts[i] != digests[i] {
-				fault := fmt.Errorf("fleet: lease %s: node %s attested seed %d as %s but its payload digests to %s",
-					l.id, req.NodeID, req.Results[i].Seed, req.Atts[i], digests[i])
-				c.nodeFaultLocked(n, now, fault)
-				c.mu.Unlock()
-				writeWireError(w, http.StatusBadRequest, fault)
-				return
-			}
+	for i := range digests {
+		if req.Atts[i] != digests[i] {
+			fault := fmt.Errorf("fleet: lease %s: node %s attested seed %d as %s but its payload digests to %s",
+				l.id, req.NodeID, req.Results[i].Seed, req.Atts[i], digests[i])
+			c.nodeFaultLocked(n, now, fault)
+			c.mu.Unlock()
+			service.WriteError(w, http.StatusBadRequest, fault)
+			return
 		}
 	}
 	c.lt.complete(req.LeaseID)
@@ -982,7 +929,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		// violation, not peer input — fail loudly.
 		c.fail(d, mergeErr)
 		c.mu.Unlock()
-		writeWireJSON(w, ResultResponse{})
+		service.WriteJSON(w, http.StatusOK, ResultResponse{})
 		return
 	}
 	c.scoreVerdictsLocked(d, out.verdicts, now)
@@ -1009,7 +956,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		d.wake()
 	}
 	c.mu.Unlock()
-	writeWireJSON(w, ResultResponse{Merged: len(out.fresh), Duplicates: out.dups})
+	service.WriteJSON(w, http.StatusOK, ResultResponse{Merged: len(out.fresh), Duplicates: out.dups})
 }
 
 // nodeFaultLocked scores a delivery rejected before merging (out-of-lease

@@ -8,6 +8,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -44,8 +45,8 @@ func TestMergeOrderFreeAndIdempotent(t *testing.T) {
 	if m.done() {
 		t.Fatal("merge done with seed 11 missing")
 	}
-	if p := m.pending(); len(p) != 1 || p[0] != 11 {
-		t.Fatalf("pending = %v, want [11]", p)
+	if m.admitted(11) || !m.admitted(9) {
+		t.Fatalf("admitted(11) = %v, admitted(9) = %v; want only 11 missing", m.admitted(11), m.admitted(9))
 	}
 
 	// Duplicate delivery (a re-leased range reporting twice) is discarded;
@@ -205,6 +206,9 @@ func TestWireDecodeRejects(t *testing.T) {
 	if _, err := DecodeResult([]byte(`{"node_id":"wa","lease_id":"l-1","results":[{"seed":1},{"seed":1}]}`)); err == nil {
 		t.Fatal("duplicate result seeds accepted")
 	}
+	if _, err := DecodeResult([]byte(`{"node_id":"wa","lease_id":"l-1","results":[{"seed":1}]}`)); err == nil {
+		t.Fatal("results without attestations accepted")
+	}
 	if _, err := DecodeHeartbeat([]byte(`{"node_id":"wa","gomaxprocs":-1}`)); err == nil {
 		t.Fatal("negative gomaxprocs accepted")
 	}
@@ -213,26 +217,37 @@ func TestWireDecodeRejects(t *testing.T) {
 	}
 }
 
-func TestWireLeaseValidate(t *testing.T) {
+// testLease is a sealed lease as the coordinator grants it.
+func testLease() WireLease {
 	spec := service.JobSpec{N: 100, H: 4, Sources1: 1, Delta: 0.2, Protocol: "sf"}
 	wl := WireLease{
 		ID: "l-j-000001-000", Job: "j-000001",
 		Fingerprint: spec.Fingerprint(), Spec: spec,
 		Seeds: []uint64{1, 2, 3},
 	}
-	data, _ := json.Marshal(wl)
-	if _, err := DecodeLease(data); err != nil {
-		t.Fatalf("valid lease rejected: %v", err)
+	wl.Seal()
+	return wl
+}
+
+func TestWireLeaseValidate(t *testing.T) {
+	wl := testLease()
+	data, _ := json.Marshal(PollResponse{Lease: &wl})
+	var pr PollResponse
+	if err := json.Unmarshal(data, &pr); err != nil || pr.Lease.Validate() != nil {
+		t.Fatalf("valid lease rejected after a wire round trip: %v, %v", err, pr.Lease.Validate())
 	}
 
+	// Each bad lease is resealed, so the check under test is not the sum.
 	bad := wl
 	bad.Fingerprint = "0000000000000000"
+	bad.Seal()
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("fingerprint mismatch not rejected: %v", err)
 	}
 
 	bad = wl
 	bad.Seeds = []uint64{1, 1}
+	bad.Seal()
 	if err := bad.Validate(); err == nil {
 		t.Fatal("duplicate lease seeds accepted")
 	}
@@ -240,7 +255,24 @@ func TestWireLeaseValidate(t *testing.T) {
 	bad = wl
 	bad.Spec.Protocol = "meteor"
 	bad.Fingerprint = bad.Spec.Fingerprint()
+	bad.Seal()
 	if err := bad.Validate(); err == nil {
 		t.Fatal("unbuildable spec accepted")
+	}
+
+	bad = wl
+	bad.Seeds = []uint64{1, 2, 4}
+	if err := bad.Validate(); !errors.Is(err, ErrLeaseChecksum) {
+		t.Fatalf("seed range changed after sealing: %v, want ErrLeaseChecksum", err)
+	}
+}
+
+// TestWireLeaseUnsealedIsChecksumError: a lease without its sum is treated
+// as corrupted in flight, not trusted.
+func TestWireLeaseUnsealedIsChecksumError(t *testing.T) {
+	wl := testLease()
+	wl.Sum = ""
+	if err := wl.Validate(); !errors.Is(err, ErrLeaseChecksum) {
+		t.Fatalf("unsealed lease: Validate = %v, want ErrLeaseChecksum", err)
 	}
 }

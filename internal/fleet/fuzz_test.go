@@ -1,37 +1,34 @@
 package fleet
 
 // FuzzFleetWireDecode hammers the fleet's decode surface: every byte
-// sequence a peer can POST to /fleet/v1/* must either fail validation
-// cleanly or produce a structurally sound message — never panic, and never
-// smuggle a node id that could break logs or /metrics label values. CI runs
-// this briefly with -fuzz as a smoke test; the seed corpus alone runs under
-// plain `go test`.
+// sequence a peer can POST to /fleet/v1/*, and every poll response a worker
+// can receive, must either fail validation cleanly or produce a
+// structurally sound message — never panic, and never smuggle a node id
+// that could break logs or /metrics label values. CI runs this briefly with
+// -fuzz as a smoke test; the seed corpus alone runs under plain `go test`.
 
 import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"noisypull/internal/service"
 )
 
 func FuzzFleetWireDecode(f *testing.F) {
-	spec := service.JobSpec{N: 100, H: 4, Sources1: 1, Delta: 0.2, Protocol: "sf"}
-	wl := WireLease{
-		ID: "l-j-000001-000", Job: "j-000001",
-		Fingerprint: spec.Fingerprint(), Spec: spec,
-		Seeds: []uint64{1, 2, 3},
+	poll := func(wl WireLease) string {
+		data, err := json.Marshal(PollResponse{Lease: &wl})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(data)
 	}
-	leaseJSON, err := json.Marshal(wl)
-	if err != nil {
-		f.Fatal(err)
-	}
+	sealed := testLease()
+	unsealed := sealed
+	unsealed.Sum = ""
 	seeds := []string{
 		`{}`,
 		`{"node_id":"wa","version":"v1.2.3","gomaxprocs":8,"slots":4}`,
 		`{"node_id":"wa"}`,
 		`{"node_id":"wa","leases":["l-j-000001-000","l-j-000001-001"]}`,
-		`{"node_id":"wa","lease_id":"l-j-000001-000","results":[{"seed":1,"rounds":10,"converged":true}]}`,
 		`{"node_id":"wa","lease_id":"l-j-000001-000","error":"boom"}`,
 		`{"node_id":"evil\"}injection","lease_id":"l-1"}`,
 		`{"node_id":"wa","lease_id":"l-1","results":[{"seed":1},{"seed":1}]}`,
@@ -41,8 +38,14 @@ func FuzzFleetWireDecode(f *testing.F) {
 		`{"node_id":"wa","lease_id":"l-1","results":[{"seed":1},{"seed":2}],"atts":["0123456789abcdef"]}`,
 		`{"node_id":"wa","lease_id":"l-1","results":[{"seed":1}],"atts":["GHIJKLMNOPQRSTUV"]}`,
 		`{"node_id":"wa","lease_id":"l-1","results":[{"seed":1}],"atts":["0123"]}`,
-		`{"node_id":"wa","lease_id":"l-1","build":"` + strings.Repeat("x", 300) + `","results":[{"seed":1}]}`,
-		string(leaseJSON),
+		`{"node_id":"wa","lease_id":"l-1","build":"` + strings.Repeat("x", 300) + `","results":[{"seed":1}],"atts":["0123456789abcdef"]}`,
+		// Deliveries without attestations: rejected.
+		`{"node_id":"wa","lease_id":"l-j-000001-000","results":[{"seed":1,"rounds":10,"converged":true}]}`,
+		`{"node_id":"wa","lease_id":"l-1","build":"simd dev (go1.24)","results":[{"seed":1},{"seed":2}]}`,
+		// Poll responses: an empty one, a sealed lease, an unsealed lease.
+		`{"lease":null}`,
+		poll(sealed),
+		poll(unsealed),
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -69,12 +72,11 @@ func FuzzFleetWireDecode(f *testing.F) {
 			if req.Error == "" && len(req.Results) == 0 {
 				t.Fatal("DecodeResult accepted a delivery with neither results nor error")
 			}
-			// Attestation envelope invariants: atts, when present, are
-			// parallel to results and every digest is well-formed — the
-			// coordinator's self-check indexes atts by result position and
-			// compares digests verbatim, so a ragged or malformed envelope
-			// must never get that far.
-			if len(req.Atts) != 0 && len(req.Atts) != len(req.Results) {
+			// Attestation envelope invariants: one well-formed digest per
+			// result — the coordinator's self-check indexes atts by result
+			// position and compares digests verbatim, so a ragged or
+			// malformed envelope must never get that far.
+			if len(req.Atts) != len(req.Results) {
 				t.Fatalf("DecodeResult accepted %d atts for %d results", len(req.Atts), len(req.Results))
 			}
 			for _, a := range req.Atts {
@@ -86,11 +88,16 @@ func FuzzFleetWireDecode(f *testing.F) {
 				t.Fatalf("DecodeResult accepted a %d-byte build tag", len(req.Build))
 			}
 		}
-		if wl, err := DecodeLease(data); err == nil {
-			// A lease that decodes must re-validate (Validate is what the
-			// worker gates execution on) and its spec must build.
-			if err := wl.Validate(); err != nil {
-				t.Fatalf("DecodeLease returned a lease that fails Validate: %v", err)
+		// What Worker.poll does with a poll response: decode it, then gate
+		// execution on Validate.
+		var pr PollResponse
+		if json.Unmarshal(data, &pr) == nil && pr.Lease != nil && pr.Lease.Validate() == nil {
+			wl := pr.Lease
+			if wl.Sum != wl.checksum() {
+				t.Fatalf("Validate accepted lease %q with sum %q, want %q", wl.ID, wl.Sum, wl.checksum())
+			}
+			if validLeaseID(wl.ID) != nil || validSeeds(wl.Seeds) != nil {
+				t.Fatalf("Validate accepted lease %q with seeds %v", wl.ID, wl.Seeds)
 			}
 			if _, err := wl.Spec.Build(); err != nil {
 				t.Fatalf("validated lease spec does not build: %v", err)

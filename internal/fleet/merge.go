@@ -97,8 +97,8 @@ func (m *merge) admitted(seed uint64) bool {
 // add folds one node's delivery in. need is the delivering lease's quorum
 // (1 = first delivery wins). digests, when non-nil, is parallel to results
 // and carries the coordinator-recomputed attestation digest of each payload;
-// nil means an unattested source (journal preload, a pre-attestation worker)
-// whose results can satisfy only unverified seeds.
+// nil means the journal preload, whose results were admitted before a
+// restart and arrive with need 1.
 func (m *merge) add(node string, results []service.SeedResult, digests []string, need int) (mergeOut, error) {
 	var out mergeOut
 	for i := range results {
@@ -129,10 +129,6 @@ func (m *merge) add(node string, results []service.SeedResult, digests []string,
 			continue
 		}
 		// Quorum seed: record the vote, admit at `need` matching digests.
-		if digest == "" {
-			out.dups++ // unattested delivery cannot vote on a quorum seed
-			continue
-		}
 		votes := m.votes[pos]
 		if votes == nil {
 			votes = make(map[string]string)
@@ -185,14 +181,3 @@ func (m *merge) admit(pos int, r service.SeedResult, digest string) {
 
 // done reports whether every seed has been released.
 func (m *merge) done() bool { return m.next == len(m.order) }
-
-// pending returns the seeds not yet merged (diagnostics).
-func (m *merge) pending() []uint64 {
-	var out []uint64
-	for i, s := range m.order {
-		if m.got[i] == nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}

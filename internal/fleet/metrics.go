@@ -139,7 +139,7 @@ func (c *Coordinator) WriteMetrics(w io.Writer) error {
 	p("# HELP simd_fleet_quarantine_rejected_total RPCs refused because the caller is quarantined.\n")
 	p("# TYPE simd_fleet_quarantine_rejected_total counter\n")
 	p("simd_fleet_quarantine_rejected_total %d\n", c.quarRejected.Load())
-	p("# HELP simd_fleet_auth_failures_total RPCs rejected by the shared-secret HMAC check.\n")
+	p("# HELP simd_fleet_auth_failures_total RPCs rejected by the body HMAC check: a missing or wrong tag, or a body corrupted in flight.\n")
 	p("# TYPE simd_fleet_auth_failures_total counter\n")
 	p("simd_fleet_auth_failures_total %d\n", c.authFailures.Load())
 	return err

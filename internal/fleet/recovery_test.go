@@ -74,15 +74,37 @@ func (b *fakeBinding) records(op service.LeaseOp) []service.LeaseRecord {
 	return out
 }
 
-// postWire posts one wire request, returning the status and decoding a 200
-// body into out.
+// postWire posts one wire request tagged with the empty key, as a worker
+// without a secret tags it, returning the status and decoding a 200 body
+// into out.
 func postWire(t *testing.T, url string, in, out any) (status int, body string) {
+	t.Helper()
+	resp, raw := postTagged(t, url, Signer(""), in)
+	if out != nil && resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatalf("decoding %s: %v", raw, err)
+		}
+	}
+	return resp.StatusCode, string(raw)
+}
+
+// postTagged posts in as JSON with its body tagged by sign (nil sends it
+// untagged), returning the response and its body.
+func postTagged(t *testing.T, url string, sign func(*http.Request, []byte), in any) (*http.Response, []byte) {
 	t.Helper()
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if sign != nil {
+		sign(req, data)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +113,16 @@ func postWire(t *testing.T, url string, in, out any) (status int, body string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(raw, out); err != nil {
-			t.Fatalf("decoding %s: %v", raw, err)
-		}
+	return resp, raw
+}
+
+// attested is the delivery an honest worker of build "test-build" sends for
+// results computed under fingerprint fp: one attestation per result.
+func attested(node, leaseID, fp string, results ...service.SeedResult) ResultRequest {
+	return ResultRequest{
+		NodeID: node, LeaseID: leaseID, Results: results,
+		Build: "test-build", Atts: AttestAll(results, fp, "test-build"),
 	}
-	return resp.StatusCode, string(raw)
 }
 
 // startDispatch launches c.Dispatch in the background, returning a channel
@@ -195,10 +221,7 @@ func TestDispatchAdoptsJournaledLeases(t *testing.T) {
 	// The pre-crash owner delivers on its adopted active lease: accepted as a
 	// late delivery, not a duplicate.
 	var res ResultResponse
-	postWire(t, ts.URL+PathResult, ResultRequest{
-		NodeID: "wa", LeaseID: "l-j-000001-001",
-		Results: []service.SeedResult{sr(3), sr(4)},
-	}, &res)
+	postWire(t, ts.URL+PathResult, attested("wa", "l-j-000001-001", job.Fingerprint, sr(3), sr(4)), &res)
 	if res.Merged != 2 || res.Duplicates != 0 {
 		t.Fatalf("late delivery = %+v", res)
 	}
@@ -206,12 +229,8 @@ func TestDispatchAdoptsJournaledLeases(t *testing.T) {
 		t.Fatalf("lateDeliveries = %d, want 2", got)
 	}
 
-	postWire(t, ts.URL+PathResult, ResultRequest{
-		NodeID: "wb", LeaseID: "l-j-000001-002", Results: []service.SeedResult{sr(5)},
-	}, nil)
-	postWire(t, ts.URL+PathResult, ResultRequest{
-		NodeID: "wb", LeaseID: "l-j-000001-003", Results: []service.SeedResult{sr(6)},
-	}, nil)
+	postWire(t, ts.URL+PathResult, attested("wb", "l-j-000001-002", job.Fingerprint, sr(5)), nil)
+	postWire(t, ts.URL+PathResult, attested("wb", "l-j-000001-003", job.Fingerprint, sr(6)), nil)
 
 	got := <-resCh
 	if err := <-errCh; err != nil {
@@ -283,10 +302,9 @@ func TestRestartedCoordinatorNumbersPastDeliveredLeases(t *testing.T) {
 		t.Fatalf("first fresh lease %s reuses a journaled lease id", pr.Lease.ID)
 	}
 
+	fp := pr.Lease.Fingerprint
 	var res ResultResponse
-	st, body := postWire(t, ts.URL+PathResult, ResultRequest{
-		NodeID: "wb", LeaseID: "l-j-000001-001", Results: []service.SeedResult{sr(3), sr(4)},
-	}, &res)
+	st, body := postWire(t, ts.URL+PathResult, attested("wb", "l-j-000001-001", fp, sr(3), sr(4)), &res)
 	if st != http.StatusOK || res.Duplicates != 2 || res.Merged != 0 {
 		t.Fatalf("redelivery of the banked lease: %d %s %+v, want 2 duplicates", st, body, res)
 	}
@@ -299,14 +317,12 @@ func TestRestartedCoordinatorNumbersPastDeliveredLeases(t *testing.T) {
 		}
 	}
 
-	postWire(t, ts.URL+PathResult, ResultRequest{
-		NodeID: "wa", LeaseID: "l-j-000001-000", Results: []service.SeedResult{sr(1), sr(2)},
-	}, nil)
-	fresh := ResultRequest{NodeID: "wc", LeaseID: pr.Lease.ID}
+	postWire(t, ts.URL+PathResult, attested("wa", "l-j-000001-000", fp, sr(1), sr(2)), nil)
+	var fresh []service.SeedResult
 	for _, s := range pr.Lease.Seeds {
-		fresh.Results = append(fresh.Results, sr(s))
+		fresh = append(fresh, sr(s))
 	}
-	postWire(t, ts.URL+PathResult, fresh, nil)
+	postWire(t, ts.URL+PathResult, attested("wc", pr.Lease.ID, fp, fresh...), nil)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st, err := svc.Get("j-000001")
@@ -364,11 +380,11 @@ func TestResultDupStormIsIdempotent(t *testing.T) {
 
 	// Deliver tail-first, three times each, interleaved.
 	deliver := func(leaseID string, seeds ...uint64) {
-		req := ResultRequest{NodeID: "wa", LeaseID: leaseID}
+		var results []service.SeedResult
 		for _, s := range seeds {
-			req.Results = append(req.Results, sr(s))
+			results = append(results, sr(s))
 		}
-		req.Seal()
+		req := attested("wa", leaseID, job.Fingerprint, results...)
 		if st, body := postWire(t, ts.URL+PathResult, req, nil); st != 200 {
 			t.Fatalf("deliver %s: %d %s", leaseID, st, body)
 		}
@@ -427,13 +443,7 @@ func TestWireGatedDuringReplay(t *testing.T) {
 	}
 
 	for _, path := range []string{PathPoll, PathHeartbeat, PathResult} {
-		req, _ := json.Marshal(PollRequest{NodeID: "wa"})
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(req))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		resp, body := postTagged(t, ts.URL+path, Signer(""), PollRequest{NodeID: "wa"})
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("%s during replay: %d %s", path, resp.StatusCode, body)
 		}
@@ -491,15 +501,7 @@ func TestAdoptionGraceWindows(t *testing.T) {
 
 	// Result delivery for the recovering job: 503 + Retry-After (the worker
 	// spools and redelivers after adoption).
-	data, _ := json.Marshal(ResultRequest{
-		NodeID: "wa", LeaseID: "l-j-000003-000", Results: []service.SeedResult{sr(1)},
-	})
-	resp, err := http.Post(ts.URL+PathResult, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	resp, body := postTagged(t, ts.URL+PathResult, Signer(""), attested("wa", "l-j-000003-000", "fp-3", sr(1)))
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("delivery during adoption: %d %s", resp.StatusCode, body)
 	}
@@ -512,9 +514,7 @@ func TestAdoptionGraceWindows(t *testing.T) {
 
 	// Delivery for a terminal job's lease: plain duplicate ack, counted.
 	var res ResultResponse
-	postWire(t, ts.URL+PathResult, ResultRequest{
-		NodeID: "wa", LeaseID: "l-j-000004-000", Results: []service.SeedResult{sr(1)},
-	}, &res)
+	postWire(t, ts.URL+PathResult, attested("wa", "l-j-000004-000", "fp-4", sr(1)), &res)
 	if res.Duplicates != 1 {
 		t.Fatalf("stale delivery = %+v, want 1 duplicate", res)
 	}

@@ -18,11 +18,11 @@
 // results back.
 //
 // This file is the wire protocol: four POST endpoints under /fleet/v1/
-// (register, poll, heartbeat, result) with small JSON bodies, plus the
-// strict decode functions both sides use — the fuzzed surface of the
-// protocol. Unknown JSON fields are tolerated (mixed-version fleets must
-// be able to talk before they can be diagnosed via the version rows in
-// /metrics); value validation is strict.
+// (register, poll, heartbeat, result) with small JSON bodies, each carrying
+// a body HMAC (auth.go), plus the strict decode functions both sides use —
+// the fuzzed surface of the protocol. Unknown JSON fields are tolerated
+// (mixed-version fleets must be able to talk before they can be diagnosed
+// via the version rows in /metrics); value validation is strict.
 package fleet
 
 import (
@@ -106,13 +106,13 @@ type WireLease struct {
 	// Attempt counts prior leases of this range (0 = first); re-leases after
 	// node loss increment it.
 	Attempt int `json:"attempt"`
-	// Sum, when set, is an end-to-end integrity checksum over the lease's
-	// identifying fields (id, job, fingerprint, attempt, seeds). The
-	// fingerprint already pins the spec; Sum additionally defends the seed
-	// range against in-flight corruption that yields parseable-but-wrong
-	// JSON (the chaos injector's corrupt fault, a buggy middlebox). Empty
-	// skips the check, keeping older coordinators compatible.
-	Sum string `json:"sum,omitempty"`
+	// Sum is an end-to-end integrity checksum over the lease's identifying
+	// fields (id, job, fingerprint, attempt, seeds); the coordinator seals
+	// every lease it grants. Poll responses carry no body HMAC, so Sum is
+	// what defends the seed range against in-flight corruption that yields
+	// parseable-but-wrong JSON (a buggy middlebox). The fingerprint already
+	// pins the spec.
+	Sum string `json:"sum"`
 }
 
 // checksum computes the lease's integrity sum. The spec is covered
@@ -140,10 +140,11 @@ func (wl *WireLease) checksum() string {
 // lease it puts on the wire.
 func (wl *WireLease) Seal() { wl.Sum = wl.checksum() }
 
-// ErrLeaseChecksum marks a lease whose wire checksum failed: in-flight
-// corruption, not config drift. Workers drop such a lease silently — its
-// deadline re-leases the range and a clean copy arrives on a later poll —
-// instead of failing the job the way a fingerprint mismatch does.
+// ErrLeaseChecksum marks a lease whose wire checksum failed or is
+// missing: in-flight corruption, not config drift. Workers drop such a
+// lease silently — its deadline re-leases the range and a clean copy
+// arrives on a later poll — instead of failing the job the way a
+// fingerprint mismatch does.
 var ErrLeaseChecksum = errors.New("fleet: lease checksum mismatch (wire corruption)")
 
 // HeartbeatRequest is the busy-node liveness signal. Leases lists the lease
@@ -181,45 +182,13 @@ type ResultRequest struct {
 	// different builds intentionally cannot vouch for each other's results
 	// in a quorum.
 	Build string `json:"build,omitempty"`
-	// Atts carries one attestation digest per entry of Results (same order):
-	// Attest(result, fingerprint, build). Empty means the worker predates
-	// attestation; when present its length must equal len(Results). The
-	// coordinator recomputes every digest from the payload itself — a claimed
-	// digest that does not match is an attestation fault, and the recomputed
-	// digests are what quorum verification compares across nodes.
+	// Atts carries exactly one attestation digest per entry of Results (same
+	// order): Attest(result, fingerprint, build). The coordinator recomputes
+	// every digest from the payload itself — a claimed digest that does not
+	// match is an attestation fault, and the recomputed digests are what
+	// quorum verification compares across nodes.
 	Atts []string `json:"atts,omitempty"`
-	// Sum, when set, is an integrity checksum over the delivery (node, lease
-	// id, error, results, build, attestations): a corrupted-in-flight
-	// delivery is rejected with 400 instead of merging wrong numbers, and the
-	// worker's spool redelivers the intact original. Empty skips the check.
-	Sum string `json:"sum,omitempty"`
 }
-
-// checksum computes the delivery's integrity sum. SeedResult is flat
-// integers and bools, so a decode/re-encode round trip is byte-stable and
-// both ends compute identical sums from their in-memory structs.
-func (req *ResultRequest) checksum() string {
-	h := sha256.New()
-	field := func(s string) {
-		io.WriteString(h, s)
-		h.Write([]byte{0})
-	}
-	field(req.NodeID)
-	field(req.LeaseID)
-	field(req.Error)
-	field(req.Build)
-	for _, a := range req.Atts {
-		field(a)
-	}
-	enc := json.NewEncoder(h)
-	for i := range req.Results {
-		_ = enc.Encode(&req.Results[i])
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// Seal stamps the integrity checksum; workers call it before delivery.
-func (req *ResultRequest) Seal() { req.Sum = req.checksum() }
 
 // ResultResponse reports what the merge did with the delivery.
 type ResultResponse struct {
@@ -373,7 +342,7 @@ func DecodeResult(data []byte) (*ResultRequest, error) {
 	if len(req.Build) > 256 {
 		return nil, fmt.Errorf("fleet: build string longer than 256 bytes")
 	}
-	if len(req.Atts) != 0 && len(req.Atts) != len(req.Results) {
+	if len(req.Atts) != len(req.Results) {
 		return nil, fmt.Errorf("fleet: %d attestations for %d results", len(req.Atts), len(req.Results))
 	}
 	for _, a := range req.Atts {
@@ -381,33 +350,17 @@ func DecodeResult(data []byte) (*ResultRequest, error) {
 			return nil, err
 		}
 	}
-	if req.Sum != "" && req.Sum != req.checksum() {
-		return nil, fmt.Errorf("fleet: result delivery for lease %s failed its checksum (wire corruption)", req.LeaseID)
-	}
 	return &req, nil
 }
 
-// DecodeLease parses and validates a lease as received by a worker inside a
-// PollResponse. The spec is checked structurally (it must build) and the
-// fingerprint must match the spec — the worker-side gate against config
-// drift.
-func DecodeLease(data []byte) (*WireLease, error) {
-	var wl WireLease
-	if err := decodeInto(data, &wl); err != nil {
-		return nil, err
-	}
-	if err := wl.Validate(); err != nil {
-		return nil, err
-	}
-	return &wl, nil
-}
-
-// Validate checks a lease's invariants: checksum (when sealed), ids, seed
-// list, a spec that builds, and a fingerprint that matches the spec. The
-// checksum runs first so corruption is classified as ErrLeaseChecksum even
-// when it also broke a structural invariant.
+// Validate checks a lease as a worker receives it inside a PollResponse:
+// checksum, ids, seed list, a spec that builds, and a fingerprint that
+// matches the spec — the worker-side gate against config drift. The
+// checksum runs first, and an unsealed lease fails it, so corruption is
+// classified as ErrLeaseChecksum even when it also broke a structural
+// invariant.
 func (wl *WireLease) Validate() error {
-	if wl.Sum != "" && wl.Sum != wl.checksum() {
+	if wl.Sum != wl.checksum() {
 		return fmt.Errorf("%w: lease %q", ErrLeaseChecksum, wl.ID)
 	}
 	if err := validLeaseID(wl.ID); err != nil {

@@ -37,9 +37,10 @@ type WorkerConfig struct {
 	// Coordinator; the service client's retry/backoff applies to every
 	// fleet RPC, which are all idempotent by construction.
 	Client *service.Client
-	// Secret, when set, signs every coordinator RPC body with an HMAC-SHA256
-	// tag in the AuthHeader header; it must match the coordinator's
-	// -fleet-secret. Ignored when Client already carries a signer.
+	// Secret keys the HMAC-SHA256 tag stamped on every coordinator RPC body
+	// in the AuthHeader header; it must match the coordinator's
+	// -fleet-secret (empty = the empty key). Ignored when Client already
+	// carries a signer.
 	Secret string
 	// Lie, if non-nil, intercepts every computed lease result just before
 	// attestation — the Byzantine fault-injection hook behind -lie-spec. It
@@ -103,7 +104,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if client == nil {
 		client = service.NewClient(cfg.Coordinator)
 	}
-	if cfg.Secret != "" && client.Sign == nil {
+	if client.Sign == nil {
 		client.Sign = Signer(cfg.Secret)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -438,13 +439,12 @@ func (w *Worker) execute(ctx context.Context, ex *executor, wl *WireLease) ([]se
 
 // report posts a lease outcome. The RPC retries transient failures; if the
 // coordinator stays unreachable (down, draining, or replaying its journal
-// after a restart) the sealed request parks in the spool and flushLoop
+// after a restart) the request parks in the spool and flushLoop
 // redelivers it when the coordinator heals — the computed range survives the
 // outage without a re-lease. If even that fails, the lease deadline
 // re-leases the range elsewhere; idempotent merge makes the eventual
 // duplicate harmless.
 func (w *Worker) report(req *ResultRequest) {
-	req.Seal()
 	var resp ResultResponse
 	err := w.post(PathResult, req, &resp, 2*w.rpcTimeout())
 	if err == nil || w.ctx.Err() != nil {

@@ -393,6 +393,30 @@ func TestRecoveryMarksUnresumableJobsLost(t *testing.T) {
 	}
 }
 
+// TestRecoveryMarksRepeatedSeedsLost: a job journaled before seed lists
+// were checked for repeats no longer builds, so replay finalizes it as lost
+// with the repeated seed named.
+func TestRecoveryMarksRepeatedSeedsLost(t *testing.T) {
+	dir := t.TempDir()
+	spec := quickSpec(1, 1, 2)
+	jl, err := openJournal(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.appendSubmit("j-000010", &spec)
+	jl.close()
+
+	s := openJournaled(t, dir, Config{Workers: 1})
+	defer s.Close()
+	st, err := s.Get("j-000010")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || st.Error != "lost to crash: spec: seed 1 repeats" {
+		t.Fatalf("replayed job: state=%s error=%q", st.State, st.Error)
+	}
+}
+
 // TestWatchdogKillsStuckJob pins the wall-clock budget: a non-terminating job
 // with max_wall_ms set must be killed and finalized as failed (not
 // cancelled), with the kill counted.

@@ -7,6 +7,8 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +92,26 @@ func TestSpecValidation(t *testing.T) {
 	defer s2.Close()
 	if _, err := s2.Submit(quickSpec(1, 2, 3, 4)); err == nil {
 		t.Error("submission above MaxSeedsPerJob accepted")
+	}
+}
+
+// TestRepeatedSeedsRejected: a seed list that repeats a seed is a
+// validation error (HTTP 400), not a job — the local path used to run
+// [1, 1, 2] to done while a fleet failed it on its first lease.
+func TestRepeatedSeedsRejected(t *testing.T) {
+	s := openService(t, Config{Workers: 1})
+	defer s.Close()
+	if _, err := s.Submit(quickSpec(1, 1, 2)); err == nil || !strings.Contains(err.Error(), "spec: seed 1 repeats") {
+		t.Fatalf("Submit([1 1 2]) = %v, want the repeated seed named", err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	var he *HTTPError
+	if _, err := NewClient(srv.URL).Submit(context.Background(), quickSpec(2, 3, 2)); !errors.As(err, &he) || he.Status != http.StatusBadRequest {
+		t.Fatalf("POST /v1/jobs with seeds [2 3 2] = %v, want 400", err)
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("rejected submissions left %d jobs", len(jobs))
 	}
 }
 

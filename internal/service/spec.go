@@ -41,8 +41,8 @@ type JobSpec struct {
 	// at submission otherwise), or the per-agent engine under auto (the
 	// default) or its older names exact and aggregate.
 	Backend string `json:"backend,omitempty"`
-	// Seeds lists the independent trials to run, in order. Empty means the
-	// single seed 1.
+	// Seeds lists the independent trials to run, in order, none repeated.
+	// Empty means the single seed 1.
 	Seeds []uint64 `json:"seeds,omitempty"`
 	// Faults optionally schedules runtime fault injection; each entry maps
 	// to one noisypull.FaultEvent. Invalid schedules are rejected at
@@ -249,6 +249,16 @@ func (s *JobSpec) build() (noisypull.Config, error) {
 	}
 	if s.MaxWallMS < 0 {
 		return zero, fmt.Errorf("spec: negative max_wall_ms %d", s.MaxWallMS)
+	}
+	// A seed is a trial's identity (the journal, the merge and the fleet's
+	// leases key results by it), so a list that repeats one is refused here,
+	// on the local and the fleet path alike.
+	seen := make(map[uint64]bool, len(s.Seeds))
+	for _, seed := range s.Seeds {
+		if seen[seed] {
+			return zero, fmt.Errorf("spec: seed %d repeats", seed)
+		}
+		seen[seed] = true
 	}
 	if s.CheckpointRounds < -1 {
 		return zero, fmt.Errorf("spec: checkpoint_rounds %d (use a cadence, 0 for the service default, or -1 for off)", s.CheckpointRounds)
